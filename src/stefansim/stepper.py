@@ -13,11 +13,13 @@ in the order-0 regularized-energy norm:
 The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on each
-half-strip; the tangentially fluctuating coefficient parts
-(a - a_mean) u_zz - B u_xz - c u_z  are lagged one inner iterate and the
-lag loop runs until the *full* frozen-coefficient discrete system is
-satisfied to ``lin_tol``.  Walls use mirror-ghost elimination (second-order
-Neumann); the interface row is a Dirichlet row.
+half-strip and is factored once per temperature solve (one banded LU
+for all modes and both halves); the tangentially fluctuating coefficient
+parts  (a - a_mean) u_zz - B u_xz - c u_z  are lagged one inner iterate,
+each lag iteration reuses the factors, and the lag loop runs until the
+*full* frozen-coefficient discrete system is satisfied to ``lin_tol``.
+Walls use mirror-ghost elimination (second-order Neumann); the interface
+row is a Dirichlet row.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import FixedPointError, LinearSolveError
 from .functionals import (
@@ -94,27 +97,83 @@ class StepReport:
     lag_iters: int
 
 
-def _thomas_batched(lower, diag, upper, rhs):
-    """Solve tridiagonal systems, vectorized over leading axes of rhs.
+def _thomas_batched(dl, d, du, rhs, du2, ipiv):
+    """Solve with the ``dgttrf`` factors of tridiagonal systems laid end to
+    end.
 
-    lower/diag/upper: (..., m) with lower[..., 0] and upper[..., -1] unused.
-    Strict diagonal dominance holds for the stepping operators, so no
-    pivoting is needed.
+    rhs: complex, one system per row of its last axis; its real and
+    imaginary parts go to ``dgttrs`` as two right-hand-side columns.  The
+    name and the right-hand side as fourth positional argument are what
+    ``bench/workload.py`` traces the bulk solve by.
     """
-    m = diag.shape[-1]
-    cp = np.empty_like(rhs)
-    dp = np.empty_like(rhs)
-    cp[..., 0] = upper[..., 0] / diag[..., 0]
-    dp[..., 0] = rhs[..., 0] / diag[..., 0]
-    for j in range(1, m):
-        denom = diag[..., j] - lower[..., j] * cp[..., j - 1]
-        cp[..., j] = (upper[..., j] / denom) if j < m - 1 else 0.0
-        dp[..., j] = (rhs[..., j] - lower[..., j] * dp[..., j - 1]) / denom
-    out = np.empty_like(rhs)
-    out[..., -1] = dp[..., -1]
-    for j in range(m - 2, -1, -1):
-        out[..., j] = dp[..., j] - cp[..., j] * out[..., j + 1]
+    b = np.empty((rhs.size, 2), order="F")
+    b[:, 0] = rhs.real.ravel()
+    b[:, 1] = rhs.imag.ravel()
+    x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+    if info != 0:
+        raise LinearSolveError(f"banded substitution failed (dgttrs info={info})")
+    out = np.empty(rhs.shape, dtype=complex)
+    out.real = x[:, 0].reshape(rhs.shape)
+    out.imag = x[:, 1].reshape(rhs.shape)
     return out
+
+
+class _BulkLU:
+    """Per-mode implicit operator  1/dt + theta k^2 - theta a_mean(z) d_zz
+    on both half-strips, LU-factored once.
+
+    On each half, index j runs from the interface outward.  The Dirichlet
+    row j = 0 is eliminated: its coupling moves into the right-hand side of
+    row 1 (left in, partial pivoting would swap it with row 1).  That
+    leaves m = i_mid unknowns per half, and all (mode, half) systems are
+    laid end to end and factored by one banded LU.  Raises
+    LinearSolveError if the operator is singular.
+    """
+
+    def __init__(self, a_mean, inv_dt, theta, grids):
+        n_z, mid, dz = grids.normal.n_z, grids.normal.i_mid, grids.normal.dz
+        self.shape = (grids.tangential.n_x // 2 + 1, n_z)  # (modes, n_z)
+        self.mid = mid
+        self.dz = dz
+        # (2, m) z indices of the unknowns: upper half, then lower half
+        self.rows = np.stack((np.arange(mid + 1, n_z), np.arange(mid - 1, -1, -1)))
+        off = theta * a_mean[self.rows] / dz**2
+        k2 = np.arange(self.shape[0], dtype=float) ** 2
+        diag = inv_dt + theta * k2[:, None, None] + 2.0 * off  # (modes, 2, m)
+        lower = np.broadcast_to(-off, diag.shape).copy()
+        upper = lower.copy()
+        lower[..., -1] *= 2.0  # mirror-ghost wall row: u_zz ~ 2(u_{J-1} - u_J)/dz^2
+        self.couple = lower[0, :, 0].copy()  # row 1's coefficient of the Dirichlet value
+        # no coupling between consecutive systems of the end-to-end layout
+        lower[..., 0] = 0.0
+        upper[..., -1] = 0.0
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(
+            lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+        if info != 0:
+            raise LinearSolveError(f"bulk operator is singular (dgttrf info={info})")
+        self.factors = (dl, d, du, du2, ipiv)
+
+    def solve(self, rhs_hat, dir_hat):
+        """Per-mode solution (modes, n_z) for the right-hand side rhs_hat
+        (modes, n_z; the interface row is ignored) and the interface
+        Dirichlet values dir_hat (modes,)."""
+        b = rhs_hat[:, self.rows]
+        b[:, :, 0] -= self.couple * dir_hat[:, None]
+        dl, d, du, du2, ipiv = self.factors
+        x_hat = np.empty(rhs_hat.shape, dtype=complex)
+        x_hat[:, self.mid] = dir_hat
+        x_hat[:, self.rows] = _thomas_batched(dl, d, du, b, du2, ipiv)
+        return x_hat
+
+    def jump_response(self):
+        """Per-mode normal-derivative jump of the homogeneous solve with
+        unit Dirichlet data: the diagonal linear model of the curvature ->
+        temperature -> jump chain, used to make the interface update
+        contractive at high wavenumbers."""
+        mid = self.mid
+        w = self.solve(np.zeros(self.shape, dtype=complex), np.ones(self.shape[0])).real
+        return (6.0 - 4.0 * (w[:, mid + 1] + w[:, mid - 1])
+                + (w[:, mid + 2] + w[:, mid - 2])) / (2.0 * self.dz)
 
 
 def _interior_operator(v, coef, grids):
@@ -185,50 +244,12 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     if theta < 1.0:
         base_rhs = base_rhs + (1.0 - theta) * (L_old + f_old)
 
-    # per-half tridiagonal factors: index j runs from the interface outward
-    n_half = grids.normal.n_z - mid  # nodes per half including both ends
-    k2 = np.arange(n_x // 2 + 1, dtype=float) ** 2
-
-    def half_factors(z_index):
-        # z_index: array of global z indices for j = 0..n_half-1
-        am = a_mean[z_index]
-        diag = inv_dt + theta * k2[:, None] + 2.0 * theta * am[None, :] / dz**2
-        lower = np.broadcast_to(-theta * am[None, :] / dz**2, diag.shape).copy()
-        upper = lower.copy()
-        # Dirichlet row at the interface
-        diag[:, 0], lower[:, 0], upper[:, 0] = 1.0, 0.0, 0.0
-        # mirror-ghost wall row: u_zz ~ 2(u_{J-1} - u_J)/dz^2
-        lower[:, -1] = -2.0 * theta * am[-1] / dz**2
-        return lower, diag, upper
-
-    upper_idx = np.arange(mid, grids.normal.n_z)
-    lower_idx = np.arange(mid, -1, -1)
-    fac_up = half_factors(upper_idx)
-    fac_lo = half_factors(lower_idx)
+    bulk = _BulkLU(a_mean, inv_dt, theta, grids)
     dir_hat = np.fft.rfft(dirichlet)
 
     def solve_once(rhs_bulk):
-        u_new = np.empty_like(u_old)
-        for idx, fac in ((upper_idx, fac_up), (lower_idx, fac_lo)):
-            b_hat = np.fft.rfft(rhs_bulk[:, idx], axis=0).astype(complex)
-            b_hat[:, 0] = dir_hat
-            x_hat = _thomas_batched(fac[0], fac[1], fac[2], b_hat)
-            u_new[:, idx] = np.fft.irfft(x_hat, n=n_x, axis=0)
-        return u_new
-
-    def jump_response():
-        # per-mode normal-derivative jump of the homogeneous solve with
-        # unit Dirichlet data: the diagonal linear model of the
-        # curvature -> temperature -> jump chain, used to make the
-        # interface update contractive at high wavenumbers
-        ws = []
-        for fac in (fac_up, fac_lo):
-            b = np.zeros_like(fac[1], dtype=complex)
-            b[:, 0] = 1.0
-            ws.append(_thomas_batched(fac[0], fac[1], fac[2], b).real)
-        w_up, w_lo = ws
-        return (6.0 - 4.0 * (w_up[:, 1] + w_lo[:, 1])
-                + (w_up[:, 2] + w_lo[:, 2])) / (2.0 * dz)
+        x_hat = bulk.solve(np.fft.rfft(rhs_bulk, axis=0), dir_hat)
+        return np.fft.irfft(x_hat, n=n_x, axis=0)
 
     def full_residual(u_new, L_new, scale_new):
         r = (u_new - u_old) * inv_dt - theta * (L_new + f_new)
@@ -258,7 +279,7 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
         L_new, scale_new = _interior_operator(u_new, coef, grids)
         residual = full_residual(u_new, L_new, scale_new)
         if residual <= cfg.lin_tol:
-            sigma = jump_response() if return_jump_response else None
+            sigma = bulk.jump_response() if return_jump_response else None
             return u_new, float(residual), it, sigma
         u_lag = u_new
     raise LinearSolveError(
@@ -439,7 +460,7 @@ def _make_report(history, cfg, grids, cutoff, steady_level, cons_res,
 
 
 def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
-        collect_states=False, compute_identity=True):
+        collect_states=False, compute_identity=False):
     """Advance from (u0, rho0) to t_end, emitting one EnergyReport per step.
 
     On a failed step (fixed-point non-contraction, or the inner lag loop

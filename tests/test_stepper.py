@@ -69,6 +69,62 @@ def test_temperature_step_matches_dense_flat_solve():
     assert np.abs(u_new - dense[None, :]).max() < 1e-12
 
 
+def dense_half_strip_solve(a_line, k, inv_dt, theta, dz, rhs, dirichlet):
+    """Dense solve of one mode's half-strip system, interface row first:
+    a Dirichlet row, centered interior rows and a mirror-ghost wall row.
+
+    The Dirichlet row is scaled to the size of its neighbour; at unit
+    size, partial pivoting swaps it with row 1 and loses about four digits
+    at n_z = 257.
+    """
+    n = a_line.size
+    M = np.zeros((n, n))
+    for j in range(1, n):
+        off = theta * a_line[j] / dz**2
+        M[j, j] = inv_dt + theta * k**2 + 2.0 * off
+        M[j, j - 1] = -2.0 * off if j == n - 1 else -off
+        if j < n - 1:
+            M[j, j + 1] = -off
+    M[0, 0] = M[1, 1]
+    b = np.array(rhs, dtype=complex)
+    b[0] = M[0, 0] * dirichlet
+    return np.linalg.solve(M, b)
+
+
+@pytest.mark.parametrize("n_z", [17, 257])
+@pytest.mark.parametrize("theta, inv_dt", [(1.0, 1e3), (0.5, 1e2), (1.0, 0.0)])
+def test_bulk_solve_matches_dense_half_strips(n_z, theta, inv_dt):
+    from stefansim.stepper import _BulkLU
+    from stefansim.transform import coefficients
+
+    cfg = SolverConfig(n_x=16, n_z=n_z, theta=theta)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    x = grids.tangential.nodes
+    rho = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
+    a_mean = coefficients(rho, np.zeros_like(rho), cutoff, grids).a.mean(axis=0)
+    assert np.ptp(a_mean) > 1e-3  # the non-flat interface makes a_mean vary in z
+    rng = np.random.default_rng(7)
+    rhs_hat = np.fft.rfft(rng.standard_normal(grids.shape), axis=0)
+    dir_hat = np.fft.rfft(rng.standard_normal(cfg.n_x))
+
+    bulk = _BulkLU(a_mean, inv_dt, theta, grids)
+    x_hat = bulk.solve(rhs_hat, dir_hat)
+    mid, dz = grids.normal.i_mid, grids.normal.dz
+    halves = (np.arange(mid, n_z), np.arange(mid, -1, -1))  # interface outward
+    sigma_ref = np.zeros(cfg.n_x // 2 + 1)
+    for k in range(cfg.n_x // 2 + 1):
+        for rows in halves:
+            ref = dense_half_strip_solve(a_mean[rows], k, inv_dt, theta, dz,
+                                         rhs_hat[k, rows], dir_hat[k])
+            err = np.abs(x_hat[k, rows] - ref).max() / np.abs(ref).max()
+            assert err < 1e-12, (k, err)
+            unit = dense_half_strip_solve(a_mean[rows], k, inv_dt, theta, dz,
+                                          np.zeros(rows.size), 1.0).real
+            sigma_ref[k] += (3.0 - 4.0 * unit[1] + unit[2]) / (2.0 * dz)
+    sigma = bulk.jump_response()
+    assert np.abs(sigma - sigma_ref).max() <= 1e-12 * np.abs(sigma_ref).max()
+
+
 def test_temperature_step_far_field_continuum():
     # away from the interface-induced boundary layer the step agrees with
     # the exact backward-Euler heat decay cos(pi z) -> cos(pi z)/(1+pi^2 dt)
@@ -222,6 +278,22 @@ def test_fixed_point_contracts_after_first_iterate(small_grids, small_cutoff):
     assert report.fp_norms[-1] <= cfg.fp_tol
     assert report.lin_residual <= cfg.lin_tol
     assert report.lag_iters >= report.inner_iters
+
+
+def test_fixed_point_tall_manufactured_column_converges():
+    # At n_z = 257 the Dirichlet row is much smaller than its neighbour's
+    # coupling to it; factoring with that row left in lets partial pivoting
+    # swap the two, and the first step then stalls above fp_tol.
+    from stefansim.oracles import ManufacturedProblem
+
+    cfg = SolverConfig(epsilon=1e-3, n_x=32, n_z=257, theta=0.5, dt=0.01, k_diag=0)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    problem = ManufacturedProblem(grids, cutoff, cfg.epsilon)
+    u0, rho0 = problem.initial_data()
+    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff,
+                                 forcing=problem)
+    assert report.inner_iters <= 6
+    assert report.fp_norms[-1] <= cfg.fp_tol
 
 
 def test_fixed_point_error_carries_last_iterate_info(small_grids, small_cutoff):
