@@ -38,6 +38,7 @@ from .functionals import (
     energy_E,
     energy_eps,
     equivalence_constant,
+    evaluate_functionals,
     i_psi,
     sobolev_norms,
     state_energy_k0,

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import build_initial_data, parse_config, resolve_out_dir, sweep_points
+from .config import Scenario, build_initial_data, parse_config, resolve_out_dir, sweep_points
 from .errors import ConfigError, StefanSimError
 from .functionals import decay_fit
 from .io import (
@@ -119,21 +119,13 @@ def cmd_spectrum(args):
             modes.append(linearized_spectrum(k, n_z_dense=args.n_dense, eps=eps))
             eps_col.append(eps)
     text = spectrum_csv_text(modes, eps_col)
-    out_dir = resolve_out_dir_default(args.out)
+    out_dir = resolve_out_dir(Scenario(name="spectrum"), args.out)
     path = os.path.join(out_dir, "spectrum.csv")
     atomic_write_text(path, text)
     write_sidecar(path)
     if not args.quiet:
         print(text, end="")
     return 0
-
-
-def resolve_out_dir_default(override):
-    out = override if override else "out"
-    root = os.environ.get("STEFANSIM_OUT")
-    if root and not os.path.isabs(out):
-        out = os.path.join(root, out)
-    return out
 
 
 def cmd_verify(args):
@@ -216,9 +208,9 @@ def build_parser():
     def common(p, needs_config):
         if needs_config:
             p.add_argument("--config", required=True, help="scenario INI file")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario's RNG seed")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="run one scenario")
@@ -239,6 +231,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     common(p_sweep, True)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
     p_sweep.set_defaults(handler=cmd_sweep)
     return parser
 

@@ -27,14 +27,16 @@ from typing import Optional
 import numpy as np
 
 from .grids import (
-    d_normal,
-    d_normal2,
     d_tangential,
+    first_walls,
+    halves,
     integrate_bulk,
-    integrate_bulk_sided,
+    integrate_halves,
     integrate_interface,
+    second_walls,
+    tangential_multiplier,
 )
-from .transform import Cutoff, coefficients
+from .transform import coefficients
 
 
 def derivative_pairs(k_diag):
@@ -126,39 +128,152 @@ def i_psi_lower_bound(omega, psi):
     return float((oxx**2 * L**3).sum() * 2.0 * np.pi / n)
 
 
-def _bulk_h1_weighted(stack, w):
-    """int w^2 + |w_x|^2 + a_psi w_n^2 (one-sided at the interface row)."""
+def _dx(hat, raw, order, zero_nyquist):
+    """d_x^order of ``raw`` from its rfft ``hat`` along axis 0 (order 0
+    returns ``raw`` itself).  No finiteness check."""
+    if order == 0:
+        return raw
+    n = raw.shape[0]
+    mult = tangential_multiplier(n, order, zero_nyquist)
+    return np.fft.irfft(hat * mult.reshape((-1,) + (1,) * (hat.ndim - 1)), n=n, axis=0)
+
+
+def _bulk(values, g):
+    return float(np.trapezoid(values, dx=g.normal.dz, axis=-1).sum() * g.tangential.spacing)
+
+
+def _iface(values, g):
+    return float(values.sum() * g.tangential.spacing)
+
+
+def _i_psi_parts(oxx, L, px, g):
+    """(I_psi, its lower bound) from the Hessian oxx and the weights."""
+    return _iface(oxx**2 * L - (oxx * px) ** 2 * L**3, g), _iface(oxx**2 * L**3, g)
+
+
+def _energy_terms(u, u_hat, un, un_hat, r, r_hat, mu, eps, a_h, L, px, g):
+    """The (mu, s) term of E, the eps coefficient X of E_eps = E + eps X,
+    the unweighted counterparts of both, I_psi minus its lower bound, and
+    the fields d_x^{mu+1} u, d_x^mu u_n that D reuses.
+
+    u, r: the s-th time quotients; un: the one-sided normal derivative of
+    u in the ``halves`` layout; *_hat: their rffts along x.
+    """
+    odd = mu % 2 == 1
+    w = _dx(u_hat, u, mu, odd)
+    wx = _dx(u_hat, u, mu + 1, True)
+    wn = _dx(un_hat, un, mu, odd)
+    vx = _dx(r_hat, r, mu + 1, True)
+    vxx = _dx(r_hat, r, mu + 2, odd)
+    bulk = _bulk(w**2 + wx**2, g)
+    i_form, i_lower = _i_psi_parts(vxx, L, px, g)
+    E = bulk + integrate_halves(a_h * wn**2, g) + _iface(vx**2 * L, g) + i_form
+    sob_E = bulk + integrate_halves(wn**2, g) + _iface(vx**2 + vxx**2, g)
+    X = sob_X = 0.0
+    if eps != 0.0:
+        v3 = _dx(r_hat, r, mu + 3, True)
+        v4 = _dx(r_hat, r, mu + 4, odd)
+        X = _iface(v3**2 * L, g) + _i_psi_parts(v4, L, px, g)[0]
+        sob_X = _iface(v3**2 + v4**2, g)
+    return E, X, sob_E, sob_X, i_form - i_lower, (wx, wn)
+
+
+@dataclass(frozen=True)
+class Functionals:
+    """Every per-step functional of one DerivativeStack."""
+
+    E: FunctionalValue
+    D: FunctionalValue
+    E_eps: FunctionalValue
+    D_eps: FunctionalValue
+    sobolev_E: FunctionalValue
+    sobolev_D: FunctionalValue
+    i_psi_min_gap: float
+
+
+def evaluate_functionals(stack, eps):
+    """E, D, E_eps, D_eps and their unweighted Sobolev counterparts from
+    one shared derivative pass, plus the least I_psi - lower bound gap.
+
+    Each time quotient u_s, rho_s and the one-sided normal derivatives
+    d_z u_s, d_z^2 u_s (d_x commutes with d_z) are transformed once along
+    x; every d_x^mu of them is one multiplication by a cached (ik)^n.  A
+    composed derivative zeroes the Nyquist mode whenever one of its
+    factors has odd order, as nested ``d_tangential`` calls do.  E_eps =
+    E + eps X and D_eps = D + eps Y share their arrays with E and D, and
+    the Sobolev sums are the same arrays without the weights.
+
+    The eps addition to D is 2 eps int |d_x^mu Delta grad rho_t|^2 <psi>^-1
+    per (mu, s) (the time-differentiated form; see the energy identity,
+    whose time derivative this term balances).
+
+    No finiteness checks: ``run`` checks each accepted state once.
+    """
     g = stack.grids
-    wx = d_tangential(w, 1)
-    wn_up = d_normal(w, g.normal, side="above")
-    wn_lo = d_normal(w, g.normal, side="below")
-    val = integrate_bulk(w**2 + wx**2, g)
-    val += integrate_bulk_sided(stack.a_psi * wn_up**2, stack.a_psi * wn_lo**2, g)
-    return val
+    k = stack.k_diag
+    dz = g.normal.dz
+    a_h = halves(stack.a_psi, g.normal)
+    L = 1.0 / stack.bracket
+    px = _dx(np.fft.rfft(stack.psi), stack.psi, 1, True)
+    us = [stack.u_quotient(s) for s in range(k + 2)]
+    rs = [stack.rho_quotient(s) for s in range(k + 2)]
+    u_hats = [None if u is None else np.fft.rfft(u, axis=0) for u in us]
+    r_hats = [None if r is None else np.fft.rfft(r) for r in rs]
+    uns = [None if u is None else first_walls(halves(u, g.normal), dz) for u in us[:-1]]
+    un_hats = [None if un is None else np.fft.rfft(un, axis=0) for un in uns]
+    unns, unn_hats = {}, {}
+
+    E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
+    gaps, missing_E, missing_D = [], [], []
+    for mu, s in derivative_pairs(k):
+        if us[s] is None or rs[s] is None:
+            missing_E.append((mu, s))
+            missing_D.append((mu, s))
+            continue
+        e, x, se, sx, gap, (wx, wn) = _energy_terms(
+            us[s], u_hats[s], uns[s], un_hats[s], rs[s], r_hats[s], mu, eps, a_h, L, px, g)
+        E, X, sob_E, sob_X = E + e, X + x, sob_E + se, sob_X + sx
+        gaps.append(gap)
+        if us[s + 1] is None or rs[s + 1] is None:
+            missing_D.append((mu, s))
+            continue
+        if s not in unns:
+            if g.normal.n_z < 9:
+                raise ValueError("d_normal2 needs n_z >= 9 (4-point one-sided stencils)")
+            unns[s] = second_walls(halves(us[s], g.normal), dz)
+            unn_hats[s] = np.fft.rfft(unns[s], axis=0)
+        odd = mu % 2 == 1
+        wt = _dx(u_hats[s + 1], us[s + 1], mu, odd)
+        wxx = _dx(u_hats[s], us[s], mu + 2, odd)
+        wxn = _dx(un_hats[s], uns[s], mu + 1, True)
+        wnn = _dx(unn_hats[s], unns[s], mu, odd)
+        vtx = _dx(r_hats[s + 1], rs[s + 1], mu + 1, True)
+        bulk = _bulk(wt**2 + wx**2 + wxx**2, g)
+        D += (bulk
+              + integrate_halves(a_h * wn**2 + 2.0 * a_h * wxn**2 + (a_h * wnn) ** 2, g)
+              + 2.0 * _iface(vtx**2 * L, g))
+        sob_D += (bulk + integrate_halves(wn**2 + 2.0 * wxn**2 + wnn**2, g)
+                  + _iface(vtx**2, g))
+        if eps != 0.0:
+            vt3 = _dx(r_hats[s + 1], rs[s + 1], mu + 3, True)
+            Y += 2.0 * _iface(vt3**2 * L, g)
+            sob_Y += _iface(vt3**2, g)
+
+    missing_E, missing_D = tuple(missing_E), tuple(missing_D)
+    return Functionals(
+        E=FunctionalValue(E, missing_E),
+        D=FunctionalValue(D, missing_D),
+        E_eps=FunctionalValue(E + eps * X, missing_E),
+        D_eps=FunctionalValue(D + eps * Y, missing_D),
+        sobolev_E=FunctionalValue(sob_E + eps * sob_X, missing_E),
+        sobolev_D=FunctionalValue(sob_D + eps * sob_Y, missing_D),
+        i_psi_min_gap=min(gaps, default=0.0),
+    )
 
 
 def energy_eps(stack, eps):
     """Regularized energy E_eps; eps = 0 gives the base energy E exactly."""
-    g = stack.grids
-    tg = g.tangential
-    L = 1.0 / stack.bracket
-    total = 0.0
-    missing = []
-    for mu, s in derivative_pairs(stack.k_diag):
-        u_s = stack.u_quotient(s)
-        r_s = stack.rho_quotient(s)
-        if u_s is None or r_s is None:
-            missing.append((mu, s))
-            continue
-        w = d_tangential(u_s, mu) if mu else u_s
-        v = d_tangential(r_s, mu) if mu else r_s
-        total += _bulk_h1_weighted(stack, w)
-        total += integrate_interface(d_tangential(v, 1) ** 2 * L, tg)
-        total += i_psi(v, stack.psi)
-        if eps != 0.0:
-            total += eps * integrate_interface(d_tangential(v, 3) ** 2 * L, tg)
-            total += eps * i_psi(d_tangential(v, 2), stack.psi)
-    return FunctionalValue(total, tuple(missing))
+    return evaluate_functionals(stack, eps).E_eps
 
 
 def energy_E(stack):
@@ -166,46 +281,8 @@ def energy_E(stack):
 
 
 def dissipation_eps(stack, eps):
-    """Regularized dissipation D_eps; eps = 0 gives the base dissipation D.
-
-    The eps addition is 2 eps int |d_x^mu Delta grad rho_t|^2 <psi>^-1 per
-    (mu, s) (the time-differentiated form; see the energy identity, whose
-    time derivative this term balances).
-    """
-    g = stack.grids
-    tg = g.tangential
-    L = 1.0 / stack.bracket
-    a = stack.a_psi
-    total = 0.0
-    missing = []
-    for mu, s in derivative_pairs(stack.k_diag):
-        u_s = stack.u_quotient(s)
-        u_s1 = stack.u_quotient(s + 1)
-        r_s1 = stack.rho_quotient(s + 1)
-        if u_s is None or u_s1 is None or r_s1 is None:
-            missing.append((mu, s))
-            continue
-        w = d_tangential(u_s, mu) if mu else u_s
-        wt = d_tangential(u_s1, mu) if mu else u_s1
-        vt = d_tangential(r_s1, mu) if mu else r_s1
-        wx = d_tangential(w, 1)
-        wxx = d_tangential(w, 2)
-        wn_up = d_normal(w, g.normal, side="above")
-        wn_lo = d_normal(w, g.normal, side="below")
-        wxn_up = d_tangential(wn_up, 1)
-        wxn_lo = d_tangential(wn_lo, 1)
-        wnn_up = d_normal2(w, g.normal, side="above")
-        wnn_lo = d_normal2(w, g.normal, side="below")
-        total += integrate_bulk(wt**2 + wx**2 + wxx**2, g)
-        total += integrate_bulk_sided(
-            a * wn_up**2 + 2.0 * a * wxn_up**2 + (a * wnn_up) ** 2,
-            a * wn_lo**2 + 2.0 * a * wxn_lo**2 + (a * wnn_lo) ** 2,
-            g,
-        )
-        total += 2.0 * integrate_interface(d_tangential(vt, 1) ** 2 * L, tg)
-        if eps != 0.0:
-            total += 2.0 * eps * integrate_interface(d_tangential(vt, 3) ** 2 * L, tg)
-    return FunctionalValue(total, tuple(missing))
+    """Regularized dissipation D_eps; eps = 0 gives the base dissipation D."""
+    return evaluate_functionals(stack, eps).D_eps
 
 
 def dissipation_D(stack):
@@ -214,57 +291,8 @@ def dissipation_D(stack):
 
 def sobolev_norms(stack, eps):
     """Unweighted Sobolev counterparts (norm_E^2, norm_D^2) of E_eps, D_eps."""
-    g = stack.grids
-    tg = g.tangential
-    e_total, d_total = 0.0, 0.0
-    e_missing, d_missing = [], []
-    for mu, s in derivative_pairs(stack.k_diag):
-        u_s = stack.u_quotient(s)
-        r_s = stack.rho_quotient(s)
-        if u_s is not None and r_s is not None:
-            w = d_tangential(u_s, mu) if mu else u_s
-            v = d_tangential(r_s, mu) if mu else r_s
-            wx = d_tangential(w, 1)
-            wn_up = d_normal(w, g.normal, side="above")
-            wn_lo = d_normal(w, g.normal, side="below")
-            e_total += integrate_bulk(w**2 + wx**2, g)
-            e_total += integrate_bulk_sided(wn_up**2, wn_lo**2, g)
-            vx = d_tangential(v, 1)
-            vxx = d_tangential(v, 2)
-            e_total += integrate_interface(vx**2 + vxx**2, tg)
-            if eps != 0.0:
-                vxxx = d_tangential(v, 3)
-                vxxxx = d_tangential(v, 4)
-                e_total += eps * integrate_interface(vxxx**2 + vxxxx**2, tg)
-        else:
-            e_missing.append((mu, s))
-
-        u_s1 = stack.u_quotient(s + 1)
-        r_s1 = stack.rho_quotient(s + 1)
-        if u_s is not None and u_s1 is not None and r_s1 is not None:
-            w = d_tangential(u_s, mu) if mu else u_s
-            wt = d_tangential(u_s1, mu) if mu else u_s1
-            vt = d_tangential(r_s1, mu) if mu else r_s1
-            wx = d_tangential(w, 1)
-            wxx = d_tangential(w, 2)
-            wn_up = d_normal(w, g.normal, side="above")
-            wn_lo = d_normal(w, g.normal, side="below")
-            wxn_up = d_tangential(wn_up, 1)
-            wxn_lo = d_tangential(wn_lo, 1)
-            wnn_up = d_normal2(w, g.normal, side="above")
-            wnn_lo = d_normal2(w, g.normal, side="below")
-            d_total += integrate_bulk(wt**2 + wx**2 + wxx**2, g)
-            d_total += integrate_bulk_sided(
-                wn_up**2 + 2.0 * wxn_up**2 + wnn_up**2,
-                wn_lo**2 + 2.0 * wxn_lo**2 + wnn_lo**2,
-                g,
-            )
-            d_total += integrate_interface(d_tangential(vt, 1) ** 2, tg)
-            if eps != 0.0:
-                d_total += eps * integrate_interface(d_tangential(vt, 3) ** 2, tg)
-        else:
-            d_missing.append((mu, s))
-    return FunctionalValue(e_total, tuple(e_missing)), FunctionalValue(d_total, tuple(d_missing))
+    f = evaluate_functionals(stack, eps)
+    return f.sobolev_E, f.sobolev_D
 
 
 def equivalence_constant(psi, cutoff, kind="E"):
@@ -296,25 +324,23 @@ def equivalence_constant(psi, cutoff, kind="E"):
     return float(max(r_hi, 1.0 / r_lo))
 
 
-def state_energy_k0(u, rho, psi, eps, cutoff, grids):
-    """E_eps of a bare state at diagnostic order 0 with prescribed weights psi.
+def state_energy_k0(u, rho, psi, a_psi, bracket, eps, grids):
+    """E_eps of a bare state at diagnostic order 0 with the weights of psi.
 
-    Used for fixed-point difference norms and trajectory distances; no time
+    a_psi (bulk, (n_x, n_z)) and bracket = <psi> ((n_x,)) are the
+    ``coefficients`` fields at psi, which callers already hold.  Used for
+    fixed-point difference norms and trajectory distances; no time
     derivatives enter at order 0, so no history is needed.
     """
-    stack = DerivativeStack(grids, cutoff, 0, [0.0], [np.asarray(u, dtype=float)],
-                            [np.asarray(psi, dtype=float)])
-    g = grids
-    tg = g.tangential
-    L = 1.0 / stack.bracket
-    v = np.asarray(rho, dtype=float)
-    total = _bulk_h1_weighted(stack, np.asarray(u, dtype=float))
-    total += integrate_interface(d_tangential(v, 1) ** 2 * L, tg)
-    total += i_psi(v, psi)
-    if eps != 0.0:
-        total += eps * integrate_interface(d_tangential(v, 3) ** 2 * L, tg)
-        total += eps * i_psi(d_tangential(v, 2), psi)
-    return float(total)
+    u = np.asarray(u, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    un = first_walls(halves(u, grids.normal), grids.normal.dz)
+    px = _dx(np.fft.rfft(psi), psi, 1, True)
+    # at mu = 0 the normal derivative is used as it is: no transform needed
+    e, x, *_ = _energy_terms(u, np.fft.rfft(u, axis=0), un, None, rho, np.fft.rfft(rho),
+                             0, eps, halves(a_psi, grids.normal), 1.0 / bracket, px, grids)
+    return e + eps * x
 
 
 def conserved_quantity(u, rho, cutoff, grids):

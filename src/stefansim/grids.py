@@ -15,7 +15,7 @@ rectangle rule tangentially and the trapezoid rule per half-strip normally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -149,6 +149,20 @@ class BulkField:
         return cls(grids, np.zeros(grids.shape))
 
 
+@lru_cache(maxsize=None)
+def tangential_multiplier(n, order, zero_nyquist):
+    """(ik)^order on the rfft modes of an n-point grid (read-only, cached).
+
+    The Nyquist mode is zeroed when ``zero_nyquist``: for an odd order, and
+    for a composed derivative any of whose factors has odd order.
+    """
+    mult = (1j * np.arange(n // 2 + 1)) ** order
+    if zero_nyquist:
+        mult[-1] = 0.0
+    mult.setflags(write=False)
+    return mult
+
+
 def d_tangential(values, order=1):
     """Spectral tangential derivative along axis 0.
 
@@ -165,9 +179,7 @@ def d_tangential(values, order=1):
         raise ValueError("order must be a positive integer")
     n = v.shape[0]
     vh = np.fft.rfft(v, axis=0)
-    mult = (1j * np.arange(n // 2 + 1)) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0
+    mult = tangential_multiplier(n, order, order % 2 == 1)
     shape = (-1,) + (1,) * (v.ndim - 1)
     return np.fft.irfft(vh * mult.reshape(shape), n=n, axis=0)
 
@@ -177,6 +189,42 @@ def _one_sided_first(values, i, h, forward):
     if forward:
         return (-3.0 * values[..., i] + 4.0 * values[..., i + 1] - values[..., i + 2]) / (2.0 * h)
     return (3.0 * values[..., i] - 4.0 * values[..., i - 1] + values[..., i - 2]) / (2.0 * h)
+
+
+def first_walls(values, h):
+    """First derivative along the last axis with spacing h: centered inside,
+    one-sided 3-point stencils at both ends (no finiteness check)."""
+    out = np.empty_like(values)
+    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * h)
+    out[..., 0] = _one_sided_first(values, 0, h, forward=True)
+    out[..., -1] = _one_sided_first(values, values.shape[-1] - 1, h, forward=False)
+    return out
+
+
+def _one_sided_second(values, i, h, forward):
+    # second-order 4-point stencil
+    s = 1 if forward else -1
+    return (2.0 * values[..., i] - 5.0 * values[..., i + s] + 4.0 * values[..., i + 2 * s]
+            - values[..., i + 3 * s]) / h**2
+
+
+def second_walls(values, h):
+    """Second derivative along the last axis with spacing h: 3-point inside,
+    one-sided 4-point stencils at both ends (no finiteness check)."""
+    out = np.empty_like(values)
+    out[..., 1:-1] = (values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]) / h**2
+    out[..., 0] = _one_sided_second(values, 0, h, forward=True)
+    out[..., -1] = _one_sided_second(values, values.shape[-1] - 1, h, forward=False)
+    return out
+
+
+def halves(values, grid):
+    """Split bulk values (..., n_z) into the two half-strips (..., 2, i_mid + 1):
+    z <= 0 first, then z >= 0.  Both halves hold the z = 0 row, so a
+    derivative taken on them is one-sided at the interface, as in
+    ``d_normal(side="below")`` and ``side="above"`` respectively."""
+    mid = grid.i_mid
+    return np.stack((values[..., : mid + 1], values[..., mid:]), axis=-2)
 
 
 def d_normal(values, grid, side="above"):
@@ -192,10 +240,7 @@ def d_normal(values, grid, side="above"):
     n_z, h, mid = grid.n_z, grid.dz, grid.i_mid
     if v.shape[-1] != n_z:
         raise ValueError(f"last axis {v.shape[-1]} != n_z {n_z}")
-    out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-    out[..., 0] = _one_sided_first(v, 0, h, forward=True)
-    out[..., -1] = _one_sided_first(v, n_z - 1, h, forward=False)
+    out = first_walls(v, h)
     if side == "above":
         out[..., mid] = _one_sided_first(v, mid, h, forward=True)
     elif side == "below":
@@ -217,21 +262,11 @@ def d_normal2(values, grid, side="above"):
     n_z, h, mid = grid.n_z, grid.dz, grid.i_mid
     if n_z < 9:
         raise ValueError("d_normal2 needs n_z >= 9 (4-point one-sided stencils)")
-    out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h**2
-
-    def fwd(i):
-        return (2.0 * v[..., i] - 5.0 * v[..., i + 1] + 4.0 * v[..., i + 2] - v[..., i + 3]) / h**2
-
-    def bwd(i):
-        return (2.0 * v[..., i] - 5.0 * v[..., i - 1] + 4.0 * v[..., i - 2] - v[..., i - 3]) / h**2
-
-    out[..., 0] = fwd(0)
-    out[..., -1] = bwd(n_z - 1)
+    out = second_walls(v, h)
     if side == "above":
-        out[..., mid] = fwd(mid)
+        out[..., mid] = _one_sided_second(v, mid, h, forward=True)
     elif side == "below":
-        out[..., mid] = bwd(mid)
+        out[..., mid] = _one_sided_second(v, mid, h, forward=False)
     elif side != "centered":
         raise ValueError(f"side must be above/below/centered, got {side!r}")
     return out
@@ -264,10 +299,15 @@ def integrate_bulk_sided(above, below, grids):
     _require_finite(a, "integrate_bulk_sided above")
     _require_finite(b, "integrate_bulk_sided below")
     mid = grids.normal.i_mid
-    dz = grids.normal.dz
-    upper = np.trapezoid(a[..., mid:], dx=dz, axis=-1)
-    lower = np.trapezoid(b[..., : mid + 1], dx=dz, axis=-1)
-    return float((upper + lower).sum() * grids.tangential.spacing)
+    return integrate_halves(np.stack((b[..., : mid + 1], a[..., mid:]), axis=-2), grids)
+
+
+def integrate_halves(values, grids):
+    """Two-phase bulk quadrature of an integrand in the ``halves`` layout
+    (..., 2, i_mid + 1): trapezoid per half-strip, rectangle rule in x.
+    No finiteness check."""
+    per_half = np.trapezoid(values, dx=grids.normal.dz, axis=-1)
+    return float((per_half[..., 1] + per_half[..., 0]).sum() * grids.tangential.spacing)
 
 
 def l2_interface(values, grid):

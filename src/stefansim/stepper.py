@@ -35,16 +35,11 @@ from .functionals import (
     DerivativeStack,
     EnergyReport,
     conservation_residual,
-    dissipation_eps,
-    energy_eps,
-    i_psi,
-    i_psi_lower_bound,
-    sobolev_norms,
+    evaluate_functionals,
     state_energy_k0,
     steady_mean,
-    derivative_pairs,
 )
-from .grids import Grids, NormalGrid, TangentialGrid, d_tangential, l2_interface
+from .grids import Grids, NormalGrid, TangentialGrid, _require_finite, d_tangential, l2_interface
 from .identity import identity_residual_k0
 from .transform import Cutoff, coefficients, curvature, jump_normal_derivative
 
@@ -72,6 +67,7 @@ class SolverConfig:
             raise ValueError("theta must lie in [1/2, 1]")
         if not (0 <= self.k_diag <= 3):
             raise ValueError("k_diag must be in 0..3")
+        self.cutoff()  # rejects alpha outside (0, 1/3)
 
     def grids(self):
         return Grids(TangentialGrid(self.n_x), NormalGrid(self.n_z))
@@ -395,8 +391,11 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         )
         lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
-        diff = np.sqrt(state_energy_k0(u_next - u_m, rho_next - rho_m, rho_m,
-                                       cfg.epsilon, cutoff, grids))
+        # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
+        # so for theta = 1 (rho_eff = rho_m) they are coef's own fields
+        weights = coef if theta == 1.0 else coefficients(rho_m, rho_t_m, cutoff, grids)
+        diff = np.sqrt(state_energy_k0(u_next - u_m, rho_next - rho_m, rho_m, weights.a,
+                                       weights.bracket, cfg.epsilon, grids))
         norms.append(diff)
         if len(norms) >= 2 and norms[-2] > 0:
             ratios.append(norms[-1] / norms[-2])
@@ -425,37 +424,38 @@ class RunResult:
     states: Optional[list] = None
 
 
-def _make_report(history, cfg, grids, cutoff, steady_level, cons_res,
-                 step_report, compute_identity):
+def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
+                 compute_identity):
+    """Diagnostics of the newest history entry.  Its (u, rho) are checked
+    for finiteness here, once: every earlier entry was checked when it was
+    the newest."""
+    t, u, rho = history[-1]
+    _require_finite(u, f"accepted u at t={t!r}")
+    _require_finite(rho, f"accepted rho at t={t!r}")
+    cons_res = 0.0
+    if len(history) >= 2:
+        _, u_old, rho_old = history[-2]
+        cons_res = conservation_residual((u_old, rho_old), (u, rho), cutoff, grids)
     times = [h[0] for h in history]
     us = [h[1] for h in history]
     rhos = [h[2] for h in history]
     stack = DerivativeStack(grids, cutoff, cfg.k_diag, times, us, rhos)
-    E = energy_eps(stack, 0.0)
-    D = dissipation_eps(stack, 0.0)
-    E_eps = energy_eps(stack, cfg.epsilon)
-    D_eps = dissipation_eps(stack, cfg.epsilon)
-    sob_E, sob_D = sobolev_norms(stack, cfg.epsilon)
-    rho_dev = l2_interface(rhos[-1] - steady_level, grids.tangential)
+    f = evaluate_functionals(stack, cfg.epsilon)
+    _require_finite([f.E.value, f.D.value, f.E_eps.value, f.D_eps.value,
+                     f.sobolev_E.value, f.sobolev_D.value], f"functionals at t={t!r}")
+    rho_dev = l2_interface(rho - steady_level, grids.tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
         window = [history[-3], history[-2], history[-1]]
         identity_res = identity_residual_k0(window, cfg.epsilon, cutoff, grids).residual
-    gaps = []
-    for mu, s in derivative_pairs(cfg.k_diag):
-        r_s = stack.rho_quotient(s)
-        if r_s is None:
-            continue
-        v = d_tangential(r_s, mu) if mu else r_s
-        gaps.append(i_psi(v, stack.psi) - i_psi_lower_bound(v, stack.psi))
     return EnergyReport(
-        t=stack.t, E=E.value, D=D.value, E_eps=E_eps.value, D_eps=D_eps.value,
-        sobolev_E=sob_E.value, sobolev_D=sob_D.value, cons_residual=cons_res,
+        t=stack.t, E=f.E.value, D=f.D.value, E_eps=f.E_eps.value, D_eps=f.D_eps.value,
+        sobolev_E=f.sobolev_E.value, sobolev_D=f.sobolev_D.value, cons_residual=cons_res,
         rho_dev_L2=rho_dev,
         identity_residual=identity_res,
         inner_iters=step_report.inner_iters if step_report else 0,
-        missing_E=E.missing, missing_D=D.missing,
-        i_psi_min_gap=min(gaps) if gaps else 0.0,
+        missing_E=f.E.missing, missing_D=f.D.missing,
+        i_psi_min_gap=f.i_psi_min_gap,
     )
 
 
@@ -480,8 +480,8 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
     history_len = max(cfg.k_diag + 2, 3)
     history = deque(maxlen=history_len)
     history.append((0.0, u0, rho0))
-    reports = [_make_report(history, cfg, grids, cutoff, steady_level, 0.0,
-                            None, compute_identity)]
+    reports = [_make_report(history, cfg, grids, cutoff, steady_level, None,
+                            compute_identity)]
     states = [(0.0, u0.copy(), rho0.copy())] if collect_states else None
 
     halvings = 0
@@ -504,13 +504,10 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
             raise FixedPointError(
                 f"accepted step violates trace consistency: |u(.,0)-kappa(rho)| "
                 f"= {trace_gap:.3e} > {cfg.trace_tol:.1e}")
-        cons_res = conservation_residual((state.u, state.rho),
-                                         (new_state.u, new_state.rho),
-                                         cutoff, grids)
         state = new_state
         history.append((state.t, state.u, state.rho))
         report = _make_report(history, cfg, grids, cutoff, steady_level,
-                              cons_res, step_report, compute_identity)
+                              step_report, compute_identity)
         reports.append(report)
         if collect_states:
             states.append((state.t, state.u.copy(), state.rho.copy()))

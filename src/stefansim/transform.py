@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTransformError, ResolutionWarning
-from .grids import d_normal, d_tangential, spectral_tail_fraction
+from .grids import _one_sided_first, d_tangential, spectral_tail_fraction
 
 TAIL_TOLERANCE = 1e-8  # spectral-tail energy fraction above which curvature warns
 
@@ -161,8 +161,13 @@ def curvature_expanded(rho):
 
 
 def jump_normal_derivative(u_values, grids):
-    """Jump bracket [u_z] across z = 0: (one-sided from below) - (from above)."""
-    mid = grids.normal.i_mid
-    above = d_normal(u_values, grids.normal, side="above")[..., mid]
-    below = d_normal(u_values, grids.normal, side="below")[..., mid]
+    """Jump bracket [u_z] across z = 0: (one-sided from below) - (from above).
+
+    Only the interface row is differentiated: the one-sided 3-point
+    stencils of ``d_normal`` at z = 0, bitwise the same values.
+    """
+    v = np.asarray(u_values, dtype=float)
+    mid, h = grids.normal.i_mid, grids.normal.dz
+    below = _one_sided_first(v, mid, h, forward=False)
+    above = _one_sided_first(v, mid, h, forward=True)
     return below - above

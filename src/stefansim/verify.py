@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario, build_initial_data
-from .functionals import (
-    DerivativeStack,
-    dissipation_eps,
-    energy_eps,
-    equivalence_constant,
-    sobolev_norms,
-)
+from .functionals import DerivativeStack, equivalence_constant, evaluate_functionals
 from .grids import band_limited
 from .identity import identity_residual_k0
 from .oracles import ManufacturedProblem
@@ -166,12 +160,11 @@ def suite_norms(n_samples=50, seed=0, eps=1e-2, amplitude=0.2):
         rng = np.random.default_rng(seed + i)
         times, us, rhos = random_state_history(rng, grids, amplitude)
         stack = DerivativeStack(grids, cutoff, 1, times, us, rhos)
-        E = energy_eps(stack, eps).value
-        D = dissipation_eps(stack, eps).value
-        sob_E, sob_D = sobolev_norms(stack, eps)
+        f = evaluate_functionals(stack, eps)
         C_E = equivalence_constant(stack.psi, cutoff, kind="E")
         C_D = equivalence_constant(stack.psi, cutoff, kind="D")
-        for val, sob, C in ((E, sob_E.value, C_E), (D, sob_D.value, C_D)):
+        for val, sob, C in ((f.E_eps.value, f.sobolev_E.value, C_E),
+                            (f.D_eps.value, f.sobolev_D.value, C_D)):
             if sob <= 0:
                 continue
             ratio = val / sob

@@ -68,6 +68,7 @@ def test_run_bodies_are_deterministic(workdir):
 
 def test_run_seed_flag_overrides_config(workdir):
     cfg_path = write_config(workdir, FAST_RUN)
+    assert main(["run", "--config", str(cfg_path), "--quiet", "--jobs", "2"]) == 2  # sweep only
     assert main(["run", "--config", str(cfg_path), "--quiet", "--seed", "5"]) == 0
     header = (workdir / "results" / "energy.csv").read_text().splitlines()[1]
     assert header == "# seed=5"
@@ -122,6 +123,8 @@ def test_spectrum_argument_validation(workdir, capsys):
     assert main(["spectrum", "--k", "", "--quiet"]) == 2
     assert main(["spectrum", "--k", "1,x", "--quiet"]) == 2
     assert main(["spectrum", "--k", "1", "--eps", "", "--quiet"]) == 2
+    assert main(["spectrum", "--k", "1", "--seed", "1", "--quiet"]) == 2
+    assert main(["spectrum", "--k", "1", "--jobs", "2", "--quiet"]) == 2
     capsys.readouterr()
 
 
@@ -129,6 +132,9 @@ def test_verify_suite_exit_codes(capsys):
     assert main(["verify", "norms"]) == 0
     assert "[PASS] suite=norms" in capsys.readouterr().out
     assert main(["verify", "bogus"]) == 2  # argparse rejects the choice
+    # --jobs and --seed exist only on the verbs that use them
+    assert main(["verify", "--jobs", "2", "norms"]) == 2
+    assert main(["verify", "--seed", "1", "norms"]) == 2
 
 
 def test_sweep_single_point_matches_run(workdir):

@@ -14,6 +14,7 @@ from stefansim.functionals import (
     energy_E,
     energy_eps,
     equivalence_constant,
+    evaluate_functionals,
     conservation_residual,
     conserved_quantity,
     i_psi,
@@ -22,9 +23,20 @@ from stefansim.functionals import (
     state_energy_k0,
     steady_mean,
 )
-from stefansim.grids import Grids, NormalGrid, TangentialGrid, band_limited
+from stefansim.grids import (
+    Grids,
+    NormalGrid,
+    TangentialGrid,
+    band_limited,
+    d_normal,
+    d_normal2,
+    d_tangential,
+    integrate_bulk,
+    integrate_bulk_sided,
+    integrate_interface,
+)
 from stefansim.stepper import SolverConfig
-from stefansim.transform import Cutoff
+from stefansim.transform import Cutoff, coefficients
 from stefansim.verify import random_state_history
 
 # Single-mode interface rho = delta sin x, u = 0, at diagnostic order 0:
@@ -79,6 +91,96 @@ def test_dissipation_reference_value():
     assert dissipation_eps(stack, 0.0).value == dissipation_D(stack).value
 
 
+# ------------------------------------------- shared-pass evaluator
+
+def dx(f, order):
+    return d_tangential(f, order) if order else f
+
+
+def reference_functionals(stack, eps):
+    """The six functionals, term by term from the public primitives."""
+    g, tg = stack.grids, stack.grids.tangential
+    L, a, psi = 1.0 / stack.bracket, stack.a_psi, stack.psi
+
+    def sided(above, below):
+        return integrate_bulk_sided(above, below, g)
+
+    E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
+    missing_E, missing_D = [], []
+    for mu, s in derivative_pairs(stack.k_diag):
+        u, r = stack.u_quotient(s), stack.rho_quotient(s)
+        if u is None or r is None:
+            missing_E.append((mu, s))
+            missing_D.append((mu, s))
+            continue
+        w, v = dx(u, mu), dx(r, mu)
+        wx = d_tangential(w, 1)
+        up, lo = d_normal(w, g.normal, side="above"), d_normal(w, g.normal, side="below")
+        vx, vxx, v3, v4 = (d_tangential(v, n) for n in (1, 2, 3, 4))
+        E += (integrate_bulk(w**2 + wx**2, g) + sided(a * up**2, a * lo**2)
+              + integrate_interface(vx**2 * L, tg) + i_psi(v, psi))
+        X += integrate_interface(v3**2 * L, tg) + i_psi(vxx, psi)
+        sob_E += (integrate_bulk(w**2 + wx**2, g) + sided(up**2, lo**2)
+                  + integrate_interface(vx**2 + vxx**2, tg))
+        sob_X += integrate_interface(v3**2 + v4**2, tg)
+        u1, r1 = stack.u_quotient(s + 1), stack.rho_quotient(s + 1)
+        if u1 is None or r1 is None:
+            missing_D.append((mu, s))
+            continue
+        wt, vt = dx(u1, mu), dx(r1, mu)
+        wxx = d_tangential(w, 2)
+        xn_up, xn_lo = d_tangential(up, 1), d_tangential(lo, 1)
+        nn_up = d_normal2(w, g.normal, side="above")
+        nn_lo = d_normal2(w, g.normal, side="below")
+        vtx, vt3 = d_tangential(vt, 1), d_tangential(vt, 3)
+        bulk = integrate_bulk(wt**2 + wx**2 + wxx**2, g)
+        D += (bulk + sided(a * up**2 + 2 * a * xn_up**2 + (a * nn_up) ** 2,
+                           a * lo**2 + 2 * a * xn_lo**2 + (a * nn_lo) ** 2)
+              + 2 * integrate_interface(vtx**2 * L, tg))
+        Y += 2 * integrate_interface(vt3**2 * L, tg)
+        sob_D += (bulk + sided(up**2 + 2 * xn_up**2 + nn_up**2,
+                               lo**2 + 2 * xn_lo**2 + nn_lo**2)
+                  + integrate_interface(vtx**2, tg))
+        sob_Y += integrate_interface(vt3**2, tg)
+    values = (E, D, E + eps * X, D + eps * Y, sob_E + eps * sob_X, sob_D + eps * sob_Y)
+    missing = (missing_E, missing_D, missing_E, missing_D, missing_E, missing_D)
+    return values, tuple(tuple(m) for m in missing)
+
+
+@pytest.mark.parametrize("n_entries", [1, 2, 3, 4])
+def test_evaluator_matches_term_by_term_reference(n_entries):
+    grids = Grids(TangentialGrid(32), NormalGrid(33))
+    rng = np.random.default_rng(7)
+    tg, z = grids.tangential, grids.normal.nodes[None, :]
+    rho_a, rho_b = band_limited(rng, tg, 0.1), band_limited(rng, tg, 0.05)
+    u_a = (band_limited(rng, tg, 0.2)[:, None] * np.cos(np.pi * z)
+           + band_limited(rng, tg, 0.1)[:, None] * np.abs(z))  # kink at z = 0
+    u_b = band_limited(rng, tg, 0.2)[:, None] * z**2
+    times = [0.01 * j for j in range(n_entries)]
+    # curved in time, so quotients of every order are nonzero
+    us = [u_a + np.sin(30 * t) * u_b for t in times]
+    rhos = [rho_a + np.sin(20 * t) * rho_b + (10 * t) ** 3 * rho_a for t in times]
+    stack = DerivativeStack(grids, Cutoff(), 2, times, us, rhos)
+    eps = 1e-3
+    got = evaluate_functionals(stack, eps)
+    fields = (got.E, got.D, got.E_eps, got.D_eps, got.sobolev_E, got.sobolev_D)
+    ref_values, ref_missing = reference_functionals(stack, eps)
+    for fv, ref, missing in zip(fields, ref_values, ref_missing):
+        assert fv.missing == missing
+        assert fv.value == pytest.approx(ref, rel=1e-13, abs=0.0 if ref else 1e-300)
+    # I_psi equals its lower bound in one tangential dimension: both gaps
+    # are roundoff on the scale of the largest form
+    hessians = [dx(stack.rho_quotient(s), mu) for mu, s in derivative_pairs(2)
+                if stack.rho_quotient(s) is not None]
+    scale = max(i_psi(v, stack.psi) for v in hessians)
+    ref_gap = min(i_psi(v, stack.psi) - i_psi_lower_bound(v, stack.psi) for v in hessians)
+    assert abs(got.i_psi_min_gap) <= 1e-14 * scale
+    assert abs(got.i_psi_min_gap - ref_gap) <= 1e-14 * scale
+    assert energy_eps(stack, eps) == got.E_eps
+    assert dissipation_eps(stack, eps) == got.D_eps
+    assert sobolev_norms(stack, eps) == (got.sobolev_E, got.sobolev_D)
+
+
 # ------------------------------------------------------ interface form
 
 def test_i_psi_flat_weight_is_plain_hessian_norm():
@@ -111,10 +213,12 @@ def test_i_psi_vertical_shift_invariance():
 def test_state_energy_quadratic_scaling(small_cfg, small_grids, small_cutoff, smooth_state):
     u, rho = smooth_state
     psi = rho.copy()
-    base = state_energy_k0(u, rho, psi, 0.5, small_cutoff, small_grids)
-    scaled = state_energy_k0(2 * u, 2 * rho, psi, 0.5, small_cutoff, small_grids)
+    coef = coefficients(psi, np.zeros_like(psi), small_cutoff, small_grids)
+    weights = (coef.a, coef.bracket, 0.5, small_grids)
+    base = state_energy_k0(u, rho, psi, *weights)
+    scaled = state_energy_k0(2 * u, 2 * rho, psi, *weights)
     assert scaled == pytest.approx(4.0 * base, rel=1e-12)
-    assert state_energy_k0(0 * u, 0 * rho, psi, 0.5, small_cutoff, small_grids) == 0.0
+    assert state_energy_k0(0 * u, 0 * rho, psi, *weights) == 0.0
 
 
 @given(seed=st.integers(0, 10**6))

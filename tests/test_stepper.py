@@ -3,7 +3,8 @@ per-step fixed point, and the run driver."""
 import numpy as np
 import pytest
 
-from stefansim.errors import FixedPointError, LinearSolveError
+from stefansim import stepper
+from stefansim.errors import FixedPointError, LinearSolveError, NonFiniteFieldError
 from stefansim.stepper import (
     SolverConfig,
     State,
@@ -23,7 +24,7 @@ from stefansim.transform import curvature
 def test_solver_config_validation():
     for kwargs in (dict(epsilon=-1.0), dict(dt=0.0), dict(dt=-1e-3),
                    dict(theta=0.4), dict(theta=1.1), dict(k_diag=4),
-                   dict(k_diag=-1)):
+                   dict(k_diag=-1), dict(alpha=0.4), dict(alpha=0.0)):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
     cfg = SolverConfig(n_x=16, n_z=9, alpha=0.2)
@@ -399,3 +400,21 @@ def test_run_epsilon_schedule_matches_direct_run():
     assert np.array_equal(sched[0.0].state.u, direct.state.u)
     assert np.array_equal(sched[0.0].state.rho, direct.state.rho)
     assert sched[1e-2].cfg.epsilon == 1e-2
+
+
+def test_run_rejects_non_finite_accepted_state_naming_t(monkeypatch):
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=1)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.01 * np.sin(x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    real_step = stepper.fixed_point_step
+
+    def corrupting_step(state, *args, **kwargs):
+        new_state, report = real_step(state, *args, **kwargs)
+        if new_state.t > 1.5 * cfg.dt:
+            new_state.u[3, 2] = np.nan  # off the interface row: the trace check passes
+        return new_state, report
+
+    monkeypatch.setattr(stepper, "fixed_point_step", corrupting_step)
+    with pytest.raises(NonFiniteFieldError, match=r"accepted u at t=0\.002\b"):
+        run(u0, rho0, cfg, 4 * cfg.dt)

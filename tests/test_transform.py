@@ -7,6 +7,8 @@ from stefansim.grids import (
     Grids,
     NormalGrid,
     TangentialGrid,
+    band_limited,
+    d_normal,
     d_tangential,
     integrate_interface,
 )
@@ -207,3 +209,17 @@ def test_jump_normal_derivative_refines():
         jumps.append(np.abs(jump_normal_derivative(u, grids)).max())
     assert jumps[0] < 0.1
     assert jumps[1] < jumps[0] / 6.0
+
+
+@pytest.mark.parametrize("n_z", [9, 17, 65])
+def test_jump_normal_derivative_bitwise_matches_full_arrays(n_z):
+    grids = Grids(TangentialGrid(16), NormalGrid(n_z))
+    rng = np.random.default_rng(n_z)
+    z = grids.normal.nodes[None, :]
+    u = (band_limited(rng, grids.tangential, 1.0)[:, None] * np.abs(z)
+         + band_limited(rng, grids.tangential, 1.0)[:, None] * np.cos(3.0 * z)
+         + rng.standard_normal(grids.shape))
+    mid = grids.normal.i_mid
+    full = (d_normal(u, grids.normal, side="below")[..., mid]
+            - d_normal(u, grids.normal, side="above")[..., mid])
+    assert np.array_equal(jump_normal_derivative(u, grids), full)
