@@ -28,15 +28,15 @@ import numpy as np
 
 from .grids import (
     d_tangential,
+    d_tangential_hat,
     first_walls,
     halves,
     integrate_bulk,
     integrate_halves,
     integrate_interface,
     second_walls,
-    tangential_multiplier,
 )
-from .transform import coefficients
+from .transform import coefficients, grid_profiles
 
 
 def derivative_pairs(k_diag):
@@ -133,9 +133,7 @@ def _dx(hat, raw, order, zero_nyquist):
     returns ``raw`` itself).  No finiteness check."""
     if order == 0:
         return raw
-    n = raw.shape[0]
-    mult = tangential_multiplier(n, order, zero_nyquist)
-    return np.fft.irfft(hat * mult.reshape((-1,) + (1,) * (hat.ndim - 1)), n=n, axis=0)
+    return d_tangential_hat(hat, raw.shape[0], order, zero_nyquist)
 
 
 def _bulk(values, g):
@@ -324,29 +322,29 @@ def equivalence_constant(psi, cutoff, kind="E"):
     return float(max(r_hi, 1.0 / r_lo))
 
 
-def state_energy_k0(u, rho, psi, a_psi, bracket, eps, grids):
+def state_energy_k0(u, rho, psi_x, a_psi, bracket, eps, grids):
     """E_eps of a bare state at diagnostic order 0 with the weights of psi.
 
-    a_psi (bulk, (n_x, n_z)) and bracket = <psi> ((n_x,)) are the
+    psi_x (the spectral slope of psi), a_psi (bulk, (n_x, n_z)) and
+    bracket = <psi> ((n_x,)) are the interface derivative and the
     ``coefficients`` fields at psi, which callers already hold.  Used for
     fixed-point difference norms and trajectory distances; no time
     derivatives enter at order 0, so no history is needed.
     """
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    psi = np.asarray(psi, dtype=float)
     un = first_walls(halves(u, grids.normal), grids.normal.dz)
-    px = _dx(np.fft.rfft(psi), psi, 1, True)
     # at mu = 0 the normal derivative is used as it is: no transform needed
     e, x, *_ = _energy_terms(u, np.fft.rfft(u, axis=0), un, None, rho, np.fft.rfft(rho),
-                             0, eps, halves(a_psi, grids.normal), 1.0 / bracket, px, grids)
+                             0, eps, halves(a_psi, grids.normal), 1.0 / bracket,
+                             np.asarray(psi_x, dtype=float), grids)
     return e + eps * x
 
 
 def conserved_quantity(u, rho, cutoff, grids):
     """int_O u (1 + phi' rho) - int_T rho, the exactly conserved combination."""
-    phi, dphi, _ = cutoff.profiles(grids.normal.nodes)
-    weight = 1.0 + dphi[None, :] * np.asarray(rho, dtype=float)[:, None]
+    _, dphi, _ = grid_profiles(cutoff, grids.normal)
+    weight = 1.0 + dphi * np.asarray(rho, dtype=float)[:, None]
     bulk = integrate_bulk(np.asarray(u, dtype=float) * weight, grids)
     return bulk - integrate_interface(rho, grids.tangential)
 
@@ -366,8 +364,8 @@ def steady_mean(u0, rho0, cutoff, grids):
 
     The conservation law fixes  mean(rho_bar) = [int rho0 - int_O u0 (1+phi' rho0)] / (2 pi).
     """
-    phi, dphi, _ = cutoff.profiles(grids.normal.nodes)
-    weight = 1.0 + dphi[None, :] * np.asarray(rho0, dtype=float)[:, None]
+    _, dphi, _ = grid_profiles(cutoff, grids.normal)
+    weight = 1.0 + dphi * np.asarray(rho0, dtype=float)[:, None]
     mass = integrate_bulk(np.asarray(u0, dtype=float) * weight, grids)
     return (integrate_interface(rho0, grids.tangential) - mass) / (2.0 * np.pi)
 

@@ -163,6 +163,19 @@ def tangential_multiplier(n, order, zero_nyquist):
     return mult
 
 
+def d_tangential_hat(hat, n, order, zero_nyquist=None):
+    """d_x^order of the n-point field whose rfft along axis 0 is ``hat``.
+
+    One multiplication by the cached (ik)^order and one inverse transform;
+    no finiteness check.  The Nyquist mode is zeroed for odd orders unless
+    ``zero_nyquist`` says otherwise (see ``tangential_multiplier``).
+    """
+    if zero_nyquist is None:
+        zero_nyquist = order % 2 == 1
+    mult = tangential_multiplier(n, order, zero_nyquist)
+    return np.fft.irfft(hat * mult.reshape((-1,) + (1,) * (hat.ndim - 1)), n=n, axis=0)
+
+
 def d_tangential(values, order=1):
     """Spectral tangential derivative along axis 0.
 
@@ -177,11 +190,7 @@ def d_tangential(values, order=1):
     _require_finite(v, "d_tangential input")
     if order < 1:
         raise ValueError("order must be a positive integer")
-    n = v.shape[0]
-    vh = np.fft.rfft(v, axis=0)
-    mult = tangential_multiplier(n, order, order % 2 == 1)
-    shape = (-1,) + (1,) * (v.ndim - 1)
-    return np.fft.irfft(vh * mult.reshape(shape), n=n, axis=0)
+    return d_tangential_hat(np.fft.rfft(v, axis=0), v.shape[0], order)
 
 
 def _one_sided_first(values, i, h, forward):
@@ -317,14 +326,17 @@ def l2_interface(values, grid):
 def spectral_tail_fraction(values):
     """Fraction of (mean-free) spectral energy carried by the top third of modes."""
     v = np.asarray(values, dtype=float)
-    vh = np.fft.rfft(v, axis=0)
-    power = np.abs(vh) ** 2
+    return tail_fraction_hat(np.fft.rfft(v, axis=0), v.shape[0])
+
+
+def tail_fraction_hat(hat, n):
+    """``spectral_tail_fraction`` of the n-point field whose rfft is ``hat``."""
+    power = np.abs(hat) ** 2
     power[0] = 0.0  # the mean carries no derivative information
     total = power.sum()
     if total == 0.0:
         return 0.0
-    k_cut = v.shape[0] // 3
-    return float(power[k_cut:].sum() / total)
+    return float(power[n // 3:].sum() / total)
 
 
 def band_limited(rng, grid, amplitude, k_max=None, zero_mean=True):

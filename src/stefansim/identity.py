@@ -44,7 +44,7 @@ from .grids import (
     integrate_bulk_sided,
     integrate_interface,
 )
-from .transform import coefficients
+from .transform import coefficients, grid_profiles
 
 IDENTITY_FLOOR_PER_NODE = 1e-14
 
@@ -82,8 +82,7 @@ def _bulk_coefficient_derivs(rho, rho_t, cutoff, grids):
     rx = d_tangential(r, 1)
     rxx = d_tangential(r, 2)
     rxt = d_tangential(rt, 1)
-    phi, dphi, d2phi = cutoff.profiles(grids.normal.nodes)
-    phi, dphi, d2phi = phi[None, :], dphi[None, :], d2phi[None, :]
+    phi, dphi, d2phi = grid_profiles(cutoff, grids.normal)
     rc, rtc = r[:, None], rt[:, None]
     rxc, rxxc, rxtc = rx[:, None], rxx[:, None], rxt[:, None]
     den = 1.0 + dphi * rc

@@ -20,9 +20,20 @@ each lag iteration reuses the factors, and the lag loop runs until the
 *full* frozen-coefficient discrete system is satisfied to ``lin_tol``.
 Walls use mirror-ghost elimination (second-order Neumann); the interface
 row is a Dirichlet row.
+
+Each iterate transforms each field once.  A lag iteration makes one
+forward FFT (its right-hand side); u_new, u_xx and u_xz come from the
+solve's Fourier coefficients by three inverse FFTs, u_zz and u_z by
+stencil, and those fields serve both the residual and the next
+iteration's lagged terms.  The iterate is checked for finiteness once.
+A fixed-point iterate transforms rho_m once: its slope and second
+derivative, the resolution check and the curvature Dirichlet data, the
+interface update and the fixed-point norm all share that FFT; the
+previous accepted interface is transformed once per step.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -39,9 +50,23 @@ from .functionals import (
     state_energy_k0,
     steady_mean,
 )
-from .grids import Grids, NormalGrid, TangentialGrid, _require_finite, d_tangential, l2_interface
+from .grids import (
+    Grids,
+    NormalGrid,
+    TangentialGrid,
+    _require_finite,
+    d_tangential_hat,
+    l2_interface,
+)
 from .identity import identity_residual_k0
-from .transform import Cutoff, coefficients, curvature, jump_normal_derivative
+from .transform import (
+    Cutoff,
+    coefficients,
+    curvature,
+    curvature_hat,
+    jump_normal_derivative,
+    norm_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -172,35 +197,60 @@ class _BulkLU:
                 + (w[:, mid + 2] + w[:, mid - 2])) / (2.0 * self.dz)
 
 
-def _interior_operator(v, coef, grids):
+def _d_z(v, grids):
+    """Centred d_z along the last axis; 0 on the walls (Neumann) and on the
+    interface row.  Real or complex (per-mode) input, C-contiguous.
+
+    The stencil runs over the flattened array (one contiguous pass); the
+    entries it gets wrong, where it wraps from one row to the next, are
+    the wall entries, which are then set.
+    """
+    dz, mid = grids.normal.dz, grids.normal.i_mid
+    out = np.empty_like(v)
+    flat, out_flat = v.reshape(-1), out.reshape(-1)
+    out_flat[1:-1] = (flat[2:] - flat[:-2]) / (2.0 * dz)
+    out[:, 0] = out[:, -1] = out[:, mid] = 0.0
+    return out
+
+
+def _bulk_fields(v, v_hat, grids):
+    """(v_xx, v_zz, v_xz, v_z) of the bulk field v with rfft ``v_hat``.
+
+    v_xx and v_xz (= ik times d_z of v_hat) are one inverse transform each;
+    v_zz (mirror-ghost walls) and v_z are stencils on v.  The interface row
+    of every field is zero: the solve ignores it, and the operator's value
+    there is replaced by the Dirichlet condition.  No finiteness check.
+    """
+    dz, mid, n = grids.normal.dz, grids.normal.i_mid, v.shape[0]
+    v_xx = d_tangential_hat(v_hat, n, 2)
+    v_xx[:, mid] = 0.0
+    v_zz = np.empty_like(v)
+    flat = v.reshape(-1)  # wall entries wrap, as in _d_z, and are set below
+    v_zz.reshape(-1)[1:-1] = (flat[2:] - 2.0 * flat[1:-1] + flat[:-2]) / dz**2
+    v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
+    v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
+    v_zz[:, mid] = 0.0
+    return v_xx, v_zz, d_tangential_hat(_d_z(v_hat, grids), n, 1), _d_z(v, grids)
+
+
+def _interior_operator(v, coef, grids, fields=None):
     """Apply Lap' + a d_zz - B d_xz - c d_z on all rows except z = 0.
 
     Valid on interior rows (centered stencils) and walls (mirror-ghost
-    d_zz, Neumann d_z = 0); the interface row of the result is zeroed and
+    d_zz, Neumann d_z = 0); the interface row of the result is zero and
     must not be used (it is replaced by the Dirichlet condition).
+    ``fields`` are v's ``_bulk_fields`` when the caller already holds them.
     Returns (L v, termwise scale): the scale is the sum of the norms of
     the individual operator terms, the right yardstick for a relative
     residual (the norm of the sum vanishes at a steady solution).
+    No finiteness check.
     """
-    dz = grids.normal.dz
-    mid = grids.normal.i_mid
-    v_xx = d_tangential(v, 2)
-    v_zz = np.empty_like(v)
-    v_zz[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dz**2
-    v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
-    v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
-    v_z = np.zeros_like(v)
-    v_z[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dz)
-    v_xz = d_tangential(v_z, 1)
+    if fields is None:
+        fields = _bulk_fields(v, np.fft.rfft(v, axis=0), grids)
+    v_xx, v_zz, v_xz, v_z = fields
     terms = (v_xx, coef.a * v_zz, -coef.B * v_xz, -coef.c * v_z)
     out = terms[0] + terms[1] + terms[2] + terms[3]
-    out[:, mid] = 0.0
-    scale = 0.0
-    for term in terms:
-        t = term.copy()
-        t[:, mid] = 0.0
-        scale += np.linalg.norm(t)
-    return out, scale
+    return out, sum(np.linalg.norm(t) for t in terms)
 
 
 def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
@@ -213,14 +263,18 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     requested).  ``dirichlet`` defaults to the curvature of rho_m;
     ``inv_dt = 0`` gives the steady solve used to build compatible
     initial data.  Raises LinearSolveError if the lag iteration cannot
-    reach ``cfg.lin_tol``.
+    reach ``cfg.lin_tol`` and NonFiniteFieldError on a non-finite iterate.
+
+    Each lag iteration makes one forward transform (of its right-hand
+    side) and three inverse ones: u_new, u_xx and u_xz all come from the
+    solve's Fourier coefficients.  The fields serve the residual and,
+    unchanged, the next iteration's lagged terms.
     """
     rho_m = np.asarray(rho_m, dtype=float)
     u_old = np.asarray(u_old, dtype=float)
     theta = cfg.theta
     inv_dt = (1.0 / cfg.dt) if inv_dt is None else float(inv_dt)
     mid = grids.normal.i_mid
-    dz = grids.normal.dz
     n_x = grids.tangential.n_x
 
     if coef is None:
@@ -234,50 +288,45 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     a_mean = coef.a.mean(axis=0)  # (n_z,), tangential mean; the rest is lagged
     a_fluct = coef.a - a_mean[None, :]
 
-    L_old, scale_old = (_interior_operator(u_old, coef, grids)
-                        if theta < 1.0 else (None, 0.0))
+    lag = _bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
     base_rhs = u_old * inv_dt + theta * f_new
+    old_part, scale_old = None, 0.0
     if theta < 1.0:
-        base_rhs = base_rhs + (1.0 - theta) * (L_old + f_old)
+        L_old, scale_old = _interior_operator(u_old, coef, grids, lag)
+        old_part = (1.0 - theta) * (L_old + f_old)  # the old level's explicit share
+        base_rhs = base_rhs + old_part
 
     bulk = _BulkLU(a_mean, inv_dt, theta, grids)
     dir_hat = np.fft.rfft(dirichlet)
-
-    def solve_once(rhs_bulk):
-        x_hat = bulk.solve(np.fft.rfft(rhs_bulk, axis=0), dir_hat)
-        return np.fft.irfft(x_hat, n=n_x, axis=0)
+    norm_u_old = np.linalg.norm(u_old)
+    norm_f = np.linalg.norm(theta * f_new + (1.0 - theta) * f_old)
 
     def full_residual(u_new, L_new, scale_new):
         r = (u_new - u_old) * inv_dt - theta * (L_new + f_new)
         if theta < 1.0:
-            r = r - (1.0 - theta) * (L_old + f_old)
+            r = r - old_part
         r[:, mid] = 0.0
         # backward-error scale: the 1/dt mass terms belong to the system
         # data, so they enter through ||u||, not ||du|| (which cancels to
         # roundoff as dt -> 0 and would make the tolerance unreachable)
-        scale = (inv_dt * max(np.linalg.norm(u_new), np.linalg.norm(u_old))
+        scale = (inv_dt * max(np.linalg.norm(u_new), norm_u_old)
                  + theta * scale_new + (1.0 - theta) * scale_old
-                 + np.linalg.norm(theta * f_new + (1.0 - theta) * f_old) + 1e-300)
+                 + norm_f + 1e-300)
         return np.linalg.norm(r) / scale
 
-    u_lag = u_old
     residual = np.inf
     for it in range(1, cfg.lin_max_iter + 1):
-        lag_zz = np.empty_like(u_lag)
-        lag_zz[:, 1:-1] = (u_lag[:, 2:] - 2.0 * u_lag[:, 1:-1] + u_lag[:, :-2]) / dz**2
-        lag_zz[:, 0] = 2.0 * (u_lag[:, 1] - u_lag[:, 0]) / dz**2
-        lag_zz[:, -1] = 2.0 * (u_lag[:, -2] - u_lag[:, -1]) / dz**2
-        lag_z = np.zeros_like(u_lag)
-        lag_z[:, 1:-1] = (u_lag[:, 2:] - u_lag[:, :-2]) / (2.0 * dz)
-        lag_xz = d_tangential(lag_z, 1)
+        _, lag_zz, lag_xz, lag_z = lag
         rhs = base_rhs + theta * (a_fluct * lag_zz - coef.B * lag_xz - coef.c * lag_z)
-        u_new = solve_once(rhs)
-        L_new, scale_new = _interior_operator(u_new, coef, grids)
+        x_hat = bulk.solve(np.fft.rfft(rhs, axis=0), dir_hat)
+        u_new = np.fft.irfft(x_hat, n=n_x, axis=0)
+        _require_finite(u_new, f"temperature iterate (lag iteration {it})")
+        lag = _bulk_fields(u_new, x_hat, grids)
+        L_new, scale_new = _interior_operator(u_new, coef, grids, lag)
         residual = full_residual(u_new, L_new, scale_new)
         if residual <= cfg.lin_tol:
             sigma = bulk.jump_response() if return_jump_response else None
             return u_new, float(residual), it, sigma
-        u_lag = u_new
     raise LinearSolveError(
         f"temperature solve stalled at relative residual {residual:.3e} "
         f"after {cfg.lin_max_iter} lag iterations (lin_tol={cfg.lin_tol:.1e})",
@@ -285,20 +334,26 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     )
 
 
+def _regularization(eps, n_x):
+    """Per-mode symbol 1 + eps k^4 of I + eps Lap^2 on the rfft modes."""
+    return 1.0 + eps * np.arange(n_x // 2 + 1, dtype=float) ** 4
+
+
 def solve_regularized(rhs, eps, n_x):
     """Invert (I + eps Lap^2) rho_t = rhs spectrally (diagonal per mode)."""
     r_hat = np.fft.rfft(np.asarray(rhs, dtype=float))
-    k4 = np.arange(n_x // 2 + 1, dtype=float) ** 4
-    return np.fft.irfft(r_hat / (1.0 + eps * k4), n=n_x)
+    return np.fft.irfft(r_hat / _regularization(eps, n_x), n=n_x)
 
 
 def interface_step(rho_m, u_new, rho_base, cfg, grids, *,
-                   jump_forcing=None, rhs_old=None, jump_response=None):
+                   jump_forcing=None, rhs_old=None, jump_response=None,
+                   rho_x=None, rho_hat=None, base_hat=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
     Returns (rho_new, rho_t).  rho_base is the previous *accepted*
     interface; rhs_old is the jump right-hand side at the old time (only
-    needed for theta < 1).
+    needed for theta < 1).  The slope rho_x of rho_m and the rffts
+    rho_hat, base_hat of rho_m and rho_base are spectral unless supplied.
 
     With ``jump_response`` (per-mode factor sigma_k from the temperature
     solve) the flat-state linear model of the curvature-to-jump chain,
@@ -310,20 +365,25 @@ def interface_step(rho_m, u_new, rho_base, cfg, grids, *,
     rho_m = np.asarray(rho_m, dtype=float)
     rho_base = np.asarray(rho_base, dtype=float)
     n_x = grids.tangential.n_x
-    bracket2 = 1.0 + d_tangential(rho_m, 1) ** 2
+    if rho_hat is None:
+        rho_hat = np.fft.rfft(rho_m)
+    if rho_x is None:
+        rho_x = d_tangential_hat(rho_hat, n_x, 1)
+    bracket2 = 1.0 + rho_x**2
     rhs_new = bracket2 * jump_normal_derivative(np.asarray(u_new, dtype=float), grids)
     if jump_forcing is not None:
         rhs_new = rhs_new + np.asarray(jump_forcing, dtype=float)
     theta = cfg.theta
     rhs = rhs_new if theta == 1.0 else theta * rhs_new + (1.0 - theta) * np.asarray(rhs_old)
-    k4 = np.arange(n_x // 2 + 1, dtype=float) ** 4
-    reg = 1.0 + cfg.epsilon * k4
     if jump_response is None:
-        rho_t = np.fft.irfft(np.fft.rfft(rhs) / reg, n=n_x)
+        rho_t = solve_regularized(rhs, cfg.epsilon, n_x)
         return rho_base + cfg.dt * rho_t, rho_t
-    stab = cfg.dt * theta * np.sqrt(k4) * jump_response  # dt theta k^2 sigma_k
-    num = (reg * np.fft.rfft(rho_base) + cfg.dt * np.fft.rfft(rhs)
-           + stab * np.fft.rfft(rho_m))
+    if base_hat is None:
+        base_hat = np.fft.rfft(rho_base)
+    reg = _regularization(cfg.epsilon, n_x)
+    k2 = np.arange(n_x // 2 + 1, dtype=float) ** 2
+    stab = cfg.dt * theta * k2 * jump_response  # dt theta k^2 sigma_k
+    num = reg * base_hat + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
     rho_new = np.fft.irfft(num / (reg + stab), n=n_x)
     return rho_new, (rho_new - rho_base) / cfg.dt
 
@@ -354,30 +414,49 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
     """
     dt = cfg.dt
     theta = cfg.theta
+    n_x = grids.tangential.n_x
     t_new = state.t + dt
     f_bulk_new = g_dir = f_jump_new = None
     f_bulk_old = None
     rhs_old = None
     if forcing is not None:
         f_bulk_new, g_dir, f_jump_new = forcing.at(t_new)
+    # every tangential derivative of an interface comes from one rfft of it:
+    # rho_base once per step, each iterate rho_m once
+    base_hat = np.fft.rfft(state.rho)
     if theta < 1.0:
         f_bulk_old = f_jump_old = None
         if forcing is not None:
             f_bulk_old, _, f_jump_old = forcing.at(state.t)
-        bracket2_old = 1.0 + d_tangential(state.rho, 1) ** 2
-        rhs_old = bracket2_old * jump_normal_derivative(state.u, grids)
+        base_x = d_tangential_hat(base_hat, n_x, 1)
+        base_xx = d_tangential_hat(base_hat, n_x, 2)
+        rhs_old = (1.0 + base_x**2) * jump_normal_derivative(state.u, grids)
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
 
     u_m, rho_m = state.u, state.rho
+    rho_hat = base_hat
     norms, ratios = [], []
     lin_res_max = 0.0
     lag_total = 0
     for m in range(1, cfg.fp_max_iter + 1):
         rho_t_m = (rho_m - state.rho) / dt
-        rho_eff = rho_m if theta == 1.0 else theta * rho_m + (1.0 - theta) * state.rho
-        coef = coefficients(rho_eff, rho_t_m, cutoff, grids)
-        dirichlet = curvature(rho_m)
+        rx = d_tangential_hat(rho_hat, n_x, 1)
+        rxx = d_tangential_hat(rho_hat, n_x, 2)
+        # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
+        # so for theta = 1 (rho_eff = rho_m) they are coef's own fields
+        if theta == 1.0:
+            rho_eff = rho_m
+            coef = coefficients(rho_eff, rho_t_m, cutoff, grids, rho_x=rx, rho_xx=rxx)
+            a_m, bracket_m = coef.a, coef.bracket
+        else:
+            # rho_eff's derivatives are the same blend of both levels'
+            rho_eff = theta * rho_m + (1.0 - theta) * state.rho
+            coef = coefficients(rho_eff, rho_t_m, cutoff, grids,
+                                rho_x=theta * rx + (1.0 - theta) * base_x,
+                                rho_xx=theta * rxx + (1.0 - theta) * base_xx)
+            a_m, bracket_m = norm_weights(rho_m, rx, cutoff, grids)
+        dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
         u_next, lin_res, lag_iters, sigma = temperature_step(
@@ -388,14 +467,12 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         rho_next, rho_t = interface_step(
             rho_m, u_next, state.rho, cfg, grids,
             jump_forcing=f_jump_new, rhs_old=rhs_old, jump_response=sigma,
+            rho_x=rx, rho_hat=rho_hat, base_hat=base_hat,
         )
         lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
-        # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
-        # so for theta = 1 (rho_eff = rho_m) they are coef's own fields
-        weights = coef if theta == 1.0 else coefficients(rho_m, rho_t_m, cutoff, grids)
-        diff = np.sqrt(state_energy_k0(u_next - u_m, rho_next - rho_m, rho_m, weights.a,
-                                       weights.bracket, cfg.epsilon, grids))
+        diff = np.sqrt(state_energy_k0(u_next - u_m, rho_next - rho_m, rx, a_m,
+                                       bracket_m, cfg.epsilon, grids))
         norms.append(diff)
         if len(norms) >= 2 and norms[-2] > 0:
             ratios.append(norms[-1] / norms[-2])
@@ -406,6 +483,7 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
                 inner_iters=m, fp_norms=tuple(norms), fp_ratios=tuple(ratios),
                 lin_residual=lin_res_max, lag_iters=lag_total,
             )
+        rho_hat = np.fft.rfft(rho_m)
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "
         f"{cfg.fp_max_iter} iterations (last norm {norms[-1]:.3e}, "
@@ -463,6 +541,9 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
         collect_states=False, compute_identity=False):
     """Advance from (u0, rho0) to t_end, emitting one EnergyReport per step.
 
+    t_end must be a whole number of steps of cfg.dt (relative tolerance
+    1e-9), so the run ends on t_end; otherwise ValueError is raised.
+
     On a failed step (fixed-point non-contraction, or the inner lag loop
     stalling -- both are how "dt too large" manifests, since 1/dt damps
     both iterations) the step is retried with dt halved, up to
@@ -470,6 +551,10 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
     the run and the history buffer restarts (quotients need uniform
     spacing).
     """
+    steps = t_end / cfg.dt
+    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        raise ValueError(f"t_end={t_end!r} is not a whole number of steps of dt={cfg.dt!r} "
+                         f"(t_end/dt = {steps!r})")
     grids = cfg.grids()
     cutoff = cfg.cutoff()
     u0 = np.asarray(u0, dtype=float)

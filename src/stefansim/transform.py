@@ -27,11 +27,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateTransformError, ResolutionWarning
-from .grids import _one_sided_first, d_tangential, spectral_tail_fraction
+from .grids import (
+    _one_sided_first,
+    _require_finite,
+    d_tangential,
+    d_tangential_hat,
+    tail_fraction_hat,
+)
 
 TAIL_TOLERANCE = 1e-8  # spectral-tail energy fraction above which curvature warns
 
@@ -73,6 +80,16 @@ class Cutoff:
         return phi, dphi, d2phi
 
 
+@lru_cache(maxsize=None)
+def grid_profiles(cutoff, normal):
+    """``cutoff.profiles`` at the nodes of ``normal`` as read-only (1, n_z)
+    rows, cached per (Cutoff, NormalGrid)."""
+    rows = tuple(p[None, :] for p in cutoff.profiles(normal.nodes))
+    for p in rows:
+        p.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class TransformCoefficients:
     """Variable coefficients of the flattened heat operator at one time level.
@@ -102,22 +119,10 @@ def coefficients(rho, rho_t, cutoff, grids, rho_x=None, rho_xx=None):
     rho_t = np.asarray(rho_t, dtype=float)
     rx = d_tangential(rho, 1) if rho_x is None else np.asarray(rho_x, dtype=float)
     rxx = d_tangential(rho, 2) if rho_xx is None else np.asarray(rho_xx, dtype=float)
-    phi, dphi, d2phi = cutoff.profiles(grids.normal.nodes)
-    phi, dphi, d2phi = phi[None, :], dphi[None, :], d2phi[None, :]
+    phi, dphi, d2phi = grid_profiles(cutoff, grids.normal)
     r, rt = rho[:, None], rho_t[:, None]
     rxc, rxxc = rx[:, None], rxx[:, None]
-
-    jac = 1.0 + dphi * r
-    if np.any(jac <= 0.0):
-        i, j = np.argwhere(jac <= 0.0)[0]
-        raise DegenerateTransformError(
-            f"flattening map degenerate: 1 + phi'(z) rho(x) = {jac[i, j]:.3e} <= 0 "
-            f"at node (x index {i}, z index {j})",
-            node=(int(i), int(j)),
-        )
-
-    slope2 = (phi * rxc) ** 2
-    a = (1.0 + slope2) / jac**2
+    jac, slope2, a = _metric(r, rxc, phi, dphi)
     B = 2.0 * phi * rxc / jac
     d = (
         phi * rxxc / jac
@@ -129,23 +134,61 @@ def coefficients(rho, rho_t, cutoff, grids, rho_x=None, rho_xx=None):
     return TransformCoefficients(a=a, B=B, c=d + e, d=d, e=e, bracket=bracket, jacobian=jac)
 
 
+def _metric(r, rxc, phi, dphi):
+    """(jacobian 1 + phi' rho, (phi rho_x)^2, a) from column-shaped rho and
+    rho_x; raises DegenerateTransformError when the jacobian is <= 0."""
+    jac = 1.0 + dphi * r
+    if np.any(jac <= 0.0):
+        i, j = np.argwhere(jac <= 0.0)[0]
+        raise DegenerateTransformError(
+            f"flattening map degenerate: 1 + phi'(z) rho(x) = {jac[i, j]:.3e} <= 0 "
+            f"at node (x index {i}, z index {j})",
+            node=(int(i), int(j)),
+        )
+    slope2 = (phi * rxc) ** 2
+    return jac, slope2, (1.0 + slope2) / jac**2
+
+
+def norm_weights(rho, rho_x, cutoff, grids):
+    """The fields ``a`` and ``bracket`` of ``coefficients(rho, ., cutoff,
+    grids, rho_x=rho_x)``, bitwise, without assembling B, c, d and e.
+
+    Neither depends on rho_t or rho_xx.  Raises DegenerateTransformError
+    as ``coefficients`` does.
+    """
+    phi, dphi, _ = grid_profiles(cutoff, grids.normal)
+    _, _, a = _metric(rho[:, None], rho_x[:, None], phi, dphi)
+    return a, np.sqrt(1.0 + rho_x**2)
+
+
 def curvature(rho, check_resolution=True):
     """Mean curvature of the graph z = rho(x), divergence form, spectral.
 
     kappa = d/dx ( rho_x / sqrt(1 + rho_x^2) ).
     """
     rho = np.asarray(rho, dtype=float)
+    _require_finite(rho, "curvature input")
+    rho_hat = np.fft.rfft(rho)
+    return curvature_hat(rho_hat, d_tangential_hat(rho_hat, rho.shape[0], 1),
+                         check_resolution, stacklevel=3)
+
+
+def curvature_hat(rho_hat, rho_x, check_resolution=True, stacklevel=2):
+    """``curvature`` of the interface whose rfft is ``rho_hat`` and whose
+    slope ``rho_x`` the caller already took from it: the resolution check
+    reads rho_hat, and only the flux is transformed again.  No finiteness
+    check."""
+    n = rho_x.shape[0]
     if check_resolution:
-        tail = spectral_tail_fraction(rho)
+        tail = tail_fraction_hat(rho_hat, n)
         if tail >= TAIL_TOLERANCE:
             warnings.warn(
                 f"curvature input under-resolved: top-third spectral energy "
                 f"fraction {tail:.2e} >= {TAIL_TOLERANCE:.0e}",
                 ResolutionWarning,
-                stacklevel=2,
+                stacklevel=stacklevel,
             )
-    rx = d_tangential(rho, 1)
-    return d_tangential(rx / np.sqrt(1.0 + rx**2), 1)
+    return d_tangential_hat(np.fft.rfft(rho_x / np.sqrt(1.0 + rho_x**2)), n, 1)
 
 
 def curvature_expanded(rho):

@@ -214,11 +214,12 @@ def test_state_energy_quadratic_scaling(small_cfg, small_grids, small_cutoff, sm
     u, rho = smooth_state
     psi = rho.copy()
     coef = coefficients(psi, np.zeros_like(psi), small_cutoff, small_grids)
+    psi_x = d_tangential(psi, 1)
     weights = (coef.a, coef.bracket, 0.5, small_grids)
-    base = state_energy_k0(u, rho, psi, *weights)
-    scaled = state_energy_k0(2 * u, 2 * rho, psi, *weights)
+    base = state_energy_k0(u, rho, psi_x, *weights)
+    scaled = state_energy_k0(2 * u, 2 * rho, psi_x, *weights)
     assert scaled == pytest.approx(4.0 * base, rel=1e-12)
-    assert state_energy_k0(0 * u, 0 * rho, psi, *weights) == 0.0
+    assert state_energy_k0(0 * u, 0 * rho, psi_x, *weights) == 0.0
 
 
 @given(seed=st.integers(0, 10**6))

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from stefansim import stepper
-from stefansim.errors import FixedPointError, LinearSolveError, NonFiniteFieldError
+from stefansim.errors import (
+    FixedPointError,
+    LinearSolveError,
+    NonFiniteFieldError,
+    ResolutionWarning,
+)
+from stefansim.grids import d_tangential
 from stefansim.stepper import (
     SolverConfig,
     State,
@@ -16,7 +22,7 @@ from stefansim.stepper import (
     solve_regularized,
     temperature_step,
 )
-from stefansim.transform import curvature
+from stefansim.transform import coefficients, curvature
 
 
 # --------------------------------------------------------------- config
@@ -96,7 +102,6 @@ def dense_half_strip_solve(a_line, k, inv_dt, theta, dz, rhs, dirichlet):
 @pytest.mark.parametrize("theta, inv_dt", [(1.0, 1e3), (0.5, 1e2), (1.0, 0.0)])
 def test_bulk_solve_matches_dense_half_strips(n_z, theta, inv_dt):
     from stefansim.stepper import _BulkLU
-    from stefansim.transform import coefficients
 
     cfg = SolverConfig(n_x=16, n_z=n_z, theta=theta)
     grids, cutoff = cfg.grids(), cfg.cutoff()
@@ -189,6 +194,146 @@ def test_temperature_step_raises_when_lag_loop_stalls(small_grids, small_cutoff)
     assert exc.value.residual > cfg.lin_tol
 
 
+def reference_operator(v, coef, grids):
+    """Lap' + a d_zz - B d_xz - c d_z through the checked ``d_tangential``,
+    interface row zeroed; returns (L v, termwise scale, (v_zz, v_xz, v_z))."""
+    dz, mid = grids.normal.dz, grids.normal.i_mid
+    v_zz = np.empty_like(v)
+    v_zz[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dz**2
+    v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
+    v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
+    v_z = np.zeros_like(v)
+    v_z[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dz)
+    v_xz = d_tangential(v_z, 1)
+    terms = [d_tangential(v, 2), coef.a * v_zz, -coef.B * v_xz, -coef.c * v_z]
+    for term in terms:
+        term[:, mid] = 0.0
+    return sum(terms), sum(np.linalg.norm(t) for t in terms), (v_zz, v_xz, v_z)
+
+
+def reference_lag_loop(rho, rho_t, u_old, cfg, grids, cutoff, dirichlet, f_new, f_old):
+    """The lag loop transforming every field afresh: each lagged u_xz and
+    each operator application goes through ``d_tangential``."""
+    theta, inv_dt, mid = cfg.theta, 1.0 / cfg.dt, grids.normal.i_mid
+    coef = coefficients(rho, rho_t, cutoff, grids)
+    a_mean = coef.a.mean(axis=0)
+    L_old, scale_old, _ = reference_operator(u_old, coef, grids)
+    base = u_old * inv_dt + theta * f_new + (1.0 - theta) * (L_old + f_old)
+    bulk = stepper._BulkLU(a_mean, inv_dt, theta, grids)
+    dir_hat = np.fft.rfft(dirichlet)
+    u_lag = u_old
+    for it in range(1, cfg.lin_max_iter + 1):
+        _, _, (lag_zz, lag_xz, lag_z) = reference_operator(u_lag, coef, grids)
+        rhs = base + theta * ((coef.a - a_mean) * lag_zz - coef.B * lag_xz - coef.c * lag_z)
+        u_new = np.fft.irfft(bulk.solve(np.fft.rfft(rhs, axis=0), dir_hat),
+                             n=cfg.n_x, axis=0)
+        L_new, scale_new, _ = reference_operator(u_new, coef, grids)
+        r = (u_new - u_old) * inv_dt - theta * (L_new + f_new) - (1.0 - theta) * (L_old + f_old)
+        r[:, mid] = 0.0
+        scale = (inv_dt * max(np.linalg.norm(u_new), np.linalg.norm(u_old))
+                 + theta * scale_new + (1.0 - theta) * scale_old
+                 + np.linalg.norm(theta * f_new + (1.0 - theta) * f_old) + 1e-300)
+        if np.linalg.norm(r) / scale <= cfg.lin_tol:
+            return u_new, it
+        u_lag = u_new
+    raise AssertionError("reference lag loop did not converge")
+
+
+def lag_loop_problem(theta):
+    """A forced temperature solve at a non-flat interface that needs
+    several lag iterations."""
+    cfg = SolverConfig(n_x=32, n_z=33, dt=1e-3, theta=theta)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    x = grids.tangential.nodes[:, None]
+    z = grids.normal.nodes[None, :]
+    rho = 0.05 * np.sin(x[:, 0]) + 0.025 * np.cos(2 * x[:, 0])
+    rho_t = 0.3 * np.cos(x[:, 0])
+    u_old = (0.05 * np.cos(x) + 0.02) * np.cos(np.pi * z) + 0.01 * np.sin(2 * x) * z**2
+    f_new = 0.1 * np.sin(x) * np.cos(np.pi * z)
+    f_old = 0.08 * np.sin(x) * np.cos(np.pi * z) + 0.01
+    dirichlet = curvature(rho) + 0.01 * np.cos(x[:, 0])
+    return cfg, grids, cutoff, (rho, rho_t, u_old, dirichlet, f_new, f_old)
+
+
+def run_lag_problem(cfg, grids, cutoff, data):
+    rho, rho_t, u_old, dirichlet, f_new, f_old = data
+    coef = coefficients(rho, rho_t, cutoff, grids)
+    return temperature_step(rho, rho_t, u_old, cfg, grids, cutoff, dirichlet=dirichlet,
+                            forcing_new=f_new, forcing_old=f_old, coef=coef)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_temperature_step_matches_reference_lag_loop(theta):
+    cfg, grids, cutoff, data = lag_loop_problem(theta)
+    u, residual, lag_iters, _ = run_lag_problem(cfg, grids, cutoff, data)
+    rho, rho_t, u_old, dirichlet, f_new, f_old = data
+    u_ref, lag_ref = reference_lag_loop(rho, rho_t, u_old, cfg, grids, cutoff,
+                                        dirichlet, f_new, f_old)
+    assert lag_iters == lag_ref >= 3
+    assert residual <= cfg.lin_tol
+    assert np.abs(u - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
+    # the operator on a field without its solve's coefficients agrees too
+    coef = coefficients(rho, rho_t, cutoff, grids)
+    L, scale = stepper._interior_operator(u_old, coef, grids)
+    L_ref, scale_ref, _ = reference_operator(u_old, coef, grids)
+    assert np.abs(L - L_ref).max() <= 1e-13 * np.abs(L_ref).max()
+    assert scale == pytest.approx(scale_ref, rel=1e-13)
+
+
+def test_temperature_step_returns_an_owned_u(monkeypatch):
+    cfg, grids, cutoff, data = lag_loop_problem(0.5)
+    built = []
+    real_irfft, real_fields = np.fft.irfft, stepper._bulk_fields
+
+    def recording_irfft(*args, **kwargs):
+        built.append(real_irfft(*args, **kwargs))
+        return built[-1]
+
+    def recording_fields(*args, **kwargs):
+        built.extend(real_fields(*args, **kwargs))
+        return tuple(built[-4:])
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    monkeypatch.setattr(stepper, "_bulk_fields", recording_fields)
+    u, *_ = run_lag_problem(cfg, grids, cutoff, data)
+    assert u.flags.owndata and u.base is None
+    assert any(a is u for a in built)
+    assert not any(np.shares_memory(u, a) for a in built + list(data) if a is not u)
+
+
+def test_temperature_step_transforms_each_iterate_once(monkeypatch):
+    # one forward transform (the right-hand side) and three inverse ones
+    # (u, u_xx, u_xz) per lag iteration, plus a constant for u_old and the
+    # Dirichlet data
+    cfg, grids, cutoff, data = lag_loop_problem(0.5)
+    coef = coefficients(data[0], data[1], cutoff, grids)
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        real = getattr(np.fft, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    rho, rho_t, u_old, dirichlet, f_new, f_old = data
+    _, _, lag_iters, _ = temperature_step(rho, rho_t, u_old, cfg, grids, cutoff,
+                                          dirichlet=dirichlet, forcing_new=f_new,
+                                          forcing_old=f_old, coef=coef,
+                                          return_jump_response=True)
+    assert lag_iters >= 3
+    assert counts["rfft"] <= lag_iters + 2
+    assert counts["irfft"] <= 3 * lag_iters + 2
+
+
+def test_temperature_step_rejects_a_non_finite_iterate(small_cfg, small_grids, small_cutoff):
+    zeros = np.zeros(small_cfg.n_x)
+    u_old = np.zeros(small_grids.shape)
+    u_old[5, 3] = np.nan
+    with pytest.raises(NonFiniteFieldError, match="lag iteration 1"):
+        temperature_step(zeros, zeros, u_old, small_cfg, small_grids, small_cutoff)
+
+
 # ------------------------------------------------------ interface update
 
 def test_solve_regularized_per_mode():
@@ -233,6 +378,26 @@ def test_interface_step_theta_blends_right_hand_sides(small_grids):
                               np.zeros(n_x), cfg, small_grids,
                               jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x))
     assert np.abs(rho_t - 2.0 * np.sin(x)).max() < 1e-13
+
+
+def test_interface_step_uses_the_one_regularized_division(small_grids, smooth_state):
+    u, rho_m = smooth_state
+    n_x = small_grids.tangential.n_x
+    x = small_grids.tangential.nodes
+    base = 0.02 * np.cos(2 * x)
+    cfg = SolverConfig(epsilon=1e-3, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
+    from stefansim.transform import jump_normal_derivative
+
+    rhs = (1.0 + d_tangential(rho_m, 1) ** 2) * jump_normal_derivative(u, small_grids)
+    _, rho_t = interface_step(rho_m, u, base, cfg, small_grids)
+    assert np.array_equal(rho_t, solve_regularized(rhs, cfg.epsilon, n_x))
+    # the shared transforms are the ones interface_step takes by itself
+    sigma = 5.0 + np.arange(n_x // 2 + 1, dtype=float)
+    alone = interface_step(rho_m, u, base, cfg, small_grids, jump_response=sigma)
+    shared = interface_step(rho_m, u, base, cfg, small_grids, jump_response=sigma,
+                            rho_x=d_tangential(rho_m, 1), rho_hat=np.fft.rfft(rho_m),
+                            base_hat=np.fft.rfft(base))
+    assert all(np.array_equal(a, b) for a, b in zip(alone, shared))
 
 
 def test_interface_step_stabilization_preserves_fixed_points(small_grids):
@@ -297,6 +462,41 @@ def test_fixed_point_tall_manufactured_column_converges():
     assert report.fp_norms[-1] <= cfg.fp_tol
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch, theta):
+    cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0, theta=theta)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    x = grids.tangential.nodes
+    rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
+    u0 = compatible_initial_temperature(rho0, cfg, grids, cutoff)
+    seen_dirichlet, seen_rho = [], []
+    real_temperature, real_interface = stepper.temperature_step, stepper.interface_step
+
+    def recording_temperature(*args, **kwargs):
+        seen_dirichlet.append(kwargs["dirichlet"])
+        return real_temperature(*args, **kwargs)
+
+    def recording_interface(rho_m, *args, **kwargs):
+        seen_rho.append(rho_m)
+        return real_interface(rho_m, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    monkeypatch.setattr(stepper, "interface_step", recording_interface)
+    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff)
+    assert len(seen_rho) == report.inner_iters >= 2
+    for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
+        assert np.array_equal(dirichlet.view(np.uint64), curvature(rho_m).view(np.uint64))
+
+
+def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids, small_cutoff):
+    cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
+    x = small_grids.tangential.nodes
+    rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)  # mode 12 lies in the top third
+    state = State(t=0.0, u=np.zeros(small_grids.shape), rho=rho)
+    with pytest.warns(ResolutionWarning, match="under-resolved"):
+        fixed_point_step(state, cfg, small_grids, small_cutoff)
+
+
 def test_fixed_point_error_carries_last_iterate_info(small_grids, small_cutoff):
     cfg = SolverConfig(dt=50.0, n_x=32, n_z=33, fp_max_iter=4, k_diag=0)
     x = small_grids.tangential.nodes
@@ -344,6 +544,21 @@ def test_run_halves_dt_on_failure_and_persists():
         run(np.zeros(cfg.grids().shape), rho0,
             SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0, max_dt_halvings=0),
             0.08)
+
+
+def test_run_rejects_t_end_off_the_step_grid():
+    cfg = SolverConfig(n_x=16, n_z=17, dt=0.02, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    with pytest.raises(ValueError, match=r"t_end=0\.05 .*dt=0\.02"):
+        run(np.zeros(cfg.grids().shape), 0.01 * np.sin(x), cfg, 0.05)
+
+
+def test_run_ends_on_t_end_when_dt_divides_it():
+    cfg = SolverConfig(n_x=16, n_z=17, dt=0.02, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    res = run(np.zeros(cfg.grids().shape), 0.01 * np.sin(x), cfg, 0.06)
+    assert len(res.reports) == 4
+    assert res.state.t == pytest.approx(0.06, rel=1e-12)
 
 
 def test_run_is_deterministic():

@@ -18,7 +18,9 @@ from stefansim.transform import (
     coefficients,
     curvature,
     curvature_expanded,
+    grid_profiles,
     jump_normal_derivative,
+    norm_weights,
 )
 
 
@@ -118,6 +120,25 @@ def test_coefficients_accept_supplied_derivatives(small_grids, small_cutoff):
     assert np.abs(exact.c - spectral.c).max() < 1e-13
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_norm_weights_bitwise_match_coefficients(small_grids, small_cutoff, seed):
+    rng = np.random.default_rng(seed)
+    rho = band_limited(rng, small_grids.tangential, 0.1, zero_mean=False)
+    rho_t = band_limited(rng, small_grids.tangential, 1.0)
+    coef = coefficients(rho, rho_t, small_cutoff, small_grids)
+    a, bracket = norm_weights(rho, d_tangential(rho, 1), small_cutoff, small_grids)
+    assert np.array_equal(a.view(np.uint64), coef.a.view(np.uint64))
+    assert np.array_equal(bracket.view(np.uint64), coef.bracket.view(np.uint64))
+
+
+def test_grid_profiles_are_cached_read_only_rows(small_grids, small_cutoff):
+    rows = grid_profiles(small_cutoff, small_grids.normal)
+    assert grid_profiles(Cutoff(small_cutoff.alpha), NormalGrid(small_grids.normal.n_z)) is rows
+    for row, ref in zip(rows, small_cutoff.profiles(small_grids.normal.nodes)):
+        assert row.shape == (1, small_grids.normal.n_z) and not row.flags.writeable
+        assert np.array_equal(row[0], ref)
+
+
 def test_degenerate_transform_raises_with_node(small_grids, small_cutoff):
     rho = np.full(small_grids.tangential.n_x, 0.6)
     with pytest.raises(DegenerateTransformError) as exc:
@@ -128,6 +149,8 @@ def test_degenerate_transform_raises_with_node(small_grids, small_cutoff):
     # just inside the invertibility bound: fine
     rho_ok = np.full(small_grids.tangential.n_x, 0.9 / small_cutoff.max_slope)
     coefficients(rho_ok, np.zeros_like(rho_ok), small_cutoff, small_grids)
+    with pytest.raises(DegenerateTransformError):
+        norm_weights(rho, np.zeros_like(rho), small_cutoff, small_grids)
 
 
 # ---------------------------------------------------------- curvature
