@@ -11,7 +11,8 @@ Unknown sections or keys are hard errors — a silently ignored typo in
   u_init       "compatible" | "zero" | "snapshot:<path>" (default compatible)
   u_mass       amplitude of an added trace-free bulk profile sin^2(pi z)
                carrying nonzero heat content (default 0)
-  t_end        final time (required for run/sweep)
+  t_end        final time (required for run/sweep); a whole number of
+               steps of the solver dt and of every dt on the sweep axis
   seed         RNG seed for the random parts (default 0)
 
 [solver]
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import band_limited
-from .stepper import SolverConfig, compatible_initial_temperature
+from .stepper import SolverConfig, compatible_initial_temperature, require_whole_steps
 
 OUTPUT_ROOT_ENV = "STEFANSIM_OUT"
 
@@ -193,7 +194,11 @@ def parse_config(path):
         if "job_cap" in sec:
             scen_kwargs["job_cap"] = _parse_int("sweep", "job_cap", sec["job_cap"])
 
-    return Scenario(**scen_kwargs)
+    scenario = Scenario(**scen_kwargs)
+    # every run of this file (each sweep point too) must end on t_end
+    for dt in (scenario.solver.dt,) + tuple(scenario.sweep_axes.get("dt", ())):
+        require_whole_steps(scenario.t_end, dt)
+    return scenario
 
 
 def resolve_out_dir(scenario, override=None):

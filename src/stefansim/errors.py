@@ -37,8 +37,9 @@ class FixedPointError(StefanSimError):
         self.last_norm = last_norm
 
 
-class ConfigError(StefanSimError):
-    """A run configuration is malformed (unknown key, bad value, missing section)."""
+class ConfigError(StefanSimError, ValueError):
+    """A run configuration is malformed (unknown key, bad value, missing
+    section, or a t_end that is not a whole number of steps of dt)."""
 
 
 class ResolutionWarning(UserWarning):

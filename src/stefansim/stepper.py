@@ -29,7 +29,7 @@ iteration's lagged terms.  The iterate is checked for finiteness once.
 A fixed-point iterate transforms rho_m once: its slope and second
 derivative, the resolution check and the curvature Dirichlet data, the
 interface update and the fixed-point norm all share that FFT; the
-previous accepted interface is transformed once per step.
+previous accepted interface's derivatives come from one FFT per step.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import FixedPointError, LinearSolveError
+from .errors import ConfigError, FixedPointError, LinearSolveError
 from .functionals import (
     DerivativeStack,
     EnergyReport,
@@ -199,17 +199,11 @@ class _BulkLU:
 
 def _d_z(v, grids):
     """Centred d_z along the last axis; 0 on the walls (Neumann) and on the
-    interface row.  Real or complex (per-mode) input, C-contiguous.
-
-    The stencil runs over the flattened array (one contiguous pass); the
-    entries it gets wrong, where it wraps from one row to the next, are
-    the wall entries, which are then set.
-    """
+    interface row.  Real or complex (per-mode) input of any memory layout."""
     dz, mid = grids.normal.dz, grids.normal.i_mid
-    out = np.empty_like(v)
-    flat, out_flat = v.reshape(-1), out.reshape(-1)
-    out_flat[1:-1] = (flat[2:] - flat[:-2]) / (2.0 * dz)
-    out[:, 0] = out[:, -1] = out[:, mid] = 0.0
+    out = np.zeros_like(v)
+    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dz)
+    out[:, mid] = 0.0
     return out
 
 
@@ -225,8 +219,7 @@ def _bulk_fields(v, v_hat, grids):
     v_xx = d_tangential_hat(v_hat, n, 2)
     v_xx[:, mid] = 0.0
     v_zz = np.empty_like(v)
-    flat = v.reshape(-1)  # wall entries wrap, as in _d_z, and are set below
-    v_zz.reshape(-1)[1:-1] = (flat[2:] - 2.0 * flat[1:-1] + flat[:-2]) / dz**2
+    v_zz[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dz**2
     v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
@@ -345,15 +338,14 @@ def solve_regularized(rhs, eps, n_x):
     return np.fft.irfft(r_hat / _regularization(eps, n_x), n=n_x)
 
 
-def interface_step(rho_m, u_new, rho_base, cfg, grids, *,
-                   jump_forcing=None, rhs_old=None, jump_response=None,
-                   rho_x=None, rho_hat=None, base_hat=None):
+def interface_step(rho_m, u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
+                   jump_forcing=None, rhs_old=None, jump_response=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
     Returns (rho_new, rho_t).  rho_base is the previous *accepted*
     interface; rhs_old is the jump right-hand side at the old time (only
-    needed for theta < 1).  The slope rho_x of rho_m and the rffts
-    rho_hat, base_hat of rho_m and rho_base are spectral unless supplied.
+    needed for theta < 1).  rho_x and rho_hat are the slope and the rfft
+    of rho_m, which the caller already holds.
 
     With ``jump_response`` (per-mode factor sigma_k from the temperature
     solve) the flat-state linear model of the curvature-to-jump chain,
@@ -362,13 +354,8 @@ def interface_step(rho_m, u_new, rho_base, cfg, grids, *,
     but damps the k^3-stiff modes that make plain successive substitution
     diverge.
     """
-    rho_m = np.asarray(rho_m, dtype=float)
     rho_base = np.asarray(rho_base, dtype=float)
     n_x = grids.tangential.n_x
-    if rho_hat is None:
-        rho_hat = np.fft.rfft(rho_m)
-    if rho_x is None:
-        rho_x = d_tangential_hat(rho_hat, n_x, 1)
     bracket2 = 1.0 + rho_x**2
     rhs_new = bracket2 * jump_normal_derivative(np.asarray(u_new, dtype=float), grids)
     if jump_forcing is not None:
@@ -378,12 +365,10 @@ def interface_step(rho_m, u_new, rho_base, cfg, grids, *,
     if jump_response is None:
         rho_t = solve_regularized(rhs, cfg.epsilon, n_x)
         return rho_base + cfg.dt * rho_t, rho_t
-    if base_hat is None:
-        base_hat = np.fft.rfft(rho_base)
     reg = _regularization(cfg.epsilon, n_x)
     k2 = np.arange(n_x // 2 + 1, dtype=float) ** 2
     stab = cfg.dt * theta * k2 * jump_response  # dt theta k^2 sigma_k
-    num = reg * base_hat + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
+    num = reg * np.fft.rfft(rho_base) + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
     rho_new = np.fft.irfft(num / (reg + stab), n=n_x)
     return rho_new, (rho_new - rho_base) / cfg.dt
 
@@ -422,7 +407,7 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
     if forcing is not None:
         f_bulk_new, g_dir, f_jump_new = forcing.at(t_new)
     # every tangential derivative of an interface comes from one rfft of it:
-    # rho_base once per step, each iterate rho_m once
+    # rho_base's once per step, each iterate rho_m's once
     base_hat = np.fft.rfft(state.rho)
     if theta < 1.0:
         f_bulk_old = f_jump_old = None
@@ -467,7 +452,7 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         rho_next, rho_t = interface_step(
             rho_m, u_next, state.rho, cfg, grids,
             jump_forcing=f_jump_new, rhs_old=rhs_old, jump_response=sigma,
-            rho_x=rx, rho_hat=rho_hat, base_hat=base_hat,
+            rho_x=rx, rho_hat=rho_hat,
         )
         lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
@@ -537,12 +522,21 @@ def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
     )
 
 
+def require_whole_steps(t_end, dt):
+    """Raise ConfigError (also a ValueError) naming t_end and dt unless
+    t_end is a whole number of steps of dt (relative tolerance 1e-9)."""
+    steps = t_end / dt
+    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        raise ConfigError(f"t_end={t_end!r} is not a whole number of steps of dt={dt!r} "
+                          f"(t_end/dt = {steps!r})")
+
+
 def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
         collect_states=False, compute_identity=False):
     """Advance from (u0, rho0) to t_end, emitting one EnergyReport per step.
 
-    t_end must be a whole number of steps of cfg.dt (relative tolerance
-    1e-9), so the run ends on t_end; otherwise ValueError is raised.
+    t_end must be a whole number of steps of cfg.dt, so the run ends on
+    t_end; otherwise ``require_whole_steps`` raises ConfigError.
 
     On a failed step (fixed-point non-contraction, or the inner lag loop
     stalling -- both are how "dt too large" manifests, since 1/dt damps
@@ -551,10 +545,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
     the run and the history buffer restarts (quotients need uniform
     spacing).
     """
-    steps = t_end / cfg.dt
-    if not math.isclose(steps, round(steps), rel_tol=1e-9):
-        raise ValueError(f"t_end={t_end!r} is not a whole number of steps of dt={cfg.dt!r} "
-                         f"(t_end/dt = {steps!r})")
+    require_whole_steps(t_end, cfg.dt)
     grids = cfg.grids()
     cutoff = cfg.cutoff()
     u0 = np.asarray(u0, dtype=float)

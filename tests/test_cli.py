@@ -82,6 +82,19 @@ def test_run_rejects_malformed_config(workdir, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_t_end_off_the_step_grid_is_a_usage_error(workdir, capsys):
+    off_grid = FAST_RUN.replace("t_end = 5e-3", "t_end = 5.5e-3")
+    assert main(["run", "--config", str(write_config(workdir, off_grid, out="r")),
+                 "--quiet"]) == 2
+    assert "t_end=0.0055" in capsys.readouterr().err
+    # a sweep rejects a bad dt axis before any of its points runs
+    sweep = FAST_RUN + "\n[sweep]\ndt = 1e-3, 2e-3\n"
+    assert main(["sweep", "--config", str(write_config(workdir, sweep, out="s")),
+                 "--quiet"]) == 2
+    assert "dt=0.002" in capsys.readouterr().err
+    assert not (workdir / "r").exists() and not (workdir / "s").exists()
+
+
 def test_run_failure_leaves_no_partial_output(workdir, capsys):
     # dt far beyond the stability cliff with retries disabled: the run
     # raises, the CLI reports exit 1, and nothing is written

@@ -75,6 +75,9 @@ def test_parse_name_override(tmp_path):
     "[solver]\ntheta = 0.2\n",          # SolverConfig rejects it
     "[solver]\ndt = zero\n",
     "[sweep]\nepsilon =\n",             # empty axis list
+    # t_end must be a whole number of steps of every dt a run can use
+    "[scenario]\nt_end = 0.06\n[solver]\ndt = 0.05\n",
+    "[scenario]\nt_end = 0.06\n[solver]\ndt = 0.02\n[sweep]\ndt = 0.02, 0.04\n",
 ])
 def test_parse_rejects_bad_configs(tmp_path, snippet):
     with pytest.raises(ConfigError):
