@@ -33,9 +33,7 @@ from .functionals import (
     EnergyReport,
     conservation_residual,
     decay_fit,
-    dissipation_D,
     dissipation_eps,
-    energy_E,
     energy_eps,
     equivalence_constant,
     evaluate_functionals,

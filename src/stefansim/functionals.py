@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import (
+    PERIOD,
     d_tangential,
     d_tangential_hat,
     first_walls,
@@ -36,7 +37,7 @@ from .grids import (
     integrate_interface,
     second_walls,
 )
-from .transform import coefficients, grid_profiles
+from .transform import grid_profiles, norm_weights
 
 
 def derivative_pairs(k_diag):
@@ -65,9 +66,8 @@ class DerivativeStack:
         self.rhos = [np.asarray(r, dtype=float) for r in rhos]
         self.dt = float(steps[0]) if len(steps) else None
         self.psi = self.rhos[-1]
-        coef = coefficients(self.psi, np.zeros_like(self.psi), cutoff, grids)
-        self.a_psi = coef.a
-        self.bracket = coef.bracket
+        self.psi_x = d_tangential(self.psi, 1)
+        self.a_psi, self.bracket = norm_weights(self.psi, self.psi_x, cutoff, grids)
         self._uq = {0: self.us[-1]}
         self._rq = {0: self.rhos[-1]}
 
@@ -104,28 +104,20 @@ class FunctionalValue:
         return self.value
 
 
+def _i_psi_of(omega, psi):
+    px = d_tangential(psi, 1)
+    oxx = d_tangential(omega, 2)
+    return _i_psi_parts(oxx, 1.0 / np.sqrt(1.0 + px**2), px, PERIOD / oxx.shape[0])
+
+
 def i_psi(omega, psi):
     """Weighted interface form I_psi evaluated on the Hessian of omega."""
-    omega = np.asarray(omega, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    n = omega.shape[0]
-    grid_spacing = 2.0 * np.pi / n
-    oxx = d_tangential(omega, 2)
-    px = d_tangential(psi, 1)
-    L = 1.0 / np.sqrt(1.0 + px**2)
-    integrand = oxx**2 * L - (oxx * px) ** 2 * L**3
-    return float(integrand.sum() * grid_spacing)
+    return _i_psi_of(omega, psi)[0]
 
 
 def i_psi_lower_bound(omega, psi):
     """The pointwise lower bound int |Hess omega|^2 <psi>^-3 (equality in 1-D)."""
-    omega = np.asarray(omega, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    n = omega.shape[0]
-    oxx = d_tangential(omega, 2)
-    px = d_tangential(psi, 1)
-    L = 1.0 / np.sqrt(1.0 + px**2)
-    return float((oxx**2 * L**3).sum() * 2.0 * np.pi / n)
+    return _i_psi_of(omega, psi)[1]
 
 
 def _dx(hat, raw, order, zero_nyquist):
@@ -144,9 +136,11 @@ def _iface(values, g):
     return float(values.sum() * g.tangential.spacing)
 
 
-def _i_psi_parts(oxx, L, px, g):
-    """(I_psi, its lower bound) from the Hessian oxx and the weights."""
-    return _iface(oxx**2 * L - (oxx * px) ** 2 * L**3, g), _iface(oxx**2 * L**3, g)
+def _i_psi_parts(oxx, L, px, h):
+    """(I_psi, its lower bound) from the Hessian oxx and the weights on a
+    tangential grid of spacing h."""
+    return (float((oxx**2 * L - (oxx * px) ** 2 * L**3).sum() * h),
+            float((oxx**2 * L**3).sum() * h))
 
 
 def _energy_terms(u, u_hat, un, un_hat, r, r_hat, mu, eps, a_h, L, px, g):
@@ -164,14 +158,14 @@ def _energy_terms(u, u_hat, un, un_hat, r, r_hat, mu, eps, a_h, L, px, g):
     vx = _dx(r_hat, r, mu + 1, True)
     vxx = _dx(r_hat, r, mu + 2, odd)
     bulk = _bulk(w**2 + wx**2, g)
-    i_form, i_lower = _i_psi_parts(vxx, L, px, g)
+    i_form, i_lower = _i_psi_parts(vxx, L, px, g.tangential.spacing)
     E = bulk + integrate_halves(a_h * wn**2, g) + _iface(vx**2 * L, g) + i_form
     sob_E = bulk + integrate_halves(wn**2, g) + _iface(vx**2 + vxx**2, g)
     X = sob_X = 0.0
     if eps != 0.0:
         v3 = _dx(r_hat, r, mu + 3, True)
         v4 = _dx(r_hat, r, mu + 4, odd)
-        X = _iface(v3**2 * L, g) + _i_psi_parts(v4, L, px, g)[0]
+        X = _iface(v3**2 * L, g) + _i_psi_parts(v4, L, px, g.tangential.spacing)[0]
         sob_X = _iface(v3**2 + v4**2, g)
     return E, X, sob_E, sob_X, i_form - i_lower, (wx, wn)
 
@@ -212,7 +206,7 @@ def evaluate_functionals(stack, eps):
     dz = g.normal.dz
     a_h = halves(stack.a_psi, g.normal)
     L = 1.0 / stack.bracket
-    px = _dx(np.fft.rfft(stack.psi), stack.psi, 1, True)
+    px = stack.psi_x
     us = [stack.u_quotient(s) for s in range(k + 2)]
     rs = [stack.rho_quotient(s) for s in range(k + 2)]
     u_hats = [None if u is None else np.fft.rfft(u, axis=0) for u in us]
@@ -274,17 +268,9 @@ def energy_eps(stack, eps):
     return evaluate_functionals(stack, eps).E_eps
 
 
-def energy_E(stack):
-    return energy_eps(stack, 0.0)
-
-
 def dissipation_eps(stack, eps):
     """Regularized dissipation D_eps; eps = 0 gives the base dissipation D."""
     return evaluate_functionals(stack, eps).D_eps
-
-
-def dissipation_D(stack):
-    return dissipation_eps(stack, 0.0)
 
 
 def sobolev_norms(stack, eps):

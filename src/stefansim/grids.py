@@ -14,7 +14,7 @@ rectangle rule tangentially and the trapezoid rule per half-strip normally.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -93,60 +93,6 @@ class Grids:
         x = self.tangential.nodes[:, None]
         z = self.normal.nodes[None, :]
         return x, z
-
-
-@dataclass(frozen=True)
-class InterfaceField:
-    """Real scalar field on the tangential grid."""
-
-    grid: TangentialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_x,):
-            raise ValueError(f"interface field shape {v.shape} != ({self.grid.n_x},)")
-        _require_finite(v, "InterfaceField")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.n_x))
-
-    def mean(self):
-        return float(self.values.mean())
-
-
-@dataclass(frozen=True)
-class BulkField:
-    """Real scalar field on the strip, shape (n_x, n_z).
-
-    The z = 0 row stores the (shared) trace; one-sidedness only enters
-    through derivative operations, never through the values themselves.
-    """
-
-    grids: Grids
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grids.shape:
-            raise ValueError(f"bulk field shape {v.shape} != {self.grids.shape}")
-        _require_finite(v, "BulkField")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_function(cls, grids, fn):
-        x, z = grids.meshes()
-        return cls(grids, np.asarray(fn(x, z), dtype=float))
-
-    @classmethod
-    def zeros(cls, grids):
-        return cls(grids, np.zeros(grids.shape))
 
 
 @lru_cache(maxsize=None)

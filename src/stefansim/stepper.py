@@ -106,7 +106,6 @@ class State:
     t: float
     u: np.ndarray
     rho: np.ndarray
-    rho_prev: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -463,7 +462,7 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
             ratios.append(norms[-1] / norms[-2])
         u_m, rho_m = u_next, rho_next
         if diff <= cfg.fp_tol:
-            new_state = State(t=t_new, u=u_m, rho=rho_m, rho_prev=state.rho)
+            new_state = State(t=t_new, u=u_m, rho=rho_m)
             return new_state, StepReport(
                 inner_iters=m, fp_norms=tuple(norms), fp_ratios=tuple(ratios),
                 lin_residual=lin_res_max, lag_iters=lag_total,

@@ -9,9 +9,7 @@ from stefansim.functionals import (
     DerivativeStack,
     decay_fit,
     derivative_pairs,
-    dissipation_D,
     dissipation_eps,
-    energy_E,
     energy_eps,
     equivalence_constant,
     evaluate_functionals,
@@ -70,9 +68,8 @@ def test_energy_reference_values():
 
     quad_val, quad_err = quad(integrand, 0.0, 2 * np.pi, limit=200)
     assert quad_val == pytest.approx(E_REF, abs=10 * quad_err)
-    assert energy_E(stack).value == pytest.approx(E_REF, rel=1e-13)
+    assert energy_eps(stack, 0.0).value == pytest.approx(E_REF, rel=1e-13)
     assert energy_eps(stack, 1.0).value == pytest.approx(E_REF_EPS1, rel=1e-13)
-    assert energy_eps(stack, 0.0).value == energy_E(stack).value
 
 
 def test_dissipation_reference_value():
@@ -87,8 +84,7 @@ def test_dissipation_reference_value():
 
     quad_val, quad_err = quad(integrand, 0.0, 2 * np.pi, limit=200)
     assert quad_val == pytest.approx(D_REF, abs=10 * quad_err)
-    assert dissipation_D(stack).value == pytest.approx(D_REF, rel=1e-13)
-    assert dissipation_eps(stack, 0.0).value == dissipation_D(stack).value
+    assert dissipation_eps(stack, 0.0).value == pytest.approx(D_REF, rel=1e-13)
 
 
 # ------------------------------------------- shared-pass evaluator

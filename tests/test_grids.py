@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from stefansim.errors import NonFiniteFieldError
 from stefansim.grids import (
     Grids,
-    InterfaceField,
-    BulkField,
     NormalGrid,
     PERIOD,
     TangentialGrid,
@@ -47,20 +45,6 @@ def test_normal_grid_validation():
     assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
     assert g.nodes[g.i_mid] == 0.0
     assert np.all(np.diff(g.nodes) > 0)
-
-
-def test_field_containers_reject_bad_shapes_and_nonfinite():
-    tg = TangentialGrid(16)
-    grids = Grids(tg, NormalGrid(9))
-    with pytest.raises(ValueError):
-        InterfaceField(tg, np.zeros(8))
-    with pytest.raises(NonFiniteFieldError):
-        InterfaceField(tg, np.full(16, np.nan))
-    with pytest.raises(ValueError):
-        BulkField(grids, np.zeros((16, 5)))
-    f = InterfaceField.from_function(tg, np.sin)
-    assert f.mean() == pytest.approx(0.0, abs=1e-15)
-    assert BulkField.zeros(grids).values.shape == grids.shape
 
 
 # ------------------------------------------------- tangential derivative

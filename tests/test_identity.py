@@ -1,9 +1,12 @@
 """Energy-balance evaluator for the frozen-coefficient model problem."""
 import dataclasses
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from stefansim.errors import NonFiniteFieldError
 from stefansim.grids import Grids, NormalGrid, TangentialGrid
 from stefansim.identity import identity_residual_k0, model_energy
 from stefansim.transform import Cutoff
@@ -53,9 +56,8 @@ def test_window_validation(med_grids):
         identity_residual_k0(skewed, 0.0, Cutoff(), med_grids)  # non-uniform
 
 
-def test_cross_terms_vanish_on_generic_window(med_grids):
+def test_generic_window_report_is_consistent(med_grids):
     rep = identity_residual_k0(synthetic_window(med_grids), 1e-2, Cutoff(), med_grids)
-    assert rep.cross_terms_max == 0.0
     assert rep.t == pytest.approx(1e-3)
     assert rep.residual >= 0.0
     assert rep.lhs == pytest.approx(rep.dE_dt + rep.D_bar)
@@ -72,29 +74,6 @@ def test_zero_eps_is_the_continuous_limit(med_grids):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-20), f.name
 
 
-def test_f_override_reproduces_default(med_grids):
-    window = synthetic_window(med_grids)
-
-    def default_f(fields):
-        coef = fields["coef"]
-        un_up, un_lo = fields["un"]
-        uxn_up, uxn_lo = fields["uxn"]
-        return (-coef.B * uxn_up - coef.c * un_up,
-                -coef.B * uxn_lo - coef.c * un_lo)
-
-    rep_a = identity_residual_k0(window, 1e-3, Cutoff(), med_grids)
-    rep_b = identity_residual_k0(window, 1e-3, Cutoff(), med_grids,
-                                 f_override=default_f)
-    assert rep_a == rep_b
-
-    def zero_f(fields):
-        shape = fields["u"].shape
-        return np.zeros(shape), np.zeros(shape)
-
-    rep_c = identity_residual_k0(window, 1e-3, Cutoff(), med_grids, f_override=zero_f)
-    assert rep_c.bulk_P != rep_a.bulk_P
-
-
 def test_model_energy_basics(med_grids):
     assert model_energy(np.zeros(med_grids.shape), np.zeros(32), 0.5,
                         Cutoff(), med_grids) == 0.0
@@ -105,3 +84,63 @@ def test_model_energy_basics(med_grids):
     e0 = model_energy(u, rho, 0.0, Cutoff(), med_grids)
     e1 = model_energy(u, rho, 1.0, Cutoff(), med_grids)
     assert 0.0 < e0 < e1  # eps terms only add nonnegative interface energy
+    with pytest.raises(NonFiniteFieldError, match="model_energy rho"):
+        model_energy(u, np.full(32, np.nan), 0.0, Cutoff(), med_grids)
+
+
+# IdentityReport of synthetic_window on the 32 x 33 grids, recorded from the
+# evaluator that spelled out every term of the general statement (T in its
+# uncollapsed form, the chi - omega cross terms evaluated at chi := omega)
+GOLDEN = {
+    0.0: dict(t=0.001, lhs=0.9170709573346716, rhs=0.017337079142608142,
+              residual=0.9628918449520038, dE_dt=-0.1583265276659876,
+              D_bar=1.0753974850006591, bulk_P=0.00043923764931477294,
+              bulk_R=0.016868123633371757, bdry_Q=-5.1237687499959735e-06,
+              bdry_S=-1.4346553671623715e-05, bdry_T=-1.0247537499992362e-05),
+    1e-2: dict(t=0.001, lhs=0.9169833515849681, rhs=0.01733737632120736,
+               residual=0.9628877412036042, dE_dt=-0.15849092292238853,
+               D_bar=1.0754742745073567, bulk_P=0.00043923764931477294,
+               bulk_R=0.016868123633371757, bdry_Q=-5.17500643749597e-06,
+               bdry_S=-1.4490019208339792e-05, bdry_T=-1.0350012874992946e-05),
+}
+
+
+@pytest.mark.parametrize("eps", sorted(GOLDEN))
+def test_report_matches_the_literal_evaluator(med_grids, eps):
+    rep = identity_residual_k0(synthetic_window(med_grids), eps, Cutoff(), med_grids)
+    assert {f.name for f in dataclasses.fields(rep)} == set(GOLDEN[eps])
+    for name, ref in GOLDEN[eps].items():
+        assert getattr(rep, name) == pytest.approx(ref, rel=1e-12, abs=0.0), name
+
+
+def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
+    # rho, rho_t, u and u_n at the midpoint, u and rho at each neighbour;
+    # no checked derivative: the window is checked once on entry
+    count = {"rfft": 0}
+    real = np.fft.rfft
+
+    def counting(*args, **kwargs):
+        count["rfft"] += 1
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("d_tangential called")
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("stefansim") and hasattr(mod, "d_tangential"):
+            monkeypatch.setattr(mod, "d_tangential", forbidden)
+    identity_residual_k0(synthetic_window(med_grids), 1e-2, Cutoff(), med_grids)
+    assert count["rfft"] <= 8
+
+
+@pytest.mark.parametrize("j, name", [(0, "u"), (1, "rho"), (1, "u"), (2, "rho")])
+def test_non_finite_sample_is_named(med_grids, j, name):
+    window = synthetic_window(med_grids)
+    t, u, rho = window[j]
+    bad = (u if name == "u" else rho).copy()
+    bad.flat[3] = np.nan
+    window[j] = (t, bad, rho) if name == "u" else (t, u, bad)
+    with pytest.raises(NonFiniteFieldError,
+                       match=re.escape(f"identity window sample {j} (t={t!r}) {name}:")):
+        identity_residual_k0(window, 1e-2, Cutoff(), med_grids)

@@ -454,7 +454,6 @@ def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids, sm
     assert np.all(new_state.u == 0.0)
     assert np.abs(new_state.rho - 0.1).max() < 1e-15
     assert new_state.t == small_cfg.dt
-    assert new_state.rho_prev is rho
 
 
 def test_fixed_point_contracts_after_first_iterate(small_grids, small_cutoff):
