@@ -13,20 +13,34 @@ in the order-0 regularized-energy norm:
 The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on each
-half-strip and is factored once per temperature solve (one banded LU
-for all modes and both halves); the tangentially fluctuating coefficient
-parts  (a - a_mean) u_zz - B u_xz - c u_z  are lagged one inner iterate,
-each lag iteration reuses the factors, and the lag loop runs until the
-*full* frozen-coefficient discrete system is satisfied to ``lin_tol``.
-Walls use mirror-ghost elimination (second-order Neumann); the interface
-row is a Dirichlet row.
+half-strip.  It is factored once per step (one banded LU for all modes
+and both halves) at the step's base interface: iterate 1, where the
+effective interface is the previous accepted one for every theta.  The
+jump response sigma_k that stabilizes the interface update comes from
+the same factors, once per step.  The rest of the frozen coefficients,
+(a - a_mean) u_zz - B u_xz - c u_z with a_mean the base interface's, is
+lagged one lag iteration; every lag iteration reuses the factors, and
+the lag loop runs until the *full* frozen-coefficient discrete system is
+satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
+(second-order Neumann); the interface row is a Dirichlet row.
+
+Iterate 1's lag loop starts from the old temperature u_old; every later
+iterate's starts warm from the previous fixed-point iterate u_m and
+reuses the fields its solve returned.  A warm solve ends once the
+residual test holds and its last lag update, in the fixed-point norm,
+is small against the previous fixed-point difference or fp_tol, or has
+stopped shrinking (see ``temperature_step``).  When the lag loop stops
+contracting, its residual no longer falling over a few iterations, the
+solve goes on by GMRES on the same affine map with the banded LU as
+preconditioner; the final check is the same full residual.
 
 Each iterate transforms each field once.  A lag iteration makes one
 forward FFT (its right-hand side); u_new, u_xx and u_xz come from the
 solve's Fourier coefficients by three inverse FFTs, u_zz and u_z by
 stencil, and those fields serve both the residual and the next
 iteration's lagged terms.  The iterate is checked for finiteness once.
-A fixed-point iterate transforms rho_m once: its slope and second
+u_old is transformed, and its fields built, once per step.  A
+fixed-point iterate transforms rho_m once: its slope and second
 derivative, the resolution check and the curvature Dirichlet data, the
 interface update and the fixed-point norm all share that FFT; the
 previous accepted interface's derivatives come from one FFT per step.
@@ -40,6 +54,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, FixedPointError, LinearSolveError
 from .functionals import (
@@ -117,6 +132,31 @@ class StepReport:
     lag_iters: int
 
 
+# Exit rule of a warm-started temperature solve: once the residual test
+# holds, accept when the last lag update, in the fixed-point norm, is at
+# most this share of the previous fixed-point difference ...
+WARM_FP_FRACTION = 1e-3
+# ... or of fp_tol
+WARM_TOL_FRACTION = 1e-2
+# the lag loop has stalled when its residual has not fallen over this many
+# lag iterations; the solve then continues by GMRES
+STALL_WINDOW = 3
+# relative tolerance of each GMRES cycle on the preconditioned system
+KRYLOV_RTOL = 1e-7
+
+
+@dataclass(frozen=True)
+class _WarmStart:
+    """Where a warm-started temperature solve begins, and what its exit rule
+    measures against: the previous fixed-point iterate u and its
+    ``_bulk_fields``, the previous fixed-point difference, and the weights
+    (psi_x, a_psi, bracket) of the fixed-point norm at the iterate."""
+    u: np.ndarray
+    fields: tuple
+    fp_diff: float
+    weights: tuple
+
+
 def _thomas_batched(dl, d, du, rhs, du2, ipiv):
     """Solve with the ``dgttrf`` factors of tridiagonal systems laid end to
     end.
@@ -153,6 +193,7 @@ class _BulkLU:
     def __init__(self, a_mean, inv_dt, theta, grids):
         n_z, mid, dz = grids.normal.n_z, grids.normal.i_mid, grids.normal.dz
         self.shape = (grids.tangential.n_x // 2 + 1, n_z)  # (modes, n_z)
+        self.a_mean = a_mean
         self.mid = mid
         self.dz = dz
         # (2, m) z indices of the unknowns: upper half, then lower half
@@ -247,20 +288,49 @@ def _interior_operator(v, coef, grids, fields=None):
 
 def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
                      dirichlet=None, forcing_new=None, forcing_old=None,
-                     inv_dt=None, coef=None, return_jump_response=False):
+                     inv_dt=None, coef=None, bulk=None, old_fields=None, warm=None):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
-    Returns (u_new, final_residual, lag_iterations, jump_response) where
-    jump_response is the per-mode Dirichlet-to-jump factor (None unless
-    requested).  ``dirichlet`` defaults to the curvature of rho_m;
-    ``inv_dt = 0`` gives the steady solve used to build compatible
-    initial data.  Raises LinearSolveError if the lag iteration cannot
-    reach ``cfg.lin_tol`` and NonFiniteFieldError on a non-finite iterate.
+    Returns (u_new, final_residual, lag_iterations, fields): fields are
+    u_new's ``_bulk_fields``, which a solve warm-started from u_new reuses,
+    and lag_iterations counts every operator application, GMRES's
+    included.  ``dirichlet`` defaults to the curvature of rho_m; ``inv_dt =
+    0`` gives the steady solve used to build compatible initial data.
+    Raises LinearSolveError if the solve cannot reach ``cfg.lin_tol`` and
+    NonFiniteFieldError on a non-finite iterate.
+
+    ``fixed_point_step`` calls this once per iterate with what stays the
+    same within a step: ``bulk``, the ``_BulkLU`` factored once per step,
+    and ``old_fields``, u_old's ``_bulk_fields``.  Called alone, it factors
+    at the tangential mean of ``coef.a`` and transforms u_old itself.  The
+    lag loop lags whatever of ``coef.a`` the factored a_mean leaves out.
 
     Each lag iteration makes one forward transform (of its right-hand
     side) and three inverse ones: u_new, u_xx and u_xz all come from the
     solve's Fourier coefficients.  The fields serve the residual and,
     unchanged, the next iteration's lagged terms.
+
+    Exit rule.  Every solve ends with ``full residual <= lin_tol``, checked
+    on the returned u.  With ``warm`` (a ``_WarmStart``) the lag loop starts
+    from the previous fixed-point iterate instead of u_old, and once the
+    residual test holds it also measures the last lag update in the
+    fixed-point norm (``state_energy_k0`` with the iterate's weights and
+    rho = 0).  It accepts when that update is at most WARM_FP_FRACTION of
+    the previous fixed-point difference or WARM_TOL_FRACTION of fp_tol, or
+    is no smaller than the update before it (the roundoff floor).  A
+    residual test alone would end warm solves at residuals far below
+    lin_tol yet carry the lag loop's contraction into the fixed-point
+    iterates.
+
+    GMRES fallback.  If the residual has not fallen over STALL_WINDOW lag
+    iterations, the loop has stopped contracting (or diverges), and the
+    solve goes on from the best iterate by GMRES on the same affine map,
+    (I - M^-1 N) u = M^-1 b, with M the factored operator and N the lagged
+    part.  Each cycle solves for the correction of the current full
+    residual (iterative refinement: GMRES's own preconditioned tolerance
+    does not bound the full residual), within the one budget of
+    ``lin_max_iter`` operator applications; its Krylov basis holds at most
+    that many fields.
     """
     rho_m = np.asarray(rho_m, dtype=float)
     u_old = np.asarray(u_old, dtype=float)
@@ -277,23 +347,28 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
     f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
 
-    a_mean = coef.a.mean(axis=0)  # (n_z,), tangential mean; the rest is lagged
-    a_fluct = coef.a - a_mean[None, :]
+    if bulk is None:
+        bulk = _BulkLU(coef.a.mean(axis=0), inv_dt, theta, grids)
+    a_fluct = coef.a - bulk.a_mean[None, :]  # the lagged part of a
+    if old_fields is None:
+        old_fields = _bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
 
-    lag = _bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
     base_rhs = u_old * inv_dt + theta * f_new
     old_part, scale_old = None, 0.0
     if theta < 1.0:
-        L_old, scale_old = _interior_operator(u_old, coef, grids, lag)
+        L_old, scale_old = _interior_operator(u_old, coef, grids, old_fields)
         old_part = (1.0 - theta) * (L_old + f_old)  # the old level's explicit share
         base_rhs = base_rhs + old_part
 
-    bulk = _BulkLU(a_mean, inv_dt, theta, grids)
     dir_hat = np.fft.rfft(dirichlet)
     norm_u_old = np.linalg.norm(u_old)
     norm_f = np.linalg.norm(theta * f_new + (1.0 - theta) * f_old)
 
-    def full_residual(u_new, L_new, scale_new):
+    def measure(u_new, u_hat):
+        """u_new's fields, its full residual field and the relative full
+        residual."""
+        fields = _bulk_fields(u_new, u_hat, grids)
+        L_new, scale_new = _interior_operator(u_new, coef, grids, fields)
         r = (u_new - u_old) * inv_dt - theta * (L_new + f_new)
         if theta < 1.0:
             r = r - old_part
@@ -304,21 +379,75 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
         scale = (inv_dt * max(np.linalg.norm(u_new), norm_u_old)
                  + theta * scale_new + (1.0 - theta) * scale_old
                  + norm_f + 1e-300)
-        return np.linalg.norm(r) / scale
+        return fields, r, np.linalg.norm(r) / scale
 
-    residual = np.inf
+    def lag_solve(fields, rhs, dir_values):
+        """Fourier coefficients of M^-1 (rhs + N v), v the field of ``fields``."""
+        _, v_zz, v_xz, v_z = fields
+        rhs = rhs + theta * (a_fluct * v_zz - coef.B * v_xz - coef.c * v_z)
+        return bulk.solve(np.fft.rfft(rhs, axis=0), dir_values)
+
+    def krylov(u_new, r, used):
+        """Iterative refinement by GMRES from u_new with full residual r:
+        each cycle solves (I - M^-1 N) d = -M^-1 r (zero Dirichlet data)
+        and adds d, until the full residual reaches lin_tol."""
+        matvecs = 0
+        zero_dir = np.zeros_like(dir_hat)
+
+        def inv_m(v):
+            return np.fft.irfft(bulk.solve(np.fft.rfft(v, axis=0), zero_dir), n=n_x, axis=0)
+
+        def apply(v):
+            nonlocal matvecs
+            matvecs += 1
+            v = v.reshape(grids.shape)
+            lagged = lag_solve(_bulk_fields(v, np.fft.rfft(v, axis=0), grids), 0.0, zero_dir)
+            return (v - np.fft.irfft(lagged, n=n_x, axis=0)).ravel()
+
+        op = LinearOperator((u_new.size,) * 2, matvec=apply, dtype=float)
+        residual = np.inf
+        while used + matvecs < cfg.lin_max_iter:
+            d, _ = gmres(op, -inv_m(r).ravel(), rtol=KRYLOV_RTOL, atol=0.0,
+                         restart=cfg.lin_max_iter - used - matvecs, maxiter=1)
+            d = d.reshape(grids.shape)
+            d[:, mid] = 0.0
+            u_new = u_new + d
+            _require_finite(u_new, "temperature iterate (GMRES)")
+            fields, r, residual = measure(u_new, np.fft.rfft(u_new, axis=0))
+            if residual <= cfg.lin_tol:
+                return u_new, float(residual), used + matvecs, fields
+        raise LinearSolveError(
+            f"temperature solve stalled: GMRES reached relative residual {residual:.3e} "
+            f"within {cfg.lin_max_iter} operator applications (lin_tol={cfg.lin_tol:.1e})",
+            residual=float(residual),
+        )
+
+    u_prev, fields = (u_old, old_fields) if warm is None else (warm.u, warm.fields)
+    best, residuals = None, []
+    last_update = np.inf
     for it in range(1, cfg.lin_max_iter + 1):
-        _, lag_zz, lag_xz, lag_z = lag
-        rhs = base_rhs + theta * (a_fluct * lag_zz - coef.B * lag_xz - coef.c * lag_z)
-        x_hat = bulk.solve(np.fft.rfft(rhs, axis=0), dir_hat)
+        x_hat = lag_solve(fields, base_rhs, dir_hat)
         u_new = np.fft.irfft(x_hat, n=n_x, axis=0)
         _require_finite(u_new, f"temperature iterate (lag iteration {it})")
-        lag = _bulk_fields(u_new, x_hat, grids)
-        L_new, scale_new = _interior_operator(u_new, coef, grids, lag)
-        residual = full_residual(u_new, L_new, scale_new)
+        fields, r, residual = measure(u_new, x_hat)
         if residual <= cfg.lin_tol:
-            sigma = bulk.jump_response() if return_jump_response else None
-            return u_new, float(residual), it, sigma
+            if warm is None or it == cfg.lin_max_iter:
+                return u_new, float(residual), it, fields
+            # measured only once the residual test holds
+            update = np.sqrt(state_energy_k0(u_new - u_prev, np.zeros(n_x), *warm.weights,
+                                             cfg.epsilon, grids))
+            if (update <= WARM_FP_FRACTION * warm.fp_diff
+                    or update <= WARM_TOL_FRACTION * cfg.fp_tol
+                    or update >= last_update):
+                return u_new, float(residual), it, fields
+            last_update = update
+        else:
+            if best is None or residual < best[0]:
+                best = (residual, u_new, r)
+            if len(residuals) >= STALL_WINDOW and residual >= residuals[-STALL_WINDOW]:
+                return krylov(best[1], best[2], it)
+        residuals.append(residual)
+        u_prev = u_new
     raise LinearSolveError(
         f"temperature solve stalled at relative residual {residual:.3e} "
         f"after {cfg.lin_max_iter} lag iterations (lin_tol={cfg.lin_tol:.1e})",
@@ -346,8 +475,8 @@ def interface_step(rho_m, u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
     needed for theta < 1).  rho_x and rho_hat are the slope and the rfft
     of rho_m, which the caller already holds.
 
-    With ``jump_response`` (per-mode factor sigma_k from the temperature
-    solve) the flat-state linear model of the curvature-to-jump chain,
+    With ``jump_response`` (per-mode factor sigma_k, from the step's bulk
+    factorization) the flat-state linear model of the curvature-to-jump chain,
     -sigma_k k^2 (rho_new - rho_m), is applied implicitly.  This leaves
     the converged fixed point unchanged — the model term cancels there —
     but damps the k^3-stiff modes that make plain successive substitution
@@ -420,6 +549,10 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
 
     u_m, rho_m = state.u, state.rho
     rho_hat = base_hat
+    # the same in every iterate: u_old's transform and fields, and (below,
+    # at iterate 1) the bulk factorization and its jump response
+    old_fields = _bulk_fields(state.u, np.fft.rfft(state.u, axis=0), grids)
+    warm = None
     norms, ratios = [], []
     lin_res_max = 0.0
     lag_total = 0
@@ -440,13 +573,20 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
                                 rho_x=theta * rx + (1.0 - theta) * base_x,
                                 rho_xx=theta * rxx + (1.0 - theta) * base_xx)
             a_m, bracket_m = norm_weights(rho_m, rx, cutoff, grids)
+        if m == 1:
+            # iterate 1 sits at the step's base interface (rho_eff is
+            # state.rho for every theta); later iterates lag against it
+            bulk = _BulkLU(coef.a.mean(axis=0), 1.0 / dt, theta, grids)
+            sigma = bulk.jump_response()
+        else:
+            warm = _WarmStart(u_m, fields_m, norms[-1], (rx, a_m, bracket_m))
         dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
-        u_next, lin_res, lag_iters, sigma = temperature_step(
+        u_next, lin_res, lag_iters, fields_m = temperature_step(
             rho_eff, rho_t_m, state.u, cfg, grids, cutoff,
             dirichlet=dirichlet, forcing_new=f_bulk_new, forcing_old=f_bulk_old,
-            coef=coef, return_jump_response=True,
+            coef=coef, bulk=bulk, old_fields=old_fields, warm=warm,
         )
         rho_next, rho_t = interface_step(
             rho_m, u_next, state.rho, cfg, grids,

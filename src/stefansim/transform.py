@@ -191,18 +191,6 @@ def curvature_hat(rho_hat, rho_x, check_resolution=True, stacklevel=2):
     return d_tangential_hat(np.fft.rfft(rho_x / np.sqrt(1.0 + rho_x**2)), n, 1)
 
 
-def curvature_expanded(rho):
-    """Equivalent expanded curvature rho_xx/<rho> - rho_x^2 rho_xx/<rho>^3.
-
-    Agrees with ``curvature`` up to aliasing; kept for the agreement test.
-    """
-    rho = np.asarray(rho, dtype=float)
-    rx = d_tangential(rho, 1)
-    rxx = d_tangential(rho, 2)
-    br = np.sqrt(1.0 + rx**2)
-    return rxx / br - rx**2 * rxx / br**3
-
-
 def jump_normal_derivative(u_values, grids):
     """Jump bracket [u_z] across z = 0: (one-sided from below) - (from above).
 

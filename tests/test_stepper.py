@@ -2,6 +2,7 @@
 per-step fixed point, and the run driver."""
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from stefansim import stepper
 from stefansim.errors import (
@@ -11,6 +12,7 @@ from stefansim.errors import (
     NonFiniteFieldError,
     ResolutionWarning,
 )
+from stefansim.functionals import state_energy_k0
 from stefansim.grids import d_tangential
 from stefansim.stepper import (
     SolverConfig,
@@ -23,7 +25,7 @@ from stefansim.stepper import (
     solve_regularized,
     temperature_step,
 )
-from stefansim.transform import coefficients, curvature
+from stefansim.transform import coefficients, curvature, jump_normal_derivative, norm_weights
 
 
 # --------------------------------------------------------------- config
@@ -69,10 +71,13 @@ def test_temperature_step_matches_dense_flat_solve():
     z = grids.normal.nodes
     u_old = np.broadcast_to(np.cos(np.pi * z)[None, :], grids.shape).copy()
     zeros = np.zeros(8)
-    u_new, residual, lag_iters, sigma = temperature_step(
+    u_new, residual, lag_iters, fields = temperature_step(
         zeros, zeros, u_old, cfg, grids, cutoff)
     assert residual <= cfg.lin_tol
-    assert sigma is None
+    # the fields a warm start from u_new reuses are u_new's own
+    ref = stepper._bulk_fields(u_new, np.fft.rfft(u_new, axis=0), grids)
+    for got, want in zip(fields, ref, strict=True):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     dense = dense_flat_reference(np.cos(np.pi * z), cfg.dt, 17)
     assert np.abs(u_new - dense[None, :]).max() < 1e-12
 
@@ -160,9 +165,9 @@ def test_temperature_step_zero_state_is_exact(small_cfg, small_grids, small_cuto
 
 def test_jump_response_is_positive_and_monotone(small_cfg, small_grids, small_cutoff):
     zeros = np.zeros(small_cfg.n_x)
-    *_, sigma = temperature_step(zeros, zeros, np.zeros(small_grids.shape),
-                                 small_cfg, small_grids, small_cutoff,
-                                 return_jump_response=True)
+    a_mean = coefficients(zeros, zeros, small_cutoff, small_grids).a.mean(axis=0)
+    sigma = stepper._BulkLU(a_mean, 1.0 / small_cfg.dt, small_cfg.theta,
+                            small_grids).jump_response()
     assert sigma.shape == (small_cfg.n_x // 2 + 1,)
     assert np.all(sigma > 0)
     assert np.all(np.diff(sigma) > 0)  # stiffer response at higher wavenumber
@@ -183,6 +188,23 @@ def test_compatible_initial_temperature(small_cfg, small_grids, small_cutoff):
     u0_cn = compatible_initial_temperature(
         rho0, replace(small_cfg, theta=0.5), small_grids, small_cutoff)
     assert np.array_equal(u0, u0_cn)
+
+
+@pytest.mark.parametrize("n_x, n_z", [(16, 17), (64, 65), (32, 257)])
+@pytest.mark.parametrize("amp", [0.1, 0.15])
+def test_compatible_initial_temperature_converges_where_the_lag_loop_stalls(n_x, n_z, amp):
+    # the lag loop stops contracting at these interfaces (at amp = 0.15 its
+    # iterates overflow); the solve goes on by GMRES on the same affine map
+    cfg = SolverConfig(n_x=n_x, n_z=n_z)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    x = grids.tangential.nodes
+    rho = amp * (np.sin(x) + 0.5 * np.cos(2 * x))
+    u0 = compatible_initial_temperature(rho, cfg, grids, cutoff)
+    # the steady full residual, by the reference operator
+    coef = coefficients(rho, np.zeros_like(rho), cutoff, grids)
+    L, scale, _ = reference_operator(u0, coef, grids)
+    assert np.linalg.norm(L) / scale <= cfg.lin_tol
+    assert np.abs(u0[:, grids.normal.i_mid] - curvature(rho)).max() <= cfg.trace_tol
 
 
 def test_temperature_step_raises_when_lag_loop_stalls(small_grids, small_cutoff):
@@ -332,7 +354,7 @@ def test_temperature_step_returns_an_owned_u(monkeypatch):
 def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     # one forward transform (the right-hand side) and three inverse ones
     # (u, u_xx, u_xz) per lag iteration, plus a constant for u_old and the
-    # Dirichlet data
+    # Dirichlet data; the jump response makes none
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
     coef = coefficients(data[0], data[1], cutoff, grids)
     counts = {"rfft": 0, "irfft": 0}
@@ -345,10 +367,11 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counting)
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
+    bulk = stepper._BulkLU(coef.a.mean(axis=0), 1.0 / cfg.dt, cfg.theta, grids)
+    bulk.jump_response()
     _, _, lag_iters, _ = temperature_step(rho, rho_t, u_old, cfg, grids, cutoff,
                                           dirichlet=dirichlet, forcing_new=f_new,
-                                          forcing_old=f_old, coef=coef,
-                                          return_jump_response=True)
+                                          forcing_old=f_old, coef=coef, bulk=bulk)
     assert lag_iters >= 3
     assert counts["rfft"] <= lag_iters + 2
     assert counts["irfft"] <= 3 * lag_iters + 2
@@ -487,6 +510,99 @@ def test_fixed_point_tall_manufactured_column_converges():
                                  forcing=problem)
     assert report.inner_iters <= 6
     assert report.fp_norms[-1] <= cfg.fp_tol
+
+
+class ConstantForcing:
+    """Bulk, Dirichlet and jump forcing that do not change in time."""
+
+    def __init__(self, grids):
+        x = grids.tangential.nodes
+        z = grids.normal.nodes[None, :]
+        self.fields = (0.1 * np.sin(x)[:, None] * np.cos(np.pi * z),
+                       0.01 * np.cos(x), 0.05 * np.sin(2 * x))
+
+    def at(self, t):
+        return tuple(f.copy() for f in self.fields)
+
+
+def forced_step_problem(theta):
+    cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0, theta=theta)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    x = grids.tangential.nodes
+    rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
+    u0 = compatible_initial_temperature(rho0, cfg, grids, cutoff)
+    return cfg, grids, cutoff, State(t=0.0, u=u0, rho=rho0), ConstantForcing(grids)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta):
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    counts = {"dgttrf": 0, "jump_response": 0, "substitutions": 0}
+    real_factor, real_jump = lapack.dgttrf, stepper._BulkLU.jump_response
+    real_substitution = stepper._thomas_batched
+
+    def factor(*args, **kwargs):
+        counts["dgttrf"] += 1
+        return real_factor(*args, **kwargs)
+
+    def jump(self):
+        counts["jump_response"] += 1
+        return real_jump(self)
+
+    def substitution(*args, **kwargs):
+        counts["substitutions"] += 1
+        return real_substitution(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgttrf", factor)
+    monkeypatch.setattr(stepper._BulkLU, "jump_response", jump)
+    monkeypatch.setattr(stepper, "_thomas_batched", substitution)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    assert report.inner_iters >= 3
+    # one LU and one jump response per step; every other substitution is
+    # a lag iteration
+    assert counts["dgttrf"] == 1 and counts["jump_response"] == 1
+    assert counts["substitutions"] == report.lag_iters + 1
+
+
+def cold_reference_step(state, cfg, grids, cutoff, forcing):
+    """The fixed-point loop with every iterate solved afresh: the bulk
+    operator factored at the iterate, its jump response recomputed, and the
+    lag loop started from u_old."""
+    theta, dt = cfg.theta, cfg.dt
+    f_new, g_dir, j_new = forcing.at(state.t + dt)
+    f_old, _, j_old = forcing.at(state.t)
+    rhs_old = ((1.0 + d_tangential(state.rho, 1) ** 2)
+               * jump_normal_derivative(state.u, grids) + j_old)
+    u_m, rho_m = state.u, state.rho
+    for _ in range(cfg.fp_max_iter):
+        rho_t = (rho_m - state.rho) / dt
+        rho_eff = theta * rho_m + (1.0 - theta) * state.rho
+        coef = coefficients(rho_eff, rho_t, cutoff, grids)
+        u_next, *_ = temperature_step(rho_eff, rho_t, state.u, cfg, grids, cutoff,
+                                      dirichlet=curvature(rho_m) + g_dir,
+                                      forcing_new=f_new, forcing_old=f_old, coef=coef)
+        sigma = stepper._BulkLU(coef.a.mean(axis=0), 1.0 / dt, theta, grids).jump_response()
+        rho_next, _ = interface_step(rho_m, u_next, state.rho, cfg, grids,
+                                     jump_forcing=j_new, rhs_old=rhs_old,
+                                     jump_response=sigma, **rho_transforms(rho_m))
+        rx = d_tangential(rho_m, 1)
+        a_m, bracket_m = norm_weights(rho_m, rx, cutoff, grids)
+        diff = np.sqrt(state_energy_k0(u_next - u_m, rho_next - rho_m, rx, a_m,
+                                       bracket_m, cfg.epsilon, grids))
+        u_m, rho_m = u_next, rho_next
+        if diff <= cfg.fp_tol:
+            return u_m, rho_m
+    raise AssertionError("cold reference loop did not converge")
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_warm_started_step_matches_cold_reference_loop(theta):
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    new_state, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    u_ref, rho_ref = cold_reference_step(state, cfg, grids, cutoff, forcing)
+    assert report.inner_iters >= 3
+    assert np.abs(new_state.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    assert np.abs(new_state.rho - rho_ref).max() <= 1e-10 * np.abs(rho_ref).max()
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])

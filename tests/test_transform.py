@@ -17,7 +17,6 @@ from stefansim.transform import (
     Cutoff,
     coefficients,
     curvature,
-    curvature_expanded,
     grid_profiles,
     jump_normal_derivative,
     norm_weights,
@@ -187,6 +186,15 @@ def test_curvature_linearizes_to_second_derivative():
         rho = delta * np.sin(x)
         errs.append(np.abs(curvature(rho) - d_tangential(rho, 2)).max())
     assert 900.0 < errs[0] / errs[1] < 1100.0
+
+
+def curvature_expanded(rho):
+    """Expanded curvature rho_xx/<rho> - rho_x^2 rho_xx/<rho>^3, the same
+    function as the divergence form ``curvature`` up to aliasing."""
+    rx = d_tangential(rho, 1)
+    rxx = d_tangential(rho, 2)
+    br = np.sqrt(1.0 + rx**2)
+    return rxx / br - rx**2 * rxx / br**3
 
 
 def test_curvature_divergence_vs_expanded_form():
