@@ -11,6 +11,12 @@ buffer; the s-th quotient needs s+1 uniformly spaced entries.  Terms whose
 quotients are not yet available are *skipped and flagged*, never silently
 zeroed.
 
+The unweighted bulk integrals (int w^2 + w_x^2 in E, int w_t^2 + w_x^2 +
+w_xx^2 in D, w = d_x^mu u_s) are summed on the Fourier modes of each
+field by Parseval (``grids.parseval_weights``).  The a-weighted
+normal-derivative terms and the interface terms have weights that vary
+in x and are summed in real space.
+
 The interface form
 
     I_psi(W, W) = int  |W|^2 <psi>^-1 - sum_k (W_k . grad psi)^2 <psi>^-3
@@ -22,6 +28,7 @@ equality in one tangential dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -35,6 +42,7 @@ from .grids import (
     integrate_bulk,
     integrate_halves,
     integrate_interface,
+    parseval_weights,
     second_walls,
 )
 from .transform import grid_profiles, norm_weights
@@ -136,6 +144,14 @@ def _iface(values, g):
     return float(values.sum() * g.tangential.spacing)
 
 
+def _parseval(hat, terms, g):
+    """Bulk quadrature of the sum over ``terms`` ((order, zero_nyquist)
+    pairs) of (d_x^order v)^2, summed on the rfft ``hat`` of v by Parseval:
+    no inverse transform."""
+    weights = parseval_weights(g.tangential, g.normal, terms)
+    return float(np.vdot(hat, weights * hat).real)
+
+
 def _i_psi_parts(oxx, L, px, h):
     """(I_psi, its lower bound) from the Hessian oxx and the weights on a
     tangential grid of spacing h."""
@@ -143,31 +159,25 @@ def _i_psi_parts(oxx, L, px, h):
             float((oxx**2 * L**3).sum() * h))
 
 
-def _energy_terms(u, u_hat, un, un_hat, r, r_hat, mu, eps, a_h, L, px, g):
-    """The (mu, s) term of E, the eps coefficient X of E_eps = E + eps X,
-    the unweighted counterparts of both, I_psi minus its lower bound, and
-    the fields d_x^{mu+1} u, d_x^mu u_n that D reuses.
-
-    u, r: the s-th time quotients; un: the one-sided normal derivative of
-    u in the ``halves`` layout; *_hat: their rffts along x.
-    """
+def _interface_terms(r_hat, mu, eps, L, px, g):
+    """The interface part of the (mu, s) term of E, the eps coefficient X
+    of E_eps = E + eps X, the unweighted counterparts of both, and I_psi
+    minus its lower bound, from the rfft r_hat of the s-th quotient of
+    rho."""
+    n, h = g.tangential.n_x, g.tangential.spacing
     odd = mu % 2 == 1
-    w = _dx(u_hat, u, mu, odd)
-    wx = _dx(u_hat, u, mu + 1, True)
-    wn = _dx(un_hat, un, mu, odd)
-    vx = _dx(r_hat, r, mu + 1, True)
-    vxx = _dx(r_hat, r, mu + 2, odd)
-    bulk = _bulk(w**2 + wx**2, g)
-    i_form, i_lower = _i_psi_parts(vxx, L, px, g.tangential.spacing)
-    E = bulk + integrate_halves(a_h * wn**2, g) + _iface(vx**2 * L, g) + i_form
-    sob_E = bulk + integrate_halves(wn**2, g) + _iface(vx**2 + vxx**2, g)
+    vx = d_tangential_hat(r_hat, n, mu + 1, True)
+    vxx = d_tangential_hat(r_hat, n, mu + 2, odd)
+    i_form, i_lower = _i_psi_parts(vxx, L, px, h)
+    E = _iface(vx**2 * L, g) + i_form
+    sob_E = _iface(vx**2 + vxx**2, g)
     X = sob_X = 0.0
     if eps != 0.0:
-        v3 = _dx(r_hat, r, mu + 3, True)
-        v4 = _dx(r_hat, r, mu + 4, odd)
-        X = _iface(v3**2 * L, g) + _i_psi_parts(v4, L, px, g.tangential.spacing)[0]
+        v3 = d_tangential_hat(r_hat, n, mu + 3, True)
+        v4 = d_tangential_hat(r_hat, n, mu + 4, odd)
+        X = _iface(v3**2 * L, g) + _i_psi_parts(v4, L, px, h)[0]
         sob_X = _iface(v3**2 + v4**2, g)
-    return E, X, sob_E, sob_X, i_form - i_lower, (wx, wn)
+    return E, X, sob_E, sob_X, i_form - i_lower
 
 
 @dataclass(frozen=True)
@@ -189,11 +199,17 @@ def evaluate_functionals(stack, eps):
 
     Each time quotient u_s, rho_s and the one-sided normal derivatives
     d_z u_s, d_z^2 u_s (d_x commutes with d_z) are transformed once along
-    x; every d_x^mu of them is one multiplication by a cached (ik)^n.  A
-    composed derivative zeroes the Nyquist mode whenever one of its
-    factors has odd order, as nested ``d_tangential`` calls do.  E_eps =
-    E + eps X and D_eps = D + eps Y share their arrays with E and D, and
-    the Sobolev sums are the same arrays without the weights.
+    x.  The unweighted bulk sums of E and D, int w^2 + w_x^2 and
+    int w_t^2 + w_x^2 + w_xx^2 with w = d_x^mu u_s, are summed on those
+    transforms by Parseval (``parseval_weights``), with no inverse
+    transform.  Every other d_x^mu is one multiplication by a cached
+    (ik)^n and one inverse transform: the a-weighted normal-derivative
+    terms and the interface terms have weights that vary in x, so they
+    are summed in real space.  A composed derivative zeroes the Nyquist
+    mode whenever one of its factors has odd order, as nested
+    ``d_tangential`` calls do.  E_eps = E + eps X and D_eps = D + eps Y
+    share their arrays with E and D, and the Sobolev sums are the same
+    arrays without the weights.
 
     The eps addition to D is 2 eps int |d_x^mu Delta grad rho_t|^2 <psi>^-1
     per (mu, s) (the time-differentiated form; see the energy identity,
@@ -203,6 +219,7 @@ def evaluate_functionals(stack, eps):
     """
     g = stack.grids
     k = stack.k_diag
+    n = g.tangential.n_x
     dz = g.normal.dz
     a_h = halves(stack.a_psi, g.normal)
     L = 1.0 / stack.bracket
@@ -222,9 +239,13 @@ def evaluate_functionals(stack, eps):
             missing_E.append((mu, s))
             missing_D.append((mu, s))
             continue
-        e, x, se, sx, gap, (wx, wn) = _energy_terms(
-            us[s], u_hats[s], uns[s], un_hats[s], rs[s], r_hats[s], mu, eps, a_h, L, px, g)
-        E, X, sob_E, sob_X = E + e, X + x, sob_E + se, sob_X + sx
+        odd = mu % 2 == 1
+        wn = _dx(un_hats[s], uns[s], mu, odd)
+        bulk = _parseval(u_hats[s], ((mu, odd), (mu + 1, True)), g)  # w, w_x
+        e, x, se, sx, gap = _interface_terms(r_hats[s], mu, eps, L, px, g)
+        E += bulk + integrate_halves(a_h * wn**2, g) + e
+        sob_E += bulk + integrate_halves(wn**2, g) + se
+        X, sob_X = X + x, sob_X + sx
         gaps.append(gap)
         if us[s + 1] is None or rs[s + 1] is None:
             missing_D.append((mu, s))
@@ -234,20 +255,18 @@ def evaluate_functionals(stack, eps):
                 raise ValueError("d_normal2 needs n_z >= 9 (4-point one-sided stencils)")
             unns[s] = second_walls(halves(us[s], g.normal), dz)
             unn_hats[s] = np.fft.rfft(unns[s], axis=0)
-        odd = mu % 2 == 1
-        wt = _dx(u_hats[s + 1], us[s + 1], mu, odd)
-        wxx = _dx(u_hats[s], us[s], mu + 2, odd)
         wxn = _dx(un_hats[s], uns[s], mu + 1, True)
         wnn = _dx(unn_hats[s], unns[s], mu, odd)
-        vtx = _dx(r_hats[s + 1], rs[s + 1], mu + 1, True)
-        bulk = _bulk(wt**2 + wx**2 + wxx**2, g)
+        vtx = d_tangential_hat(r_hats[s + 1], n, mu + 1, True)
+        bulk = (_parseval(u_hats[s + 1], ((mu, odd),), g)  # w_t
+                + _parseval(u_hats[s], ((mu + 1, True), (mu + 2, odd)), g))  # w_x, w_xx
         D += (bulk
               + integrate_halves(a_h * wn**2 + 2.0 * a_h * wxn**2 + (a_h * wnn) ** 2, g)
               + 2.0 * _iface(vtx**2 * L, g))
         sob_D += (bulk + integrate_halves(wn**2 + 2.0 * wxn**2 + wnn**2, g)
                   + _iface(vtx**2, g))
         if eps != 0.0:
-            vt3 = _dx(r_hats[s + 1], rs[s + 1], mu + 3, True)
+            vt3 = d_tangential_hat(r_hats[s + 1], n, mu + 3, True)
             Y += 2.0 * _iface(vt3**2 * L, g)
             sob_Y += _iface(vt3**2, g)
 
@@ -308,23 +327,80 @@ def equivalence_constant(psi, cutoff, kind="E"):
     return float(max(r_hi, 1.0 / r_lo))
 
 
-def state_energy_k0(u, rho, psi_x, a_psi, bracket, eps, grids):
-    """E_eps of a bare state at diagnostic order 0 with the weights of psi.
+@lru_cache(maxsize=None)
+def _normal_stencils(tangential, normal):
+    """The a-weighted normal-derivative term of the order-0 norm as a
+    stencil sum, cached per grid pair: int a u_n^2 over both half-strips
+    (``integrate_halves`` of ``first_walls`` on ``halves``) is
+
+        sum a[:, 1:-1] c w_c c  +  sum a[:, rows] (u @ S) w_e (u @ S)
+
+    with c = u[:, 2:] - u[:, :-2] the centered differences (zero weight on
+    the interface row) and S the four one-sided 3-point stencils: the
+    walls, and the interface row from below and from above.  Returns
+    (w_c, rows, S, w_e); the weights hold the quadrature and 1/(2 dz)^2.
+    """
+    n_z, mid, dz = normal.n_z, normal.i_mid, normal.dz
+    scale = tangential.spacing / (4.0 * dz)  # dz h / (2 dz)^2
+    w_c = np.full(n_z - 2, scale)
+    w_c[mid - 1] = 0.0
+    rows = np.array([0, mid, mid, n_z - 1])
+    S = np.zeros((n_z, 4))
+    for col, (i, step) in enumerate(((0, 1), (mid, -1), (mid, 1), (n_z - 1, -1))):
+        S[[i, i + step, i + 2 * step], col] = -3.0 * step, 4.0 * step, -step
+    w_e = np.full(4, 0.5 * scale)  # the ends of the half-strips
+    for v in (w_c, rows, S, w_e):
+        v.setflags(write=False)
+    return w_c, rows, S, w_e
+
+
+class EnergyNormK0:
+    """The order-0 norm: E_eps at diagnostic order 0 with the weights of
+    one interface psi frozen, set up once per interface for
+    ``state_energy_k0``.
 
     psi_x (the spectral slope of psi), a_psi (bulk, (n_x, n_z)) and
     bracket = <psi> ((n_x,)) are the interface derivative and the
-    ``coefficients`` fields at psi, which callers already hold.  Used for
-    fixed-point difference norms and trajectory distances; no time
+    ``coefficients`` fields at psi, which callers already hold.  Holds
+    a_psi times the weights of the normal-derivative stencil sum
+    (``_normal_stencils``), 1/<psi> and psi_x; the Parseval weights of
+    int u^2 + u_x^2 are cached per grid pair.
+    """
+
+    def __init__(self, psi_x, a_psi, bracket, eps, grids):
+        self.grids = grids
+        self.eps = float(eps)
+        self.psi_x = np.asarray(psi_x, dtype=float)
+        self.L = 1.0 / np.asarray(bracket, dtype=float)
+        w_c, rows, self.stencils, w_e = _normal_stencils(grids.tangential, grids.normal)
+        a_psi = np.asarray(a_psi, dtype=float)
+        self.a_centered = a_psi[:, 1:-1] * w_c
+        self.a_edges = a_psi[:, rows] * w_e
+
+
+def state_energy_k0(u, u_hat, rho_hat, norm):
+    """E_eps of the bare state (u, rho) at diagnostic order 0 in the
+    ``EnergyNormK0`` ``norm``.
+
+    u_hat and rho_hat are the rffts along x of u and rho, which callers
+    already hold; rho_hat None stands for rho = 0, whose terms are exactly
+    0 and are skipped.  The unweighted bulk terms int u^2 + u_x^2 are one
+    Parseval sum over |u_hat|^2.  The a-weighted normal-derivative term is
+    a stencil sum on u and the interface terms come from rho_hat, both in
+    real space, because their weights vary in x.  No 2-D transform and no
+    finiteness check.  Used for fixed-point difference norms; no time
     derivatives enter at order 0, so no history is needed.
     """
-    u = np.asarray(u, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    un = first_walls(halves(u, grids.normal), grids.normal.dz)
-    # at mu = 0 the normal derivative is used as it is: no transform needed
-    e, x, *_ = _energy_terms(u, np.fft.rfft(u, axis=0), un, None, rho, np.fft.rfft(rho),
-                             0, eps, halves(a_psi, grids.normal), 1.0 / bracket,
-                             np.asarray(psi_x, dtype=float), grids)
-    return e + eps * x
+    g = norm.grids
+    centered = u[:, 2:] - u[:, :-2]
+    edges = u @ norm.stencils
+    energy = (_parseval(u_hat, ((0, False), (1, True)), g)
+              + float(np.vdot(norm.a_centered * centered, centered))
+              + float(np.vdot(norm.a_edges * edges, edges)))
+    if rho_hat is None:
+        return energy
+    e, x, *_ = _interface_terms(rho_hat, 0, norm.eps, norm.L, norm.psi_x, g)
+    return energy + e + norm.eps * x
 
 
 def conserved_quantity(u, rho, cutoff, grids):

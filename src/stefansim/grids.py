@@ -109,6 +109,37 @@ def tangential_multiplier(n, order, zero_nyquist):
     return mult
 
 
+@lru_cache(maxsize=None)
+def parseval_weights(tangential, normal, terms):
+    """Read-only (n_x // 2 + 1, n_z) weights W, cached per grid pair and
+    ``terms``, with which sum W |v_hat|^2 is the bulk quadrature
+    (rectangle rule in x, trapezoid in z) of the sum over ``terms`` of
+    (d_x^order v)^2, v_hat the rfft along x of the real bulk field v.
+
+    ``terms`` is a tuple of (order, zero_nyquist) pairs; each contributes
+    c_k k^(2 order) times the trapezoid z-weights, with c_k = 2 for the
+    modes that stand for a conjugate pair and 1 for k = 0 and the Nyquist
+    mode, which is zeroed where ``zero_nyquist`` says so, as
+    ``tangential_multiplier`` zeroes it.
+    """
+    n = tangential.n_x
+    k2 = np.arange(n // 2 + 1, dtype=float) ** 2
+    modes = np.zeros_like(k2)
+    for order, zero_nyquist in terms:
+        term = k2**order
+        if zero_nyquist:
+            term[-1] = 0.0
+        modes += term
+    pairs = np.full_like(k2, 2.0)
+    pairs[0] = pairs[-1] = 1.0
+    z_weights = np.full(normal.n_z, normal.dz)
+    z_weights[[0, -1]] *= 0.5
+    # h sum_x v^2 = (h / n) sum_k c_k |v_hat_k|^2 on an n-point grid
+    weights = (pairs * modes * (tangential.spacing / n))[:, None] * z_weights[None, :]
+    weights.setflags(write=False)
+    return weights
+
+
 def d_tangential_hat(hat, n, order, zero_nyquist=None):
     """d_x^order of the n-point field whose rfft along axis 0 is ``hat``.
 

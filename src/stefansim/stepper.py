@@ -39,18 +39,29 @@ forward FFT (its right-hand side); u_new, u_xx and u_xz come from the
 solve's Fourier coefficients by three inverse FFTs, u_zz and u_z by
 stencil, and those fields serve both the residual and the next
 iteration's lagged terms.  The iterate is checked for finiteness once.
-u_old is transformed, and its fields built, once per step.  A
-fixed-point iterate transforms rho_m once: its slope and second
-derivative, the resolution check and the curvature Dirichlet data, the
-interface update and the fixed-point norm all share that FFT; the
-previous accepted interface's derivatives come from one FFT per step.
+u_old is transformed, and its fields built, once per step, together
+with the rest of what every solve of the step shares (its norm, the
+forcing, u_old / dt + theta f_new).  A fixed-point iterate transforms
+rho_m once: its slope and second derivative, the resolution check and
+the curvature Dirichlet data and the interface update all share that
+FFT; the previous accepted interface's derivatives come from one FFT per
+step.
+
+The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
+once per iterate) makes no 2-D transform: the solve's Fourier
+coefficients travel with the fields it returns, so the bulk terms
+int w^2 + w_x^2 of the fixed-point difference are a Parseval sum over
+the difference of the two solves' coefficients (u_old's at iterate 1),
+and those of a warm solve's lag update over x_hat - prev_hat.  The
+a-weighted normal-derivative term is a stencil sum, and only the
+fixed-point difference has interface terms, from one 1-D FFT.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -59,6 +70,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import ConfigError, FixedPointError, LinearSolveError
 from .functionals import (
     DerivativeStack,
+    EnergyNormK0,
     EnergyReport,
     conservation_residual,
     evaluate_functionals,
@@ -145,16 +157,51 @@ STALL_WINDOW = 3
 KRYLOV_RTOL = 1e-7
 
 
+class _Fields(NamedTuple):
+    """A bulk field's rfft along x and the derivatives ``_bulk_fields``
+    takes of it."""
+    xx: np.ndarray
+    zz: np.ndarray
+    xz: np.ndarray
+    z: np.ndarray
+    hat: np.ndarray
+
+
+@dataclass(frozen=True)
+class _OldLevel:
+    """What every temperature solve of one step shares: u_old, its
+    ``_bulk_fields`` and norm, the bulk forcing at both time levels (zeros
+    without forcing), the norm of their theta blend, and the part of the
+    right-hand side they fix, u_old / dt + theta f_new."""
+    u: np.ndarray
+    fields: _Fields
+    norm_u: float
+    f_new: np.ndarray
+    f_old: np.ndarray
+    norm_f: float
+    base_rhs: np.ndarray
+
+
+def _old_level(u_old, forcing_new, forcing_old, inv_dt, theta, grids):
+    f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
+    f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
+    return _OldLevel(
+        u=u_old, fields=_bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids),
+        norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
+        norm_f=np.linalg.norm(theta * f_new + (1.0 - theta) * f_old),
+        base_rhs=u_old * inv_dt + theta * f_new)
+
+
 @dataclass(frozen=True)
 class _WarmStart:
     """Where a warm-started temperature solve begins, and what its exit rule
     measures against: the previous fixed-point iterate u and its
-    ``_bulk_fields``, the previous fixed-point difference, and the weights
-    (psi_x, a_psi, bracket) of the fixed-point norm at the iterate."""
+    ``_bulk_fields``, the previous fixed-point difference, and the
+    fixed-point norm at the iterate (an ``EnergyNormK0``)."""
     u: np.ndarray
-    fields: tuple
+    fields: _Fields
     fp_diff: float
-    weights: tuple
+    norm: EnergyNormK0
 
 
 def _thomas_batched(dl, d, du, rhs, du2, ipiv):
@@ -248,12 +295,14 @@ def _d_z(v, grids):
 
 
 def _bulk_fields(v, v_hat, grids):
-    """(v_xx, v_zz, v_xz, v_z) of the bulk field v with rfft ``v_hat``.
+    """(v_xx, v_zz, v_xz, v_z, v_hat) of the bulk field v with rfft
+    ``v_hat``, as a ``_Fields``.
 
     v_xx and v_xz (= ik times d_z of v_hat) are one inverse transform each;
     v_zz (mirror-ghost walls) and v_z are stencils on v.  The interface row
-    of every field is zero: the solve ignores it, and the operator's value
-    there is replaced by the Dirichlet condition.  No finiteness check.
+    of every derivative is zero: the solve ignores it, and the operator's
+    value there is replaced by the Dirichlet condition.  v_hat rides along
+    for the fixed-point norm.  No finiteness check.
     """
     dz, mid, n = grids.normal.dz, grids.normal.i_mid, v.shape[0]
     v_xx = d_tangential_hat(v_hat, n, 2)
@@ -263,7 +312,7 @@ def _bulk_fields(v, v_hat, grids):
     v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
-    return v_xx, v_zz, d_tangential_hat(_d_z(v_hat, grids), n, 1), _d_z(v, grids)
+    return _Fields(v_xx, v_zz, d_tangential_hat(_d_z(v_hat, grids), n, 1), _d_z(v, grids), v_hat)
 
 
 def _interior_operator(v, coef, grids, fields=None):
@@ -280,30 +329,33 @@ def _interior_operator(v, coef, grids, fields=None):
     """
     if fields is None:
         fields = _bulk_fields(v, np.fft.rfft(v, axis=0), grids)
-    v_xx, v_zz, v_xz, v_z = fields
-    terms = (v_xx, coef.a * v_zz, -coef.B * v_xz, -coef.c * v_z)
+    terms = (fields.xx, coef.a * fields.zz, -coef.B * fields.xz, -coef.c * fields.z)
     out = terms[0] + terms[1] + terms[2] + terms[3]
     return out, sum(np.linalg.norm(t) for t in terms)
 
 
 def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
                      dirichlet=None, forcing_new=None, forcing_old=None,
-                     inv_dt=None, coef=None, bulk=None, old_fields=None, warm=None):
+                     inv_dt=None, coef=None, bulk=None, old=None, warm=None):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
     Returns (u_new, final_residual, lag_iterations, fields): fields are
-    u_new's ``_bulk_fields``, which a solve warm-started from u_new reuses,
-    and lag_iterations counts every operator application, GMRES's
-    included.  ``dirichlet`` defaults to the curvature of rho_m; ``inv_dt =
-    0`` gives the steady solve used to build compatible initial data.
-    Raises LinearSolveError if the solve cannot reach ``cfg.lin_tol`` and
+    u_new's ``_bulk_fields``, its rfft included, which a solve
+    warm-started from u_new and the fixed-point norm reuse, and
+    lag_iterations counts every operator application, GMRES's included.
+    ``dirichlet`` defaults to the curvature of rho_m; ``inv_dt = 0`` gives
+    the steady solve used to build compatible initial data.  Raises
+    LinearSolveError if the solve cannot reach ``cfg.lin_tol`` and
     NonFiniteFieldError on a non-finite iterate.
 
     ``fixed_point_step`` calls this once per iterate with what stays the
     same within a step: ``bulk``, the ``_BulkLU`` factored once per step,
-    and ``old_fields``, u_old's ``_bulk_fields``.  Called alone, it factors
-    at the tangential mean of ``coef.a`` and transforms u_old itself.  The
-    lag loop lags whatever of ``coef.a`` the factored a_mean leaves out.
+    and ``old``, the step's ``_OldLevel`` (u_old's fields and norm, the
+    forcing and the fixed part of the right-hand side), which then stands
+    for u_old, forcing_new and forcing_old.  Called alone, it factors at
+    the tangential mean of ``coef.a`` and builds the ``_OldLevel`` itself.
+    The lag loop lags whatever of ``coef.a`` the factored a_mean leaves
+    out.
 
     Each lag iteration makes one forward transform (of its right-hand
     side) and three inverse ones: u_new, u_xx and u_xz all come from the
@@ -314,10 +366,12 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     on the returned u.  With ``warm`` (a ``_WarmStart``) the lag loop starts
     from the previous fixed-point iterate instead of u_old, and once the
     residual test holds it also measures the last lag update in the
-    fixed-point norm (``state_energy_k0`` with the iterate's weights and
-    rho = 0).  It accepts when that update is at most WARM_FP_FRACTION of
-    the previous fixed-point difference or WARM_TOL_FRACTION of fp_tol, or
-    is no smaller than the update before it (the roundoff floor).  A
+    fixed-point norm (``state_energy_k0`` with the iterate's
+    ``EnergyNormK0``, on the update's Fourier coefficients x_hat - prev_hat
+    and without the interface terms, which are 0: no transform).  It
+    accepts when that update is at most WARM_FP_FRACTION of the previous
+    fixed-point difference or WARM_TOL_FRACTION of fp_tol, or is no
+    smaller than the update before it (the roundoff floor).  A
     residual test alone would end warm solves at residuals far below
     lin_tol yet carry the lag loop's contraction into the fixed-point
     iterates.
@@ -344,25 +398,22 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     if dirichlet is None:
         dirichlet = curvature(rho_m)
     dirichlet = np.asarray(dirichlet, dtype=float)
-    f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
-    f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
 
     if bulk is None:
         bulk = _BulkLU(coef.a.mean(axis=0), inv_dt, theta, grids)
     a_fluct = coef.a - bulk.a_mean[None, :]  # the lagged part of a
-    if old_fields is None:
-        old_fields = _bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
+    if old is None:
+        old = _old_level(u_old, forcing_new, forcing_old, inv_dt, theta, grids)
+    u_old, f_new = old.u, old.f_new
 
-    base_rhs = u_old * inv_dt + theta * f_new
+    base_rhs = old.base_rhs
     old_part, scale_old = None, 0.0
     if theta < 1.0:
-        L_old, scale_old = _interior_operator(u_old, coef, grids, old_fields)
-        old_part = (1.0 - theta) * (L_old + f_old)  # the old level's explicit share
+        L_old, scale_old = _interior_operator(u_old, coef, grids, old.fields)
+        old_part = (1.0 - theta) * (L_old + old.f_old)  # the old level's explicit share
         base_rhs = base_rhs + old_part
 
     dir_hat = np.fft.rfft(dirichlet)
-    norm_u_old = np.linalg.norm(u_old)
-    norm_f = np.linalg.norm(theta * f_new + (1.0 - theta) * f_old)
 
     def measure(u_new, u_hat):
         """u_new's fields, its full residual field and the relative full
@@ -376,15 +427,14 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
         # backward-error scale: the 1/dt mass terms belong to the system
         # data, so they enter through ||u||, not ||du|| (which cancels to
         # roundoff as dt -> 0 and would make the tolerance unreachable)
-        scale = (inv_dt * max(np.linalg.norm(u_new), norm_u_old)
+        scale = (inv_dt * max(np.linalg.norm(u_new), old.norm_u)
                  + theta * scale_new + (1.0 - theta) * scale_old
-                 + norm_f + 1e-300)
+                 + old.norm_f + 1e-300)
         return fields, r, np.linalg.norm(r) / scale
 
     def lag_solve(fields, rhs, dir_values):
         """Fourier coefficients of M^-1 (rhs + N v), v the field of ``fields``."""
-        _, v_zz, v_xz, v_z = fields
-        rhs = rhs + theta * (a_fluct * v_zz - coef.B * v_xz - coef.c * v_z)
+        rhs = rhs + theta * (a_fluct * fields.zz - coef.B * fields.xz - coef.c * fields.z)
         return bulk.solve(np.fft.rfft(rhs, axis=0), dir_values)
 
     def krylov(u_new, r, used):
@@ -422,20 +472,20 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
             residual=float(residual),
         )
 
-    u_prev, fields = (u_old, old_fields) if warm is None else (warm.u, warm.fields)
+    u_prev, fields = (u_old, old.fields) if warm is None else (warm.u, warm.fields)
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, cfg.lin_max_iter + 1):
         x_hat = lag_solve(fields, base_rhs, dir_hat)
         u_new = np.fft.irfft(x_hat, n=n_x, axis=0)
         _require_finite(u_new, f"temperature iterate (lag iteration {it})")
+        prev_hat = fields.hat
         fields, r, residual = measure(u_new, x_hat)
         if residual <= cfg.lin_tol:
             if warm is None or it == cfg.lin_max_iter:
                 return u_new, float(residual), it, fields
             # measured only once the residual test holds
-            update = np.sqrt(state_energy_k0(u_new - u_prev, np.zeros(n_x), *warm.weights,
-                                             cfg.epsilon, grids))
+            update = np.sqrt(state_energy_k0(u_new - u_prev, x_hat - prev_hat, None, warm.norm))
             if (update <= WARM_FP_FRACTION * warm.fp_diff
                     or update <= WARM_TOL_FRACTION * cfg.fp_tol
                     or update >= last_update):
@@ -549,9 +599,11 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
 
     u_m, rho_m = state.u, state.rho
     rho_hat = base_hat
-    # the same in every iterate: u_old's transform and fields, and (below,
-    # at iterate 1) the bulk factorization and its jump response
-    old_fields = _bulk_fields(state.u, np.fft.rfft(state.u, axis=0), grids)
+    # the same in every iterate: u_old's transform and fields, the forcing
+    # and the fixed part of the right-hand side, and (below, at iterate 1)
+    # the bulk factorization and its jump response
+    old = _old_level(state.u, f_bulk_new, f_bulk_old, 1.0 / dt, theta, grids)
+    fields_m = old.fields  # u_m's fields, its rfft included
     warm = None
     norms, ratios = [], []
     lin_res_max = 0.0
@@ -573,20 +625,20 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
                                 rho_x=theta * rx + (1.0 - theta) * base_x,
                                 rho_xx=theta * rxx + (1.0 - theta) * base_xx)
             a_m, bracket_m = norm_weights(rho_m, rx, cutoff, grids)
+        norm_m = EnergyNormK0(rx, a_m, bracket_m, cfg.epsilon, grids)
         if m == 1:
             # iterate 1 sits at the step's base interface (rho_eff is
             # state.rho for every theta); later iterates lag against it
             bulk = _BulkLU(coef.a.mean(axis=0), 1.0 / dt, theta, grids)
             sigma = bulk.jump_response()
         else:
-            warm = _WarmStart(u_m, fields_m, norms[-1], (rx, a_m, bracket_m))
+            warm = _WarmStart(u_m, fields_m, norms[-1], norm_m)
         dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
-        u_next, lin_res, lag_iters, fields_m = temperature_step(
+        u_next, lin_res, lag_iters, fields_next = temperature_step(
             rho_eff, rho_t_m, state.u, cfg, grids, cutoff,
-            dirichlet=dirichlet, forcing_new=f_bulk_new, forcing_old=f_bulk_old,
-            coef=coef, bulk=bulk, old_fields=old_fields, warm=warm,
+            dirichlet=dirichlet, coef=coef, bulk=bulk, old=old, warm=warm,
         )
         rho_next, rho_t = interface_step(
             rho_m, u_next, state.rho, cfg, grids,
@@ -595,12 +647,13 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         )
         lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
-        diff = np.sqrt(state_energy_k0(u_next - u_m, rho_next - rho_m, rx, a_m,
-                                       bracket_m, cfg.epsilon, grids))
+        # the bulk difference's coefficients are those of the two solves
+        diff = np.sqrt(state_energy_k0(u_next - u_m, fields_next.hat - fields_m.hat,
+                                       np.fft.rfft(rho_next - rho_m), norm_m))
         norms.append(diff)
         if len(norms) >= 2 and norms[-2] > 0:
             ratios.append(norms[-1] / norms[-2])
-        u_m, rho_m = u_next, rho_next
+        u_m, rho_m, fields_m = u_next, rho_next, fields_next
         if diff <= cfg.fp_tol:
             new_state = State(t=t_new, u=u_m, rho=rho_m)
             return new_state, StepReport(

@@ -190,3 +190,10 @@ def test_build_initial_data_from_snapshot(tmp_path):
                           solver=SolverConfig(n_x=32, n_z=17))
     with pytest.raises(ConfigError):
         build_initial_data(mismatched)
+    # a snapshot of another epsilon or cutoff is rejected, naming the
+    # field and both values
+    for field, value, stored in (("epsilon", 1e-3, "0"), ("alpha", 0.2, "0.25")):
+        other = Scenario(name="s", u_init=f"snapshot:{snap}",
+                         solver=SolverConfig(n_x=16, n_z=17, **{field: value}))
+        with pytest.raises(ConfigError, match=rf"snapshot {field}={stored} .*{field}={value}"):
+            build_initial_data(other)

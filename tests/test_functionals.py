@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from stefansim.functionals import (
     DerivativeStack,
+    EnergyNormK0,
     decay_fit,
     derivative_pairs,
     dissipation_eps,
@@ -143,20 +144,36 @@ def reference_functionals(stack, eps):
     return values, tuple(tuple(m) for m in missing)
 
 
+def nyquist_mode(n_x):
+    """The highest mode of an n_x-point grid, (-1)^j: odd d_x zero it, even
+    ones keep it."""
+    return np.cos(np.pi * np.arange(n_x))
+
+
 @pytest.mark.parametrize("n_entries", [1, 2, 3, 4])
 def test_evaluator_matches_term_by_term_reference(n_entries):
+    check_evaluator_against_reference(n_entries, k_diag=2)
+
+
+@pytest.mark.parametrize("n_entries", [1, 2])
+def test_evaluator_matches_term_by_term_reference_at_order_0(n_entries):
+    check_evaluator_against_reference(n_entries, k_diag=0)
+
+
+def check_evaluator_against_reference(n_entries, k_diag):
     grids = Grids(TangentialGrid(32), NormalGrid(33))
     rng = np.random.default_rng(7)
     tg, z = grids.tangential, grids.normal.nodes[None, :]
     rho_a, rho_b = band_limited(rng, tg, 0.1), band_limited(rng, tg, 0.05)
     u_a = (band_limited(rng, tg, 0.2)[:, None] * np.cos(np.pi * z)
            + band_limited(rng, tg, 0.1)[:, None] * np.abs(z))  # kink at z = 0
-    u_b = band_limited(rng, tg, 0.2)[:, None] * z**2
+    u_b = (band_limited(rng, tg, 0.2)[:, None] * z**2
+           + 1e-3 * nyquist_mode(tg.n_x)[:, None] * np.cos(np.pi * z))
     times = [0.01 * j for j in range(n_entries)]
     # curved in time, so quotients of every order are nonzero
     us = [u_a + np.sin(30 * t) * u_b for t in times]
     rhos = [rho_a + np.sin(20 * t) * rho_b + (10 * t) ** 3 * rho_a for t in times]
-    stack = DerivativeStack(grids, Cutoff(), 2, times, us, rhos)
+    stack = DerivativeStack(grids, Cutoff(), k_diag, times, us, rhos)
     eps = 1e-3
     got = evaluate_functionals(stack, eps)
     fields = (got.E, got.D, got.E_eps, got.D_eps, got.sobolev_E, got.sobolev_D)
@@ -166,7 +183,7 @@ def test_evaluator_matches_term_by_term_reference(n_entries):
         assert fv.value == pytest.approx(ref, rel=1e-13, abs=0.0 if ref else 1e-300)
     # I_psi equals its lower bound in one tangential dimension: both gaps
     # are roundoff on the scale of the largest form
-    hessians = [dx(stack.rho_quotient(s), mu) for mu, s in derivative_pairs(2)
+    hessians = [dx(stack.rho_quotient(s), mu) for mu, s in derivative_pairs(k_diag)
                 if stack.rho_quotient(s) is not None]
     scale = max(i_psi(v, stack.psi) for v in hessians)
     ref_gap = min(i_psi(v, stack.psi) - i_psi_lower_bound(v, stack.psi) for v in hessians)
@@ -175,6 +192,52 @@ def test_evaluator_matches_term_by_term_reference(n_entries):
     assert energy_eps(stack, eps) == got.E_eps
     assert dissipation_eps(stack, eps) == got.D_eps
     assert sobolev_norms(stack, eps) == (got.sobolev_E, got.sobolev_D)
+
+
+# ------------------------------------------------- fixed-point norm
+
+def reference_state_energy_k0(u, rho, psi, eps, cutoff, grids):
+    """E_eps of (u, rho) at order 0 with the weights of psi, every term in
+    real space from the public primitives."""
+    tg = grids.tangential
+    coef = coefficients(psi, np.zeros_like(psi), cutoff, grids)
+    a, L = coef.a, 1.0 / coef.bracket
+    up, lo = d_normal(u, grids.normal, side="above"), d_normal(u, grids.normal, side="below")
+    vx, vxx, v3 = (d_tangential(rho, n) for n in (1, 2, 3))
+    E = (integrate_bulk(u**2 + d_tangential(u, 1) ** 2, grids)
+         + integrate_bulk_sided(a * up**2, a * lo**2, grids)
+         + integrate_interface(vx**2 * L, tg) + i_psi(rho, psi))
+    X = integrate_interface(v3**2 * L, tg) + i_psi(vxx, psi)
+    return E + eps * X
+
+
+@pytest.mark.parametrize("n_x, n_z", [(64, 65), (32, 257)])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_state_energy_k0_matches_real_space_reference(n_x, n_z, eps):
+    grids = Grids(TangentialGrid(n_x), NormalGrid(n_z))
+    cutoff = Cutoff()
+    rng = np.random.default_rng(3)
+    tg, z = grids.tangential, grids.normal.nodes[None, :]
+    psi = band_limited(rng, tg, 0.1)
+    # Nyquist content in both fields: u^2 keeps it, u_x^2 and rho_x drop it;
+    # u has a kink at z = 0 and a part odd in z
+    u = (band_limited(rng, tg, 0.2)[:, None] * np.cos(np.pi * z)
+         + band_limited(rng, tg, 0.1)[:, None] * np.abs(z)
+         + band_limited(rng, tg, 0.1)[:, None] * np.sin(np.pi * z / 2)
+         + 0.05 * nyquist_mode(n_x)[:, None] * (1.0 - z**2))
+    rho = band_limited(rng, tg, 0.05) + 0.01 * nyquist_mode(n_x)
+    psi_x = d_tangential(psi, 1)
+    coef = coefficients(psi, np.zeros_like(psi), cutoff, grids)
+    norm = EnergyNormK0(psi_x, coef.a, coef.bracket, eps, grids)
+    u_hat = np.fft.rfft(u, axis=0)
+    got = state_energy_k0(u, u_hat, np.fft.rfft(rho), norm)
+    ref = reference_state_energy_k0(u, rho, psi, eps, cutoff, grids)
+    assert got == pytest.approx(ref, rel=1e-13)
+    # the bulk-only form of the warm exit rule: rho = 0, its terms skipped
+    bulk_only = state_energy_k0(u, u_hat, None, norm)
+    assert bulk_only == pytest.approx(
+        reference_state_energy_k0(u, np.zeros(n_x), psi, eps, cutoff, grids), rel=1e-13)
+    assert bulk_only == state_energy_k0(u, u_hat, np.zeros(n_x // 2 + 1, dtype=complex), norm)
 
 
 # ------------------------------------------------------ interface form
@@ -211,11 +274,15 @@ def test_state_energy_quadratic_scaling(small_cfg, small_grids, small_cutoff, sm
     psi = rho.copy()
     coef = coefficients(psi, np.zeros_like(psi), small_cutoff, small_grids)
     psi_x = d_tangential(psi, 1)
-    weights = (coef.a, coef.bracket, 0.5, small_grids)
-    base = state_energy_k0(u, rho, psi_x, *weights)
-    scaled = state_energy_k0(2 * u, 2 * rho, psi_x, *weights)
+    norm = EnergyNormK0(psi_x, coef.a, coef.bracket, 0.5, small_grids)
+
+    def energy(u, rho):
+        return state_energy_k0(u, np.fft.rfft(u, axis=0), np.fft.rfft(rho), norm)
+
+    base = energy(u, rho)
+    scaled = energy(2 * u, 2 * rho)
     assert scaled == pytest.approx(4.0 * base, rel=1e-12)
-    assert state_energy_k0(0 * u, 0 * rho, psi_x, *weights) == 0.0
+    assert energy(0 * u, 0 * rho) == 0.0
 
 
 @given(seed=st.integers(0, 10**6))

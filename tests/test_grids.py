@@ -168,6 +168,29 @@ def test_integrate_bulk_sided_counts_interface_row_once_per_side():
 
 # --------------------------------------------- band-limited random fields
 
+@pytest.mark.parametrize("n_x, n_z", [(16, 9), (64, 65)])
+def test_parseval_weights_match_the_bulk_rule(n_x, n_z):
+    from stefansim.grids import parseval_weights
+
+    grids = Grids(TangentialGrid(n_x), NormalGrid(n_z))
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(grids.shape)  # every mode, the Nyquist mode included
+    v_hat = np.fft.rfft(v, axis=0)
+    for terms in (((0, False),), ((1, True),), ((2, False),), ((2, True),),
+                  ((0, False), (1, True)), ((1, True), (3, True), (4, False))):
+        ref = 0.0
+        for order, zero_nyquist in terms:
+            mult = (1j * np.arange(n_x // 2 + 1)) ** order
+            if zero_nyquist:
+                mult[-1] = 0.0
+            ref += integrate_bulk(np.fft.irfft(v_hat * mult[:, None], n=n_x, axis=0) ** 2, grids)
+        weights = parseval_weights(grids.tangential, grids.normal, terms)
+        got = float(np.sum(weights * np.abs(v_hat) ** 2))
+        assert got == pytest.approx(ref, rel=1e-13), terms
+        assert parseval_weights(grids.tangential, grids.normal, terms) is weights
+        assert not weights.flags.writeable
+
+
 def test_spectral_tail_fraction_extremes():
     x = TangentialGrid(32).nodes
     assert spectral_tail_fraction(np.sin(2 * x)) < 1e-25

@@ -12,7 +12,7 @@ from stefansim.errors import (
     NonFiniteFieldError,
     ResolutionWarning,
 )
-from stefansim.functionals import state_energy_k0
+from stefansim.functionals import EnergyNormK0, state_energy_k0
 from stefansim.grids import d_tangential
 from stefansim.stepper import (
     SolverConfig,
@@ -340,15 +340,33 @@ def test_temperature_step_returns_an_owned_u(monkeypatch):
         return built[-1]
 
     def recording_fields(*args, **kwargs):
-        built.extend(real_fields(*args, **kwargs))
-        return tuple(built[-4:])
+        fields = real_fields(*args, **kwargs)
+        built.extend(fields)  # the derivatives and the rfft they carry
+        return fields
 
     monkeypatch.setattr(np.fft, "irfft", recording_irfft)
     monkeypatch.setattr(stepper, "_bulk_fields", recording_fields)
-    u, *_ = run_lag_problem(cfg, grids, cutoff, data)
+    u, _, _, fields = run_lag_problem(cfg, grids, cutoff, data)
     assert u.flags.owndata and u.base is None
     assert any(a is u for a in built)
+    assert any(a is fields.hat for a in built)
     assert not any(np.shares_memory(u, a) for a in built + list(data) if a is not u)
+
+
+def count_transforms(monkeypatch, two_d_only=False):
+    """Count the calls of np.fft.rfft and np.fft.irfft (with
+    ``two_d_only``, only those on 2-D arrays: bulk fields)."""
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        real = getattr(np.fft, name)
+
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            if not two_d_only or np.ndim(a) == 2:
+                counts[_name] += 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return counts
 
 
 def test_temperature_step_transforms_each_iterate_once(monkeypatch):
@@ -357,24 +375,35 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     # Dirichlet data; the jump response makes none
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
     coef = coefficients(data[0], data[1], cutoff, grids)
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
-        real = getattr(np.fft, name)
-
-        def counting(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counting)
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
     bulk = stepper._BulkLU(coef.a.mean(axis=0), 1.0 / cfg.dt, cfg.theta, grids)
+    old = stepper._old_level(u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids)
+    counts = count_transforms(monkeypatch)
     bulk.jump_response()
-    _, _, lag_iters, _ = temperature_step(rho, rho_t, u_old, cfg, grids, cutoff,
-                                          dirichlet=dirichlet, forcing_new=f_new,
-                                          forcing_old=f_old, coef=coef, bulk=bulk)
+    u, _, lag_iters, fields = temperature_step(rho, rho_t, u_old, cfg, grids, cutoff,
+                                               dirichlet=dirichlet, forcing_new=f_new,
+                                               forcing_old=f_old, coef=coef, bulk=bulk)
     assert lag_iters >= 3
     assert counts["rfft"] <= lag_iters + 2
     assert counts["irfft"] <= 3 * lag_iters + 2
+    # the returned fields carry u's Fourier coefficients: those of its solve
+    hat = np.fft.rfft(u, axis=0)
+    assert np.abs(fields.hat - hat).max() <= 1e-13 * np.abs(hat).max()
+
+    # a warm solve from u with the step's u_old fields given: the exit
+    # rule's norm of each lag update works on the coefficients the solve
+    # holds, so only the lag iterations and the Dirichlet data transform
+    x = grids.tangential.nodes
+    rx = d_tangential(rho, 1)
+    norm = EnergyNormK0(rx, *norm_weights(rho, rx, cutoff, grids), cfg.epsilon, grids)
+    warm = stepper._WarmStart(u, fields, 1e-9, norm)
+    counts.update(rfft=0, irfft=0)
+    _, residual, warm_iters, _ = temperature_step(
+        rho, rho_t, u_old, cfg, grids, cutoff, dirichlet=dirichlet + 1e-6 * np.cos(x),
+        coef=coef, bulk=bulk, old=old, warm=warm)
+    assert residual <= cfg.lin_tol and warm_iters >= 2
+    assert counts["rfft"] == warm_iters + 1
+    assert counts["irfft"] == 3 * warm_iters
 
 
 def test_temperature_step_rejects_a_non_finite_iterate(small_cfg, small_grids, small_cutoff):
@@ -564,6 +593,55 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta):
     assert counts["substitutions"] == report.lag_iters + 1
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta):
+    # the only 2-D transforms of a step: 1 forward and 3 inverse per lag
+    # iteration, and u_old's, once per step (its rfft, u_xx and u_xz); the
+    # fixed-point norms and the warm exit rule work on the coefficients
+    # the solves return
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    counts = count_transforms(monkeypatch, two_d_only=True)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    assert report.inner_iters >= 3
+    assert counts["rfft"] == report.lag_iters + 1
+    assert counts["irfft"] == 3 * report.lag_iters + 2
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatch, theta):
+    # one call per iterate (the fixed-point difference, interface terms
+    # included) and one per warm exit check (a bulk-only lag update, made
+    # inside the solve): the benchmark traces the norm by this name
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    real_norm, real_temperature = stepper.state_energy_k0, stepper.temperature_step
+    calls, solves, inside = [], [], [False]  # calls: (inside a solve, bulk-only)
+
+    def counting_norm(u, u_hat, rho_hat, norm):
+        calls.append((inside[0], rho_hat is None))
+        return real_norm(u, u_hat, rho_hat, norm)
+
+    def counting_temperature(*args, **kwargs):
+        start, inside[0] = len(calls), True
+        result = real_temperature(*args, **kwargs)
+        inside[0] = False
+        solves.append((len(calls) - start, result[2]))  # (checks, lag iterations)
+        return result
+
+    monkeypatch.setattr(stepper, "state_energy_k0", counting_norm)
+    monkeypatch.setattr(stepper, "temperature_step", counting_temperature)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    checks = sum(n for n, _ in solves)
+    assert report.inner_iters >= 3 and len(solves) == report.inner_iters
+    assert len(calls) == report.inner_iters + checks
+    # iterate 1 starts cold and makes no check; every warm solve makes at
+    # least one and at most one per lag iteration
+    assert solves[0][0] == 0
+    assert all(1 <= n <= lag for n, lag in solves[1:])
+    # the checks are bulk-only and made inside the solve; the iterate norms are not
+    assert sum(bulk_only for _, bulk_only in calls) == checks
+    assert all(in_solve == bulk_only for in_solve, bulk_only in calls)
+
+
 def cold_reference_step(state, cfg, grids, cutoff, forcing):
     """The fixed-point loop with every iterate solved afresh: the bulk
     operator factored at the iterate, its jump response recomputed, and the
@@ -586,9 +664,9 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
                                      jump_forcing=j_new, rhs_old=rhs_old,
                                      jump_response=sigma, **rho_transforms(rho_m))
         rx = d_tangential(rho_m, 1)
-        a_m, bracket_m = norm_weights(rho_m, rx, cutoff, grids)
-        diff = np.sqrt(state_energy_k0(u_next - u_m, rho_next - rho_m, rx, a_m,
-                                       bracket_m, cfg.epsilon, grids))
+        norm = EnergyNormK0(rx, *norm_weights(rho_m, rx, cutoff, grids), cfg.epsilon, grids)
+        du, drho = u_next - u_m, rho_next - rho_m
+        diff = np.sqrt(state_energy_k0(du, np.fft.rfft(du, axis=0), np.fft.rfft(drho), norm))
         u_m, rho_m = u_next, rho_next
         if diff <= cfg.fp_tol:
             return u_m, rho_m
