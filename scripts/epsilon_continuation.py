@@ -8,10 +8,11 @@ level should sit close to the unregularized limit.
 """
 import argparse
 import csv
+from dataclasses import replace
 
 import numpy as np
 
-from stefansim import SolverConfig, run_epsilon_schedule
+from stefansim import SolverConfig, run
 from stefansim.config import Scenario, build_initial_data
 
 
@@ -27,8 +28,9 @@ def main():
     sc = Scenario(name="continuation", rho_modes=((1, 1e-3),),
                   u_init="compatible", u_mass=1e-4)
     u0, rho0 = build_initial_data(sc, cfg)
-    results = run_epsilon_schedule(u0, rho0, cfg, args.t_end, eps_values,
-                                   compute_identity=False)
+    results = {eps: run(u0, rho0, replace(cfg, epsilon=eps), args.t_end,
+                        compute_identity=False)
+               for eps in eps_values}
 
     series = {e: np.array([r.E for r in results[e].reports]) for e in eps_values}
     rows = []

@@ -50,8 +50,6 @@ from .stepper import (
     fixed_point_step,
     interface_step,
     run,
-    run_epsilon_schedule,
-    solve_regularized,
     temperature_step,
 )
 from .oracles import (

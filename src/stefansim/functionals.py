@@ -112,20 +112,22 @@ class FunctionalValue:
         return self.value
 
 
-def _i_psi_of(omega, psi):
+def _i_psi_args(omega, psi):
+    """(Hessian of omega, 1/<psi>, psi_x, grid spacing)."""
     px = d_tangential(psi, 1)
     oxx = d_tangential(omega, 2)
-    return _i_psi_parts(oxx, 1.0 / np.sqrt(1.0 + px**2), px, PERIOD / oxx.shape[0])
+    return oxx, 1.0 / np.sqrt(1.0 + px**2), px, PERIOD / oxx.shape[0]
 
 
 def i_psi(omega, psi):
     """Weighted interface form I_psi evaluated on the Hessian of omega."""
-    return _i_psi_of(omega, psi)[0]
+    return _i_psi_form(*_i_psi_args(omega, psi))
 
 
 def i_psi_lower_bound(omega, psi):
     """The pointwise lower bound int |Hess omega|^2 <psi>^-3 (equality in 1-D)."""
-    return _i_psi_of(omega, psi)[1]
+    oxx, L, _, h = _i_psi_args(omega, psi)
+    return _i_psi_lower(oxx, L, h)
 
 
 def _dx(hat, raw, order, zero_nyquist):
@@ -152,32 +154,36 @@ def _parseval(hat, terms, g):
     return float(np.vdot(hat, weights * hat).real)
 
 
-def _i_psi_parts(oxx, L, px, h):
-    """(I_psi, its lower bound) from the Hessian oxx and the weights on a
-    tangential grid of spacing h."""
-    return (float((oxx**2 * L - (oxx * px) ** 2 * L**3).sum() * h),
-            float((oxx**2 * L**3).sum() * h))
+def _i_psi_form(oxx, L, px, h):
+    """I_psi from the Hessian oxx and the weights on a tangential grid of
+    spacing h."""
+    return float((oxx**2 * L - (oxx * px) ** 2 * L**3).sum() * h)
+
+
+def _i_psi_lower(oxx, L, h):
+    """The lower bound of ``_i_psi_form`` on the same arguments."""
+    return float((oxx**2 * L**3).sum() * h)
 
 
 def _interface_terms(r_hat, mu, eps, L, px, g):
     """The interface part of the (mu, s) term of E, the eps coefficient X
-    of E_eps = E + eps X, the unweighted counterparts of both, and I_psi
-    minus its lower bound, from the rfft r_hat of the s-th quotient of
-    rho."""
+    of E_eps = E + eps X, the unweighted counterparts of both, the I_psi
+    part of E and the Hessian it is taken on, from the rfft r_hat of the
+    s-th quotient of rho."""
     n, h = g.tangential.n_x, g.tangential.spacing
     odd = mu % 2 == 1
     vx = d_tangential_hat(r_hat, n, mu + 1, True)
     vxx = d_tangential_hat(r_hat, n, mu + 2, odd)
-    i_form, i_lower = _i_psi_parts(vxx, L, px, h)
+    i_form = _i_psi_form(vxx, L, px, h)
     E = _iface(vx**2 * L, g) + i_form
     sob_E = _iface(vx**2 + vxx**2, g)
     X = sob_X = 0.0
     if eps != 0.0:
         v3 = d_tangential_hat(r_hat, n, mu + 3, True)
         v4 = d_tangential_hat(r_hat, n, mu + 4, odd)
-        X = _iface(v3**2 * L, g) + _i_psi_parts(v4, L, px, h)[0]
+        X = _iface(v3**2 * L, g) + _i_psi_form(v4, L, px, h)
         sob_X = _iface(v3**2 + v4**2, g)
-    return E, X, sob_E, sob_X, i_form - i_lower
+    return E, X, sob_E, sob_X, i_form, vxx
 
 
 @dataclass(frozen=True)
@@ -242,11 +248,11 @@ def evaluate_functionals(stack, eps):
         odd = mu % 2 == 1
         wn = _dx(un_hats[s], uns[s], mu, odd)
         bulk = _parseval(u_hats[s], ((mu, odd), (mu + 1, True)), g)  # w, w_x
-        e, x, se, sx, gap = _interface_terms(r_hats[s], mu, eps, L, px, g)
+        e, x, se, sx, i_form, vxx = _interface_terms(r_hats[s], mu, eps, L, px, g)
         E += bulk + integrate_halves(a_h * wn**2, g) + e
         sob_E += bulk + integrate_halves(wn**2, g) + se
         X, sob_X = X + x, sob_X + sx
-        gaps.append(gap)
+        gaps.append(i_form - _i_psi_lower(vxx, L, g.tangential.spacing))
         if us[s + 1] is None or rs[s + 1] is None:
             missing_D.append((mu, s))
             continue

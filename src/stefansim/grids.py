@@ -48,11 +48,6 @@ class TangentialGrid:
     def nodes(self):
         return PERIOD * np.arange(self.n_x) / self.n_x
 
-    @cached_property
-    def wavenumbers(self):
-        # rfft layout: k = 0 .. n_x/2
-        return np.arange(self.n_x // 2 + 1)
-
 
 @dataclass(frozen=True)
 class NormalGrid:
@@ -300,14 +295,9 @@ def l2_interface(values, grid):
     return float(np.sqrt(integrate_interface(np.asarray(values) ** 2, grid)))
 
 
-def spectral_tail_fraction(values):
-    """Fraction of (mean-free) spectral energy carried by the top third of modes."""
-    v = np.asarray(values, dtype=float)
-    return tail_fraction_hat(np.fft.rfft(v, axis=0), v.shape[0])
-
-
 def tail_fraction_hat(hat, n):
-    """``spectral_tail_fraction`` of the n-point field whose rfft is ``hat``."""
+    """Fraction of (mean-free) spectral energy carried by the top third of
+    modes of the n-point field whose rfft is ``hat``."""
     power = np.abs(hat) ** 2
     power[0] = 0.0  # the mean carries no derivative information
     total = power.sum()
@@ -316,15 +306,14 @@ def tail_fraction_hat(hat, n):
     return float(power[n // 3:].sum() / total)
 
 
-def band_limited(rng, grid, amplitude, k_max=None, zero_mean=True):
+def band_limited(rng, grid, amplitude, zero_mean=True):
     """Random smooth interface field with the top third of the spectrum empty.
 
     Coefficients fall off like 1/k^2 so the fields look like interfaces, not
     noise; the result is rescaled to the requested sup-norm amplitude.
     """
     n = grid.n_x
-    top = n // 3 - 1  # highest mode that keeps the top third empty
-    k_max = top if k_max is None else min(k_max, top)
+    k_max = n // 3 - 1  # highest mode that keeps the top third empty
     coeffs = np.zeros(n // 2 + 1, dtype=complex)
     ks = np.arange(1, k_max + 1)
     coeffs[1 : k_max + 1] = (rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)) / ks**2

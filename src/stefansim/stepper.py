@@ -39,13 +39,19 @@ forward FFT (its right-hand side); u_new, u_xx and u_xz come from the
 solve's Fourier coefficients by three inverse FFTs, u_zz and u_z by
 stencil, and those fields serve both the residual and the next
 iteration's lagged terms.  The iterate is checked for finiteness once.
-u_old is transformed, and its fields built, once per step, together
-with the rest of what every solve of the step shares (its norm, the
-forcing, u_old / dt + theta f_new).  A fixed-point iterate transforms
-rho_m once: its slope and second derivative, the resolution check and
-the curvature Dirichlet data and the interface update all share that
-FFT; the previous accepted interface's derivatives come from one FFT per
-step.
+A fixed-point iterate transforms rho_m once: its slope and second
+derivative, the resolution check and the curvature Dirichlet data and
+the interface update all share that FFT; the previous accepted
+interface's derivatives come from one FFT per step.
+
+Every solve has one call shape,
+``temperature_step(step, coef, cfg, grids, dirichlet=..., warm=...)``:
+``step`` is the ``_Step`` that ``_prepare_step`` builds once per time
+step, at iterate 1 (the factors, 1/dt and theta, u_old's transform,
+fields and norm, the forcing and u_old / dt + theta f_new), and the
+iterate adds its frozen coefficients and Dirichlet data.  The steady
+solve of ``compatible_initial_temperature`` builds its own ``_Step``
+with 1/dt = 0 and theta = 1.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
 once per iterate) makes no 2-D transform: the solve's Fourier
@@ -60,7 +66,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -168,11 +174,16 @@ class _Fields(NamedTuple):
 
 
 @dataclass(frozen=True)
-class _OldLevel:
-    """What every temperature solve of one step shares: u_old, its
-    ``_bulk_fields`` and norm, the bulk forcing at both time levels (zeros
-    without forcing), the norm of their theta blend, and the part of the
-    right-hand side they fix, u_old / dt + theta f_new."""
+class _Step:
+    """What every temperature solve of one step shares: the ``_BulkLU``
+    factored at the step's base interface, 1/dt (0 for the steady solve)
+    and theta, u_old with its ``_bulk_fields`` and norm, the bulk forcing
+    at both time levels (zeros without forcing), the norm of their theta
+    blend, and the part of the right-hand side they fix,
+    u_old / dt + theta f_new.  Made by ``_prepare_step``."""
+    bulk: _BulkLU
+    inv_dt: float
+    theta: float
     u: np.ndarray
     fields: _Fields
     norm_u: float
@@ -182,10 +193,13 @@ class _OldLevel:
     base_rhs: np.ndarray
 
 
-def _old_level(u_old, forcing_new, forcing_old, inv_dt, theta, grids):
+def _prepare_step(a_mean, u_old, forcing_new, forcing_old, inv_dt, theta, grids):
+    """The ``_Step`` of a step from u_old whose operator is factored at the
+    z-profile a_mean; a forcing of None is zero."""
     f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
     f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
-    return _OldLevel(
+    return _Step(
+        bulk=_BulkLU(a_mean, inv_dt, theta, grids), inv_dt=inv_dt, theta=theta,
         u=u_old, fields=_bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids),
         norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
         norm_f=np.linalg.norm(theta * f_new + (1.0 - theta) * f_old),
@@ -315,47 +329,40 @@ def _bulk_fields(v, v_hat, grids):
     return _Fields(v_xx, v_zz, d_tangential_hat(_d_z(v_hat, grids), n, 1), _d_z(v, grids), v_hat)
 
 
-def _interior_operator(v, coef, grids, fields=None):
-    """Apply Lap' + a d_zz - B d_xz - c d_z on all rows except z = 0.
+def _interior_operator(coef, fields):
+    """Apply Lap' + a d_zz - B d_xz - c d_z on all rows except z = 0 to
+    the field v whose ``_bulk_fields`` are ``fields``.
 
     Valid on interior rows (centered stencils) and walls (mirror-ghost
     d_zz, Neumann d_z = 0); the interface row of the result is zero and
     must not be used (it is replaced by the Dirichlet condition).
-    ``fields`` are v's ``_bulk_fields`` when the caller already holds them.
     Returns (L v, termwise scale): the scale is the sum of the norms of
     the individual operator terms, the right yardstick for a relative
-    residual (the norm of the sum vanishes at a steady solution).
-    No finiteness check.
+    residual (the norm of the sum vanishes at a steady solution).  No
+    finiteness check.
     """
-    if fields is None:
-        fields = _bulk_fields(v, np.fft.rfft(v, axis=0), grids)
     terms = (fields.xx, coef.a * fields.zz, -coef.B * fields.xz, -coef.c * fields.z)
     out = terms[0] + terms[1] + terms[2] + terms[3]
     return out, sum(np.linalg.norm(t) for t in terms)
 
 
-def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
-                     dirichlet=None, forcing_new=None, forcing_old=None,
-                     inv_dt=None, coef=None, bulk=None, old=None, warm=None):
+def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
     """Solve the theta-implicit frozen-coefficient temperature problem.
+
+    ``step`` is the ``_Step`` every solve of one time step shares (the
+    factored operator, 1/dt and theta, u_old's fields and norm, the
+    forcing and the fixed part of the right-hand side); ``coef`` holds the
+    frozen coefficients and ``dirichlet`` the interface values.  The lag
+    loop lags whatever of ``coef.a`` the factored a_mean leaves out; a
+    step with inv_dt = 0 gives the steady solve used to build compatible
+    initial data.
 
     Returns (u_new, final_residual, lag_iterations, fields): fields are
     u_new's ``_bulk_fields``, its rfft included, which a solve
     warm-started from u_new and the fixed-point norm reuse, and
     lag_iterations counts every operator application, GMRES's included.
-    ``dirichlet`` defaults to the curvature of rho_m; ``inv_dt = 0`` gives
-    the steady solve used to build compatible initial data.  Raises
-    LinearSolveError if the solve cannot reach ``cfg.lin_tol`` and
+    Raises LinearSolveError if the solve cannot reach ``cfg.lin_tol`` and
     NonFiniteFieldError on a non-finite iterate.
-
-    ``fixed_point_step`` calls this once per iterate with what stays the
-    same within a step: ``bulk``, the ``_BulkLU`` factored once per step,
-    and ``old``, the step's ``_OldLevel`` (u_old's fields and norm, the
-    forcing and the fixed part of the right-hand side), which then stands
-    for u_old, forcing_new and forcing_old.  Called alone, it factors at
-    the tangential mean of ``coef.a`` and builds the ``_OldLevel`` itself.
-    The lag loop lags whatever of ``coef.a`` the factored a_mean leaves
-    out.
 
     Each lag iteration makes one forward transform (of its right-hand
     side) and three inverse ones: u_new, u_xx and u_xz all come from the
@@ -386,31 +393,17 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     ``lin_max_iter`` operator applications; its Krylov basis holds at most
     that many fields.
     """
-    rho_m = np.asarray(rho_m, dtype=float)
-    u_old = np.asarray(u_old, dtype=float)
-    theta = cfg.theta
-    inv_dt = (1.0 / cfg.dt) if inv_dt is None else float(inv_dt)
+    bulk, inv_dt, theta = step.bulk, step.inv_dt, step.theta
+    u_old, f_new = step.u, step.f_new
     mid = grids.normal.i_mid
     n_x = grids.tangential.n_x
-
-    if coef is None:
-        coef = coefficients(rho_m, np.asarray(rho_t_m, dtype=float), cutoff, grids)
-    if dirichlet is None:
-        dirichlet = curvature(rho_m)
-    dirichlet = np.asarray(dirichlet, dtype=float)
-
-    if bulk is None:
-        bulk = _BulkLU(coef.a.mean(axis=0), inv_dt, theta, grids)
     a_fluct = coef.a - bulk.a_mean[None, :]  # the lagged part of a
-    if old is None:
-        old = _old_level(u_old, forcing_new, forcing_old, inv_dt, theta, grids)
-    u_old, f_new = old.u, old.f_new
 
-    base_rhs = old.base_rhs
+    base_rhs = step.base_rhs
     old_part, scale_old = None, 0.0
     if theta < 1.0:
-        L_old, scale_old = _interior_operator(u_old, coef, grids, old.fields)
-        old_part = (1.0 - theta) * (L_old + old.f_old)  # the old level's explicit share
+        L_old, scale_old = _interior_operator(coef, step.fields)
+        old_part = (1.0 - theta) * (L_old + step.f_old)  # the old level's explicit share
         base_rhs = base_rhs + old_part
 
     dir_hat = np.fft.rfft(dirichlet)
@@ -419,7 +412,7 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
         """u_new's fields, its full residual field and the relative full
         residual."""
         fields = _bulk_fields(u_new, u_hat, grids)
-        L_new, scale_new = _interior_operator(u_new, coef, grids, fields)
+        L_new, scale_new = _interior_operator(coef, fields)
         r = (u_new - u_old) * inv_dt - theta * (L_new + f_new)
         if theta < 1.0:
             r = r - old_part
@@ -427,9 +420,9 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
         # backward-error scale: the 1/dt mass terms belong to the system
         # data, so they enter through ||u||, not ||du|| (which cancels to
         # roundoff as dt -> 0 and would make the tolerance unreachable)
-        scale = (inv_dt * max(np.linalg.norm(u_new), old.norm_u)
+        scale = (inv_dt * max(np.linalg.norm(u_new), step.norm_u)
                  + theta * scale_new + (1.0 - theta) * scale_old
-                 + old.norm_f + 1e-300)
+                 + step.norm_f + 1e-300)
         return fields, r, np.linalg.norm(r) / scale
 
     def lag_solve(fields, rhs, dir_values):
@@ -472,7 +465,7 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
             residual=float(residual),
         )
 
-    u_prev, fields = (u_old, old.fields) if warm is None else (warm.u, warm.fields)
+    u_prev, fields = (u_old, step.fields) if warm is None else (warm.u, warm.fields)
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, cfg.lin_max_iter + 1):
@@ -505,19 +498,8 @@ def temperature_step(rho_m, rho_t_m, u_old, cfg, grids, cutoff, *,
     )
 
 
-def _regularization(eps, n_x):
-    """Per-mode symbol 1 + eps k^4 of I + eps Lap^2 on the rfft modes."""
-    return 1.0 + eps * np.arange(n_x // 2 + 1, dtype=float) ** 4
-
-
-def solve_regularized(rhs, eps, n_x):
-    """Invert (I + eps Lap^2) rho_t = rhs spectrally (diagonal per mode)."""
-    r_hat = np.fft.rfft(np.asarray(rhs, dtype=float))
-    return np.fft.irfft(r_hat / _regularization(eps, n_x), n=n_x)
-
-
 def interface_step(rho_m, u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
-                   jump_forcing=None, rhs_old=None, jump_response=None):
+                   jump_response, jump_forcing=None, rhs_old=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
     Returns (rho_new, rho_t).  rho_base is the previous *accepted*
@@ -525,12 +507,14 @@ def interface_step(rho_m, u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
     needed for theta < 1).  rho_x and rho_hat are the slope and the rfft
     of rho_m, which the caller already holds.
 
-    With ``jump_response`` (per-mode factor sigma_k, from the step's bulk
-    factorization) the flat-state linear model of the curvature-to-jump chain,
-    -sigma_k k^2 (rho_new - rho_m), is applied implicitly.  This leaves
-    the converged fixed point unchanged — the model term cancels there —
-    but damps the k^3-stiff modes that make plain successive substitution
-    diverge.
+    (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
+    with the flat-state linear model of the curvature-to-jump chain,
+    -sigma_k k^2 (rho_new - rho_m), applied implicitly; ``jump_response``
+    is the per-mode factor sigma_k, from the step's bulk factorization.
+    The model term cancels at the converged fixed point, so it leaves that
+    point unchanged, but it damps the k^3-stiff modes that make plain
+    successive substitution diverge.  sigma_k = 0 gives the plain
+    regularized update.
     """
     rho_base = np.asarray(rho_base, dtype=float)
     n_x = grids.tangential.n_x
@@ -540,12 +524,9 @@ def interface_step(rho_m, u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
         rhs_new = rhs_new + np.asarray(jump_forcing, dtype=float)
     theta = cfg.theta
     rhs = rhs_new if theta == 1.0 else theta * rhs_new + (1.0 - theta) * np.asarray(rhs_old)
-    if jump_response is None:
-        rho_t = solve_regularized(rhs, cfg.epsilon, n_x)
-        return rho_base + cfg.dt * rho_t, rho_t
-    reg = _regularization(cfg.epsilon, n_x)
-    k2 = np.arange(n_x // 2 + 1, dtype=float) ** 2
-    stab = cfg.dt * theta * k2 * jump_response  # dt theta k^2 sigma_k
+    k = np.arange(n_x // 2 + 1, dtype=float)
+    reg = 1.0 + cfg.epsilon * k**4
+    stab = cfg.dt * theta * k**2 * jump_response  # dt theta k^2 sigma_k
     num = reg * np.fft.rfft(rho_base) + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
     rho_new = np.fft.irfft(num / (reg + stab), n=n_x)
     return rho_new, (rho_new - rho_base) / cfg.dt
@@ -555,16 +536,16 @@ def compatible_initial_temperature(rho0, cfg, grids=None, cutoff=None):
     """Steady temperature field with curvature Dirichlet data at z = 0.
 
     Solves the stationary frozen-coefficient problem (the 1/dt mass term
-    switched off); this is the initial bulk state consistent with the
-    interface at t = 0.
+    switched off, theta = 1 whatever cfg.theta: no old level exists at
+    t = 0); this is the initial bulk state consistent with the interface
+    at t = 0.
     """
     grids = cfg.grids() if grids is None else grids
     cutoff = cfg.cutoff() if cutoff is None else cutoff
     rho0 = np.asarray(rho0, dtype=float)
-    zeros = np.zeros_like(rho0)
-    steady_cfg = replace(cfg, theta=1.0)
-    u0, _, _, _ = temperature_step(rho0, zeros, np.zeros(grids.shape), steady_cfg,
-                                   grids, cutoff, inv_dt=0.0)
+    coef = coefficients(rho0, np.zeros_like(rho0), cutoff, grids)
+    step = _prepare_step(coef.a.mean(axis=0), np.zeros(grids.shape), None, None, 0.0, 1.0, grids)
+    u0, _, _, _ = temperature_step(step, coef, cfg, grids, dirichlet=curvature(rho0))
     return u0
 
 
@@ -599,11 +580,6 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
 
     u_m, rho_m = state.u, state.rho
     rho_hat = base_hat
-    # the same in every iterate: u_old's transform and fields, the forcing
-    # and the fixed part of the right-hand side, and (below, at iterate 1)
-    # the bulk factorization and its jump response
-    old = _old_level(state.u, f_bulk_new, f_bulk_old, 1.0 / dt, theta, grids)
-    fields_m = old.fields  # u_m's fields, its rfft included
     warm = None
     norms, ratios = [], []
     lin_res_max = 0.0
@@ -615,8 +591,7 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
         # so for theta = 1 (rho_eff = rho_m) they are coef's own fields
         if theta == 1.0:
-            rho_eff = rho_m
-            coef = coefficients(rho_eff, rho_t_m, cutoff, grids, rho_x=rx, rho_xx=rxx)
+            coef = coefficients(rho_m, rho_t_m, cutoff, grids, rho_x=rx, rho_xx=rxx)
             a_m, bracket_m = coef.a, coef.bracket
         else:
             # rho_eff's derivatives are the same blend of both levels'
@@ -628,19 +603,20 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         norm_m = EnergyNormK0(rx, a_m, bracket_m, cfg.epsilon, grids)
         if m == 1:
             # iterate 1 sits at the step's base interface (rho_eff is
-            # state.rho for every theta); later iterates lag against it
-            bulk = _BulkLU(coef.a.mean(axis=0), 1.0 / dt, theta, grids)
-            sigma = bulk.jump_response()
+            # state.rho for every theta): the step's set-up, shared by every
+            # iterate, is built here, and later iterates lag against it
+            step = _prepare_step(coef.a.mean(axis=0), state.u, f_bulk_new, f_bulk_old,
+                                 1.0 / dt, theta, grids)
+            sigma = step.bulk.jump_response()
+            fields_m = step.fields  # u_m's fields, its rfft included
         else:
             warm = _WarmStart(u_m, fields_m, norms[-1], norm_m)
         dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
         u_next, lin_res, lag_iters, fields_next = temperature_step(
-            rho_eff, rho_t_m, state.u, cfg, grids, cutoff,
-            dirichlet=dirichlet, coef=coef, bulk=bulk, old=old, warm=warm,
-        )
-        rho_next, rho_t = interface_step(
+            step, coef, cfg, grids, dirichlet=dirichlet, warm=warm)
+        rho_next, _ = interface_step(
             rho_m, u_next, state.rho, cfg, grids,
             jump_forcing=f_jump_new, rhs_old=rhs_old, jump_response=sigma,
             rho_x=rx, rho_hat=rho_hat,
@@ -783,16 +759,3 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
             cb(state, report)
     return RunResult(reports=reports, state=state, cfg=cfg,
                      steady_level=steady_level, states=states)
-
-
-def run_epsilon_schedule(u0, rho0, cfg, t_end, epsilons, **kwargs):
-    """Rerun the same initial data under each regularization strength.
-
-    Returns {epsilon: RunResult}; used for continuation studies comparing
-    the regularized dynamics against the unregularized limit.
-    """
-    out = {}
-    for eps in epsilons:
-        out[float(eps)] = run(u0, rho0, replace(cfg, epsilon=float(eps)),
-                              t_end, **kwargs)
-    return out

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from stefansim.stepper import SolverConfig
+from stefansim.stepper import SolverConfig, State, compatible_initial_temperature
 
 settings.register_profile(
     "numerics",
@@ -38,3 +38,30 @@ def smooth_state(small_grids):
     u = (0.03 * np.cos(x)[:, None] + 0.01) * np.cos(np.pi * z) \
         + 0.02 * np.sin(x)[:, None] * z**2
     return u, rho
+
+
+class ConstantForcing:
+    """Bulk, Dirichlet and jump forcing that do not change in time."""
+
+    def __init__(self, grids):
+        x = grids.tangential.nodes
+        z = grids.normal.nodes[None, :]
+        self.fields = (0.1 * np.sin(x)[:, None] * np.cos(np.pi * z),
+                       0.01 * np.cos(x), 0.05 * np.sin(2 * x))
+
+    def at(self, t):
+        return tuple(f.copy() for f in self.fields)
+
+
+@pytest.fixture(scope="session")
+def forced_step_problem():
+    """Builds (cfg, grids, cutoff, state, forcing) for one forced time step
+    at a non-flat interface, given theta."""
+    def build(theta):
+        cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0, theta=theta)
+        grids, cutoff = cfg.grids(), cfg.cutoff()
+        x = grids.tangential.nodes
+        rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
+        u0 = compatible_initial_temperature(rho0, cfg, grids, cutoff)
+        return cfg, grids, cutoff, State(t=0.0, u=u0, rho=rho0), ConstantForcing(grids)
+    return build

@@ -1,7 +1,13 @@
-"""Every layer the benchmark traces by name exists in the package."""
+"""Every layer the benchmark traces by name exists in the package, and the
+stepper keeps the call contracts the benchmark's work counters read."""
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stefansim import stepper
 
 WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
 
@@ -22,3 +28,37 @@ def test_every_traced_benchmark_layer_resolves():
     missing = [f"stefansim.{module}.{attr}" for module, attr in pairs
                if not callable(getattr(importlib.import_module(f"stefansim.{module}"), attr, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
+                                                             forced_step_problem):
+    # lag iterations are counted from temperature_step's result[2], bulk
+    # unknowns from the size of _thomas_batched's 4th positional argument,
+    # and fixed-point iterations from fixed_point_step's result[1]
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    lags, rhs_seen = [], []
+    real_temperature, real_substitution = stepper.temperature_step, stepper._thomas_batched
+
+    def temperature(*args, **kwargs):
+        result = real_temperature(*args, **kwargs)
+        assert isinstance(result, tuple) and len(result) == 4
+        lags.append(result[2])
+        return result
+
+    def substitution(*args, **kwargs):
+        rhs_seen.append(args[3])
+        return real_substitution(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "temperature_step", temperature)
+    monkeypatch.setattr(stepper, "_thomas_batched", substitution)
+    result = stepper.fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    assert isinstance(result, tuple) and len(result) == 2
+    new_state, report = result
+    assert isinstance(new_state, stepper.State)
+    assert isinstance(report, stepper.StepReport)
+    assert report.inner_iters >= 3 and len(lags) == report.inner_iters
+    assert sum(lags) == report.lag_iters
+    unknowns = (cfg.n_x // 2 + 1) * 2 * grids.normal.i_mid
+    assert rhs_seen
+    assert all(np.iscomplexobj(rhs) and rhs.size == unknowns for rhs in rhs_seen)

@@ -21,8 +21,6 @@ from stefansim.stepper import (
     fixed_point_step,
     interface_step,
     run,
-    run_epsilon_schedule,
-    solve_regularized,
     temperature_step,
 )
 from stefansim.transform import coefficients, curvature, jump_normal_derivative, norm_weights
@@ -65,13 +63,33 @@ def dense_flat_reference(u_line, dt, n_z):
     return np.linalg.solve(M, rhs)
 
 
+def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
+                f_new=None, f_old=None, inv_dt=None):
+    """``temperature_step`` on a step of its own: the coefficients frozen
+    at (rho, rho_t), the operator factored at the tangential mean of their
+    a, 1/dt from cfg unless given, and the curvature of rho as Dirichlet
+    data unless given."""
+    coef = coefficients(rho, rho_t, cutoff, grids)
+    inv_dt = 1.0 / cfg.dt if inv_dt is None else inv_dt
+    step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
+                                 inv_dt, cfg.theta, grids)
+    return temperature_step(step, coef, cfg, grids,
+                            dirichlet=curvature(rho) if dirichlet is None else dirichlet)
+
+
+def bulk_operator(v, coef, grids):
+    """``_interior_operator`` on v with v's fields built afresh."""
+    fields = stepper._bulk_fields(v, np.fft.rfft(v, axis=0), grids)
+    return stepper._interior_operator(coef, fields)
+
+
 def test_temperature_step_matches_dense_flat_solve():
     cfg = SolverConfig(dt=1e-3, n_x=8, n_z=17)
     grids, cutoff = cfg.grids(), cfg.cutoff()
     z = grids.normal.nodes
     u_old = np.broadcast_to(np.cos(np.pi * z)[None, :], grids.shape).copy()
     zeros = np.zeros(8)
-    u_new, residual, lag_iters, fields = temperature_step(
+    u_new, residual, lag_iters, fields = solve_alone(
         zeros, zeros, u_old, cfg, grids, cutoff)
     assert residual <= cfg.lin_tol
     # the fields a warm start from u_new reuses are u_new's own
@@ -146,8 +164,8 @@ def test_temperature_step_far_field_continuum():
         grids = cfg.grids()
         z = grids.normal.nodes
         u_old = np.broadcast_to(np.cos(np.pi * z)[None, :], grids.shape).copy()
-        u_new, *_ = temperature_step(np.zeros(8), np.zeros(8), u_old,
-                                     cfg, grids, cfg.cutoff())
+        u_new, *_ = solve_alone(np.zeros(8), np.zeros(8), u_old,
+                                cfg, grids, cfg.cutoff())
         far = np.abs(z) >= 0.5
         exact = np.cos(np.pi * z[far]) / (1.0 + np.pi**2 * cfg.dt)
         errs.append(np.abs(u_new[:, far] - exact[None, :]).max())
@@ -157,7 +175,7 @@ def test_temperature_step_far_field_continuum():
 
 def test_temperature_step_zero_state_is_exact(small_cfg, small_grids, small_cutoff):
     zeros = np.zeros(small_cfg.n_x)
-    u_new, residual, lag_iters, _ = temperature_step(
+    u_new, residual, lag_iters, _ = solve_alone(
         zeros, zeros, np.zeros(small_grids.shape), small_cfg, small_grids, small_cutoff)
     assert np.all(u_new == 0.0)
     assert residual == 0.0 and lag_iters == 1
@@ -180,8 +198,8 @@ def test_compatible_initial_temperature(small_cfg, small_grids, small_cutoff):
     mid = small_grids.normal.i_mid
     assert np.abs(u0[:, mid] - curvature(rho0)).max() < 1e-12
     # already steady: re-solving from u0 returns u0
-    u_re, *_ = temperature_step(rho0, np.zeros_like(rho0), u0, small_cfg,
-                                small_grids, small_cutoff, inv_dt=0.0)
+    u_re, *_ = solve_alone(rho0, np.zeros_like(rho0), u0, small_cfg,
+                           small_grids, small_cutoff, inv_dt=0.0)
     assert np.abs(u_re - u0).max() < 1e-12
     # the steady solve ignores cfg.theta (no old level exists at t = 0)
     from dataclasses import replace
@@ -213,7 +231,7 @@ def test_temperature_step_raises_when_lag_loop_stalls(small_grids, small_cutoff)
     rho = 0.1 * np.sin(x)
     u_old = np.zeros(small_grids.shape)
     with pytest.raises(LinearSolveError) as exc:
-        temperature_step(rho, np.zeros(32), u_old, cfg, small_grids, small_cutoff)
+        solve_alone(rho, np.zeros(32), u_old, cfg, small_grids, small_cutoff)
     assert exc.value.residual > cfg.lin_tol
 
 
@@ -280,9 +298,8 @@ def lag_loop_problem(theta):
 
 def run_lag_problem(cfg, grids, cutoff, data):
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
-    coef = coefficients(rho, rho_t, cutoff, grids)
-    return temperature_step(rho, rho_t, u_old, cfg, grids, cutoff, dirichlet=dirichlet,
-                            forcing_new=f_new, forcing_old=f_old, coef=coef)
+    return solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, dirichlet=dirichlet,
+                       f_new=f_new, f_old=f_old)
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -297,7 +314,7 @@ def test_temperature_step_matches_reference_lag_loop(theta):
     assert np.abs(u - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
     # the operator on a field without its solve's coefficients agrees too
     coef = coefficients(rho, rho_t, cutoff, grids)
-    L, scale = stepper._interior_operator(u_old, coef, grids)
+    L, scale = bulk_operator(u_old, coef, grids)
     L_ref, scale_ref, _ = reference_operator(u_old, coef, grids)
     assert np.abs(L - L_ref).max() <= 1e-13 * np.abs(L_ref).max()
     assert scale == pytest.approx(scale_ref, rel=1e-13)
@@ -324,8 +341,8 @@ def test_temperature_step_does_not_depend_on_memory_layout(layout):
     assert residual_re == pytest.approx(residual, rel=1e-8)
     assert np.abs(u_re - u).max() <= 1e-13 * np.abs(u).max()
     coef = coefficients(rho, rho_t, cutoff, grids)
-    L, scale = stepper._interior_operator(u_old, coef, grids)
-    L_re, scale_re = stepper._interior_operator(bulk[0], coef, grids)
+    L, scale = bulk_operator(u_old, coef, grids)
+    L_re, scale_re = bulk_operator(bulk[0], coef, grids)
     assert np.abs(L_re - L).max() <= 1e-13 * np.abs(L).max()
     assert scale_re == pytest.approx(scale, rel=1e-13)
 
@@ -376,13 +393,11 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
     coef = coefficients(data[0], data[1], cutoff, grids)
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
-    bulk = stepper._BulkLU(coef.a.mean(axis=0), 1.0 / cfg.dt, cfg.theta, grids)
-    old = stepper._old_level(u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids)
     counts = count_transforms(monkeypatch)
-    bulk.jump_response()
-    u, _, lag_iters, fields = temperature_step(rho, rho_t, u_old, cfg, grids, cutoff,
-                                               dirichlet=dirichlet, forcing_new=f_new,
-                                               forcing_old=f_old, coef=coef, bulk=bulk)
+    step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
+                                 1.0 / cfg.dt, cfg.theta, grids)
+    step.bulk.jump_response()
+    u, _, lag_iters, fields = temperature_step(step, coef, cfg, grids, dirichlet=dirichlet)
     assert lag_iters >= 3
     assert counts["rfft"] <= lag_iters + 2
     assert counts["irfft"] <= 3 * lag_iters + 2
@@ -390,17 +405,16 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     hat = np.fft.rfft(u, axis=0)
     assert np.abs(fields.hat - hat).max() <= 1e-13 * np.abs(hat).max()
 
-    # a warm solve from u with the step's u_old fields given: the exit
-    # rule's norm of each lag update works on the coefficients the solve
-    # holds, so only the lag iterations and the Dirichlet data transform
+    # a warm solve from u on the same step: the exit rule's norm of each
+    # lag update works on the coefficients the solve holds, so only the lag
+    # iterations and the Dirichlet data transform
     x = grids.tangential.nodes
     rx = d_tangential(rho, 1)
     norm = EnergyNormK0(rx, *norm_weights(rho, rx, cutoff, grids), cfg.epsilon, grids)
     warm = stepper._WarmStart(u, fields, 1e-9, norm)
     counts.update(rfft=0, irfft=0)
     _, residual, warm_iters, _ = temperature_step(
-        rho, rho_t, u_old, cfg, grids, cutoff, dirichlet=dirichlet + 1e-6 * np.cos(x),
-        coef=coef, bulk=bulk, old=old, warm=warm)
+        step, coef, cfg, grids, dirichlet=dirichlet + 1e-6 * np.cos(x), warm=warm)
     assert residual <= cfg.lin_tol and warm_iters >= 2
     assert counts["rfft"] == warm_iters + 1
     assert counts["irfft"] == 3 * warm_iters
@@ -411,26 +425,19 @@ def test_temperature_step_rejects_a_non_finite_iterate(small_cfg, small_grids, s
     u_old = np.zeros(small_grids.shape)
     u_old[5, 3] = np.nan
     with pytest.raises(NonFiniteFieldError, match="lag iteration 1"):
-        temperature_step(zeros, zeros, u_old, small_cfg, small_grids, small_cutoff)
+        solve_alone(zeros, zeros, u_old, small_cfg, small_grids, small_cutoff)
 
 
 # ------------------------------------------------------ interface update
 
-def test_solve_regularized_per_mode():
-    from stefansim.grids import TangentialGrid
-
-    xs = TangentialGrid(64).nodes
-    assert np.abs(solve_regularized(np.sin(xs), 1.0, 64) - 0.5 * np.sin(xs)).max() < 1e-14
-    assert np.abs(solve_regularized(np.sin(2 * xs), 1.0, 64)
-                  - np.sin(2 * xs) / 17.0).max() < 1e-14
-    f = 0.3 * np.cos(xs) + 0.1
-    assert np.abs(solve_regularized(f, 0.0, 64) - f).max() < 1e-14
-    assert np.abs(solve_regularized(np.full(64, 0.7), 5.0, 64) - 0.7).max() < 1e-14
-
-
 def rho_transforms(rho):
     """interface_step's rho_x and rho_hat keywords for the iterate rho."""
     return {"rho_x": d_tangential(rho, 1), "rho_hat": np.fft.rfft(rho)}
+
+
+def unstabilized(n_x):
+    """A zero jump response: the plain regularized update."""
+    return {"jump_response": np.zeros(n_x // 2 + 1)}
 
 
 def test_interface_step_explicit_forms(small_grids):
@@ -442,16 +449,19 @@ def test_interface_step_explicit_forms(small_grids):
 
     cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
     rho_new, rho_t = interface_step(zeros, u_zero, base, cfg, small_grids,
-                                    jump_forcing=np.sin(x), **rho_transforms(zeros))
+                                    jump_forcing=np.sin(x), **rho_transforms(zeros),
+                                    **unstabilized(n_x))
     assert np.abs(rho_t - np.sin(x)).max() < 1e-13
     assert np.abs(rho_new - base - cfg.dt * np.sin(x)).max() < 1e-14
 
     cfg1 = SolverConfig(epsilon=1.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
     _, rho_t = interface_step(zeros, u_zero, base, cfg1, small_grids,
-                              jump_forcing=np.sin(x), **rho_transforms(zeros))
+                              jump_forcing=np.sin(x), **rho_transforms(zeros),
+                              **unstabilized(n_x))
     assert np.abs(rho_t - 0.5 * np.sin(x)).max() < 1e-13  # (1 + eps k^4) at k=1
     _, rho_t = interface_step(zeros, u_zero, base, cfg1, small_grids,
-                              jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros))
+                              jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros),
+                              **unstabilized(n_x))
     assert np.abs(rho_t - 0.4).max() < 1e-14  # the mean mode is never damped
 
 
@@ -462,26 +472,14 @@ def test_interface_step_theta_blends_right_hand_sides(small_grids):
     _, rho_t = interface_step(np.zeros(n_x), np.zeros(small_grids.shape),
                               np.zeros(n_x), cfg, small_grids,
                               jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
-                              **rho_transforms(np.zeros(n_x)))
+                              **rho_transforms(np.zeros(n_x)), **unstabilized(n_x))
     assert np.abs(rho_t - 2.0 * np.sin(x)).max() < 1e-13
 
 
-def test_interface_step_uses_the_one_regularized_division(small_grids, smooth_state):
-    u, rho_m = smooth_state
-    n_x = small_grids.tangential.n_x
-    x = small_grids.tangential.nodes
-    base = 0.02 * np.cos(2 * x)
-    cfg = SolverConfig(epsilon=1e-3, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    from stefansim.transform import jump_normal_derivative
-
-    rhs = (1.0 + d_tangential(rho_m, 1) ** 2) * jump_normal_derivative(u, small_grids)
-    _, rho_t = interface_step(rho_m, u, base, cfg, small_grids, **rho_transforms(rho_m))
-    assert np.array_equal(rho_t, solve_regularized(rhs, cfg.epsilon, n_x))
-
-
 def test_interface_step_stabilization_preserves_fixed_points(small_grids):
-    # when the unstabilized update would return rho_m itself, the
-    # stabilized one must too (the model term cancels at the fixed point)
+    # when the plain regularized update (a zero jump response) would return
+    # rho_m itself, the stabilized one must too (the model term cancels at
+    # the fixed point)
     n_x = small_grids.tangential.n_x
     x = small_grids.tangential.nodes
     cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
@@ -541,30 +539,9 @@ def test_fixed_point_tall_manufactured_column_converges():
     assert report.fp_norms[-1] <= cfg.fp_tol
 
 
-class ConstantForcing:
-    """Bulk, Dirichlet and jump forcing that do not change in time."""
-
-    def __init__(self, grids):
-        x = grids.tangential.nodes
-        z = grids.normal.nodes[None, :]
-        self.fields = (0.1 * np.sin(x)[:, None] * np.cos(np.pi * z),
-                       0.01 * np.cos(x), 0.05 * np.sin(2 * x))
-
-    def at(self, t):
-        return tuple(f.copy() for f in self.fields)
-
-
-def forced_step_problem(theta):
-    cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0, theta=theta)
-    grids, cutoff = cfg.grids(), cfg.cutoff()
-    x = grids.tangential.nodes
-    rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
-    u0 = compatible_initial_temperature(rho0, cfg, grids, cutoff)
-    return cfg, grids, cutoff, State(t=0.0, u=u0, rho=rho0), ConstantForcing(grids)
-
-
 @pytest.mark.parametrize("theta", [1.0, 0.5])
-def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta):
+def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
+                                                         forced_step_problem):
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
     counts = {"dgttrf": 0, "jump_response": 0, "substitutions": 0}
     real_factor, real_jump = lapack.dgttrf, stepper._BulkLU.jump_response
@@ -594,7 +571,8 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta):
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
-def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta):
+def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta,
+                                                                       forced_step_problem):
     # the only 2-D transforms of a step: 1 forward and 3 inverse per lag
     # iteration, and u_old's, once per step (its rfft, u_xx and u_xz); the
     # fixed-point norms and the warm exit rule work on the coefficients
@@ -608,7 +586,8 @@ def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypa
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
-def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatch, theta):
+def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatch, theta,
+                                                                     forced_step_problem):
     # one call per iterate (the fixed-point difference, interface terms
     # included) and one per warm exit check (a bulk-only lag update, made
     # inside the solve): the benchmark traces the norm by this name
@@ -656,10 +635,11 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
         rho_t = (rho_m - state.rho) / dt
         rho_eff = theta * rho_m + (1.0 - theta) * state.rho
         coef = coefficients(rho_eff, rho_t, cutoff, grids)
-        u_next, *_ = temperature_step(rho_eff, rho_t, state.u, cfg, grids, cutoff,
-                                      dirichlet=curvature(rho_m) + g_dir,
-                                      forcing_new=f_new, forcing_old=f_old, coef=coef)
-        sigma = stepper._BulkLU(coef.a.mean(axis=0), 1.0 / dt, theta, grids).jump_response()
+        step = stepper._prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old,
+                                     1.0 / dt, theta, grids)
+        u_next, *_ = temperature_step(step, coef, cfg, grids,
+                                      dirichlet=curvature(rho_m) + g_dir)
+        sigma = step.bulk.jump_response()
         rho_next, _ = interface_step(rho_m, u_next, state.rho, cfg, grids,
                                      jump_forcing=j_new, rhs_old=rhs_old,
                                      jump_response=sigma, **rho_transforms(rho_m))
@@ -674,7 +654,7 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
-def test_warm_started_step_matches_cold_reference_loop(theta):
+def test_warm_started_step_matches_cold_reference_loop(theta, forced_step_problem):
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
     new_state, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
     u_ref, rho_ref = cold_reference_step(state, cfg, grids, cutoff, forcing)
@@ -824,19 +804,6 @@ def test_run_identity_column_fills_once_history_suffices():
     # time-derivative terms instead of zeroing them
     assert res.reports[0].missing_E != ()
     assert res.reports[2].missing_E == ()
-
-
-def test_run_epsilon_schedule_matches_direct_run():
-    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0, epsilon=0.0)
-    x = cfg.grids().tangential.nodes
-    rho0 = 0.01 * np.sin(x)
-    u0 = compatible_initial_temperature(rho0, cfg)
-    sched = run_epsilon_schedule(u0, rho0, cfg, 3 * cfg.dt, (0.0, 1e-2))
-    assert set(sched) == {0.0, 1e-2}
-    direct = run(u0, rho0, cfg, 3 * cfg.dt)
-    assert np.array_equal(sched[0.0].state.u, direct.state.u)
-    assert np.array_equal(sched[0.0].state.rho, direct.state.rho)
-    assert sched[1e-2].cfg.epsilon == 1e-2
 
 
 def test_run_rejects_non_finite_accepted_state_naming_t(monkeypatch):
