@@ -48,9 +48,7 @@ from .stepper import (
     State,
     compatible_initial_temperature,
     fixed_point_step,
-    interface_step,
     run,
-    temperature_step,
 )
 from .oracles import (
     LinearizedMode,

@@ -17,10 +17,9 @@ import numpy as np
 
 from .config import Scenario, build_initial_data, parse_config, resolve_out_dir, sweep_points
 from .errors import ConfigError, StefanSimError
-from .functionals import decay_fit
+from .functionals import DECAY_MIN_SAMPLES, decay_fit
 from .io import (
     atomic_write_text,
-    energy_csv_text,
     spectrum_csv_text,
     write_energy_csv,
     write_sidecar,
@@ -51,8 +50,8 @@ def _summarize(scenario, result):
     lines.append(f"energy_monotone={'yes' if mono else 'no'}")
     steady = float((E + dev).max()) <= STEADY_TOL
     lines.append(f"steady_within_tolerance={'yes' if steady else 'no'}")
-    fit = decay_fit(times, E + dev**2)
-    if fit.degenerate:
+    fit = decay_fit(times, E + dev**2) if len(reports) >= DECAY_MIN_SAMPLES else None
+    if fit is None or fit.degenerate:
         lines.append("decay_fit=degenerate")
     else:
         lines.append(f"K2_hat={fit.rate:.17g}")
@@ -139,10 +138,8 @@ def _sweep_worker(payload):
     u0, rho0 = build_initial_data(scenario, cfg)
     result = run(u0, rho0, cfg, scenario.t_end,
                  compute_identity=scenario.compute_identity)
-    run_dir = os.path.join(out_dir, label)
-    atomic_write_text(os.path.join(run_dir, "energy.csv"),
-                      energy_csv_text(result.reports, cfg, seed=scenario.seed))
-    write_sidecar(os.path.join(run_dir, "energy.csv"))
+    write_energy_csv(os.path.join(out_dir, label, "energy.csv"), result.reports, cfg,
+                     seed=scenario.seed)
     times = [r.t for r in result.reports]
     E = [r.E for r in result.reports]
     worst_cons = max((r.cons_residual for r in result.reports[1:]), default=0.0)

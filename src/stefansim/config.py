@@ -195,6 +195,12 @@ def parse_config(path):
             scen_kwargs["job_cap"] = _parse_int("sweep", "job_cap", sec["job_cap"])
 
     scenario = Scenario(**scen_kwargs)
+    for key, values in scenario.sweep_axes.items():
+        for value in values:
+            try:
+                dataclasses.replace(scenario.solver, **{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] {key} = {value!r}: {exc}") from None
     # every run of this file (each sweep point too) must end on t_end
     for dt in (scenario.solver.dt,) + tuple(scenario.sweep_axes.get("dt", ())):
         require_whole_steps(scenario.t_end, dt)
@@ -244,7 +250,7 @@ def build_initial_data(scenario, cfg=None):
     if scenario.u_init == "zero":
         u0 = np.zeros(grids.shape)
     elif scenario.u_init == "compatible":
-        u0 = compatible_initial_temperature(rho0, cfg, grids)
+        u0 = compatible_initial_temperature(rho0, cfg)
     else:  # snapshot:<path>
         from .io import read_snapshot
         state, meta = read_snapshot(scenario.u_init.partition(":")[2])

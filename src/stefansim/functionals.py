@@ -54,7 +54,8 @@ def derivative_pairs(k_diag):
 
 
 class DerivativeStack:
-    """History window of accepted states plus cached difference quotients.
+    """History window of accepted states and their backward difference
+    quotients.
 
     Entries are (t, u, rho), oldest first, uniformly spaced in t.  The
     weights (a_psi, <psi>) are frozen at the newest interface.
@@ -76,14 +77,14 @@ class DerivativeStack:
         self.psi = self.rhos[-1]
         self.psi_x = d_tangential(self.psi, 1)
         self.a_psi, self.bracket = norm_weights(self.psi, self.psi_x, cutoff, grids)
-        self._uq = {0: self.us[-1]}
-        self._rq = {0: self.rhos[-1]}
 
     @property
     def t(self):
         return float(self.times[-1])
 
     def _quotient(self, fields, s):
+        if s == 0:
+            return fields[-1]
         if s + 1 > len(fields):
             return None
         window = np.stack(fields[-(s + 1):], axis=0)
@@ -91,14 +92,10 @@ class DerivativeStack:
 
     def u_quotient(self, s):
         """s-th backward time quotient of u at the newest time (None if short)."""
-        if s not in self._uq:
-            self._uq[s] = self._quotient(self.us, s)
-        return self._uq[s]
+        return self._quotient(self.us, s)
 
     def rho_quotient(self, s):
-        if s not in self._rq:
-            self._rq[s] = self._quotient(self.rhos, s)
-        return self._rq[s]
+        return self._quotient(self.rhos, s)
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,6 @@ class FunctionalValue:
 
     value: float
     missing: tuple = ()
-
-    def __float__(self):
-        return self.value
 
 
 def _i_psi_args(omega, psi):
@@ -432,10 +426,8 @@ def steady_mean(u0, rho0, cutoff, grids):
 
     The conservation law fixes  mean(rho_bar) = [int rho0 - int_O u0 (1+phi' rho0)] / (2 pi).
     """
-    _, dphi, _ = grid_profiles(cutoff, grids.normal)
-    weight = 1.0 + dphi * np.asarray(rho0, dtype=float)[:, None]
-    mass = integrate_bulk(np.asarray(u0, dtype=float) * weight, grids)
-    return (integrate_interface(rho0, grids.tangential) - mass) / (2.0 * np.pi)
+    # 0 - Q, not -Q: a state with Q = 0 has steady level +0, not -0
+    return (0.0 - conserved_quantity(u0, rho0, cutoff, grids)) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -445,20 +437,26 @@ class DecayFit:
     degenerate: bool
 
 
-def decay_fit(times, values, skip_fraction=0.2, floor=1e-280):
+DECAY_SKIP_FRACTION = 0.2  # leading share of the samples decay_fit drops
+DECAY_FLOOR = 1e-280  # decay_fit is degenerate where a value reaches it
+DECAY_MIN_SAMPLES = 4  # the fewest samples decay_fit accepts
+
+
+def decay_fit(times, values):
     """Least-squares exponential rate of values(t) ~ C exp(-rate t).
 
-    The first ``skip_fraction`` of samples is dropped (transient).  The fit
-    is flagged degenerate when values hit the floor or have no dynamic
-    range (log-slope meaningless).
+    The first DECAY_SKIP_FRACTION of samples is dropped (transient).  The
+    fit is flagged degenerate when values hit DECAY_FLOOR or have no
+    dynamic range (log-slope meaningless).  Raises ValueError on fewer
+    than DECAY_MIN_SAMPLES aligned samples.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.shape != v.shape or t.size < 4:
-        raise ValueError("need at least 4 aligned samples")
-    start = int(np.ceil(skip_fraction * t.size))
+    if t.shape != v.shape or t.size < DECAY_MIN_SAMPLES:
+        raise ValueError(f"need at least {DECAY_MIN_SAMPLES} aligned samples")
+    start = int(np.ceil(DECAY_SKIP_FRACTION * t.size))
     t, v = t[start:], v[start:]
-    if np.any(v <= floor) or np.ptp(np.log(np.maximum(v, floor))) < 1e-12:
+    if np.any(v <= DECAY_FLOOR) or np.ptp(np.log(np.maximum(v, DECAY_FLOOR))) < 1e-12:
         return DecayFit(rate=0.0, r_squared=0.0, degenerate=True)
     y = np.log(v)
     A = np.stack([t, np.ones_like(t)], axis=1)

@@ -306,8 +306,9 @@ def tail_fraction_hat(hat, n):
     return float(power[n // 3:].sum() / total)
 
 
-def band_limited(rng, grid, amplitude, zero_mean=True):
-    """Random smooth interface field with the top third of the spectrum empty.
+def band_limited(rng, grid, amplitude):
+    """Random smooth mean-free interface field with the top third of the
+    spectrum empty.
 
     Coefficients fall off like 1/k^2 so the fields look like interfaces, not
     noise; the result is rescaled to the requested sup-norm amplitude.
@@ -318,8 +319,6 @@ def band_limited(rng, grid, amplitude, zero_mean=True):
     ks = np.arange(1, k_max + 1)
     coeffs[1 : k_max + 1] = (rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)) / ks**2
     v = np.fft.irfft(coeffs, n=n)
-    if not zero_mean:
-        v = v + rng.standard_normal() / n
     peak = np.abs(v).max()
     if peak > 0:
         v = v * (amplitude / peak)

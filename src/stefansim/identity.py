@@ -129,23 +129,21 @@ def identity_residual_k0(window, eps, cutoff, grids):
 
     Parameters
     ----------
-    window : sequence of (t, u, rho), odd length >= 3, uniform spacing.
+    window : three (t, u, rho) samples, uniformly spaced.
         The identity is evaluated at the middle sample, with the bulk
         source f = -B u_xz - c u_z that the full evolution feeds into the
-        model step.  The middle sample and its two neighbours are checked
-        for finiteness here, once, and a failure names the sample.
+        model step.  Each sample is checked for finiteness here, once, and
+        a failure names the sample.
     """
-    if len(window) < 3 or len(window) % 2 == 0:
-        raise ValueError("window must have odd length >= 3")
-    m = len(window) // 2
-    ts = np.array([w[0] for w in window], dtype=float)
-    steps = np.diff(ts)
+    if len(window) != 3:
+        raise ValueError(f"window must hold 3 samples, got {len(window)}")
+    steps = np.diff(np.array([w[0] for w in window], dtype=float))
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
         raise ValueError("window must be uniformly spaced")
     dt = float(steps[0])
     (u_prev, rho_prev), (u_c, rho_c), (u_next, rho_next) = (
-        _checked(window[j][1], window[j][2], f"identity window sample {j} (t={window[j][0]!r})")
-        for j in (m - 1, m, m + 1))
+        _checked(u, rho, f"identity window sample {j} (t={t!r})")
+        for j, (t, u, rho) in enumerate(window))
     nz = grids.normal
     if nz.n_z < 9:
         raise ValueError("the identity needs n_z >= 9 (4-point one-sided stencils)")
@@ -206,7 +204,7 @@ def identity_residual_k0(window, eps, cutoff, grids):
     n_nodes = grids.tangential.n_x * grids.normal.n_z + grids.tangential.n_x
     floor = IDENTITY_FLOOR_PER_NODE * n_nodes
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + floor)
-    return IdentityReport(t=float(window[m][0]), lhs=float(lhs), rhs=float(rhs),
+    return IdentityReport(t=float(window[1][0]), lhs=float(lhs), rhs=float(rhs),
                           residual=float(residual), dE_dt=float(dE_dt),
                           D_bar=float(D_bar), bulk_P=float(bulk_P),
                           bulk_R=float(bulk_R), bdry_Q=float(bdry_Q),

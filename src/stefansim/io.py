@@ -39,12 +39,9 @@ def atomic_write_text(path, text):
     os.replace(tmp, path)
 
 
-def write_sidecar(path, extra=None):
+def write_sidecar(path):
     """Wall-clock metadata next to a deterministic artifact."""
-    lines = [f"written_unix={time.time():.3f}"]
-    for k, v in (extra or {}).items():
-        lines.append(f"{k}={v}")
-    atomic_write_text(f"{path}.meta", "\n".join(lines) + "\n")
+    atomic_write_text(f"{path}.meta", f"written_unix={time.time():.3f}\n")
 
 
 def energy_csv_text(reports, cfg, seed=None):
@@ -125,20 +122,23 @@ def read_snapshot(path):
     return state, meta
 
 
-def spectrum_csv_text(modes, eps_values, n_report=6):
-    """Rows (k, eps, Re/Im of the leading eigenvalues).
+SPECTRUM_EIGENVALUES = 6  # eigenvalues per row of spectrum.csv
+
+
+def spectrum_csv_text(modes, eps_values):
+    """Rows (k, eps, Re/Im of the SPECTRUM_EIGENVALUES leading eigenvalues).
 
     ``modes`` is a list of LinearizedMode aligned with eps_values
     (cartesian rows are flattened by the caller).
     """
     cols = ["k", "eps"]
-    for j in range(1, n_report + 1):
+    for j in range(1, SPECTRUM_EIGENVALUES + 1):
         cols += [f"re_lambda_{j}", f"im_lambda_{j}"]
     lines = [",".join(cols)]
     for mode, eps in zip(modes, eps_values):
-        vals = mode.eigenvalues[:n_report]
+        vals = mode.eigenvalues[:SPECTRUM_EIGENVALUES]
         row = [str(mode.k), _fmt(eps)]
-        for j in range(n_report):
+        for j in range(SPECTRUM_EIGENVALUES):
             if j < vals.size:
                 row += [_fmt(vals[j].real), _fmt(vals[j].imag)]
             else:

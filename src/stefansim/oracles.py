@@ -129,24 +129,15 @@ def curvature_closed_form(x, delta, k=1):
 _X, _Z, _T = sp.symbols("x z t", real=True)
 
 
-def _lambdify(expr):
-    # lambdify collapses constant expressions to scalars (e.g. when an
-    # amplitude is zero); broadcast back to the mesh shape
-    fn = sp.lambdify((_X, _Z, _T), expr, modules="numpy")
+def _lambdify(expr, *space):
+    # a numpy function of (*space, t).  lambdify collapses constant
+    # expressions to scalars (e.g. when an amplitude is zero); broadcast
+    # back to the shape of the space arguments
+    fn = sp.lambdify(space + (_T,), expr, modules="numpy")
 
-    def call(x, z, t):
-        out = np.asarray(fn(x, z, t), dtype=float)
-        return np.broadcast_to(out, np.broadcast(np.asarray(x), np.asarray(z)).shape)
-
-    return call
-
-
-def _lambdify_interface(expr):
-    fn = sp.lambdify((_X, _T), expr, modules="numpy")
-
-    def call(x, t):
-        out = np.asarray(fn(x, t), dtype=float)
-        return np.broadcast_to(out, np.asarray(x).shape)
+    def call(*args):
+        out = np.asarray(fn(*args), dtype=float)
+        return np.broadcast_to(out, np.broadcast(*args[:-1]).shape)
 
     return call
 
@@ -181,19 +172,19 @@ class ManufacturedProblem:
         # cancel and the jump forcing is the regularized rho_t alone
         assert sp.simplify(sp.diff(u, _Z).subs(_Z, 0)) == 0
         self._fns = {
-            "u": _lambdify(u),
-            "u_t": _lambdify(sp.diff(u, _T)),
-            "u_x": _lambdify(sp.diff(u, _X)),
-            "u_xx": _lambdify(sp.diff(u, _X, 2)),
-            "u_z": _lambdify(sp.diff(u, _Z)),
-            "u_zz": _lambdify(sp.diff(u, _Z, 2)),
-            "u_xz": _lambdify(sp.diff(sp.diff(u, _Z), _X)),
-            "rho": _lambdify_interface(rho),
-            "rho_t": _lambdify_interface(rho_t),
-            "rho_x": _lambdify_interface(rho_x),
-            "rho_xx": _lambdify_interface(sp.diff(rho, _X, 2)),
-            "kappa": _lambdify_interface(kappa),
-            "jump_lhs": _lambdify_interface(jump_lhs),
+            "u": _lambdify(u, _X, _Z),
+            "u_t": _lambdify(sp.diff(u, _T), _X, _Z),
+            "u_x": _lambdify(sp.diff(u, _X), _X, _Z),
+            "u_xx": _lambdify(sp.diff(u, _X, 2), _X, _Z),
+            "u_z": _lambdify(sp.diff(u, _Z), _X, _Z),
+            "u_zz": _lambdify(sp.diff(u, _Z, 2), _X, _Z),
+            "u_xz": _lambdify(sp.diff(sp.diff(u, _Z), _X), _X, _Z),
+            "rho": _lambdify(rho, _X),
+            "rho_t": _lambdify(rho_t, _X),
+            "rho_x": _lambdify(rho_x, _X),
+            "rho_xx": _lambdify(sp.diff(rho, _X, 2), _X),
+            "kappa": _lambdify(kappa, _X),
+            "jump_lhs": _lambdify(jump_lhs, _X),
         }
 
     def _meshes(self):

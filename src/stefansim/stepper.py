@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -125,6 +125,12 @@ class SolverConfig:
             raise ValueError("theta must lie in [1/2, 1]")
         if not (0 <= self.k_diag <= 3):
             raise ValueError("k_diag must be in 0..3")
+        if not (self.fp_tol > 0 and self.lin_tol > 0 and self.trace_tol > 0
+                and min(self.fp_max_iter, self.lin_max_iter) >= 1 and self.max_dt_halvings >= 0):
+            raise ValueError("tolerances must be > 0, iteration caps >= 1, max_dt_halvings >= 0")
+        self.grids()  # rejects n_x and n_z the grids cannot take
+        if self.n_z < 9:  # the diagnostics' 4-point one-sided stencils
+            raise ValueError(f"n_z must be >= 9, got {self.n_z}")
         self.cutoff()  # rejects alpha outside (0, 1/3)
 
     def grids(self):
@@ -308,25 +314,30 @@ def _d_z(v, grids):
     return out
 
 
-def _bulk_fields(v, v_hat, grids):
-    """(v_xx, v_zz, v_xz, v_z, v_hat) of the bulk field v with rfft
-    ``v_hat``, as a ``_Fields``.
-
-    v_xx and v_xz (= ik times d_z of v_hat) are one inverse transform each;
-    v_zz (mirror-ghost walls) and v_z are stencils on v.  The interface row
-    of every derivative is zero: the solve ignores it, and the operator's
-    value there is replaced by the Dirichlet condition.  v_hat rides along
-    for the fixed-point norm.  No finiteness check.
-    """
-    dz, mid, n = grids.normal.dz, grids.normal.i_mid, v.shape[0]
-    v_xx = d_tangential_hat(v_hat, n, 2)
-    v_xx[:, mid] = 0.0
+def _lagged_fields(v, v_hat, grids):
+    """(v_zz, v_xz, v_z) of the bulk field v with rfft ``v_hat``, the
+    derivatives the lagged part of the operator reads: v_xz (= ik times d_z
+    of v_hat) is one inverse transform, v_zz (mirror-ghost walls) and v_z
+    are stencils on v.  Interface rows are zero; no finiteness check."""
+    dz, mid = grids.normal.dz, grids.normal.i_mid
     v_zz = np.empty_like(v)
     v_zz[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dz**2
     v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
-    return _Fields(v_xx, v_zz, d_tangential_hat(_d_z(v_hat, grids), n, 1), _d_z(v, grids), v_hat)
+    return v_zz, d_tangential_hat(_d_z(v_hat, grids), v.shape[0], 1), _d_z(v, grids)
+
+
+def _bulk_fields(v, v_hat, grids):
+    """(v_xx, v_zz, v_xz, v_z, v_hat) of the bulk field v with rfft
+    ``v_hat``, as a ``_Fields``: v_xx is one inverse transform, the rest
+    are ``_lagged_fields``.  The interface row of every derivative is zero:
+    the solve ignores it, and the operator's value there is replaced by
+    the Dirichlet condition.  v_hat rides along for the fixed-point norm.
+    """
+    v_xx = d_tangential_hat(v_hat, v.shape[0], 2)
+    v_xx[:, grids.normal.i_mid] = 0.0
+    return _Fields(v_xx, *_lagged_fields(v, v_hat, grids), v_hat)
 
 
 def _interior_operator(coef, fields):
@@ -391,7 +402,8 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
     residual (iterative refinement: GMRES's own preconditioned tolerance
     does not bound the full residual), within the one budget of
     ``lin_max_iter`` operator applications; its Krylov basis holds at most
-    that many fields.
+    that many fields.  An application builds only the ``_lagged_fields``
+    of its vector: two inverse transforms, with that of the solve.
     """
     bulk, inv_dt, theta = step.bulk, step.inv_dt, step.theta
     u_old, f_new = step.u, step.f_new
@@ -425,9 +437,10 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
                  + step.norm_f + 1e-300)
         return fields, r, np.linalg.norm(r) / scale
 
-    def lag_solve(fields, rhs, dir_values):
-        """Fourier coefficients of M^-1 (rhs + N v), v the field of ``fields``."""
-        rhs = rhs + theta * (a_fluct * fields.zz - coef.B * fields.xz - coef.c * fields.z)
+    def lag_solve(zz, xz, z, rhs, dir_values):
+        """Fourier coefficients of M^-1 (rhs + N v), v the field whose
+        ``_lagged_fields`` are (zz, xz, z)."""
+        rhs = rhs + theta * (a_fluct * zz - coef.B * xz - coef.c * z)
         return bulk.solve(np.fft.rfft(rhs, axis=0), dir_values)
 
     def krylov(u_new, r, used):
@@ -444,7 +457,7 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
             nonlocal matvecs
             matvecs += 1
             v = v.reshape(grids.shape)
-            lagged = lag_solve(_bulk_fields(v, np.fft.rfft(v, axis=0), grids), 0.0, zero_dir)
+            lagged = lag_solve(*_lagged_fields(v, np.fft.rfft(v, axis=0), grids), 0.0, zero_dir)
             return (v - np.fft.irfft(lagged, n=n_x, axis=0)).ravel()
 
         op = LinearOperator((u_new.size,) * 2, matvec=apply, dtype=float)
@@ -469,7 +482,7 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, cfg.lin_max_iter + 1):
-        x_hat = lag_solve(fields, base_rhs, dir_hat)
+        x_hat = lag_solve(fields.zz, fields.xz, fields.z, base_rhs, dir_hat)
         u_new = np.fft.irfft(x_hat, n=n_x, axis=0)
         _require_finite(u_new, f"temperature iterate (lag iteration {it})")
         prev_hat = fields.hat
@@ -532,20 +545,23 @@ def interface_step(rho_m, u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
     return rho_new, (rho_new - rho_base) / cfg.dt
 
 
-def compatible_initial_temperature(rho0, cfg, grids=None, cutoff=None):
+def compatible_initial_temperature(rho0, cfg):
     """Steady temperature field with curvature Dirichlet data at z = 0.
 
     Solves the stationary frozen-coefficient problem (the 1/dt mass term
     switched off, theta = 1 whatever cfg.theta: no old level exists at
     t = 0); this is the initial bulk state consistent with the interface
-    at t = 0.
+    at t = 0.  The coefficients and the curvature share one rfft of rho0.
     """
-    grids = cfg.grids() if grids is None else grids
-    cutoff = cfg.cutoff() if cutoff is None else cutoff
+    grids = cfg.grids()
     rho0 = np.asarray(rho0, dtype=float)
-    coef = coefficients(rho0, np.zeros_like(rho0), cutoff, grids)
+    _require_finite(rho0, "initial interface")
+    rho_hat = np.fft.rfft(rho0)
+    rx = d_tangential_hat(rho_hat, cfg.n_x, 1)
+    coef = coefficients(rho0, np.zeros_like(rho0), cfg.cutoff(), grids,
+                        rho_x=rx, rho_xx=d_tangential_hat(rho_hat, cfg.n_x, 2))
     step = _prepare_step(coef.a.mean(axis=0), np.zeros(grids.shape), None, None, 0.0, 1.0, grids)
-    u0, _, _, _ = temperature_step(step, coef, cfg, grids, dirichlet=curvature(rho0))
+    u0, _, _, _ = temperature_step(step, coef, cfg, grids, dirichlet=curvature_hat(rho_hat, rx))
     return u0
 
 
@@ -652,7 +668,6 @@ class RunResult:
     state: State
     cfg: SolverConfig
     steady_level: float
-    states: Optional[list] = None
 
 
 def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
@@ -699,9 +714,9 @@ def require_whole_steps(t_end, dt):
                           f"(t_end/dt = {steps!r})")
 
 
-def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
-        collect_states=False, compute_identity=False):
-    """Advance from (u0, rho0) to t_end, emitting one EnergyReport per step.
+def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=False):
+    """Advance from (u0, rho0) to t_end, emitting one EnergyReport per step
+    and passing it with the accepted state to each ``cb(state, report)``.
 
     t_end must be a whole number of steps of cfg.dt, so the run ends on
     t_end; otherwise ``require_whole_steps`` raises ConfigError.
@@ -726,7 +741,6 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
     history.append((0.0, u0, rho0))
     reports = [_make_report(history, cfg, grids, cutoff, steady_level, None,
                             compute_identity)]
-    states = [(0.0, u0.copy(), rho0.copy())] if collect_states else None
 
     halvings = 0
     while state.t < t_end - 1e-12 * max(1.0, t_end):
@@ -753,9 +767,6 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(),
         report = _make_report(history, cfg, grids, cutoff, steady_level,
                               step_report, compute_identity)
         reports.append(report)
-        if collect_states:
-            states.append((state.t, state.u.copy(), state.rho.copy()))
         for cb in callbacks:
             cb(state, report)
-    return RunResult(reports=reports, state=state, cfg=cfg,
-                     steady_level=steady_level, states=states)
+    return RunResult(reports=reports, state=state, cfg=cfg, steady_level=steady_level)

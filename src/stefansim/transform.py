@@ -21,7 +21,7 @@ raise DegenerateTransformError naming the first offending node.
 
 The mean-curvature operator of the graph z = rho(x) is computed in
 divergence form kappa = (rho_x / sqrt(1+rho_x^2))_x with spectral outer
-derivative; the expanded form is kept alongside for cross-checks.
+derivative.
 """
 from __future__ import annotations
 
@@ -95,17 +95,13 @@ class TransformCoefficients:
     """Variable coefficients of the flattened heat operator at one time level.
 
     All bulk arrays have shape (n_x, n_z); ``bracket`` is the interface
-    area element <rho> = sqrt(1 + rho_x^2), shape (n_x,).  ``jacobian`` is
-    1 + phi' rho, the volume element of the flattening map.
+    area element <rho> = sqrt(1 + rho_x^2), shape (n_x,).
     """
 
     a: np.ndarray
     B: np.ndarray
     c: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
     bracket: np.ndarray
-    jacobian: np.ndarray
 
 
 def coefficients(rho, rho_t, cutoff, grids, rho_x=None, rho_xx=None):
@@ -131,7 +127,7 @@ def coefficients(rho, rho_t, cutoff, grids, rho_x=None, rho_xx=None):
     )
     e = -phi * rt / jac
     bracket = np.sqrt(1.0 + rx**2)
-    return TransformCoefficients(a=a, B=B, c=d + e, d=d, e=e, bracket=bracket, jacobian=jac)
+    return TransformCoefficients(a=a, B=B, c=d + e, bracket=bracket)
 
 
 def _metric(r, rxc, phi, dphi):
@@ -151,7 +147,7 @@ def _metric(r, rxc, phi, dphi):
 
 def norm_weights(rho, rho_x, cutoff, grids):
     """The fields ``a`` and ``bracket`` of ``coefficients(rho, ., cutoff,
-    grids, rho_x=rho_x)``, bitwise, without assembling B, c, d and e.
+    grids, rho_x=rho_x)``, bitwise, without assembling B and c.
 
     Neither depends on rho_t or rho_xx.  Raises DegenerateTransformError
     as ``coefficients`` does.
@@ -161,7 +157,7 @@ def norm_weights(rho, rho_x, cutoff, grids):
     return a, np.sqrt(1.0 + rho_x**2)
 
 
-def curvature(rho, check_resolution=True):
+def curvature(rho):
     """Mean curvature of the graph z = rho(x), divergence form, spectral.
 
     kappa = d/dx ( rho_x / sqrt(1 + rho_x^2) ).
@@ -169,25 +165,23 @@ def curvature(rho, check_resolution=True):
     rho = np.asarray(rho, dtype=float)
     _require_finite(rho, "curvature input")
     rho_hat = np.fft.rfft(rho)
-    return curvature_hat(rho_hat, d_tangential_hat(rho_hat, rho.shape[0], 1),
-                         check_resolution, stacklevel=3)
+    return curvature_hat(rho_hat, d_tangential_hat(rho_hat, rho.shape[0], 1), stacklevel=3)
 
 
-def curvature_hat(rho_hat, rho_x, check_resolution=True, stacklevel=2):
+def curvature_hat(rho_hat, rho_x, stacklevel=2):
     """``curvature`` of the interface whose rfft is ``rho_hat`` and whose
     slope ``rho_x`` the caller already took from it: the resolution check
     reads rho_hat, and only the flux is transformed again.  No finiteness
     check."""
     n = rho_x.shape[0]
-    if check_resolution:
-        tail = tail_fraction_hat(rho_hat, n)
-        if tail >= TAIL_TOLERANCE:
-            warnings.warn(
-                f"curvature input under-resolved: top-third spectral energy "
-                f"fraction {tail:.2e} >= {TAIL_TOLERANCE:.0e}",
-                ResolutionWarning,
-                stacklevel=stacklevel,
-            )
+    tail = tail_fraction_hat(rho_hat, n)
+    if tail >= TAIL_TOLERANCE:
+        warnings.warn(
+            f"curvature input under-resolved: top-third spectral energy "
+            f"fraction {tail:.2e} >= {TAIL_TOLERANCE:.0e}",
+            ResolutionWarning,
+            stacklevel=stacklevel,
+        )
     return d_tangential_hat(np.fft.rfft(rho_x / np.sqrt(1.0 + rho_x**2)), n, 1)
 
 

@@ -40,10 +40,9 @@ DECAY_K1 = Scenario(name="decay-k1", rho_modes=((1, 1e-3),), u_init="compatible"
                     u_mass=1e-4, t_end=2.0)
 
 
-def _run_decay(cfg, t_end, collect=False):
+def _run_decay(cfg, t_end):
     u0, rho0 = build_initial_data(DECAY_K1, cfg)
-    return run(u0, rho0, cfg, t_end, collect_states=collect,
-               compute_identity=False)
+    return run(u0, rho0, cfg, t_end, compute_identity=False)
 
 
 def suite_identity(t_star=0.1, t_end=0.2):
@@ -62,10 +61,13 @@ def suite_identity(t_star=0.1, t_end=0.2):
     residuals = []
     lines = []
     for cfg in levels:
-        result = _run_decay(cfg, t_end, collect=True)
-        times = np.array([s[0] for s in result.states])
+        u0, rho0 = build_initial_data(DECAY_K1, cfg)
+        states = [(0.0, u0, rho0)]
+        run(u0, rho0, cfg, t_end, compute_identity=False,
+            callbacks=(lambda state, report: states.append((state.t, state.u, state.rho)),))
+        times = np.array([s[0] for s in states])
         j = int(np.argmin(np.abs(times - t_star)))
-        window = result.states[j - 1 : j + 2]
+        window = states[j - 1 : j + 2]
         rep = identity_residual_k0(window, eps, cfg.cutoff(), cfg.grids())
         residuals.append(rep.residual)
         lines.append(

@@ -62,6 +62,6 @@ def forced_step_problem():
         grids, cutoff = cfg.grids(), cfg.cutoff()
         x = grids.tangential.nodes
         rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
-        u0 = compatible_initial_temperature(rho0, cfg, grids, cutoff)
+        u0 = compatible_initial_temperature(rho0, cfg)
         return cfg, grids, cutoff, State(t=0.0, u=u0, rho=rho0), ConstantForcing(grids)
     return build

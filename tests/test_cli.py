@@ -95,6 +95,38 @@ def test_t_end_off_the_step_grid_is_a_usage_error(workdir, capsys):
     assert not (workdir / "r").exists() and not (workdir / "s").exists()
 
 
+def _solver_line(line):
+    return FAST_RUN.replace("k_diag = 0\n", f"k_diag = 0\n{line}\n")
+
+
+@pytest.mark.parametrize("verb, text", [
+    ("run", FAST_RUN.replace("n_x = 16", "n_x = 7")),
+    ("run", FAST_RUN.replace("n_z = 17", "n_z = 7")),
+    ("run", _solver_line("lin_max_iter = 0")),
+    ("run", _solver_line("fp_max_iter = 0")),
+    ("run", _solver_line("fp_tol = -1")),
+    ("sweep", FAST_RUN + "\n[sweep]\ndt = 0\n"),
+    ("sweep", FAST_RUN + "\n[sweep]\nn_x = 7\n"),
+    ("sweep", FAST_RUN + "\n[sweep]\nepsilon = -1\n"),
+], ids=["n_x=7", "n_z=7", "lin_max_iter=0", "fp_max_iter=0", "fp_tol=-1",
+        "sweep-dt=0", "sweep-n_x=7", "sweep-epsilon=-1"])
+def test_unusable_solver_values_are_config_errors(workdir, capsys, verb, text):
+    cfg_path = write_config(workdir, text, out="never")
+    assert main([verb, "--config", str(cfg_path), "--quiet"]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (workdir / "never").exists()
+
+
+def test_two_step_run_writes_its_summary(workdir):
+    # too few reports for a decay fit: the summary says so instead of failing
+    short = FAST_RUN.replace("t_end = 5e-3", "t_end = 2e-3")
+    assert main(["run", "--config", str(write_config(workdir, short)), "--quiet"]) == 0
+    summary = (workdir / "results" / "summary.txt").read_text()
+    assert "steps=2" in summary
+    assert "decay_fit=degenerate" in summary
+    assert "K2_hat=" not in summary
+
+
 def test_run_failure_leaves_no_partial_output(workdir, capsys):
     # dt far beyond the stability cliff with retries disabled: the run
     # raises, the CLI reports exit 1, and nothing is written

@@ -1,4 +1,6 @@
 """Strict INI scenario schema and initial-data realization."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,10 +80,31 @@ def test_parse_name_override(tmp_path):
     # t_end must be a whole number of steps of every dt a run can use
     "[scenario]\nt_end = 0.06\n[solver]\ndt = 0.05\n",
     "[scenario]\nt_end = 0.06\n[solver]\ndt = 0.02\n[sweep]\ndt = 0.02, 0.04\n",
+    # solver values the run could not use
+    "[solver]\nn_x = 7\n",
+    "[solver]\nn_z = 7\n",
+    "[solver]\nlin_max_iter = 0\n",
+    "[solver]\nfp_max_iter = 0\n",
+    "[solver]\nfp_tol = -1\n",
+    "[solver]\nlin_tol = 0\n",
+    "[solver]\ntrace_tol = 0\n",
+    "[solver]\nmax_dt_halvings = -1\n",
+    # each value on a sweep axis must make a valid config
+    "[scenario]\nt_end = 0.01\n[sweep]\ndt = 0.001, 0\n",
+    "[sweep]\nn_x = 16, 7\n",
+    "[sweep]\nn_z = 7\n",
+    "[sweep]\nepsilon = 0, -1\n",
 ])
 def test_parse_rejects_bad_configs(tmp_path, snippet):
     with pytest.raises(ConfigError):
         parse_config(write_ini(tmp_path, snippet))
+
+
+def test_every_shipped_config_parses():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    assert paths
+    for path in paths:
+        assert sweep_points(parse_config(path)), path.name
 
 
 def test_parse_missing_file(tmp_path):

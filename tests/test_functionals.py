@@ -388,7 +388,6 @@ def test_stack_quotients_and_missing_flags():
     d_val = dissipation_eps(stack, 0.0)
     assert set(d_val.missing) == {(0, 0), (1, 0), (2, 0), (0, 1)}
     assert d_val.value == 0.0
-    assert float(d_val) == 0.0  # FunctionalValue coerces to its value
 
 
 def test_stack_quotients_linear_history_exact():

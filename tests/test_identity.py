@@ -51,6 +51,10 @@ def test_window_validation(med_grids):
         identity_residual_k0(window[:2], 0.0, Cutoff(), med_grids)  # even length
     with pytest.raises(ValueError):
         identity_residual_k0(window[:1], 0.0, Cutoff(), med_grids)  # too short
+    dt = window[1][0] - window[0][0]
+    five = window + [(window[2][0] + j * dt, *window[2][1:]) for j in (1, 2)]
+    with pytest.raises(ValueError):
+        identity_residual_k0(five, 0.0, Cutoff(), med_grids)  # uniform, but not three
     skewed = [window[0], window[1], (window[2][0] + 0.5, *window[2][1:])]
     with pytest.raises(ValueError):
         identity_residual_k0(skewed, 0.0, Cutoff(), med_grids)  # non-uniform

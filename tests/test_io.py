@@ -94,10 +94,11 @@ def test_read_snapshot_rejects_empty(tmp_path):
 
 def test_spectrum_csv_layout():
     modes = [linearized_spectrum(k, 101) for k in (1, 2)]
-    text = spectrum_csv_text(modes, [0.0, 0.0], n_report=2)
+    text = spectrum_csv_text(modes, [0.0, 0.0])
     lines = text.strip().split("\n")
-    assert lines[0] == "k,eps,re_lambda_1,im_lambda_1,re_lambda_2,im_lambda_2"
+    assert lines[0] == "k,eps," + ",".join(f"re_lambda_{j},im_lambda_{j}" for j in range(1, 7))
     assert len(lines) == 3
+    assert all(len(line.split(",")) == 14 for line in lines)
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[2]) == pytest.approx(modes[0].leading.real)

@@ -3,6 +3,7 @@ per-step fixed point, and the run driver."""
 import numpy as np
 import pytest
 from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator
 
 from stefansim import stepper
 from stefansim.errors import (
@@ -31,9 +32,19 @@ from stefansim.transform import coefficients, curvature, jump_normal_derivative,
 def test_solver_config_validation():
     for kwargs in (dict(epsilon=-1.0), dict(dt=0.0), dict(dt=-1e-3),
                    dict(theta=0.4), dict(theta=1.1), dict(k_diag=4),
-                   dict(k_diag=-1), dict(alpha=0.4), dict(alpha=0.0)):
+                   dict(k_diag=-1), dict(alpha=0.4), dict(alpha=0.0),
+                   # the grids reject these when the config is made
+                   dict(n_x=7), dict(n_x=6), dict(n_z=8), dict(n_z=3),
+                   # the diagnostics' one-sided stencils need n_z >= 9
+                   dict(n_z=7), dict(n_z=5),
+                   dict(fp_tol=0.0), dict(fp_tol=-1.0), dict(lin_tol=0.0),
+                   dict(lin_tol=-1e-11), dict(trace_tol=0.0), dict(trace_tol=-1.0),
+                   dict(fp_max_iter=0), dict(lin_max_iter=0), dict(lin_max_iter=-1),
+                   dict(max_dt_halvings=-1)):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+    # the smallest values each bound admits
+    SolverConfig(n_x=8, n_z=9, fp_max_iter=1, lin_max_iter=1, max_dt_halvings=0)
     cfg = SolverConfig(n_x=16, n_z=9, alpha=0.2)
     assert cfg.grids().shape == (16, 9)
     assert cfg.cutoff().alpha == 0.2
@@ -194,7 +205,7 @@ def test_jump_response_is_positive_and_monotone(small_cfg, small_grids, small_cu
 def test_compatible_initial_temperature(small_cfg, small_grids, small_cutoff):
     x = small_grids.tangential.nodes
     rho0 = 0.05 * np.sin(x)
-    u0 = compatible_initial_temperature(rho0, small_cfg, small_grids, small_cutoff)
+    u0 = compatible_initial_temperature(rho0, small_cfg)
     mid = small_grids.normal.i_mid
     assert np.abs(u0[:, mid] - curvature(rho0)).max() < 1e-12
     # already steady: re-solving from u0 returns u0
@@ -203,8 +214,7 @@ def test_compatible_initial_temperature(small_cfg, small_grids, small_cutoff):
     assert np.abs(u_re - u0).max() < 1e-12
     # the steady solve ignores cfg.theta (no old level exists at t = 0)
     from dataclasses import replace
-    u0_cn = compatible_initial_temperature(
-        rho0, replace(small_cfg, theta=0.5), small_grids, small_cutoff)
+    u0_cn = compatible_initial_temperature(rho0, replace(small_cfg, theta=0.5))
     assert np.array_equal(u0, u0_cn)
 
 
@@ -217,12 +227,37 @@ def test_compatible_initial_temperature_converges_where_the_lag_loop_stalls(n_x,
     grids, cutoff = cfg.grids(), cfg.cutoff()
     x = grids.tangential.nodes
     rho = amp * (np.sin(x) + 0.5 * np.cos(2 * x))
-    u0 = compatible_initial_temperature(rho, cfg, grids, cutoff)
+    u0 = compatible_initial_temperature(rho, cfg)
     # the steady full residual, by the reference operator
     coef = coefficients(rho, np.zeros_like(rho), cutoff, grids)
     L, scale, _ = reference_operator(u0, coef, grids)
     assert np.linalg.norm(L) / scale <= cfg.lin_tol
     assert np.abs(u0[:, grids.normal.i_mid] - curvature(rho)).max() <= cfg.trace_tol
+
+
+def test_gmres_operator_application_makes_two_inverse_transforms(monkeypatch):
+    # the lagged part reads u_zz, u_xz and u_z of a Krylov vector: one
+    # inverse 2-D FFT for u_xz and one for the solve's result, no u_xx
+    cfg = SolverConfig(n_x=64, n_z=65)
+    x = cfg.grids().tangential.nodes
+    rho = 0.1 * (np.sin(x) + 0.5 * np.cos(2 * x))  # the lag loop stalls here
+    counts = count_transforms(monkeypatch, two_d_only=True)
+    per_application = []
+    real_gmres = stepper.gmres
+
+    def counting_gmres(op, b, **kwargs):
+        def matvec(v):
+            before = counts["irfft"]
+            out = op.matvec(v)
+            per_application.append(counts["irfft"] - before)
+            return out
+
+        return real_gmres(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), b, **kwargs)
+
+    monkeypatch.setattr(stepper, "gmres", counting_gmres)
+    compatible_initial_temperature(rho, cfg)
+    assert len(per_application) >= 10
+    assert set(per_application) == {2}
 
 
 def test_temperature_step_raises_when_lag_loop_stalls(small_grids, small_cutoff):
@@ -510,7 +545,7 @@ def test_fixed_point_contracts_after_first_iterate(small_grids, small_cutoff):
     cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     rho0 = 0.05 * np.sin(x)
-    u0 = compatible_initial_temperature(rho0, cfg, small_grids, small_cutoff)
+    u0 = compatible_initial_temperature(rho0, cfg)
     _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg,
                                  small_grids, small_cutoff)
     assert report.inner_iters >= 2
@@ -669,7 +704,7 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
     grids, cutoff = cfg.grids(), cfg.cutoff()
     x = grids.tangential.nodes
     rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
-    u0 = compatible_initial_temperature(rho0, cfg, grids, cutoff)
+    u0 = compatible_initial_temperature(rho0, cfg)
     seen_dirichlet, seen_rho = [], []
     real_temperature, real_interface = stepper.temperature_step, stepper.interface_step
 
@@ -713,10 +748,11 @@ def test_fixed_point_error_carries_last_iterate_info(small_grids, small_cutoff):
 def test_run_zero_horizon_reports_initial_state_only():
     cfg = SolverConfig(n_x=16, n_z=17, k_diag=0)
     x = cfg.grids().tangential.nodes
+    seen = []
     res = run(np.zeros(cfg.grids().shape), 0.01 * np.sin(x), cfg, 0.0,
-              collect_states=True)
+              callbacks=(lambda state, report: seen.append(state.t),))
     assert len(res.reports) == 1 and res.state.t == 0.0
-    assert len(res.states) == 1
+    assert seen == []
     assert res.reports[0].cons_residual == 0.0
 
 
@@ -725,12 +761,10 @@ def test_run_step_count_and_callbacks():
     x = cfg.grids().tangential.nodes
     seen = []
     res = run(np.zeros(cfg.grids().shape), 0.01 * np.sin(x), cfg, 5 * cfg.dt,
-              callbacks=(lambda state, report: seen.append(state.t),),
-              collect_states=True)
+              callbacks=(lambda state, report: seen.append(state.t),))
     assert len(res.reports) == 6
     assert res.state.t == pytest.approx(5 * cfg.dt, rel=1e-12)
     assert seen == [pytest.approx((j + 1) * cfg.dt) for j in range(5)]
-    assert len(res.states) == len(res.reports)
 
 
 def test_run_halves_dt_on_failure_and_persists():
