@@ -138,8 +138,9 @@ def _sweep_worker(payload):
     u0, rho0 = build_initial_data(scenario, cfg)
     result = run(u0, rho0, cfg, scenario.t_end,
                  compute_identity=scenario.compute_identity)
-    write_energy_csv(os.path.join(out_dir, label, "energy.csv"), result.reports, cfg,
-                     seed=scenario.seed)
+    # the run's final cfg (dt after any halving), as cmd_run writes it
+    write_energy_csv(os.path.join(out_dir, label, "energy.csv"), result.reports,
+                     result.cfg, seed=scenario.seed)
     times = [r.t for r in result.reports]
     E = [r.E for r in result.reports]
     worst_cons = max((r.cons_residual for r in result.reports[1:]), default=0.0)

@@ -201,6 +201,8 @@ def parse_config(path):
                 dataclasses.replace(scenario.solver, **{key: value})
             except ValueError as exc:
                 raise ConfigError(f"[sweep] {key} = {value!r}: {exc}") from None
+    if "t_end" not in scen_kwargs:
+        raise ConfigError("[scenario] t_end: required key is missing")
     # every run of this file (each sweep point too) must end on t_end
     for dt in (scenario.solver.dt,) + tuple(scenario.sweep_axes.get("dt", ())):
         require_whole_steps(scenario.t_end, dt)

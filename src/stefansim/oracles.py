@@ -2,16 +2,16 @@
 manufactured solutions, closed-form curvature.
 
 Everything here is built by a different route than the production solver
-(dense eigensolves, transcendental root finding, symbolic differentiation)
-so the two can be compared without shared discretization machinery.
+(dense eigensolves, transcendental root finding, closed-form
+differentiation) so the two can be compared without shared
+discretization machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import sympy as sp
 from scipy.optimize import brentq
 
 from .grids import Grids
@@ -126,30 +126,17 @@ def curvature_closed_form(x, delta, k=1):
     return -delta * k * k * np.sin(k * x) / (1.0 + delta**2 * k**2 * c**2) ** 1.5
 
 
-_X, _Z, _T = sp.symbols("x z t", real=True)
-
-
-def _lambdify(expr, *space):
-    # a numpy function of (*space, t).  lambdify collapses constant
-    # expressions to scalars (e.g. when an amplitude is zero); broadcast
-    # back to the shape of the space arguments
-    fn = sp.lambdify(space + (_T,), expr, modules="numpy")
-
-    def call(*args):
-        out = np.asarray(fn(*args), dtype=float)
-        return np.broadcast_to(out, np.broadcast(*args[:-1]).shape)
-
-    return call
-
-
 @dataclass
 class ManufacturedProblem:
     """Band-limited exact solution plus the forcing that makes it exact.
 
-    The bulk forcing is the continuous-time residual of the exact fields
-    in the transformed equation, with transform coefficients evaluated
-    from the exact interface derivatives; the trace shift and jump
-    forcing close the boundary and interface relations the same way.
+    The exact fields are u = e^{-t} cos(pi z) (1 + u_amp cos x) and
+    rho = rho_amp e^{-t} sin x; every derivative is a closed form
+    (u_t = -u, u_zz = -pi^2 u, rho_t = rho_xx = -rho, d^4/dx^4 sin x =
+    sin x).  The bulk forcing is the continuous-time residual of the exact
+    fields in the transformed equation, with transform coefficients
+    evaluated from the exact interface derivatives; the trace shift and
+    jump forcing close the boundary and interface relations the same way.
     Supplies the ``at(t) -> (bulk, trace_shift, jump)`` protocol the
     stepper consumes.
     """
@@ -159,64 +146,41 @@ class ManufacturedProblem:
     eps: float
     u_amp: float = 0.1
     rho_amp: float = 0.05
-    _fns: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        u = sp.exp(-_T) * sp.cos(sp.pi * _Z) * (1 + self.u_amp * sp.cos(_X))
-        rho = self.rho_amp * sp.exp(-_T) * sp.sin(_X)
-        rho_x = sp.diff(rho, _X)
-        kappa = sp.simplify(sp.diff(rho_x / sp.sqrt(1 + rho_x**2), _X))
-        rho_t = sp.diff(rho, _T)
-        jump_lhs = rho_t + self.eps * sp.diff(rho_t, _X, 4)
-        # u is smooth across z = 0, so the one-sided normal derivatives
-        # cancel and the jump forcing is the regularized rho_t alone
-        assert sp.simplify(sp.diff(u, _Z).subs(_Z, 0)) == 0
-        self._fns = {
-            "u": _lambdify(u, _X, _Z),
-            "u_t": _lambdify(sp.diff(u, _T), _X, _Z),
-            "u_x": _lambdify(sp.diff(u, _X), _X, _Z),
-            "u_xx": _lambdify(sp.diff(u, _X, 2), _X, _Z),
-            "u_z": _lambdify(sp.diff(u, _Z), _X, _Z),
-            "u_zz": _lambdify(sp.diff(u, _Z, 2), _X, _Z),
-            "u_xz": _lambdify(sp.diff(sp.diff(u, _Z), _X), _X, _Z),
-            "rho": _lambdify(rho, _X),
-            "rho_t": _lambdify(rho_t, _X),
-            "rho_x": _lambdify(rho_x, _X),
-            "rho_xx": _lambdify(sp.diff(rho, _X, 2), _X),
-            "kappa": _lambdify(kappa, _X),
-            "jump_lhs": _lambdify(jump_lhs, _X),
-        }
-
-    def _meshes(self):
-        return self.grids.meshes()
 
     def u_exact(self, t):
-        xm, zm = self._meshes()
-        return np.broadcast_to(self._fns["u"](xm, zm, t), self.grids.shape).copy()
+        x, z = self.grids.meshes()
+        return (1.0 + self.u_amp * np.cos(x)) * np.exp(-t) * np.cos(np.pi * z)
 
     def rho_exact(self, t):
-        return self._fns["rho"](self.grids.tangential.nodes, t)
+        return self.rho_amp * np.exp(-t) * np.sin(self.grids.tangential.nodes)
 
     def initial_data(self):
         return self.u_exact(0.0), self.rho_exact(0.0)
 
     def exact_coefficients(self, t):
-        x = self.grids.tangential.nodes
-        return coefficients(
-            self._fns["rho"](x, t), self._fns["rho_t"](x, t), self.cutoff,
-            self.grids, rho_x=self._fns["rho_x"](x, t),
-            rho_xx=self._fns["rho_xx"](x, t),
-        )
+        rho = self.rho_exact(t)
+        rho_x = self.rho_amp * np.exp(-t) * np.cos(self.grids.tangential.nodes)
+        return coefficients(rho, -rho, self.cutoff, self.grids, rho_x=rho_x, rho_xx=-rho)
 
     def at(self, t):
-        xm, zm = self._meshes()
-        x = self.grids.tangential.nodes
-        f = self._fns
+        x, z = self.grids.meshes()
+        decay = np.exp(-t)
+        profile = 1.0 + self.u_amp * np.cos(x)
+        u_t = -self.u_exact(t)
+        u_xx = -self.u_amp * decay * np.cos(x) * np.cos(np.pi * z)
+        u_z = -np.pi * profile * decay * np.sin(np.pi * z)
+        u_zz = -np.pi**2 * profile * decay * np.cos(np.pi * z)
+        u_xz = self.u_amp * np.pi * decay * np.sin(x) * np.sin(np.pi * z)
         coef = self.exact_coefficients(t)
-        bulk = (f["u_t"](xm, zm, t) - f["u_xx"](xm, zm, t)
-                - coef.a * f["u_zz"](xm, zm, t)
-                + coef.B * f["u_xz"](xm, zm, t)
-                + coef.c * f["u_z"](xm, zm, t))
-        trace_shift = f["u"](x, 0.0, t) - f["kappa"](x, t)
-        jump = f["jump_lhs"](x, t)
-        return np.broadcast_to(bulk, self.grids.shape).copy(), trace_shift, jump
+        bulk = u_t - u_xx - coef.a * u_zz + coef.B * u_xz + coef.c * u_z
+        nodes = self.grids.tangential.nodes
+        # curvature of rho_amp e^{-t} sin x, scaled by e^{3t} above and below
+        growth = np.exp(2.0 * t)
+        kappa = (-self.rho_amp * growth * np.sin(nodes)
+                 / (growth + self.rho_amp**2 * np.cos(nodes) ** 2) ** 1.5)
+        trace_shift = profile[:, 0] * decay - kappa  # u(x, 0, t) - kappa
+        # u is smooth across z = 0, so the one-sided normal derivatives
+        # cancel and the jump forcing is the regularized rho_t alone,
+        # (1 + eps d_x^4) rho_t = (1 + eps) rho_t
+        jump = -self.rho_amp * (1.0 + self.eps) * decay * np.sin(nodes)
+        return bulk, trace_shift, jump

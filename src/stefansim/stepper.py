@@ -511,14 +511,14 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
     )
 
 
-def interface_step(rho_m, u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
+def interface_step(u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
                    jump_response, jump_forcing=None, rhs_old=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
     Returns (rho_new, rho_t).  rho_base is the previous *accepted*
     interface; rhs_old is the jump right-hand side at the old time (only
     needed for theta < 1).  rho_x and rho_hat are the slope and the rfft
-    of rho_m, which the caller already holds.
+    of the current iterate rho_m, which the caller already holds.
 
     (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
     with the flat-state linear model of the curvature-to-jump chain,
@@ -633,7 +633,7 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         u_next, lin_res, lag_iters, fields_next = temperature_step(
             step, coef, cfg, grids, dirichlet=dirichlet, warm=warm)
         rho_next, _ = interface_step(
-            rho_m, u_next, state.rho, cfg, grids,
+            u_next, state.rho, cfg, grids,
             jump_forcing=f_jump_new, rhs_old=rhs_old, jump_response=sigma,
             rho_x=rx, rho_hat=rho_hat,
         )

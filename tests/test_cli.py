@@ -26,6 +26,24 @@ SWEEP_3EPS = FAST_RUN + """
 epsilon = 1e-2, 1e-4, 0.0
 """
 
+# dt far beyond the stability cliff: the first step fails and dt halves
+# twice, so the run ends at dt = 0.01
+HALVING_RUN = """\
+[scenario]
+rho_modes = 1:0.1
+u_init = zero
+t_end = 0.08
+
+[solver]
+dt = 0.04
+n_x = 32
+n_z = 33
+k_diag = 0
+
+[output]
+dir = {out}
+"""
+
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
@@ -105,11 +123,12 @@ def _solver_line(line):
     ("run", _solver_line("lin_max_iter = 0")),
     ("run", _solver_line("fp_max_iter = 0")),
     ("run", _solver_line("fp_tol = -1")),
+    ("run", FAST_RUN.replace("t_end = 5e-3\n", "")),
     ("sweep", FAST_RUN + "\n[sweep]\ndt = 0\n"),
     ("sweep", FAST_RUN + "\n[sweep]\nn_x = 7\n"),
     ("sweep", FAST_RUN + "\n[sweep]\nepsilon = -1\n"),
 ], ids=["n_x=7", "n_z=7", "lin_max_iter=0", "fp_max_iter=0", "fp_tol=-1",
-        "sweep-dt=0", "sweep-n_x=7", "sweep-epsilon=-1"])
+        "no-t_end", "sweep-dt=0", "sweep-n_x=7", "sweep-epsilon=-1"])
 def test_unusable_solver_values_are_config_errors(workdir, capsys, verb, text):
     cfg_path = write_config(workdir, text, out="never")
     assert main([verb, "--config", str(cfg_path), "--quiet"]) == 2
@@ -128,24 +147,9 @@ def test_two_step_run_writes_its_summary(workdir):
 
 
 def test_run_failure_leaves_no_partial_output(workdir, capsys):
-    # dt far beyond the stability cliff with retries disabled: the run
-    # raises, the CLI reports exit 1, and nothing is written
-    text = """\
-[scenario]
-rho_modes = 1:0.1
-u_init = zero
-t_end = 0.08
-
-[solver]
-dt = 0.04
-n_x = 32
-n_z = 33
-k_diag = 0
-max_dt_halvings = 0
-
-[output]
-dir = {out}
-"""
+    # with retries disabled the run raises, the CLI reports exit 1, and
+    # nothing is written
+    text = HALVING_RUN.replace("k_diag = 0\n", "k_diag = 0\nmax_dt_halvings = 0\n")
     cfg_path = write_config(workdir, text, out="doomed")
     assert main(["run", "--config", str(cfg_path), "--quiet"]) == 1
     assert not (workdir / "doomed").exists()
@@ -195,6 +199,21 @@ def test_sweep_single_point_matches_run(workdir):
     assert ((workdir / "swept" / label / "energy.csv").read_bytes()
             == (workdir / "direct" / "energy.csv").read_bytes())
     assert not (workdir / "swept" / "epsilon_table.csv").exists()
+
+
+def test_sweep_point_after_a_dt_halving_matches_run(workdir):
+    cfg_run = write_config(workdir, HALVING_RUN, name="r.ini", out="direct")
+    cfg_sweep = write_config(workdir, HALVING_RUN, name="s.ini", out="swept")
+    assert main(["run", "--config", str(cfg_run), "--quiet"]) == 0
+    assert "dt_final=0.01\n" in (workdir / "direct" / "summary.txt").read_text()
+    assert main(["sweep", "--config", str(cfg_sweep), "--quiet"]) == 0
+    # the summary row keeps the requested point, which its label names;
+    # the point's energy.csv is the run's, written at the halved dt
+    row = (workdir / "swept" / "sweep_summary.csv").read_text().splitlines()[1].split(",")
+    label = "eps=0_dt=0.04_nx=32_nz=33"
+    assert row[0] == label and float(row[2]) == 0.04
+    assert ((workdir / "swept" / label / "energy.csv").read_bytes()
+            == (workdir / "direct" / "energy.csv").read_bytes())
 
 
 def test_sweep_epsilon_table_parallel(workdir):

@@ -94,6 +94,8 @@ def test_parse_name_override(tmp_path):
     "[sweep]\nn_x = 16, 7\n",
     "[sweep]\nn_z = 7\n",
     "[sweep]\nepsilon = 0, -1\n",
+    # t_end has no default
+    "[scenario]\nrho_modes = 1:0.01\n[solver]\ndt = 1e-3\n",
 ])
 def test_parse_rejects_bad_configs(tmp_path, snippet):
     with pytest.raises(ConfigError):

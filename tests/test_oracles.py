@@ -1,10 +1,15 @@
 """Independent reference values: dispersion roots, dense spectrum,
 manufactured solutions."""
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 
+import stefansim
 import stefansim.oracles as oracles_module
 from stefansim.grids import Grids, NormalGrid, TangentialGrid
 from stefansim.oracles import (
@@ -121,7 +126,7 @@ def test_manufactured_generic_consistency(mms_grids):
     # exact time decay: every field carries e^{-t}
     assert np.abs(mp.rho_exact(1.0) - np.exp(-1.0) * rho0).max() < 1e-15
 
-    # symbolic interface derivatives agree with spectral ones (the exact
+    # closed-form interface derivatives agree with spectral ones (the exact
     # interface is a single resolved mode)
     t = 0.2
     rho_t = -mp.rho_exact(t)  # d/dt of amp e^{-t} sin x
@@ -137,6 +142,71 @@ def test_manufactured_generic_consistency(mms_grids):
     mp0 = ManufacturedProblem(mms_grids, Cutoff(), eps=0.0)
     jump0 = mp0.at(t)[2]
     assert np.abs(jump - jump0 - 1e-3 * (-mp.rho_exact(t))).max() < 1e-15
+
+
+_X, _Z, _T = sp.symbols("x z t", real=True)
+
+
+def symbolic_fields(u_amp, rho_amp, eps):
+    """The manufactured fields and their derivatives, differentiated by
+    sympy, as numpy functions of (x, z, t)."""
+    u = sp.exp(-_T) * sp.cos(sp.pi * _Z) * (1 + u_amp * sp.cos(_X))
+    rho = rho_amp * sp.exp(-_T) * sp.sin(_X)
+    rho_x = sp.diff(rho, _X)
+    rho_t = sp.diff(rho, _T)
+    # u is smooth across z = 0: the jump in its normal derivative is zero
+    assert sp.simplify(sp.diff(u, _Z).subs(_Z, 0)) == 0
+    exprs = {
+        "u": u, "u_t": sp.diff(u, _T), "u_xx": sp.diff(u, _X, 2),
+        "u_z": sp.diff(u, _Z), "u_zz": sp.diff(u, _Z, 2), "u_xz": sp.diff(u, _X, _Z),
+        "rho": rho, "rho_t": rho_t, "rho_x": rho_x, "rho_xx": sp.diff(rho, _X, 2),
+        "kappa": sp.diff(rho_x / sp.sqrt(1 + rho_x**2), _X),
+        "jump": rho_t + eps * sp.diff(rho_t, _X, 4),
+    }
+    return {name: sp.lambdify((_X, _Z, _T), expr, modules="numpy")
+            for name, expr in exprs.items()}
+
+
+@pytest.mark.parametrize("n_x, n_z", [(16, 17), (32, 257)])
+def test_manufactured_closed_forms_match_symbolic_derivatives(n_x, n_z):
+    grids = Grids(TangentialGrid(n_x), NormalGrid(n_z))
+    mp = ManufacturedProblem(grids, Cutoff(), eps=1e-3)
+    fns = symbolic_fields(mp.u_amp, mp.rho_amp, mp.eps)
+    xm, zm = grids.meshes()
+    x = grids.tangential.nodes
+    for t in (0.0, 0.01, 0.37):
+        bulk_ref = {name: np.broadcast_to(fns[name](xm, zm, t), grids.shape)
+                    for name in ("u", "u_t", "u_xx", "u_z", "u_zz", "u_xz")}
+        line_ref = {name: np.broadcast_to(fns[name](x, 0.0, t), x.shape)
+                    for name in ("u", "rho", "rho_t", "rho_x", "rho_xx", "kappa", "jump")}
+        coef = coefficients(line_ref["rho"], line_ref["rho_t"], Cutoff(), grids,
+                            rho_x=line_ref["rho_x"], rho_xx=line_ref["rho_xx"])
+        bulk, trace_shift, jump = mp.at(t)
+        exact = mp.exact_coefficients(t)
+        pairs = {
+            "bulk": (bulk, bulk_ref["u_t"] - bulk_ref["u_xx"] - coef.a * bulk_ref["u_zz"]
+                     + coef.B * bulk_ref["u_xz"] + coef.c * bulk_ref["u_z"]),
+            "trace_shift": (trace_shift, line_ref["u"] - line_ref["kappa"]),
+            "jump": (jump, line_ref["jump"]),
+            "u": (mp.u_exact(t), bulk_ref["u"]),
+            "rho": (mp.rho_exact(t), line_ref["rho"]),
+            "a": (exact.a, coef.a), "B": (exact.B, coef.B), "c": (exact.c, coef.c),
+            "bracket": (exact.bracket, coef.bracket),
+        }
+        for name, (got, ref) in pairs.items():
+            assert got.shape == ref.shape, (name, t)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (name, t)
+
+
+def test_runtime_package_does_not_import_sympy():
+    # sympy is a test dependency only: the package builds its manufactured
+    # solution from closed forms
+    src = str(Path(stefansim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, stefansim, stefansim.cli, stefansim.oracles; "
+            "sys.exit('sympy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_oracles_do_not_import_solver_modules():

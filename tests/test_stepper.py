@@ -483,18 +483,18 @@ def test_interface_step_explicit_forms(small_grids):
     base = 0.02 * np.cos(2 * x)
 
     cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new, rho_t = interface_step(zeros, u_zero, base, cfg, small_grids,
+    rho_new, rho_t = interface_step(u_zero, base, cfg, small_grids,
                                     jump_forcing=np.sin(x), **rho_transforms(zeros),
                                     **unstabilized(n_x))
     assert np.abs(rho_t - np.sin(x)).max() < 1e-13
     assert np.abs(rho_new - base - cfg.dt * np.sin(x)).max() < 1e-14
 
     cfg1 = SolverConfig(epsilon=1.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    _, rho_t = interface_step(zeros, u_zero, base, cfg1, small_grids,
+    _, rho_t = interface_step(u_zero, base, cfg1, small_grids,
                               jump_forcing=np.sin(x), **rho_transforms(zeros),
                               **unstabilized(n_x))
     assert np.abs(rho_t - 0.5 * np.sin(x)).max() < 1e-13  # (1 + eps k^4) at k=1
-    _, rho_t = interface_step(zeros, u_zero, base, cfg1, small_grids,
+    _, rho_t = interface_step(u_zero, base, cfg1, small_grids,
                               jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros),
                               **unstabilized(n_x))
     assert np.abs(rho_t - 0.4).max() < 1e-14  # the mean mode is never damped
@@ -504,9 +504,8 @@ def test_interface_step_theta_blends_right_hand_sides(small_grids):
     n_x = small_grids.tangential.n_x
     x = small_grids.tangential.nodes
     cfg = SolverConfig(theta=0.5, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    _, rho_t = interface_step(np.zeros(n_x), np.zeros(small_grids.shape),
-                              np.zeros(n_x), cfg, small_grids,
-                              jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
+    _, rho_t = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
+                              small_grids, jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
                               **rho_transforms(np.zeros(n_x)), **unstabilized(n_x))
     assert np.abs(rho_t - 2.0 * np.sin(x)).max() < 1e-13
 
@@ -521,9 +520,8 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
     forcing = np.sin(x) + 0.2 * np.cos(3 * x)
     rho_m = cfg.dt * forcing  # = rho_base + dt * rhs with rho_base = 0
     sigma = 5.0 + np.arange(n_x // 2 + 1, dtype=float)
-    rho_new, rho_t = interface_step(rho_m, np.zeros(small_grids.shape),
-                                    np.zeros(n_x), cfg, small_grids,
-                                    jump_forcing=forcing, jump_response=sigma,
+    rho_new, rho_t = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
+                                    small_grids, jump_forcing=forcing, jump_response=sigma,
                                     **rho_transforms(rho_m))
     assert np.abs(rho_new - rho_m).max() < 1e-15
     assert np.abs(rho_t - forcing).max() < 1e-13
@@ -675,7 +673,7 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
         u_next, *_ = temperature_step(step, coef, cfg, grids,
                                       dirichlet=curvature(rho_m) + g_dir)
         sigma = step.bulk.jump_response()
-        rho_next, _ = interface_step(rho_m, u_next, state.rho, cfg, grids,
+        rho_next, _ = interface_step(u_next, state.rho, cfg, grids,
                                      jump_forcing=j_new, rhs_old=rhs_old,
                                      jump_response=sigma, **rho_transforms(rho_m))
         rx = d_tangential(rho_m, 1)
@@ -705,21 +703,24 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
     x = grids.tangential.nodes
     rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
     u0 = compatible_initial_temperature(rho0, cfg)
-    seen_dirichlet, seen_rho = [], []
+    # the iterates: rho0, then each interface update
+    seen_dirichlet, seen_rho = [], [rho0]
     real_temperature, real_interface = stepper.temperature_step, stepper.interface_step
 
     def recording_temperature(*args, **kwargs):
         seen_dirichlet.append(kwargs["dirichlet"])
         return real_temperature(*args, **kwargs)
 
-    def recording_interface(rho_m, *args, **kwargs):
-        seen_rho.append(rho_m)
-        return real_interface(rho_m, *args, **kwargs)
+    def recording_interface(*args, **kwargs):
+        result = real_interface(*args, **kwargs)
+        seen_rho.append(result[0])
+        return result
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
     monkeypatch.setattr(stepper, "interface_step", recording_interface)
     _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff)
-    assert len(seen_rho) == report.inner_iters >= 2
+    assert len(seen_dirichlet) == report.inner_iters >= 2
+    assert len(seen_rho) == report.inner_iters + 1
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
         assert np.array_equal(dirichlet.view(np.uint64), curvature(rho_m).view(np.uint64))
 
