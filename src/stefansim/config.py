@@ -256,16 +256,15 @@ def build_initial_data(scenario, cfg=None):
     else:  # snapshot:<path>
         from .io import read_snapshot
         state, meta = read_snapshot(scenario.u_init.partition(":")[2])
-        if state.u.shape != grids.shape or state.rho.shape != (grids.tangential.n_x,):
-            raise ConfigError(
-                f"snapshot shape {state.u.shape} does not match solver grids "
-                f"{grids.shape}")
-        # the state solves the problem of its own epsilon and cutoff
-        for name in ("epsilon", "alpha"):
+        # the state belongs to its own grid, epsilon and cutoff
+        for name in ("n_x", "n_z", "epsilon", "alpha"):
             stored, solver = meta.get(name), getattr(cfg, name)
             if stored is None or float(stored) != solver:
                 raise ConfigError(f"snapshot {name}={stored} does not match solver "
                                   f"{name}={solver!r}")
+        if state.u.shape != grids.shape or state.rho.shape != (grids.tangential.n_x,):
+            raise ConfigError(f"snapshot body shape {state.u.shape} does not match "
+                              f"its header's grid {grids.shape}")
         u0, rho0 = state.u, state.rho
     if scenario.u_mass != 0.0:
         z = grids.normal.nodes[None, :]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from .grids import Grids
 from .transform import Cutoff, coefficients
@@ -47,6 +46,7 @@ def dispersion_leading_root(k, eps=0.0):
     The root always lies in (-k^2, 0): the residual is negative at -k^2
     and positive at 0, and m tanh m is monotone on that branch.
     """
+    from scipy.optimize import brentq  # only summaries and checks need it
     if k < 1:
         raise ValueError("leading coupled root is defined for k >= 1")
     lo, hi = -float(k * k) * (1.0 - 1e-12), -1e-300

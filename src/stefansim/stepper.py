@@ -14,25 +14,25 @@ The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on each
 half-strip.  It is factored once per step (one banded LU for all modes
-and both halves) at the step's base interface: iterate 1, where the
-effective interface is the previous accepted one for every theta.  The
-jump response sigma_k that stabilizes the interface update comes from
-the same factors, once per step.  The rest of the frozen coefficients,
+and both halves) at the step's base interface, the previous accepted
+one, before the first iterate; the jump response sigma_k that stabilizes
+the interface update comes from the same factors.  The rest of the
+frozen coefficients,
 (a - a_mean) u_zz - B u_xz - c u_z with a_mean the base interface's, is
 lagged one lag iteration; every lag iteration reuses the factors, and
 the lag loop runs until the *full* frozen-coefficient discrete system is
 satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
 (second-order Neumann); the interface row is a Dirichlet row.
 
-Iterate 1's lag loop starts from the old temperature u_old; every later
-iterate's starts warm from the previous fixed-point iterate u_m and
-reuses the fields its solve returned.  A warm solve ends once the
-residual test holds and its last lag update, in the fixed-point norm,
-is small against the previous fixed-point difference or fp_tol, or has
-stopped shrinking (see ``temperature_step``).  When the lag loop stops
-contracting, its residual no longer falling over a few iterations, the
-solve goes on by GMRES on the same affine map with the banded LU as
-preconditioner; the final check is the same full residual.
+The loop is a map rho_m -> rho_next: u_m only warm-starts the next lag
+loop, which reuses the fields u_m's solve returned (iterate 1's starts
+from u_old).  After iterate 1 a solve ends once the residual test holds
+and its last lag update, in the fixed-point norm, is small against the
+previous fixed-point difference or fp_tol, or has stopped shrinking (see
+``temperature_step``).  When the lag loop stops contracting, its
+residual no longer falling over a few iterations, the solve goes on by
+GMRES on the same affine map with the banded LU as preconditioner; the
+final check is the same full residual.
 
 Each iterate transforms each field once.  A lag iteration makes one
 forward FFT (its right-hand side); u_new, u_xx and u_xz come from the
@@ -41,16 +41,18 @@ stencil, and those fields serve both the residual and the next
 iteration's lagged terms.  The iterate is checked for finiteness once.
 A fixed-point iterate transforms rho_m once: its slope and second
 derivative, the resolution check and the curvature Dirichlet data and
-the interface update all share that FFT; the previous accepted
-interface's derivatives come from one FFT per step.
+the interface update all share that FFT, taken at the end of the
+iterate before (the base interface's in the step's set-up).  The
+converged step's trace gap max |u(., 0) - kappa(rho) - g| comes from the
+accepted rho's FFT; ``run`` checks it against trace_tol.
 
 Every solve has one call shape,
 ``temperature_step(step, coef, cfg, grids, dirichlet=..., warm=...)``:
 ``step`` is the ``_Step`` that ``_prepare_step`` builds once per time
-step, at iterate 1 (the factors, 1/dt and theta, u_old's transform,
-fields and norm, the forcing and u_old / dt + theta f_new), and the
-iterate adds its frozen coefficients and Dirichlet data.  The steady
-solve of ``compatible_initial_temperature`` builds its own ``_Step``
+step, before the first iterate (the factors, 1/dt and theta, u_old's
+transform, fields and norm, the forcing and u_old / dt + theta f_new),
+and the iterate adds its frozen coefficients and Dirichlet data.  The
+steady solve of ``compatible_initial_temperature`` builds its own ``_Step``
 with 1/dt = 0 and theta = 1.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
@@ -95,7 +97,6 @@ from .identity import identity_residual_k0
 from .transform import (
     Cutoff,
     coefficients,
-    curvature,
     curvature_hat,
     jump_normal_derivative,
     norm_weights,
@@ -154,6 +155,7 @@ class StepReport:
     fp_ratios: tuple
     lin_residual: float
     lag_iters: int
+    trace_gap: float  # max |u(., 0) - kappa(rho) - g| of the accepted state
 
 
 # Exit rule of a warm-started temperature solve: once the residual test
@@ -217,7 +219,8 @@ class _WarmStart:
     """Where a warm-started temperature solve begins, and what its exit rule
     measures against: the previous fixed-point iterate u and its
     ``_bulk_fields``, the previous fixed-point difference, and the
-    fixed-point norm at the iterate (an ``EnergyNormK0``)."""
+    fixed-point norm at the iterate (an ``EnergyNormK0``).  A difference
+    of inf (a step's first iterate) leaves the residual test alone."""
     u: np.ndarray
     fields: _Fields
     fp_diff: float
@@ -389,7 +392,8 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
     and without the interface terms, which are 0: no transform).  It
     accepts when that update is at most WARM_FP_FRACTION of the previous
     fixed-point difference or WARM_TOL_FRACTION of fp_tol, or is no
-    smaller than the update before it (the roundoff floor).  A
+    smaller than the update before it (the roundoff floor); with a
+    difference of inf (a step's first iterate) it measures nothing.  A
     residual test alone would end warm solves at residuals far below
     lin_tol yet carry the lag loop's contraction into the fixed-point
     iterates.
@@ -488,7 +492,7 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
         prev_hat = fields.hat
         fields, r, residual = measure(u_new, x_hat)
         if residual <= cfg.lin_tol:
-            if warm is None or it == cfg.lin_max_iter:
+            if warm is None or warm.fp_diff == np.inf or it == cfg.lin_max_iter:
                 return u_new, float(residual), it, fields
             # measured only once the residual test holds
             update = np.sqrt(state_energy_k0(u_new - u_prev, x_hat - prev_hat, None, warm.norm))
@@ -568,42 +572,41 @@ def compatible_initial_temperature(rho0, cfg):
 def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
     """One accepted time step; returns (new_state, StepReport).
 
-    Iterates (temperature solve, interface update) from the previous
-    accepted state until the iterate difference, measured in the order-0
-    regularized-energy norm at the current interface, drops below fp_tol.
+    Iterates the map rho_m -> rho_next (temperature solve with the
+    curvature of rho_m as Dirichlet data, then interface update; u_m only
+    warm-starts the next solve) from the previous accepted state until the
+    iterate difference, measured in the order-0 regularized-energy norm
+    at the current interface, drops below fp_tol.  The report carries the
+    accepted state's trace gap max |u(., 0) - kappa(rho) - g|.
     """
-    dt = cfg.dt
-    theta = cfg.theta
-    n_x = grids.tangential.n_x
+    dt, theta, n_x = cfg.dt, cfg.theta, grids.tangential.n_x
     t_new = state.t + dt
-    f_bulk_new = g_dir = f_jump_new = None
-    f_bulk_old = None
-    rhs_old = None
+    f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
     if forcing is not None:
         f_bulk_new, g_dir, f_jump_new = forcing.at(t_new)
-    # every tangential derivative of an interface comes from one rfft of it:
-    # rho_base's once per step, each iterate rho_m's once
-    base_hat = np.fft.rfft(state.rho)
-    if theta < 1.0:
-        f_bulk_old = f_jump_old = None
-        if forcing is not None:
+        if theta < 1.0:
             f_bulk_old, _, f_jump_old = forcing.at(state.t)
-        base_x = d_tangential_hat(base_hat, n_x, 1)
-        base_xx = d_tangential_hat(base_hat, n_x, 2)
+    # every tangential derivative of an interface comes from one rfft of it:
+    # the base interface's here, each later iterate's at the end of the one
+    # before
+    rho_hat = np.fft.rfft(state.rho)
+    rx = base_x = d_tangential_hat(rho_hat, n_x, 1)
+    rxx = base_xx = d_tangential_hat(rho_hat, n_x, 2)
+    rhs_old = None
+    if theta < 1.0:
         rhs_old = (1.0 + base_x**2) * jump_normal_derivative(state.u, grids)
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
+    step = _prepare_step(norm_weights(state.rho, base_x, cutoff, grids)[0].mean(axis=0),
+                         state.u, f_bulk_new, f_bulk_old, 1.0 / dt, theta, grids)
+    sigma = step.bulk.jump_response()
 
-    u_m, rho_m = state.u, state.rho
-    rho_hat = base_hat
-    warm = None
-    norms, ratios = [], []
-    lin_res_max = 0.0
-    lag_total = 0
+    u_m, fields_m, rho_m = state.u, step.fields, state.rho
+    norms = []
+    diff = np.inf  # iterate 1 has no previous difference to measure against
+    lin_res_max, lag_total = 0.0, 0
     for m in range(1, cfg.fp_max_iter + 1):
         rho_t_m = (rho_m - state.rho) / dt
-        rx = d_tangential_hat(rho_hat, n_x, 1)
-        rxx = d_tangential_hat(rho_hat, n_x, 2)
         # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
         # so for theta = 1 (rho_eff = rho_m) they are coef's own fields
         if theta == 1.0:
@@ -617,21 +620,12 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
                                 rho_xx=theta * rxx + (1.0 - theta) * base_xx)
             a_m, bracket_m = norm_weights(rho_m, rx, cutoff, grids)
         norm_m = EnergyNormK0(rx, a_m, bracket_m, cfg.epsilon, grids)
-        if m == 1:
-            # iterate 1 sits at the step's base interface (rho_eff is
-            # state.rho for every theta): the step's set-up, shared by every
-            # iterate, is built here, and later iterates lag against it
-            step = _prepare_step(coef.a.mean(axis=0), state.u, f_bulk_new, f_bulk_old,
-                                 1.0 / dt, theta, grids)
-            sigma = step.bulk.jump_response()
-            fields_m = step.fields  # u_m's fields, its rfft included
-        else:
-            warm = _WarmStart(u_m, fields_m, norms[-1], norm_m)
         dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
         u_next, lin_res, lag_iters, fields_next = temperature_step(
-            step, coef, cfg, grids, dirichlet=dirichlet, warm=warm)
+            step, coef, cfg, grids, dirichlet=dirichlet,
+            warm=_WarmStart(u_m, fields_m, diff, norm_m))
         rho_next, _ = interface_step(
             u_next, state.rho, cfg, grids,
             jump_forcing=f_jump_new, rhs_old=rhs_old, jump_response=sigma,
@@ -643,21 +637,23 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         diff = np.sqrt(state_energy_k0(u_next - u_m, fields_next.hat - fields_m.hat,
                                        np.fft.rfft(rho_next - rho_m), norm_m))
         norms.append(diff)
-        if len(norms) >= 2 and norms[-2] > 0:
-            ratios.append(norms[-1] / norms[-2])
         u_m, rho_m, fields_m = u_next, rho_next, fields_next
-        if diff <= cfg.fp_tol:
-            new_state = State(t=t_new, u=u_m, rho=rho_m)
-            return new_state, StepReport(
-                inner_iters=m, fp_norms=tuple(norms), fp_ratios=tuple(ratios),
-                lin_residual=lin_res_max, lag_iters=lag_total,
-            )
         rho_hat = np.fft.rfft(rho_m)
+        rx = d_tangential_hat(rho_hat, n_x, 1)
+        rxx = d_tangential_hat(rho_hat, n_x, 2)
+        if diff <= cfg.fp_tol:
+            trace = u_m[:, grids.normal.i_mid] - curvature_hat(rho_hat, rx)
+            return State(t=t_new, u=u_m, rho=rho_m), StepReport(
+                inner_iters=m, fp_norms=tuple(norms),
+                fp_ratios=tuple(b / a for a, b in zip(norms, norms[1:])),
+                lin_residual=lin_res_max, lag_iters=lag_total,
+                trace_gap=float(np.abs(trace if g_dir is None else trace - g_dir).max()))
+    last_ratio = norms[-1] / norms[-2] if len(norms) >= 2 else None
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "
         f"{cfg.fp_max_iter} iterations (last norm {norms[-1]:.3e}, "
-        f"last ratio {ratios[-1] if ratios else float('nan'):.3f})",
-        last_ratio=ratios[-1] if ratios else None,
+        f"last ratio {float('nan') if last_ratio is None else last_ratio:.3f})",
+        last_ratio=last_ratio,
         last_norm=norms[-1],
     )
 
@@ -726,7 +722,8 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     both iterations) the step is retried with dt halved, up to
     cfg.max_dt_halvings times; the reduced dt persists for the rest of
     the run and the history buffer restarts (quotients need uniform
-    spacing).
+    spacing).  An accepted step whose trace gap exceeds cfg.trace_tol
+    raises FixedPointError, without a dt halving.
     """
     require_whole_steps(t_end, cfg.dt)
     grids = cfg.grids()
@@ -755,13 +752,10 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
             history.clear()
             history.append((state.t, state.u, state.rho))
             continue
-        trace_gap = np.abs(new_state.u[:, grids.normal.i_mid]
-                           - curvature(new_state.rho)
-                           - (forcing.at(new_state.t)[1] if forcing is not None else 0.0)).max()
-        if trace_gap > cfg.trace_tol:
+        if step_report.trace_gap > cfg.trace_tol:
             raise FixedPointError(
-                f"accepted step violates trace consistency: |u(.,0)-kappa(rho)| "
-                f"= {trace_gap:.3e} > {cfg.trace_tol:.1e}")
+                f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
+                f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
         state = new_state
         history.append((state.t, state.u, state.rho))
         report = _make_report(history, cfg, grids, cutoff, steady_level,

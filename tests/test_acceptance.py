@@ -22,6 +22,9 @@ from stefansim.verify import (
     suite_norms,
 )
 
+# the slow end-to-end criteria; `-m "not acceptance"` runs the rest
+pytestmark = pytest.mark.acceptance
+
 CFG = SolverConfig(epsilon=0.0, dt=1e-3, n_x=64, n_z=65, k_diag=0)
 EPS_LEVELS = (1e-2, 1e-4, 0.0)
 

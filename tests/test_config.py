@@ -215,10 +215,16 @@ def test_build_initial_data_from_snapshot(tmp_path):
                           solver=SolverConfig(n_x=32, n_z=17))
     with pytest.raises(ConfigError):
         build_initial_data(mismatched)
-    # a snapshot of another epsilon or cutoff is rejected, naming the
+    # a snapshot of another grid, epsilon or cutoff is rejected, naming the
     # field and both values
-    for field, value, stored in (("epsilon", 1e-3, "0"), ("alpha", 0.2, "0.25")):
+    for field, value, stored in (("n_x", 32, "16"), ("n_z", 33, "17"),
+                                 ("epsilon", 1e-3, "0"), ("alpha", 0.2, "0.25")):
         other = Scenario(name="s", u_init=f"snapshot:{snap}",
-                         solver=SolverConfig(n_x=16, n_z=17, **{field: value}))
+                         solver=SolverConfig(**{"n_x": 16, "n_z": 17, field: value}))
         with pytest.raises(ConfigError, match=rf"snapshot {field}={stored} .*{field}={value}"):
             build_initial_data(other)
+    # a body that disagrees with its own header: one u row short
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(snap.read_text().splitlines()[:-1]) + "\n")
+    with pytest.raises(ConfigError, match=r"snapshot body shape \(15, 17\)"):
+        build_initial_data(Scenario(name="s", u_init=f"snapshot:{short}", solver=cfg))

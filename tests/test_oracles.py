@@ -198,14 +198,16 @@ def test_manufactured_closed_forms_match_symbolic_derivatives(n_x, n_z):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (name, t)
 
 
-def test_runtime_package_does_not_import_sympy():
+@pytest.mark.parametrize("module", ["sympy", "scipy.optimize"])
+def test_runtime_package_does_not_import_sympy(module):
     # sympy is a test dependency only: the package builds its manufactured
-    # solution from closed forms
+    # solution from closed forms; scipy.optimize is loaded by the one
+    # root finder that needs it, not at import
     src = str(Path(stefansim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, stefansim, stefansim.cli, stefansim.oracles; "
-            "sys.exit('sympy' in sys.modules)")
+            f"sys.exit({module!r} in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

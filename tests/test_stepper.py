@@ -744,6 +744,17 @@ def test_fixed_point_error_carries_last_iterate_info(small_grids, small_cutoff):
     assert exc.value.last_ratio is not None
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_step_measures_its_trace_gap(theta, forced_step_problem):
+    # max |u(., 0) - kappa(rho) - g| of the accepted state, g the step's own
+    # Dirichlet shift, from the transform of rho the step already holds
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    new_state, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    g_dir = forcing.at(new_state.t)[1]
+    gap = np.abs(new_state.u[:, grids.normal.i_mid] - curvature(new_state.rho) - g_dir).max()
+    assert report.trace_gap == gap <= cfg.trace_tol
+
+
 # -------------------------------------------------------------- run driver
 
 def test_run_zero_horizon_reports_initial_state_only():
@@ -857,3 +868,38 @@ def test_run_rejects_non_finite_accepted_state_naming_t(monkeypatch):
     monkeypatch.setattr(stepper, "fixed_point_step", corrupting_step)
     with pytest.raises(NonFiniteFieldError, match=r"accepted u at t=0\.002\b"):
         run(u0, rho0, cfg, 4 * cfg.dt)
+
+
+@pytest.mark.parametrize("theta, per_step", [(1.0, 1), (0.5, 2)])
+def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, per_step,
+                                                                  forced_step_problem):
+    # each accepted step evaluates its new level, and for theta < 1 its old
+    # one; the trace check reads the step's own Dirichlet shift
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    times, real_at = [], forcing.at
+
+    def counting_at(t):
+        times.append(t)
+        return real_at(t)
+
+    forcing.at = counting_at
+    res = run(state.u, state.rho, cfg, 3 * cfg.dt, forcing=forcing)
+    assert res.cfg.dt == cfg.dt and len(res.reports) == 4
+    assert len(times) == 3 * per_step
+
+
+def test_run_raises_on_a_trace_gap_without_halving_dt(monkeypatch):
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0, trace_tol=1e-300)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.01 * np.sin(x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    dts, real_step = [], stepper.fixed_point_step
+
+    def counting_step(state, step_cfg, *args, **kwargs):
+        dts.append(step_cfg.dt)
+        return real_step(state, step_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "fixed_point_step", counting_step)
+    with pytest.raises(FixedPointError, match="trace consistency"):
+        run(u0, rho0, cfg, 4 * cfg.dt)
+    assert dts == [cfg.dt]  # the first step, not retried at a smaller dt
