@@ -25,7 +25,7 @@ from .io import (
     write_sidecar,
     write_snapshot,
 )
-from .oracles import dispersion_leading_root, linearized_spectrum
+from .oracles import MIN_DENSE_NODES, dispersion_leading_root, linearized_spectrum
 from .stepper import run
 from .verify import SUITES
 
@@ -112,6 +112,10 @@ def cmd_spectrum(args):
         raise ConfigError("spectrum needs a non-empty k range and eps list")
     if any(k < 0 for k in k_values):
         raise ConfigError("wavenumbers must be >= 0")
+    if any(eps < 0 for eps in eps_values):
+        raise ConfigError("eps values must be >= 0")
+    if args.n_dense < MIN_DENSE_NODES:
+        raise ConfigError(f"--n-dense must be >= {MIN_DENSE_NODES}, got {args.n_dense}")
     modes, eps_col = [], []
     for eps in eps_values:
         for k in k_values:

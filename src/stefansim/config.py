@@ -16,16 +16,16 @@ Unknown sections or keys are hard errors — a silently ignored typo in
   seed         RNG seed for the random parts (default 0)
 
 [solver]
-  any SolverConfig field: epsilon, dt, n_x, n_z, alpha, theta, fp_tol,
-  fp_max_iter, lin_tol, lin_max_iter, k_diag, trace_tol, max_dt_halvings
+  any SolverConfig field: epsilon, dt, n_x, n_z, theta, k_diag (the
+  solver's other numerics are class-level constants of SolverConfig)
 
 [output]
   dir               output directory (default "out")
   compute_identity  true/false: per-step identity residual column (default false)
 
 [sweep]
-  epsilon, dt, n_x, n_z   comma lists (missing axis = the solver value)
-  job_cap                 max cartesian size (default 16)
+  epsilon, dt, n_x, n_z   comma lists (missing axis = the solver value); at
+                          most JOB_CAP points in their cartesian product
 """
 from __future__ import annotations
 
@@ -42,13 +42,18 @@ from .grids import band_limited
 from .stepper import SolverConfig, compatible_initial_temperature, require_whole_steps
 
 OUTPUT_ROOT_ENV = "STEFANSIM_OUT"
+JOB_CAP = 16  # the largest cartesian product a sweep may run
 
 _SOLVER_FIELDS = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
 
-_SCENARIO_KEYS = {"name", "rho_modes", "rho_mean", "rho_random_amp",
-                  "u_init", "u_mass", "t_end", "seed"}
-_OUTPUT_KEYS = {"dir", "compute_identity"}
-_SWEEP_KEYS = {"epsilon", "dt", "n_x", "n_z", "job_cap"}
+# the keys each section accepts; any other section or key is an error
+SCHEMA = {
+    "scenario": {"name", "rho_modes", "rho_mean", "rho_random_amp",
+                 "u_init", "u_mass", "t_end", "seed"},
+    "solver": set(_SOLVER_FIELDS),
+    "output": {"dir", "compute_identity"},
+    "sweep": {"epsilon", "dt", "n_x", "n_z"},
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,10 @@ class Scenario:
     out_dir: str = "out"
     compute_identity: bool = False
     sweep_axes: dict = dataclasses.field(default_factory=dict)
-    job_cap: int = 16
+
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_float(section, key, raw):
@@ -124,18 +132,18 @@ def parse_config(path):
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
 
-    known_sections = {"scenario", "solver", "output", "sweep"}
-    unknown = set(parser.sections()) - known_sections
+    unknown = set(parser.sections()) - set(SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+    for section in parser.sections():
+        bad = set(parser[section]) - SCHEMA[section]
+        if bad:
+            raise ConfigError(f"[{section}]: unknown key(s): {sorted(bad)}")
 
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     scen_kwargs = {"name": name}
     if parser.has_section("scenario"):
         sec = parser["scenario"]
-        bad = set(sec) - _SCENARIO_KEYS
-        if bad:
-            raise ConfigError(f"[scenario]: unknown key(s): {sorted(bad)}")
         if "name" in sec:
             scen_kwargs["name"] = sec["name"].strip()
         if "rho_modes" in sec:
@@ -156,9 +164,6 @@ def parse_config(path):
     solver_kwargs = {}
     if parser.has_section("solver"):
         sec = parser["solver"]
-        bad = set(sec) - set(_SOLVER_FIELDS)
-        if bad:
-            raise ConfigError(f"[solver]: unknown key(s): {sorted(bad)}")
         for key in sec:
             conv = _parse_int if _SOLVER_FIELDS[key] in (int, "int") else _parse_float
             solver_kwargs[key] = conv("solver", key, sec[key])
@@ -169,9 +174,6 @@ def parse_config(path):
 
     if parser.has_section("output"):
         sec = parser["output"]
-        bad = set(sec) - _OUTPUT_KEYS
-        if bad:
-            raise ConfigError(f"[output]: unknown key(s): {sorted(bad)}")
         if "dir" in sec:
             scen_kwargs["out_dir"] = sec["dir"].strip()
         if "compute_identity" in sec:
@@ -180,9 +182,6 @@ def parse_config(path):
 
     if parser.has_section("sweep"):
         sec = parser["sweep"]
-        bad = set(sec) - _SWEEP_KEYS
-        if bad:
-            raise ConfigError(f"[sweep]: unknown key(s): {sorted(bad)}")
         axes = {}
         for key in ("epsilon", "dt"):
             if key in sec:
@@ -191,8 +190,6 @@ def parse_config(path):
             if key in sec:
                 axes[key] = _parse_list("sweep", key, sec[key], _parse_int)
         scen_kwargs["sweep_axes"] = axes
-        if "job_cap" in sec:
-            scen_kwargs["job_cap"] = _parse_int("sweep", "job_cap", sec["job_cap"])
 
     scenario = Scenario(**scen_kwargs)
     for key, values in scenario.sweep_axes.items():
@@ -222,7 +219,7 @@ def sweep_points(scenario):
     """Cartesian product of the sweep axes as SolverConfig replacements.
 
     Single points (no sweep section) degenerate to the base solver config.
-    Raises ConfigError when the product exceeds job_cap.
+    Raises ConfigError when the product exceeds JOB_CAP.
     """
     axes = scenario.sweep_axes
     base = scenario.solver
@@ -231,9 +228,8 @@ def sweep_points(scenario):
     points = []
     for combo in product(*values) if keys else [()]:
         points.append(dataclasses.replace(base, **dict(zip(keys, combo))))
-    if len(points) > scenario.job_cap:
-        raise ConfigError(
-            f"sweep size {len(points)} exceeds job_cap {scenario.job_cap}")
+    if len(points) > JOB_CAP:
+        raise ConfigError(f"sweep size {len(points)} exceeds job_cap {JOB_CAP}")
     return points
 
 

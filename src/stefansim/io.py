@@ -8,7 +8,6 @@ atomic rename so a failed run never leaves partial files behind.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import time
@@ -24,8 +23,8 @@ def _fmt(x):
 
 
 def config_hash(cfg):
-    """Stable short hash of a SolverConfig (field name = value lines)."""
-    items = sorted(dataclasses.asdict(cfg).items())
+    """Stable short hash of a SolverConfig: a name = value line per field and constant."""
+    items = sorted((k, getattr(cfg, k)) for k in type(cfg).__annotations__)
     text = "\n".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in items)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

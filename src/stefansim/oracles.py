@@ -21,6 +21,7 @@ from .transform import Cutoff, coefficients
 # m = sqrt(lam + 1), frozen from a 40-digit Newton solve.  Energy of the
 # slowest mode decays at twice this rate.
 LEADING_RATE_K1 = -0.6417103015671509
+MIN_DENSE_NODES = 64  # fewest nodes per half-strip of the dense eigensolve
 
 
 def dispersion_residual(lam, k, eps=0.0):
@@ -78,8 +79,8 @@ def linearized_spectrum(k, n_z_dense=201, eps=0.0):
     dense linear algebra, fully independent of the stepping code.
     """
     n = int(n_z_dense)
-    if n < 64:
-        raise ValueError("need n_z_dense >= 64 nodes per half-strip")
+    if n < MIN_DENSE_NODES:
+        raise ValueError(f"need n_z_dense >= {MIN_DENSE_NODES} nodes per half-strip")
     h = 1.0 / (n - 1)
     size = 2 * n + 1
     A = np.zeros((size, size))

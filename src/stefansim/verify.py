@@ -20,6 +20,9 @@ from .oracles import ManufacturedProblem
 from .stepper import SolverConfig, run
 
 
+NORMS_AMPLITUDE = 0.2  # of each band-limited part of the norm suite's states
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -40,20 +43,15 @@ DECAY_K1 = Scenario(name="decay-k1", rho_modes=((1, 1e-3),), u_init="compatible"
                     u_mass=1e-4, t_end=2.0)
 
 
-def _run_decay(cfg, t_end):
-    u0, rho0 = build_initial_data(DECAY_K1, cfg)
-    return run(u0, rho0, cfg, t_end, compute_identity=False)
-
-
-def suite_identity(t_star=0.1, t_end=0.2):
-    """Mid-run identity residual under one simultaneous (dt, dx, dz) halving.
+def suite_identity():
+    """Identity residual at t = 0.1 of runs to t = 0.2 under one (dt, dx, dz) halving.
 
     Uses the trapezoidal scheme: the identity is exact only on true
     trajectories, so the O(dt) defect of backward Euler would swamp the
     cubically small remainder signal of the decay scenario.  With theta=1/2
     the defect is O(dt^2) and the measured residual refines cleanly.
     """
-    eps = 1e-4
+    eps, t_star, t_end = 1e-4, 0.1, 0.2
     levels = [
         SolverConfig(epsilon=eps, dt=2e-3, n_x=64, n_z=129, theta=0.5),
         SolverConfig(epsilon=eps, dt=1e-3, n_x=128, n_z=257, theta=0.5),
@@ -97,8 +95,7 @@ def suite_mms():
     """
     lines = []
     eps = 1e-3
-    base = SolverConfig(epsilon=eps, n_x=32, n_z=513, dt=0.1, theta=0.5,
-                        fp_tol=1e-12, fp_max_iter=80)
+    base = SolverConfig(epsilon=eps, n_x=32, n_z=513, dt=0.1, theta=0.5)
     errs_t = [_mms_error(dataclasses.replace(base, dt=dt), 0.4) for dt in (0.1, 0.05)]
     order_t = np.log2(errs_t[0] / errs_t[1])
     lines.append(f"time study (theta=1/2, n_z=513): errors {errs_t[0]:.3e} -> "
@@ -112,8 +109,8 @@ def suite_mms():
     return SuiteResult("mms", order_t >= 1.0 and order_z >= 1.8, lines)
 
 
-def suite_conservation(t_end=0.25):
-    """Per-step conservation residual and its (dt, dz) refinement order."""
+def suite_conservation():
+    """Per-step conservation residual to t = 0.25 and its (dt, dz) refinement order."""
     levels = [
         SolverConfig(epsilon=0.0, dt=1e-3, n_x=64, n_z=65),
         SolverConfig(epsilon=0.0, dt=5e-4, n_x=64, n_z=129),
@@ -121,7 +118,8 @@ def suite_conservation(t_end=0.25):
     maxima = []
     lines = []
     for cfg in levels:
-        result = _run_decay(cfg, t_end)
+        u0, rho0 = build_initial_data(DECAY_K1, cfg)
+        result = run(u0, rho0, cfg, 0.25, compute_identity=False)
         worst = max(r.cons_residual for r in result.reports[1:])
         maxima.append(worst)
         lines.append(f"dt={cfg.dt:g} n_z={cfg.n_z}: max residual={worst:.3e}")
@@ -131,35 +129,36 @@ def suite_conservation(t_end=0.25):
     return SuiteResult("conservation", maxima[0] <= 1e-6 and ratio >= 1.8, lines)
 
 
-def random_state_history(rng, grids, amplitude=0.2, dt=1e-2, n_entries=3):
-    """Synthetic smooth-in-time history for norm sampling.
+def random_state_history(rng, grids):
+    """Synthetic smooth-in-time history for norm sampling, three entries 1e-2 apart.
 
     Linear path through two band-limited snapshots: quotients of order 1
     are exact and higher quotients vanish, which is all k_diag = 1 needs.
     """
     tg = grids.tangential
     z = grids.normal.nodes[None, :]
-    rho_a = band_limited(rng, tg, amplitude)
-    rho_b = band_limited(rng, tg, amplitude)
-    u_a = (band_limited(rng, tg, amplitude)[:, None] * np.cos(np.pi * z)
-           + band_limited(rng, tg, amplitude)[:, None] * z**2)
-    u_b = (band_limited(rng, tg, amplitude)[:, None] * np.sin(0.5 * np.pi * z)
-           + band_limited(rng, tg, amplitude)[:, None])
-    times = [j * dt for j in range(n_entries)]
+    rho_a = band_limited(rng, tg, NORMS_AMPLITUDE)
+    rho_b = band_limited(rng, tg, NORMS_AMPLITUDE)
+    u_a = (band_limited(rng, tg, NORMS_AMPLITUDE)[:, None] * np.cos(np.pi * z)
+           + band_limited(rng, tg, NORMS_AMPLITUDE)[:, None] * z**2)
+    u_b = (band_limited(rng, tg, NORMS_AMPLITUDE)[:, None] * np.sin(0.5 * np.pi * z)
+           + band_limited(rng, tg, NORMS_AMPLITUDE)[:, None])
+    times = [j * 1e-2 for j in range(3)]
     us = [u_a + t * u_b for t in times]
     rhos = [rho_a + t * rho_b for t in times]
     return times, us, rhos
 
 
-def suite_norms(n_samples=50, seed=0, eps=1e-2, amplitude=0.2):
+def suite_norms():
     """Weighted/unweighted norm ratios against the predicted bracket [1/C, C]."""
+    n_samples, eps = 50, 1e-2  # states seeded 0 .. n_samples - 1
     cfg = SolverConfig(epsilon=eps, n_x=32, n_z=33)
     grids, cutoff = cfg.grids(), cfg.cutoff()
     worst_margin = np.inf
     failures = 0
     for i in range(n_samples):
-        rng = np.random.default_rng(seed + i)
-        times, us, rhos = random_state_history(rng, grids, amplitude)
+        rng = np.random.default_rng(i)
+        times, us, rhos = random_state_history(rng, grids)
         stack = DerivativeStack(grids, cutoff, 1, times, us, rhos)
         f = evaluate_functionals(stack, eps)
         C_E = equivalence_constant(stack.psi, cutoff, kind="E")
@@ -173,7 +172,7 @@ def suite_norms(n_samples=50, seed=0, eps=1e-2, amplitude=0.2):
             worst_margin = min(worst_margin, margin)
             if not (1.0 / C <= ratio <= C):
                 failures += 1
-    lines = [f"{n_samples} seeded states, eps={eps:g}, amplitude={amplitude:g}",
+    lines = [f"{n_samples} seeded states, eps={eps:g}, amplitude={NORMS_AMPLITUDE:g}",
              f"violations={failures}, worst margin to [1/C, C]={worst_margin:.3e}"]
     return SuiteResult("norms", failures == 0, lines)
 

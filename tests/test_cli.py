@@ -4,6 +4,7 @@ import pytest
 
 from stefansim.cli import main
 from stefansim.io import read_energy_csv
+from stefansim.stepper import SolverConfig
 
 FAST_RUN = """\
 [scenario]
@@ -146,11 +147,11 @@ def test_two_step_run_writes_its_summary(workdir):
     assert "K2_hat=" not in summary
 
 
-def test_run_failure_leaves_no_partial_output(workdir, capsys):
+def test_run_failure_leaves_no_partial_output(workdir, capsys, monkeypatch):
     # with retries disabled the run raises, the CLI reports exit 1, and
     # nothing is written
-    text = HALVING_RUN.replace("k_diag = 0\n", "k_diag = 0\nmax_dt_halvings = 0\n")
-    cfg_path = write_config(workdir, text, out="doomed")
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 0)
+    cfg_path = write_config(workdir, HALVING_RUN, out="doomed")
     assert main(["run", "--config", str(cfg_path), "--quiet"]) == 1
     assert not (workdir / "doomed").exists()
     assert "run failed" in capsys.readouterr().err
@@ -175,6 +176,21 @@ def test_spectrum_argument_validation(workdir, capsys):
     assert main(["spectrum", "--k", "1", "--seed", "1", "--quiet"]) == 2
     assert main(["spectrum", "--k", "1", "--jobs", "2", "--quiet"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--k", "1", "--n-dense", "10"],
+    ["spectrum", "--k", "1", "--eps", "-1"],
+    ["run", "--seed", "-3"],
+], ids=["n-dense=10", "eps=-1", "seed=-3"])
+def test_bad_command_line_values_are_config_errors(workdir, capsys, argv):
+    # rejected before any work: exit 2 with a config error, no traceback
+    noisy = FAST_RUN.replace("t_end", "rho_random_amp = 0.01\nt_end")
+    if argv[0] == "run":
+        argv = argv + ["--config", str(write_config(workdir, noisy, out="never"))]
+    assert main(argv + ["--quiet"]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (workdir / "never").exists() and not (workdir / "out").exists()
 
 
 def test_verify_suite_exit_codes(capsys):
@@ -237,7 +253,8 @@ def test_sweep_epsilon_table_parallel(workdir):
 
 
 def test_sweep_respects_job_cap(workdir, capsys):
-    text = SWEEP_3EPS + "dt = 1e-3, 5e-4\njob_cap = 4\n"
+    # 3 epsilon x 6 dt = 18 points, above the cap of 16
+    text = SWEEP_3EPS + "dt = 1e-3, 5e-4, 2.5e-4, 1.25e-4, 1e-4, 5e-5\n"
     cfg_path = write_config(workdir, text, out="capped")
     assert main(["sweep", "--config", str(cfg_path), "--quiet"]) == 2
     assert "job_cap" in capsys.readouterr().err

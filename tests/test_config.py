@@ -1,4 +1,5 @@
 """Strict INI scenario schema and initial-data realization."""
+import configparser
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from stefansim.config import (
     OUTPUT_ROOT_ENV,
+    SCHEMA,
     Scenario,
     build_initial_data,
     parse_config,
@@ -71,6 +73,7 @@ def test_parse_name_override(tmp_path):
     "[sweep]\nbogus = 1\n",
     "[scenario]\nrho_mean = abc\n",
     "[scenario]\nseed = 1.5\n",
+    "[scenario]\nseed = -3\nrho_random_amp = 0.01\nt_end = 1\n",
     "[scenario]\nu_init = random\n",
     "[scenario]\nrho_modes = 1-0.5\n",
     "[output]\ncompute_identity = maybe\n",
@@ -107,6 +110,17 @@ def test_every_shipped_config_parses():
     assert paths
     for path in paths:
         assert sweep_points(parse_config(path)), path.name
+
+
+def test_readme_ini_block_lists_exactly_the_accepted_keys(tmp_path):
+    # the README's example config parses, and names, section by section,
+    # every key parse_config accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    listed = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    listed.read_string(block)
+    assert {name: set(listed[name]) for name in listed.sections()} == SCHEMA
+    parse_config(write_ini(tmp_path, block))
 
 
 def test_parse_missing_file(tmp_path):
@@ -152,8 +166,12 @@ def test_sweep_points_cartesian():
 def test_sweep_points_single_and_cap():
     base = Scenario(name="s")
     assert sweep_points(base) == [base.solver]
-    capped = Scenario(name="s", sweep_axes={"dt": (1e-3, 5e-4, 2e-4)}, job_cap=2)
-    with pytest.raises(ConfigError):
+    full = Scenario(name="s", sweep_axes={"epsilon": (0.0, 1e-4, 1e-3, 1e-2),
+                                          "dt": (1e-3, 5e-4, 2.5e-4, 1e-4)})
+    assert len(sweep_points(full)) == 16
+    capped = Scenario(name="s", sweep_axes={"epsilon": (0.0, 1e-4, 1e-2),
+                                            "dt": (1e-3, 5e-4, 2.5e-4, 2e-4, 1e-4, 5e-5)})
+    with pytest.raises(ConfigError, match="sweep size 18 exceeds job_cap 16"):
         sweep_points(capped)
 
 
@@ -218,11 +236,16 @@ def test_build_initial_data_from_snapshot(tmp_path):
     # a snapshot of another grid, epsilon or cutoff is rejected, naming the
     # field and both values
     for field, value, stored in (("n_x", 32, "16"), ("n_z", 33, "17"),
-                                 ("epsilon", 1e-3, "0"), ("alpha", 0.2, "0.25")):
+                                 ("epsilon", 1e-3, "0")):
         other = Scenario(name="s", u_init=f"snapshot:{snap}",
                          solver=SolverConfig(**{"n_x": 16, "n_z": 17, field: value}))
         with pytest.raises(ConfigError, match=rf"snapshot {field}={stored} .*{field}={value}"):
             build_initial_data(other)
+    # the cutoff is a solver constant: a snapshot written with another one
+    other_cutoff = tmp_path / "cutoff.csv"
+    other_cutoff.write_text(snap.read_text().replace("# alpha=0.25\n", "# alpha=0.2\n"))
+    with pytest.raises(ConfigError, match=r"snapshot alpha=0.2 .*alpha=0.25"):
+        build_initial_data(Scenario(name="s", u_init=f"snapshot:{other_cutoff}", solver=cfg))
     # a body that disagrees with its own header: one u row short
     short = tmp_path / "short.csv"
     short.write_text("\n".join(snap.read_text().splitlines()[:-1]) + "\n")

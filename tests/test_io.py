@@ -26,6 +26,14 @@ def test_config_hash_stability_and_sensitivity():
     assert len(a) == 16 and all(c in "0123456789abcdef" for c in a)
     assert a != config_hash(SolverConfig(dt=2e-3))
     assert a != config_hash(SolverConfig(k_diag=2))
+    # pinned: the header of every energy.csv and snapshot written so far
+    assert a == "f0ba5cbe712ca6ac"
+    shipped = SolverConfig(epsilon=0.0, dt=1e-3, n_x=64, n_z=65, k_diag=0)
+    assert config_hash(shipped) == "22f696fb432d3f3c"  # every file in configs/
+    assert config_hash(SolverConfig(epsilon=1e-4, dt=1e-3, n_x=64, n_z=65,
+                                    k_diag=2)) == "08abb207df037b17"  # rough-mass-diag
+    assert config_hash(SolverConfig(epsilon=1e-3, n_x=32, n_z=257, theta=0.5, dt=0.01,
+                                    k_diag=0)) == "9766718f47940d10"  # mms-column
 
 
 def test_atomic_write_leaves_no_temporaries(tmp_path):

@@ -198,11 +198,12 @@ def test_manufactured_closed_forms_match_symbolic_derivatives(n_x, n_z):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (name, t)
 
 
-@pytest.mark.parametrize("module", ["sympy", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.sparse.linalg"])
 def test_runtime_package_does_not_import_sympy(module):
     # sympy is a test dependency only: the package builds its manufactured
-    # solution from closed forms; scipy.optimize is loaded by the one
-    # root finder that needs it, not at import
+    # solution from closed forms; scipy.optimize and scipy.sparse.linalg are
+    # loaded by the one root finder and the GMRES fallback that need them,
+    # not at import
     src = str(Path(stefansim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -1,7 +1,10 @@
 """Time stepping: solver config, temperature solve, interface update,
 per-step fixed point, and the run driver."""
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator
 
@@ -32,25 +35,35 @@ from stefansim.transform import coefficients, curvature, jump_normal_derivative,
 def test_solver_config_validation():
     for kwargs in (dict(epsilon=-1.0), dict(dt=0.0), dict(dt=-1e-3),
                    dict(theta=0.4), dict(theta=1.1), dict(k_diag=4),
-                   dict(k_diag=-1), dict(alpha=0.4), dict(alpha=0.0),
+                   dict(k_diag=-1),
                    # the grids reject these when the config is made
                    dict(n_x=7), dict(n_x=6), dict(n_z=8), dict(n_z=3),
                    # the diagnostics' one-sided stencils need n_z >= 9
-                   dict(n_z=7), dict(n_z=5),
-                   dict(fp_tol=0.0), dict(fp_tol=-1.0), dict(lin_tol=0.0),
-                   dict(lin_tol=-1e-11), dict(trace_tol=0.0), dict(trace_tol=-1.0),
-                   dict(fp_max_iter=0), dict(lin_max_iter=0), dict(lin_max_iter=-1),
-                   dict(max_dt_halvings=-1)):
+                   dict(n_z=7), dict(n_z=5)):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
     # the smallest values each bound admits
-    SolverConfig(n_x=8, n_z=9, fp_max_iter=1, lin_max_iter=1, max_dt_halvings=0)
-    cfg = SolverConfig(n_x=16, n_z=9, alpha=0.2)
-    assert cfg.grids().shape == (16, 9)
-    assert cfg.cutoff().alpha == 0.2
+    cfg = SolverConfig(n_x=8, n_z=9)
+    assert cfg.grids().shape == (8, 9)
     # grid validation propagates through the config helpers
     with pytest.raises(ValueError):
         SolverConfig(n_x=10, n_z=8).grids()
+
+
+def test_solver_config_sets_six_values_and_fixes_the_rest():
+    assert [f.name for f in fields(SolverConfig)] == [
+        "epsilon", "dt", "n_x", "n_z", "theta", "k_diag"]
+    constants = dict(alpha=0.25, fp_tol=1e-12, fp_max_iter=60, lin_tol=1e-11,
+                     lin_max_iter=200, trace_tol=1e-6, max_dt_halvings=2)
+    cfg = SolverConfig(n_x=16, n_z=9)
+    for name, value in constants.items():
+        assert getattr(cfg, name) == value, name
+        # neither the constructor nor a replacement can set a constant
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: value})
+        with pytest.raises(TypeError):
+            replace(cfg, **{name: value})
+    assert cfg.cutoff().alpha == SolverConfig.alpha
 
 
 # ---------------------------------------------------- temperature solve
@@ -213,7 +226,6 @@ def test_compatible_initial_temperature(small_cfg, small_grids, small_cutoff):
                            small_grids, small_cutoff, inv_dt=0.0)
     assert np.abs(u_re - u0).max() < 1e-12
     # the steady solve ignores cfg.theta (no old level exists at t = 0)
-    from dataclasses import replace
     u0_cn = compatible_initial_temperature(rho0, replace(small_cfg, theta=0.5))
     assert np.array_equal(u0, u0_cn)
 
@@ -243,7 +255,7 @@ def test_gmres_operator_application_makes_two_inverse_transforms(monkeypatch):
     rho = 0.1 * (np.sin(x) + 0.5 * np.cos(2 * x))  # the lag loop stalls here
     counts = count_transforms(monkeypatch, two_d_only=True)
     per_application = []
-    real_gmres = stepper.gmres
+    real_gmres = sparse_linalg.gmres
 
     def counting_gmres(op, b, **kwargs):
         def matvec(v):
@@ -254,14 +266,15 @@ def test_gmres_operator_application_makes_two_inverse_transforms(monkeypatch):
 
         return real_gmres(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), b, **kwargs)
 
-    monkeypatch.setattr(stepper, "gmres", counting_gmres)
+    monkeypatch.setattr(sparse_linalg, "gmres", counting_gmres)
     compatible_initial_temperature(rho, cfg)
     assert len(per_application) >= 10
     assert set(per_application) == {2}
 
 
-def test_temperature_step_raises_when_lag_loop_stalls(small_grids, small_cutoff):
-    cfg = SolverConfig(dt=2.0, n_x=32, n_z=33, lin_max_iter=8)
+def test_temperature_step_raises_when_lag_loop_stalls(monkeypatch, small_grids, small_cutoff):
+    monkeypatch.setattr(SolverConfig, "lin_max_iter", 8)
+    cfg = SolverConfig(dt=2.0, n_x=32, n_z=33)
     x = small_grids.tangential.nodes
     rho = 0.1 * np.sin(x)
     u_old = np.zeros(small_grids.shape)
@@ -603,6 +616,21 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
     assert counts["substitutions"] == report.lag_iters + 1
 
 
+@pytest.mark.parametrize("theta, per_iterate", [(1.0, False), (0.5, True)])
+def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, per_iterate,
+                                                               forced_step_problem):
+    # the set-up's weights at state.rho factor the step and serve iterate 1;
+    # at theta < 1 each later iterate needs those of its own rho_m (at
+    # theta = 1 they are the coefficients' own fields)
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    calls, real_weights = [], stepper.norm_weights
+    monkeypatch.setattr(stepper, "norm_weights",
+                        lambda *args: calls.append(args) or real_weights(*args))
+    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    assert report.inner_iters >= 3
+    assert len(calls) == (report.inner_iters if per_iterate else 1)
+
+
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta,
                                                                        forced_step_problem):
@@ -734,8 +762,9 @@ def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids, small_cutof
         fixed_point_step(state, cfg, small_grids, small_cutoff)
 
 
-def test_fixed_point_error_carries_last_iterate_info(small_grids, small_cutoff):
-    cfg = SolverConfig(dt=50.0, n_x=32, n_z=33, fp_max_iter=4, k_diag=0)
+def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids, small_cutoff):
+    monkeypatch.setattr(SolverConfig, "fp_max_iter", 4)
+    cfg = SolverConfig(dt=50.0, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     state = State(t=0.0, u=np.zeros(small_grids.shape), rho=0.05 * np.sin(x))
     with pytest.raises(FixedPointError) as exc:
@@ -779,18 +808,18 @@ def test_run_step_count_and_callbacks():
     assert seen == [pytest.approx((j + 1) * cfg.dt) for j in range(5)]
 
 
-def test_run_halves_dt_on_failure_and_persists():
-    cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0, max_dt_halvings=2)
+def test_run_halves_dt_on_failure_and_persists(monkeypatch):
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
+    cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
     x = cfg.grids().tangential.nodes
     rho0 = 0.1 * np.sin(x)
     res = run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
     assert res.cfg.dt == pytest.approx(0.01)
     assert len(res.reports) == 9  # 8 accepted steps at the quartered dt
     assert res.state.t == pytest.approx(0.08)
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 0)
     with pytest.raises(LinearSolveError):
-        run(np.zeros(cfg.grids().shape), rho0,
-            SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0, max_dt_halvings=0),
-            0.08)
+        run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
 
 
 def test_run_rejects_t_end_off_the_step_grid():
@@ -889,7 +918,8 @@ def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, per_ste
 
 
 def test_run_raises_on_a_trace_gap_without_halving_dt(monkeypatch):
-    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0, trace_tol=1e-300)
+    monkeypatch.setattr(SolverConfig, "trace_tol", 1e-300)
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
     x = cfg.grids().tangential.nodes
     rho0 = 0.01 * np.sin(x)
     u0 = compatible_initial_temperature(rho0, cfg)
