@@ -156,6 +156,8 @@ def _point_label(cfg):
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     scenario = parse_config(args.config)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -207,7 +209,8 @@ def build_parser():
                     "energy diagnostics.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_config):
+    def writes(p, needs_config):
+        """The flags of a verb that writes artifacts."""
         if needs_config:
             p.add_argument("--config", required=True, help="scenario INI file")
             p.add_argument("--seed", type=int, default=None,
@@ -216,23 +219,22 @@ def build_parser():
         p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="run one scenario")
-    common(p_run, True)
+    writes(p_run, True)
     p_run.set_defaults(handler=cmd_run)
 
     p_spec = sub.add_parser("spectrum", help="linearized spectrum table")
-    common(p_spec, False)
+    writes(p_spec, False)
     p_spec.add_argument("--k", default="", help="wavenumbers, e.g. 0:8 or 1,2,4")
     p_spec.add_argument("--eps", default="0", help="comma list of eps values")
     p_spec.add_argument("--n-dense", type=int, default=201, dest="n_dense")
     p_spec.set_defaults(handler=cmd_spectrum)
 
     p_ver = sub.add_parser("verify", help="refinement verification suites")
-    common(p_ver, False)
     p_ver.add_argument("suite", choices=sorted(SUITES))
     p_ver.set_defaults(handler=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
-    common(p_sweep, True)
+    writes(p_sweep, True)
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
     p_sweep.set_defaults(handler=cmd_sweep)
     return parser

@@ -1,31 +1,10 @@
 """Scenario configuration: strict INI schema and initial-data builders.
 
 Unknown sections or keys are hard errors — a silently ignored typo in
-``epsilon`` or ``dt`` would invalidate a study.  The full schema:
-
-[scenario]
-  name         free-text label (default: config file stem)
-  rho_modes    comma list "k:amp" of sine modes for rho0 (default empty)
-  rho_mean     constant offset added to rho0 (default 0)
-  rho_random_amp  amplitude of seeded band-limited noise in rho0 (default 0)
-  u_init       "compatible" | "zero" | "snapshot:<path>" (default compatible)
-  u_mass       amplitude of an added trace-free bulk profile sin^2(pi z)
-               carrying nonzero heat content (default 0)
-  t_end        final time (required for run/sweep); a whole number of
-               steps of the solver dt and of every dt on the sweep axis
-  seed         RNG seed for the random parts (default 0)
-
-[solver]
-  any SolverConfig field: epsilon, dt, n_x, n_z, theta, k_diag (the
-  solver's other numerics are class-level constants of SolverConfig)
-
-[output]
-  dir               output directory (default "out")
-  compute_identity  true/false: per-step identity residual column (default false)
-
-[sweep]
-  epsilon, dt, n_x, n_z   comma lists (missing axis = the solver value); at
-                          most JOB_CAP points in their cartesian product
+``epsilon`` or ``dt`` would invalidate a study.  ``SCHEMA`` is the schema:
+each section's keys and the parser of each key's value.  The README's INI
+block lists every key with its meaning and default; a test keeps it equal
+to ``SCHEMA``.
 """
 from __future__ import annotations
 
@@ -43,17 +22,6 @@ from .stepper import SolverConfig, compatible_initial_temperature, require_whole
 
 OUTPUT_ROOT_ENV = "STEFANSIM_OUT"
 JOB_CAP = 16  # the largest cartesian product a sweep may run
-
-_SOLVER_FIELDS = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
-
-# the keys each section accepts; any other section or key is an error
-SCHEMA = {
-    "scenario": {"name", "rho_modes", "rho_mean", "rho_random_amp",
-                 "u_init", "u_mass", "t_end", "seed"},
-    "solver": set(_SOLVER_FIELDS),
-    "output": {"dir", "compute_identity"},
-    "sweep": {"epsilon", "dt", "n_x", "n_z"},
-}
 
 
 @dataclass(frozen=True)
@@ -74,6 +42,10 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def _parse_text(section, key, raw):
+    return raw.strip()
 
 
 def _parse_float(section, key, raw):
@@ -99,7 +71,7 @@ def _parse_bool(section, key, raw):
     raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
 
 
-def _parse_modes(raw):
+def _parse_modes(section, key, raw):
     modes = []
     for tok in raw.split(","):
         tok = tok.strip()
@@ -110,19 +82,43 @@ def _parse_modes(raw):
             modes.append((int(k_str), float(amp_str)))
         except ValueError:
             raise ConfigError(
-                f"[scenario] rho_modes: expected 'k:amplitude', got {tok!r}") from None
+                f"[{section}] {key}: expected 'k:amplitude', got {tok!r}") from None
     return tuple(modes)
 
 
-def _parse_list(section, key, raw, conv):
-    out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if tok:
-            out.append(conv(section, key, tok))
-    if not out:
-        raise ConfigError(f"[{section}] {key}: empty list")
-    return tuple(out)
+def _parse_u_init(section, key, raw):
+    u_init = raw.strip()
+    if u_init not in ("compatible", "zero") and not u_init.startswith("snapshot:"):
+        raise ConfigError(
+            f"[{section}] {key}: expected compatible|zero|snapshot:<path>, got {u_init!r}")
+    return u_init
+
+
+def _list_of(conv):
+    """The parser of a non-empty comma list of ``conv`` values."""
+    def parse(section, key, raw):
+        out = tuple(conv(section, key, tok.strip()) for tok in raw.split(",") if tok.strip())
+        if not out:
+            raise ConfigError(f"[{section}] {key}: empty list")
+        return out
+    return parse
+
+
+# each section's keys and the parser of each key's value; any other
+# section or key is an error
+SCHEMA = {
+    "scenario": {"name": _parse_text, "rho_modes": _parse_modes,
+                 "rho_mean": _parse_float, "rho_random_amp": _parse_float,
+                 "u_init": _parse_u_init, "u_mass": _parse_float,
+                 "t_end": _parse_float, "seed": _parse_int},
+    "solver": {f.name: _parse_int if f.type in (int, "int") else _parse_float
+               for f in dataclasses.fields(SolverConfig)},
+    "output": {"dir": _parse_text, "compute_identity": _parse_bool},
+    "sweep": {"epsilon": _list_of(_parse_float), "dt": _list_of(_parse_float),
+              "n_x": _list_of(_parse_int), "n_z": _list_of(_parse_int)},
+}
+_REQUIRED = ("scenario", "t_end")  # the one key without a default
+_OUTPUT_FIELDS = {"dir": "out_dir"}  # [output] keys whose Scenario field is named otherwise
 
 
 def parse_config(path):
@@ -136,73 +132,36 @@ def parse_config(path):
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
     for section in parser.sections():
-        bad = set(parser[section]) - SCHEMA[section]
+        bad = set(parser[section]) - set(SCHEMA[section])
         if bad:
             raise ConfigError(f"[{section}]: unknown key(s): {sorted(bad)}")
 
-    name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    scen_kwargs = {"name": name}
-    if parser.has_section("scenario"):
-        sec = parser["scenario"]
-        if "name" in sec:
-            scen_kwargs["name"] = sec["name"].strip()
-        if "rho_modes" in sec:
-            scen_kwargs["rho_modes"] = _parse_modes(sec["rho_modes"])
-        for key in ("rho_mean", "rho_random_amp", "u_mass", "t_end"):
-            if key in sec:
-                scen_kwargs[key] = _parse_float("scenario", key, sec[key])
-        if "seed" in sec:
-            scen_kwargs["seed"] = _parse_int("scenario", "seed", sec["seed"])
-        if "u_init" in sec:
-            u_init = sec["u_init"].strip()
-            if u_init not in ("compatible", "zero") and not u_init.startswith("snapshot:"):
-                raise ConfigError(
-                    f"[scenario] u_init: expected compatible|zero|snapshot:<path>, "
-                    f"got {u_init!r}")
-            scen_kwargs["u_init"] = u_init
+    values = {section: {} for section in SCHEMA}
+    for section in parser.sections():
+        for key, raw in parser[section].items():
+            values[section][key] = SCHEMA[section][key](section, key, raw)
 
-    solver_kwargs = {}
-    if parser.has_section("solver"):
-        sec = parser["solver"]
-        for key in sec:
-            conv = _parse_int if _SOLVER_FIELDS[key] in (int, "int") else _parse_float
-            solver_kwargs[key] = conv("solver", key, sec[key])
     try:
-        scen_kwargs["solver"] = SolverConfig(**solver_kwargs)
+        solver = SolverConfig(**values["solver"])
     except ValueError as exc:
         raise ConfigError(f"[solver]: {exc}") from None
-
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "dir" in sec:
-            scen_kwargs["out_dir"] = sec["dir"].strip()
-        if "compute_identity" in sec:
-            scen_kwargs["compute_identity"] = _parse_bool(
-                "output", "compute_identity", sec["compute_identity"])
-
-    if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        axes = {}
-        for key in ("epsilon", "dt"):
-            if key in sec:
-                axes[key] = _parse_list("sweep", key, sec[key], _parse_float)
-        for key in ("n_x", "n_z"):
-            if key in sec:
-                axes[key] = _parse_list("sweep", key, sec[key], _parse_int)
-        scen_kwargs["sweep_axes"] = axes
-
-    scenario = Scenario(**scen_kwargs)
-    for key, values in scenario.sweep_axes.items():
-        for value in values:
+    stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]  # names an unnamed scenario
+    output = {_OUTPUT_FIELDS.get(key, key): value for key, value in values["output"].items()}
+    scenario = Scenario(**{"name": stem, **values["scenario"]}, **output,
+                        solver=solver, sweep_axes=values["sweep"])
+    # every run of this file (each sweep point too) must be valid and end on t_end
+    runs = [solver]
+    for key, axis in scenario.sweep_axes.items():
+        for value in axis:
             try:
-                dataclasses.replace(scenario.solver, **{key: value})
+                runs.append(dataclasses.replace(solver, **{key: value}))
             except ValueError as exc:
                 raise ConfigError(f"[sweep] {key} = {value!r}: {exc}") from None
-    if "t_end" not in scen_kwargs:
-        raise ConfigError("[scenario] t_end: required key is missing")
-    # every run of this file (each sweep point too) must end on t_end
-    for dt in (scenario.solver.dt,) + tuple(scenario.sweep_axes.get("dt", ())):
-        require_whole_steps(scenario.t_end, dt)
+    section, key = _REQUIRED
+    if key not in values[section]:
+        raise ConfigError(f"[{section}] {key}: required key is missing")
+    for cfg in runs:
+        require_whole_steps(scenario.t_end, cfg.dt)
     return scenario
 
 
@@ -223,7 +182,7 @@ def sweep_points(scenario):
     """
     axes = scenario.sweep_axes
     base = scenario.solver
-    keys = [k for k in ("epsilon", "dt", "n_x", "n_z") if k in axes]
+    keys = [k for k in SCHEMA["sweep"] if k in axes]
     values = [axes[k] for k in keys]
     points = []
     for combo in product(*values) if keys else [()]:

@@ -2,7 +2,14 @@
 
 
 class StefanSimError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  ``run`` stamps each one
+    with the index and time of the level it was making (``at_step``)."""
+
+    step = t = None
+
+    def at_step(self, step, t):
+        self.step, self.t = step, t
+        self.args = (f"step {step} (t={t!r}): {self.args[0]}",) + self.args[1:]
 
 
 class NonFiniteFieldError(StefanSimError):

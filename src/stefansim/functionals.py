@@ -35,13 +35,13 @@ import numpy as np
 
 from .grids import (
     PERIOD,
+    bulk_sum,
     d_tangential,
     d_tangential_hat,
     first_walls,
     halves,
-    integrate_bulk,
     integrate_halves,
-    integrate_interface,
+    interface_sum,
     parseval_weights,
     second_walls,
 )
@@ -51,6 +51,15 @@ from .transform import grid_profiles, norm_weights
 def derivative_pairs(k_diag):
     """All (mu, s) with mu + 2s <= 2 k_diag, s-major order."""
     return [(mu, s) for s in range(k_diag + 1) for mu in range(2 * (k_diag - s) + 1)]
+
+
+def uniform_step(times, what):
+    """The common spacing of ``times`` (None for a single entry); raises
+    ValueError naming ``what`` unless the spacing is uniform."""
+    steps = np.diff(np.asarray(times, dtype=float))
+    if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
+        raise ValueError(f"{what} must be uniformly spaced in time")
+    return float(steps[0]) if len(steps) else None
 
 
 class DerivativeStack:
@@ -64,16 +73,13 @@ class DerivativeStack:
     def __init__(self, grids, cutoff, k_diag, times, us, rhos):
         if not (len(times) == len(us) == len(rhos)) or len(times) == 0:
             raise ValueError("history must be non-empty and aligned")
-        steps = np.diff(times)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
-            raise ValueError("history must be uniformly spaced in time")
+        self.dt = uniform_step(times, "history")
         self.grids = grids
         self.cutoff = cutoff
         self.k_diag = int(k_diag)
         self.times = np.asarray(times, dtype=float)
         self.us = [np.asarray(u, dtype=float) for u in us]
         self.rhos = [np.asarray(r, dtype=float) for r in rhos]
-        self.dt = float(steps[0]) if len(steps) else None
         self.psi = self.rhos[-1]
         self.psi_x = d_tangential(self.psi, 1)
         self.a_psi, self.bracket = norm_weights(self.psi, self.psi_x, cutoff, grids)
@@ -132,14 +138,6 @@ def _dx(hat, raw, order, zero_nyquist):
     return d_tangential_hat(hat, raw.shape[0], order, zero_nyquist)
 
 
-def _bulk(values, g):
-    return float(np.trapezoid(values, dx=g.normal.dz, axis=-1).sum() * g.tangential.spacing)
-
-
-def _iface(values, g):
-    return float(values.sum() * g.tangential.spacing)
-
-
 def _parseval(hat, terms, g):
     """Bulk quadrature of the sum over ``terms`` ((order, zero_nyquist)
     pairs) of (d_x^order v)^2, summed on the rfft ``hat`` of v by Parseval:
@@ -169,14 +167,14 @@ def _interface_terms(r_hat, mu, eps, L, px, g):
     vx = d_tangential_hat(r_hat, n, mu + 1, True)
     vxx = d_tangential_hat(r_hat, n, mu + 2, odd)
     i_form = _i_psi_form(vxx, L, px, h)
-    E = _iface(vx**2 * L, g) + i_form
-    sob_E = _iface(vx**2 + vxx**2, g)
+    E = interface_sum(vx**2 * L, g.tangential) + i_form
+    sob_E = interface_sum(vx**2 + vxx**2, g.tangential)
     X = sob_X = 0.0
     if eps != 0.0:
         v3 = d_tangential_hat(r_hat, n, mu + 3, True)
         v4 = d_tangential_hat(r_hat, n, mu + 4, odd)
-        X = _iface(v3**2 * L, g) + _i_psi_form(v4, L, px, h)
-        sob_X = _iface(v3**2 + v4**2, g)
+        X = interface_sum(v3**2 * L, g.tangential) + _i_psi_form(v4, L, px, h)
+        sob_X = interface_sum(v3**2 + v4**2, g.tangential)
     return E, X, sob_E, sob_X, i_form, vxx
 
 
@@ -251,8 +249,6 @@ def evaluate_functionals(stack, eps):
             missing_D.append((mu, s))
             continue
         if s not in unns:
-            if g.normal.n_z < 9:
-                raise ValueError("d_normal2 needs n_z >= 9 (4-point one-sided stencils)")
             unns[s] = second_walls(halves(us[s], g.normal), dz)
             unn_hats[s] = np.fft.rfft(unns[s], axis=0)
         wxn = _dx(un_hats[s], uns[s], mu + 1, True)
@@ -262,13 +258,13 @@ def evaluate_functionals(stack, eps):
                 + _parseval(u_hats[s], ((mu + 1, True), (mu + 2, odd)), g))  # w_x, w_xx
         D += (bulk
               + integrate_halves(a_h * wn**2 + 2.0 * a_h * wxn**2 + (a_h * wnn) ** 2, g)
-              + 2.0 * _iface(vtx**2 * L, g))
+              + 2.0 * interface_sum(vtx**2 * L, g.tangential))
         sob_D += (bulk + integrate_halves(wn**2 + 2.0 * wxn**2 + wnn**2, g)
-                  + _iface(vtx**2, g))
+                  + interface_sum(vtx**2, g.tangential))
         if eps != 0.0:
             vt3 = d_tangential_hat(r_hats[s + 1], n, mu + 3, True)
-            Y += 2.0 * _iface(vt3**2 * L, g)
-            sob_Y += _iface(vt3**2, g)
+            Y += 2.0 * interface_sum(vt3**2 * L, g.tangential)
+            sob_Y += interface_sum(vt3**2, g.tangential)
 
     missing_E, missing_D = tuple(missing_E), tuple(missing_D)
     return Functionals(
@@ -404,11 +400,12 @@ def state_energy_k0(u, u_hat, rho_hat, norm):
 
 
 def conserved_quantity(u, rho, cutoff, grids):
-    """int_O u (1 + phi' rho) - int_T rho, the exactly conserved combination."""
+    """int_O u (1 + phi' rho) - int_T rho, the exactly conserved combination.
+    No finiteness check."""
+    rho = np.asarray(rho, dtype=float)
     _, dphi, _ = grid_profiles(cutoff, grids.normal)
-    weight = 1.0 + dphi * np.asarray(rho, dtype=float)[:, None]
-    bulk = integrate_bulk(np.asarray(u, dtype=float) * weight, grids)
-    return bulk - integrate_interface(rho, grids.tangential)
+    bulk = bulk_sum(np.asarray(u, dtype=float) * (1.0 + dphi * rho[:, None]), grids)
+    return bulk - interface_sum(rho, grids.tangential)
 
 
 def conservation_residual(old, new, cutoff, grids):

@@ -56,8 +56,9 @@ class NormalGrid:
     n_z: int
 
     def __post_init__(self):
-        if self.n_z < 5 or self.n_z % 2 == 0:
-            raise ValueError(f"n_z must be odd and >= 5, got {self.n_z}")
+        # the one-sided 4-point stencils need four nodes per half-strip
+        if self.n_z < 9 or self.n_z % 2 == 0:
+            raise ValueError(f"n_z must be odd and >= 9, got {self.n_z}")
 
     @property
     def dz(self):
@@ -235,14 +236,11 @@ def d_normal2(values, grid, side="above"):
     """Second normal derivative along the last axis.
 
     Interior rows use the standard 3-point stencil.  The interface row and
-    the walls use one-sided 4-point stencils (second order); this needs at
-    least four nodes per half-strip, i.e. n_z >= 9.
+    the walls use one-sided 4-point stencils (second order).
     """
     v = np.asarray(values, dtype=float)
     _require_finite(v, "d_normal2 input")
-    n_z, h, mid = grid.n_z, grid.dz, grid.i_mid
-    if n_z < 9:
-        raise ValueError("d_normal2 needs n_z >= 9 (4-point one-sided stencils)")
+    h, mid = grid.dz, grid.i_mid
     out = second_walls(v, h)
     if side == "above":
         out[..., mid] = _one_sided_second(v, mid, h, forward=True)
@@ -253,19 +251,29 @@ def d_normal2(values, grid, side="above"):
     return out
 
 
+def interface_sum(values, grid):
+    """Rectangle rule on the torus (spectrally exact for resolved fields);
+    no finiteness check."""
+    return float(values.sum() * grid.spacing)
+
+
+def bulk_sum(values, grids):
+    """Rectangle (x) times trapezoid (z) rule for single-valued integrands;
+    no finiteness check."""
+    per_x = np.trapezoid(values, dx=grids.normal.dz, axis=-1)
+    return float(per_x.sum() * grids.tangential.spacing)
+
+
 def integrate_interface(values, grid):
-    """Rectangle rule on the torus (spectrally exact for resolved fields)."""
     v = np.asarray(values, dtype=float)
     _require_finite(v, "integrate_interface input")
-    return float(v.sum() * grid.spacing)
+    return interface_sum(v, grid)
 
 
 def integrate_bulk(values, grids):
-    """Rectangle (x) times trapezoid (z) rule for single-valued integrands."""
     v = np.asarray(values, dtype=float)
     _require_finite(v, "integrate_bulk input")
-    per_x = np.trapezoid(v, dx=grids.normal.dz, axis=-1)
-    return float(per_x.sum() * grids.tangential.spacing)
+    return bulk_sum(v, grids)
 
 
 def integrate_bulk_sided(above, below, grids):
@@ -292,7 +300,8 @@ def integrate_halves(values, grids):
 
 
 def l2_interface(values, grid):
-    return float(np.sqrt(integrate_interface(np.asarray(values) ** 2, grid)))
+    """L2 norm on the torus by ``interface_sum``; no finiteness check."""
+    return float(np.sqrt(interface_sum(np.asarray(values, dtype=float) ** 2, grid)))
 
 
 def tail_fraction_hat(hat, n):

@@ -74,7 +74,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ConfigError, FixedPointError, LinearSolveError
+from .errors import ConfigError, FixedPointError, LinearSolveError, StefanSimError
 from .functionals import (
     DerivativeStack,
     EnergyNormK0,
@@ -128,8 +128,6 @@ class SolverConfig:
         if not (0 <= self.k_diag <= 3):
             raise ValueError("k_diag must be in 0..3")
         self.grids()  # rejects n_x and n_z the grids cannot take
-        if self.n_z < 9:  # the diagnostics' 4-point one-sided stencils
-            raise ValueError(f"n_z must be >= 9, got {self.n_z}")
 
     def grids(self):
         return Grids(TangentialGrid(self.n_x), NormalGrid(self.n_z))
@@ -145,14 +143,25 @@ class State:
     rho: np.ndarray
 
 
+def _ratios(norms):
+    """Each fixed-point difference over the one before it."""
+    return tuple(b / a for a, b in zip(norms, norms[1:]))
+
+
 @dataclass(frozen=True)
 class StepReport:
-    inner_iters: int
-    fp_norms: tuple
-    fp_ratios: tuple
+    fp_norms: tuple  # the fixed-point difference of each iterate
     lin_residual: float
     lag_iters: int
     trace_gap: float  # max |u(., 0) - kappa(rho) - g| of the accepted state
+
+    @property
+    def inner_iters(self):
+        return len(self.fp_norms)
+
+    @property
+    def fp_ratios(self):
+        return _ratios(self.fp_norms)
 
 
 # Exit rule of a warm-started temperature solve: once the residual test
@@ -643,13 +652,11 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
         if diff <= cfg.fp_tol:
             trace = u_m[:, grids.normal.i_mid] - curvature_hat(rho_hat, rx)
             return State(t=t_new, u=u_m, rho=rho_m), StepReport(
-                inner_iters=m, fp_norms=tuple(norms),
-                fp_ratios=tuple(b / a for a, b in zip(norms, norms[1:])),
-                lin_residual=lin_res_max, lag_iters=lag_total,
+                fp_norms=tuple(norms), lin_residual=lin_res_max, lag_iters=lag_total,
                 trace_gap=float(np.abs(trace if g_dir is None else trace - g_dir).max()))
         if theta < 1.0:
             weights = norm_weights(rho_m, rx, cutoff, grids)
-    last_ratio = norms[-1] / norms[-2] if len(norms) >= 2 else None
+    last_ratio = _ratios(norms)[-1] if len(norms) >= 2 else None
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "
         f"{cfg.fp_max_iter} iterations (last norm {norms[-1]:.3e}, "
@@ -672,9 +679,9 @@ def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
     """Diagnostics of the newest history entry.  Its (u, rho) are checked
     for finiteness here, once: every earlier entry was checked when it was
     the newest."""
-    t, u, rho = history[-1]
-    _require_finite(u, f"accepted u at t={t!r}")
-    _require_finite(rho, f"accepted rho at t={t!r}")
+    _, u, rho = history[-1]
+    _require_finite(u, "accepted u")
+    _require_finite(rho, "accepted rho")
     cons_res = 0.0
     if len(history) >= 2:
         _, u_old, rho_old = history[-2]
@@ -685,7 +692,7 @@ def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
     stack = DerivativeStack(grids, cutoff, cfg.k_diag, times, us, rhos)
     f = evaluate_functionals(stack, cfg.epsilon)
     _require_finite([f.E.value, f.D.value, f.E_eps.value, f.D_eps.value,
-                     f.sobolev_E.value, f.sobolev_D.value], f"functionals at t={t!r}")
+                     f.sobolev_E.value, f.sobolev_D.value], "functionals")
     rho_dev = l2_interface(rho - steady_level, grids.tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
@@ -725,6 +732,10 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     the run and the history buffer restarts (quotients need uniform
     spacing).  An accepted step whose trace gap exceeds cfg.trace_tol
     raises FixedPointError, without a dt halving.
+
+    Every StefanSimError raised while a level is made (the initial level
+    is step 0) is stamped with that step and its time (``at_step``), so
+    its message begins ``step n (t=...): ``.
     """
     require_whole_steps(t_end, cfg.dt)
     grids = cfg.grids()
@@ -732,36 +743,39 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     u0 = np.asarray(u0, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)
     state = State(t=0.0, u=u0, rho=rho0)
-    steady_level = steady_mean(u0, rho0, cutoff, grids)
-
-    history_len = max(cfg.k_diag + 2, 3)
-    history = deque(maxlen=history_len)
+    history = deque(maxlen=max(cfg.k_diag + 2, 3))
     history.append((0.0, u0, rho0))
-    reports = [_make_report(history, cfg, grids, cutoff, steady_level, None,
-                            compute_identity)]
-
-    halvings = 0
-    while state.t < t_end - 1e-12 * max(1.0, t_end):
-        try:
-            new_state, step_report = fixed_point_step(state, cfg, grids, cutoff,
-                                                      forcing=forcing)
-        except (FixedPointError, LinearSolveError):
-            if halvings >= cfg.max_dt_halvings:
-                raise
-            halvings += 1
-            cfg = replace(cfg, dt=cfg.dt / 2.0)
-            history.clear()
+    step, t_new = 0, 0.0  # the level being made and its time
+    try:
+        steady_level = steady_mean(u0, rho0, cutoff, grids)
+        reports = [_make_report(history, cfg, grids, cutoff, steady_level, None,
+                                compute_identity)]
+        halvings = 0
+        while state.t < t_end - 1e-12 * max(1.0, t_end):
+            step, t_new = len(reports), state.t + cfg.dt
+            try:
+                new_state, step_report = fixed_point_step(state, cfg, grids, cutoff,
+                                                          forcing=forcing)
+            except (FixedPointError, LinearSolveError):
+                if halvings >= cfg.max_dt_halvings:
+                    raise
+                halvings += 1
+                cfg = replace(cfg, dt=cfg.dt / 2.0)
+                history.clear()
+                history.append((state.t, state.u, state.rho))
+                continue
+            if step_report.trace_gap > cfg.trace_tol:
+                raise FixedPointError(
+                    f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
+                    f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
+            state = new_state
             history.append((state.t, state.u, state.rho))
-            continue
-        if step_report.trace_gap > cfg.trace_tol:
-            raise FixedPointError(
-                f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
-                f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
-        state = new_state
-        history.append((state.t, state.u, state.rho))
-        report = _make_report(history, cfg, grids, cutoff, steady_level,
-                              step_report, compute_identity)
-        reports.append(report)
-        for cb in callbacks:
-            cb(state, report)
+            report = _make_report(history, cfg, grids, cutoff, steady_level,
+                                  step_report, compute_identity)
+            reports.append(report)
+            for cb in callbacks:
+                cb(state, report)
+    except StefanSimError as exc:
+        exc.at_step(step, t_new)
+        raise
     return RunResult(reports=reports, state=state, cfg=cfg, steady_level=steady_level)

@@ -35,7 +35,6 @@ from .errors import DegenerateTransformError, ResolutionWarning
 from .grids import (
     _one_sided_first,
     _require_finite,
-    d_tangential,
     d_tangential_hat,
     tail_fraction_hat,
 )
@@ -104,17 +103,18 @@ class TransformCoefficients:
     bracket: np.ndarray
 
 
-def coefficients(rho, rho_t, cutoff, grids, rho_x=None, rho_xx=None):
+def coefficients(rho, rho_t, cutoff, grids, *, rho_x, rho_xx):
     """Assemble the transform coefficients for interface state (rho, rho_t).
 
-    rho, rho_t : (n_x,) arrays.  Tangential derivatives are spectral unless
-    exact ones are supplied (used by manufactured-solution tooling).
+    rho, rho_t : (n_x,) arrays; rho_x, rho_xx : the tangential derivatives
+    of rho, which every caller already holds (spectral ones, or exact ones
+    in manufactured-solution tooling).  No finiteness check.
     Raises DegenerateTransformError when 1 + phi' rho <= 0 somewhere.
     """
     rho = np.asarray(rho, dtype=float)
     rho_t = np.asarray(rho_t, dtype=float)
-    rx = d_tangential(rho, 1) if rho_x is None else np.asarray(rho_x, dtype=float)
-    rxx = d_tangential(rho, 2) if rho_xx is None else np.asarray(rho_xx, dtype=float)
+    rx = np.asarray(rho_x, dtype=float)
+    rxx = np.asarray(rho_xx, dtype=float)
     phi, dphi, d2phi = grid_profiles(cutoff, grids.normal)
     r, rt = rho[:, None], rho_t[:, None]
     rxc, rxxc = rx[:, None], rxx[:, None]
@@ -147,7 +147,7 @@ def _metric(r, rxc, phi, dphi):
 
 def norm_weights(rho, rho_x, cutoff, grids):
     """The fields ``a`` and ``bracket`` of ``coefficients(rho, ., cutoff,
-    grids, rho_x=rho_x)``, bitwise, without assembling B and c.
+    grids, rho_x=rho_x, rho_xx=.)``, bitwise, without assembling B and c.
 
     Neither depends on rho_t or rho_xx.  Raises DegenerateTransformError
     as ``coefficients`` does.

@@ -1,8 +1,12 @@
 """End-to-end command-line behavior, run in process via main(argv)."""
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stefansim.cli import main
+from stefansim.cli import build_parser, main
 from stefansim.io import read_energy_csv
 from stefansim.stepper import SolverConfig
 
@@ -154,7 +158,7 @@ def test_run_failure_leaves_no_partial_output(workdir, capsys, monkeypatch):
     cfg_path = write_config(workdir, HALVING_RUN, out="doomed")
     assert main(["run", "--config", str(cfg_path), "--quiet"]) == 1
     assert not (workdir / "doomed").exists()
-    assert "run failed" in capsys.readouterr().err
+    assert "run failed: step 1 (t=0.04): temperature solve stalled" in capsys.readouterr().err
 
 
 def test_spectrum_table(workdir, capsys):
@@ -200,6 +204,39 @@ def test_verify_suite_exit_codes(capsys):
     # --jobs and --seed exist only on the verbs that use them
     assert main(["verify", "--jobs", "2", "norms"]) == 2
     assert main(["verify", "--seed", "1", "norms"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--quiet"], ["--out", "never"]], ids=["quiet", "out"])
+def test_verify_rejects_the_output_flags_it_would_ignore(workdir, capsys, flags):
+    # verify writes no artifact and always prints its report
+    assert main(["verify", *flags, "norms"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+    assert not (workdir / "never").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(workdir, capsys, jobs):
+    cfg_path = write_config(workdir, SWEEP_3EPS, out="never")
+    assert main(["sweep", "--config", str(cfg_path), "--quiet", "--jobs", jobs]) == 2
+    assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (workdir / "never").exists()
+
+
+def test_readme_synopsis_lists_exactly_each_verbs_flags():
+    # the README's command-line synopsis names, verb by verb, every option
+    # of that verb's subparser, -h/--help aside
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```\n", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        _, verb, rest = line.split(None, 2)
+        listed[verb] = set(re.findall(r"--[a-z][a-z-]*", rest))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {verb: {opt for action in p._actions for opt in action.option_strings}
+                - {"-h", "--help"} for verb, p in sub.choices.items()}
+    assert listed == accepted
 
 
 def test_sweep_single_point_matches_run(workdir):

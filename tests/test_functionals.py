@@ -200,7 +200,8 @@ def reference_state_energy_k0(u, rho, psi, eps, cutoff, grids):
     """E_eps of (u, rho) at order 0 with the weights of psi, every term in
     real space from the public primitives."""
     tg = grids.tangential
-    coef = coefficients(psi, np.zeros_like(psi), cutoff, grids)
+    coef = coefficients(psi, np.zeros_like(psi), cutoff, grids,
+                        rho_x=d_tangential(psi, 1), rho_xx=d_tangential(psi, 2))
     a, L = coef.a, 1.0 / coef.bracket
     up, lo = d_normal(u, grids.normal, side="above"), d_normal(u, grids.normal, side="below")
     vx, vxx, v3 = (d_tangential(rho, n) for n in (1, 2, 3))
@@ -227,7 +228,8 @@ def test_state_energy_k0_matches_real_space_reference(n_x, n_z, eps):
          + 0.05 * nyquist_mode(n_x)[:, None] * (1.0 - z**2))
     rho = band_limited(rng, tg, 0.05) + 0.01 * nyquist_mode(n_x)
     psi_x = d_tangential(psi, 1)
-    coef = coefficients(psi, np.zeros_like(psi), cutoff, grids)
+    coef = coefficients(psi, np.zeros_like(psi), cutoff, grids,
+                        rho_x=d_tangential(psi, 1), rho_xx=d_tangential(psi, 2))
     norm = EnergyNormK0(psi_x, coef.a, coef.bracket, eps, grids)
     u_hat = np.fft.rfft(u, axis=0)
     got = state_energy_k0(u, u_hat, np.fft.rfft(rho), norm)
@@ -272,7 +274,8 @@ def test_i_psi_vertical_shift_invariance():
 def test_state_energy_quadratic_scaling(small_cfg, small_grids, small_cutoff, smooth_state):
     u, rho = smooth_state
     psi = rho.copy()
-    coef = coefficients(psi, np.zeros_like(psi), small_cutoff, small_grids)
+    coef = coefficients(psi, np.zeros_like(psi), small_cutoff, small_grids,
+                        rho_x=d_tangential(psi, 1), rho_xx=d_tangential(psi, 2))
     psi_x = d_tangential(psi, 1)
     norm = EnergyNormK0(psi_x, coef.a, coef.bracket, 0.5, small_grids)
 

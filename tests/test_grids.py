@@ -37,10 +37,11 @@ def test_tangential_grid_validation():
 
 
 def test_normal_grid_validation():
-    with pytest.raises(ValueError):
-        NormalGrid(4)
-    with pytest.raises(ValueError):
-        NormalGrid(16)
+    # odd, and four nodes per half-strip for the one-sided 4-point stencils
+    for n_z in (4, 5, 7, 16):
+        with pytest.raises(ValueError, match=f"n_z must be odd and >= 9, got {n_z}"):
+            NormalGrid(n_z)
+    assert NormalGrid(9).i_mid == 4
     g = NormalGrid(17)
     assert g.nodes[0] == -1.0 and g.nodes[-1] == 1.0
     assert g.nodes[g.i_mid] == 0.0

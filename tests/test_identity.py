@@ -1,12 +1,10 @@
 """Energy-balance evaluator for the frozen-coefficient model problem."""
 import dataclasses
-import re
 import sys
 
 import numpy as np
 import pytest
 
-from stefansim.errors import NonFiniteFieldError
 from stefansim.grids import Grids, NormalGrid, TangentialGrid
 from stefansim.identity import identity_residual_k0, model_energy
 from stefansim.transform import Cutoff
@@ -88,8 +86,6 @@ def test_model_energy_basics(med_grids):
     e0 = model_energy(u, rho, 0.0, Cutoff(), med_grids)
     e1 = model_energy(u, rho, 1.0, Cutoff(), med_grids)
     assert 0.0 < e0 < e1  # eps terms only add nonnegative interface energy
-    with pytest.raises(NonFiniteFieldError, match="model_energy rho"):
-        model_energy(u, np.full(32, np.nan), 0.0, Cutoff(), med_grids)
 
 
 # IdentityReport of synthetic_window on the 32 x 33 grids, recorded from the
@@ -119,7 +115,7 @@ def test_report_matches_the_literal_evaluator(med_grids, eps):
 
 def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
     # rho, rho_t, u and u_n at the midpoint, u and rho at each neighbour;
-    # no checked derivative: the window is checked once on entry
+    # no checked derivative: run checks each accepted state once
     count = {"rfft": 0}
     real = np.fft.rfft
 
@@ -136,15 +132,3 @@ def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
             monkeypatch.setattr(mod, "d_tangential", forbidden)
     identity_residual_k0(synthetic_window(med_grids), 1e-2, Cutoff(), med_grids)
     assert count["rfft"] <= 8
-
-
-@pytest.mark.parametrize("j, name", [(0, "u"), (1, "rho"), (1, "u"), (2, "rho")])
-def test_non_finite_sample_is_named(med_grids, j, name):
-    window = synthetic_window(med_grids)
-    t, u, rho = window[j]
-    bad = (u if name == "u" else rho).copy()
-    bad.flat[3] = np.nan
-    window[j] = (t, bad, rho) if name == "u" else (t, u, bad)
-    with pytest.raises(NonFiniteFieldError,
-                       match=re.escape(f"identity window sample {j} (t={t!r}) {name}:")):
-        identity_residual_k0(window, 1e-2, Cutoff(), med_grids)

@@ -11,7 +11,7 @@ import sympy as sp
 
 import stefansim
 import stefansim.oracles as oracles_module
-from stefansim.grids import Grids, NormalGrid, TangentialGrid
+from stefansim.grids import Grids, NormalGrid, TangentialGrid, d_tangential
 from stefansim.oracles import (
     LEADING_RATE_K1,
     ManufacturedProblem,
@@ -131,7 +131,9 @@ def test_manufactured_generic_consistency(mms_grids):
     t = 0.2
     rho_t = -mp.rho_exact(t)  # d/dt of amp e^{-t} sin x
     exact = mp.exact_coefficients(t)
-    spectral = coefficients(mp.rho_exact(t), rho_t, Cutoff(), mms_grids)
+    rho = mp.rho_exact(t)
+    spectral = coefficients(rho, rho_t, Cutoff(), mms_grids,
+                            rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     assert np.abs(exact.a - spectral.a).max() < 1e-13
     assert np.abs(exact.c - spectral.c).max() < 1e-13
 

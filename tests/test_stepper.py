@@ -1,5 +1,6 @@
 """Time stepping: solver config, temperature solve, interface update,
 per-step fixed point, and the run driver."""
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,8 +10,10 @@ from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator
 
 from stefansim import stepper
+from stefansim import grids as grids_module
 from stefansim.errors import (
     ConfigError,
+    DegenerateTransformError,
     FixedPointError,
     LinearSolveError,
     NonFiniteFieldError,
@@ -38,7 +41,6 @@ def test_solver_config_validation():
                    dict(k_diag=-1),
                    # the grids reject these when the config is made
                    dict(n_x=7), dict(n_x=6), dict(n_z=8), dict(n_z=3),
-                   # the diagnostics' one-sided stencils need n_z >= 9
                    dict(n_z=7), dict(n_z=5)):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
@@ -93,7 +95,8 @@ def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
     at (rho, rho_t), the operator factored at the tangential mean of their
     a, 1/dt from cfg unless given, and the curvature of rho as Dirichlet
     data unless given."""
-    coef = coefficients(rho, rho_t, cutoff, grids)
+    coef = coefficients(rho, rho_t, cutoff, grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     inv_dt = 1.0 / cfg.dt if inv_dt is None else inv_dt
     step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
                                  inv_dt, cfg.theta, grids)
@@ -155,7 +158,9 @@ def test_bulk_solve_matches_dense_half_strips(n_z, theta, inv_dt):
     grids, cutoff = cfg.grids(), cfg.cutoff()
     x = grids.tangential.nodes
     rho = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
-    a_mean = coefficients(rho, np.zeros_like(rho), cutoff, grids).a.mean(axis=0)
+    coef = coefficients(rho, np.zeros_like(rho), cutoff, grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
+    a_mean = coef.a.mean(axis=0)
     assert np.ptp(a_mean) > 1e-3  # the non-flat interface makes a_mean vary in z
     rng = np.random.default_rng(7)
     rhs_hat = np.fft.rfft(rng.standard_normal(grids.shape), axis=0)
@@ -207,7 +212,8 @@ def test_temperature_step_zero_state_is_exact(small_cfg, small_grids, small_cuto
 
 def test_jump_response_is_positive_and_monotone(small_cfg, small_grids, small_cutoff):
     zeros = np.zeros(small_cfg.n_x)
-    a_mean = coefficients(zeros, zeros, small_cutoff, small_grids).a.mean(axis=0)
+    a_mean = coefficients(zeros, zeros, small_cutoff, small_grids,
+                          rho_x=zeros, rho_xx=zeros).a.mean(axis=0)
     sigma = stepper._BulkLU(a_mean, 1.0 / small_cfg.dt, small_cfg.theta,
                             small_grids).jump_response()
     assert sigma.shape == (small_cfg.n_x // 2 + 1,)
@@ -241,7 +247,8 @@ def test_compatible_initial_temperature_converges_where_the_lag_loop_stalls(n_x,
     rho = amp * (np.sin(x) + 0.5 * np.cos(2 * x))
     u0 = compatible_initial_temperature(rho, cfg)
     # the steady full residual, by the reference operator
-    coef = coefficients(rho, np.zeros_like(rho), cutoff, grids)
+    coef = coefficients(rho, np.zeros_like(rho), cutoff, grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     L, scale, _ = reference_operator(u0, coef, grids)
     assert np.linalg.norm(L) / scale <= cfg.lin_tol
     assert np.abs(u0[:, grids.normal.i_mid] - curvature(rho)).max() <= cfg.trace_tol
@@ -304,7 +311,8 @@ def reference_lag_loop(rho, rho_t, u_old, cfg, grids, cutoff, dirichlet, f_new, 
     """The lag loop transforming every field afresh: each lagged u_xz and
     each operator application goes through ``d_tangential``."""
     theta, inv_dt, mid = cfg.theta, 1.0 / cfg.dt, grids.normal.i_mid
-    coef = coefficients(rho, rho_t, cutoff, grids)
+    coef = coefficients(rho, rho_t, cutoff, grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     a_mean = coef.a.mean(axis=0)
     L_old, scale_old, _ = reference_operator(u_old, coef, grids)
     base = u_old * inv_dt + theta * f_new + (1.0 - theta) * (L_old + f_old)
@@ -361,7 +369,8 @@ def test_temperature_step_matches_reference_lag_loop(theta):
     assert residual <= cfg.lin_tol
     assert np.abs(u - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
     # the operator on a field without its solve's coefficients agrees too
-    coef = coefficients(rho, rho_t, cutoff, grids)
+    coef = coefficients(rho, rho_t, cutoff, grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     L, scale = bulk_operator(u_old, coef, grids)
     L_ref, scale_ref, _ = reference_operator(u_old, coef, grids)
     assert np.abs(L - L_ref).max() <= 1e-13 * np.abs(L_ref).max()
@@ -388,7 +397,8 @@ def test_temperature_step_does_not_depend_on_memory_layout(layout):
     assert lag_re == lag_iters
     assert residual_re == pytest.approx(residual, rel=1e-8)
     assert np.abs(u_re - u).max() <= 1e-13 * np.abs(u).max()
-    coef = coefficients(rho, rho_t, cutoff, grids)
+    coef = coefficients(rho, rho_t, cutoff, grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     L, scale = bulk_operator(u_old, coef, grids)
     L_re, scale_re = bulk_operator(bulk[0], coef, grids)
     assert np.abs(L_re - L).max() <= 1e-13 * np.abs(L).max()
@@ -439,7 +449,8 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     # (u, u_xx, u_xz) per lag iteration, plus a constant for u_old and the
     # Dirichlet data; the jump response makes none
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
-    coef = coefficients(data[0], data[1], cutoff, grids)
+    coef = coefficients(data[0], data[1], cutoff, grids,
+                        rho_x=d_tangential(data[0], 1), rho_xx=d_tangential(data[0], 2))
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
     counts = count_transforms(monkeypatch)
     step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
@@ -695,7 +706,8 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
     for _ in range(cfg.fp_max_iter):
         rho_t = (rho_m - state.rho) / dt
         rho_eff = theta * rho_m + (1.0 - theta) * state.rho
-        coef = coefficients(rho_eff, rho_t, cutoff, grids)
+        coef = coefficients(rho_eff, rho_t, cutoff, grids,
+                            rho_x=d_tangential(rho_eff, 1), rho_xx=d_tangential(rho_eff, 2))
         step = stepper._prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old,
                                      1.0 / dt, theta, grids)
         u_next, *_ = temperature_step(step, coef, cfg, grids,
@@ -895,8 +907,92 @@ def test_run_rejects_non_finite_accepted_state_naming_t(monkeypatch):
         return new_state, report
 
     monkeypatch.setattr(stepper, "fixed_point_step", corrupting_step)
-    with pytest.raises(NonFiniteFieldError, match=r"accepted u at t=0\.002\b"):
+    with pytest.raises(NonFiniteFieldError, match=r"^step 2 \(t=0\.002\): accepted u:") as exc:
         run(u0, rho0, cfg, 4 * cfg.dt)
+    assert (exc.value.step, exc.value.t) == (2, 0.002)
+
+
+@pytest.mark.parametrize("field", ["u", "rho"])
+def test_run_checks_each_state_before_the_identity_reads_it(monkeypatch, field):
+    # the accepted state is checked once, when it is made; the identity,
+    # which reads it again as a window sample, checks nothing itself
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.01 * np.sin(x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    real_step, real_identity = stepper.fixed_point_step, stepper.identity_residual_k0
+    windows = []
+
+    def corrupting_step(state, *args, **kwargs):
+        new_state, report = real_step(state, *args, **kwargs)
+        if new_state.t > 1.5 * cfg.dt:
+            getattr(new_state, field).flat[3] = np.nan  # u: off the interface row
+        return new_state, report
+
+    def recording_identity(window, *args):
+        windows.append(window)
+        return real_identity(window, *args)
+
+    monkeypatch.setattr(stepper, "fixed_point_step", corrupting_step)
+    monkeypatch.setattr(stepper, "identity_residual_k0", recording_identity)
+    with pytest.raises(NonFiniteFieldError,
+                       match=rf"^step 2 \(t=0\.002\): accepted {field}:"):
+        run(u0, rho0, cfg, 4 * cfg.dt, compute_identity=True)
+    assert windows == []  # the identity's first window would end at step 2
+
+
+def test_run_names_the_step_of_a_degenerate_transform():
+    # sup |rho| = 0.3 is past the flattening bound: the initial level fails
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    with pytest.raises(DegenerateTransformError,
+                       match=r"^step 0 \(t=0\.0\): flattening map degenerate") as exc:
+        run(np.zeros(cfg.grids().shape), 0.3 * np.sin(x), cfg, 2 * cfg.dt)
+    assert (exc.value.step, exc.value.t) == (0, 0.0)
+    i, j = exc.value.node
+    assert 0 <= i < cfg.n_x and 0 <= j < cfg.n_z
+
+
+def test_run_names_the_step_of_an_exhausted_halving(monkeypatch):
+    # the step fails at dt = 0.04 and again at the halved 0.02; the error
+    # names the level at the halved step's time
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 1)
+    cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    with pytest.raises(LinearSolveError,
+                       match=r"^step 1 \(t=0\.02\): temperature solve stalled") as exc:
+        run(np.zeros(cfg.grids().shape), 0.1 * np.sin(x), cfg, 0.08)
+    assert (exc.value.step, exc.value.t) == (1, 0.02)
+    assert exc.value.residual > cfg.lin_tol
+
+
+def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
+    # each level's accepted u and rho, its functionals and the stack's one
+    # checked derivative, plus one check per lag iterate of its solves
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.01 * np.sin(x) + 0.005 * np.cos(2 * x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    checks, lag_iters = [0], []
+    real_check, real_step = grids_module._require_finite, stepper.fixed_point_step
+
+    def counting_check(*args):
+        checks[0] += 1
+        return real_check(*args)
+
+    def recording_step(*args, **kwargs):
+        result = real_step(*args, **kwargs)
+        lag_iters.append(result[1].lag_iters)
+        return result
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("stefansim") and \
+                getattr(mod, "_require_finite", None) is real_check:
+            monkeypatch.setattr(mod, "_require_finite", counting_check)
+    monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    res = run(u0, rho0, cfg, 5 * cfg.dt)
+    assert len(res.reports) == 6 and len(lag_iters) == 5 and min(lag_iters) >= 1
+    assert checks[0] == 4 * len(res.reports) + sum(lag_iters)
 
 
 @pytest.mark.parametrize("theta, per_step", [(1.0, 1), (0.5, 2)])
@@ -930,6 +1026,7 @@ def test_run_raises_on_a_trace_gap_without_halving_dt(monkeypatch):
         return real_step(state, step_cfg, *args, **kwargs)
 
     monkeypatch.setattr(stepper, "fixed_point_step", counting_step)
-    with pytest.raises(FixedPointError, match="trace consistency"):
+    with pytest.raises(FixedPointError,
+                       match=r"^step 1 \(t=0\.001\): accepted step violates trace consistency"):
         run(u0, rho0, cfg, 4 * cfg.dt)
     assert dts == [cfg.dt]  # the first step, not retried at a smaller dt

@@ -79,7 +79,8 @@ def test_cutoff_is_c2_by_finite_differences():
 
 def test_coefficients_identity_for_flat_interface(small_cfg, small_grids, small_cutoff):
     n_x = small_cfg.n_x
-    coef = coefficients(np.zeros(n_x), np.zeros(n_x), small_cutoff, small_grids)
+    zeros = np.zeros(n_x)
+    coef = coefficients(zeros, zeros, small_cutoff, small_grids, rho_x=zeros, rho_xx=zeros)
     assert np.all(coef.a == 1.0)
     assert np.all(coef.B == 0.0)
     assert np.all(coef.c == 0.0)
@@ -89,7 +90,8 @@ def test_coefficients_identity_for_flat_interface(small_cfg, small_grids, small_
 def test_coefficients_plateau_rows(small_grids, small_cutoff, smooth_state):
     _, rho = smooth_state
     rho_t = 0.3 * np.cos(small_grids.tangential.nodes)
-    coef = coefficients(rho, rho_t, small_cutoff, small_grids)
+    coef = coefficients(rho, rho_t, small_cutoff, small_grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     z = small_grids.normal.nodes
     wall = np.abs(z) >= 1.0 - small_cutoff.alpha
     # outer plateau: the operator is the plain Laplacian
@@ -110,7 +112,8 @@ def test_coefficients_accept_supplied_derivatives(small_grids, small_cutoff):
     rho = 0.05 * np.sin(x)
     exact = coefficients(rho, np.zeros_like(rho), small_cutoff, small_grids,
                          rho_x=0.05 * np.cos(x), rho_xx=-0.05 * np.sin(x))
-    spectral = coefficients(rho, np.zeros_like(rho), small_cutoff, small_grids)
+    spectral = coefficients(rho, np.zeros_like(rho), small_cutoff, small_grids,
+                            rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     assert np.abs(exact.a - spectral.a).max() < 1e-13
     assert np.abs(exact.c - spectral.c).max() < 1e-13
 
@@ -120,7 +123,8 @@ def test_norm_weights_bitwise_match_coefficients(small_grids, small_cutoff, seed
     rng = np.random.default_rng(seed)
     rho = band_limited(rng, small_grids.tangential, 0.1) + 0.1 * rng.standard_normal()
     rho_t = band_limited(rng, small_grids.tangential, 1.0)
-    coef = coefficients(rho, rho_t, small_cutoff, small_grids)
+    coef = coefficients(rho, rho_t, small_cutoff, small_grids,
+                        rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     a, bracket = norm_weights(rho, d_tangential(rho, 1), small_cutoff, small_grids)
     assert np.array_equal(a.view(np.uint64), coef.a.view(np.uint64))
     assert np.array_equal(bracket.view(np.uint64), coef.bracket.view(np.uint64))
@@ -137,13 +141,15 @@ def test_grid_profiles_are_cached_read_only_rows(small_grids, small_cutoff):
 def test_degenerate_transform_raises_with_node(small_grids, small_cutoff):
     rho = np.full(small_grids.tangential.n_x, 0.6)
     with pytest.raises(DegenerateTransformError) as exc:
-        coefficients(rho, np.zeros_like(rho), small_cutoff, small_grids)
+        coefficients(rho, np.zeros_like(rho), small_cutoff, small_grids,
+                     rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     i, j = exc.value.node
     assert 0 <= i < small_grids.tangential.n_x
     assert 0 <= j < small_grids.normal.n_z
     # just inside the invertibility bound: fine
     rho_ok = np.full(small_grids.tangential.n_x, 0.9 / small_cutoff.max_slope)
-    coefficients(rho_ok, np.zeros_like(rho_ok), small_cutoff, small_grids)
+    coefficients(rho_ok, np.zeros_like(rho_ok), small_cutoff, small_grids,
+                 rho_x=d_tangential(rho_ok, 1), rho_xx=d_tangential(rho_ok, 2))
     with pytest.raises(DegenerateTransformError):
         norm_weights(rho, np.zeros_like(rho), small_cutoff, small_grids)
 
