@@ -301,7 +301,7 @@ def integrate_halves(values, grids):
 
 def l2_interface(values, grid):
     """L2 norm on the torus by ``interface_sum``; no finiteness check."""
-    return float(np.sqrt(interface_sum(np.asarray(values, dtype=float) ** 2, grid)))
+    return float(np.sqrt(interface_sum(np.asarray(values) ** 2, grid)))
 
 
 def tail_fraction_hat(hat, n):

@@ -576,8 +576,9 @@ def compatible_initial_temperature(rho0, cfg):
     return u0
 
 
-def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
-    """One accepted time step; returns (new_state, StepReport).
+def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None):
+    """One accepted time step, to the level at time t_new (where the
+    forcing is evaluated); returns (new_state, StepReport).
 
     Iterates the map rho_m -> rho_next (temperature solve with the
     curvature of rho_m as Dirichlet data, then interface update; u_m only
@@ -587,7 +588,6 @@ def fixed_point_step(state, cfg, grids, cutoff, forcing=None):
     accepted state's trace gap max |u(., 0) - kappa(rho) - g|.
     """
     dt, theta, n_x = cfg.dt, cfg.theta, grids.tangential.n_x
-    t_new = state.t + dt
     f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
     if forcing is not None:
         f_bulk_new, g_dir, f_jump_new = forcing.at(t_new)
@@ -723,7 +723,9 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     and passing it with the accepted state to each ``cb(state, report)``.
 
     t_end must be a whole number of steps of cfg.dt, so the run ends on
-    t_end; otherwise ``require_whole_steps`` raises ConfigError.
+    t_end; otherwise ``require_whole_steps`` raises ConfigError.  The
+    level made by the m-th step of the current dt sits at m dt, the last
+    one at t_end exactly.
 
     On a failed step (fixed-point non-contraction, or the inner lag loop
     stalling -- both are how "dt too large" manifests, since 1/dt damps
@@ -743,24 +745,26 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     u0 = np.asarray(u0, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)
     state = State(t=0.0, u=u0, rho=rho0)
+    steady_level = steady_mean(u0, rho0, cutoff, grids)
     history = deque(maxlen=max(cfg.k_diag + 2, 3))
     history.append((0.0, u0, rho0))
-    step, t_new = 0, 0.0  # the level being made and its time
+    reports, t_new = [], 0.0  # a report per level made; the next level's time
+    m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
+    halvings = 0
     try:
-        steady_level = steady_mean(u0, rho0, cutoff, grids)
-        reports = [_make_report(history, cfg, grids, cutoff, steady_level, None,
-                                compute_identity)]
-        halvings = 0
-        while state.t < t_end - 1e-12 * max(1.0, t_end):
-            step, t_new = len(reports), state.t + cfg.dt
+        reports.append(_make_report(history, cfg, grids, cutoff, steady_level, None,
+                                    compute_identity))
+        while m < n_steps:
+            t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
             try:
                 new_state, step_report = fixed_point_step(state, cfg, grids, cutoff,
-                                                          forcing=forcing)
+                                                          t_new=t_new, forcing=forcing)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise
                 halvings += 1
                 cfg = replace(cfg, dt=cfg.dt / 2.0)
+                m, n_steps = 2 * m, 2 * n_steps
                 history.clear()
                 history.append((state.t, state.u, state.rho))
                 continue
@@ -768,7 +772,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                 raise FixedPointError(
                     f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
                     f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
-            state = new_state
+            state, m = new_state, m + 1
             history.append((state.t, state.u, state.rho))
             report = _make_report(history, cfg, grids, cutoff, steady_level,
                                   step_report, compute_identity)
@@ -776,6 +780,6 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
             for cb in callbacks:
                 cb(state, report)
     except StefanSimError as exc:
-        exc.at_step(step, t_new)
+        exc.at_step(len(reports), t_new)  # the level being made
         raise
     return RunResult(reports=reports, state=state, cfg=cfg, steady_level=steady_level)

@@ -556,7 +556,8 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
 def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids, small_cutoff):
     rho = np.full(small_cfg.n_x, 0.1)
     state = State(t=0.0, u=np.zeros(small_grids.shape), rho=rho)
-    new_state, report = fixed_point_step(state, small_cfg, small_grids, small_cutoff)
+    new_state, report = fixed_point_step(state, small_cfg, small_grids, small_cutoff,
+                                         t_new=small_cfg.dt)
     assert report.inner_iters == 1
     assert np.all(new_state.u == 0.0)
     assert np.abs(new_state.rho - 0.1).max() < 1e-15
@@ -569,7 +570,7 @@ def test_fixed_point_contracts_after_first_iterate(small_grids, small_cutoff):
     rho0 = 0.05 * np.sin(x)
     u0 = compatible_initial_temperature(rho0, cfg)
     _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg,
-                                 small_grids, small_cutoff)
+                                 small_grids, small_cutoff, t_new=cfg.dt)
     assert report.inner_iters >= 2
     assert len(report.fp_norms) == report.inner_iters
     # the first ratio overshoots (the seed iterate lags rho_t), later ones
@@ -591,7 +592,7 @@ def test_fixed_point_tall_manufactured_column_converges():
     problem = ManufacturedProblem(grids, cutoff, cfg.epsilon)
     u0, rho0 = problem.initial_data()
     _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff,
-                                 forcing=problem)
+                                 forcing=problem, t_new=cfg.dt)
     assert report.inner_iters <= 6
     assert report.fp_norms[-1] <= cfg.fp_tol
 
@@ -619,7 +620,7 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
     monkeypatch.setattr(lapack, "dgttrf", factor)
     monkeypatch.setattr(stepper._BulkLU, "jump_response", jump)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
-    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     # one LU and one jump response per step; every other substitution is
     # a lag iteration
@@ -637,7 +638,7 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
     calls, real_weights = [], stepper.norm_weights
     monkeypatch.setattr(stepper, "norm_weights",
                         lambda *args: calls.append(args) or real_weights(*args))
-    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     assert len(calls) == (report.inner_iters if per_iterate else 1)
 
@@ -651,7 +652,7 @@ def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypa
     # the solves return
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
     counts = count_transforms(monkeypatch, two_d_only=True)
-    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     assert counts["rfft"] == report.lag_iters + 1
     assert counts["irfft"] == 3 * report.lag_iters + 2
@@ -680,7 +681,7 @@ def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatc
 
     monkeypatch.setattr(stepper, "state_energy_k0", counting_norm)
     monkeypatch.setattr(stepper, "temperature_step", counting_temperature)
-    _, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
     checks = sum(n for n, _ in solves)
     assert report.inner_iters >= 3 and len(solves) == report.inner_iters
     assert len(calls) == report.inner_iters + checks
@@ -729,7 +730,7 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_warm_started_step_matches_cold_reference_loop(theta, forced_step_problem):
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
     u_ref, rho_ref = cold_reference_step(state, cfg, grids, cutoff, forcing)
     assert report.inner_iters >= 3
     assert np.abs(new_state.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
@@ -758,7 +759,7 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
     monkeypatch.setattr(stepper, "interface_step", recording_interface)
-    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff)
+    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff, t_new=cfg.dt)
     assert len(seen_dirichlet) == report.inner_iters >= 2
     assert len(seen_rho) == report.inner_iters + 1
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
@@ -771,7 +772,7 @@ def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids, small_cutof
     rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)  # mode 12 lies in the top third
     state = State(t=0.0, u=np.zeros(small_grids.shape), rho=rho)
     with pytest.warns(ResolutionWarning, match="under-resolved"):
-        fixed_point_step(state, cfg, small_grids, small_cutoff)
+        fixed_point_step(state, cfg, small_grids, small_cutoff, t_new=cfg.dt)
 
 
 def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids, small_cutoff):
@@ -780,7 +781,7 @@ def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids, s
     x = small_grids.tangential.nodes
     state = State(t=0.0, u=np.zeros(small_grids.shape), rho=0.05 * np.sin(x))
     with pytest.raises(FixedPointError) as exc:
-        fixed_point_step(state, cfg, small_grids, small_cutoff)
+        fixed_point_step(state, cfg, small_grids, small_cutoff, t_new=cfg.dt)
     assert exc.value.last_norm > cfg.fp_tol
     assert exc.value.last_ratio is not None
 
@@ -790,7 +791,7 @@ def test_fixed_point_step_measures_its_trace_gap(theta, forced_step_problem):
     # max |u(., 0) - kappa(rho) - g| of the accepted state, g the step's own
     # Dirichlet shift, from the transform of rho the step already holds
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, grids, cutoff, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
     g_dir = forcing.at(new_state.t)[1]
     gap = np.abs(new_state.u[:, grids.normal.i_mid] - curvature(new_state.rho) - g_dir).max()
     assert report.trace_gap == gap <= cfg.trace_tol
@@ -848,6 +849,28 @@ def test_run_ends_on_t_end_when_dt_divides_it():
     res = run(np.zeros(cfg.grids().shape), 0.01 * np.sin(x), cfg, 0.06)
     assert len(res.reports) == 4
     assert res.state.t == pytest.approx(0.06, rel=1e-12)
+
+
+def test_run_ends_exactly_on_t_end():
+    # 3 * 0.1 == 0.30000000000000004: the last level sits at t_end itself
+    cfg = SolverConfig(n_x=16, n_z=17, dt=0.1, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    res = run(np.zeros(cfg.grids().shape), 1e-3 * np.sin(x), cfg, 0.3)
+    assert res.cfg.dt == 0.1
+    assert [r.t for r in res.reports] == [0.0, 0.1, 0.2, 0.3]
+    assert res.state.t == 0.3
+
+
+def test_run_ends_exactly_on_t_end_after_halving_dt(monkeypatch):
+    # dt = 0.04 fails twice: the level of the m-th step of 0.01 sits at
+    # m * 0.01, the last at t_end, not at a sum of twelve 0.01s
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
+    cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    res = run(np.zeros(cfg.grids().shape), 0.1 * np.sin(x), cfg, 0.12)
+    assert res.cfg.dt == 0.01
+    assert [r.t for r in res.reports] == [m * 0.01 for m in range(12)] + [0.12]
+    assert res.state.t == 0.12
 
 
 def test_run_is_deterministic():
