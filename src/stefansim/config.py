@@ -118,6 +118,7 @@ SCHEMA = {
               "n_x": _list_of(_parse_int), "n_z": _list_of(_parse_int)},
 }
 _REQUIRED = ("scenario", "t_end")  # the one key without a default
+_STEM_NAMED = ("scenario", "name")  # the key whose default is the file's stem
 _OUTPUT_FIELDS = {"dir": "out_dir"}  # [output] keys whose Scenario field is named otherwise
 
 
@@ -137,6 +138,8 @@ def parse_config(path):
             raise ConfigError(f"[{section}]: unknown key(s): {sorted(bad)}")
 
     values = {section: {} for section in SCHEMA}
+    section, key = _STEM_NAMED
+    values[section][key] = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     for section in parser.sections():
         for key, raw in parser[section].items():
             values[section][key] = SCHEMA[section][key](section, key, raw)
@@ -145,10 +148,8 @@ def parse_config(path):
         solver = SolverConfig(**values["solver"])
     except ValueError as exc:
         raise ConfigError(f"[solver]: {exc}") from None
-    stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]  # names an unnamed scenario
     output = {_OUTPUT_FIELDS.get(key, key): value for key, value in values["output"].items()}
-    scenario = Scenario(**{"name": stem, **values["scenario"]}, **output,
-                        solver=solver, sweep_axes=values["sweep"])
+    scenario = Scenario(**values["scenario"], **output, solver=solver, sweep_axes=values["sweep"])
     # every run of this file (each sweep point too) must be valid and end on t_end
     runs = [solver]
     for key, axis in scenario.sweep_axes.items():
