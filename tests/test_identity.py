@@ -5,8 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from stefansim import stepper
+from stefansim.errors import NonFiniteFieldError
 from stefansim.grids import Grids, NormalGrid, TangentialGrid
 from stefansim.identity import identity_residual_k0, model_energy
+from stefansim.stepper import SolverConfig, compatible_initial_temperature, run
 from stefansim.transform import Cutoff
 
 
@@ -132,3 +135,37 @@ def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
             monkeypatch.setattr(mod, "d_tangential", forbidden)
     identity_residual_k0(synthetic_window(med_grids), 1e-2, Cutoff(), med_grids)
     assert count["rfft"] <= 8
+
+
+@pytest.mark.parametrize("j, name", [(0, "u"), (1, "rho"), (1, "u"), (2, "rho")])
+def test_non_finite_sample_is_named(monkeypatch, j, name):
+    # sample j of the first window is the level made by step j; run checks
+    # it once, when it is made, and names that step, before the identity
+    # (which checks nothing itself) reads the window
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.01 * np.sin(x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    if j == 0:
+        u0.flat[3] = np.nan
+    real_step, real_identity = stepper.fixed_point_step, stepper.identity_residual_k0
+    windows = []
+
+    def corrupting_step(state, *args, **kwargs):
+        new_state, report = real_step(state, *args, **kwargs)
+        if abs(new_state.t - j * cfg.dt) < 0.5 * cfg.dt:
+            getattr(new_state, name).flat[3] = np.nan  # u: off the interface row
+        return new_state, report
+
+    def recording_identity(window, *args):
+        windows.append(window)
+        return real_identity(window, *args)
+
+    monkeypatch.setattr(stepper, "fixed_point_step", corrupting_step)
+    monkeypatch.setattr(stepper, "identity_residual_k0", recording_identity)
+    t = repr(j * cfg.dt).replace(".", r"\.")
+    with pytest.raises(NonFiniteFieldError,
+                       match=rf"^step {j} \(t={t}\): accepted {name}:") as exc:
+        run(u0, rho0, cfg, 4 * cfg.dt, compute_identity=True)
+    assert exc.value.step == j
+    assert windows == []  # the first window would end at step 2

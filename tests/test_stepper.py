@@ -935,35 +935,6 @@ def test_run_rejects_non_finite_accepted_state_naming_t(monkeypatch):
     assert (exc.value.step, exc.value.t) == (2, 0.002)
 
 
-@pytest.mark.parametrize("field", ["u", "rho"])
-def test_run_checks_each_state_before_the_identity_reads_it(monkeypatch, field):
-    # the accepted state is checked once, when it is made; the identity,
-    # which reads it again as a window sample, checks nothing itself
-    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
-    x = cfg.grids().tangential.nodes
-    rho0 = 0.01 * np.sin(x)
-    u0 = compatible_initial_temperature(rho0, cfg)
-    real_step, real_identity = stepper.fixed_point_step, stepper.identity_residual_k0
-    windows = []
-
-    def corrupting_step(state, *args, **kwargs):
-        new_state, report = real_step(state, *args, **kwargs)
-        if new_state.t > 1.5 * cfg.dt:
-            getattr(new_state, field).flat[3] = np.nan  # u: off the interface row
-        return new_state, report
-
-    def recording_identity(window, *args):
-        windows.append(window)
-        return real_identity(window, *args)
-
-    monkeypatch.setattr(stepper, "fixed_point_step", corrupting_step)
-    monkeypatch.setattr(stepper, "identity_residual_k0", recording_identity)
-    with pytest.raises(NonFiniteFieldError,
-                       match=rf"^step 2 \(t=0\.002\): accepted {field}:"):
-        run(u0, rho0, cfg, 4 * cfg.dt, compute_identity=True)
-    assert windows == []  # the identity's first window would end at step 2
-
-
 def test_run_names_the_step_of_a_degenerate_transform():
     # sup |rho| = 0.3 is past the flattening bound: the initial level fails
     cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
