@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StefanSimError
 from .grids import band_limited
 from .stepper import SolverConfig, compatible_initial_temperature, require_whole_steps
 
@@ -194,7 +194,9 @@ def sweep_points(scenario):
 
 
 def build_initial_data(scenario, cfg=None):
-    """Realize (u0, rho0) arrays for a scenario on the solver grids."""
+    """Realize (u0, rho0) arrays for a scenario on the solver grids.  An
+    error of the steady solve behind ``u_init = compatible`` is stamped as
+    step 0 (t=0.0), the level it makes, as ``run`` stamps its own."""
     cfg = scenario.solver if cfg is None else cfg
     grids = cfg.grids()
     x = grids.tangential.nodes
@@ -208,7 +210,11 @@ def build_initial_data(scenario, cfg=None):
     if scenario.u_init == "zero":
         u0 = np.zeros(grids.shape)
     elif scenario.u_init == "compatible":
-        u0 = compatible_initial_temperature(rho0, cfg)
+        try:
+            u0 = compatible_initial_temperature(rho0, cfg)
+        except StefanSimError as exc:
+            exc.at_step(0, 0.0)  # the steady solve makes the initial level
+            raise
     else:  # snapshot:<path>
         from .io import read_snapshot
         state, meta = read_snapshot(scenario.u_init.partition(":")[2])

@@ -14,21 +14,32 @@ The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on each
 half-strip.  It is factored once per step (one banded LU for all modes
-and both halves) at the step's base interface, the previous accepted
-one, before the first iterate; the jump response sigma_k that stabilizes
-the interface update comes from the same factors.  The rest of the
-frozen coefficients,
-(a - a_mean) u_zz - B u_xz - c u_z with a_mean the base interface's, is
-lagged one lag iteration; every lag iteration reuses the factors, and
+and both halves) at iterate 1's interface, before the first iterate; the
+jump response sigma_k that stabilizes the interface update comes from
+the same factors.  The rest of the frozen coefficients,
+(a - a_mean) u_zz - B u_xz - c u_z with a_mean iterate 1's, is lagged one
+lag iteration; every lag iteration reuses the factors, and
 the lag loop runs until the *full* frozen-coefficient discrete system is
 satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
 (second-order Neumann); the interface row is a Dirichlet row.
 
-The loop is a map rho_m -> rho_next: u_m only warm-starts the next lag
+The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
 loop, which reuses the fields u_m's solve returned (iterate 1's starts
-from u_old).  After iterate 1 a solve ends once the residual test holds
-and its last lag update, in the fixed-point norm, is small against the
-previous fixed-point difference or fp_tol, or has stopped shrinking (see
+from u_old).  Iterate 1 starts from the predictor 2 rho_n - rho_{n-1},
+which ``run`` passes whenever its history holds two levels of the
+current dt (not on step 1, nor on the first step after a dt halving),
+and otherwise from rho_n.  Each later rho_m is the Anderson mix
+(type II, depth MIX_DEPTH = 2) of the iterates and their images so far,
+its at most 2x2 least-squares problem solved in closed form; the mixing
+history is dropped when its Gram matrix is singular or when a mixed
+iterate's difference exceeds the one before.  The stopping test
+``diff <= fp_tol`` reads the unmixed pair (u_next, rho_next) against
+(u_m, rho_m), and that pair is the accepted state: a true output of G,
+so the trace-gap check reads what it read without mixing.
+
+After iterate 1 a solve ends once the residual test holds and its last
+lag update, in the fixed-point norm, is small against the previous
+fixed-point difference or fp_tol, or has stopped shrinking (see
 ``temperature_step``).  When the lag loop stops contracting, its
 residual no longer falling over a few iterations, the solve goes on by
 GMRES on the same affine map with the banded LU as preconditioner; the
@@ -42,8 +53,8 @@ iteration's lagged terms.  The iterate is checked for finiteness once.
 A fixed-point iterate transforms rho_m once: its slope and second
 derivative, the resolution check and the curvature Dirichlet data and
 the interface update all share that FFT, taken at the end of the
-iterate before (the base interface's in the step's set-up).  The
-converged step's trace gap max |u(., 0) - kappa(rho) - g| comes from the
+iterate before (iterate 1's in the step's set-up).  The converged
+step's trace gap max |u(., 0) - kappa(rho) - g| comes from the
 accepted rho's FFT; ``run`` checks it against trace_tol.
 
 Every solve has one call shape,
@@ -175,6 +186,12 @@ WARM_TOL_FRACTION = 1e-2
 STALL_WINDOW = 3
 # relative tolerance of each GMRES cycle on the preconditioned system
 KRYLOV_RTOL = 1e-7
+# depth of the Anderson mixing of the interface iterates: each mixed iterate
+# combines the newest image with this many previous ones
+MIX_DEPTH = 2
+# the mixing's Gram matrix counts as singular when its determinant is at
+# most this share of the product of its diagonal
+GRAM_RCOND = 1e-10
 
 
 class _Fields(NamedTuple):
@@ -190,10 +207,10 @@ class _Fields(NamedTuple):
 @dataclass(frozen=True)
 class _Step:
     """What every temperature solve of one step shares: the ``_BulkLU``
-    factored at the step's base interface, 1/dt (0 for the steady solve)
-    and theta, u_old with its ``_bulk_fields`` and norm, the bulk forcing
-    at both time levels (zeros without forcing), the norm of their theta
-    blend, and the part of the right-hand side they fix,
+    factored at the step's first interface iterate, 1/dt (0 for the
+    steady solve) and theta, u_old with its ``_bulk_fields`` and norm, the
+    bulk forcing at both time levels (zeros without forcing), the norm of
+    their theta blend, and the part of the right-hand side they fix,
     u_old / dt + theta f_new.  Made by ``_prepare_step``."""
     bulk: _BulkLU
     inv_dt: float
@@ -576,16 +593,79 @@ def compatible_initial_temperature(rho0, cfg):
     return u0
 
 
-def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None):
+def _interface_transforms(rho, n_x):
+    """(rfft, slope, second derivative) of the interface rho: every
+    tangential derivative of an interface comes from this one FFT."""
+    rho_hat = np.fft.rfft(rho)
+    return rho_hat, d_tangential_hat(rho_hat, n_x, 1), d_tangential_hat(rho_hat, n_x, 2)
+
+
+class _Anderson:
+    """Anderson type-II mixing, of depth MIX_DEPTH, of the interface map
+    G: rho_m -> rho_next (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011).
+
+    ``next(rho_m, rho_next, diff)`` returns the next iterate
+    g - dG gamma, with g = rho_next, f = g - rho_m and dF, dG the
+    differences of the last MIX_DEPTH + 1 residuals f and images g; gamma
+    minimizes |f - dF gamma| and is solved in closed form from the (at
+    most 2x2) Gram matrix of dF.  The history is dropped, and the plain
+    image g returned, when that Gram matrix is singular or when the
+    fixed-point difference ``diff`` of a mixed iterate exceeds the
+    difference before it."""
+
+    def __init__(self):
+        self.last = None  # (f, g) of the previous iterate
+        self.d_f, self.d_g = deque(maxlen=MIX_DEPTH), deque(maxlen=MIX_DEPTH)
+        self.mixed, self.diff = False, np.inf
+
+    def next(self, rho_m, rho_next, diff):
+        f = rho_next - rho_m
+        if self.mixed and diff > self.diff:
+            self.d_f.clear()
+            self.d_g.clear()
+        elif self.last is not None:
+            self.d_f.append(f - self.last[0])
+            self.d_g.append(rho_next - self.last[1])
+        self.last, self.diff = (f, rho_next), diff
+        gamma = self._gamma(f)
+        self.mixed = gamma is not None
+        if not self.mixed:
+            self.d_f.clear()
+            self.d_g.clear()
+            return rho_next
+        return rho_next - sum(c * d for c, d in zip(gamma, self.d_g))
+
+    def _gamma(self, f):
+        """The least-squares gamma; None without history or when the Gram
+        matrix of dF is singular."""
+        if not self.d_f:
+            return None
+        b = [np.dot(d, f) for d in self.d_f]
+        a11 = np.dot(self.d_f[0], self.d_f[0])
+        if len(self.d_f) == 1:
+            return (b[0] / a11,) if a11 > 0.0 else None
+        a12, a22 = np.dot(self.d_f[0], self.d_f[1]), np.dot(self.d_f[1], self.d_f[1])
+        det = a11 * a22 - a12 * a12
+        if det <= GRAM_RCOND * a11 * a22:
+            return None
+        return ((a22 * b[0] - a12 * b[1]) / det, (a11 * b[1] - a12 * b[0]) / det)
+
+
+def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred=None):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_state, StepReport).
 
-    Iterates the map rho_m -> rho_next (temperature solve with the
+    Iterates the map G: rho_m -> rho_next (temperature solve with the
     curvature of rho_m as Dirichlet data, then interface update; u_m only
-    warm-starts the next solve) from the previous accepted state until the
-    iterate difference, measured in the order-0 regularized-energy norm
-    at the current interface, drops below fp_tol.  The report carries the
-    accepted state's trace gap max |u(., 0) - kappa(rho) - g|.
+    warm-starts the next solve) until the difference of the unmixed pair
+    (u_next, rho_next) from (u_m, rho_m), measured in the order-0
+    regularized-energy norm at rho_m, drops below fp_tol; the accepted
+    state is that pair, a true output of G.  Iterate 1 starts from the
+    predicted interface ``rho_pred`` when given, else from state.rho; each
+    later rho_m is the ``_Anderson`` mix of the iterates so far.  The
+    report carries the accepted state's trace gap
+    max |u(., 0) - kappa(rho) - g|.
     """
     dt, theta, n_x = cfg.dt, cfg.theta, grids.tangential.n_x
     f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
@@ -593,23 +673,25 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None):
         f_bulk_new, g_dir, f_jump_new = forcing.at(t_new)
         if theta < 1.0:
             f_bulk_old, _, f_jump_old = forcing.at(state.t)
-    # every tangential derivative of an interface comes from one rfft of it:
-    # the base interface's here, each later iterate's at the end of the one
-    # before
-    rho_hat = np.fft.rfft(state.rho)
-    rx = base_x = d_tangential_hat(rho_hat, n_x, 1)
-    rxx = base_xx = d_tangential_hat(rho_hat, n_x, 2)
+    # each iterate's transforms are taken at the end of the iterate before,
+    # iterate 1's here
+    rho_hat, base_x, base_xx = _interface_transforms(state.rho, n_x)
+    rho_m, rx, rxx = state.rho, base_x, base_xx
+    if rho_pred is not None:
+        rho_m = np.asarray(rho_pred, dtype=float)
+        rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
     rhs_old = None
     if theta < 1.0:
         rhs_old = (1.0 + base_x**2) * jump_normal_derivative(state.u, grids)
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
-    weights = norm_weights(state.rho, base_x, cutoff, grids)  # (a, <rho>) at iterate 1's rho_m
+    weights = norm_weights(rho_m, rx, cutoff, grids)  # (a, <rho>) at iterate 1's rho_m
     step = _prepare_step(weights[0].mean(axis=0), state.u, f_bulk_new, f_bulk_old,
                          1.0 / dt, theta, grids)
     sigma = step.bulk.jump_response()
 
-    u_m, fields_m, rho_m = state.u, step.fields, state.rho
+    u_m, fields_m = state.u, step.fields
+    mixer = _Anderson()
     norms = []
     diff = np.inf  # iterate 1 has no previous difference to measure against
     lin_res_max, lag_total = 0.0, 0
@@ -645,15 +727,16 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None):
         diff = np.sqrt(state_energy_k0(u_next - u_m, fields_next.hat - fields_m.hat,
                                        np.fft.rfft(rho_next - rho_m), norm_m))
         norms.append(diff)
-        u_m, rho_m, fields_m = u_next, rho_next, fields_next
-        rho_hat = np.fft.rfft(rho_m)
-        rx = d_tangential_hat(rho_hat, n_x, 1)
-        rxx = d_tangential_hat(rho_hat, n_x, 2)
         if diff <= cfg.fp_tol:
-            trace = u_m[:, grids.normal.i_mid] - curvature_hat(rho_hat, rx)
-            return State(t=t_new, u=u_m, rho=rho_m), StepReport(
+            rho_hat = np.fft.rfft(rho_next)
+            trace = u_next[:, grids.normal.i_mid] - curvature_hat(
+                rho_hat, d_tangential_hat(rho_hat, n_x, 1))
+            return State(t=t_new, u=u_next, rho=rho_next), StepReport(
                 fp_norms=tuple(norms), lin_residual=lin_res_max, lag_iters=lag_total,
                 trace_gap=float(np.abs(trace if g_dir is None else trace - g_dir).max()))
+        u_m, fields_m = u_next, fields_next
+        rho_m = mixer.next(rho_m, rho_next, diff)
+        rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
         if theta < 1.0:
             weights = norm_weights(rho_m, rx, cutoff, grids)
     last_ratio = _ratios(norms)[-1] if len(norms) >= 2 else None
@@ -735,6 +818,13 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     spacing).  An accepted step whose trace gap exceeds cfg.trace_tol
     raises FixedPointError, without a dt halving.
 
+    Each step's fixed point starts from the linear extrapolation
+    2 rho_n - rho_{n-1} of the last two history levels, which sit one dt
+    apart; step 1 and the first step after a halving have one level and
+    start from rho_n.  Within the step ``fixed_point_step`` mixes the
+    interface iterates (Anderson, depth MIX_DEPTH) and stops on the
+    unmixed pair, so the accepted state is an output of the step's map.
+
     Every StefanSimError raised while a level is made (the initial level
     is step 0) is stamped with that step and its time (``at_step``), so
     its message begins ``step n (t=...): ``.
@@ -756,9 +846,12 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                                     compute_identity))
         while m < n_steps:
             t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
+            # linear extrapolation from the last two levels, which the
+            # history holds at the current dt only (it restarts on a halving)
+            rho_pred = 2.0 * history[-1][2] - history[-2][2] if len(history) >= 2 else None
             try:
-                new_state, step_report = fixed_point_step(state, cfg, grids, cutoff,
-                                                          t_new=t_new, forcing=forcing)
+                new_state, step_report = fixed_point_step(state, cfg, grids, cutoff, t_new=t_new,
+                                                          forcing=forcing, rho_pred=rho_pred)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise

@@ -161,6 +161,19 @@ def test_run_failure_leaves_no_partial_output(workdir, capsys, monkeypatch):
     assert "run failed: step 1 (t=0.04): temperature solve stalled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("u_init", ["zero", "compatible"])
+def test_degenerate_initial_interface_names_step_zero(workdir, capsys, u_init):
+    # sup |rho| = 0.3 is past the flattening bound: the compatible steady
+    # solve fails before run starts, the zero start in run's initial report;
+    # both name the initial level
+    degenerate = FAST_RUN.replace("rho_modes = 1:0.01", "rho_modes = 1:0.3").replace(
+        "u_init = compatible", f"u_init = {u_init}")
+    cfg_path = write_config(workdir, degenerate, out="degenerate")
+    assert main(["run", "--config", str(cfg_path), "--quiet"]) == 1
+    assert not (workdir / "degenerate").exists()
+    assert "run failed: step 0 (t=0.0): flattening map degenerate" in capsys.readouterr().err
+
+
 def test_spectrum_table(workdir, capsys):
     assert main(["spectrum", "--k", "0:2", "--eps", "0", "--n-dense", "101",
                  "--quiet"]) == 0

@@ -2,6 +2,7 @@
 per-step fixed point, and the run driver."""
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from stefansim import stepper
 from stefansim import grids as grids_module
+from stefansim.config import build_initial_data, parse_config
 from stefansim.errors import (
     ConfigError,
     DegenerateTransformError,
@@ -628,19 +630,26 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
     assert counts["substitutions"] == report.lag_iters + 1
 
 
-@pytest.mark.parametrize("theta, per_iterate", [(1.0, False), (0.5, True)])
+@pytest.mark.parametrize("theta, per_iterate, predicted",
+                         [(1.0, False, False), (0.5, True, False),
+                          (1.0, False, True), (0.5, True, True)],
+                         ids=["1.0-False", "0.5-True", "1.0-False-predicted", "0.5-True-predicted"])
 def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, per_iterate,
-                                                               forced_step_problem):
-    # the set-up's weights at state.rho factor the step and serve iterate 1;
-    # at theta < 1 each later iterate needs those of its own rho_m (at
-    # theta = 1 they are the coefficients' own fields)
+                                                               predicted, forced_step_problem):
+    # the set-up's weights at iterate 1's rho_m (state.rho, or the
+    # predictor) factor the step and serve iterate 1; at theta < 1 each
+    # later iterate needs those of its own rho_m (at theta = 1 they are the
+    # coefficients' own fields)
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    rho_pred = 1.01 * state.rho if predicted else None
     calls, real_weights = [], stepper.norm_weights
     monkeypatch.setattr(stepper, "norm_weights",
                         lambda *args: calls.append(args) or real_weights(*args))
-    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing,
+                                 rho_pred=rho_pred)
     assert report.inner_iters >= 3
     assert len(calls) == (report.inner_iters if per_iterate else 1)
+    assert np.array_equal(calls[0][0], state.rho if rho_pred is None else rho_pred)
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -744,26 +753,103 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
     x = grids.tangential.nodes
     rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
     u0 = compatible_initial_temperature(rho0, cfg)
-    # the iterates: rho0, then each interface update
+    # the iterates the step feeds into its curvature: rho0, then each
+    # (mixed) next iterate
     seen_dirichlet, seen_rho = [], [rho0]
-    real_temperature, real_interface = stepper.temperature_step, stepper.interface_step
+    real_temperature, real_next = stepper.temperature_step, stepper._Anderson.next
 
     def recording_temperature(*args, **kwargs):
         seen_dirichlet.append(kwargs["dirichlet"])
         return real_temperature(*args, **kwargs)
 
-    def recording_interface(*args, **kwargs):
-        result = real_interface(*args, **kwargs)
-        seen_rho.append(result[0])
-        return result
+    def recording_next(self, *args):
+        seen_rho.append(real_next(self, *args))
+        return seen_rho[-1]
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
-    monkeypatch.setattr(stepper, "interface_step", recording_interface)
+    monkeypatch.setattr(stepper._Anderson, "next", recording_next)
     _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff, t_new=cfg.dt)
-    assert len(seen_dirichlet) == report.inner_iters >= 2
-    assert len(seen_rho) == report.inner_iters + 1
+    assert len(seen_dirichlet) == len(seen_rho) == report.inner_iters >= 3
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
         assert np.array_equal(dirichlet.view(np.uint64), curvature(rho_m).view(np.uint64))
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_step_accepts_the_last_unmixed_interface(monkeypatch, theta,
+                                                             forced_step_problem):
+    # the stopping test reads the unmixed pair, so the accepted rho is an
+    # interface update itself, while the iterates fed back are mixed
+    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    images, iterates = [], []
+    real_interface, real_next = stepper.interface_step, stepper._Anderson.next
+
+    def recording_interface(*args, **kwargs):
+        result = real_interface(*args, **kwargs)
+        images.append(result[0])
+        return result
+
+    def recording_next(self, *args):
+        iterates.append(real_next(self, *args))
+        return iterates[-1]
+
+    monkeypatch.setattr(stepper, "interface_step", recording_interface)
+    monkeypatch.setattr(stepper._Anderson, "next", recording_next)
+    new_state, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    assert len(images) == len(iterates) + 1 == report.inner_iters >= 3
+    assert np.array_equal(new_state.rho.view(np.uint64), images[-1].view(np.uint64))
+    assert any(not np.array_equal(rho_m, g) for rho_m, g in zip(iterates, images))
+
+
+def rough_initial_data():
+    """The rough-mass-diag workload's scenario: generic-mass data plus
+    band-limited noise of amplitude 0.02, epsilon = 1e-4, k_diag = 2."""
+    scen = parse_config(Path(__file__).resolve().parents[1] / "configs" / "generic-mass.ini")
+    scen = replace(scen, rho_random_amp=0.02,
+                   solver=replace(scen.solver, epsilon=1e-4, k_diag=2))
+    return scen.solver, *build_initial_data(scen)
+
+
+def test_fixed_point_step_first_rough_step_is_short():
+    # plain successive substitution took 19 iterates here
+    cfg, u0, rho0 = rough_initial_data()
+    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, cfg.grids(), cfg.cutoff(),
+                                 t_new=cfg.dt)
+    assert report.inner_iters <= 8
+
+
+def test_anderson_mixing_solves_a_linear_map_of_dimension_two():
+    # depth-2 type-II mixing matches GMRES on an affine map: its third
+    # iterate is the fixed point of a contraction on R^2
+    a = np.array([[0.6, 0.3], [-0.2, 0.7]])
+    b = np.array([1.0, -0.5])
+    fixed = np.linalg.solve(np.eye(2) - a, b)
+    mixer, rho = stepper._Anderson(), np.zeros(2)
+    for _ in range(3):
+        g = a @ rho + b
+        rho = mixer.next(rho, g, np.linalg.norm(g - rho))
+    assert np.abs(rho - fixed).max() <= 1e-12 * np.abs(fixed).max()
+
+
+def test_anderson_mixing_drops_its_history():
+    mixer, shift = stepper._Anderson(), np.array([1.0, 2.0, 3.0])
+    # residuals that do not change: a zero Gram matrix gives the plain image
+    for rho in (np.zeros(3), np.ones(3)):
+        assert np.array_equal(mixer.next(rho, rho + shift, 1.0), rho + shift)
+    assert not mixer.d_f and not mixer.mixed
+    # parallel residual differences: a singular 2x2 Gram matrix
+    mixer = stepper._Anderson()
+    for scale in (1.0, 0.5):
+        mixer.next(np.zeros(3), scale * shift, scale)
+    assert mixer.mixed and len(mixer.d_f) == 1
+    assert np.array_equal(mixer.next(np.zeros(3), 0.25 * shift, 0.25), 0.25 * shift)
+    assert not mixer.d_f and not mixer.mixed
+    # a mixed iterate whose difference grows
+    mixer = stepper._Anderson()
+    mixer.next(np.zeros(3), shift, 1.0)
+    mixer.next(np.zeros(3), np.array([0.0, 1.0, 0.0]), 0.5)
+    assert mixer.mixed
+    assert np.array_equal(mixer.next(np.zeros(3), shift, 2.0), shift)
+    assert not mixer.d_f and not mixer.mixed
 
 
 def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids, small_cutoff):
@@ -833,6 +919,58 @@ def test_run_halves_dt_on_failure_and_persists(monkeypatch):
     monkeypatch.setattr(SolverConfig, "max_dt_halvings", 0)
     with pytest.raises(LinearSolveError):
         run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
+
+
+def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
+    # dt = 0.04 and 0.02 fail: the first attempt and each retry after a
+    # halving start from the old interface, every later step from
+    # 2 rho_n - rho_{n-1}
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
+    cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.1 * np.sin(x)
+    levels, calls = [rho0], []  # the accepted interfaces at the current dt
+    real_step = stepper.fixed_point_step
+
+    def recording_step(*args, rho_pred=None, **kwargs):
+        calls.append((rho_pred, 2.0 * levels[-1] - levels[-2] if len(levels) >= 2 else None))
+        try:
+            new_state, report = real_step(*args, rho_pred=rho_pred, **kwargs)
+        except (FixedPointError, LinearSolveError):
+            del levels[:-1]
+            raise
+        levels.append(new_state.rho)
+        return new_state, report
+
+    monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    res = run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
+    assert res.cfg.dt == 0.01 and len(calls) == 2 + 8
+    assert [pred is None for pred, _ in calls] == [True] * 3 + [False] * 7
+    for pred, expected in calls[3:]:
+        assert np.array_equal(pred.view(np.uint64), expected.view(np.uint64))
+
+
+def test_run_keeps_a_flat_state_at_one_iterate_per_step():
+    # the predictor of a flat state is the state itself; no mixing history
+    # forms, so no singular Gram matrix is ever solved
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+    res = run(np.zeros(cfg.grids().shape), np.full(cfg.n_x, 0.1), cfg, 4 * cfg.dt)
+    assert [r.inner_iters for r in res.reports[1:]] == [1] * 4
+    assert np.all(res.state.u == 0.0) and np.abs(res.state.rho - 0.1).max() < 1e-15
+
+
+@pytest.mark.parametrize("amp", [0.1, 0.15])
+def test_run_converges_on_a_tall_column_at_a_large_interface(monkeypatch, amp):
+    # plain successive substitution stops contracting here (ratio 0.946)
+    # and raises FixedPointError at the first step; the mixed loop converges
+    # at the given dt
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 0)
+    cfg = SolverConfig(n_x=32, n_z=257, dt=1e-3, theta=1.0, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    rho0 = amp * (np.sin(x) + 0.5 * np.cos(2 * x))
+    res = run(compatible_initial_temperature(rho0, cfg), rho0, cfg, 3 * cfg.dt)
+    assert len(res.reports) == 4
+    assert all(r.inner_iters <= 14 for r in res.reports[1:])
 
 
 def test_run_rejects_t_end_off_the_step_grid():
