@@ -112,8 +112,8 @@ def cmd_spectrum(args):
         raise ConfigError("spectrum needs a non-empty k range and eps list")
     if any(k < 0 for k in k_values):
         raise ConfigError("wavenumbers must be >= 0")
-    if any(eps < 0 for eps in eps_values):
-        raise ConfigError("eps values must be >= 0")
+    if not all(0.0 <= eps < np.inf for eps in eps_values):
+        raise ConfigError("eps values must be finite and >= 0")
     if args.n_dense < MIN_DENSE_NODES:
         raise ConfigError(f"--n-dense must be >= {MIN_DENSE_NODES}, got {args.n_dense}")
     modes, eps_col = [], []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -42,6 +43,15 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.t_end < math.inf:  # a zero horizon runs no step
+            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end!r}")
+        if not 0.0 <= self.rho_random_amp < math.inf:
+            raise ConfigError(f"rho_random_amp must be finite and >= 0, "
+                              f"got {self.rho_random_amp!r}")
+        amps = [amp for _, amp in self.rho_modes]
+        if not np.all(np.isfinite([self.rho_mean, self.u_mass, *amps])):
+            raise ConfigError(f"rho_mean, u_mass and the rho_modes amplitudes must be "
+                              f"finite, got {self.rho_mean!r}, {self.u_mass!r}, {amps!r}")
 
 
 def _parse_text(section, key, raw):
@@ -125,7 +135,10 @@ _OUTPUT_FIELDS = {"dir": "out_dir"}  # [output] keys whose Scenario field is nam
 def parse_config(path):
     """Read an INI scenario file; raises ConfigError on any problem."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, a key before any section
+        raise ConfigError(f"malformed config file {os.fspath(path)}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
 

@@ -28,14 +28,13 @@ loop, which reuses the fields u_m's solve returned (iterate 1's starts
 from u_old).  Iterate 1 starts from the predictor 2 rho_n - rho_{n-1},
 which ``run`` passes whenever its history holds two levels of the
 current dt (not on step 1, nor on the first step after a dt halving),
-and otherwise from rho_n.  Each later rho_m is the Anderson mix
-(type II, depth MIX_DEPTH = 2) of the iterates and their images so far,
-its at most 2x2 least-squares problem solved in closed form; the mixing
-history is dropped when its Gram matrix is singular or when a mixed
-iterate's difference exceeds the one before.  The stopping test
-``diff <= fp_tol`` reads the unmixed pair (u_next, rho_next) against
-(u_m, rho_m), and that pair is the accepted state: a true output of G,
-so the trace-gap check reads what it read without mixing.
+and otherwise from rho_n.  Each later rho_m is a secant step (Anderson
+mixing of depth 1) from the last two iterates and their images; it falls
+back to the plain image, and mixes again from the next iterate, when the
+residual does not change or when a mixed iterate's difference exceeds
+the one before.  The stopping test ``diff <= fp_tol`` reads the unmixed
+pair (u_next, rho_next) against (u_m, rho_m), and that pair is the
+accepted state: a true output of G.
 
 After iterate 1 a solve ends once the residual test holds and its last
 lag update, in the fixed-point norm, is small against the previous
@@ -132,8 +131,8 @@ class SolverConfig:
     max_dt_halvings: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.epsilon < 0 or self.dt <= 0:
-            raise ValueError("epsilon must be >= 0 and dt > 0")
+        if not (0.0 <= self.epsilon < math.inf and 0.0 < self.dt < math.inf):
+            raise ValueError("epsilon must be finite and >= 0, dt finite and > 0")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError("theta must lie in [1/2, 1]")
         if not (0 <= self.k_diag <= 3):
@@ -186,12 +185,6 @@ WARM_TOL_FRACTION = 1e-2
 STALL_WINDOW = 3
 # relative tolerance of each GMRES cycle on the preconditioned system
 KRYLOV_RTOL = 1e-7
-# depth of the Anderson mixing of the interface iterates: each mixed iterate
-# combines the newest image with this many previous ones
-MIX_DEPTH = 2
-# the mixing's Gram matrix counts as singular when its determinant is at
-# most this share of the product of its diagonal
-GRAM_RCOND = 1e-10
 
 
 class _Fields(NamedTuple):
@@ -239,11 +232,12 @@ def _prepare_step(a_mean, u_old, forcing_new, forcing_old, inv_dt, theta, grids)
 
 @dataclass(frozen=True)
 class _WarmStart:
-    """Where a warm-started temperature solve begins, and what its exit rule
-    measures against: the previous fixed-point iterate u and its
-    ``_bulk_fields``, the previous fixed-point difference, and the
-    fixed-point norm at the iterate (an ``EnergyNormK0``).  A difference
-    of inf (a step's first iterate) leaves the residual test alone."""
+    """Where a temperature solve begins, and what its exit rule measures
+    against: the previous fixed-point iterate u and its ``_bulk_fields``,
+    the previous fixed-point difference, and the fixed-point norm at the
+    iterate (an ``EnergyNormK0``).  A difference of inf leaves the
+    residual test alone and needs no norm: a step's first iterate starts
+    so from u_old, and the steady solve from its zero field."""
     u: np.ndarray
     fields: _Fields
     fp_diff: float
@@ -383,7 +377,7 @@ def _interior_operator(coef, fields):
     return out, sum(np.linalg.norm(t) for t in terms)
 
 
-def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
+def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
     ``step`` is the ``_Step`` every solve of one time step shares (the
@@ -407,19 +401,17 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
     unchanged, the next iteration's lagged terms.
 
     Exit rule.  Every solve ends with ``full residual <= lin_tol``, checked
-    on the returned u.  With ``warm`` (a ``_WarmStart``) the lag loop starts
-    from the previous fixed-point iterate instead of u_old, and once the
-    residual test holds it also measures the last lag update in the
+    on the returned u.  The lag loop starts from ``warm`` (a
+    ``_WarmStart``).  When its fixed-point difference is finite, the loop,
+    once the residual test holds, also measures the last lag update in the
     fixed-point norm (``state_energy_k0`` with the iterate's
     ``EnergyNormK0``, on the update's Fourier coefficients x_hat - prev_hat
     and without the interface terms, which are 0: no transform).  It
     accepts when that update is at most WARM_FP_FRACTION of the previous
     fixed-point difference or WARM_TOL_FRACTION of fp_tol, or is no
-    smaller than the update before it (the roundoff floor); with a
-    difference of inf (a step's first iterate) it measures nothing.  A
-    residual test alone would end warm solves at residuals far below
-    lin_tol yet carry the lag loop's contraction into the fixed-point
-    iterates.
+    smaller than the update before it (the roundoff floor).  A residual
+    test alone would end warm solves at residuals far below lin_tol yet
+    carry the lag loop's contraction into the fixed-point iterates.
 
     GMRES fallback.  If the residual has not fallen over STALL_WINDOW lag
     iterations, the loop has stopped contracting (or diverges), and the
@@ -506,7 +498,7 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
             residual=float(residual),
         )
 
-    u_prev, fields = (u_old, step.fields) if warm is None else (warm.u, warm.fields)
+    u_prev, fields = warm.u, warm.fields
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, cfg.lin_max_iter + 1):
@@ -516,7 +508,7 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm=None):
         prev_hat = fields.hat
         fields, r, residual = measure(u_new, x_hat)
         if residual <= cfg.lin_tol:
-            if warm is None or warm.fp_diff == np.inf or it == cfg.lin_max_iter:
+            if warm.fp_diff == np.inf or it == cfg.lin_max_iter:
                 return u_new, float(residual), it, fields
             # measured only once the residual test holds
             update = np.sqrt(state_energy_k0(u_new - u_prev, x_hat - prev_hat, None, warm.norm))
@@ -543,10 +535,11 @@ def interface_step(u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
                    jump_response, jump_forcing=None, rhs_old=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
-    Returns (rho_new, rho_t).  rho_base is the previous *accepted*
-    interface; rhs_old is the jump right-hand side at the old time (only
-    needed for theta < 1).  rho_x and rho_hat are the slope and the rfft
-    of the current iterate rho_m, which the caller already holds.
+    Returns rho_new.  rho_base is the previous *accepted* interface, so
+    rho_t = (rho_new - rho_base) / dt; rhs_old is the jump right-hand side
+    at the old time (only needed for theta < 1).  rho_x and rho_hat are
+    the slope and the rfft of the current iterate rho_m, which the caller
+    already holds.
 
     (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
     with the flat-state linear model of the curvature-to-jump chain,
@@ -569,8 +562,14 @@ def interface_step(u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
     reg = 1.0 + cfg.epsilon * k**4
     stab = cfg.dt * theta * k**2 * jump_response  # dt theta k^2 sigma_k
     num = reg * np.fft.rfft(rho_base) + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
-    rho_new = np.fft.irfft(num / (reg + stab), n=n_x)
-    return rho_new, (rho_new - rho_base) / cfg.dt
+    return np.fft.irfft(num / (reg + stab), n=n_x)
+
+
+def _interface_transforms(rho, n_x):
+    """(rfft, slope, second derivative) of the interface rho: every
+    tangential derivative of an interface comes from this one FFT."""
+    rho_hat = np.fft.rfft(rho)
+    return rho_hat, d_tangential_hat(rho_hat, n_x, 1), d_tangential_hat(rho_hat, n_x, 2)
 
 
 def compatible_initial_temperature(rho0, cfg):
@@ -584,72 +583,42 @@ def compatible_initial_temperature(rho0, cfg):
     grids = cfg.grids()
     rho0 = np.asarray(rho0, dtype=float)
     _require_finite(rho0, "initial interface")
-    rho_hat = np.fft.rfft(rho0)
-    rx = d_tangential_hat(rho_hat, cfg.n_x, 1)
-    coef = coefficients(rho0, np.zeros_like(rho0), cfg.cutoff(), grids,
-                        rho_x=rx, rho_xx=d_tangential_hat(rho_hat, cfg.n_x, 2))
+    rho_hat, rx, rxx = _interface_transforms(rho0, cfg.n_x)
+    coef = coefficients(rho0, np.zeros_like(rho0), cfg.cutoff(), grids, rho_x=rx, rho_xx=rxx)
     step = _prepare_step(coef.a.mean(axis=0), np.zeros(grids.shape), None, None, 0.0, 1.0, grids)
-    u0, _, _, _ = temperature_step(step, coef, cfg, grids, dirichlet=curvature_hat(rho_hat, rx))
+    u0, _, _, _ = temperature_step(step, coef, cfg, grids, dirichlet=curvature_hat(rho_hat, rx),
+                                   warm=_WarmStart(step.u, step.fields, np.inf, None))
     return u0
 
 
-def _interface_transforms(rho, n_x):
-    """(rfft, slope, second derivative) of the interface rho: every
-    tangential derivative of an interface comes from this one FFT."""
-    rho_hat = np.fft.rfft(rho)
-    return rho_hat, d_tangential_hat(rho_hat, n_x, 1), d_tangential_hat(rho_hat, n_x, 2)
+class _Secant:
+    """One-column secant mixing of the interface map G: rho_m -> rho_next
+    (Anderson type-II mixing of depth 1; Anderson, J. ACM 12, 1965).
 
-
-class _Anderson:
-    """Anderson type-II mixing, of depth MIX_DEPTH, of the interface map
-    G: rho_m -> rho_next (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J.
-    Numer. Anal. 49, 2011).
-
-    ``next(rho_m, rho_next, diff)`` returns the next iterate
-    g - dG gamma, with g = rho_next, f = g - rho_m and dF, dG the
-    differences of the last MIX_DEPTH + 1 residuals f and images g; gamma
-    minimizes |f - dF gamma| and is solved in closed form from the (at
-    most 2x2) Gram matrix of dF.  The history is dropped, and the plain
-    image g returned, when that Gram matrix is singular or when the
-    fixed-point difference ``diff`` of a mixed iterate exceeds the
-    difference before it."""
+    ``next(rho_m, rho_next, diff)`` returns the next iterate g - gamma dg,
+    with g = rho_next, f = g - rho_m, df and dg the changes of f and g
+    since the previous iterate, and gamma = (df . f) / (df . df).  It
+    returns the plain image g, and mixes again from the next iterate, when
+    there is no previous iterate, when df . df = 0, or when the
+    fixed-point difference ``diff`` of a mixed iterate exceeds the one
+    before."""
 
     def __init__(self):
         self.last = None  # (f, g) of the previous iterate
-        self.d_f, self.d_g = deque(maxlen=MIX_DEPTH), deque(maxlen=MIX_DEPTH)
         self.mixed, self.diff = False, np.inf
 
     def next(self, rho_m, rho_next, diff):
         f = rho_next - rho_m
-        if self.mixed and diff > self.diff:
-            self.d_f.clear()
-            self.d_g.clear()
-        elif self.last is not None:
-            self.d_f.append(f - self.last[0])
-            self.d_g.append(rho_next - self.last[1])
-        self.last, self.diff = (f, rho_next), diff
-        gamma = self._gamma(f)
-        self.mixed = gamma is not None
-        if not self.mixed:
-            self.d_f.clear()
-            self.d_g.clear()
+        last = None if self.mixed and diff > self.diff else self.last
+        self.last, self.diff, self.mixed = (f, rho_next), diff, False
+        if last is None:
             return rho_next
-        return rho_next - sum(c * d for c, d in zip(gamma, self.d_g))
-
-    def _gamma(self, f):
-        """The least-squares gamma; None without history or when the Gram
-        matrix of dF is singular."""
-        if not self.d_f:
-            return None
-        b = [np.dot(d, f) for d in self.d_f]
-        a11 = np.dot(self.d_f[0], self.d_f[0])
-        if len(self.d_f) == 1:
-            return (b[0] / a11,) if a11 > 0.0 else None
-        a12, a22 = np.dot(self.d_f[0], self.d_f[1]), np.dot(self.d_f[1], self.d_f[1])
-        det = a11 * a22 - a12 * a12
-        if det <= GRAM_RCOND * a11 * a22:
-            return None
-        return ((a22 * b[0] - a12 * b[1]) / det, (a11 * b[1] - a12 * b[0]) / det)
+        d_f = f - last[0]
+        d_ff = np.dot(d_f, d_f)
+        if d_ff == 0.0:
+            return rho_next
+        self.mixed = True
+        return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
 def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred=None):
@@ -663,7 +632,8 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
     regularized-energy norm at rho_m, drops below fp_tol; the accepted
     state is that pair, a true output of G.  Iterate 1 starts from the
     predicted interface ``rho_pred`` when given, else from state.rho; each
-    later rho_m is the ``_Anderson`` mix of the iterates so far.  The
+    later rho_m is the ``_Secant`` mix of the last two iterates.  The
+    coefficients are frozen at the theta blend of rho_m and state.rho.  The
     report carries the accepted state's trace gap
     max |u(., 0) - kappa(rho) - g|.
     """
@@ -691,24 +661,20 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
     sigma = step.bulk.jump_response()
 
     u_m, fields_m = state.u, step.fields
-    mixer = _Anderson()
+    mixer = _Secant()
     norms = []
     diff = np.inf  # iterate 1 has no previous difference to measure against
     lin_res_max, lag_total = 0.0, 0
     for m in range(1, cfg.fp_max_iter + 1):
-        rho_t_m = (rho_m - state.rho) / dt
+        # frozen at the theta blend of rho_m and state.rho, and of their
+        # derivatives; at theta = 1 the blend is rho_m bitwise
+        coef = coefficients(theta * rho_m + (1.0 - theta) * state.rho,
+                            (rho_m - state.rho) / dt, cutoff, grids,
+                            rho_x=theta * rx + (1.0 - theta) * base_x,
+                            rho_xx=theta * rxx + (1.0 - theta) * base_xx)
         # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
-        # so for theta = 1 (rho_eff = rho_m) they are coef's own fields
-        if theta == 1.0:
-            coef = coefficients(rho_m, rho_t_m, cutoff, grids, rho_x=rx, rho_xx=rxx)
-            a_m, bracket_m = coef.a, coef.bracket
-        else:
-            # rho_eff's derivatives are the same blend of both levels'
-            rho_eff = theta * rho_m + (1.0 - theta) * state.rho
-            coef = coefficients(rho_eff, rho_t_m, cutoff, grids,
-                                rho_x=theta * rx + (1.0 - theta) * base_x,
-                                rho_xx=theta * rxx + (1.0 - theta) * base_xx)
-            a_m, bracket_m = weights
+        # so at theta = 1 they are coef's own fields
+        a_m, bracket_m = (coef.a, coef.bracket) if theta == 1.0 else weights
         norm_m = EnergyNormK0(rx, a_m, bracket_m, cfg.epsilon, grids)
         dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
@@ -716,11 +682,8 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
         u_next, lin_res, lag_iters, fields_next = temperature_step(
             step, coef, cfg, grids, dirichlet=dirichlet,
             warm=_WarmStart(u_m, fields_m, diff, norm_m))
-        rho_next, _ = interface_step(
-            u_next, state.rho, cfg, grids,
-            jump_forcing=f_jump_new, rhs_old=rhs_old, jump_response=sigma,
-            rho_x=rx, rho_hat=rho_hat,
-        )
+        rho_next = interface_step(u_next, state.rho, cfg, grids, rho_x=rx, rho_hat=rho_hat,
+                                  jump_response=sigma, jump_forcing=f_jump_new, rhs_old=rhs_old)
         lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
         # the bulk difference's coefficients are those of the two solves
@@ -794,7 +757,10 @@ def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
 
 def require_whole_steps(t_end, dt):
     """Raise ConfigError (also a ValueError) naming t_end and dt unless
-    t_end is a whole number of steps of dt (relative tolerance 1e-9)."""
+    t_end is finite, >= 0 and a whole number of steps of dt (relative
+    tolerance 1e-9)."""
+    if not 0.0 <= t_end < math.inf:
+        raise ConfigError(f"t_end={t_end!r} must be finite and >= 0")
     steps = t_end / dt
     if not math.isclose(steps, round(steps), rel_tol=1e-9):
         raise ConfigError(f"t_end={t_end!r} is not a whole number of steps of dt={dt!r} "
@@ -822,8 +788,12 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     2 rho_n - rho_{n-1} of the last two history levels, which sit one dt
     apart; step 1 and the first step after a halving have one level and
     start from rho_n.  Within the step ``fixed_point_step`` mixes the
-    interface iterates (Anderson, depth MIX_DEPTH) and stops on the
-    unmixed pair, so the accepted state is an output of the step's map.
+    interface iterates by a secant step and stops on the unmixed pair, so
+    the accepted state is an output of the step's map.
+
+    u0 must have the grid's shape (n_x, n_z) and rho0 the shape (n_x,),
+    and t_end must be finite and >= 0; ``run`` raises ConfigError before
+    any step otherwise.
 
     Every StefanSimError raised while a level is made (the initial level
     is step 0) is stamped with that step and its time (``at_step``), so
@@ -834,6 +804,9 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     cutoff = cfg.cutoff()
     u0 = np.asarray(u0, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)
+    if u0.shape != grids.shape or rho0.shape != (cfg.n_x,):
+        raise ConfigError(f"u0 of shape {u0.shape} and rho0 of shape {rho0.shape} do not fit "
+                          f"the grid: they need {grids.shape} and {(cfg.n_x,)}")
     state = State(t=0.0, u=u0, rho=rho0)
     steady_level = steady_mean(u0, rho0, cutoff, grids)
     history = deque(maxlen=max(cfg.k_diag + 2, 3))

@@ -132,8 +132,9 @@ def _solver_line(line):
     ("sweep", FAST_RUN + "\n[sweep]\ndt = 0\n"),
     ("sweep", FAST_RUN + "\n[sweep]\nn_x = 7\n"),
     ("sweep", FAST_RUN + "\n[sweep]\nepsilon = -1\n"),
+    ("run", FAST_RUN + "\n[scenario]\nseed = 1\n"),
 ], ids=["n_x=7", "n_z=7", "lin_max_iter=0", "fp_max_iter=0", "fp_tol=-1",
-        "no-t_end", "sweep-dt=0", "sweep-n_x=7", "sweep-epsilon=-1"])
+        "no-t_end", "sweep-dt=0", "sweep-n_x=7", "sweep-epsilon=-1", "repeated-section"])
 def test_unusable_solver_values_are_config_errors(workdir, capsys, verb, text):
     cfg_path = write_config(workdir, text, out="never")
     assert main([verb, "--config", str(cfg_path), "--quiet"]) == 2
@@ -199,7 +200,9 @@ def test_spectrum_argument_validation(workdir, capsys):
     ["spectrum", "--k", "1", "--n-dense", "10"],
     ["spectrum", "--k", "1", "--eps", "-1"],
     ["run", "--seed", "-3"],
-], ids=["n-dense=10", "eps=-1", "seed=-3"])
+    ["spectrum", "--k", "1", "--eps", "nan"],
+    ["spectrum", "--k", "1", "--eps", "0,inf"],
+], ids=["n-dense=10", "eps=-1", "seed=-3", "eps=nan", "eps=inf"])
 def test_bad_command_line_values_are_config_errors(workdir, capsys, argv):
     # rejected before any work: exit 2 with a config error, no traceback
     noisy = FAST_RUN.replace("t_end", "rho_random_amp = 0.01\nt_end")

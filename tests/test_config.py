@@ -99,6 +99,23 @@ def test_parse_name_override(tmp_path):
     "[sweep]\nepsilon = 0, -1\n",
     # t_end has no default
     "[scenario]\nrho_modes = 1:0.01\n[solver]\ndt = 1e-3\n",
+    # a malformed file: a repeated key, a repeated section, a key before any section
+    "[scenario]\nt_end = 1\nt_end = 1\n",
+    "[scenario]\nt_end = 1\n[scenario]\nseed = 1\n",
+    "t_end = 1\n[scenario]\nseed = 1\n",
+    # non-finite or out-of-range numbers
+    "[scenario]\nt_end = nan\n",
+    "[scenario]\nt_end = inf\n",
+    "[scenario]\nt_end = -0.01\n",
+    "[scenario]\nt_end = 1\n[solver]\ndt = nan\n",
+    "[scenario]\nt_end = 1\n[solver]\ndt = inf\n",
+    "[scenario]\nt_end = 1\n[solver]\nepsilon = nan\n",
+    "[scenario]\nt_end = 1\n[solver]\nepsilon = inf\n",
+    "[scenario]\nt_end = 1\nrho_random_amp = nan\n",
+    "[scenario]\nt_end = 1\nrho_random_amp = -1\n",
+    "[scenario]\nt_end = 1\nrho_mean = nan\n",
+    "[scenario]\nt_end = 1\nu_mass = nan\n",
+    "[scenario]\nt_end = 1\nrho_modes = 1:0.01, 2:nan\n",
 ])
 def test_parse_rejects_bad_configs(tmp_path, snippet):
     with pytest.raises(ConfigError):

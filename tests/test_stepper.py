@@ -1,5 +1,6 @@
 """Time stepping: solver config, temperature solve, interface update,
 per-step fixed point, and the run driver."""
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -39,6 +40,7 @@ from stefansim.transform import coefficients, curvature, jump_normal_derivative,
 
 def test_solver_config_validation():
     for kwargs in (dict(epsilon=-1.0), dict(dt=0.0), dict(dt=-1e-3),
+                   dict(epsilon=np.nan), dict(epsilon=np.inf), dict(dt=np.nan), dict(dt=np.inf),
                    dict(theta=0.4), dict(theta=1.1), dict(k_diag=4),
                    dict(k_diag=-1),
                    # the grids reject these when the config is made
@@ -103,7 +105,14 @@ def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
     step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
                                  inv_dt, cfg.theta, grids)
     return temperature_step(step, coef, cfg, grids,
-                            dirichlet=curvature(rho) if dirichlet is None else dirichlet)
+                            dirichlet=curvature(rho) if dirichlet is None else dirichlet,
+                            warm=cold_start(step))
+
+
+def cold_start(step):
+    """The start of a solve from the step's u_old on the residual test
+    alone, as a step's first iterate makes it."""
+    return stepper._WarmStart(step.u, step.fields, np.inf, None)
 
 
 def bulk_operator(v, coef, grids):
@@ -458,7 +467,8 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
                                  1.0 / cfg.dt, cfg.theta, grids)
     step.bulk.jump_response()
-    u, _, lag_iters, fields = temperature_step(step, coef, cfg, grids, dirichlet=dirichlet)
+    u, _, lag_iters, fields = temperature_step(step, coef, cfg, grids, dirichlet=dirichlet,
+                                               warm=cold_start(step))
     assert lag_iters >= 3
     assert counts["rfft"] <= lag_iters + 2
     assert counts["irfft"] <= 3 * lag_iters + 2
@@ -509,31 +519,31 @@ def test_interface_step_explicit_forms(small_grids):
     base = 0.02 * np.cos(2 * x)
 
     cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new, rho_t = interface_step(u_zero, base, cfg, small_grids,
-                                    jump_forcing=np.sin(x), **rho_transforms(zeros),
-                                    **unstabilized(n_x))
-    assert np.abs(rho_t - np.sin(x)).max() < 1e-13
+    rho_new = interface_step(u_zero, base, cfg, small_grids,
+                             jump_forcing=np.sin(x), **rho_transforms(zeros),
+                             **unstabilized(n_x))
     assert np.abs(rho_new - base - cfg.dt * np.sin(x)).max() < 1e-14
 
     cfg1 = SolverConfig(epsilon=1.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    _, rho_t = interface_step(u_zero, base, cfg1, small_grids,
-                              jump_forcing=np.sin(x), **rho_transforms(zeros),
-                              **unstabilized(n_x))
-    assert np.abs(rho_t - 0.5 * np.sin(x)).max() < 1e-13  # (1 + eps k^4) at k=1
-    _, rho_t = interface_step(u_zero, base, cfg1, small_grids,
-                              jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros),
-                              **unstabilized(n_x))
-    assert np.abs(rho_t - 0.4).max() < 1e-14  # the mean mode is never damped
+    rho_new = interface_step(u_zero, base, cfg1, small_grids,
+                             jump_forcing=np.sin(x), **rho_transforms(zeros),
+                             **unstabilized(n_x))
+    # (1 + eps k^4) at k=1
+    assert np.abs((rho_new - base) / cfg1.dt - 0.5 * np.sin(x)).max() < 1e-13
+    rho_new = interface_step(u_zero, base, cfg1, small_grids,
+                             jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros),
+                             **unstabilized(n_x))
+    assert np.abs((rho_new - base) / cfg1.dt - 0.4).max() < 1e-14  # the mean mode is never damped
 
 
 def test_interface_step_theta_blends_right_hand_sides(small_grids):
     n_x = small_grids.tangential.n_x
     x = small_grids.tangential.nodes
     cfg = SolverConfig(theta=0.5, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    _, rho_t = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
-                              small_grids, jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
-                              **rho_transforms(np.zeros(n_x)), **unstabilized(n_x))
-    assert np.abs(rho_t - 2.0 * np.sin(x)).max() < 1e-13
+    rho_new = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
+                             small_grids, jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
+                             **rho_transforms(np.zeros(n_x)), **unstabilized(n_x))
+    assert np.abs(rho_new / cfg.dt - 2.0 * np.sin(x)).max() < 1e-13
 
 
 def test_interface_step_stabilization_preserves_fixed_points(small_grids):
@@ -546,11 +556,11 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
     forcing = np.sin(x) + 0.2 * np.cos(3 * x)
     rho_m = cfg.dt * forcing  # = rho_base + dt * rhs with rho_base = 0
     sigma = 5.0 + np.arange(n_x // 2 + 1, dtype=float)
-    rho_new, rho_t = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
-                                    small_grids, jump_forcing=forcing, jump_response=sigma,
-                                    **rho_transforms(rho_m))
+    rho_new = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
+                             small_grids, jump_forcing=forcing, jump_response=sigma,
+                             **rho_transforms(rho_m))
     assert np.abs(rho_new - rho_m).max() < 1e-15
-    assert np.abs(rho_t - forcing).max() < 1e-13
+    assert np.abs(rho_new / cfg.dt - forcing).max() < 1e-13
 
 
 # ------------------------------------------------------------ fixed point
@@ -721,11 +731,11 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
         step = stepper._prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old,
                                      1.0 / dt, theta, grids)
         u_next, *_ = temperature_step(step, coef, cfg, grids,
-                                      dirichlet=curvature(rho_m) + g_dir)
+                                      dirichlet=curvature(rho_m) + g_dir, warm=cold_start(step))
         sigma = step.bulk.jump_response()
-        rho_next, _ = interface_step(u_next, state.rho, cfg, grids,
-                                     jump_forcing=j_new, rhs_old=rhs_old,
-                                     jump_response=sigma, **rho_transforms(rho_m))
+        rho_next = interface_step(u_next, state.rho, cfg, grids,
+                                  jump_forcing=j_new, rhs_old=rhs_old,
+                                  jump_response=sigma, **rho_transforms(rho_m))
         rx = d_tangential(rho_m, 1)
         norm = EnergyNormK0(rx, *norm_weights(rho_m, rx, cutoff, grids), cfg.epsilon, grids)
         du, drho = u_next - u_m, rho_next - rho_m
@@ -756,7 +766,7 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
     # the iterates the step feeds into its curvature: rho0, then each
     # (mixed) next iterate
     seen_dirichlet, seen_rho = [], [rho0]
-    real_temperature, real_next = stepper.temperature_step, stepper._Anderson.next
+    real_temperature, real_next = stepper.temperature_step, stepper._Secant.next
 
     def recording_temperature(*args, **kwargs):
         seen_dirichlet.append(kwargs["dirichlet"])
@@ -767,7 +777,7 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
         return seen_rho[-1]
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
-    monkeypatch.setattr(stepper._Anderson, "next", recording_next)
+    monkeypatch.setattr(stepper._Secant, "next", recording_next)
     _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff, t_new=cfg.dt)
     assert len(seen_dirichlet) == len(seen_rho) == report.inner_iters >= 3
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
@@ -781,19 +791,18 @@ def test_fixed_point_step_accepts_the_last_unmixed_interface(monkeypatch, theta,
     # interface update itself, while the iterates fed back are mixed
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
     images, iterates = [], []
-    real_interface, real_next = stepper.interface_step, stepper._Anderson.next
+    real_interface, real_next = stepper.interface_step, stepper._Secant.next
 
     def recording_interface(*args, **kwargs):
-        result = real_interface(*args, **kwargs)
-        images.append(result[0])
-        return result
+        images.append(real_interface(*args, **kwargs))
+        return images[-1]
 
     def recording_next(self, *args):
         iterates.append(real_next(self, *args))
         return iterates[-1]
 
     monkeypatch.setattr(stepper, "interface_step", recording_interface)
-    monkeypatch.setattr(stepper._Anderson, "next", recording_next)
+    monkeypatch.setattr(stepper._Secant, "next", recording_next)
     new_state, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
     assert len(images) == len(iterates) + 1 == report.inner_iters >= 3
     assert np.array_equal(new_state.rho.view(np.uint64), images[-1].view(np.uint64))
@@ -818,38 +827,34 @@ def test_fixed_point_step_first_rough_step_is_short():
 
 
 def test_anderson_mixing_solves_a_linear_map_of_dimension_two():
-    # depth-2 type-II mixing matches GMRES on an affine map: its third
-    # iterate is the fixed point of a contraction on R^2
-    a = np.array([[0.6, 0.3], [-0.2, 0.7]])
-    b = np.array([1.0, -0.5])
-    fixed = np.linalg.solve(np.eye(2) - a, b)
-    mixer, rho = stepper._Anderson(), np.zeros(2)
-    for _ in range(3):
-        g = a @ rho + b
+    # the secant step is exact on an affine map a x + b with scalar a: the
+    # first mixed iterate (the second returned) is its fixed point in R^2
+    a, b = 0.8, np.array([1.0, -0.5])
+    fixed = b / (1.0 - a)
+    mixer, rho = stepper._Secant(), np.zeros(2)
+    for _ in range(2):
+        g = a * rho + b
         rho = mixer.next(rho, g, np.linalg.norm(g - rho))
+    assert mixer.mixed
     assert np.abs(rho - fixed).max() <= 1e-12 * np.abs(fixed).max()
 
 
 def test_anderson_mixing_drops_its_history():
-    mixer, shift = stepper._Anderson(), np.array([1.0, 2.0, 3.0])
-    # residuals that do not change: a zero Gram matrix gives the plain image
+    mixer, shift = stepper._Secant(), np.array([1.0, 2.0, 3.0])
+    # residuals that do not change (df . df = 0) give the plain image
     for rho in (np.zeros(3), np.ones(3)):
         assert np.array_equal(mixer.next(rho, rho + shift, 1.0), rho + shift)
-    assert not mixer.d_f and not mixer.mixed
-    # parallel residual differences: a singular 2x2 Gram matrix
-    mixer = stepper._Anderson()
-    for scale in (1.0, 0.5):
-        mixer.next(np.zeros(3), scale * shift, scale)
-    assert mixer.mixed and len(mixer.d_f) == 1
-    assert np.array_equal(mixer.next(np.zeros(3), 0.25 * shift, 0.25), 0.25 * shift)
-    assert not mixer.d_f and not mixer.mixed
-    # a mixed iterate whose difference grows
-    mixer = stepper._Anderson()
+    assert not mixer.mixed
+    # a mixed iterate whose difference grows gives the plain image, and
+    # the next iterate mixes against it
+    mixer = stepper._Secant()
     mixer.next(np.zeros(3), shift, 1.0)
     mixer.next(np.zeros(3), np.array([0.0, 1.0, 0.0]), 0.5)
     assert mixer.mixed
     assert np.array_equal(mixer.next(np.zeros(3), shift, 2.0), shift)
-    assert not mixer.d_f and not mixer.mixed
+    assert not mixer.mixed
+    assert not np.array_equal(mixer.next(np.zeros(3), 0.5 * shift, 1.0), 0.5 * shift)
+    assert mixer.mixed
 
 
 def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids, small_cutoff):
@@ -979,6 +984,24 @@ def test_run_rejects_t_end_off_the_step_grid():
     with pytest.raises(ValueError, match=r"t_end=0\.05 .*dt=0\.02") as exc:
         run(np.zeros(cfg.grids().shape), 0.01 * np.sin(x), cfg, 0.05)
     assert isinstance(exc.value, ConfigError)  # the CLI reports it as a usage error
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -0.02])
+def test_run_rejects_a_non_finite_or_negative_t_end(t_end):
+    cfg = SolverConfig(n_x=16, n_z=17, dt=0.02, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    with pytest.raises(ConfigError, match="t_end=.* must be finite and >= 0"):
+        run(np.zeros(cfg.grids().shape), 0.01 * np.sin(x), cfg, t_end)
+
+
+@pytest.mark.parametrize("u_shape, rho_shape", [((16, 9), (16,)), ((16, 17), (8,))])
+def test_run_rejects_initial_data_off_the_grid(monkeypatch, u_shape, rho_shape):
+    # rejected before any level is made, naming the shapes given and needed
+    monkeypatch.setattr(stepper, "_make_report", None)
+    cfg = SolverConfig(n_x=16, n_z=17, dt=0.02, k_diag=0)
+    given = re.escape(f"u0 of shape {u_shape} and rho0 of shape {rho_shape}")
+    with pytest.raises(ConfigError, match=given + r".*\(16, 17\) and \(16,\)"):
+        run(np.zeros(u_shape), np.zeros(rho_shape), cfg, 0.04)
 
 
 def test_run_ends_on_t_end_when_dt_divides_it():
