@@ -43,8 +43,6 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.t_end < math.inf:  # a zero horizon runs no step
-            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end!r}")
         if not 0.0 <= self.rho_random_amp < math.inf:
             raise ConfigError(f"rho_random_amp must be finite and >= 0, "
                               f"got {self.rho_random_amp!r}")

@@ -522,6 +522,7 @@ def test_interface_step_explicit_forms(small_grids):
     rho_new = interface_step(u_zero, base, cfg, small_grids,
                              jump_forcing=np.sin(x), **rho_transforms(zeros),
                              **unstabilized(n_x))
+    assert np.abs((rho_new - base) / cfg.dt - np.sin(x)).max() < 1e-13
     assert np.abs(rho_new - base - cfg.dt * np.sin(x)).max() < 1e-14
 
     cfg1 = SolverConfig(epsilon=1.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
