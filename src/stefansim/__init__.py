@@ -21,11 +21,7 @@ from .grids import (
     NormalGrid,
     TangentialGrid,
     band_limited,
-    d_normal,
-    d_normal2,
     d_tangential,
-    integrate_bulk,
-    integrate_interface,
 )
 from .transform import Cutoff, TransformCoefficients, coefficients, curvature
 from .functionals import (

@@ -52,6 +52,16 @@ class Scenario:
                               f"finite, got {self.rho_mean!r}, {self.u_mass!r}, {amps!r}")
 
 
+def _require_resolved_modes(modes, n_x):
+    """Each ``rho_modes`` wavenumber k must satisfy 1 <= |k| < n_x/2: sin(0 x)
+    vanishes, and an n_x-point grid holds no sine at or above its Nyquist
+    mode (sampled there, it aliases to a lower mode or to zero)."""
+    for k, _ in modes:
+        if not 1 <= abs(k) < n_x // 2:
+            raise ConfigError(f"rho_modes wavenumber {k} is not resolved at n_x={n_x}: "
+                              f"need 1 <= |k| < {n_x // 2}")
+
+
 def _parse_text(section, key, raw):
     return raw.strip()
 
@@ -161,7 +171,8 @@ def parse_config(path):
         raise ConfigError(f"[solver]: {exc}") from None
     output = {_OUTPUT_FIELDS.get(key, key): value for key, value in values["output"].items()}
     scenario = Scenario(**values["scenario"], **output, solver=solver, sweep_axes=values["sweep"])
-    # every run of this file (each sweep point too) must be valid and end on t_end
+    # every run of this file (each sweep point too) must be valid, end on
+    # t_end and resolve the interface modes
     runs = [solver]
     for key, axis in scenario.sweep_axes.items():
         for value in axis:
@@ -174,6 +185,7 @@ def parse_config(path):
         raise ConfigError(f"[{section}] {key}: required key is missing")
     for cfg in runs:
         require_whole_steps(scenario.t_end, cfg.dt)
+        _require_resolved_modes(scenario.rho_modes, cfg.n_x)
     return scenario
 
 
@@ -209,6 +221,7 @@ def build_initial_data(scenario, cfg=None):
     error of the steady solve behind ``u_init = compatible`` is stamped as
     step 0 (t=0.0), the level it makes, as ``run`` stamps its own."""
     cfg = scenario.solver if cfg is None else cfg
+    _require_resolved_modes(scenario.rho_modes, cfg.n_x)
     grids = cfg.grids()
     x = grids.tangential.nodes
     rho0 = np.full(grids.tangential.n_x, scenario.rho_mean)

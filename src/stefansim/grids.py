@@ -7,10 +7,10 @@ number of nodes so that z = 0 (the flattened interface) is a grid line.
 
 Tangential derivatives are pseudo-spectral: FFT, multiply by (ik)^order,
 inverse FFT, with the Nyquist mode zeroed for odd orders.  Normal
-derivatives are second-order finite differences; at the interface row the
-stencil is one-sided ("above" uses z >= 0 data only, "below" uses z <= 0),
-because bulk fields are allowed a kink across z = 0.  Quadrature is the
-rectangle rule tangentially and the trapezoid rule per half-strip normally.
+derivatives are second-order finite differences, taken on each half-strip
+(``halves``) so that the stencil at the interface row is one-sided: bulk
+fields are allowed a kink across z = 0.  Quadrature is the rectangle rule
+tangentially and the trapezoid rule per half-strip normally.
 """
 from __future__ import annotations
 
@@ -202,53 +202,11 @@ def second_walls(values, h):
 
 def halves(values, grid):
     """Split bulk values (..., n_z) into the two half-strips (..., 2, i_mid + 1):
-    z <= 0 first, then z >= 0.  Both halves hold the z = 0 row, so a
-    derivative taken on them is one-sided at the interface, as in
-    ``d_normal(side="below")`` and ``side="above"`` respectively."""
+    z <= 0 first, then z >= 0.  Both halves hold the z = 0 row, so
+    ``first_walls`` and ``second_walls`` taken on them use, at the
+    interface, the one-sided stencils on z <= 0 and on z >= 0 data."""
     mid = grid.i_mid
     return np.stack((values[..., : mid + 1], values[..., mid:]), axis=-2)
-
-
-def d_normal(values, grid, side="above"):
-    """First normal derivative along the last axis, second order.
-
-    ``side`` selects the stencil at the interface row z = 0: "above" uses
-    z >= 0 data, "below" uses z <= 0, "centered" uses the ordinary centered
-    stencil (first order across a kink, second order for smooth fields).
-    Walls always use one-sided 3-point stencils.
-    """
-    v = np.asarray(values, dtype=float)
-    _require_finite(v, "d_normal input")
-    n_z, h, mid = grid.n_z, grid.dz, grid.i_mid
-    if v.shape[-1] != n_z:
-        raise ValueError(f"last axis {v.shape[-1]} != n_z {n_z}")
-    out = first_walls(v, h)
-    if side == "above":
-        out[..., mid] = _one_sided_first(v, mid, h, forward=True)
-    elif side == "below":
-        out[..., mid] = _one_sided_first(v, mid, h, forward=False)
-    elif side != "centered":
-        raise ValueError(f"side must be above/below/centered, got {side!r}")
-    return out
-
-
-def d_normal2(values, grid, side="above"):
-    """Second normal derivative along the last axis.
-
-    Interior rows use the standard 3-point stencil.  The interface row and
-    the walls use one-sided 4-point stencils (second order).
-    """
-    v = np.asarray(values, dtype=float)
-    _require_finite(v, "d_normal2 input")
-    h, mid = grid.dz, grid.i_mid
-    out = second_walls(v, h)
-    if side == "above":
-        out[..., mid] = _one_sided_second(v, mid, h, forward=True)
-    elif side == "below":
-        out[..., mid] = _one_sided_second(v, mid, h, forward=False)
-    elif side != "centered":
-        raise ValueError(f"side must be above/below/centered, got {side!r}")
-    return out
 
 
 def interface_sum(values, grid):
@@ -262,33 +220,6 @@ def bulk_sum(values, grids):
     no finiteness check."""
     per_x = np.trapezoid(values, dx=grids.normal.dz, axis=-1)
     return float(per_x.sum() * grids.tangential.spacing)
-
-
-def integrate_interface(values, grid):
-    v = np.asarray(values, dtype=float)
-    _require_finite(v, "integrate_interface input")
-    return interface_sum(v, grid)
-
-
-def integrate_bulk(values, grids):
-    v = np.asarray(values, dtype=float)
-    _require_finite(v, "integrate_bulk input")
-    return bulk_sum(v, grids)
-
-
-def integrate_bulk_sided(above, below, grids):
-    """Two-phase bulk quadrature for integrands double-valued at z = 0.
-
-    ``above`` supplies the integrand on the upper half-strip (rows z >= 0),
-    ``below`` on the lower half (rows z <= 0); both are full (n_x, n_z)
-    arrays and only their z = 0 rows may differ.
-    """
-    a = np.asarray(above, dtype=float)
-    b = np.asarray(below, dtype=float)
-    _require_finite(a, "integrate_bulk_sided above")
-    _require_finite(b, "integrate_bulk_sided below")
-    mid = grids.normal.i_mid
-    return integrate_halves(np.stack((b[..., : mid + 1], a[..., mid:]), axis=-2), grids)
 
 
 def integrate_halves(values, grids):

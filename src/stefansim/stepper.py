@@ -153,11 +153,6 @@ class State:
     rho: np.ndarray
 
 
-def _ratios(norms):
-    """Each fixed-point difference over the one before it."""
-    return tuple(b / a for a, b in zip(norms, norms[1:]))
-
-
 @dataclass(frozen=True)
 class StepReport:
     fp_norms: tuple  # the fixed-point difference of each iterate
@@ -168,10 +163,6 @@ class StepReport:
     @property
     def inner_iters(self):
         return len(self.fp_norms)
-
-    @property
-    def fp_ratios(self):
-        return _ratios(self.fp_norms)
 
 
 # Exit rule of a warm-started temperature solve: once the residual test
@@ -702,7 +693,7 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
         if theta < 1.0:
             weights = norm_weights(rho_m, rx, cutoff, grids)
-    last_ratio = _ratios(norms)[-1] if len(norms) >= 2 else None
+    last_ratio = norms[-1] / norms[-2] if len(norms) >= 2 else None
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "
         f"{cfg.fp_max_iter} iterations (last norm {norms[-1]:.3e}, "

@@ -188,8 +188,9 @@ def curvature_hat(rho_hat, rho_x, stacklevel=2):
 def jump_normal_derivative(u_values, grids):
     """Jump bracket [u_z] across z = 0: (one-sided from below) - (from above).
 
-    Only the interface row is differentiated: the one-sided 3-point
-    stencils of ``d_normal`` at z = 0, bitwise the same values.
+    Only the interface row is differentiated, by the second-order
+    one-sided 3-point stencils on z <= 0 and on z >= 0 data: bitwise the
+    interface rows of ``first_walls`` on ``halves``.
     """
     v = np.asarray(u_values, dtype=float)
     mid, h = grids.normal.i_mid, grids.normal.dz

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from stefansim.grids import first_walls
 from stefansim.stepper import SolverConfig, State, compatible_initial_temperature
 
 settings.register_profile(
@@ -12,6 +13,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numerics")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--pin-trajectories", action="store_true",
+                     help="rewrite tests/data/trajectories from the acceptance runs, "
+                          "then check against the rewritten files")
+
+
+def one_sided_normals(values, grid, walls=first_walls):
+    """``walls`` (``first_walls`` or ``second_walls``) along the last axis of
+    a full bulk array, with the interface row taken one-sided from above
+    (z >= 0 data), then from below (z <= 0): a reference for the normal
+    derivatives that does not go through ``halves``."""
+    mid = grid.i_mid
+    out = []
+    for side, row in ((values[..., mid:], 0), (values[..., : mid + 1], -1)):
+        d = walls(values, grid.dz)
+        d[..., mid] = walls(side, grid.dz)[..., row]
+        out.append(d)
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Strict INI scenario schema and initial-data realization."""
 import configparser
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,12 @@ def test_parse_name_override(tmp_path):
     "[scenario]\nt_end = 1\nrho_mean = nan\n",
     "[scenario]\nt_end = 1\nu_mass = nan\n",
     "[scenario]\nt_end = 1\nrho_modes = 1:0.01, 2:nan\n",
+    # wavenumbers the grid cannot hold: zero, the Nyquist mode, and a mode
+    # that one point of an n_x sweep axis cannot hold
+    "[scenario]\nt_end = 0.01\nrho_modes = 8:0.01\n[solver]\nn_x = 16\nn_z = 17\n",
+    "[scenario]\nt_end = 0.01\nrho_modes = 0:0.01\n[solver]\nn_x = 16\nn_z = 17\n",
+    "[scenario]\nt_end = 0.01\nrho_modes = 5:0.01\n[solver]\nn_x = 16\nn_z = 17\n"
+    "[sweep]\nn_x = 16, 8\n",
 ])
 def test_parse_rejects_bad_configs(tmp_path, snippet):
     with pytest.raises(ConfigError):
@@ -202,6 +209,15 @@ def test_build_initial_data_modes_and_mean():
     x = scen.solver.grids().tangential.nodes
     assert np.abs(rho0 - (0.05 + 0.02 * np.sin(x) + 0.01 * np.sin(2 * x))).max() < 1e-15
     assert np.all(u0 == 0.0)
+    # the grid given in place of the scenario's must hold every mode too
+    for k in (16, -16, 0):
+        bad = dataclasses.replace(scen, rho_modes=((k, 0.01),))
+        with pytest.raises(ConfigError, match=f"wavenumber {k} .*n_x=32"):
+            build_initial_data(bad)
+    high = dataclasses.replace(scen, rho_modes=((-15, 0.01),))
+    build_initial_data(high)  # |k| = n_x/2 - 1 is the highest mode held
+    with pytest.raises(ConfigError, match="wavenumber -15 .*n_x=16"):
+        build_initial_data(high, SolverConfig(n_x=16, n_z=17))
 
 
 def test_build_initial_data_u_mass_profile():

@@ -27,16 +27,17 @@ from stefansim.grids import (
     NormalGrid,
     TangentialGrid,
     band_limited,
-    d_normal,
-    d_normal2,
+    bulk_sum,
     d_tangential,
-    integrate_bulk,
-    integrate_bulk_sided,
-    integrate_interface,
+    integrate_halves,
+    interface_sum,
+    second_walls,
 )
 from stefansim.stepper import SolverConfig
 from stefansim.transform import Cutoff, coefficients
 from stefansim.verify import random_state_history
+
+from conftest import one_sided_normals
 
 # Single-mode interface rho = delta sin x, u = 0, at diagnostic order 0:
 # E = int delta^2 cos^2 x (1 + delta^2 cos^2 x)^{-1/2}
@@ -94,13 +95,20 @@ def dx(f, order):
     return d_tangential(f, order) if order else f
 
 
+def sided_sum(above, below, grids):
+    """Bulk quadrature of an integrand double-valued at z = 0: ``above`` on
+    the rows z >= 0, ``below`` on the rows z <= 0 of two full arrays."""
+    mid = grids.normal.i_mid
+    return integrate_halves(np.stack((below[..., : mid + 1], above[..., mid:]), axis=-2), grids)
+
+
 def reference_functionals(stack, eps):
     """The six functionals, term by term from the public primitives."""
     g, tg = stack.grids, stack.grids.tangential
     L, a, psi = 1.0 / stack.bracket, stack.a_psi, stack.psi
 
     def sided(above, below):
-        return integrate_bulk_sided(above, below, g)
+        return sided_sum(above, below, g)
 
     E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
     missing_E, missing_D = [], []
@@ -112,14 +120,14 @@ def reference_functionals(stack, eps):
             continue
         w, v = dx(u, mu), dx(r, mu)
         wx = d_tangential(w, 1)
-        up, lo = d_normal(w, g.normal, side="above"), d_normal(w, g.normal, side="below")
+        up, lo = one_sided_normals(w, g.normal)
         vx, vxx, v3, v4 = (d_tangential(v, n) for n in (1, 2, 3, 4))
-        E += (integrate_bulk(w**2 + wx**2, g) + sided(a * up**2, a * lo**2)
-              + integrate_interface(vx**2 * L, tg) + i_psi(v, psi))
-        X += integrate_interface(v3**2 * L, tg) + i_psi(vxx, psi)
-        sob_E += (integrate_bulk(w**2 + wx**2, g) + sided(up**2, lo**2)
-                  + integrate_interface(vx**2 + vxx**2, tg))
-        sob_X += integrate_interface(v3**2 + v4**2, tg)
+        E += (bulk_sum(w**2 + wx**2, g) + sided(a * up**2, a * lo**2)
+              + interface_sum(vx**2 * L, tg) + i_psi(v, psi))
+        X += interface_sum(v3**2 * L, tg) + i_psi(vxx, psi)
+        sob_E += (bulk_sum(w**2 + wx**2, g) + sided(up**2, lo**2)
+                  + interface_sum(vx**2 + vxx**2, tg))
+        sob_X += interface_sum(v3**2 + v4**2, tg)
         u1, r1 = stack.u_quotient(s + 1), stack.rho_quotient(s + 1)
         if u1 is None or r1 is None:
             missing_D.append((mu, s))
@@ -127,18 +135,17 @@ def reference_functionals(stack, eps):
         wt, vt = dx(u1, mu), dx(r1, mu)
         wxx = d_tangential(w, 2)
         xn_up, xn_lo = d_tangential(up, 1), d_tangential(lo, 1)
-        nn_up = d_normal2(w, g.normal, side="above")
-        nn_lo = d_normal2(w, g.normal, side="below")
+        nn_up, nn_lo = one_sided_normals(w, g.normal, second_walls)
         vtx, vt3 = d_tangential(vt, 1), d_tangential(vt, 3)
-        bulk = integrate_bulk(wt**2 + wx**2 + wxx**2, g)
+        bulk = bulk_sum(wt**2 + wx**2 + wxx**2, g)
         D += (bulk + sided(a * up**2 + 2 * a * xn_up**2 + (a * nn_up) ** 2,
                            a * lo**2 + 2 * a * xn_lo**2 + (a * nn_lo) ** 2)
-              + 2 * integrate_interface(vtx**2 * L, tg))
-        Y += 2 * integrate_interface(vt3**2 * L, tg)
+              + 2 * interface_sum(vtx**2 * L, tg))
+        Y += 2 * interface_sum(vt3**2 * L, tg)
         sob_D += (bulk + sided(up**2 + 2 * xn_up**2 + nn_up**2,
                                lo**2 + 2 * xn_lo**2 + nn_lo**2)
-                  + integrate_interface(vtx**2, tg))
-        sob_Y += integrate_interface(vt3**2, tg)
+                  + interface_sum(vtx**2, tg))
+        sob_Y += interface_sum(vt3**2, tg)
     values = (E, D, E + eps * X, D + eps * Y, sob_E + eps * sob_X, sob_D + eps * sob_Y)
     missing = (missing_E, missing_D, missing_E, missing_D, missing_E, missing_D)
     return values, tuple(tuple(m) for m in missing)
@@ -203,12 +210,12 @@ def reference_state_energy_k0(u, rho, psi, eps, cutoff, grids):
     coef = coefficients(psi, np.zeros_like(psi), cutoff, grids,
                         rho_x=d_tangential(psi, 1), rho_xx=d_tangential(psi, 2))
     a, L = coef.a, 1.0 / coef.bracket
-    up, lo = d_normal(u, grids.normal, side="above"), d_normal(u, grids.normal, side="below")
+    up, lo = one_sided_normals(u, grids.normal)
     vx, vxx, v3 = (d_tangential(rho, n) for n in (1, 2, 3))
-    E = (integrate_bulk(u**2 + d_tangential(u, 1) ** 2, grids)
-         + integrate_bulk_sided(a * up**2, a * lo**2, grids)
-         + integrate_interface(vx**2 * L, tg) + i_psi(rho, psi))
-    X = integrate_interface(v3**2 * L, tg) + i_psi(vxx, psi)
+    E = (bulk_sum(u**2 + d_tangential(u, 1) ** 2, grids)
+         + sided_sum(a * up**2, a * lo**2, grids)
+         + interface_sum(vx**2 * L, tg) + i_psi(rho, psi))
+    X = interface_sum(v3**2 * L, tg) + i_psi(vxx, psi)
     return E + eps * X
 
 

@@ -12,13 +12,14 @@ from stefansim.grids import (
     PERIOD,
     TangentialGrid,
     band_limited,
-    d_normal,
-    d_normal2,
+    bulk_sum,
     d_tangential,
-    integrate_bulk,
-    integrate_bulk_sided,
-    integrate_interface,
+    first_walls,
+    halves,
+    integrate_halves,
+    interface_sum,
     l2_interface,
+    second_walls,
     tail_fraction_hat,
 )
 
@@ -92,48 +93,46 @@ def test_d_tangential_linearity(seed, alpha, beta):
 def test_derivative_integrates_to_zero(seed):
     tg = TangentialGrid(32)
     f = band_limited(np.random.default_rng(seed), tg, 1.0)
-    assert abs(integrate_interface(d_tangential(f, 1), tg)) < 1e-12
+    assert abs(interface_sum(d_tangential(f, 1), tg)) < 1e-12
 
 
 # ---------------------------------------------------- normal derivatives
+# normal derivatives are the wall stencils taken on the two half-strips:
+# [..., 0, -1] is the interface row from below, [..., 1, 0] from above
 
 def test_d_normal_one_sided_at_interface():
     grids = Grids(TangentialGrid(8), NormalGrid(17))
     gz = grids.normal
     z = gz.nodes[None, :]
     v = np.broadcast_to(z**2, grids.shape).copy()
-    assert abs(d_normal(v, gz, side="above")[0, gz.i_mid]) < 1e-14
+    assert abs(first_walls(halves(v, gz), gz.dz)[0, 1, 0]) < 1e-14
     kink = np.broadcast_to(np.abs(z), grids.shape).copy()
-    jump = (d_normal(kink, gz, side="below")[0, gz.i_mid]
-            - d_normal(kink, gz, side="above")[0, gz.i_mid])
-    assert jump == pytest.approx(-2.0, abs=1e-13)
+    d_kink = first_walls(halves(kink, gz), gz.dz)
+    assert d_kink[0, 0, -1] - d_kink[0, 1, 0] == pytest.approx(-2.0, abs=1e-13)
     smooth = np.broadcast_to(np.cos(np.pi * z), grids.shape).copy()
-    assert abs(d_normal(smooth, gz, side="above")[0, gz.i_mid]) < 0.5 * gz.dz**2 * np.pi**3
-    with pytest.raises(ValueError):
-        d_normal(v, gz, side="left")
+    assert (abs(first_walls(halves(smooth, gz), gz.dz)[0, 1, 0])
+            < 0.5 * gz.dz**2 * np.pi**3)
 
 
 def test_d_normal2_exact_on_quadratics():
     gz = NormalGrid(17)
     z = gz.nodes
     v = (3.0 * z**2 - z + 1.0)[None, :].repeat(8, axis=0)
-    for side in ("above", "below", "centered"):
-        assert np.abs(d_normal2(v, gz, side=side) - 6.0).max() < 1e-10
-    with pytest.raises(ValueError):
-        d_normal2(np.zeros((8, 5)), NormalGrid(5))
+    # one-sided at the interface on each half-strip, centered on the full array
+    assert np.abs(second_walls(halves(v, gz), gz.dz) - 6.0).max() < 1e-10
+    assert np.abs(second_walls(v, gz.dz) - 6.0).max() < 1e-10
 
 
 @pytest.mark.parametrize("op,exact", [
-    (d_normal, lambda z: np.exp(z) * (np.sin(2 * z) + 2 * np.cos(2 * z))),
-    (d_normal2, lambda z: np.exp(z) * (4 * np.cos(2 * z) - 3 * np.sin(2 * z))),
+    (first_walls, lambda z: np.exp(z) * (np.sin(2 * z) + 2 * np.cos(2 * z))),
+    (second_walls, lambda z: np.exp(z) * (4 * np.cos(2 * z) - 3 * np.sin(2 * z))),
 ])
 def test_normal_derivative_second_order(op, exact):
     errs = []
     for n_z in (17, 33, 65):
         gz = NormalGrid(n_z)
         v = (np.exp(gz.nodes) * np.sin(2 * gz.nodes))[None, :].repeat(4, axis=0)
-        err = max(np.abs(op(v, gz, side=s) - exact(gz.nodes)[None, :]).max()
-                  for s in ("above", "below"))
+        err = np.abs(op(halves(v, gz), gz.dz) - halves(exact(gz.nodes), gz)[None]).max()
         errs.append(err)
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.9)
@@ -144,27 +143,27 @@ def test_normal_derivative_second_order(op, exact):
 def test_quadrature_reference_values():
     tg = TangentialGrid(32)
     grids = Grids(tg, NormalGrid(17))
-    assert integrate_interface(np.ones(32), tg) == pytest.approx(2 * np.pi, rel=1e-14)
-    assert abs(integrate_interface(np.sin(tg.nodes), tg)) < 1e-13
-    assert integrate_bulk(np.ones(grids.shape), grids) == pytest.approx(4 * np.pi, rel=1e-14)
+    assert interface_sum(np.ones(32), tg) == pytest.approx(2 * np.pi, rel=1e-14)
+    assert abs(interface_sum(np.sin(tg.nodes), tg)) < 1e-13
+    assert bulk_sum(np.ones(grids.shape), grids) == pytest.approx(4 * np.pi, rel=1e-14)
     assert l2_interface(np.sin(tg.nodes), tg) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
 
-def test_integrate_bulk_sided_matches_plain_when_continuous():
+def test_integrate_halves_matches_plain_when_continuous():
     grids = Grids(TangentialGrid(16), NormalGrid(17))
     x, z = grids.meshes()
     v = np.cos(x) ** 2 * (1.0 + z**2)
-    assert integrate_bulk_sided(v, v, grids) == pytest.approx(
-        integrate_bulk(v, grids), rel=1e-13)
+    assert integrate_halves(halves(v, grids.normal), grids) == pytest.approx(
+        bulk_sum(v, grids), rel=1e-13)
 
 
-def test_integrate_bulk_sided_counts_interface_row_once_per_side():
+def test_integrate_halves_counts_interface_row_once_per_side():
     # integrand 1 on the upper side, 0 on the lower: only the upper
     # half-strip (area 2 pi) contributes
     grids = Grids(TangentialGrid(16), NormalGrid(17))
-    one = np.ones(grids.shape)
-    assert integrate_bulk_sided(one, np.zeros(grids.shape), grids) == pytest.approx(
-        2 * np.pi, rel=1e-13)
+    sided = halves(np.zeros(grids.shape), grids.normal)
+    sided[..., 1, :] = 1.0
+    assert integrate_halves(sided, grids) == pytest.approx(2 * np.pi, rel=1e-13)
 
 
 # --------------------------------------------- band-limited random fields
@@ -184,7 +183,7 @@ def test_parseval_weights_match_the_bulk_rule(n_x, n_z):
             mult = (1j * np.arange(n_x // 2 + 1)) ** order
             if zero_nyquist:
                 mult[-1] = 0.0
-            ref += integrate_bulk(np.fft.irfft(v_hat * mult[:, None], n=n_x, axis=0) ** 2, grids)
+            ref += bulk_sum(np.fft.irfft(v_hat * mult[:, None], n=n_x, axis=0) ** 2, grids)
         weights = parseval_weights(grids.tangential, grids.normal, terms)
         got = float(np.sum(weights * np.abs(v_hat) ** 2))
         assert got == pytest.approx(ref, rel=1e-13), terms
