@@ -40,10 +40,12 @@ from .functionals import (
 )
 from .identity import IdentityReport, identity_residual_k0, model_energy
 from .stepper import (
+    Level,
     SolverConfig,
     State,
     compatible_initial_temperature,
     fixed_point_step,
+    make_level,
     run,
 )
 from .oracles import (

@@ -50,6 +50,13 @@ class Scenario:
         if not np.all(np.isfinite([self.rho_mean, self.u_mass, *amps])):
             raise ConfigError(f"rho_mean, u_mass and the rho_modes amplitudes must be "
                               f"finite, got {self.rho_mean!r}, {self.u_mass!r}, {amps!r}")
+        if self.u_init.startswith("snapshot:"):
+            # a snapshot carries its own u and rho: nothing may reshape them
+            defaults = {f.name: f.default for f in dataclasses.fields(self)}
+            for key in ("rho_modes", "rho_mean", "rho_random_amp", "u_mass"):
+                if getattr(self, key) != defaults[key]:
+                    raise ConfigError(f"{key}={getattr(self, key)!r} cannot be set beside "
+                                      f"u_init = {self.u_init}: the snapshot holds u and rho")
 
 
 def _require_resolved_modes(modes, n_x):

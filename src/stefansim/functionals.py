@@ -9,13 +9,18 @@ derivative family  { d_x^mu d_t^s : mu + 2s <= 2 k_diag }.
 Time derivatives are backward difference quotients over the history
 buffer; the s-th quotient needs s+1 uniformly spaced entries.  Terms whose
 quotients are not yet available are *skipped and flagged*, never silently
-zeroed.
+zeroed.  The entries are ``stepper.Level`` records, built once per time
+level (``stepper.make_level``): each carries the rffts of its u and rho,
+whose differences are the quotients' rffts, the slope of its interface
+and its conserved quantity Q, so the diagnostics transform no entry
+again.
 
 The unweighted bulk integrals (int w^2 + w_x^2 in E, int w_t^2 + w_x^2 +
 w_xx^2 in D, w = d_x^mu u_s) are summed on the Fourier modes of each
 field by Parseval (``grids.parseval_weights``).  The a-weighted
 normal-derivative terms and the interface terms have weights that vary
-in x and are summed in real space.
+in x and are summed in real space, each bulk integral as one dot product
+with cached quadrature weights (``grids.quadrature_weights``).
 
 The interface form
 
@@ -37,12 +42,13 @@ from .grids import (
     PERIOD,
     bulk_sum,
     d_tangential,
-    d_tangential_hat,
+    d_tangential_hats,
     first_walls,
     halves,
-    integrate_halves,
     interface_sum,
-    parseval_weights,
+    parseval_sum,
+    power_spectrum,
+    quadrature_weights,
     second_walls,
 )
 from .transform import grid_profiles, norm_weights
@@ -63,45 +69,55 @@ def uniform_step(times, what):
 
 
 class DerivativeStack:
-    """History window of accepted states and their backward difference
+    """History window of accepted levels and their backward difference
     quotients.
 
-    Entries are (t, u, rho), oldest first, uniformly spaced in t.  The
-    weights (a_psi, <psi>) are frozen at the newest interface.
+    ``levels`` are ``stepper.Level`` records (``stepper.make_level`` builds
+    one from raw arrays), oldest first, uniformly spaced in t.  The
+    weights (a_psi, <psi>) are frozen at the newest interface, whose slope
+    psi_x its level holds.  The transform of a quotient is the same
+    quotient of the levels' transforms.
     """
 
-    def __init__(self, grids, cutoff, k_diag, times, us, rhos):
-        if not (len(times) == len(us) == len(rhos)) or len(times) == 0:
-            raise ValueError("history must be non-empty and aligned")
-        self.dt = uniform_step(times, "history")
+    def __init__(self, grids, cutoff, k_diag, levels):
+        self.levels = list(levels)
+        if not self.levels:
+            raise ValueError("history must be non-empty")
+        self.dt = uniform_step([lv.t for lv in self.levels], "history")
         self.grids = grids
         self.cutoff = cutoff
         self.k_diag = int(k_diag)
-        self.times = np.asarray(times, dtype=float)
-        self.us = [np.asarray(u, dtype=float) for u in us]
-        self.rhos = [np.asarray(r, dtype=float) for r in rhos]
-        self.psi = self.rhos[-1]
-        self.psi_x = d_tangential(self.psi, 1)
+        newest = self.levels[-1]
+        self.psi = newest.rho
+        self.psi_x = newest.rho_x
         self.a_psi, self.bracket = norm_weights(self.psi, self.psi_x, cutoff, grids)
 
     @property
     def t(self):
-        return float(self.times[-1])
+        return float(self.levels[-1].t)
 
-    def _quotient(self, fields, s):
-        if s == 0:
-            return fields[-1]
-        if s + 1 > len(fields):
-            return None
-        window = np.stack(fields[-(s + 1):], axis=0)
-        return np.diff(window, n=s, axis=0)[0] / self.dt**s
+    def quotients(self, name, count):
+        """The backward time quotients s = 0 .. count - 1 of the levels'
+        attribute ``name`` at the newest time, None where the history is
+        too short: the window is stacked once and differenced once per
+        order (the s-th quotient is ``np.diff`` of order s of the newest
+        s + 1 levels, over dt^s)."""
+        values = [getattr(lv, name) for lv in self.levels[-count:]]
+        out, diffs = [values[-1]], np.stack(values)
+        for s in range(1, count):
+            if s >= len(values):
+                out.append(None)
+                continue
+            diffs = diffs[1:] - diffs[:-1]
+            out.append(diffs[-1] / self.dt**s)
+        return out
 
     def u_quotient(self, s):
         """s-th backward time quotient of u at the newest time (None if short)."""
-        return self._quotient(self.us, s)
+        return self.quotients("u", s + 1)[s]
 
     def rho_quotient(self, s):
-        return self._quotient(self.rhos, s)
+        return self.quotients("rho", s + 1)[s]
 
 
 @dataclass(frozen=True)
@@ -130,20 +146,13 @@ def i_psi_lower_bound(omega, psi):
     return _i_psi_lower(oxx, L, h)
 
 
-def _dx(hat, raw, order, zero_nyquist):
-    """d_x^order of ``raw`` from its rfft ``hat`` along axis 0 (order 0
-    returns ``raw`` itself).  No finiteness check."""
-    if order == 0:
-        return raw
-    return d_tangential_hat(hat, raw.shape[0], order, zero_nyquist)
-
-
-def _parseval(hat, terms, g):
-    """Bulk quadrature of the sum over ``terms`` ((order, zero_nyquist)
-    pairs) of (d_x^order v)^2, summed on the rfft ``hat`` of v by Parseval:
-    no inverse transform."""
-    weights = parseval_weights(g.tangential, g.normal, terms)
-    return float(np.vdot(hat, weights * hat).real)
+def _dx_table(hat, n, terms):
+    """{(order, zero_nyquist): d_x^order v} for the distinct pairs of
+    ``terms``, v the n-point field whose rfft along axis 0 is ``hat``, from
+    one batched inverse transform (``d_tangential_hats``; order 0 is v).
+    No finiteness check."""
+    terms = tuple(dict.fromkeys(terms))
+    return dict(zip(terms, d_tangential_hats(hat, n, terms)))
 
 
 def _i_psi_form(oxx, L, px, h):
@@ -157,22 +166,27 @@ def _i_psi_lower(oxx, L, h):
     return float((oxx**2 * L**3).sum() * h)
 
 
-def _interface_terms(r_hat, mu, eps, L, px, g):
+def _interface_orders(mu, eps):
+    """The derivatives, as (order, zero_nyquist) pairs, of the s-th
+    quotient of rho that ``_interface_terms`` reads for its (mu, s) term."""
+    odd = mu % 2 == 1
+    orders = ((mu + 1, True), (mu + 2, odd))
+    return orders + ((mu + 3, True), (mu + 4, odd)) if eps != 0.0 else orders
+
+
+def _interface_terms(v, mu, eps, L, px, g):
     """The interface part of the (mu, s) term of E, the eps coefficient X
     of E_eps = E + eps X, the unweighted counterparts of both, the I_psi
-    part of E and the Hessian it is taken on, from the rfft r_hat of the
-    s-th quotient of rho."""
-    n, h = g.tangential.n_x, g.tangential.spacing
-    odd = mu % 2 == 1
-    vx = d_tangential_hat(r_hat, n, mu + 1, True)
-    vxx = d_tangential_hat(r_hat, n, mu + 2, odd)
+    part of E and the Hessian it is taken on, from the ``_dx_table`` v of
+    the s-th quotient of rho that holds ``_interface_orders(mu, eps)``."""
+    h = g.tangential.spacing
+    vx, vxx, *higher = (v[order] for order in _interface_orders(mu, eps))
     i_form = _i_psi_form(vxx, L, px, h)
     E = interface_sum(vx**2 * L, g.tangential) + i_form
     sob_E = interface_sum(vx**2 + vxx**2, g.tangential)
     X = sob_X = 0.0
     if eps != 0.0:
-        v3 = d_tangential_hat(r_hat, n, mu + 3, True)
-        v4 = d_tangential_hat(r_hat, n, mu + 4, odd)
+        v3, v4 = higher
         X = interface_sum(v3**2 * L, g.tangential) + _i_psi_form(v4, L, px, h)
         sob_X = interface_sum(v3**2 + v4**2, g.tangential)
     return E, X, sob_E, sob_X, i_form, vxx
@@ -195,19 +209,21 @@ def evaluate_functionals(stack, eps):
     """E, D, E_eps, D_eps and their unweighted Sobolev counterparts from
     one shared derivative pass, plus the least I_psi - lower bound gap.
 
-    Each time quotient u_s, rho_s and the one-sided normal derivatives
-    d_z u_s, d_z^2 u_s (d_x commutes with d_z) are transformed once along
-    x.  The unweighted bulk sums of E and D, int w^2 + w_x^2 and
+    No forward transform: the rfft along x of each time quotient u_s and
+    rho_s is the same quotient of the levels' rffts, and those of the
+    one-sided normal derivatives d_z u_s, d_z^2 u_s are the same stencils
+    on u_s's (both are linear along z, and the transform acts along x).
+    The unweighted bulk sums of E and D, int w^2 + w_x^2 and
     int w_t^2 + w_x^2 + w_xx^2 with w = d_x^mu u_s, are summed on those
-    transforms by Parseval (``parseval_weights``), with no inverse
-    transform.  Every other d_x^mu is one multiplication by a cached
-    (ik)^n and one inverse transform: the a-weighted normal-derivative
-    terms and the interface terms have weights that vary in x, so they
-    are summed in real space.  A composed derivative zeroes the Nyquist
-    mode whenever one of its factors has odd order, as nested
-    ``d_tangential`` calls do.  E_eps = E + eps X and D_eps = D + eps Y
-    share their arrays with E and D, and the Sobolev sums are the same
-    arrays without the weights.
+    transforms by Parseval (``parseval_weights``).  Every other d_x^mu is
+    one multiplication by a cached (ik)^n and an inverse transform, those
+    of one interface quotient batched into one call: the a-weighted
+    normal-derivative terms and the interface terms have weights that
+    vary in x, so they are summed in real space, by one weighted sum per
+    integral.  A composed derivative zeroes the Nyquist mode whenever one
+    of its factors has odd order, as nested ``d_tangential`` calls do.
+    E_eps = E + eps X and D_eps = D + eps Y share their arrays with E and
+    D, and the Sobolev sums are the same arrays without the weights.
 
     The eps addition to D is 2 eps int |d_x^mu Delta grad rho_t|^2 <psi>^-1
     per (mu, s) (the time-differentiated form; see the energy identity,
@@ -220,51 +236,59 @@ def evaluate_functionals(stack, eps):
     n = g.tangential.n_x
     dz = g.normal.dz
     a_h = halves(stack.a_psi, g.normal)
+    W = quadrature_weights(a_h.shape, g)  # integrate_halves as a dot product
+    aW = a_h * W
+    a2W = a_h * aW
     L = 1.0 / stack.bracket
     px = stack.psi_x
-    us = [stack.u_quotient(s) for s in range(k + 2)]
-    rs = [stack.rho_quotient(s) for s in range(k + 2)]
-    u_hats = [None if u is None else np.fft.rfft(u, axis=0) for u in us]
-    r_hats = [None if r is None else np.fft.rfft(r) for r in rs]
-    uns = [None if u is None else first_walls(halves(u, g.normal), dz) for u in us[:-1]]
-    un_hats = [None if un is None else np.fft.rfft(un, axis=0) for un in uns]
-    unns, unn_hats = {}, {}
+    u_hats = stack.quotients("u_hat", k + 2)
+    r_hats = stack.quotients("rho_hat", k + 2)
+    powers = [None if hat is None else power_spectrum(hat) for hat in u_hats]
 
     E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
     gaps, missing_E, missing_D = [], [], []
-    for mu, s in derivative_pairs(k):
-        if us[s] is None or rs[s] is None:
-            missing_E.append((mu, s))
-            missing_D.append((mu, s))
+    for s in range(k + 1):
+        mus = [(mu, mu % 2 == 1) for mu in range(2 * (k - s) + 1)]
+        if u_hats[s] is None:
+            missing_E.extend((mu, s) for mu, _ in mus)
+            missing_D.extend((mu, s) for mu, _ in mus)
             continue
-        odd = mu % 2 == 1
-        wn = _dx(un_hats[s], uns[s], mu, odd)
-        bulk = _parseval(u_hats[s], ((mu, odd), (mu + 1, True)), g)  # w, w_x
-        e, x, se, sx, i_form, vxx = _interface_terms(r_hats[s], mu, eps, L, px, g)
-        E += bulk + integrate_halves(a_h * wn**2, g) + e
-        sob_E += bulk + integrate_halves(wn**2, g) + se
-        X, sob_X = X + x, sob_X + sx
-        gaps.append(i_form - _i_psi_lower(vxx, L, g.tangential.spacing))
-        if us[s + 1] is None or rs[s + 1] is None:
-            missing_D.append((mu, s))
-            continue
-        if s not in unns:
-            unns[s] = second_walls(halves(us[s], g.normal), dz)
-            unn_hats[s] = np.fft.rfft(unns[s], axis=0)
-        wxn = _dx(un_hats[s], uns[s], mu + 1, True)
-        wnn = _dx(unn_hats[s], unns[s], mu, odd)
-        vtx = d_tangential_hat(r_hats[s + 1], n, mu + 1, True)
-        bulk = (_parseval(u_hats[s + 1], ((mu, odd),), g)  # w_t
-                + _parseval(u_hats[s], ((mu + 1, True), (mu + 2, odd)), g))  # w_x, w_xx
-        D += (bulk
-              + integrate_halves(a_h * wn**2 + 2.0 * a_h * wxn**2 + (a_h * wnn) ** 2, g)
-              + 2.0 * interface_sum(vtx**2 * L, g.tangential))
-        sob_D += (bulk + integrate_halves(wn**2 + 2.0 * wxn**2 + wnn**2, g)
-                  + interface_sum(vtx**2, g.tangential))
-        if eps != 0.0:
-            vt3 = d_tangential_hat(r_hats[s + 1], n, mu + 3, True)
-            Y += 2.0 * interface_sum(vt3**2 * L, g.tangential)
-            sob_Y += interface_sum(vt3**2, g.tangential)
+        # one batched inverse transform per field: d_x^mu of u_n for E, and
+        # d_x^(mu+1) of u_n, d_x^mu of u_nn and the rho_t terms for D
+        with_D = u_hats[s + 1] is not None
+        u_h = halves(u_hats[s], g.normal)
+        wn = _dx_table(first_walls(u_h, dz), n,
+                       mus + ([(mu + 1, True) for mu, _ in mus] if with_D else []))
+        v = _dx_table(r_hats[s], n, [o for mu, _ in mus for o in _interface_orders(mu, eps)])
+        if with_D:
+            wnn = _dx_table(second_walls(u_h, dz), n, mus)
+            vt = _dx_table(r_hats[s + 1], n, [(mu + 1, True) for mu, _ in mus]
+                           + ([(mu + 3, True) for mu, _ in mus] if eps != 0.0 else []))
+        for mu, odd in mus:
+            wn2 = wn[mu, odd] ** 2
+            bulk = parseval_sum(powers[s], ((mu, odd), (mu + 1, True)), g)  # w, w_x
+            e, x, se, sx, i_form, vxx = _interface_terms(v, mu, eps, L, px, g)
+            E += bulk + float(np.vdot(aW, wn2)) + e
+            sob_E += bulk + float(np.vdot(W, wn2)) + se
+            X, sob_X = X + x, sob_X + sx
+            gaps.append(i_form - _i_psi_lower(vxx, L, g.tangential.spacing))
+            if not with_D:
+                missing_D.append((mu, s))
+                continue
+            # a u_n^2 + 2 a u_xn^2 + (a u_nn)^2, and the same without a
+            first = wn2 + 2.0 * wn[mu + 1, True] ** 2
+            wnn2 = wnn[mu, odd] ** 2
+            vtx = vt[mu + 1, True]
+            bulk = (parseval_sum(powers[s + 1], ((mu, odd),), g)  # w_t
+                    + parseval_sum(powers[s], ((mu + 1, True), (mu + 2, odd)), g))  # w_x, w_xx
+            D += (bulk + float(np.vdot(aW, first)) + float(np.vdot(a2W, wnn2))
+                  + 2.0 * interface_sum(vtx**2 * L, g.tangential))
+            sob_D += (bulk + float(np.vdot(W, first + wnn2))
+                      + interface_sum(vtx**2, g.tangential))
+            if eps != 0.0:
+                vt3 = vt[mu + 3, True]
+                Y += 2.0 * interface_sum(vt3**2 * L, g.tangential)
+                sob_Y += interface_sum(vt3**2, g.tangential)
 
     missing_E, missing_D = tuple(missing_E), tuple(missing_D)
     return Functionals(
@@ -390,12 +414,13 @@ def state_energy_k0(u, u_hat, rho_hat, norm):
     g = norm.grids
     centered = u[:, 2:] - u[:, :-2]
     edges = u @ norm.stencils
-    energy = (_parseval(u_hat, ((0, False), (1, True)), g)
+    energy = (parseval_sum(power_spectrum(u_hat), ((0, False), (1, True)), g)
               + float(np.vdot(norm.a_centered * centered, centered))
               + float(np.vdot(norm.a_edges * edges, edges)))
     if rho_hat is None:
         return energy
-    e, x, *_ = _interface_terms(rho_hat, 0, norm.eps, norm.L, norm.psi_x, g)
+    v = _dx_table(rho_hat, g.tangential.n_x, _interface_orders(0, norm.eps))
+    e, x, *_ = _interface_terms(v, 0, norm.eps, norm.L, norm.psi_x, g)
     return energy + e + norm.eps * x
 
 
@@ -408,14 +433,11 @@ def conserved_quantity(u, rho, cutoff, grids):
     return bulk - interface_sum(rho, grids.tangential)
 
 
-def conservation_residual(old, new, cutoff, grids):
-    """|Delta(int u (1+phi' rho)) - Delta(int rho)| across one accepted step.
-
-    ``old`` and ``new`` are (u, rho) pairs.
-    """
-    q_old = conserved_quantity(old[0], old[1], cutoff, grids)
-    q_new = conserved_quantity(new[0], new[1], cutoff, grids)
-    return abs(q_new - q_old)
+def conservation_residual(old, new):
+    """|Delta(int u (1+phi' rho)) - Delta(int rho)| across one accepted step,
+    from the conserved quantity Q that the levels ``old`` and ``new``
+    (``stepper.Level`` records) hold."""
+    return abs(new.Q - old.Q)
 
 
 def steady_mean(u0, rho0, cutoff, grids):

@@ -136,6 +136,37 @@ def parseval_weights(tangential, normal, terms):
     return weights
 
 
+@lru_cache(maxsize=None)
+def tangential_multipliers(n, terms):
+    """Read-only (len(terms), n // 2 + 1) rows of ``tangential_multiplier``,
+    one per (order, zero_nyquist) pair of ``terms`` (cached)."""
+    rows = np.array([tangential_multiplier(n, order, zero) for order, zero in terms])
+    rows.setflags(write=False)
+    return rows
+
+
+def d_tangential_hats(hat, n, terms):
+    """``d_tangential_hat`` of ``hat`` for each (order, zero_nyquist) pair of
+    ``terms`` from one batched inverse transform: row i of the result is
+    the derivative of terms[i].  No finiteness check."""
+    mult = tangential_multipliers(n, terms)
+    mult = mult.reshape(mult.shape + (1,) * (hat.ndim - 1))
+    return np.fft.irfft(hat * mult, n=n, axis=1)
+
+
+def power_spectrum(hat):
+    """|hat|^2, which ``parseval_sum`` reads."""
+    return hat.real**2 + hat.imag**2
+
+
+def parseval_sum(power, terms, grids):
+    """Bulk quadrature of the sum over ``terms`` ((order, zero_nyquist)
+    pairs) of (d_x^order v)^2, summed by Parseval (``parseval_weights``) on
+    the power spectrum ``power`` |v_hat|^2 of v, v_hat its rfft: no
+    inverse transform."""
+    return float(np.vdot(parseval_weights(grids.tangential, grids.normal, terms), power))
+
+
 def d_tangential_hat(hat, n, order, zero_nyquist=None):
     """d_x^order of the n-point field whose rfft along axis 0 is ``hat``.
 
@@ -215,19 +246,33 @@ def interface_sum(values, grid):
     return float(values.sum() * grid.spacing)
 
 
+@lru_cache(maxsize=None)
+def quadrature_weights(shape, grids):
+    """Read-only weights W of the bulk quadrature of an integrand of
+    ``shape``, cached per shape and grid pair: the trapezoid rule (spacing
+    dz) along the last axis and the rectangle rule in x, so that
+    sum W * values is ``bulk_sum`` of a (n_x, n_z) integrand and
+    ``integrate_halves`` of one in the ``halves`` layout."""
+    w = np.full(shape[-1], grids.normal.dz * grids.tangential.spacing)
+    w[[0, -1]] *= 0.5
+    weights = np.broadcast_to(w, shape).copy()
+    weights.setflags(write=False)
+    return weights
+
+
 def bulk_sum(values, grids):
-    """Rectangle (x) times trapezoid (z) rule for single-valued integrands;
-    no finiteness check."""
-    per_x = np.trapezoid(values, dx=grids.normal.dz, axis=-1)
-    return float(per_x.sum() * grids.tangential.spacing)
+    """Rectangle (x) times trapezoid (z) rule for single-valued integrands:
+    one weighted sum with the cached ``quadrature_weights``.  No
+    finiteness check."""
+    return float(np.vdot(quadrature_weights(values.shape, grids), values))
 
 
 def integrate_halves(values, grids):
     """Two-phase bulk quadrature of an integrand in the ``halves`` layout
-    (..., 2, i_mid + 1): trapezoid per half-strip, rectangle rule in x.
-    No finiteness check."""
-    per_half = np.trapezoid(values, dx=grids.normal.dz, axis=-1)
-    return float((per_half[..., 1] + per_half[..., 0]).sum() * grids.tangential.spacing)
+    (..., 2, i_mid + 1): trapezoid per half-strip, rectangle rule in x, as
+    one weighted sum (the same sum as ``bulk_sum``).  No finiteness
+    check."""
+    return bulk_sum(values, grids)
 
 
 def l2_interface(values, grid):

@@ -43,21 +43,28 @@ which is what is evaluated.
 All time derivatives are *centered* difference quotients at the window
 midpoint, so the evaluator's own error is O(dt^2) and the reported
 residual is dominated by the solver and quadrature errors.
+
+The window is three ``stepper.Level`` records, and the evaluator makes no
+forward transform: the transforms of rho_t and of u_n are the same
+quotient and stencil of the levels' transforms, and the tangential
+derivatives of one field come from one batched inverse transform.  The
+model energy of each level is evaluated once and kept on the level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .functionals import uniform_step
 from .grids import (
     bulk_sum,
     d_tangential_hat,
+    d_tangential_hats,
     first_walls,
     halves,
     integrate_halves,
     interface_sum,
+    parseval_sum,
+    power_spectrum,
     second_walls,
 )
 from .transform import coefficients, grid_profiles, norm_weights
@@ -80,11 +87,11 @@ class IdentityReport:
     bdry_T: float
 
 
-def _derivs(values, order):
-    """values and its d_x^1 .. d_x^order along axis 0 from one rfft (no
-    finiteness check)."""
-    hat = np.fft.rfft(values, axis=0)
-    return [values] + [d_tangential_hat(hat, values.shape[0], k) for k in range(1, order + 1)]
+def _derivs(hat, n, lowest, highest):
+    """d_x^lowest .. d_x^highest along axis 0 of the n-point field whose
+    rfft is ``hat``, from one batched inverse transform (no finiteness
+    check)."""
+    return d_tangential_hats(hat, n, tuple((k, k % 2 == 1) for k in range(lowest, highest + 1)))
 
 
 def _a_derivs(rho, rx, rxx, rt, rxt, cutoff, grids):
@@ -100,20 +107,25 @@ def _a_derivs(rho, rx, rxx, rt, rxt, cutoff, grids):
     return a_n, a_t, a_x
 
 
-def model_energy(u, rho, eps, cutoff, grids):
-    """E_bar of one sample (no time derivatives enter).  No finiteness
-    check."""
+def model_energy(level, eps, cutoff, grids):
+    """E_bar of one level (no time derivatives enter), evaluated once per
+    epsilon and kept on the level as ``E_bar``.  int u_x^2 is a Parseval
+    sum on the level's transform of u.  No finiteness check."""
+    if level.E_bar is not None and level.E_bar[0] == eps:
+        return level.E_bar[1]
     tg = grids.tangential
-    _, rx, rxx, rxxx, rxxxx = _derivs(rho, 4)
+    u, rho, rx, rxx = level.u, level.rho, level.rho_x, level.rho_xx
+    rxxx, rxxxx = _derivs(level.rho_hat, tg.n_x, 3, 4)
     a, bracket = norm_weights(rho, rx, cutoff, grids)
     L = 1.0 / bracket
     un = first_walls(halves(u, grids.normal), grids.normal.dz)
     val = 0.5 * bulk_sum(u**2, grids)
-    val += bulk_sum(_derivs(u, 1)[1] ** 2, grids)
+    val += parseval_sum(power_spectrum(level.u_hat), ((1, True),), grids)
     val += integrate_halves(halves(a, grids.normal) * un**2, grids)
     val += 0.5 * interface_sum((rx**2 + eps * rxxx**2) * L, tg)
     val += interface_sum((rxx**2 + eps * rxxxx**2) * L**3, tg)
-    return float(val)
+    level.E_bar = (eps, float(val))
+    return level.E_bar[1]
 
 
 def identity_residual_k0(window, eps, cutoff, grids):
@@ -121,23 +133,25 @@ def identity_residual_k0(window, eps, cutoff, grids):
 
     Parameters
     ----------
-    window : three (t, u, rho) samples, uniformly spaced.
-        The identity is evaluated at the middle sample, with the bulk
+    window : three ``stepper.Level`` records, uniformly spaced in t.
+        The identity is evaluated at the middle level, with the bulk
         source f = -B u_xz - c u_z that the full evolution feeds into the
         model step.  No finiteness check: ``run`` checks each accepted
         state once.
     """
     if len(window) != 3:
         raise ValueError(f"window must hold 3 samples, got {len(window)}")
-    dt = uniform_step([w[0] for w in window], "window")
-    (_, u_prev, rho_prev), (_, u_c, rho_c), (_, u_next, rho_next) = window
+    dt = uniform_step([lv.t for lv in window], "window")
+    prev, mid, nxt = window
     nz, tg = grids.normal, grids.tangential
+    n, u_c, rho_c = tg.n_x, mid.u, mid.rho
 
-    # centered time quotients at the midpoint
-    u_t = (u_next - u_prev) / (2.0 * dt)
-    rt = (rho_next - rho_prev) / (2.0 * dt)
-    _, rx, rxx, rxxx, rxxxx = _derivs(rho_c, 4)
-    _, rxt, rxxt, rxxxt, rxxxxt = _derivs(rt, 4)
+    # centered time quotients at the midpoint, and their transforms
+    u_t = (nxt.u - prev.u) / (2.0 * dt)
+    rt = (nxt.rho - prev.rho) / (2.0 * dt)
+    rx, rxx = mid.rho_x, mid.rho_xx
+    rxxx, rxxxx = _derivs(mid.rho_hat, n, 3, 4)
+    rxt, rxxt, rxxxt, rxxxxt = _derivs((nxt.rho_hat - prev.rho_hat) / (2.0 * dt), n, 1, 4)
 
     coef = coefficients(rho_c, rt, cutoff, grids, rho_x=rx, rho_xx=rxx)
     L = 1.0 / coef.bracket
@@ -153,10 +167,10 @@ def identity_residual_k0(window, eps, cutoff, grids):
     # (one-sided where z-derivatives enter)
     a, B, c, a_n, a_t, a_x = (halves(v, nz) for v in (
         coef.a, coef.B, coef.c, *_a_derivs(rho_c, rx, rxx, rt, rxt, cutoff, grids)))
-    _, ux, uxx = _derivs(u_c, 2)
+    ux, uxx = _derivs(mid.u_hat, n, 1, 2)
     u, ut, uxx_h = halves(u_c, nz), halves(u_t, nz), halves(uxx, nz)
     un = first_walls(u, nz.dz)
-    uxn = _derivs(un, 1)[1]
+    uxn = d_tangential_hat(first_walls(halves(mid.u_hat, nz), nz.dz), n, 1)
     unn = second_walls(u, nz.dz)
     f = -B * uxn - c * un
 
@@ -177,8 +191,8 @@ def identity_residual_k0(window, eps, cutoff, grids):
     bdry_T = interface_sum(T, tg)
 
     # LHS: centered difference of E_bar plus D_bar at the midpoint
-    e_prev = model_energy(u_prev, rho_prev, eps, cutoff, grids)
-    e_next = model_energy(u_next, rho_next, eps, cutoff, grids)
+    e_prev = model_energy(prev, eps, cutoff, grids)
+    e_next = model_energy(nxt, eps, cutoff, grids)
     dE_dt = (e_next - e_prev) / (2.0 * dt)
     D_bar = bulk_sum(u_t**2 + ux**2 + uxx**2, grids)
     D_bar += integrate_halves(a * un**2 + 2.0 * a * uxn**2 + (a * unn) ** 2, grids)
@@ -189,7 +203,7 @@ def identity_residual_k0(window, eps, cutoff, grids):
     n_nodes = grids.tangential.n_x * grids.normal.n_z + grids.tangential.n_x
     floor = IDENTITY_FLOOR_PER_NODE * n_nodes
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + floor)
-    return IdentityReport(t=float(window[1][0]), lhs=float(lhs), rhs=float(rhs),
+    return IdentityReport(t=float(mid.t), lhs=float(lhs), rhs=float(rhs),
                           residual=float(residual), dE_dt=float(dE_dt),
                           D_bar=float(D_bar), bulk_P=float(bulk_P),
                           bulk_R=float(bulk_R), bdry_Q=float(bdry_Q),

@@ -24,15 +24,17 @@ satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
 (second-order Neumann); the interface row is a Dirichlet row.
 
 The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
-loop, which reuses the fields u_m's solve returned (iterate 1's starts
-from u_old).  Iterate 1 starts from the predictor 2 rho_n - rho_{n-1},
-which ``run`` passes whenever its history holds two levels of the
-current dt (not on step 1, nor on the first step after a dt halving),
-and otherwise from rho_n.  Each later rho_m is a secant step (Anderson
-mixing of depth 1) from the last two iterates and their images; it falls
-back to the plain image, and mixes again from the next iterate, when the
-residual does not change or when a mixed iterate's difference exceeds
-the one before.  The stopping test ``diff <= fp_tol`` reads the unmixed
+loop, which reuses the fields u_m's solve returned.  Iterate 1 starts
+from the predictor 2 rho_n - rho_{n-1}, and its lag loop from
+2 u_n - u_{n-1} with the same combination of the two levels' fields (no
+transform), which ``run`` passes whenever its history holds two levels
+of the current dt (not on step 1, nor on the first step after a dt
+halving); otherwise they start from rho_n and u_old.  Iterate 1's
+difference is measured against u_old either way.  Each later rho_m is a
+secant step (Anderson mixing of depth 1) from the last two iterates and
+their images; it falls back to the plain image, and mixes again from the
+next iterate, when the residual does not change or when a mixed
+iterate's difference exceeds the one before.  The stopping test ``diff <= fp_tol`` reads the unmixed
 pair (u_next, rho_next) against (u_m, rho_m), and that pair is the
 accepted state: a true output of G.
 
@@ -52,18 +54,30 @@ iteration's lagged terms.  The iterate is checked for finiteness once.
 A fixed-point iterate transforms rho_m once: its slope and second
 derivative, the resolution check and the curvature Dirichlet data and
 the interface update all share that FFT, taken at the end of the
-iterate before (iterate 1's in the step's set-up).  The converged
-step's trace gap max |u(., 0) - kappa(rho) - g| comes from the
-accepted rho's FFT; ``run`` checks it against trace_tol.
+iterate before (iterate 1's is the old level's, or the predictor's in
+the step's set-up).  The converged step's trace gap
+max |u(., 0) - kappa(rho) - g| comes from the accepted rho's FFT;
+``run`` checks it against trace_tol.
+
+Each time level is a ``Level`` record, built once by ``make_level``: t,
+u, rho, the final solve's ``_bulk_fields`` of u (its rfft included),
+rho's rfft, slope and second derivative, the conserved quantity Q, the
+forcing's values at t and, once the identity has read it, the model
+energy.  A step reads u_old's fields, the old interface's transforms
+and, at theta < 1, the old forcing from the old level, so it transforms
+no field of that level and evaluates the forcing once per level; it
+returns the new level.  ``run`` keeps the records in its bounded
+history only, and its reports read their transforms, Q and model
+energies.
 
 Every solve has one call shape,
 ``temperature_step(step, coef, cfg, grids, dirichlet=..., warm=...)``:
 ``step`` is the ``_Step`` that ``_prepare_step`` builds once per time
-step, before the first iterate (the factors, 1/dt and theta, u_old's
-transform, fields and norm, the forcing and u_old / dt + theta f_new),
-and the iterate adds its frozen coefficients and Dirichlet data.  The
-steady solve of ``compatible_initial_temperature`` builds its own ``_Step``
-with 1/dt = 0 and theta = 1.
+step, before the first iterate (the factors, 1/dt and theta, u_old with
+the fields its level holds and its norm, the forcing and
+u_old / dt + theta f_new), and the iterate adds its frozen coefficients
+and Dirichlet data.  The steady solve of ``compatible_initial_temperature``
+builds its own ``_Step`` with 1/dt = 0 and theta = 1.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
 once per iterate) makes no 2-D transform: the solve's Fourier
@@ -72,7 +86,8 @@ int w^2 + w_x^2 of the fixed-point difference are a Parseval sum over
 the difference of the two solves' coefficients (u_old's at iterate 1),
 and those of a warm solve's lag update over x_hat - prev_hat.  The
 a-weighted normal-derivative term is a stencil sum, and only the
-fixed-point difference has interface terms, from one 1-D FFT.
+fixed-point difference has interface terms, from one 1-D FFT and one
+batched inverse FFT.
 """
 from __future__ import annotations
 
@@ -90,6 +105,7 @@ from .functionals import (
     EnergyNormK0,
     EnergyReport,
     conservation_residual,
+    conserved_quantity,
     evaluate_functionals,
     state_energy_k0,
     steady_mean,
@@ -100,6 +116,7 @@ from .grids import (
     TangentialGrid,
     _require_finite,
     d_tangential_hat,
+    d_tangential_hats,
     l2_interface,
 )
 from .identity import identity_residual_k0
@@ -146,13 +163,6 @@ class SolverConfig:
         return Cutoff(self.alpha)
 
 
-@dataclass
-class State:
-    t: float
-    u: np.ndarray
-    rho: np.ndarray
-
-
 @dataclass(frozen=True)
 class StepReport:
     fp_norms: tuple  # the fixed-point difference of each iterate
@@ -188,6 +198,63 @@ class _Fields(NamedTuple):
     hat: np.ndarray
 
 
+@dataclass
+class State:
+    t: float
+    u: np.ndarray
+    rho: np.ndarray
+
+
+@dataclass
+class Level(State):
+    """One time level and what is derived from it, built once by
+    ``make_level``: u's ``_bulk_fields`` and its rfft ``u_hat``, rho's
+    rfft and slope and second derivative, and the conserved quantity Q.
+    Two entries are filled on first use: ``forcing``, the forcing's (bulk,
+    Dirichlet, jump) values at t, and ``E_bar``, the pair (epsilon, model
+    energy) that ``identity.model_energy`` caches.
+
+    ``run`` keeps levels in its bounded history only, and drops a level's
+    ``fields`` and ``forcing`` once no step can read them (the steps from
+    the level and the predictor of the step after read them; the reports
+    read the rest).  The states it hands to callbacks and returns are
+    plain ``State``s, so a caller that keeps every state keeps no derived
+    fields."""
+    fields: _Fields = None
+    u_hat: np.ndarray = None
+    rho_hat: np.ndarray = None
+    rho_x: np.ndarray = None
+    rho_xx: np.ndarray = None
+    Q: float = 0.0
+    forcing: tuple = None
+    E_bar: tuple = None
+
+
+def make_level(t, u, rho, cutoff, grids, *, fields=None, rho_hat=None, forcing=None):
+    """The ``Level`` of the state (t, u, rho): the one constructor of level
+    records, for ``run``'s history and for callers that hold raw arrays.
+    ``fields`` (u's ``_bulk_fields``) and ``rho_hat`` are those an accepted
+    step's final solve already holds, and are built here when not given;
+    ``forcing`` is the forcing's values at t, if already evaluated.  No
+    finiteness check."""
+    u = np.asarray(u, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if fields is None:
+        fields = _bulk_fields(u, np.fft.rfft(u, axis=0), grids)
+    if rho_hat is None:
+        rho_hat = np.fft.rfft(rho)
+    rho_x, rho_xx = _slopes(rho_hat, grids.tangential.n_x)
+    return Level(t=t, u=u, rho=rho, fields=fields, u_hat=fields.hat, rho_hat=rho_hat, rho_x=rho_x,
+                 rho_xx=rho_xx, Q=conserved_quantity(u, rho, cutoff, grids), forcing=forcing)
+
+
+def _extrapolate(last, prev):
+    """(u, fields) of the linear extrapolation 2 u_n - u_{n-1} from the two
+    levels ``last`` and ``prev``, one dt apart: the fields are the same
+    combination of theirs, so no transform."""
+    return 2.0 * last.u - prev.u, _Fields(*(2.0 * a - b for a, b in zip(last.fields, prev.fields)))
+
+
 @dataclass(frozen=True)
 class _Step:
     """What every temperature solve of one step shares: the ``_BulkLU``
@@ -208,14 +275,15 @@ class _Step:
     base_rhs: np.ndarray
 
 
-def _prepare_step(a_mean, u_old, forcing_new, forcing_old, inv_dt, theta, grids):
-    """The ``_Step`` of a step from u_old whose operator is factored at the
-    z-profile a_mean; a forcing of None is zero."""
+def _prepare_step(a_mean, u_old, fields_old, forcing_new, forcing_old, inv_dt, theta, grids):
+    """The ``_Step`` of a step from u_old, whose ``_bulk_fields`` the caller
+    holds, with the operator factored at the z-profile a_mean; a forcing
+    of None is zero."""
     f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
     f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
     return _Step(
         bulk=_BulkLU(a_mean, inv_dt, theta, grids), inv_dt=inv_dt, theta=theta,
-        u=u_old, fields=_bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids),
+        u=u_old, fields=fields_old,
         norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
         norm_f=np.linalg.norm(theta * f_new + (1.0 - theta) * f_old),
         base_rhs=u_old * inv_dt + theta * f_new)
@@ -556,11 +624,17 @@ def interface_step(u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
     return np.fft.irfft(num / (reg + stab), n=n_x)
 
 
+def _slopes(rho_hat, n_x):
+    """(slope, second derivative) of the interface whose rfft is rho_hat,
+    from one batched inverse transform."""
+    return d_tangential_hats(rho_hat, n_x, ((1, True), (2, False)))
+
+
 def _interface_transforms(rho, n_x):
     """(rfft, slope, second derivative) of the interface rho: every
     tangential derivative of an interface comes from this one FFT."""
     rho_hat = np.fft.rfft(rho)
-    return rho_hat, d_tangential_hat(rho_hat, n_x, 1), d_tangential_hat(rho_hat, n_x, 2)
+    return (rho_hat, *_slopes(rho_hat, n_x))
 
 
 def compatible_initial_temperature(rho0, cfg):
@@ -576,7 +650,9 @@ def compatible_initial_temperature(rho0, cfg):
     _require_finite(rho0, "initial interface")
     rho_hat, rx, rxx = _interface_transforms(rho0, cfg.n_x)
     coef = coefficients(rho0, np.zeros_like(rho0), cfg.cutoff(), grids, rho_x=rx, rho_xx=rxx)
-    step = _prepare_step(coef.a.mean(axis=0), np.zeros(grids.shape), None, None, 0.0, 1.0, grids)
+    zero = np.zeros(grids.shape)
+    fields = _bulk_fields(zero, np.fft.rfft(zero, axis=0), grids)
+    step = _prepare_step(coef.a.mean(axis=0), zero, fields, None, None, 0.0, 1.0, grids)
     u0, _, _, _ = temperature_step(step, coef, cfg, grids, dirichlet=curvature_hat(rho_hat, rx),
                                    warm=_WarmStart(step.u, step.fields, np.inf, None))
     return u0
@@ -612,9 +688,16 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
-def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred=None):
+def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred=None,
+                     u_start=None):
     """One accepted time step, to the level at time t_new (where the
-    forcing is evaluated); returns (new_state, StepReport).
+    forcing is evaluated); returns (new_level, StepReport).
+
+    ``state`` is the ``Level`` of the old time (a plain ``State`` is made
+    into one by ``make_level``), and the step reads its fields, transforms
+    and, at theta < 1, its forcing, which it evaluates and keeps there on
+    first use.  The new ``Level`` carries the final solve's fields, the
+    accepted rho's transform and the forcing at t_new.
 
     Iterates the map G: rho_m -> rho_next (temperature solve with the
     curvature of rho_m as Dirichlet data, then interface update; u_m only
@@ -622,22 +705,29 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
     (u_next, rho_next) from (u_m, rho_m), measured in the order-0
     regularized-energy norm at rho_m, drops below fp_tol; the accepted
     state is that pair, a true output of G.  Iterate 1 starts from the
-    predicted interface ``rho_pred`` when given, else from state.rho; each
-    later rho_m is the ``_Secant`` mix of the last two iterates.  The
-    coefficients are frozen at the theta blend of rho_m and state.rho.  The
-    report carries the accepted state's trace gap
+    predicted interface ``rho_pred`` when given, else from state.rho, and
+    its lag loop from ``u_start``, a (u, fields) pair, when given, else
+    from u_old; iterate 1's difference is measured against u_old either
+    way.  Each later rho_m is the ``_Secant`` mix of the last two
+    iterates.  The coefficients are frozen at the theta blend of rho_m and
+    state.rho.  The report carries the accepted state's trace gap
     max |u(., 0) - kappa(rho) - g|.
     """
     dt, theta, n_x = cfg.dt, cfg.theta, grids.tangential.n_x
-    f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
+    if not isinstance(state, Level):
+        state = make_level(state.t, state.u, state.rho, cutoff, grids)
+    f_new = f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
     if forcing is not None:
-        f_bulk_new, g_dir, f_jump_new = forcing.at(t_new)
+        f_new = forcing.at(t_new)
+        f_bulk_new, g_dir, f_jump_new = f_new
         if theta < 1.0:
-            f_bulk_old, _, f_jump_old = forcing.at(state.t)
+            if state.forcing is None:
+                state.forcing = forcing.at(state.t)
+            f_bulk_old, _, f_jump_old = state.forcing
     # each iterate's transforms are taken at the end of the iterate before,
-    # iterate 1's here
-    rho_hat, base_x, base_xx = _interface_transforms(state.rho, n_x)
-    rho_m, rx, rxx = state.rho, base_x, base_xx
+    # iterate 1's here (or held by the old level)
+    base_x, base_xx = state.rho_x, state.rho_xx
+    rho_m, rho_hat, rx, rxx = state.rho, state.rho_hat, base_x, base_xx
     if rho_pred is not None:
         rho_m = np.asarray(rho_pred, dtype=float)
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
@@ -647,11 +737,12 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
     weights = norm_weights(rho_m, rx, cutoff, grids)  # (a, <rho>) at iterate 1's rho_m
-    step = _prepare_step(weights[0].mean(axis=0), state.u, f_bulk_new, f_bulk_old,
+    step = _prepare_step(weights[0].mean(axis=0), state.u, state.fields, f_bulk_new, f_bulk_old,
                          1.0 / dt, theta, grids)
     sigma = step.bulk.jump_response()
 
-    u_m, fields_m = state.u, step.fields
+    u_m, fields_m = state.u, state.fields
+    start = (u_m, fields_m) if u_start is None else u_start  # where the next lag loop starts
     mixer = _Secant()
     norms = []
     diff = np.inf  # iterate 1 has no previous difference to measure against
@@ -672,7 +763,7 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
             dirichlet = dirichlet + g_dir
         u_next, lin_res, lag_iters, fields_next = temperature_step(
             step, coef, cfg, grids, dirichlet=dirichlet,
-            warm=_WarmStart(u_m, fields_m, diff, norm_m))
+            warm=_WarmStart(*start, diff, norm_m))
         rho_next = interface_step(u_next, state.rho, cfg, grids, rho_x=rx, rho_hat=rho_hat,
                                   jump_response=sigma, jump_forcing=f_jump_new, rhs_old=rhs_old)
         lin_res_max = max(lin_res_max, lin_res)
@@ -682,13 +773,14 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
                                        np.fft.rfft(rho_next - rho_m), norm_m))
         norms.append(diff)
         if diff <= cfg.fp_tol:
-            rho_hat = np.fft.rfft(rho_next)
-            trace = u_next[:, grids.normal.i_mid] - curvature_hat(
-                rho_hat, d_tangential_hat(rho_hat, n_x, 1))
-            return State(t=t_new, u=u_next, rho=rho_next), StepReport(
+            new = make_level(t_new, u_next, rho_next, cutoff, grids, fields=fields_next,
+                             rho_hat=np.fft.rfft(rho_next), forcing=f_new)
+            trace = u_next[:, grids.normal.i_mid] - curvature_hat(new.rho_hat, new.rho_x)
+            return new, StepReport(
                 fp_norms=tuple(norms), lin_residual=lin_res_max, lag_iters=lag_total,
                 trace_gap=float(np.abs(trace if g_dir is None else trace - g_dir).max()))
         u_m, fields_m = u_next, fields_next
+        start = (u_m, fields_m)
         rho_m = mixer.next(rho_m, rho_next, diff)
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
         if theta < 1.0:
@@ -713,24 +805,18 @@ class RunResult:
 
 def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
                  compute_identity):
-    """Diagnostics of the newest history entry.  Its (u, rho) are checked
-    for finiteness here, once: every earlier entry was checked when it was
+    """Diagnostics of the newest history level.  Its (u, rho) are checked
+    for finiteness here, once: every earlier level was checked when it was
     the newest."""
-    _, u, rho = history[-1]
-    _require_finite(u, "accepted u")
-    _require_finite(rho, "accepted rho")
-    cons_res = 0.0
-    if len(history) >= 2:
-        _, u_old, rho_old = history[-2]
-        cons_res = conservation_residual((u_old, rho_old), (u, rho), cutoff, grids)
-    times = [h[0] for h in history]
-    us = [h[1] for h in history]
-    rhos = [h[2] for h in history]
-    stack = DerivativeStack(grids, cutoff, cfg.k_diag, times, us, rhos)
+    new = history[-1]
+    _require_finite(new.u, "accepted u")
+    _require_finite(new.rho, "accepted rho")
+    cons_res = conservation_residual(history[-2], new) if len(history) >= 2 else 0.0
+    stack = DerivativeStack(grids, cutoff, cfg.k_diag, history)
     f = evaluate_functionals(stack, cfg.epsilon)
     _require_finite([f.E.value, f.D.value, f.E_eps.value, f.D_eps.value,
                      f.sobolev_E.value, f.sobolev_D.value], "functionals")
-    rho_dev = l2_interface(rho - steady_level, grids.tangential)
+    rho_dev = l2_interface(new.rho - steady_level, grids.tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
         window = [history[-3], history[-2], history[-1]]
@@ -775,12 +861,20 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     spacing).  An accepted step whose trace gap exceeds cfg.trace_tol
     raises FixedPointError, without a dt halving.
 
+    The history holds one ``Level`` per accepted level (``make_level``),
+    which the next steps and the diagnostics read instead of rebuilding
+    it: the step takes u_old's fields, transforms and forcing from it, and
+    the reports their quotients' transforms, Q and the model energy.  The
+    states passed to callbacks and returned carry only (t, u, rho).
+
     Each step's fixed point starts from the linear extrapolation
     2 rho_n - rho_{n-1} of the last two history levels, which sit one dt
-    apart; step 1 and the first step after a halving have one level and
-    start from rho_n.  Within the step ``fixed_point_step`` mixes the
-    interface iterates by a secant step and stops on the unmixed pair, so
-    the accepted state is an output of the step's map.
+    apart, and its first lag loop from 2 u_n - u_{n-1} with the same
+    combination of the levels' fields; step 1 and the first step after a
+    halving have one level and start from rho_n and u_n.  Within the step
+    ``fixed_point_step`` mixes the interface iterates by a secant step and
+    stops on the unmixed pair, so the accepted state is an output of the
+    step's map.
 
     u0 must have the grid's shape (n_x, n_z) and rho0 the shape (n_x,),
     and t_end must be finite and >= 0; ``run`` raises ConfigError before
@@ -798,10 +892,10 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     if u0.shape != grids.shape or rho0.shape != (cfg.n_x,):
         raise ConfigError(f"u0 of shape {u0.shape} and rho0 of shape {rho0.shape} do not fit "
                           f"the grid: they need {grids.shape} and {(cfg.n_x,)}")
-    state = State(t=0.0, u=u0, rho=rho0)
+    level = make_level(0.0, u0, rho0, cutoff, grids)
     steady_level = steady_mean(u0, rho0, cutoff, grids)
     history = deque(maxlen=max(cfg.k_diag + 2, 3))
-    history.append((0.0, u0, rho0))
+    history.append(level)
     reports, t_new = [], 0.0  # a report per level made; the next level's time
     m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
     halvings = 0
@@ -812,10 +906,14 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
             t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
             # linear extrapolation from the last two levels, which the
             # history holds at the current dt only (it restarts on a halving)
-            rho_pred = 2.0 * history[-1][2] - history[-2][2] if len(history) >= 2 else None
+            rho_pred = u_start = None
+            if len(history) >= 2:
+                rho_pred = 2.0 * history[-1].rho - history[-2].rho
+                u_start = _extrapolate(history[-1], history[-2])
             try:
-                new_state, step_report = fixed_point_step(state, cfg, grids, cutoff, t_new=t_new,
-                                                          forcing=forcing, rho_pred=rho_pred)
+                new, step_report = fixed_point_step(level, cfg, grids, cutoff, t_new=t_new,
+                                                    forcing=forcing, rho_pred=rho_pred,
+                                                    u_start=u_start)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise
@@ -823,20 +921,23 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                 cfg = replace(cfg, dt=cfg.dt / 2.0)
                 m, n_steps = 2 * m, 2 * n_steps
                 history.clear()
-                history.append((state.t, state.u, state.rho))
+                history.append(level)
                 continue
             if step_report.trace_gap > cfg.trace_tol:
                 raise FixedPointError(
                     f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
                     f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
-            state, m = new_state, m + 1
-            history.append((state.t, state.u, state.rho))
+            level, m = new, m + 1
+            history.append(level)
+            if len(history) >= 3:  # no step or predictor reads it again
+                history[-3].fields = history[-3].forcing = None
             report = _make_report(history, cfg, grids, cutoff, steady_level,
                                   step_report, compute_identity)
             reports.append(report)
             for cb in callbacks:
-                cb(state, report)
+                cb(State(t=level.t, u=level.u, rho=level.rho), report)
     except StefanSimError as exc:
         exc.at_step(len(reports), t_new)  # the level being made
         raise
-    return RunResult(reports=reports, state=state, cfg=cfg, steady_level=steady_level)
+    return RunResult(reports=reports, state=State(t=level.t, u=level.u, rho=level.rho), cfg=cfg,
+                     steady_level=steady_level)

@@ -17,7 +17,7 @@ from .functionals import DerivativeStack, equivalence_constant, evaluate_functio
 from .grids import band_limited
 from .identity import identity_residual_k0
 from .oracles import ManufacturedProblem
-from .stepper import SolverConfig, run
+from .stepper import SolverConfig, make_level, run
 
 
 NORMS_AMPLITUDE = 0.2  # of each band-limited part of the norm suite's states
@@ -65,8 +65,9 @@ def suite_identity():
             callbacks=(lambda state, report: states.append((state.t, state.u, state.rho)),))
         times = np.array([s[0] for s in states])
         j = int(np.argmin(np.abs(times - t_star)))
-        window = states[j - 1 : j + 2]
-        rep = identity_residual_k0(window, eps, cfg.cutoff(), cfg.grids())
+        cutoff, grids = cfg.cutoff(), cfg.grids()
+        window = [make_level(*state, cutoff, grids) for state in states[j - 1 : j + 2]]
+        rep = identity_residual_k0(window, eps, cutoff, grids)
         residuals.append(rep.residual)
         lines.append(
             f"dt={cfg.dt:g} n_x={cfg.n_x} n_z={cfg.n_z}: residual={rep.residual:.3e}")
@@ -159,7 +160,8 @@ def suite_norms():
     for i in range(n_samples):
         rng = np.random.default_rng(i)
         times, us, rhos = random_state_history(rng, grids)
-        stack = DerivativeStack(grids, cutoff, 1, times, us, rhos)
+        stack = DerivativeStack(grids, cutoff, 1, [
+            make_level(t, u, rho, cutoff, grids) for t, u, rho in zip(times, us, rhos)])
         f = evaluate_functionals(stack, eps)
         C_E = equivalence_constant(stack.psi, cutoff, kind="E")
         C_D = equivalence_constant(stack.psi, cutoff, kind="D")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from stefansim.grids import first_walls
-from stefansim.stepper import SolverConfig, State, compatible_initial_temperature
+from stefansim.stepper import SolverConfig, State, compatible_initial_temperature, make_level
+from stefansim.transform import Cutoff
 
 settings.register_profile(
     "numerics",
@@ -33,6 +34,12 @@ def one_sided_normals(values, grid, walls=first_walls):
         d[..., mid] = walls(side, grid.dz)[..., row]
         out.append(d)
     return tuple(out)
+
+
+def levels(grids, times, us, rhos, cutoff=Cutoff()):
+    """The level records of aligned (t, u, rho) samples, built by
+    ``make_level`` as ``run`` builds its history."""
+    return [make_level(t, u, rho, cutoff, grids) for t, u, rho in zip(times, us, rhos, strict=True)]
 
 
 @pytest.fixture(scope="session")

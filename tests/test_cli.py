@@ -136,9 +136,10 @@ def _solver_line(line):
     ("run", FAST_RUN.replace("rho_modes = 1:0.01", "rho_modes = 8:0.01")),
     ("sweep", FAST_RUN.replace("rho_modes = 1:0.01", "rho_modes = 5:0.01")
      + "\n[sweep]\nn_x = 16, 8\n"),
+    ("run", FAST_RUN.replace("u_init = compatible", "u_init = snapshot:snap.csv")),
 ], ids=["n_x=7", "n_z=7", "lin_max_iter=0", "fp_max_iter=0", "fp_tol=-1",
         "no-t_end", "sweep-dt=0", "sweep-n_x=7", "sweep-epsilon=-1", "repeated-section",
-        "rho_modes=8", "sweep-n_x-below-mode"])
+        "rho_modes=8", "sweep-n_x-below-mode", "rho_modes-beside-snapshot"])
 def test_unusable_solver_values_are_config_errors(workdir, capsys, verb, text):
     cfg_path = write_config(workdir, text, out="never")
     assert main([verb, "--config", str(cfg_path), "--quiet"]) == 2

@@ -123,6 +123,11 @@ def test_parse_name_override(tmp_path):
     "[scenario]\nt_end = 0.01\nrho_modes = 0:0.01\n[solver]\nn_x = 16\nn_z = 17\n",
     "[scenario]\nt_end = 0.01\nrho_modes = 5:0.01\n[solver]\nn_x = 16\nn_z = 17\n"
     "[sweep]\nn_x = 16, 8\n",
+    # a snapshot holds u and rho: no key may reshape them
+    "[scenario]\nt_end = 1\nu_init = snapshot:s.csv\nrho_modes = 1:0.01\n",
+    "[scenario]\nt_end = 1\nu_init = snapshot:s.csv\nrho_mean = 0.2\n",
+    "[scenario]\nt_end = 1\nu_init = snapshot:s.csv\nrho_random_amp = 0.01\n",
+    "[scenario]\nt_end = 1\nu_init = snapshot:s.csv\nu_mass = 1e-2\n",
 ])
 def test_parse_rejects_bad_configs(tmp_path, snippet):
     with pytest.raises(ConfigError):
@@ -262,6 +267,12 @@ def test_build_initial_data_from_snapshot(tmp_path):
     u0, rho0 = build_initial_data(scen)
     assert np.array_equal(u0, state.u)
     assert np.array_equal(rho0, state.rho)
+    # the keys that shape u0 and rho0 are an error beside a snapshot, at
+    # any value but their default, naming the key
+    for key, value in (("rho_modes", ((1, 0.05),)), ("rho_mean", 0.2),
+                       ("rho_random_amp", 0.01), ("u_mass", 1e-2)):
+        with pytest.raises(ConfigError, match=rf"^{key}=.* beside u_init = snapshot:"):
+            Scenario(name="s", u_init=f"snapshot:{snap}", solver=cfg, **{key: value})
 
     mismatched = Scenario(name="s", u_init=f"snapshot:{snap}",
                           solver=SolverConfig(n_x=32, n_z=17))

@@ -37,7 +37,7 @@ from stefansim.stepper import SolverConfig
 from stefansim.transform import Cutoff, coefficients
 from stefansim.verify import random_state_history
 
-from conftest import one_sided_normals
+from conftest import levels, one_sided_normals
 
 # Single-mode interface rho = delta sin x, u = 0, at diagnostic order 0:
 # E = int delta^2 cos^2 x (1 + delta^2 cos^2 x)^{-1/2}
@@ -57,7 +57,7 @@ def single_mode_stack(n_x=256, k_diag=0):
     cutoff = Cutoff()
     x = grids.tangential.nodes
     u = np.zeros(grids.shape)
-    return DerivativeStack(grids, cutoff, k_diag, [0.0], [u], [DELTA * np.sin(x)])
+    return DerivativeStack(grids, cutoff, k_diag, levels(grids, [0.0], [u], [DELTA * np.sin(x)]))
 
 
 def test_energy_reference_values():
@@ -78,8 +78,8 @@ def test_dissipation_reference_value():
     grids = Grids(TangentialGrid(256), NormalGrid(9))
     x = grids.tangential.nodes
     u = np.zeros(grids.shape)
-    stack = DerivativeStack(grids, Cutoff(), 0, [0.0, 0.01],
-                            [u, u], [0.2 * np.sin(x), 0.19 * np.sin(x)])
+    stack = DerivativeStack(grids, Cutoff(), 0, levels(grids, [0.0, 0.01], [u, u],
+                                                       [0.2 * np.sin(x), 0.19 * np.sin(x)]))
 
     def integrand(x):
         return 2.0 * np.cos(x) ** 2 / np.sqrt(1 + 0.19**2 * np.cos(x) ** 2)
@@ -180,7 +180,7 @@ def check_evaluator_against_reference(n_entries, k_diag):
     # curved in time, so quotients of every order are nonzero
     us = [u_a + np.sin(30 * t) * u_b for t in times]
     rhos = [rho_a + np.sin(20 * t) * rho_b + (10 * t) ** 3 * rho_a for t in times]
-    stack = DerivativeStack(grids, Cutoff(), k_diag, times, us, rhos)
+    stack = DerivativeStack(grids, Cutoff(), k_diag, levels(grids, times, us, rhos))
     eps = 1e-3
     got = evaluate_functionals(stack, eps)
     fields = (got.E, got.D, got.E_eps, got.D_eps, got.sobolev_E, got.sobolev_D)
@@ -300,7 +300,7 @@ def test_energy_dissipation_monotone_in_eps(seed):
     grids = Grids(TangentialGrid(32), NormalGrid(33))
     rng = np.random.default_rng(seed)
     times, us, rhos = random_state_history(rng, grids)
-    stack = DerivativeStack(grids, Cutoff(), 1, times, us, rhos)
+    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, times, us, rhos))
     eps_grid = (0.0, 1e-4, 1e-2, 1.0)
     e_vals = [energy_eps(stack, e).value for e in eps_grid]
     d_vals = [dissipation_eps(stack, e).value for e in eps_grid]
@@ -313,7 +313,7 @@ def test_sobolev_norms_of_zero_state():
     grids = Grids(TangentialGrid(16), NormalGrid(17))
     zeros_u = [np.zeros(grids.shape)] * 3
     zeros_r = [np.zeros(16)] * 3
-    stack = DerivativeStack(grids, Cutoff(), 1, [0.0, 0.1, 0.2], zeros_u, zeros_r)
+    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0, 0.1, 0.2], zeros_u, zeros_r))
     sob_e, sob_d = sobolev_norms(stack, 0.5)
     assert sob_e.value == 0.0 and sob_d.value == 0.0
     assert sob_e.missing == () and sob_d.missing == ()
@@ -327,9 +327,9 @@ def test_conserved_quantity_and_residual(small_grids, small_cutoff):
     u0 = np.zeros(small_grids.shape)
     assert conserved_quantity(u0, rho, small_cutoff, small_grids) == pytest.approx(
         -0.05 * 2 * np.pi, rel=1e-13)
-    res = conservation_residual((u0, rho), (u0, rho + 0.01), small_cutoff, small_grids)
-    assert res == pytest.approx(0.01 * 2 * np.pi, rel=1e-12)
-    assert conservation_residual((u0, rho), (u0, rho), small_cutoff, small_grids) == 0.0
+    old, new = levels(small_grids, [0.0, 0.0], [u0, u0], [rho, rho + 0.01], small_cutoff)
+    assert conservation_residual(old, new) == pytest.approx(0.01 * 2 * np.pi, rel=1e-12)
+    assert conservation_residual(old, old) == 0.0
 
 
 def test_steady_mean_reference_cases(small_grids, small_cutoff):
@@ -378,18 +378,16 @@ def test_stack_validation():
     u = np.zeros(grids.shape)
     r = np.zeros(16)
     with pytest.raises(ValueError):
-        DerivativeStack(grids, Cutoff(), 1, [], [], [])
+        DerivativeStack(grids, Cutoff(), 1, [])
     with pytest.raises(ValueError):
-        DerivativeStack(grids, Cutoff(), 1, [0.0, 0.1], [u], [r])
-    with pytest.raises(ValueError):
-        DerivativeStack(grids, Cutoff(), 1, [0.0, 0.1, 0.35], [u] * 3, [r] * 3)
+        DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0, 0.1, 0.35], [u] * 3, [r] * 3))
 
 
 def test_stack_quotients_and_missing_flags():
     grids = Grids(TangentialGrid(16), NormalGrid(9))
     x = grids.tangential.nodes
     u = np.ones(grids.shape)
-    stack = DerivativeStack(grids, Cutoff(), 1, [0.0], [u], [0.01 * np.sin(x)])
+    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0], [u], [0.01 * np.sin(x)]))
     assert stack.u_quotient(0) is u or np.array_equal(stack.u_quotient(0), u)
     assert stack.u_quotient(1) is None
     e_val = energy_eps(stack, 0.0)
@@ -408,7 +406,7 @@ def test_stack_quotients_linear_history_exact():
     times = [0.0, 0.1, 0.2]
     us = [t * slope_u for t in times]
     rhos = [t * 0.05 * np.sin(x) for t in times]
-    stack = DerivativeStack(grids, Cutoff(), 1, times, us, rhos)
+    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, times, us, rhos))
     assert np.abs(stack.u_quotient(1) - slope_u).max() < 1e-13
     assert np.abs(stack.rho_quotient(1) - 0.05 * np.sin(x)).max() < 1e-13
     assert np.abs(stack.u_quotient(2)).max() < 1e-12

@@ -12,8 +12,10 @@ from stefansim.identity import identity_residual_k0, model_energy
 from stefansim.stepper import SolverConfig, compatible_initial_temperature, run
 from stefansim.transform import Cutoff
 
+from conftest import levels
 
-def synthetic_window(grids, dt=1e-3, amp=0.05, decay=0.7):
+
+def synthetic_samples(grids, dt=1e-3, amp=0.05, decay=0.7):
     """Smooth fabricated (t, u, rho) samples; not a PDE solution."""
     x = grids.tangential.nodes
     z = grids.normal.nodes[None, :]
@@ -28,6 +30,15 @@ def synthetic_window(grids, dt=1e-3, amp=0.05, decay=0.7):
     return [sample(j * dt) for j in range(3)]
 
 
+def as_levels(samples, grids):
+    return levels(grids, *zip(*samples))
+
+
+def synthetic_window(grids):
+    """The level records of ``synthetic_samples``."""
+    return as_levels(synthetic_samples(grids), grids)
+
+
 @pytest.fixture(scope="module")
 def med_grids():
     return Grids(TangentialGrid(32), NormalGrid(33))
@@ -37,7 +48,7 @@ def test_steady_window_is_exactly_balanced(med_grids):
     # u == 0, rho == const: every term of the identity vanishes identically
     u = np.zeros(med_grids.shape)
     rho = np.full(32, 0.1)
-    window = [(j * 0.1, u, rho) for j in range(3)]
+    window = levels(med_grids, [0.0, 0.1, 0.2], [u] * 3, [rho] * 3)
     rep = identity_residual_k0(window, 1e-3, Cutoff(), med_grids)
     assert rep.lhs == 0.0 and rep.rhs == 0.0
     assert rep.residual == 0.0
@@ -47,16 +58,19 @@ def test_steady_window_is_exactly_balanced(med_grids):
 
 
 def test_window_validation(med_grids):
-    window = synthetic_window(med_grids)
+    samples = synthetic_samples(med_grids)
+    window = as_levels(samples, med_grids)
     with pytest.raises(ValueError):
         identity_residual_k0(window[:2], 0.0, Cutoff(), med_grids)  # even length
     with pytest.raises(ValueError):
         identity_residual_k0(window[:1], 0.0, Cutoff(), med_grids)  # too short
-    dt = window[1][0] - window[0][0]
-    five = window + [(window[2][0] + j * dt, *window[2][1:]) for j in (1, 2)]
+    dt = samples[1][0] - samples[0][0]
+    five = as_levels(samples + [(samples[2][0] + j * dt, *samples[2][1:]) for j in (1, 2)],
+                     med_grids)
     with pytest.raises(ValueError):
         identity_residual_k0(five, 0.0, Cutoff(), med_grids)  # uniform, but not three
-    skewed = [window[0], window[1], (window[2][0] + 0.5, *window[2][1:])]
+    skewed = as_levels([samples[0], samples[1], (samples[2][0] + 0.5, *samples[2][1:])],
+                       med_grids)
     with pytest.raises(ValueError):
         identity_residual_k0(skewed, 0.0, Cutoff(), med_grids)  # non-uniform
 
@@ -80,15 +94,18 @@ def test_zero_eps_is_the_continuous_limit(med_grids):
 
 
 def test_model_energy_basics(med_grids):
-    assert model_energy(np.zeros(med_grids.shape), np.zeros(32), 0.5,
-                        Cutoff(), med_grids) == 0.0
+    zero, = levels(med_grids, [0.0], [np.zeros(med_grids.shape)], [np.zeros(32)])
+    assert model_energy(zero, 0.5, Cutoff(), med_grids) == 0.0
     x = med_grids.tangential.nodes
     z = med_grids.normal.nodes[None, :]
     u = 0.1 * np.cos(x)[:, None] * np.cos(np.pi * z)
     rho = 0.05 * np.sin(x)
-    e0 = model_energy(u, rho, 0.0, Cutoff(), med_grids)
-    e1 = model_energy(u, rho, 1.0, Cutoff(), med_grids)
+    level, = levels(med_grids, [0.0], [u], [rho])
+    e0 = model_energy(level, 0.0, Cutoff(), med_grids)
+    e1 = model_energy(level, 1.0, Cutoff(), med_grids)
     assert 0.0 < e0 < e1  # eps terms only add nonnegative interface energy
+    # the level keeps the value of the epsilon it was last taken at
+    assert level.E_bar == (1.0, e1) and model_energy(level, 0.0, Cutoff(), med_grids) == e0
 
 
 # IdentityReport of synthetic_window on the 32 x 33 grids, recorded from the
@@ -117,8 +134,10 @@ def test_report_matches_the_literal_evaluator(med_grids, eps):
 
 
 def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
-    # rho, rho_t, u and u_n at the midpoint, u and rho at each neighbour;
-    # no checked derivative: run checks each accepted state once
+    # u and rho of each level are transformed once, when its record is
+    # built; the evaluator makes no forward transform (rho_t's and u_n's
+    # come from the levels') and no checked derivative: run checks each
+    # accepted state once
     count = {"rfft": 0}
     real = np.fft.rfft
 
@@ -133,8 +152,10 @@ def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("stefansim") and hasattr(mod, "d_tangential"):
             monkeypatch.setattr(mod, "d_tangential", forbidden)
-    identity_residual_k0(synthetic_window(med_grids), 1e-2, Cutoff(), med_grids)
-    assert count["rfft"] <= 8
+    window = synthetic_window(med_grids)
+    assert count["rfft"] == 6
+    identity_residual_k0(window, 1e-2, Cutoff(), med_grids)
+    assert count["rfft"] == 6
 
 
 @pytest.mark.parametrize("j, name", [(0, "u"), (1, "rho"), (1, "u"), (2, "rho")])

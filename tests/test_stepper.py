@@ -1,7 +1,9 @@
 """Time stepping: solver config, temperature solve, interface update,
 per-step fixed point, and the run driver."""
+import gc
 import re
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -102,11 +104,17 @@ def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
     coef = coefficients(rho, rho_t, cutoff, grids,
                         rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     inv_dt = 1.0 / cfg.dt if inv_dt is None else inv_dt
-    step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
-                                 inv_dt, cfg.theta, grids)
+    step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, inv_dt, cfg.theta, grids)
     return temperature_step(step, coef, cfg, grids,
                             dirichlet=curvature(rho) if dirichlet is None else dirichlet,
                             warm=cold_start(step))
+
+
+def prepare_step(a_mean, u_old, f_new, f_old, inv_dt, theta, grids):
+    """``stepper._prepare_step`` from u_old alone: its fields are built
+    here, as ``make_level`` builds them."""
+    fields = stepper._bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
+    return stepper._prepare_step(a_mean, u_old, fields, f_new, f_old, inv_dt, theta, grids)
 
 
 def cold_start(step):
@@ -441,13 +449,15 @@ def test_temperature_step_returns_an_owned_u(monkeypatch):
 
 def count_transforms(monkeypatch, two_d_only=False):
     """Count the calls of np.fft.rfft and np.fft.irfft (with
-    ``two_d_only``, only those on 2-D arrays: bulk fields)."""
+    ``two_d_only``, only those on bulk fields: arrays of two or more axes,
+    not counting the leading axis of a batch transformed along axis 1, so
+    that a batch of interface derivatives is not a bulk transform)."""
     counts = {"rfft": 0, "irfft": 0}
     for name in counts:
         real = getattr(np.fft, name)
 
         def counting(a, *args, _real=real, _name=name, **kwargs):
-            if not two_d_only or np.ndim(a) == 2:
+            if not two_d_only or np.ndim(a) - (kwargs.get("axis") == 1) >= 2:
                 counts[_name] += 1
             return _real(a, *args, **kwargs)
 
@@ -464,8 +474,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
                         rho_x=d_tangential(data[0], 1), rho_xx=d_tangential(data[0], 2))
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
     counts = count_transforms(monkeypatch)
-    step = stepper._prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old,
-                                 1.0 / cfg.dt, cfg.theta, grids)
+    step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids)
     step.bulk.jump_response()
     u, _, lag_iters, fields = temperature_step(step, coef, cfg, grids, dirichlet=dirichlet,
                                                warm=cold_start(step))
@@ -668,9 +677,10 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
 def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta,
                                                                        forced_step_problem):
     # the only 2-D transforms of a step: 1 forward and 3 inverse per lag
-    # iteration, and u_old's, once per step (its rfft, u_xx and u_xz); the
-    # fixed-point norms and the warm exit rule work on the coefficients
-    # the solves return
+    # iteration, and u_old's, once per step, as ``make_level`` builds the
+    # plain State's level (its rfft, u_xx and u_xz; run's levels carry
+    # them, see test_run_transforms_each_level_once); the fixed-point norms
+    # and the warm exit rule work on the coefficients the solves return
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
     counts = count_transforms(monkeypatch, two_d_only=True)
     _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
@@ -730,8 +740,7 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
         rho_eff = theta * rho_m + (1.0 - theta) * state.rho
         coef = coefficients(rho_eff, rho_t, cutoff, grids,
                             rho_x=d_tangential(rho_eff, 1), rho_xx=d_tangential(rho_eff, 2))
-        step = stepper._prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old,
-                                     1.0 / dt, theta, grids)
+        step = prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old, 1.0 / dt, theta, grids)
         u_next, *_ = temperature_step(step, coef, cfg, grids,
                                       dirichlet=curvature(rho_m) + g_dir, warm=cold_start(step))
         sigma = step.bulk.jump_response()
@@ -930,31 +939,52 @@ def test_run_halves_dt_on_failure_and_persists(monkeypatch):
 
 def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     # dt = 0.04 and 0.02 fail: the first attempt and each retry after a
-    # halving start from the old interface, every later step from
-    # 2 rho_n - rho_{n-1}
+    # halving start from the old level (its interface, and u_old for the
+    # first lag loop), every later step from 2 rho_n - rho_{n-1} and
+    # 2 u_n - u_{n-1}, whose fields are the same combination of the levels'
     monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
     cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
-    x = cfg.grids().tangential.nodes
+    grids = cfg.grids()
+    x = grids.tangential.nodes
     rho0 = 0.1 * np.sin(x)
-    levels, calls = [rho0], []  # the accepted interfaces at the current dt
-    real_step = stepper.fixed_point_step
+    u0 = np.zeros(grids.shape)
+    levels, calls = [(u0, rho0)], []  # the accepted (u, rho) at the current dt
+    warm_starts = []  # the u each solve's lag loop starts from
+    real_step, real_temperature = stepper.fixed_point_step, stepper.temperature_step
 
-    def recording_step(*args, rho_pred=None, **kwargs):
-        calls.append((rho_pred, 2.0 * levels[-1] - levels[-2] if len(levels) >= 2 else None))
+    def recording_temperature(*args, **kwargs):
+        warm_starts.append(kwargs["warm"].u)
+        return real_temperature(*args, **kwargs)
+
+    def recording_step(state, *args, rho_pred=None, u_start=None, **kwargs):
+        expected = None
+        if len(levels) >= 2:
+            (u_a, rho_a), (u_b, rho_b) = levels[-2:]
+            expected = (2.0 * rho_b - rho_a, 2.0 * u_b - u_a)
+        calls.append((rho_pred, u_start, expected, state.u, len(warm_starts)))
         try:
-            new_state, report = real_step(*args, rho_pred=rho_pred, **kwargs)
+            new_state, report = real_step(state, *args, rho_pred=rho_pred, u_start=u_start,
+                                          **kwargs)
         except (FixedPointError, LinearSolveError):
             del levels[:-1]
             raise
-        levels.append(new_state.rho)
+        levels.append((new_state.u, new_state.rho))
         return new_state, report
 
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
-    res = run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    res = run(u0, rho0, cfg, 0.08)
     assert res.cfg.dt == 0.01 and len(calls) == 2 + 8
-    assert [pred is None for pred, _ in calls] == [True] * 3 + [False] * 7
-    for pred, expected in calls[3:]:
-        assert np.array_equal(pred.view(np.uint64), expected.view(np.uint64))
+    assert [pred is None for pred, *_ in calls] == [True] * 3 + [False] * 7
+    assert [start is None for _, start, *_ in calls] == [True] * 3 + [False] * 7
+    for _, _, _, u_old, first in calls[:3]:
+        assert warm_starts[first] is u_old
+    for pred, (u_start, fields), (rho_ref, u_ref), _, first in calls[3:]:
+        assert np.array_equal(pred.view(np.uint64), rho_ref.view(np.uint64))
+        assert np.array_equal(u_start.view(np.uint64), u_ref.view(np.uint64))
+        assert warm_starts[first] is u_start
+        hat = np.fft.rfft(u_start, axis=0)
+        assert np.abs(fields.hat - hat).max() <= 1e-12 * np.abs(hat).max()
 
 
 def test_run_keeps_a_flat_state_at_one_iterate_per_step():
@@ -1124,8 +1154,9 @@ def test_run_names_the_step_of_an_exhausted_halving(monkeypatch):
 
 
 def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
-    # each level's accepted u and rho, its functionals and the stack's one
-    # checked derivative, plus one check per lag iterate of its solves
+    # each level's accepted u and rho and its functionals, plus one check
+    # per lag iterate of its solves; the stack reads the slope its level
+    # holds, so it takes no checked derivative
     cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
     x = cfg.grids().tangential.nodes
     rho0 = 0.01 * np.sin(x) + 0.005 * np.cos(2 * x)
@@ -1149,14 +1180,17 @@ def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
     res = run(u0, rho0, cfg, 5 * cfg.dt)
     assert len(res.reports) == 6 and len(lag_iters) == 5 and min(lag_iters) >= 1
-    assert checks[0] == 4 * len(res.reports) + sum(lag_iters)
+    assert checks[0] == 3 * len(res.reports) + sum(lag_iters)
 
 
-@pytest.mark.parametrize("theta, per_step", [(1.0, 1), (0.5, 2)])
-def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, per_step,
+@pytest.mark.parametrize("theta, levels_per_step", [(1.0, 1), (0.5, 2)])
+def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, levels_per_step,
                                                                   forced_step_problem):
-    # each accepted step evaluates its new level, and for theta < 1 its old
-    # one; the trace check reads the step's own Dirichlet shift
+    # each step reads the forcing at its new level, and for theta < 1 at its
+    # old one too; a level's values are evaluated once and kept on its
+    # record, so the run evaluates each level it reads once: every new
+    # level, and at theta < 1 the initial one.  The trace check reads the
+    # step's own Dirichlet shift.
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
     times, real_at = [], forcing.at
 
@@ -1167,7 +1201,76 @@ def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, per_ste
     forcing.at = counting_at
     res = run(state.u, state.rho, cfg, 3 * cfg.dt, forcing=forcing)
     assert res.cfg.dt == cfg.dt and len(res.reports) == 4
-    assert len(times) == 3 * per_step
+    assert sorted(times) == [r.t for r in res.reports[2 - levels_per_step:]]
+
+
+def test_run_transforms_each_level_once(monkeypatch):
+    # the bulk transforms of a step are its lag iterations' own (one
+    # forward, three inverse each): u_old's fields come from its level.  A
+    # report, identity included, makes no forward bulk transform: the
+    # quotients' transforms are differences of the levels'.  The run's
+    # one other forward transform builds the initial level.
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=2)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.01 * np.sin(x) + 0.005 * np.cos(2 * x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    counts = count_transforms(monkeypatch, two_d_only=True)
+    steps, reports = [], []  # (forward, inverse, lag iterations); forward
+    real_step, real_report = stepper.fixed_point_step, stepper._make_report
+
+    def counting_step(*args, **kwargs):
+        before = dict(counts)
+        result = real_step(*args, **kwargs)
+        steps.append((counts["rfft"] - before["rfft"], counts["irfft"] - before["irfft"],
+                      result[1].lag_iters))
+        return result
+
+    def counting_report(*args, **kwargs):
+        before = counts["rfft"]
+        result = real_report(*args, **kwargs)
+        reports.append(counts["rfft"] - before)
+        return result
+
+    monkeypatch.setattr(stepper, "fixed_point_step", counting_step)
+    monkeypatch.setattr(stepper, "_make_report", counting_report)
+    res = run(u0, rho0, cfg, 5 * cfg.dt, compute_identity=True)
+    assert res.reports[-1].identity_residual is not None and not res.reports[-1].missing_D
+    assert len(steps) == 5 and reports == [0] * 6
+    assert all(forward == lag and inverse == 3 * lag for forward, inverse, lag in steps)
+    assert counts["rfft"] == sum(lag for *_, lag in steps) + 1
+
+
+def test_run_hands_out_states_without_level_fields(monkeypatch):
+    # callbacks and the result get (t, u, rho) only, and the run's level
+    # records, with their fields, transforms and forcing, die with it: a
+    # caller that keeps every state keeps no per-level fields.  Within the
+    # run, a level drops its bulk fields once no step can read them.
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=1)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.01 * np.sin(x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    records, real_make = [], stepper.make_level
+
+    def recording_make(*args, **kwargs):
+        level = real_make(*args, **kwargs)
+        records.append(weakref.ref(level))
+        return level
+
+    monkeypatch.setattr(stepper, "make_level", recording_make)
+    kept, holding = [], []  # holding: levels alive with bulk fields, per callback
+
+    def keep(state, report):
+        kept.append(state)
+        holding.append(sum(ref() is not None and ref().fields is not None for ref in records))
+
+    res = run(u0, rho0, cfg, 4 * cfg.dt, compute_identity=True, callbacks=(keep,))
+    assert len(kept) == 4 and len(records) == 5
+    # only the newest two levels keep the fields a step or predictor reads
+    assert holding == [2, 2, 2, 2]
+    for state in kept + [res.state]:
+        assert type(state) is State and set(vars(state)) == {"t", "u", "rho"}
+    gc.collect()
+    assert all(ref() is None for ref in records)
 
 
 def test_run_raises_on_a_trace_gap_without_halving_dt(monkeypatch):
