@@ -216,11 +216,11 @@ def evaluate_functionals(stack, eps):
     The unweighted bulk sums of E and D, int w^2 + w_x^2 and
     int w_t^2 + w_x^2 + w_xx^2 with w = d_x^mu u_s, are summed on those
     transforms by Parseval (``parseval_weights``).  Every other d_x^mu is
-    one multiplication by a cached (ik)^n and an inverse transform, those
-    of one interface quotient batched into one call: the a-weighted
-    normal-derivative terms and the interface terms have weights that
-    vary in x, so they are summed in real space, by one weighted sum per
-    integral.  A composed derivative zeroes the Nyquist mode whenever one
+    one multiplication by a cached (ik)^n and an inverse transform, all
+    those of one field (d_z u_s, d_z^2 u_s, rho_s or rho_{s+1} for one s)
+    batched into one call: the a-weighted normal-derivative terms and the
+    interface terms have weights that vary in x, so they are summed in
+    real space, by one weighted sum per integral.  A composed derivative zeroes the Nyquist mode whenever one
     of its factors has odd order, as nested ``d_tangential`` calls do.
     E_eps = E + eps X and D_eps = D + eps Y share their arrays with E and
     D, and the Sobolev sums are the same arrays without the weights.
