@@ -12,11 +12,14 @@ in the order-0 regularized-energy norm:
 
 The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
-operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on each
-half-strip.  It is factored once per step (one banded LU for all modes
-and both halves) at iterate 1's interface, before the first iterate; the
-jump response sigma_k that stabilizes the interface update comes from
-the same factors.  The rest of the frozen coefficients,
+operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on the
+mode's whole column, whose interface row is an identity row that
+decouples the two halves.  It is factored once per step (one real
+banded LU of all modes' columns end to end, made complex once) at
+iterate 1's interface, before the first iterate, and each solve is one
+complex substitution on the FFT's own (modes, n_z) layout; the jump
+response sigma_k that stabilizes the interface update comes from the
+same factors.  The rest of the frozen coefficients,
 (a - a_mean) u_zz - B u_xz - c u_z with a_mean iterate 1's, is lagged one
 lag iteration; every lag iteration reuses the factors, and
 the lag loop runs until the *full* frozen-coefficient discrete system is
@@ -251,8 +254,12 @@ def make_level(t, u, rho, cutoff, grids, *, fields=None, rho_hat=None, forcing=N
 def _extrapolate(last, prev):
     """(u, fields) of the linear extrapolation 2 u_n - u_{n-1} from the two
     levels ``last`` and ``prev``, one dt apart: the fields are the same
-    combination of theirs, so no transform."""
-    return 2.0 * last.u - prev.u, _Fields(*(2.0 * a - b for a, b in zip(last.fields, prev.fields)))
+    combination of theirs, so no transform.  Only zz, xz and z are
+    combined, the fields the first lag loop reads of its start; xx and hat
+    are None."""
+    a, b = last.fields, prev.fields
+    return 2.0 * last.u - prev.u, _Fields(None, 2.0 * a.zz - b.zz, 2.0 * a.xz - b.xz,
+                                          2.0 * a.z - b.z, None)
 
 
 @dataclass(frozen=True)
@@ -295,8 +302,9 @@ class _WarmStart:
     against: the previous fixed-point iterate u and its ``_bulk_fields``,
     the previous fixed-point difference, and the fixed-point norm at the
     iterate (an ``EnergyNormK0``).  A difference of inf leaves the
-    residual test alone and needs no norm: a step's first iterate starts
-    so from u_old, and the steady solve from its zero field."""
+    residual test alone and needs no norm, nor the fields' xx and hat: a
+    step's first iterate starts so from u_old or the ``_extrapolate``d
+    start, and the steady solve from its zero field."""
     u: np.ndarray
     fields: _Fields
     fp_diff: float
@@ -304,36 +312,32 @@ class _WarmStart:
 
 
 def _thomas_batched(dl, d, du, rhs, du2, ipiv):
-    """Solve with the ``dgttrf`` factors of tridiagonal systems laid end to
-    end.
+    """Solve with the complex ``dgttrf`` factors of tridiagonal systems
+    laid end to end, by one ``zgttrs`` call, in place.
 
-    rhs: complex, one system per row of its last axis; its real and
-    imaginary parts go to ``dgttrs`` as two right-hand-side columns.  The
-    name and the right-hand side as fourth positional argument are what
-    ``bench/workload.py`` traces the bulk solve by.
+    rhs: complex and C-contiguous, the systems end to end in its flat
+    order; it is overwritten by the solution, which is returned in its
+    shape.  The name and the right-hand side as fourth positional argument
+    are what ``bench/workload.py`` traces the bulk solve by.
     """
-    b = np.empty((rhs.size, 2), order="F")
-    b[:, 0] = rhs.real.ravel()
-    b[:, 1] = rhs.imag.ravel()
-    x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+    x, info = lapack.zgttrs(dl, d, du, du2, ipiv, rhs.reshape(-1, 1), overwrite_b=1)
     if info != 0:
-        raise LinearSolveError(f"banded substitution failed (dgttrs info={info})")
-    out = np.empty(rhs.shape, dtype=complex)
-    out.real = x[:, 0].reshape(rhs.shape)
-    out.imag = x[:, 1].reshape(rhs.shape)
-    return out
+        raise LinearSolveError(f"banded substitution failed (zgttrs info={info})")
+    return x.reshape(rhs.shape)
 
 
 class _BulkLU:
     """Per-mode implicit operator  1/dt + theta k^2 - theta a_mean(z) d_zz
-    on both half-strips, LU-factored once.
+    on the whole column, LU-factored once.
 
-    On each half, index j runs from the interface outward.  The Dirichlet
-    row j = 0 is eliminated: its coupling moves into the right-hand side of
-    row 1 (left in, partial pivoting would swap it with row 1).  That
-    leaves m = i_mid unknowns per half, and all (mode, half) systems are
-    laid end to end and factored by one banded LU.  Raises
-    LinearSolveError if the operator is singular.
+    Each mode's column runs in z order, lower wall first, and the modes are
+    laid end to end, the layout of the solve's (modes, n_z) coefficients.
+    The interface row is an identity row holding the Dirichlet value; its
+    two neighbours' couplings to it move into their right-hand sides
+    (``couple``), so it couples to nothing and partial pivoting never
+    swaps it.  One real ``dgttrf`` factors every mode; its factors are
+    made complex once, for ``zgttrs``.  Raises LinearSolveError if the
+    operator is singular.
     """
 
     def __init__(self, a_mean, inv_dt, theta, grids):
@@ -342,35 +346,39 @@ class _BulkLU:
         self.a_mean = a_mean
         self.mid = mid
         self.dz = dz
-        # (2, m) z indices of the unknowns: upper half, then lower half
-        self.rows = np.stack((np.arange(mid + 1, n_z), np.arange(mid - 1, -1, -1)))
-        off = theta * a_mean[self.rows] / dz**2
+        off = theta * a_mean / dz**2
         k2 = np.arange(self.shape[0], dtype=float) ** 2
-        diag = inv_dt + theta * k2[:, None, None] + 2.0 * off  # (modes, 2, m)
-        lower = np.broadcast_to(-off, diag.shape).copy()
-        upper = lower.copy()
-        lower[..., -1] *= 2.0  # mirror-ghost wall row: u_zz ~ 2(u_{J-1} - u_J)/dz^2
-        self.couple = lower[0, :, 0].copy()  # row 1's coefficient of the Dirichlet value
-        # no coupling between consecutive systems of the end-to-end layout
-        lower[..., 0] = 0.0
-        upper[..., -1] = 0.0
+        diag = inv_dt + theta * k2[:, None] + 2.0 * off  # (modes, n_z)
+        lower = np.broadcast_to(-off, diag.shape).copy()  # row j's coefficient of u_{j-1}
+        upper = lower.copy()  # ... and of u_{j+1}
+        upper[:, 0] *= 2.0  # mirror-ghost walls: u_zz ~ 2(u_1 - u_0)/dz^2
+        lower[:, -1] *= 2.0
+        # the coefficients of the Dirichlet value in rows mid - 1 and mid + 1
+        self.couple = (upper[0, mid - 1], lower[0, mid + 1])
+        diag[:, mid] = 1.0
+        lower[:, mid:mid + 2] = 0.0
+        upper[:, mid - 1:mid + 1] = 0.0
+        # no coupling between consecutive modes of the end-to-end layout
+        lower[:, 0] = 0.0
+        upper[:, -1] = 0.0
         dl, d, du, du2, ipiv, info = lapack.dgttrf(
             lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
         if info != 0:
             raise LinearSolveError(f"bulk operator is singular (dgttrf info={info})")
-        self.factors = (dl, d, du, du2, ipiv)
+        self.factors = (*(f.astype(complex) for f in (dl, d, du, du2)), ipiv)
 
     def solve(self, rhs_hat, dir_hat):
         """Per-mode solution (modes, n_z) for the right-hand side rhs_hat
         (modes, n_z; the interface row is ignored) and the interface
-        Dirichlet values dir_hat (modes,)."""
-        b = rhs_hat[:, self.rows]
-        b[:, :, 0] -= self.couple * dir_hat[:, None]
+        Dirichlet values dir_hat (modes,).  Neither argument is changed,
+        and the interface row of the result is dir_hat."""
+        mid = self.mid
+        b = np.array(rhs_hat, dtype=complex, order="C")
+        b[:, mid - 1] -= self.couple[0] * dir_hat
+        b[:, mid] = dir_hat
+        b[:, mid + 1] -= self.couple[1] * dir_hat
         dl, d, du, du2, ipiv = self.factors
-        x_hat = np.empty(rhs_hat.shape, dtype=complex)
-        x_hat[:, self.mid] = dir_hat
-        x_hat[:, self.rows] = _thomas_batched(dl, d, du, b, du2, ipiv)
-        return x_hat
+        return _thomas_batched(dl, d, du, b, du2, ipiv)
 
     def jump_response(self):
         """Per-mode normal-derivative jump of the homogeneous solve with

@@ -59,6 +59,6 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     assert isinstance(report, stepper.StepReport)
     assert report.inner_iters >= 3 and len(lags) == report.inner_iters
     assert sum(lags) == report.lag_iters
-    unknowns = (cfg.n_x // 2 + 1) * 2 * grids.normal.i_mid
+    unknowns = (cfg.n_x // 2 + 1) * grids.normal.n_z  # each mode's whole column
     assert rhs_seen
     assert all(np.iscomplexobj(rhs) and rhs.size == unknowns for rhs in rhs_seen)

@@ -203,6 +203,26 @@ def test_bulk_solve_matches_dense_half_strips(n_z, theta, inv_dt):
     assert np.abs(sigma - sigma_ref).max() <= 1e-12 * np.abs(sigma_ref).max()
 
 
+@pytest.mark.parametrize("n_z", [17, 257])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_bulk_solve_keeps_its_arguments_and_the_dirichlet_row(n_z, theta):
+    # the solve works on its own copy of rhs_hat (callers reuse theirs), and
+    # the interface row is an identity row holding dir_hat exactly
+    cfg = SolverConfig(n_x=16, n_z=n_z, theta=theta)
+    grids = cfg.grids()
+    z = grids.normal.nodes
+    bulk = stepper._BulkLU(1.0 + 0.3 * np.cos(np.pi * z), 1e2, theta, grids)
+    rng = np.random.default_rng(3)
+    rhs_hat = np.fft.rfft(rng.standard_normal(grids.shape), axis=0)
+    dir_hat = np.fft.rfft(rng.standard_normal(cfg.n_x))
+    rhs_copy, dir_copy = rhs_hat.copy(), dir_hat.copy()
+    x_hat = bulk.solve(rhs_hat, dir_hat)
+    assert np.array_equal(rhs_hat.view(np.uint64), rhs_copy.view(np.uint64))
+    assert np.array_equal(dir_hat.view(np.uint64), dir_copy.view(np.uint64))
+    row = np.ascontiguousarray(x_hat[:, grids.normal.i_mid])
+    assert np.array_equal(row.view(np.uint64), dir_hat.view(np.uint64))
+
+
 def test_temperature_step_far_field_continuum():
     # away from the interface-induced boundary layer the step agrees with
     # the exact backward-Euler heat decay cos(pi z) -> cos(pi z)/(1+pi^2 dt)
@@ -983,8 +1003,10 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
         assert np.array_equal(pred.view(np.uint64), rho_ref.view(np.uint64))
         assert np.array_equal(u_start.view(np.uint64), u_ref.view(np.uint64))
         assert warm_starts[first] is u_start
-        hat = np.fft.rfft(u_start, axis=0)
-        assert np.abs(fields.hat - hat).max() <= 1e-12 * np.abs(hat).max()
+        # the three fields the first lag loop reads; xx and hat are not built
+        want = stepper._lagged_fields(u_start, np.fft.rfft(u_start, axis=0), grids)
+        for got, ref in zip((fields.zz, fields.xz, fields.z), want, strict=True):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_run_keeps_a_flat_state_at_one_iterate_per_step():
