@@ -13,13 +13,10 @@ in the order-0 regularized-energy norm:
 The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on the
-mode's whole column, whose interface row is an identity row that
-decouples the two halves.  It is factored once per step (one real
-banded LU of all modes' columns end to end, made complex once) at
-iterate 1's interface, before the first iterate, and each solve is one
-complex substitution on the FFT's own (modes, n_z) layout; the jump
-response sigma_k that stabilizes the interface update comes from the
-same factors.  The rest of the frozen coefficients,
+mode's whole column.  It is factored once per step (one banded LU of all
+modes' columns) at iterate 1's interface, before the first iterate; the
+jump response sigma_k that stabilizes the interface update comes from
+the same factors.  The rest of the frozen coefficients,
 (a - a_mean) u_zz - B u_xz - c u_z with a_mean iterate 1's, is lagged one
 lag iteration; every lag iteration reuses the factors, and
 the lag loop runs until the *full* frozen-coefficient discrete system is
@@ -303,8 +300,7 @@ class _WarmStart:
     the previous fixed-point difference, and the fixed-point norm at the
     iterate (an ``EnergyNormK0``).  A difference of inf leaves the
     residual test alone and needs no norm, nor the fields' xx and hat: a
-    step's first iterate starts so from u_old or the ``_extrapolate``d
-    start, and the steady solve from its zero field."""
+    step's first iterate and the steady solve start so."""
     u: np.ndarray
     fields: _Fields
     fp_diff: float
