@@ -4,11 +4,12 @@
     python scripts/bench_pairs.py --parent ../parent --change . --pairs 10 \\
         --out BENCH_18.json
 
-For each workload, pair i (1, 2, ...) runs ``bench/run.py --seconds 30
---trace 0 --seed 101*i`` once in each checkout, the parent first in odd
-pairs and the change first in even ones, so a drift of the host over the
-session falls on both sides alike.  Then each side makes one ``--trace 1``
-run per workload at ``--seed 11``.  Every run's final JSON line is kept.
+For each workload that ``bench/run.py`` offers (its own WORKLOADS), pair
+i (1, 2, ...) runs ``bench/run.py --seconds 30 --trace 0 --seed 101*i``
+once in each checkout, the parent first in odd pairs and the change first
+in even ones, so a drift of the host over the session falls on both sides
+alike.  Then each side makes one ``--trace 1`` run per workload at
+``--seed 11``.  Every run's final JSON line is kept.
 
 The summary gives, per workload and end-to-end metric, both sides'
 medians, the parent's quartiles, the number of pairs in which the change
@@ -25,16 +26,24 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("decay-k1", "rough-mass-diag", "mms-column")
+SECONDS = 30
 END_TO_END = ("run_s", "step_ms_p50", "setup_s", "peak_rss_mb")
 TRACE_SEED = 11
 
 
-def bench_line(checkout, workload, seed, seconds, trace):
+def workloads(checkout):
+    """The workloads of ``bench/run.py`` in ``checkout``, from its own WORKLOADS."""
+    return subprocess.run(
+        [sys.executable, "-B", "-c", "from run import WORKLOADS; print(*WORKLOADS)"],
+        cwd=os.path.join(checkout, "bench"), capture_output=True, text=True,
+        check=True).stdout.split()
+
+
+def bench_line(checkout, workload, seed, trace):
     """The final JSON line of one ``bench/run.py`` run in ``checkout``."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -44,7 +53,7 @@ def pair_order(i):
     return ("parent", "change") if i % 2 else ("change", "parent")
 
 
-def summarize(runs, metrics=END_TO_END):
+def summarize(runs):
     """Per workload and metric: medians, the parent's quartiles, the pairs
     (matched by seed) in which the change was lower, and the relative
     change of the medians.  ``runs`` maps a workload to its list of
@@ -56,7 +65,7 @@ def summarize(runs, metrics=END_TO_END):
             by_seed.setdefault(entry["seed"], {})[entry["side"]] = entry["result"]["metrics"]
         pairs = [sides for sides in by_seed.values() if len(sides) == 2]
         summary[workload] = {}
-        for name in metrics:
+        for name in END_TO_END:
             parent = [sides["parent"][name]["value"] for sides in pairs]
             change = [sides["change"][name]["value"] for sides in pairs]
             lower = sum(c < p for p, c in zip(parent, change))
@@ -92,25 +101,22 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeat to pick workloads (default: all)")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
-    workloads = args.workload or list(WORKLOADS)
+    names = workloads(args.change)
 
-    runs = {w: [] for w in workloads}
-    for workload in workloads:
+    runs = {w: [] for w in names}
+    for workload in names:
         for i in range(1, args.pairs + 1):
             for side in pair_order(i):
-                result = bench_line(checkouts[side], workload, 101 * i, args.seconds, 0)
+                result = bench_line(checkouts[side], workload, 101 * i, 0)
                 runs[workload].append({"side": side, "seed": 101 * i, "result": result})
                 print(workload, i, side, result["metrics"]["run_s"]["value"], flush=True)
-    trace = {w: {side: bench_line(checkouts[side], w, TRACE_SEED, args.seconds, 1)
-                 for side in ("parent", "change")} for w in workloads}
+    trace = {w: {side: bench_line(checkouts[side], w, TRACE_SEED, 1)
+                 for side in ("parent", "change")} for w in names}
     report = {
-        "about": (f"bench/run.py --seconds {args.seconds:g}: the final JSON line of every run, "
+        "about": (f"bench/run.py --seconds {SECONDS}: the final JSON line of every run, "
                   "parent and change alternated in pairs on one host (which side ran first "
                   "alternates from pair to pair; pair i uses --seed 101*i), then one --trace 1 "
                   f"line per side and workload at --seed {TRACE_SEED}. 'summary' gives each "

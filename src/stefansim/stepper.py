@@ -562,6 +562,9 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
         )
 
     u_prev, fields = warm.u, warm.fields
+    # the update test below reads the start's hat, which an extrapolated
+    # start (``_extrapolate``) leaves None: such a start must skip the test
+    assert fields.hat is not None or warm.fp_diff == np.inf, "start without hat needs fp_diff inf"
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, cfg.lin_max_iter + 1):

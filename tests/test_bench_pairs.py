@@ -1,5 +1,5 @@
-"""The summary of ``scripts/bench_pairs.py``, on synthetic result lines (no
-benchmark run)."""
+"""``scripts/bench_pairs.py``: its summary on synthetic result lines (no
+benchmark run), and the workload list it takes from ``bench/run.py``."""
 import importlib.util
 from pathlib import Path
 
@@ -19,6 +19,8 @@ def bench_pairs():
 def line(run_s, rss):
     return {"correct": True, "attempted": 80, "failed": 0,
             "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                        "step_ms_p50": {"value": 20.0, "unit": "ms"},
+                        "setup_s": {"value": 0.25, "unit": "s"},
                         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
@@ -38,7 +40,8 @@ def test_summary_matches_pairs_by_seed(bench_pairs):
             runs["mms-column"].append({"side": side, "seed": seed, "result": sides[side]})
     runs["mms-column"].append({"side": "parent", "seed": 999, "result": line(100.0, 60.0)})
 
-    summary = bench_pairs.summarize(runs, metrics=("run_s", "peak_rss_mb"))["mms-column"]
+    summary = bench_pairs.summarize(runs)["mms-column"]
+    assert set(summary) == set(bench_pairs.END_TO_END)
     run_s = summary["run_s"]
     assert run_s["parent_median"] == 3.0 and run_s["change_median"] == 2.5
     assert run_s["parent_quartiles"] == [1.5, 4.5]  # the exclusive method
@@ -47,3 +50,7 @@ def test_summary_matches_pairs_by_seed(bench_pairs):
     rss = summary["peak_rss_mb"]
     assert rss["change_lower_in"] == "0/5" and rss["change_median"] == 63.0
     assert rss["parent_quartiles"] == [60.0, 60.0] and rss["relative_change"] == pytest.approx(0.05)
+
+
+def test_workloads_come_from_the_benchmark(bench_pairs):
+    assert "mms-column" in bench_pairs.workloads(SCRIPT.parents[1])
