@@ -147,11 +147,12 @@ def i_psi_lower_bound(omega, psi):
 
 
 def _dx_table(hat, n, terms):
-    """{(order, zero_nyquist): d_x^order v} for the distinct pairs of
-    ``terms``, v the n-point field whose rfft along axis 0 is ``hat``, from
-    one batched inverse transform (``d_tangential_hats``; order 0 is v).
-    No finiteness check."""
-    terms = tuple(dict.fromkeys(terms))
+    """{factors: derivative of v} for each derivative of ``terms``, named
+    by the orders of its factors ((mu,) is d_x^mu, (mu, 1) is d_x of
+    d_x^mu; (0,) is v itself), v the n-point field whose rfft along axis 0
+    is ``hat``, from one batched inverse transform (``d_tangential_hats``,
+    which alone decides the Nyquist mode).  No finiteness check."""
+    terms = tuple(terms)
     return dict(zip(terms, d_tangential_hats(hat, n, terms)))
 
 
@@ -167,11 +168,10 @@ def _i_psi_lower(oxx, L, h):
 
 
 def _interface_orders(mu, eps):
-    """The derivatives, as (order, zero_nyquist) pairs, of the s-th
-    quotient of rho that ``_interface_terms`` reads for its (mu, s) term."""
-    odd = mu % 2 == 1
-    orders = ((mu + 1, True), (mu + 2, odd))
-    return orders + ((mu + 3, True), (mu + 4, odd)) if eps != 0.0 else orders
+    """The derivatives of the s-th quotient of rho that ``_interface_terms``
+    reads for its (mu, s) term, each named by the orders of its factors:
+    (mu, j) is d_x^j of w = d_x^mu rho_s, j = 1, 2 (and 3, 4 for eps != 0)."""
+    return tuple((mu, j) for j in range(1, 5 if eps != 0.0 else 3))
 
 
 def _interface_terms(v, mu, eps, L, px, g):
@@ -220,8 +220,10 @@ def evaluate_functionals(stack, eps):
     those of one field (d_z u_s, d_z^2 u_s, rho_s or rho_{s+1} for one s)
     batched into one call: the a-weighted normal-derivative terms and the
     interface terms have weights that vary in x, so they are summed in
-    real space, by one weighted sum per integral.  A composed derivative zeroes the Nyquist mode whenever one
-    of its factors has odd order, as nested ``d_tangential`` calls do.
+    real space, by one weighted sum per integral.  Each derivative is
+    named by the orders of its factors, (mu,) or (mu, j) for d_x^j of
+    d_x^mu, and ``grids`` decides its Nyquist mode from them, as nested
+    ``d_tangential`` calls would.
     E_eps = E + eps X and D_eps = D + eps Y share their arrays with E and
     D, and the Sobolev sums are the same arrays without the weights.
 
@@ -236,7 +238,7 @@ def evaluate_functionals(stack, eps):
     n = g.tangential.n_x
     dz = g.normal.dz
     a_h = halves(stack.a_psi, g.normal)
-    W = quadrature_weights(a_h.shape, g)  # integrate_halves as a dot product
+    W = quadrature_weights(a_h.shape, g)  # bulk_sum as a dot product
     aW = a_h * W
     a2W = a_h * aW
     L = 1.0 / stack.bracket
@@ -248,25 +250,26 @@ def evaluate_functionals(stack, eps):
     E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
     gaps, missing_E, missing_D = [], [], []
     for s in range(k + 1):
-        mus = [(mu, mu % 2 == 1) for mu in range(2 * (k - s) + 1)]
+        mus = range(2 * (k - s) + 1)
+        ws = [(mu,) for mu in mus]  # w = d_x^mu of the s-th quotient
         if u_hats[s] is None:
-            missing_E.extend((mu, s) for mu, _ in mus)
-            missing_D.extend((mu, s) for mu, _ in mus)
+            missing_E.extend((mu, s) for mu in mus)
+            missing_D.extend((mu, s) for mu in mus)
             continue
         # one batched inverse transform per field: d_x^mu of u_n for E, and
         # d_x^(mu+1) of u_n, d_x^mu of u_nn and the rho_t terms for D
         with_D = u_hats[s + 1] is not None
         u_h = halves(u_hats[s], g.normal)
         wn = _dx_table(first_walls(u_h, dz), n,
-                       mus + ([(mu + 1, True) for mu, _ in mus] if with_D else []))
-        v = _dx_table(r_hats[s], n, [o for mu, _ in mus for o in _interface_orders(mu, eps)])
+                       ws + ([(mu, 1) for mu in mus] if with_D else []))
+        v = _dx_table(r_hats[s], n, [o for mu in mus for o in _interface_orders(mu, eps)])
         if with_D:
-            wnn = _dx_table(second_walls(u_h, dz), n, mus)
-            vt = _dx_table(r_hats[s + 1], n, [(mu + 1, True) for mu, _ in mus]
-                           + ([(mu + 3, True) for mu, _ in mus] if eps != 0.0 else []))
-        for mu, odd in mus:
-            wn2 = wn[mu, odd] ** 2
-            bulk = parseval_sum(powers[s], ((mu, odd), (mu + 1, True)), g)  # w, w_x
+            wnn = _dx_table(second_walls(u_h, dz), n, ws)
+            vt = _dx_table(r_hats[s + 1], n, [(mu, 1) for mu in mus]
+                           + ([(mu, 3) for mu in mus] if eps != 0.0 else []))
+        for mu in mus:
+            wn2 = wn[(mu,)] ** 2
+            bulk = parseval_sum(powers[s], ((mu,), (mu, 1)), g)  # w, w_x
             e, x, se, sx, i_form, vxx = _interface_terms(v, mu, eps, L, px, g)
             E += bulk + float(np.vdot(aW, wn2)) + e
             sob_E += bulk + float(np.vdot(W, wn2)) + se
@@ -276,17 +279,17 @@ def evaluate_functionals(stack, eps):
                 missing_D.append((mu, s))
                 continue
             # a u_n^2 + 2 a u_xn^2 + (a u_nn)^2, and the same without a
-            first = wn2 + 2.0 * wn[mu + 1, True] ** 2
-            wnn2 = wnn[mu, odd] ** 2
-            vtx = vt[mu + 1, True]
-            bulk = (parseval_sum(powers[s + 1], ((mu, odd),), g)  # w_t
-                    + parseval_sum(powers[s], ((mu + 1, True), (mu + 2, odd)), g))  # w_x, w_xx
+            first = wn2 + 2.0 * wn[mu, 1] ** 2
+            wnn2 = wnn[(mu,)] ** 2
+            vtx = vt[mu, 1]
+            bulk = (parseval_sum(powers[s + 1], ((mu,),), g)  # w_t
+                    + parseval_sum(powers[s], ((mu, 1), (mu, 2)), g))  # w_x, w_xx
             D += (bulk + float(np.vdot(aW, first)) + float(np.vdot(a2W, wnn2))
                   + 2.0 * interface_sum(vtx**2 * L, g.tangential))
             sob_D += (bulk + float(np.vdot(W, first + wnn2))
                       + interface_sum(vtx**2, g.tangential))
             if eps != 0.0:
-                vt3 = vt[mu + 3, True]
+                vt3 = vt[mu, 3]
                 Y += 2.0 * interface_sum(vt3**2 * L, g.tangential)
                 sob_Y += interface_sum(vt3**2, g.tangential)
 
@@ -351,7 +354,7 @@ def equivalence_constant(psi, cutoff, kind="E"):
 def _normal_stencils(tangential, normal):
     """The a-weighted normal-derivative term of the order-0 norm as a
     stencil sum, cached per grid pair: int a u_n^2 over both half-strips
-    (``integrate_halves`` of ``first_walls`` on ``halves``) is
+    (``bulk_sum`` of ``first_walls`` on ``halves``) is
 
         sum a[:, 1:-1] c w_c c  +  sum a[:, rows] (u @ S) w_e (u @ S)
 
@@ -414,7 +417,7 @@ def state_energy_k0(u, u_hat, rho_hat, norm):
     g = norm.grids
     centered = u[:, 2:] - u[:, :-2]
     edges = u @ norm.stencils
-    energy = (parseval_sum(power_spectrum(u_hat), ((0, False), (1, True)), g)
+    energy = (parseval_sum(power_spectrum(u_hat), ((0,), (1,)), g)
               + float(np.vdot(norm.a_centered * centered, centered))
               + float(np.vdot(norm.a_edges * edges, edges)))
     if rho_hat is None:

@@ -6,7 +6,11 @@ README).  The normal direction is a uniform grid on [-1, 1] with an odd
 number of nodes so that z = 0 (the flattened interface) is a grid line.
 
 Tangential derivatives are pseudo-spectral: FFT, multiply by (ik)^order,
-inverse FFT, with the Nyquist mode zeroed for odd orders.  Normal
+inverse FFT.  A derivative is named by the orders of its factors: (2,) is
+d_x^2 and (mu, 1) is d_x of d_x^mu.  Its multiplier is (ik) to the total
+order, with the Nyquist mode zeroed when any factor is odd, as nested
+calls would zero it (an odd derivative has no Nyquist value on an even
+real grid); this module alone applies that rule (``_zero_nyquist``).  Normal
 derivatives are second-order finite differences, taken on each half-strip
 (``halves``) so that the stencil at the interface row is one-sided: bulk
 fields are allowed a kink across z = 0.  Quadrature is the rectangle rule
@@ -91,18 +95,11 @@ class Grids:
         return x, z
 
 
-@lru_cache(maxsize=None)
-def tangential_multiplier(n, order, zero_nyquist):
-    """(ik)^order on the rfft modes of an n-point grid (read-only, cached).
-
-    The Nyquist mode is zeroed when ``zero_nyquist``: for an odd order, and
-    for a composed derivative any of whose factors has odd order.
-    """
-    mult = (1j * np.arange(n // 2 + 1)) ** order
-    if zero_nyquist:
-        mult[-1] = 0.0
-    mult.setflags(write=False)
-    return mult
+def _zero_nyquist(factors):
+    """Whether the tangential derivative with the orders ``factors`` drops
+    the Nyquist mode: an odd derivative has no Nyquist value on an even
+    real grid, so a composed one drops it when any factor is odd."""
+    return any(order % 2 == 1 for order in factors)
 
 
 @lru_cache(maxsize=None)
@@ -110,20 +107,20 @@ def parseval_weights(tangential, normal, terms):
     """Read-only (n_x // 2 + 1, n_z) weights W, cached per grid pair and
     ``terms``, with which sum W |v_hat|^2 is the bulk quadrature
     (rectangle rule in x, trapezoid in z) of the sum over ``terms`` of
-    (d_x^order v)^2, v_hat the rfft along x of the real bulk field v.
+    (d v)^2, v_hat the rfft along x of the real bulk field v.
 
-    ``terms`` is a tuple of (order, zero_nyquist) pairs; each contributes
-    c_k k^(2 order) times the trapezoid z-weights, with c_k = 2 for the
+    ``terms`` is a tuple of derivatives, each named by the orders of its
+    factors (see the module docstring); each contributes c_k k^(2 order)
+    times the trapezoid z-weights, order the total, with c_k = 2 for the
     modes that stand for a conjugate pair and 1 for k = 0 and the Nyquist
-    mode, which is zeroed where ``zero_nyquist`` says so, as
-    ``tangential_multiplier`` zeroes it.
+    mode, which is zeroed as ``tangential_multipliers`` zeroes it.
     """
     n = tangential.n_x
     k2 = np.arange(n // 2 + 1, dtype=float) ** 2
     modes = np.zeros_like(k2)
-    for order, zero_nyquist in terms:
-        term = k2**order
-        if zero_nyquist:
+    for factors in terms:
+        term = k2 ** sum(factors)
+        if _zero_nyquist(factors):
             term[-1] = 0.0
         modes += term
     pairs = np.full_like(k2, 2.0)
@@ -138,17 +135,25 @@ def parseval_weights(tangential, normal, terms):
 
 @lru_cache(maxsize=None)
 def tangential_multipliers(n, terms):
-    """Read-only (len(terms), n // 2 + 1) rows of ``tangential_multiplier``,
-    one per (order, zero_nyquist) pair of ``terms`` (cached)."""
-    rows = np.array([tangential_multiplier(n, order, zero) for order, zero in terms])
+    """Read-only (len(terms), n // 2 + 1) rows (ik)^order on the rfft modes
+    of an n-point grid, one per derivative of ``terms`` (each named by the
+    orders of its factors, order their total), with the Nyquist mode
+    zeroed where ``_zero_nyquist`` says so (cached)."""
+    k = np.arange(n // 2 + 1)
+    rows = np.array([(1j * k) ** sum(factors) for factors in terms])
+    for row, factors in zip(rows, terms):
+        if _zero_nyquist(factors):
+            row[-1] = 0.0
     rows.setflags(write=False)
     return rows
 
 
 def d_tangential_hats(hat, n, terms):
-    """``d_tangential_hat`` of ``hat`` for each (order, zero_nyquist) pair of
-    ``terms`` from one batched inverse transform: row i of the result is
-    the derivative of terms[i].  No finiteness check."""
+    """The derivatives ``terms`` (each named by the orders of its factors)
+    of the n-point field whose rfft along axis 0 is ``hat``, from one
+    multiplication by the cached ``tangential_multipliers`` and one
+    batched inverse transform: row i of the result is the derivative
+    terms[i].  No finiteness check."""
     mult = tangential_multipliers(n, terms)
     mult = mult.reshape(mult.shape + (1,) * (hat.ndim - 1))
     return np.fft.irfft(hat * mult, n=n, axis=1)
@@ -160,24 +165,11 @@ def power_spectrum(hat):
 
 
 def parseval_sum(power, terms, grids):
-    """Bulk quadrature of the sum over ``terms`` ((order, zero_nyquist)
-    pairs) of (d_x^order v)^2, summed by Parseval (``parseval_weights``) on
-    the power spectrum ``power`` |v_hat|^2 of v, v_hat its rfft: no
-    inverse transform."""
+    """Bulk quadrature of the sum over the derivatives ``terms`` (each
+    named by the orders of its factors) of (d v)^2, summed by Parseval
+    (``parseval_weights``) on the power spectrum ``power`` |v_hat|^2 of v,
+    v_hat its rfft: no inverse transform."""
     return float(np.vdot(parseval_weights(grids.tangential, grids.normal, terms), power))
-
-
-def d_tangential_hat(hat, n, order, zero_nyquist=None):
-    """d_x^order of the n-point field whose rfft along axis 0 is ``hat``.
-
-    One multiplication by the cached (ik)^order and one inverse transform;
-    no finiteness check.  The Nyquist mode is zeroed for odd orders unless
-    ``zero_nyquist`` says otherwise (see ``tangential_multiplier``).
-    """
-    if zero_nyquist is None:
-        zero_nyquist = order % 2 == 1
-    mult = tangential_multiplier(n, order, zero_nyquist)
-    return np.fft.irfft(hat * mult.reshape((-1,) + (1,) * (hat.ndim - 1)), n=n, axis=0)
 
 
 def d_tangential(values, order=1):
@@ -194,7 +186,7 @@ def d_tangential(values, order=1):
     _require_finite(v, "d_tangential input")
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return d_tangential_hat(np.fft.rfft(v, axis=0), v.shape[0], order)
+    return d_tangential_hats(np.fft.rfft(v, axis=0), v.shape[0], ((order,),))[0]
 
 
 def _one_sided_first(values, i, h, forward):
@@ -251,8 +243,8 @@ def quadrature_weights(shape, grids):
     """Read-only weights W of the bulk quadrature of an integrand of
     ``shape``, cached per shape and grid pair: the trapezoid rule (spacing
     dz) along the last axis and the rectangle rule in x, so that
-    sum W * values is ``bulk_sum`` of a (n_x, n_z) integrand and
-    ``integrate_halves`` of one in the ``halves`` layout."""
+    sum W * values is ``bulk_sum`` of an integrand, (n_x, n_z) or in the
+    ``halves`` layout."""
     w = np.full(shape[-1], grids.normal.dz * grids.tangential.spacing)
     w[[0, -1]] *= 0.5
     weights = np.broadcast_to(w, shape).copy()
@@ -261,18 +253,11 @@ def quadrature_weights(shape, grids):
 
 
 def bulk_sum(values, grids):
-    """Rectangle (x) times trapezoid (z) rule for single-valued integrands:
-    one weighted sum with the cached ``quadrature_weights``.  No
-    finiteness check."""
+    """Rectangle (x) times trapezoid (z) rule: one weighted sum with the
+    cached ``quadrature_weights``.  An integrand in the ``halves`` layout
+    (..., 2, i_mid + 1) is summed by the trapezoid rule per half-strip, so
+    it may take two values at z = 0.  No finiteness check."""
     return float(np.vdot(quadrature_weights(values.shape, grids), values))
-
-
-def integrate_halves(values, grids):
-    """Two-phase bulk quadrature of an integrand in the ``halves`` layout
-    (..., 2, i_mid + 1): trapezoid per half-strip, rectangle rule in x, as
-    one weighted sum (the same sum as ``bulk_sum``).  No finiteness
-    check."""
-    return bulk_sum(values, grids)
 
 
 def l2_interface(values, grid):

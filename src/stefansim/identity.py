@@ -57,11 +57,9 @@ from dataclasses import dataclass
 from .functionals import uniform_step
 from .grids import (
     bulk_sum,
-    d_tangential_hat,
     d_tangential_hats,
     first_walls,
     halves,
-    integrate_halves,
     interface_sum,
     parseval_sum,
     power_spectrum,
@@ -87,13 +85,6 @@ class IdentityReport:
     bdry_T: float
 
 
-def _derivs(hat, n, lowest, highest):
-    """d_x^lowest .. d_x^highest along axis 0 of the n-point field whose
-    rfft is ``hat``, from one batched inverse transform (no finiteness
-    check)."""
-    return d_tangential_hats(hat, n, tuple((k, k % 2 == 1) for k in range(lowest, highest + 1)))
-
-
 def _a_derivs(rho, rx, rxx, rt, rxt, cutoff, grids):
     """n/t/x derivatives of a (exact chain rule in phi, spectral in x)."""
     phi, dphi, d2phi = grid_profiles(cutoff, grids.normal)
@@ -115,13 +106,13 @@ def model_energy(level, eps, cutoff, grids):
         return level.E_bar[1]
     tg = grids.tangential
     u, rho, rx, rxx = level.u, level.rho, level.rho_x, level.rho_xx
-    rxxx, rxxxx = _derivs(level.rho_hat, tg.n_x, 3, 4)
+    rxxx, rxxxx = d_tangential_hats(level.rho_hat, tg.n_x, ((3,), (4,)))
     a, bracket = norm_weights(rho, rx, cutoff, grids)
     L = 1.0 / bracket
     un = first_walls(halves(u, grids.normal), grids.normal.dz)
     val = 0.5 * bulk_sum(u**2, grids)
-    val += parseval_sum(power_spectrum(level.u_hat), ((1, True),), grids)
-    val += integrate_halves(halves(a, grids.normal) * un**2, grids)
+    val += parseval_sum(power_spectrum(level.u_hat), ((1,),), grids)
+    val += bulk_sum(halves(a, grids.normal) * un**2, grids)
     val += 0.5 * interface_sum((rx**2 + eps * rxxx**2) * L, tg)
     val += interface_sum((rxx**2 + eps * rxxxx**2) * L**3, tg)
     level.E_bar = (eps, float(val))
@@ -150,8 +141,9 @@ def identity_residual_k0(window, eps, cutoff, grids):
     u_t = (nxt.u - prev.u) / (2.0 * dt)
     rt = (nxt.rho - prev.rho) / (2.0 * dt)
     rx, rxx = mid.rho_x, mid.rho_xx
-    rxxx, rxxxx = _derivs(mid.rho_hat, n, 3, 4)
-    rxt, rxxt, rxxxt, rxxxxt = _derivs((nxt.rho_hat - prev.rho_hat) / (2.0 * dt), n, 1, 4)
+    rxxx, rxxxx = d_tangential_hats(mid.rho_hat, n, ((3,), (4,)))
+    rxt, rxxt, rxxxt, rxxxxt = d_tangential_hats((nxt.rho_hat - prev.rho_hat) / (2.0 * dt), n,
+                                                ((1,), (2,), (3,), (4,)))
 
     coef = coefficients(rho_c, rt, cutoff, grids, rho_x=rx, rho_xx=rxx)
     L = 1.0 / coef.bracket
@@ -167,18 +159,18 @@ def identity_residual_k0(window, eps, cutoff, grids):
     # (one-sided where z-derivatives enter)
     a, B, c, a_n, a_t, a_x = (halves(v, nz) for v in (
         coef.a, coef.B, coef.c, *_a_derivs(rho_c, rx, rxx, rt, rxt, cutoff, grids)))
-    ux, uxx = _derivs(mid.u_hat, n, 1, 2)
+    ux, uxx = d_tangential_hats(mid.u_hat, n, ((1,), (2,)))
     u, ut, uxx_h = halves(u_c, nz), halves(u_t, nz), halves(uxx, nz)
     un = first_walls(u, nz.dz)
-    uxn = d_tangential_hat(first_walls(halves(mid.u_hat, nz), nz.dz), n, 1)
+    uxn = d_tangential_hats(first_walls(halves(mid.u_hat, nz), nz.dz), n, ((1,),))[0]
     unn = second_walls(u, nz.dz)
     f = -B * uxn - c * un
 
     # P = f u - a_n u_n u ;  R = f^2 + a_t u_n^2 - 2 a_n u_t u_n
     #                            + 2 a_n u_xx u_n - 2 a_x u_xn u_n
-    bulk_P = integrate_halves(f * u - a_n * un * u, grids)
-    bulk_R = integrate_halves(f**2 + a_t * un**2 - 2.0 * a_n * ut * un
-                              + 2.0 * a_n * uxx_h * un - 2.0 * a_x * uxn * un, grids)
+    bulk_P = bulk_sum(f * u - a_n * un * u, grids)
+    bulk_R = bulk_sum(f**2 + a_t * un**2 - 2.0 * a_n * ut * un
+                      + 2.0 * a_n * uxx_h * un - 2.0 * a_x * uxn * un, grids)
 
     Q = (-0.5 * (rx**2 + eps * rxxx**2) * L_t + rt * rx * L_x
          + eps * rxxxt * L_x * rxx - (rt + eps * rxxxxt) * g)
@@ -195,7 +187,7 @@ def identity_residual_k0(window, eps, cutoff, grids):
     e_next = model_energy(nxt, eps, cutoff, grids)
     dE_dt = (e_next - e_prev) / (2.0 * dt)
     D_bar = bulk_sum(u_t**2 + ux**2 + uxx**2, grids)
-    D_bar += integrate_halves(a * un**2 + 2.0 * a * uxn**2 + (a * unn) ** 2, grids)
+    D_bar += bulk_sum(a * un**2 + 2.0 * a * uxn**2 + (a * unn) ** 2, grids)
     D_bar += 2.0 * interface_sum((rxt**2 + eps * rxxxt**2) * L, tg)
 
     lhs = dE_dt + D_bar

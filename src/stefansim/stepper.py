@@ -115,7 +115,6 @@ from .grids import (
     NormalGrid,
     TangentialGrid,
     _require_finite,
-    d_tangential_hat,
     d_tangential_hats,
     l2_interface,
 )
@@ -243,7 +242,7 @@ def make_level(t, u, rho, cutoff, grids, *, fields=None, rho_hat=None, forcing=N
         fields = _bulk_fields(u, np.fft.rfft(u, axis=0), grids)
     if rho_hat is None:
         rho_hat = np.fft.rfft(rho)
-    rho_x, rho_xx = _slopes(rho_hat, grids.tangential.n_x)
+    rho_x, rho_xx = d_tangential_hats(rho_hat, grids.tangential.n_x, ((1,), (2,)))
     return Level(t=t, u=u, rho=rho, fields=fields, u_hat=fields.hat, rho_hat=rho_hat, rho_x=rho_x,
                  rho_xx=rho_xx, Q=conserved_quantity(u, rho, cutoff, grids), forcing=forcing)
 
@@ -408,7 +407,7 @@ def _lagged_fields(v, v_hat, grids):
     v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
-    return v_zz, d_tangential_hat(_d_z(v_hat, grids), v.shape[0], 1), _d_z(v, grids)
+    return v_zz, d_tangential_hats(_d_z(v_hat, grids), v.shape[0], ((1,),))[0], _d_z(v, grids)
 
 
 def _bulk_fields(v, v_hat, grids):
@@ -418,7 +417,7 @@ def _bulk_fields(v, v_hat, grids):
     the solve ignores it, and the operator's value there is replaced by
     the Dirichlet condition.  v_hat rides along for the fixed-point norm.
     """
-    v_xx = d_tangential_hat(v_hat, v.shape[0], 2)
+    v_xx = d_tangential_hats(v_hat, v.shape[0], ((2,),))[0]
     v_xx[:, grids.normal.i_mid] = 0.0
     return _Fields(v_xx, *_lagged_fields(v, v_hat, grids), v_hat)
 
@@ -631,17 +630,11 @@ def interface_step(u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
     return np.fft.irfft(num / (reg + stab), n=n_x)
 
 
-def _slopes(rho_hat, n_x):
-    """(slope, second derivative) of the interface whose rfft is rho_hat,
-    from one batched inverse transform."""
-    return d_tangential_hats(rho_hat, n_x, ((1, True), (2, False)))
-
-
 def _interface_transforms(rho, n_x):
     """(rfft, slope, second derivative) of the interface rho: every
     tangential derivative of an interface comes from this one FFT."""
     rho_hat = np.fft.rfft(rho)
-    return (rho_hat, *_slopes(rho_hat, n_x))
+    return (rho_hat, *d_tangential_hats(rho_hat, n_x, ((1,), (2,))))
 
 
 def compatible_initial_temperature(rho0, cfg):

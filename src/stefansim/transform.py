@@ -35,7 +35,7 @@ from .errors import DegenerateTransformError, ResolutionWarning
 from .grids import (
     _one_sided_first,
     _require_finite,
-    d_tangential_hat,
+    d_tangential_hats,
     tail_fraction_hat,
 )
 
@@ -165,7 +165,8 @@ def curvature(rho):
     rho = np.asarray(rho, dtype=float)
     _require_finite(rho, "curvature input")
     rho_hat = np.fft.rfft(rho)
-    return curvature_hat(rho_hat, d_tangential_hat(rho_hat, rho.shape[0], 1), stacklevel=3)
+    return curvature_hat(rho_hat, d_tangential_hats(rho_hat, rho.shape[0], ((1,),))[0],
+                         stacklevel=3)
 
 
 def curvature_hat(rho_hat, rho_x, stacklevel=2):
@@ -182,7 +183,7 @@ def curvature_hat(rho_hat, rho_x, stacklevel=2):
             ResolutionWarning,
             stacklevel=stacklevel,
         )
-    return d_tangential_hat(np.fft.rfft(rho_x / np.sqrt(1.0 + rho_x**2)), n, 1)
+    return d_tangential_hats(np.fft.rfft(rho_x / np.sqrt(1.0 + rho_x**2)), n, ((1,),))[0]
 
 
 def jump_normal_derivative(u_values, grids):

@@ -29,7 +29,6 @@ from stefansim.grids import (
     band_limited,
     bulk_sum,
     d_tangential,
-    integrate_halves,
     interface_sum,
     second_walls,
 )
@@ -99,7 +98,7 @@ def sided_sum(above, below, grids):
     """Bulk quadrature of an integrand double-valued at z = 0: ``above`` on
     the rows z >= 0, ``below`` on the rows z <= 0 of two full arrays."""
     mid = grids.normal.i_mid
-    return integrate_halves(np.stack((below[..., : mid + 1], above[..., mid:]), axis=-2), grids)
+    return bulk_sum(np.stack((below[..., : mid + 1], above[..., mid:]), axis=-2), grids)
 
 
 def reference_functionals(stack, eps):

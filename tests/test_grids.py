@@ -14,13 +14,14 @@ from stefansim.grids import (
     band_limited,
     bulk_sum,
     d_tangential,
+    d_tangential_hats,
     first_walls,
     halves,
-    integrate_halves,
     interface_sum,
     l2_interface,
     second_walls,
     tail_fraction_hat,
+    tangential_multipliers,
 )
 
 
@@ -138,6 +139,30 @@ def test_normal_derivative_second_order(op, exact):
     assert np.all(orders >= 1.9)
 
 
+def nested_d_tangential(v, factors):
+    """The derivative named by ``factors`` as nested ``d_tangential`` calls,
+    the first factor applied first (order 0 is v itself)."""
+    for order in factors:
+        v = d_tangential(v, order) if order else v
+    return v
+
+
+@pytest.mark.parametrize("n_x", [16, 64])
+def test_derivative_factors_match_nested_calls(n_x):
+    # a field with every mode, the Nyquist mode included
+    v = np.random.default_rng(7).standard_normal((n_x, 5))
+    v_hat = np.fft.rfft(v, axis=0)
+    assert np.all(v_hat[-1] != 0.0)
+    terms = ((1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1))
+    got = d_tangential_hats(v_hat, n_x, terms)
+    for row, factors in zip(got, terms):
+        ref = nested_d_tangential(v, factors)
+        assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max(), factors
+        nyquist = (v_hat * tangential_multipliers(n_x, (factors,))[0][:, None])[-1]
+        odd = any(order % 2 == 1 for order in factors)
+        assert np.all((nyquist == 0.0) == odd), factors
+
+
 # ------------------------------------------------------------ quadrature
 
 def test_quadrature_reference_values():
@@ -149,21 +174,21 @@ def test_quadrature_reference_values():
     assert l2_interface(np.sin(tg.nodes), tg) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
 
-def test_integrate_halves_matches_plain_when_continuous():
+def test_bulk_sum_of_halves_matches_plain_when_continuous():
     grids = Grids(TangentialGrid(16), NormalGrid(17))
     x, z = grids.meshes()
     v = np.cos(x) ** 2 * (1.0 + z**2)
-    assert integrate_halves(halves(v, grids.normal), grids) == pytest.approx(
+    assert bulk_sum(halves(v, grids.normal), grids) == pytest.approx(
         bulk_sum(v, grids), rel=1e-13)
 
 
-def test_integrate_halves_counts_interface_row_once_per_side():
+def test_bulk_sum_of_halves_counts_interface_row_once_per_side():
     # integrand 1 on the upper side, 0 on the lower: only the upper
     # half-strip (area 2 pi) contributes
     grids = Grids(TangentialGrid(16), NormalGrid(17))
     sided = halves(np.zeros(grids.shape), grids.normal)
     sided[..., 1, :] = 1.0
-    assert integrate_halves(sided, grids) == pytest.approx(2 * np.pi, rel=1e-13)
+    assert bulk_sum(sided, grids) == pytest.approx(2 * np.pi, rel=1e-13)
 
 
 # --------------------------------------------- band-limited random fields
@@ -176,14 +201,11 @@ def test_parseval_weights_match_the_bulk_rule(n_x, n_z):
     rng = np.random.default_rng(5)
     v = rng.standard_normal(grids.shape)  # every mode, the Nyquist mode included
     v_hat = np.fft.rfft(v, axis=0)
-    for terms in (((0, False),), ((1, True),), ((2, False),), ((2, True),),
-                  ((0, False), (1, True)), ((1, True), (3, True), (4, False))):
+    for terms in (((0,),), ((1,),), ((2,),), ((1, 1),),
+                  ((0,), (1,)), ((1,), (3,), (4,))):
         ref = 0.0
-        for order, zero_nyquist in terms:
-            mult = (1j * np.arange(n_x // 2 + 1)) ** order
-            if zero_nyquist:
-                mult[-1] = 0.0
-            ref += bulk_sum(np.fft.irfft(v_hat * mult[:, None], n=n_x, axis=0) ** 2, grids)
+        for factors in terms:
+            ref += bulk_sum(nested_d_tangential(v, factors) ** 2, grids)
         weights = parseval_weights(grids.tangential, grids.normal, terms)
         got = float(np.sum(weights * np.abs(v_hat) ** 2))
         assert got == pytest.approx(ref, rel=1e-13), terms
