@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, summarized into a BENCH_<n>.json.
 
+    git worktree add --detach ../parent <parent commit>
     python scripts/bench_pairs.py --parent ../parent --change . --pairs 10 \\
-        --out BENCH_18.json
+        --out BENCH_20.json
+
+Make the parent checkout with ``git worktree add --detach``, as above.
+Both checkouts' commit ids are resolved before the first run and
+recorded; a checkout without one (a ``git archive`` copy, say) is an
+error before any run.
 
 For each workload that ``bench/run.py`` offers (its own WORKLOADS), pair
 i (1, 2, ...) runs ``bench/run.py --seconds 30 --trace 0 --seed 101*i``
@@ -82,11 +88,13 @@ def summarize(runs):
 
 
 def git_head(checkout):
+    """The commit id of ``checkout``; SystemExit naming it if it has none."""
     try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                              text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise SystemExit(f"{checkout}: no git commit id ({exc}); make the checkout with "
+                         "`git worktree add --detach`") from None
 
 
 def host():
@@ -104,6 +112,7 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
+    commits = {side: git_head(path) for side, path in checkouts.items()}
     names = workloads(args.change)
 
     runs = {w: [] for w in names}
@@ -123,8 +132,8 @@ def main(argv=None):
                   "end-to-end metric's medians, the parent's quartiles and the number of pairs "
                   "the change won."),
         "host": host(),
-        "parent": git_head(args.parent),
-        "change": git_head(args.change),
+        "parent": commits["parent"],
+        "change": commits["change"],
         "runs": runs,
         "summary": summarize(runs),
         "trace": trace,

@@ -95,8 +95,10 @@ def _parse_k_values(raw):
         if not tok:
             continue
         if ":" in tok:
-            lo, _, hi = tok.partition(":")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in tok.split(":", 1))
+            if hi < lo:
+                raise ValueError(f"k range {tok!r} runs backwards")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(tok))
     return sorted(set(out))

@@ -120,14 +120,6 @@ class DerivativeStack:
         return self.quotients("rho", s + 1)[s]
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    """Partial sum plus the (mu, s) terms that lacked history."""
-
-    value: float
-    missing: tuple = ()
-
-
 def _i_psi_args(omega, psi):
     """(Hessian of omega, 1/<psi>, psi_x, grid spacing)."""
     px = d_tangential(psi, 1)
@@ -194,14 +186,18 @@ def _interface_terms(v, mu, eps, L, px, g):
 
 @dataclass(frozen=True)
 class Functionals:
-    """Every per-step functional of one DerivativeStack."""
+    """Every per-step functional of one DerivativeStack, a partial sum
+    each, and the (mu, s) terms that lacked history: ``missing_E`` those of
+    the E sums, ``missing_D`` of the D sums (``EnergyReport``'s fields)."""
 
-    E: FunctionalValue
-    D: FunctionalValue
-    E_eps: FunctionalValue
-    D_eps: FunctionalValue
-    sobolev_E: FunctionalValue
-    sobolev_D: FunctionalValue
+    E: float
+    D: float
+    E_eps: float
+    D_eps: float
+    sobolev_E: float
+    sobolev_D: float
+    missing_E: tuple
+    missing_D: tuple
     i_psi_min_gap: float
 
 
@@ -293,14 +289,10 @@ def evaluate_functionals(stack, eps):
                 Y += 2.0 * interface_sum(vt3**2 * L, g.tangential)
                 sob_Y += interface_sum(vt3**2, g.tangential)
 
-    missing_E, missing_D = tuple(missing_E), tuple(missing_D)
     return Functionals(
-        E=FunctionalValue(E, missing_E),
-        D=FunctionalValue(D, missing_D),
-        E_eps=FunctionalValue(E + eps * X, missing_E),
-        D_eps=FunctionalValue(D + eps * Y, missing_D),
-        sobolev_E=FunctionalValue(sob_E + eps * sob_X, missing_E),
-        sobolev_D=FunctionalValue(sob_D + eps * sob_Y, missing_D),
+        E=E, D=D, E_eps=E + eps * X, D_eps=D + eps * Y,
+        sobolev_E=sob_E + eps * sob_X, sobolev_D=sob_D + eps * sob_Y,
+        missing_E=tuple(missing_E), missing_D=tuple(missing_D),
         i_psi_min_gap=min(gaps, default=0.0),
     )
 

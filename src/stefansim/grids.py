@@ -148,15 +148,29 @@ def tangential_multipliers(n, terms):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _distinct_terms(terms):
+    """The first term of each multiplier (total order, ``_zero_nyquist``)
+    and each term's index among those terms (None if all differ)."""
+    rows = {}  # multiplier -> its index
+    index = [rows.setdefault((sum(f), _zero_nyquist(f)), len(rows)) for f in terms]
+    if len(rows) == len(terms):
+        return terms, None
+    return tuple(terms[index.index(i)] for i in range(len(rows))), tuple(index)
+
+
 def d_tangential_hats(hat, n, terms):
     """The derivatives ``terms`` (each named by the orders of its factors)
     of the n-point field whose rfft along axis 0 is ``hat``, from one
     multiplication by the cached ``tangential_multipliers`` and one
-    batched inverse transform: row i of the result is the derivative
-    terms[i].  No finiteness check."""
-    mult = tangential_multipliers(n, terms)
+    batched inverse transform of each distinct multiplier: entry i is the
+    derivative terms[i], a row that terms of one multiplier share.  No
+    finiteness check."""
+    distinct, index = _distinct_terms(terms)
+    mult = tangential_multipliers(n, distinct)
     mult = mult.reshape(mult.shape + (1,) * (hat.ndim - 1))
-    return np.fft.irfft(hat * mult, n=n, axis=1)
+    out = np.fft.irfft(hat * mult, n=n, axis=1)
+    return out if index is None else [out[i] for i in index]
 
 
 def power_spectrum(hat):

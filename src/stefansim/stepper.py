@@ -24,13 +24,13 @@ satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
 (second-order Neumann); the interface row is a Dirichlet row.
 
 The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
-loop, which reuses the fields u_m's solve returned.  Iterate 1 starts
-from the predictor 2 rho_n - rho_{n-1}, and its lag loop from
-2 u_n - u_{n-1} with the same combination of the two levels' fields (no
-transform), which ``run`` passes whenever its history holds two levels
-of the current dt (not on step 1, nor on the first step after a dt
-halving); otherwise they start from rho_n and u_old.  Iterate 1's
-difference is measured against u_old either way.  Each later rho_m is a
+loop, which reuses the fields u_m's solve returned.  Given the level one
+dt back (``run``'s history holds it at the current dt, except on step 1
+and the first step after a dt halving), iterate 1 starts from the
+predictor 2 rho_n - rho_{n-1} and its lag loop from 2 u_n - u_{n-1},
+with the same combination of the two levels' fields (no transform);
+otherwise they start from rho_n and u_old.  Iterate 1's difference is
+measured against u_old either way.  Each later rho_m is a
 secant step (Anderson mixing of depth 1) from the last two iterates and
 their images; it falls back to the plain image, and mixes again from the
 next iterate, when the residual does not change or when a mixed
@@ -70,14 +70,18 @@ returns the new level.  ``run`` keeps the records in its bounded
 history only, and its reports read their transforms, Q and model
 energies.
 
-Every solve has one call shape,
-``temperature_step(step, coef, cfg, grids, dirichlet=..., warm=...)``:
+The stages read their records and cfg, whose ``grids()`` and
+``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
+t_new=..., forcing=..., prev=...)``, ``interface_step(u_new, old, cfg,
+...)``, which reads rho's rfft from the old level, and every solve's one
+call shape ``temperature_step(step, coef, dirichlet=..., warm=...)``.
 ``step`` is the ``_Step`` that ``_prepare_step`` builds once per time
-step, before the first iterate (the factors, 1/dt and theta, u_old with
-the fields its level holds and its norm, the forcing and
-u_old / dt + theta f_new), and the iterate adds its frozen coefficients
-and Dirichlet data.  The steady solve of ``compatible_initial_temperature``
-builds its own ``_Step`` with 1/dt = 0 and theta = 1.
+step, before the first iterate (the grids, the factors, 1/dt and theta,
+u_old with its level's fields and its norm, the forcing and
+u_old / dt + theta f_new); the iterate adds its frozen coefficients and
+Dirichlet data, and ``SolverConfig``'s constants set the tolerances.
+The steady solve of ``compatible_initial_temperature`` builds its own
+``_Step`` with 1/dt = 0 and theta = 1.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
 once per iterate) makes no 2-D transform: the solve's Fourier
@@ -94,6 +98,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -155,11 +160,19 @@ class SolverConfig:
             raise ValueError("k_diag must be in 0..3")
         self.grids()  # rejects n_x and n_z the grids cannot take
 
-    def grids(self):
-        return Grids(TangentialGrid(self.n_x), NormalGrid(self.n_z))
+    def grids(self):  # one shared instance per (n_x, n_z)
+        return _grids(self.n_x, self.n_z)
 
-    def cutoff(self):
-        return Cutoff(self.alpha)
+    def cutoff(self):  # one shared instance per alpha
+        return _cutoff(self.alpha)
+
+
+@cache
+def _grids(n_x, n_z):
+    return Grids(TangentialGrid(n_x), NormalGrid(n_z))
+
+
+_cutoff = cache(Cutoff)
 
 
 @dataclass(frozen=True)
@@ -229,22 +242,27 @@ class Level(State):
     E_bar: tuple = None
 
 
-def make_level(t, u, rho, cutoff, grids, *, fields=None, rho_hat=None, forcing=None):
+def make_level(t, u, rho, cutoff, grids, *, fields=None, forcing=None):
     """The ``Level`` of the state (t, u, rho): the one constructor of level
     records, for ``run``'s history and for callers that hold raw arrays.
-    ``fields`` (u's ``_bulk_fields``) and ``rho_hat`` are those an accepted
-    step's final solve already holds, and are built here when not given;
-    ``forcing`` is the forcing's values at t, if already evaluated.  No
-    finiteness check."""
+    ``fields`` (u's ``_bulk_fields``) are those an accepted step's final
+    solve already holds, and are built here when not given; rho's
+    transforms come from ``_interface_transforms``.  ``forcing`` is the
+    forcing's values at t, if already evaluated.  No finiteness check."""
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if fields is None:
         fields = _bulk_fields(u, np.fft.rfft(u, axis=0), grids)
-    if rho_hat is None:
-        rho_hat = np.fft.rfft(rho)
-    rho_x, rho_xx = d_tangential_hats(rho_hat, grids.tangential.n_x, ((1,), (2,)))
+    rho_hat, rho_x, rho_xx = _interface_transforms(rho, grids.tangential.n_x)
     return Level(t=t, u=u, rho=rho, fields=fields, u_hat=fields.hat, rho_hat=rho_hat, rho_x=rho_x,
                  rho_xx=rho_xx, Q=conserved_quantity(u, rho, cutoff, grids), forcing=forcing)
+
+
+def _interface_transforms(rho, n_x):
+    """(rfft, slope, second derivative) of the interface rho: every
+    tangential derivative of an interface comes from this one FFT."""
+    rho_hat = np.fft.rfft(rho)
+    return (rho_hat, *d_tangential_hats(rho_hat, n_x, ((1,), (2,))))
 
 
 def _extrapolate(last, prev):
@@ -260,12 +278,13 @@ def _extrapolate(last, prev):
 
 @dataclass(frozen=True)
 class _Step:
-    """What every temperature solve of one step shares: the ``_BulkLU``
-    factored at the step's first interface iterate, 1/dt (0 for the
-    steady solve) and theta, u_old with its ``_bulk_fields`` and norm, the
-    bulk forcing at both time levels (zeros without forcing), the norm of
-    their theta blend, and the part of the right-hand side they fix,
-    u_old / dt + theta f_new.  Made by ``_prepare_step``."""
+    """What every temperature solve of one step shares: the grids, the
+    ``_BulkLU`` factored at the step's first interface iterate, 1/dt (0
+    for the steady solve) and theta, u_old with its ``_bulk_fields`` and
+    norm, the bulk forcing at both time levels (zeros without forcing), the
+    norm of their theta blend, and the part of the right-hand side they
+    fix, u_old / dt + theta f_new.  Made by ``_prepare_step``."""
+    grids: Grids
     bulk: _BulkLU
     inv_dt: float
     theta: float
@@ -285,7 +304,7 @@ def _prepare_step(a_mean, u_old, fields_old, forcing_new, forcing_old, inv_dt, t
     f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
     f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
     return _Step(
-        bulk=_BulkLU(a_mean, inv_dt, theta, grids), inv_dt=inv_dt, theta=theta,
+        grids=grids, bulk=_BulkLU(a_mean, inv_dt, theta, grids), inv_dt=inv_dt, theta=theta,
         u=u_old, fields=fields_old,
         norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
         norm_f=np.linalg.norm(theta * f_new + (1.0 - theta) * f_old),
@@ -439,12 +458,12 @@ def _interior_operator(coef, fields):
     return out, sum(np.linalg.norm(t) for t in terms)
 
 
-def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
+def temperature_step(step, coef, *, dirichlet, warm):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
     ``step`` is the ``_Step`` every solve of one time step shares (the
-    factored operator, 1/dt and theta, u_old's fields and norm, the
-    forcing and the fixed part of the right-hand side); ``coef`` holds the
+    grids, the factored operator, 1/dt and theta, u_old's fields and norm,
+    the forcing and the fixed part of the right-hand side); ``coef`` holds the
     frozen coefficients and ``dirichlet`` the interface values.  The lag
     loop lags whatever of ``coef.a`` the factored a_mean leaves out; a
     step with inv_dt = 0 gives the steady solve used to build compatible
@@ -454,8 +473,8 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
     u_new's ``_bulk_fields``, its rfft included, which a solve
     warm-started from u_new and the fixed-point norm reuse, and
     lag_iterations counts every operator application, GMRES's included.
-    Raises LinearSolveError if the solve cannot reach ``cfg.lin_tol`` and
-    NonFiniteFieldError on a non-finite iterate.
+    Raises LinearSolveError if the solve cannot reach
+    ``SolverConfig.lin_tol`` and NonFiniteFieldError on a non-finite iterate.
 
     Each lag iteration makes one forward transform (of its right-hand
     side) and three inverse ones: u_new, u_xx and u_xz all come from the
@@ -486,8 +505,9 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
     that many fields.  An application builds only the ``_lagged_fields``
     of its vector: two inverse transforms, with that of the solve.
     """
-    bulk, inv_dt, theta = step.bulk, step.inv_dt, step.theta
+    grids, bulk, inv_dt, theta = step.grids, step.bulk, step.inv_dt, step.theta
     u_old, f_new = step.u, step.f_new
+    lin_tol, max_iter = SolverConfig.lin_tol, SolverConfig.lin_max_iter
     mid = grids.normal.i_mid
     n_x = grids.tangential.n_x
     a_fluct = coef.a - bulk.a_mean[None, :]  # the lagged part of a
@@ -544,19 +564,19 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
 
         op = LinearOperator((u_new.size,) * 2, matvec=apply, dtype=float)
         residual = np.inf
-        while used + matvecs < cfg.lin_max_iter:
+        while used + matvecs < max_iter:
             d, _ = gmres(op, -inv_m(r).ravel(), rtol=KRYLOV_RTOL, atol=0.0,
-                         restart=cfg.lin_max_iter - used - matvecs, maxiter=1)
+                         restart=max_iter - used - matvecs, maxiter=1)
             d = d.reshape(grids.shape)
             d[:, mid] = 0.0
             u_new = u_new + d
             _require_finite(u_new, "temperature iterate (GMRES)")
             fields, r, residual = measure(u_new, np.fft.rfft(u_new, axis=0))
-            if residual <= cfg.lin_tol:
+            if residual <= lin_tol:
                 return u_new, float(residual), used + matvecs, fields
         raise LinearSolveError(
             f"temperature solve stalled: GMRES reached relative residual {residual:.3e} "
-            f"within {cfg.lin_max_iter} operator applications (lin_tol={cfg.lin_tol:.1e})",
+            f"within {max_iter} operator applications (lin_tol={lin_tol:.1e})",
             residual=float(residual),
         )
 
@@ -566,19 +586,19 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
     assert fields.hat is not None or warm.fp_diff == np.inf, "start without hat needs fp_diff inf"
     best, residuals = None, []
     last_update = np.inf
-    for it in range(1, cfg.lin_max_iter + 1):
+    for it in range(1, max_iter + 1):
         x_hat = lag_solve(fields.zz, fields.xz, fields.z, base_rhs, dir_hat)
         u_new = np.fft.irfft(x_hat, n=n_x, axis=0)
         _require_finite(u_new, f"temperature iterate (lag iteration {it})")
         prev_hat = fields.hat
         fields, r, residual = measure(u_new, x_hat)
-        if residual <= cfg.lin_tol:
-            if warm.fp_diff == np.inf or it == cfg.lin_max_iter:
+        if residual <= lin_tol:
+            if warm.fp_diff == np.inf or it == max_iter:
                 return u_new, float(residual), it, fields
             # measured only once the residual test holds
             update = np.sqrt(state_energy_k0(u_new - u_prev, x_hat - prev_hat, None, warm.norm))
             if (update <= WARM_FP_FRACTION * warm.fp_diff
-                    or update <= WARM_TOL_FRACTION * cfg.fp_tol
+                    or update <= WARM_TOL_FRACTION * SolverConfig.fp_tol
                     or update >= last_update):
                 return u_new, float(residual), it, fields
             last_update = update
@@ -591,20 +611,20 @@ def temperature_step(step, coef, cfg, grids, *, dirichlet, warm):
         u_prev = u_new
     raise LinearSolveError(
         f"temperature solve stalled at relative residual {residual:.3e} "
-        f"after {cfg.lin_max_iter} lag iterations (lin_tol={cfg.lin_tol:.1e})",
+        f"after {max_iter} lag iterations (lin_tol={lin_tol:.1e})",
         residual=float(residual),
     )
 
 
-def interface_step(u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
-                   jump_response, jump_forcing=None, rhs_old=None):
+def interface_step(u_new, old, cfg, *, rho_x, rho_hat, jump_response, jump_forcing=None,
+                   rhs_old=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
-    Returns rho_new.  rho_base is the previous *accepted* interface, so
-    rho_t = (rho_new - rho_base) / dt; rhs_old is the jump right-hand side
-    at the old time (only needed for theta < 1).  rho_x and rho_hat are
-    the slope and the rfft of the current iterate rho_m, which the caller
-    already holds.
+    Returns rho_new.  ``old`` is the ``Level`` of the previous *accepted*
+    state, so rho_t = (rho_new - old.rho) / dt, and its rfft is read from
+    it; rhs_old is the jump right-hand side at the old time (only needed
+    for theta < 1).  rho_x and rho_hat are the slope and the rfft of the
+    current iterate rho_m, which the caller already holds.
 
     (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
     with the flat-state linear model of the curvature-to-jump chain,
@@ -615,26 +635,17 @@ def interface_step(u_new, rho_base, cfg, grids, *, rho_x, rho_hat,
     successive substitution diverge.  sigma_k = 0 gives the plain
     regularized update.
     """
-    rho_base = np.asarray(rho_base, dtype=float)
-    n_x = grids.tangential.n_x
     bracket2 = 1.0 + rho_x**2
-    rhs_new = bracket2 * jump_normal_derivative(np.asarray(u_new, dtype=float), grids)
+    rhs_new = bracket2 * jump_normal_derivative(np.asarray(u_new, dtype=float), cfg.grids())
     if jump_forcing is not None:
         rhs_new = rhs_new + np.asarray(jump_forcing, dtype=float)
     theta = cfg.theta
     rhs = rhs_new if theta == 1.0 else theta * rhs_new + (1.0 - theta) * np.asarray(rhs_old)
-    k = np.arange(n_x // 2 + 1, dtype=float)
+    k = np.arange(cfg.n_x // 2 + 1, dtype=float)
     reg = 1.0 + cfg.epsilon * k**4
     stab = cfg.dt * theta * k**2 * jump_response  # dt theta k^2 sigma_k
-    num = reg * np.fft.rfft(rho_base) + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
-    return np.fft.irfft(num / (reg + stab), n=n_x)
-
-
-def _interface_transforms(rho, n_x):
-    """(rfft, slope, second derivative) of the interface rho: every
-    tangential derivative of an interface comes from this one FFT."""
-    rho_hat = np.fft.rfft(rho)
-    return (rho_hat, *d_tangential_hats(rho_hat, n_x, ((1,), (2,))))
+    num = reg * old.rho_hat + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
+    return np.fft.irfft(num / (reg + stab), n=cfg.n_x)
 
 
 def compatible_initial_temperature(rho0, cfg):
@@ -643,17 +654,17 @@ def compatible_initial_temperature(rho0, cfg):
     Solves the stationary frozen-coefficient problem (the 1/dt mass term
     switched off, theta = 1 whatever cfg.theta: no old level exists at
     t = 0); this is the initial bulk state consistent with the interface
-    at t = 0.  The coefficients and the curvature share one rfft of rho0.
+    at t = 0.  It starts from the ``make_level`` of u = 0 at rho0, whose
+    rfft of rho0 the coefficients and the curvature share.
     """
-    grids = cfg.grids()
+    grids, cutoff = cfg.grids(), cfg.cutoff()
     rho0 = np.asarray(rho0, dtype=float)
     _require_finite(rho0, "initial interface")
-    rho_hat, rx, rxx = _interface_transforms(rho0, cfg.n_x)
-    coef = coefficients(rho0, np.zeros_like(rho0), cfg.cutoff(), grids, rho_x=rx, rho_xx=rxx)
-    zero = np.zeros(grids.shape)
-    fields = _bulk_fields(zero, np.fft.rfft(zero, axis=0), grids)
-    step = _prepare_step(coef.a.mean(axis=0), zero, fields, None, None, 0.0, 1.0, grids)
-    u0, _, _, _ = temperature_step(step, coef, cfg, grids, dirichlet=curvature_hat(rho_hat, rx),
+    zero = make_level(0.0, np.zeros(grids.shape), rho0, cutoff, grids)
+    coef = coefficients(rho0, np.zeros_like(rho0), cutoff, grids,
+                        rho_x=zero.rho_x, rho_xx=zero.rho_xx)
+    step = _prepare_step(coef.a.mean(axis=0), zero.u, zero.fields, None, None, 0.0, 1.0, grids)
+    u0, _, _, _ = temperature_step(step, coef, dirichlet=curvature_hat(zero.rho_hat, zero.rho_x),
                                    warm=_WarmStart(step.u, step.fields, np.inf, None))
     return u0
 
@@ -688,70 +699,69 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
-def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred=None,
-                     u_start=None):
+def fixed_point_step(level, cfg, *, t_new, forcing=None, prev=None):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
 
-    ``state`` is the ``Level`` of the old time (a plain ``State`` is made
-    into one by ``make_level``), and the step reads its fields, transforms
-    and, at theta < 1, its forcing, which it evaluates and keeps there on
-    first use.  The new ``Level`` carries the final solve's fields, the
-    accepted rho's transform and the forcing at t_new.
+    ``level`` is the ``Level`` of the old time (``make_level`` builds one
+    from raw arrays), and the step reads its fields, transforms and, at
+    theta < 1, its forcing, which it evaluates and keeps there on first
+    use; ``prev`` is the ``Level`` one dt before it, or None.  The new
+    ``Level`` carries the final solve's fields, the accepted rho's
+    transforms and the forcing at t_new.
 
     Iterates the map G: rho_m -> rho_next (temperature solve with the
     curvature of rho_m as Dirichlet data, then interface update; u_m only
     warm-starts the next solve) until the difference of the unmixed pair
     (u_next, rho_next) from (u_m, rho_m), measured in the order-0
     regularized-energy norm at rho_m, drops below fp_tol; the accepted
-    state is that pair, a true output of G.  Iterate 1 starts from the
-    predicted interface ``rho_pred`` when given, else from state.rho, and
-    its lag loop from ``u_start``, a (u, fields) pair, when given, else
-    from u_old; iterate 1's difference is measured against u_old either
-    way.  Each later rho_m is the ``_Secant`` mix of the last two
-    iterates.  The coefficients are frozen at the theta blend of rho_m and
-    state.rho.  The report carries the accepted state's trace gap
+    state is that pair, a true output of G.  With ``prev``, iterate 1
+    starts from the predictor 2 rho_n - rho_{n-1} and its lag loop from
+    ``_extrapolate``'s 2 u_n - u_{n-1}; without, from level.rho and u_old.
+    Iterate 1's difference is measured against u_old either way.  Each
+    later rho_m is the ``_Secant`` mix of the last two iterates.  The
+    coefficients are frozen at the theta blend of rho_m and level.rho.
+    The report carries the accepted state's trace gap
     max |u(., 0) - kappa(rho) - g|.
     """
-    dt, theta, n_x = cfg.dt, cfg.theta, grids.tangential.n_x
-    if not isinstance(state, Level):
-        state = make_level(state.t, state.u, state.rho, cutoff, grids)
+    grids, cutoff, dt, theta, n_x = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta, cfg.n_x
     f_new = f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
     if forcing is not None:
         f_new = forcing.at(t_new)
         f_bulk_new, g_dir, f_jump_new = f_new
         if theta < 1.0:
-            if state.forcing is None:
-                state.forcing = forcing.at(state.t)
-            f_bulk_old, _, f_jump_old = state.forcing
+            if level.forcing is None:
+                level.forcing = forcing.at(level.t)
+            f_bulk_old, _, f_jump_old = level.forcing
     # each iterate's transforms are taken at the end of the iterate before,
     # iterate 1's here (or held by the old level)
-    base_x, base_xx = state.rho_x, state.rho_xx
-    rho_m, rho_hat, rx, rxx = state.rho, state.rho_hat, base_x, base_xx
-    if rho_pred is not None:
-        rho_m = np.asarray(rho_pred, dtype=float)
+    base_x, base_xx = level.rho_x, level.rho_xx
+    rho_m, rho_hat, rx, rxx = level.rho, level.rho_hat, base_x, base_xx
+    u_m, fields_m = level.u, level.fields
+    start = (u_m, fields_m)  # where the next lag loop starts
+    if prev is not None:
+        rho_m = 2.0 * level.rho - prev.rho
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
+        start = _extrapolate(level, prev)
     rhs_old = None
     if theta < 1.0:
-        rhs_old = (1.0 + base_x**2) * jump_normal_derivative(state.u, grids)
+        rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids)
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
     weights = norm_weights(rho_m, rx, cutoff, grids)  # (a, <rho>) at iterate 1's rho_m
-    step = _prepare_step(weights[0].mean(axis=0), state.u, state.fields, f_bulk_new, f_bulk_old,
+    step = _prepare_step(weights[0].mean(axis=0), level.u, level.fields, f_bulk_new, f_bulk_old,
                          1.0 / dt, theta, grids)
     sigma = step.bulk.jump_response()
 
-    u_m, fields_m = state.u, state.fields
-    start = (u_m, fields_m) if u_start is None else u_start  # where the next lag loop starts
     mixer = _Secant()
     norms = []
     diff = np.inf  # iterate 1 has no previous difference to measure against
     lin_res_max, lag_total = 0.0, 0
     for m in range(1, cfg.fp_max_iter + 1):
-        # frozen at the theta blend of rho_m and state.rho, and of their
+        # frozen at the theta blend of rho_m and level.rho, and of their
         # derivatives; at theta = 1 the blend is rho_m bitwise
-        coef = coefficients(theta * rho_m + (1.0 - theta) * state.rho,
-                            (rho_m - state.rho) / dt, cutoff, grids,
+        coef = coefficients(theta * rho_m + (1.0 - theta) * level.rho,
+                            (rho_m - level.rho) / dt, cutoff, grids,
                             rho_x=theta * rx + (1.0 - theta) * base_x,
                             rho_xx=theta * rxx + (1.0 - theta) * base_xx)
         # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
@@ -762,9 +772,8 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
         u_next, lin_res, lag_iters, fields_next = temperature_step(
-            step, coef, cfg, grids, dirichlet=dirichlet,
-            warm=_WarmStart(*start, diff, norm_m))
-        rho_next = interface_step(u_next, state.rho, cfg, grids, rho_x=rx, rho_hat=rho_hat,
+            step, coef, dirichlet=dirichlet, warm=_WarmStart(*start, diff, norm_m))
+        rho_next = interface_step(u_next, level, cfg, rho_x=rx, rho_hat=rho_hat,
                                   jump_response=sigma, jump_forcing=f_jump_new, rhs_old=rhs_old)
         lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
@@ -774,7 +783,7 @@ def fixed_point_step(state, cfg, grids, cutoff, *, t_new, forcing=None, rho_pred
         norms.append(diff)
         if diff <= cfg.fp_tol:
             new = make_level(t_new, u_next, rho_next, cutoff, grids, fields=fields_next,
-                             rho_hat=np.fft.rfft(rho_next), forcing=f_new)
+                             forcing=f_new)
             trace = u_next[:, grids.normal.i_mid] - curvature_hat(new.rho_hat, new.rho_x)
             return new, StepReport(
                 fp_norms=tuple(norms), lin_residual=lin_res_max, lag_iters=lag_total,
@@ -803,32 +812,27 @@ class RunResult:
     steady_level: float
 
 
-def _make_report(history, cfg, grids, cutoff, steady_level, step_report,
-                 compute_identity):
+def _make_report(history, cfg, steady_level, step_report, compute_identity):
     """Diagnostics of the newest history level.  Its (u, rho) are checked
     for finiteness here, once: every earlier level was checked when it was
     the newest."""
+    grids, cutoff = cfg.grids(), cfg.cutoff()
     new = history[-1]
     _require_finite(new.u, "accepted u")
     _require_finite(new.rho, "accepted rho")
     cons_res = conservation_residual(history[-2], new) if len(history) >= 2 else 0.0
     stack = DerivativeStack(grids, cutoff, cfg.k_diag, history)
     f = evaluate_functionals(stack, cfg.epsilon)
-    _require_finite([f.E.value, f.D.value, f.E_eps.value, f.D_eps.value,
-                     f.sobolev_E.value, f.sobolev_D.value], "functionals")
+    _require_finite([f.E, f.D, f.E_eps, f.D_eps, f.sobolev_E, f.sobolev_D], "functionals")
     rho_dev = l2_interface(new.rho - steady_level, grids.tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
         window = [history[-3], history[-2], history[-1]]
         identity_res = identity_residual_k0(window, cfg.epsilon, cutoff, grids).residual
     return EnergyReport(
-        t=stack.t, E=f.E.value, D=f.D.value, E_eps=f.E_eps.value, D_eps=f.D_eps.value,
-        sobolev_E=f.sobolev_E.value, sobolev_D=f.sobolev_D.value, cons_residual=cons_res,
-        rho_dev_L2=rho_dev,
+        t=stack.t, **vars(f), cons_residual=cons_res, rho_dev_L2=rho_dev,
         identity_residual=identity_res,
         inner_iters=step_report.inner_iters if step_report else 0,
-        missing_E=f.E.missing, missing_D=f.D.missing,
-        i_psi_min_gap=f.i_psi_min_gap,
     )
 
 
@@ -867,14 +871,11 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     the reports their quotients' transforms, Q and the model energy.  The
     states passed to callbacks and returned carry only (t, u, rho).
 
-    Each step's fixed point starts from the linear extrapolation
-    2 rho_n - rho_{n-1} of the last two history levels, which sit one dt
-    apart, and its first lag loop from 2 u_n - u_{n-1} with the same
-    combination of the levels' fields; step 1 and the first step after a
-    halving have one level and start from rho_n and u_n.  Within the step
-    ``fixed_point_step`` mixes the interface iterates by a secant step and
-    stops on the unmixed pair, so the accepted state is an output of the
-    step's map.
+    Each step is passed the level one dt back as ``prev``, from which
+    ``fixed_point_step`` extrapolates its start (step 1 and the first step
+    after a halving have none and start from rho_n and u_n).  Within the
+    step it mixes the interface iterates by a secant step and stops on the
+    unmixed pair, so the accepted state is an output of the step's map.
 
     u0 must have the grid's shape (n_x, n_z) and rho0 the shape (n_x,),
     and t_end must be finite and >= 0; ``run`` raises ConfigError before
@@ -900,20 +901,13 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
     halvings = 0
     try:
-        reports.append(_make_report(history, cfg, grids, cutoff, steady_level, None,
-                                    compute_identity))
+        reports.append(_make_report(history, cfg, steady_level, None, compute_identity))
         while m < n_steps:
             t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
-            # linear extrapolation from the last two levels, which the
-            # history holds at the current dt only (it restarts on a halving)
-            rho_pred = u_start = None
-            if len(history) >= 2:
-                rho_pred = 2.0 * history[-1].rho - history[-2].rho
-                u_start = _extrapolate(history[-1], history[-2])
+            prev = history[-2] if len(history) >= 2 else None  # one dt back, or none
             try:
-                new, step_report = fixed_point_step(level, cfg, grids, cutoff, t_new=t_new,
-                                                    forcing=forcing, rho_pred=rho_pred,
-                                                    u_start=u_start)
+                new, step_report = fixed_point_step(level, cfg, t_new=t_new, forcing=forcing,
+                                                    prev=prev)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise
@@ -931,8 +925,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
             history.append(level)
             if len(history) >= 3:  # no step or predictor reads it again
                 history[-3].fields = history[-3].forcing = None
-            report = _make_report(history, cfg, grids, cutoff, steady_level,
-                                  step_report, compute_identity)
+            report = _make_report(history, cfg, steady_level, step_report, compute_identity)
             reports.append(report)
             for cb in callbacks:
                 cb(State(t=level.t, u=level.u, rho=level.rho), report)

@@ -165,8 +165,7 @@ def suite_norms():
         f = evaluate_functionals(stack, eps)
         C_E = equivalence_constant(stack.psi, cutoff, kind="E")
         C_D = equivalence_constant(stack.psi, cutoff, kind="D")
-        for val, sob, C in ((f.E_eps.value, f.sobolev_E.value, C_E),
-                            (f.D_eps.value, f.sobolev_D.value, C_D)):
+        for val, sob, C in ((f.E_eps, f.sobolev_E, C_E), (f.D_eps, f.sobolev_D, C_D)):
             if sob <= 0:
                 continue
             ratio = val / sob

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from stefansim.grids import first_walls
-from stefansim.stepper import SolverConfig, State, compatible_initial_temperature, make_level
+from stefansim.stepper import SolverConfig, compatible_initial_temperature, make_level
 from stefansim.transform import Cutoff
 
 settings.register_profile(
@@ -83,13 +83,14 @@ class ConstantForcing:
 
 @pytest.fixture(scope="session")
 def forced_step_problem():
-    """Builds (cfg, grids, cutoff, state, forcing) for one forced time step
-    at a non-flat interface, given theta."""
+    """Builds (cfg, grids, cutoff, level, forcing) for one forced time step
+    at a non-flat interface, given theta: level is the old time's
+    ``make_level``."""
     def build(theta):
         cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0, theta=theta)
         grids, cutoff = cfg.grids(), cfg.cutoff()
         x = grids.tangential.nodes
         rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
         u0 = compatible_initial_temperature(rho0, cfg)
-        return cfg, grids, cutoff, State(t=0.0, u=u0, rho=rho0), ConstantForcing(grids)
+        return cfg, grids, cutoff, make_level(0.0, u0, rho0, cutoff, grids), ConstantForcing(grids)
     return build

@@ -52,7 +52,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
 
     monkeypatch.setattr(stepper, "temperature_step", temperature)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
-    result = stepper.fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    result = stepper.fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
     assert isinstance(result, tuple) and len(result) == 2
     new_state, report = result
     assert isinstance(new_state, stepper.State)

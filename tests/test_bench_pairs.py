@@ -54,3 +54,25 @@ def test_summary_matches_pairs_by_seed(bench_pairs):
 
 def test_workloads_come_from_the_benchmark(bench_pairs):
     assert "mms-column" in bench_pairs.workloads(SCRIPT.parents[1])
+
+
+def test_a_checkout_without_a_commit_id_stops_before_any_run(bench_pairs, tmp_path,
+                                                             monkeypatch):
+    # the parent is a plain directory (a git archive copy, say): no commit
+    # id, so the script stops before it lists workloads or runs a benchmark
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    commands, real_run = [], bench_pairs.subprocess.run
+
+    def recording_run(cmd, *args, **kwargs):
+        commands.append(cmd)
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", recording_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match=str(parent)):
+        bench_pairs.main(["--parent", str(parent), "--change", str(SCRIPT.parents[1]),
+                          "--pairs", "1", "--out", str(out)])
+    assert commands and all(cmd[0] == "git" for cmd in commands)
+    assert not out.exists()

@@ -201,6 +201,15 @@ def test_spectrum_argument_validation(workdir, capsys):
     capsys.readouterr()
 
 
+def test_spectrum_rejects_a_reversed_k_range(workdir, capsys):
+    # a range that runs backwards is a config error naming it, not an
+    # empty range dropped in silence
+    assert main(["spectrum", "--k", "1,5:2", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'5:2'" in err
+    assert not list(workdir.rglob("spectrum.csv"))
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--k", "1", "--n-dense", "10"],
     ["spectrum", "--k", "1", "--eps", "-1"],

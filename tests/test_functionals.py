@@ -69,8 +69,8 @@ def test_energy_reference_values():
 
     quad_val, quad_err = quad(integrand, 0.0, 2 * np.pi, limit=200)
     assert quad_val == pytest.approx(E_REF, abs=10 * quad_err)
-    assert energy_eps(stack, 0.0).value == pytest.approx(E_REF, rel=1e-13)
-    assert energy_eps(stack, 1.0).value == pytest.approx(E_REF_EPS1, rel=1e-13)
+    assert energy_eps(stack, 0.0) == pytest.approx(E_REF, rel=1e-13)
+    assert energy_eps(stack, 1.0) == pytest.approx(E_REF_EPS1, rel=1e-13)
 
 
 def test_dissipation_reference_value():
@@ -85,7 +85,7 @@ def test_dissipation_reference_value():
 
     quad_val, quad_err = quad(integrand, 0.0, 2 * np.pi, limit=200)
     assert quad_val == pytest.approx(D_REF, abs=10 * quad_err)
-    assert dissipation_eps(stack, 0.0).value == pytest.approx(D_REF, rel=1e-13)
+    assert dissipation_eps(stack, 0.0) == pytest.approx(D_REF, rel=1e-13)
 
 
 # ------------------------------------------- shared-pass evaluator
@@ -182,11 +182,13 @@ def check_evaluator_against_reference(n_entries, k_diag):
     stack = DerivativeStack(grids, Cutoff(), k_diag, levels(grids, times, us, rhos))
     eps = 1e-3
     got = evaluate_functionals(stack, eps)
-    fields = (got.E, got.D, got.E_eps, got.D_eps, got.sobolev_E, got.sobolev_D)
+    values = (got.E, got.D, got.E_eps, got.D_eps, got.sobolev_E, got.sobolev_D)
+    missings = (got.missing_E, got.missing_D) * 3  # in the order of values
     ref_values, ref_missing = reference_functionals(stack, eps)
-    for fv, ref, missing in zip(fields, ref_values, ref_missing):
-        assert fv.missing == missing
-        assert fv.value == pytest.approx(ref, rel=1e-13, abs=0.0 if ref else 1e-300)
+    for value, got_missing, ref, missing in zip(values, missings, ref_values, ref_missing,
+                                                strict=True):
+        assert got_missing == missing
+        assert value == pytest.approx(ref, rel=1e-13, abs=0.0 if ref else 1e-300)
     # I_psi equals its lower bound in one tangential dimension: both gaps
     # are roundoff on the scale of the largest form
     hessians = [dx(stack.rho_quotient(s), mu) for mu, s in derivative_pairs(k_diag)
@@ -301,8 +303,8 @@ def test_energy_dissipation_monotone_in_eps(seed):
     times, us, rhos = random_state_history(rng, grids)
     stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, times, us, rhos))
     eps_grid = (0.0, 1e-4, 1e-2, 1.0)
-    e_vals = [energy_eps(stack, e).value for e in eps_grid]
-    d_vals = [dissipation_eps(stack, e).value for e in eps_grid]
+    e_vals = [energy_eps(stack, e) for e in eps_grid]
+    d_vals = [dissipation_eps(stack, e) for e in eps_grid]
     assert all(a <= b + 1e-12 for a, b in zip(e_vals, e_vals[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(d_vals, d_vals[1:]))
     assert e_vals[0] > 0 and d_vals[0] > 0
@@ -314,8 +316,9 @@ def test_sobolev_norms_of_zero_state():
     zeros_r = [np.zeros(16)] * 3
     stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0, 0.1, 0.2], zeros_u, zeros_r))
     sob_e, sob_d = sobolev_norms(stack, 0.5)
-    assert sob_e.value == 0.0 and sob_d.value == 0.0
-    assert sob_e.missing == () and sob_d.missing == ()
+    assert sob_e == 0.0 and sob_d == 0.0
+    f = evaluate_functionals(stack, 0.5)
+    assert f.missing_E == () and f.missing_D == ()
 
 
 # ----------------------------------------------------- conserved quantity
@@ -389,12 +392,11 @@ def test_stack_quotients_and_missing_flags():
     stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0], [u], [0.01 * np.sin(x)]))
     assert stack.u_quotient(0) is u or np.array_equal(stack.u_quotient(0), u)
     assert stack.u_quotient(1) is None
-    e_val = energy_eps(stack, 0.0)
-    assert e_val.missing == ((0, 1),)
-    assert e_val.value > 0.0
-    d_val = dissipation_eps(stack, 0.0)
-    assert set(d_val.missing) == {(0, 0), (1, 0), (2, 0), (0, 1)}
-    assert d_val.value == 0.0
+    f = evaluate_functionals(stack, 0.0)
+    assert f.missing_E == ((0, 1),)
+    assert energy_eps(stack, 0.0) > 0.0
+    assert set(f.missing_D) == {(0, 0), (1, 0), (2, 0), (0, 1)}
+    assert dissipation_eps(stack, 0.0) == 0.0
 
 
 def test_stack_quotients_linear_history_exact():

@@ -163,6 +163,34 @@ def test_derivative_factors_match_nested_calls(n_x):
         assert np.all((nyquist == 0.0) == odd), factors
 
 
+def test_derivative_batches_transform_each_distinct_multiplier_once(monkeypatch):
+    # the s = 0 batches of evaluate_functionals at k_diag = 2, eps != 0:
+    # d_z u_s (w and w_x), rho_s (four derivatives of each w) and rho_{s+1}
+    # (w_x and w_xxx), w = d_x^mu.  Rows that share a multiplier, such as
+    # (0, 3) and (1, 2), are transformed once, and each row has the bits
+    # of its derivative taken alone.
+    mus = range(5)
+    batches = ((8, [(mu,) for mu in mus] + [(mu, 1) for mu in mus]),
+               (11, [(mu, j) for mu in mus for j in (1, 2, 3, 4)]),
+               (7, [(mu, 1) for mu in mus] + [(mu, 3) for mu in mus]))
+    n_x = 32
+    hat = np.fft.rfft(np.random.default_rng(3).standard_normal((n_x, 2, 9)), axis=0)
+    rows, real_irfft = [], np.fft.irfft
+
+    def counting_irfft(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return real_irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    for distinct, terms in batches:
+        rows.clear()
+        got = d_tangential_hats(hat, n_x, tuple(terms))
+        assert rows == [distinct] and len(got) == len(terms)
+        for row, factors in zip(got, terms, strict=True):
+            alone = d_tangential_hats(hat, n_x, (factors,))[0]
+            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64)), factors
+
+
 # ------------------------------------------------------------ quadrature
 
 def test_quadrature_reference_values():

@@ -32,10 +32,17 @@ from stefansim.stepper import (
     compatible_initial_temperature,
     fixed_point_step,
     interface_step,
+    make_level,
     run,
     temperature_step,
 )
-from stefansim.transform import coefficients, curvature, jump_normal_derivative, norm_weights
+from stefansim.transform import (
+    Cutoff,
+    coefficients,
+    curvature,
+    jump_normal_derivative,
+    norm_weights,
+)
 
 
 # --------------------------------------------------------------- config
@@ -105,7 +112,7 @@ def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
                         rho_x=d_tangential(rho, 1), rho_xx=d_tangential(rho, 2))
     inv_dt = 1.0 / cfg.dt if inv_dt is None else inv_dt
     step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, inv_dt, cfg.theta, grids)
-    return temperature_step(step, coef, cfg, grids,
+    return temperature_step(step, coef,
                             dirichlet=curvature(rho) if dirichlet is None else dirichlet,
                             warm=cold_start(step))
 
@@ -496,7 +503,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     counts = count_transforms(monkeypatch)
     step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids)
     step.bulk.jump_response()
-    u, _, lag_iters, fields = temperature_step(step, coef, cfg, grids, dirichlet=dirichlet,
+    u, _, lag_iters, fields = temperature_step(step, coef, dirichlet=dirichlet,
                                                warm=cold_start(step))
     assert lag_iters >= 3
     assert counts["rfft"] <= lag_iters + 2
@@ -514,7 +521,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     warm = stepper._WarmStart(u, fields, 1e-9, norm)
     counts.update(rfft=0, irfft=0)
     _, residual, warm_iters, _ = temperature_step(
-        step, coef, cfg, grids, dirichlet=dirichlet + 1e-6 * np.cos(x), warm=warm)
+        step, coef, dirichlet=dirichlet + 1e-6 * np.cos(x), warm=warm)
     assert residual <= cfg.lin_tol and warm_iters >= 2
     assert counts["rfft"] == warm_iters + 1
     assert counts["irfft"] == 3 * warm_iters
@@ -540,6 +547,12 @@ def unstabilized(n_x):
     return {"jump_response": np.zeros(n_x // 2 + 1)}
 
 
+def accepted(rho, grids):
+    """The level of the accepted interface rho (with u = 0), whose rho and
+    rfft ``interface_step`` reads."""
+    return make_level(0.0, np.zeros(grids.shape), rho, Cutoff(), grids)
+
+
 def test_interface_step_explicit_forms(small_grids):
     n_x = small_grids.tangential.n_x
     x = small_grids.tangential.nodes
@@ -548,19 +561,19 @@ def test_interface_step_explicit_forms(small_grids):
     base = 0.02 * np.cos(2 * x)
 
     cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new = interface_step(u_zero, base, cfg, small_grids,
+    rho_new = interface_step(u_zero, accepted(base, small_grids), cfg,
                              jump_forcing=np.sin(x), **rho_transforms(zeros),
                              **unstabilized(n_x))
     assert np.abs((rho_new - base) / cfg.dt - np.sin(x)).max() < 1e-13
     assert np.abs(rho_new - base - cfg.dt * np.sin(x)).max() < 1e-14
 
     cfg1 = SolverConfig(epsilon=1.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new = interface_step(u_zero, base, cfg1, small_grids,
+    rho_new = interface_step(u_zero, accepted(base, small_grids), cfg1,
                              jump_forcing=np.sin(x), **rho_transforms(zeros),
                              **unstabilized(n_x))
     # (1 + eps k^4) at k=1
     assert np.abs((rho_new - base) / cfg1.dt - 0.5 * np.sin(x)).max() < 1e-13
-    rho_new = interface_step(u_zero, base, cfg1, small_grids,
+    rho_new = interface_step(u_zero, accepted(base, small_grids), cfg1,
                              jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros),
                              **unstabilized(n_x))
     assert np.abs((rho_new - base) / cfg1.dt - 0.4).max() < 1e-14  # the mean mode is never damped
@@ -570,8 +583,8 @@ def test_interface_step_theta_blends_right_hand_sides(small_grids):
     n_x = small_grids.tangential.n_x
     x = small_grids.tangential.nodes
     cfg = SolverConfig(theta=0.5, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
-                             small_grids, jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
+    rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), small_grids),
+                             cfg, jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
                              **rho_transforms(np.zeros(n_x)), **unstabilized(n_x))
     assert np.abs(rho_new / cfg.dt - 2.0 * np.sin(x)).max() < 1e-13
 
@@ -586,8 +599,8 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
     forcing = np.sin(x) + 0.2 * np.cos(3 * x)
     rho_m = cfg.dt * forcing  # = rho_base + dt * rhs with rho_base = 0
     sigma = 5.0 + np.arange(n_x // 2 + 1, dtype=float)
-    rho_new = interface_step(np.zeros(small_grids.shape), np.zeros(n_x), cfg,
-                             small_grids, jump_forcing=forcing, jump_response=sigma,
+    rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), small_grids),
+                             cfg, jump_forcing=forcing, jump_response=sigma,
                              **rho_transforms(rho_m))
     assert np.abs(rho_new - rho_m).max() < 1e-15
     assert np.abs(rho_new / cfg.dt - forcing).max() < 1e-13
@@ -597,9 +610,8 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
 
 def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids, small_cutoff):
     rho = np.full(small_cfg.n_x, 0.1)
-    state = State(t=0.0, u=np.zeros(small_grids.shape), rho=rho)
-    new_state, report = fixed_point_step(state, small_cfg, small_grids, small_cutoff,
-                                         t_new=small_cfg.dt)
+    state = make_level(0.0, np.zeros(small_grids.shape), rho, small_cutoff, small_grids)
+    new_state, report = fixed_point_step(state, small_cfg, t_new=small_cfg.dt)
     assert report.inner_iters == 1
     assert np.all(new_state.u == 0.0)
     assert np.abs(new_state.rho - 0.1).max() < 1e-15
@@ -611,8 +623,8 @@ def test_fixed_point_contracts_after_first_iterate(small_grids, small_cutoff):
     x = small_grids.tangential.nodes
     rho0 = 0.05 * np.sin(x)
     u0 = compatible_initial_temperature(rho0, cfg)
-    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg,
-                                 small_grids, small_cutoff, t_new=cfg.dt)
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, small_cutoff, small_grids), cfg,
+                                 t_new=cfg.dt)
     assert report.inner_iters >= 2
     assert len(report.fp_norms) == report.inner_iters
     # the first ratio overshoots (the seed iterate lags rho_t), later ones
@@ -634,7 +646,7 @@ def test_fixed_point_tall_manufactured_column_converges():
     grids, cutoff = cfg.grids(), cfg.cutoff()
     problem = ManufacturedProblem(grids, cutoff, cfg.epsilon)
     u0, rho0 = problem.initial_data()
-    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff,
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, cutoff, grids), cfg,
                                  forcing=problem, t_new=cfg.dt)
     assert report.inner_iters <= 6
     assert report.fp_norms[-1] <= cfg.fp_tol
@@ -663,7 +675,7 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
     monkeypatch.setattr(lapack, "dgttrf", factor)
     monkeypatch.setattr(stepper._BulkLU, "jump_response", jump)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
-    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     # one LU and one jump response per step; every other substitution is
     # a lag iteration
@@ -678,32 +690,34 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
 def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, per_iterate,
                                                                predicted, forced_step_problem):
     # the set-up's weights at iterate 1's rho_m (state.rho, or the
-    # predictor) factor the step and serve iterate 1; at theta < 1 each
-    # later iterate needs those of its own rho_m (at theta = 1 they are the
-    # coefficients' own fields)
+    # predictor from the level one dt back) factor the step and serve
+    # iterate 1; at theta < 1 each later iterate needs those of its own
+    # rho_m (at theta = 1 they are the coefficients' own fields)
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
-    rho_pred = 1.01 * state.rho if predicted else None
+    prev = None
+    if predicted:  # the predictor is 1.01 state.rho, up to roundoff
+        prev = make_level(state.t - cfg.dt, 0.99 * state.u, 0.99 * state.rho, cutoff, grids)
     calls, real_weights = [], stepper.norm_weights
     monkeypatch.setattr(stepper, "norm_weights",
                         lambda *args: calls.append(args) or real_weights(*args))
-    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing,
-                                 rho_pred=rho_pred)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, prev=prev)
     assert report.inner_iters >= 3
     assert len(calls) == (report.inner_iters if per_iterate else 1)
-    assert np.array_equal(calls[0][0], state.rho if rho_pred is None else rho_pred)
+    assert np.array_equal(calls[0][0], state.rho if prev is None else 2.0 * state.rho - prev.rho)
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta,
                                                                        forced_step_problem):
     # the only 2-D transforms of a step: 1 forward and 3 inverse per lag
-    # iteration, and u_old's, once per step, as ``make_level`` builds the
-    # plain State's level (its rfft, u_xx and u_xz; run's levels carry
-    # them, see test_run_transforms_each_level_once); the fixed-point norms
-    # and the warm exit rule work on the coefficients the solves return
+    # iteration, and u_old's, once per level, as ``make_level`` builds the
+    # old level here (its rfft, u_xx and u_xz; run's levels carry them, see
+    # test_run_transforms_each_level_once); the fixed-point norms and the
+    # warm exit rule work on the coefficients the solves return
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
     counts = count_transforms(monkeypatch, two_d_only=True)
-    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    level = make_level(state.t, state.u, state.rho, cutoff, grids)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     assert counts["rfft"] == report.lag_iters + 1
     assert counts["irfft"] == 3 * report.lag_iters + 2
@@ -732,7 +746,7 @@ def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatc
 
     monkeypatch.setattr(stepper, "state_energy_k0", counting_norm)
     monkeypatch.setattr(stepper, "temperature_step", counting_temperature)
-    _, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
     checks = sum(n for n, _ in solves)
     assert report.inner_iters >= 3 and len(solves) == report.inner_iters
     assert len(calls) == report.inner_iters + checks
@@ -743,6 +757,25 @@ def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatc
     # the checks are bulk-only and made inside the solve; the iterate norms are not
     assert sum(bulk_only for _, bulk_only in calls) == checks
     assert all(in_solve == bulk_only for in_solve, bulk_only in calls)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
+                                                             forced_step_problem):
+    # every iterate's interface update reads the old level's rfft of rho
+    # from the level: no forward transform of that interface in the step
+    cfg, grids, cutoff, level, forcing = forced_step_problem(theta)
+    old_rho_transforms, real_rfft = [0], np.fft.rfft
+
+    def recording_rfft(a, *args, **kwargs):
+        if np.shape(a) == level.rho.shape and np.array_equal(a, level.rho):
+            old_rho_transforms[0] += 1
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing)
+    assert report.inner_iters >= 3
+    assert old_rho_transforms == [0]
 
 
 def cold_reference_step(state, cfg, grids, cutoff, forcing):
@@ -761,10 +794,10 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
         coef = coefficients(rho_eff, rho_t, cutoff, grids,
                             rho_x=d_tangential(rho_eff, 1), rho_xx=d_tangential(rho_eff, 2))
         step = prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old, 1.0 / dt, theta, grids)
-        u_next, *_ = temperature_step(step, coef, cfg, grids,
+        u_next, *_ = temperature_step(step, coef,
                                       dirichlet=curvature(rho_m) + g_dir, warm=cold_start(step))
         sigma = step.bulk.jump_response()
-        rho_next = interface_step(u_next, state.rho, cfg, grids,
+        rho_next = interface_step(u_next, state, cfg,
                                   jump_forcing=j_new, rhs_old=rhs_old,
                                   jump_response=sigma, **rho_transforms(rho_m))
         rx = d_tangential(rho_m, 1)
@@ -780,7 +813,7 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_warm_started_step_matches_cold_reference_loop(theta, forced_step_problem):
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
     u_ref, rho_ref = cold_reference_step(state, cfg, grids, cutoff, forcing)
     assert report.inner_iters >= 3
     assert np.abs(new_state.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
@@ -809,7 +842,7 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
     monkeypatch.setattr(stepper._Secant, "next", recording_next)
-    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, grids, cutoff, t_new=cfg.dt)
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, cutoff, grids), cfg, t_new=cfg.dt)
     assert len(seen_dirichlet) == len(seen_rho) == report.inner_iters >= 3
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
         assert np.array_equal(dirichlet.view(np.uint64), curvature(rho_m).view(np.uint64))
@@ -834,7 +867,7 @@ def test_fixed_point_step_accepts_the_last_unmixed_interface(monkeypatch, theta,
 
     monkeypatch.setattr(stepper, "interface_step", recording_interface)
     monkeypatch.setattr(stepper._Secant, "next", recording_next)
-    new_state, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
     assert len(images) == len(iterates) + 1 == report.inner_iters >= 3
     assert np.array_equal(new_state.rho.view(np.uint64), images[-1].view(np.uint64))
     assert any(not np.array_equal(rho_m, g) for rho_m, g in zip(iterates, images))
@@ -852,7 +885,7 @@ def rough_initial_data():
 def test_fixed_point_step_first_rough_step_is_short():
     # plain successive substitution took 19 iterates here
     cfg, u0, rho0 = rough_initial_data()
-    _, report = fixed_point_step(State(t=0.0, u=u0, rho=rho0), cfg, cfg.grids(), cfg.cutoff(),
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg.cutoff(), cfg.grids()), cfg,
                                  t_new=cfg.dt)
     assert report.inner_iters <= 8
 
@@ -892,18 +925,19 @@ def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids, small_cutof
     cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)  # mode 12 lies in the top third
-    state = State(t=0.0, u=np.zeros(small_grids.shape), rho=rho)
+    state = make_level(0.0, np.zeros(small_grids.shape), rho, small_cutoff, small_grids)
     with pytest.warns(ResolutionWarning, match="under-resolved"):
-        fixed_point_step(state, cfg, small_grids, small_cutoff, t_new=cfg.dt)
+        fixed_point_step(state, cfg, t_new=cfg.dt)
 
 
 def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids, small_cutoff):
     monkeypatch.setattr(SolverConfig, "fp_max_iter", 4)
     cfg = SolverConfig(dt=50.0, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
-    state = State(t=0.0, u=np.zeros(small_grids.shape), rho=0.05 * np.sin(x))
+    state = make_level(0.0, np.zeros(small_grids.shape), 0.05 * np.sin(x), small_cutoff,
+                       small_grids)
     with pytest.raises(FixedPointError) as exc:
-        fixed_point_step(state, cfg, small_grids, small_cutoff, t_new=cfg.dt)
+        fixed_point_step(state, cfg, t_new=cfg.dt)
     assert exc.value.last_norm > cfg.fp_tol
     assert exc.value.last_ratio is not None
 
@@ -913,7 +947,7 @@ def test_fixed_point_step_measures_its_trace_gap(theta, forced_step_problem):
     # max |u(., 0) - kappa(rho) - g| of the accepted state, g the step's own
     # Dirichlet shift, from the transform of rho the step already holds
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, grids, cutoff, t_new=cfg.dt, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
     g_dir = forcing.at(new_state.t)[1]
     gap = np.abs(new_state.u[:, grids.normal.i_mid] - curvature(new_state.rho) - g_dir).max()
     assert report.trace_gap == gap <= cfg.trace_tol
@@ -969,22 +1003,24 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     rho0 = 0.1 * np.sin(x)
     u0 = np.zeros(grids.shape)
     levels, calls = [(u0, rho0)], []  # the accepted (u, rho) at the current dt
-    warm_starts = []  # the u each solve's lag loop starts from
+    warm_starts = []  # the (u, fields) each solve's lag loop starts from
+    rho_starts = []  # the rho_m of each step's set-up, its first norm weights
     real_step, real_temperature = stepper.fixed_point_step, stepper.temperature_step
+    real_weights = stepper.norm_weights
 
     def recording_temperature(*args, **kwargs):
-        warm_starts.append(kwargs["warm"].u)
+        warm_starts.append((kwargs["warm"].u, kwargs["warm"].fields))
         return real_temperature(*args, **kwargs)
 
-    def recording_step(state, *args, rho_pred=None, u_start=None, **kwargs):
+    def recording_step(level, *args, prev=None, **kwargs):
         expected = None
         if len(levels) >= 2:
             (u_a, rho_a), (u_b, rho_b) = levels[-2:]
             expected = (2.0 * rho_b - rho_a, 2.0 * u_b - u_a)
-        calls.append((rho_pred, u_start, expected, state.u, len(warm_starts)))
+            assert prev is not None and prev.rho is rho_a and prev.u is u_a
+        calls.append((prev, expected, level, len(warm_starts), len(rho_starts)))
         try:
-            new_state, report = real_step(state, *args, rho_pred=rho_pred, u_start=u_start,
-                                          **kwargs)
+            new_state, report = real_step(level, *args, prev=prev, **kwargs)
         except (FixedPointError, LinearSolveError):
             del levels[:-1]
             raise
@@ -993,16 +1029,17 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
 
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    monkeypatch.setattr(stepper, "norm_weights",
+                        lambda *args: rho_starts.append(args[0]) or real_weights(*args))
     res = run(u0, rho0, cfg, 0.08)
     assert res.cfg.dt == 0.01 and len(calls) == 2 + 8
-    assert [pred is None for pred, *_ in calls] == [True] * 3 + [False] * 7
-    assert [start is None for _, start, *_ in calls] == [True] * 3 + [False] * 7
-    for _, _, _, u_old, first in calls[:3]:
-        assert warm_starts[first] is u_old
-    for pred, (u_start, fields), (rho_ref, u_ref), _, first in calls[3:]:
+    assert [prev is None for prev, *_ in calls] == [True] * 3 + [False] * 7
+    for _, _, level, first, set_up in calls[:3]:
+        assert warm_starts[first][0] is level.u and rho_starts[set_up] is level.rho
+    for _, (rho_ref, u_ref), _, first, set_up in calls[3:]:
+        (u_start, fields), pred = warm_starts[first], rho_starts[set_up]
         assert np.array_equal(pred.view(np.uint64), rho_ref.view(np.uint64))
         assert np.array_equal(u_start.view(np.uint64), u_ref.view(np.uint64))
-        assert warm_starts[first] is u_start
         # the three fields the first lag loop reads; xx and hat are not built
         want = stepper._lagged_fields(u_start, np.fft.rfft(u_start, axis=0), grids)
         for got, ref in zip((fields.zz, fields.xz, fields.z), want, strict=True):
