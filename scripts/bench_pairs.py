@@ -19,8 +19,12 @@ alike.  Then each side makes one ``--trace 1`` run per workload at
 
 The summary gives, per workload and end-to-end metric, both sides'
 medians, the parent's quartiles, the number of pairs in which the change
-was lower (``change_lower_in``, "k/n") and the relative change of the
-medians.
+was lower (``change_lower_in``, "k/n"), the relative change of the
+medians and a ``verdict``: ``lower`` when the change median lies below
+the parent's lower quartile and the change was lower in at least
+WIN_SHARE of the pairs, ``higher`` when it lies above the upper quartile
+and the change was lower in at most 1 - WIN_SHARE of them (8 or more, or
+2 or fewer, of 10), ``unresolved`` otherwise.
 """
 from __future__ import annotations
 
@@ -31,10 +35,12 @@ import platform
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 
 SECONDS = 30
 END_TO_END = ("run_s", "step_ms_p50", "setup_s", "peak_rss_mb")
 TRACE_SEED = 11
+WIN_SHARE = Fraction(4, 5)  # share of the pairs a resolved move must win, exactly
 
 
 def workloads(checkout):
@@ -59,11 +65,23 @@ def pair_order(i):
     return ("parent", "change") if i % 2 else ("change", "parent")
 
 
+def verdict(change_median, parent_quartiles, lower, pairs):
+    """``lower``, ``higher`` or ``unresolved``: the rule of the module
+    docstring, for a change median, the parent's (q1, q3) and the number
+    of the ``pairs`` in which the change was lower."""
+    q1, q3 = parent_quartiles
+    if change_median < q1 and lower >= WIN_SHARE * pairs:
+        return "lower"
+    if change_median > q3 and lower <= (1 - WIN_SHARE) * pairs:
+        return "higher"
+    return "unresolved"
+
+
 def summarize(runs):
     """Per workload and metric: medians, the parent's quartiles, the pairs
-    (matched by seed) in which the change was lower, and the relative
-    change of the medians.  ``runs`` maps a workload to its list of
-    {"side", "seed", "result"} entries."""
+    (matched by seed) in which the change was lower, the relative change
+    of the medians and the ``verdict``.  ``runs`` maps a workload to its
+    list of {"side", "seed", "result"} entries."""
     summary = {}
     for workload, entries in runs.items():
         by_seed = {}
@@ -83,6 +101,7 @@ def summarize(runs):
                 "parent_quartiles": [q1, q3],
                 "change_lower_in": f"{lower}/{len(pairs)}",
                 "relative_change": c_med / p_med - 1.0,
+                "verdict": verdict(c_med, (q1, q3), lower, len(pairs)),
             }
     return summary
 
@@ -129,8 +148,11 @@ def main(argv=None):
                   "parent and change alternated in pairs on one host (which side ran first "
                   "alternates from pair to pair; pair i uses --seed 101*i), then one --trace 1 "
                   f"line per side and workload at --seed {TRACE_SEED}. 'summary' gives each "
-                  "end-to-end metric's medians, the parent's quartiles and the number of pairs "
-                  "the change won."),
+                  "end-to-end metric's medians, the parent's quartiles, the number of pairs "
+                  "the change won and a verdict: 'lower' or 'higher' when the change median "
+                  "lies outside the parent's quartiles and the change won at least "
+                  f"{float(WIN_SHARE):.0%} of the pairs (or at most {float(1 - WIN_SHARE):.0%}), "
+                  "'unresolved' otherwise."),
         "host": host(),
         "parent": commits["parent"],
         "change": commits["change"],

@@ -24,12 +24,17 @@ satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
 (second-order Neumann); the interface row is a Dirichlet row.
 
 The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
-loop, which reuses the fields u_m's solve returned.  Given the level one
-dt back (``run``'s history holds it at the current dt, except on step 1
-and the first step after a dt halving), iterate 1 starts from the
-predictor 2 rho_n - rho_{n-1} and its lag loop from 2 u_n - u_{n-1},
-with the same combination of the two levels' fields (no transform);
-otherwise they start from rho_n and u_old.  Iterate 1's difference is
+loop, which reuses the fields u_m's solve returned.  Iterate 1 starts
+from the polynomial extrapolation through the levels ``run``'s history
+holds at the current dt, up to three: with the levels one and two dt
+back, from the predictor 3 rho_n - 3 rho_{n-1} + rho_{n-2} and its lag
+loop from 3 u_n - 3 u_{n-1} + u_{n-2}; with the level one dt back only
+(step 2 and the second step after a dt halving), from 2 rho_n - rho_{n-1}
+and 2 u_n - u_{n-1}; the lag loop's fields are the same combination of
+the levels' fields (no transform).  With no earlier level (step 1 and
+the first step after a halving) they start from rho_n and u_old.  The
+trajectory is smooth in t (perturbed flat states relax smoothly), so
+the quadratic predictor is off by O(dt^3).  Iterate 1's difference is
 measured against u_old either way.  Each later rho_m is a
 secant step (Anderson mixing of depth 1) from the last two iterates and
 their images; it falls back to the plain image, and mixes again from the
@@ -72,7 +77,7 @@ energies.
 
 The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
-t_new=..., forcing=..., prev=...)``, ``interface_step(u_new, old, cfg,
+t_new=..., forcing=..., earlier=...)``, ``interface_step(u_new, old, cfg,
 ...)``, which reads rho's rfft from the old level, and every solve's one
 call shape ``temperature_step(step, coef, dirichlet=..., warm=...)``.
 ``step`` is the ``_Step`` that ``_prepare_step`` builds once per time
@@ -99,6 +104,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import islice
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -226,12 +232,12 @@ class Level(State):
     Dirichlet, jump) values at t, and ``E_bar``, the pair (epsilon, model
     energy) that ``identity.model_energy`` caches.
 
-    ``run`` keeps levels in its bounded history only, and drops a level's
-    ``fields`` and ``forcing`` once no step can read them (the steps from
-    the level and the predictor of the step after read them; the reports
-    read the rest).  The states it hands to callbacks and returns are
-    plain ``State``s, so a caller that keeps every state keeps no derived
-    fields."""
+    ``run`` keeps levels in its bounded history only, and drops what no
+    step can read: the step from a level reads all its ``fields`` and its
+    ``forcing``, the predictors of the two steps after it only the fields'
+    zz, xz and z, and the reports read the rest.  The states it hands to
+    callbacks and returns are plain ``State``s, so a caller that keeps
+    every state keeps no derived fields."""
     fields: _Fields = None
     u_hat: np.ndarray = None
     rho_hat: np.ndarray = None
@@ -265,15 +271,26 @@ def _interface_transforms(rho, n_x):
     return (rho_hat, *d_tangential_hats(rho_hat, n_x, ((1,), (2,))))
 
 
-def _extrapolate(last, prev):
-    """(u, fields) of the linear extrapolation 2 u_n - u_{n-1} from the two
-    levels ``last`` and ``prev``, one dt apart: the fields are the same
-    combination of theirs, so no transform.  Only zz, xz and z are
-    combined, the fields the first lag loop reads of its start; xx and hat
-    are None."""
-    a, b = last.fields, prev.fields
-    return 2.0 * last.u - prev.u, _Fields(None, 2.0 * a.zz - b.zz, 2.0 * a.xz - b.xz,
-                                          2.0 * a.z - b.z, None)
+def _extrapolate(levels):
+    """(rho, (u, fields)) of the polynomial through ``levels``, the newest
+    first and one dt apart, taken one dt past the newest: one set of
+    weights, (2, -1) for two levels (2 y_n - y_{n-1}) and (3, -3, 1) for
+    three (3 y_n - 3 y_{n-1} + y_{n-2}), combines the interfaces, the
+    temperatures and their fields, so no transform.  (u, fields) is the
+    first lag loop's start, which the step drops once iterate 1 is done;
+    only zz, xz and z are combined, the fields that loop reads of its
+    start, and xx and hat are None."""
+    k = len(levels)
+    weights = [float((-1) ** j * math.comb(k, j + 1)) for j in range(k)]
+
+    def combine(arrays):
+        return sum(w * a for w, a in zip(weights, arrays, strict=True))
+
+    fields = [level.fields for level in levels]
+    return combine(level.rho for level in levels), (
+        combine(level.u for level in levels),
+        _Fields(None, combine(f.zz for f in fields), combine(f.xz for f in fields),
+                combine(f.z for f in fields), None))
 
 
 @dataclass(frozen=True)
@@ -699,14 +716,15 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
-def fixed_point_step(level, cfg, *, t_new, forcing=None, prev=None):
+def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
 
     ``level`` is the ``Level`` of the old time (``make_level`` builds one
     from raw arrays), and the step reads its fields, transforms and, at
     theta < 1, its forcing, which it evaluates and keeps there on first
-    use; ``prev`` is the ``Level`` one dt before it, or None.  The new
+    use; ``earlier`` holds the ``Level``s one and two dt before it,
+    newest first, as far as they exist (at most two).  The new
     ``Level`` carries the final solve's fields, the accepted rho's
     transforms and the forcing at t_new.
 
@@ -715,9 +733,12 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, prev=None):
     warm-starts the next solve) until the difference of the unmixed pair
     (u_next, rho_next) from (u_m, rho_m), measured in the order-0
     regularized-energy norm at rho_m, drops below fp_tol; the accepted
-    state is that pair, a true output of G.  With ``prev``, iterate 1
-    starts from the predictor 2 rho_n - rho_{n-1} and its lag loop from
-    ``_extrapolate``'s 2 u_n - u_{n-1}; without, from level.rho and u_old.
+    state is that pair, a true output of G.  With ``earlier``, iterate 1
+    starts from ``_extrapolate``'s polynomial through level and earlier:
+    the interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (two earlier
+    levels) or 2 rho_n - rho_{n-1} (one), the lag loop from the same
+    combination of the temperatures and their fields; without, from
+    level.rho and u_old.
     Iterate 1's difference is measured against u_old either way.  Each
     later rho_m is the ``_Secant`` mix of the last two iterates.  The
     coefficients are frozen at the theta blend of rho_m and level.rho.
@@ -739,10 +760,9 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, prev=None):
     rho_m, rho_hat, rx, rxx = level.rho, level.rho_hat, base_x, base_xx
     u_m, fields_m = level.u, level.fields
     start = (u_m, fields_m)  # where the next lag loop starts
-    if prev is not None:
-        rho_m = 2.0 * level.rho - prev.rho
+    if earlier:
+        rho_m, start = _extrapolate((level, *earlier))
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
-        start = _extrapolate(level, prev)
     rhs_old = None
     if theta < 1.0:
         rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids)
@@ -871,9 +891,14 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     the reports their quotients' transforms, Q and the model energy.  The
     states passed to callbacks and returned carry only (t, u, rho).
 
-    Each step is passed the level one dt back as ``prev``, from which
-    ``fixed_point_step`` extrapolates its start (step 1 and the first step
-    after a halving have none and start from rho_n and u_n).  Within the
+    Each step is passed the levels one and two dt back as ``earlier``, as
+    far as the history holds them at the current dt, from which
+    ``fixed_point_step`` extrapolates its start: quadratically from three
+    levels, linearly from two (step 2 and the second step after a
+    halving); step 1 and the first step after a halving have none and
+    start from rho_n and u_n.  A level keeps its fields' zz, xz and z
+    while a predictor can still read them, and its other fields and
+    forcing only while it is the newest.  Within the
     step it mixes the interface iterates by a secant step and stops on the
     unmixed pair, so the accepted state is an output of the step's map.
 
@@ -904,10 +929,10 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
         reports.append(_make_report(history, cfg, steady_level, None, compute_identity))
         while m < n_steps:
             t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
-            prev = history[-2] if len(history) >= 2 else None  # one dt back, or none
-            try:
-                new, step_report = fixed_point_step(level, cfg, t_new=t_new, forcing=forcing,
-                                                    prev=prev)
+            try:  # with the levels one and two dt back, as far as the history holds them
+                new, step_report = fixed_point_step(
+                    level, cfg, t_new=t_new, forcing=forcing,
+                    earlier=tuple(islice(reversed(history), 1, 3)))
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise
@@ -923,8 +948,13 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                     f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
             level, m = new, m + 1
             history.append(level)
-            if len(history) >= 3:  # no step or predictor reads it again
-                history[-3].fields = history[-3].forcing = None
+            # the next step reads this level's fields and forcing, its
+            # predictor the lagged fields of the two levels before it
+            if len(history) >= 2:
+                older = history[-2]
+                older.fields, older.forcing = older.fields._replace(xx=None, hat=None), None
+            if len(history) >= 4:
+                history[-4].fields = None
             report = _make_report(history, cfg, steady_level, step_report, compute_identity)
             reports.append(report)
             for cb in callbacks:

@@ -52,6 +52,42 @@ def test_summary_matches_pairs_by_seed(bench_pairs):
     assert rss["parent_quartiles"] == [60.0, 60.0] and rss["relative_change"] == pytest.approx(0.05)
 
 
+def paired_runs(bench_pairs, parent, change):
+    """{"mms-column": entries} of pairs i = 1, 2, ... with the given run_s."""
+    entries = []
+    for i, (p, c) in enumerate(zip(parent, change, strict=True), start=1):
+        sides = {"parent": line(p, 60.0), "change": line(c, 60.0)}
+        entries += [{"side": side, "seed": 101 * i, "result": sides[side]}
+                    for side in bench_pairs.pair_order(i)]
+    return {"mms-column": entries}
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.98, 1.02
+
+
+@pytest.mark.parametrize("change, lower_in, want", [
+    # median 0.92 below q1, change lower in 10/10
+    ([0.92] * 10, "10/10", "lower"),
+    # median below q1, lower in exactly 8/10
+    ([0.90] * 8 + [1.10] * 2, "8/10", "lower"),
+    # median below q1, but lower in only 7/10
+    ([0.90] * 7 + [1.10] * 3, "7/10", "unresolved"),
+    # lower in 10/10, but the median 0.995 lies inside the quartiles
+    ([p - 0.005 for p in PARENT], "10/10", "unresolved"),
+    # median above q3, lower in exactly 2/10
+    ([0.90] * 2 + [1.10] * 8, "2/10", "higher"),
+    # median above q3, but lower in 3/10
+    ([0.90] * 3 + [1.10] * 7, "3/10", "unresolved"),
+    # the same code on both sides
+    (PARENT, "0/10", "unresolved"),
+])
+def test_summary_verdict_needs_the_quartiles_and_the_pairs(bench_pairs, change, lower_in, want):
+    run_s = bench_pairs.summarize(paired_runs(bench_pairs, PARENT, change))["mms-column"]["run_s"]
+    assert run_s["parent_quartiles"] == pytest.approx([0.98, 1.02])
+    assert run_s["change_lower_in"] == lower_in
+    assert run_s["verdict"] == want
+
+
 def test_workloads_come_from_the_benchmark(bench_pairs):
     assert "mms-column" in bench_pairs.workloads(SCRIPT.parents[1])
 

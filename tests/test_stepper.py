@@ -694,16 +694,17 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
     # iterate 1; at theta < 1 each later iterate needs those of its own
     # rho_m (at theta = 1 they are the coefficients' own fields)
     cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
-    prev = None
+    earlier = ()
     if predicted:  # the predictor is 1.01 state.rho, up to roundoff
-        prev = make_level(state.t - cfg.dt, 0.99 * state.u, 0.99 * state.rho, cutoff, grids)
+        earlier = (make_level(state.t - cfg.dt, 0.99 * state.u, 0.99 * state.rho, cutoff, grids),)
     calls, real_weights = [], stepper.norm_weights
     monkeypatch.setattr(stepper, "norm_weights",
                         lambda *args: calls.append(args) or real_weights(*args))
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, prev=prev)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, earlier=earlier)
     assert report.inner_iters >= 3
     assert len(calls) == (report.inner_iters if per_iterate else 1)
-    assert np.array_equal(calls[0][0], state.rho if prev is None else 2.0 * state.rho - prev.rho)
+    assert np.array_equal(calls[0][0],
+                          2.0 * state.rho - earlier[0].rho if predicted else state.rho)
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -994,8 +995,10 @@ def test_run_halves_dt_on_failure_and_persists(monkeypatch):
 def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     # dt = 0.04 and 0.02 fail: the first attempt and each retry after a
     # halving start from the old level (its interface, and u_old for the
-    # first lag loop), every later step from 2 rho_n - rho_{n-1} and
-    # 2 u_n - u_{n-1}, whose fields are the same combination of the levels'
+    # first lag loop), the step after from 2 rho_n - rho_{n-1} and
+    # 2 u_n - u_{n-1}, every later step from 3 rho_n - 3 rho_{n-1} + rho_{n-2}
+    # and 3 u_n - 3 u_{n-1} + u_{n-2}, whose fields are the same combination
+    # of the levels'
     monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
     cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
     grids = cfg.grids()
@@ -1012,15 +1015,21 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
         warm_starts.append((kwargs["warm"].u, kwargs["warm"].fields))
         return real_temperature(*args, **kwargs)
 
-    def recording_step(level, *args, prev=None, **kwargs):
+    def recording_step(level, *args, earlier=(), **kwargs):
         expected = None
-        if len(levels) >= 2:
-            (u_a, rho_a), (u_b, rho_b) = levels[-2:]
+        if len(levels) == 2:
+            (u_a, rho_a), (u_b, rho_b) = levels
             expected = (2.0 * rho_b - rho_a, 2.0 * u_b - u_a)
-            assert prev is not None and prev.rho is rho_a and prev.u is u_a
-        calls.append((prev, expected, level, len(warm_starts), len(rho_starts)))
+        elif len(levels) >= 3:
+            (u_a, rho_a), (u_b, rho_b), (u_c, rho_c) = levels[-3:]
+            expected = (3.0 * rho_c - 3.0 * rho_b + rho_a, 3.0 * u_c - 3.0 * u_b + u_a)
+        # the levels one and two dt back, newest first, as far as held
+        held = levels[-2::-1][:2]
+        assert len(earlier) == len(held)
+        assert all(e.u is u and e.rho is rho for e, (u, rho) in zip(earlier, held))
+        calls.append((len(earlier), expected, level, len(warm_starts), len(rho_starts)))
         try:
-            new_state, report = real_step(level, *args, prev=prev, **kwargs)
+            new_state, report = real_step(level, *args, earlier=earlier, **kwargs)
         except (FixedPointError, LinearSolveError):
             del levels[:-1]
             raise
@@ -1033,7 +1042,7 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
                         lambda *args: rho_starts.append(args[0]) or real_weights(*args))
     res = run(u0, rho0, cfg, 0.08)
     assert res.cfg.dt == 0.01 and len(calls) == 2 + 8
-    assert [prev is None for prev, *_ in calls] == [True] * 3 + [False] * 7
+    assert [n for n, *_ in calls] == [0, 0, 0, 1] + [2] * 6
     for _, _, level, first, set_up in calls[:3]:
         assert warm_starts[first][0] is level.u and rho_starts[set_up] is level.rho
     for _, (rho_ref, u_ref), _, first, set_up in calls[3:]:
@@ -1044,6 +1053,72 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
         want = stepper._lagged_fields(u_start, np.fft.rfft(u_start, axis=0), grids)
         for got, ref in zip((fields.zz, fields.xz, fields.z), want, strict=True):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class _FirstSolve(Exception):
+    """Ends a step at its first temperature solve, once recorded."""
+
+
+def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
+    # three levels on a trajectory quadratic in t: the set-up's rho_m and
+    # the first lag loop's start are the next level up to roundoff, and the
+    # start's lagged fields, combined from the levels', are its own
+    cfg = SolverConfig(dt=1e-2, n_x=16, n_z=17, k_diag=0)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    x = grids.tangential.nodes
+    z = grids.normal.nodes[None, :]
+    c = np.cos(np.pi * z)
+
+    def rho(t):
+        return 0.1 + 0.05 * np.sin(x) + t * 0.03 * np.cos(2 * x) - t**2 * 0.4 * np.sin(3 * x)
+
+    def u(t):
+        return (0.02 * np.cos(x)[:, None] + t * 0.01 * np.sin(2 * x)[:, None] * z**2
+                + t**2 * 0.3 * np.sin(x)[:, None] * c)
+
+    l0, l1, l2 = (make_level(t, u(t), rho(t), cutoff, grids) for t in (0.0, cfg.dt, 2 * cfg.dt))
+    rho_starts, starts = [], []
+    real_weights = stepper.norm_weights
+
+    def first_solve(step, coef, *, dirichlet, warm):
+        starts.append(warm)
+        raise _FirstSolve
+
+    monkeypatch.setattr(stepper, "norm_weights",
+                        lambda *args: rho_starts.append(args[0]) or real_weights(*args))
+    monkeypatch.setattr(stepper, "temperature_step", first_solve)
+    with pytest.raises(_FirstSolve):
+        fixed_point_step(l2, cfg, t_new=3 * cfg.dt, earlier=(l1, l0))
+    (rho_m,), (warm,) = rho_starts, starts
+    rho_ref, u_ref = rho(3 * cfg.dt), u(3 * cfg.dt)
+    assert np.abs(rho_m - rho_ref).max() <= 1e-14 * np.abs(rho_ref).max()
+    assert np.abs(warm.u - u_ref).max() <= 1e-14 * np.abs(u_ref).max()
+    want = stepper._lagged_fields(warm.u, np.fft.rfft(warm.u, axis=0), grids)
+    for got, ref in zip((warm.fields.zz, warm.fields.xz, warm.fields.z), want, strict=True):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_run_bounds_the_work_of_a_manufactured_column(monkeypatch):
+    # ten theta = 1/2 steps of a forced column: the summed fixed-point
+    # iterates and lag iterations of the quadratic predictor (53 and 283);
+    # the linear predictor took 60 and 339
+    from stefansim.oracles import ManufacturedProblem
+
+    cfg = SolverConfig(epsilon=1e-3, n_x=16, n_z=129, theta=0.5, dt=0.01, k_diag=0)
+    problem = ManufacturedProblem(cfg.grids(), cfg.cutoff(), cfg.epsilon)
+    u0, rho0 = problem.initial_data()
+    reports, real_step = [], stepper.fixed_point_step
+
+    def recording_step(*args, **kwargs):
+        new, report = real_step(*args, **kwargs)
+        reports.append(report)
+        return new, report
+
+    monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    res = run(u0, rho0, cfg, 10 * cfg.dt, forcing=problem)
+    assert res.cfg.dt == cfg.dt and len(reports) == 10
+    assert sum(r.inner_iters for r in reports) <= 53
+    assert sum(r.lag_iters for r in reports) <= 283
 
 
 def test_run_keeps_a_flat_state_at_one_iterate_per_step():
@@ -1324,8 +1399,9 @@ def test_run_hands_out_states_without_level_fields(monkeypatch):
 
     res = run(u0, rho0, cfg, 4 * cfg.dt, compute_identity=True, callbacks=(keep,))
     assert len(kept) == 4 and len(records) == 5
-    # only the newest two levels keep the fields a step or predictor reads
-    assert holding == [2, 2, 2, 2]
+    # only the newest three levels keep the fields a step or predictor
+    # reads: the newest all of them, the two before only the lagged ones
+    assert holding == [2, 3, 3, 3]
     for state in kept + [res.state]:
         assert type(state) is State and set(vars(state)) == {"t", "u", "rho"}
     gc.collect()
