@@ -1067,14 +1067,13 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
     grids, cutoff = cfg.grids(), cfg.cutoff()
     x = grids.tangential.nodes
     z = grids.normal.nodes[None, :]
-    c = np.cos(np.pi * z)
 
     def rho(t):
         return 0.1 + 0.05 * np.sin(x) + t * 0.03 * np.cos(2 * x) - t**2 * 0.4 * np.sin(3 * x)
 
     def u(t):
         return (0.02 * np.cos(x)[:, None] + t * 0.01 * np.sin(2 * x)[:, None] * z**2
-                + t**2 * 0.3 * np.sin(x)[:, None] * c)
+                + t**2 * 0.3 * np.sin(x)[:, None] * np.cos(np.pi * z))
 
     l0, l1, l2 = (make_level(t, u(t), rho(t), cutoff, grids) for t in (0.0, cfg.dt, 2 * cfg.dt))
     rho_starts, starts = [], []
