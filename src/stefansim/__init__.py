@@ -25,7 +25,6 @@ from .grids import (
 )
 from .transform import Cutoff, TransformCoefficients, coefficients, curvature
 from .functionals import (
-    DerivativeStack,
     EnergyReport,
     conservation_residual,
     decay_fit,

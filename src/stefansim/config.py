@@ -248,7 +248,11 @@ def build_initial_data(scenario, cfg=None):
             raise
     else:  # snapshot:<path>
         from .io import read_snapshot
-        state, meta = read_snapshot(scenario.u_init.partition(":")[2])
+        path = scenario.u_init.partition(":")[2]
+        try:  # a file from outside: a missing or malformed one is a config error
+            state, meta = read_snapshot(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"snapshot {path}: {exc}") from None
         # the state belongs to its own grid, epsilon and cutoff
         for name in ("n_x", "n_z", "epsilon", "alpha"):
             stored, solver = meta.get(name), getattr(cfg, name)

@@ -3,8 +3,13 @@
 Everything here evaluates *states* (bulk temperature u, interface height
 rho, and their accepted-step history); nothing here advances time.  The
 functionals are instantiated at psi = rho (the weights <psi>, a_psi are
-built from the newest interface in the stack) and summed over the mixed
+built from the newest interface of the history) and summed over the mixed
 derivative family  { d_x^mu d_t^s : mu + 2s <= 2 k_diag }.
+
+Each diagnostic takes level records and the run's ``cfg`` (a
+``stepper.SolverConfig``), whose ``grids()``, ``cutoff()``, epsilon and
+k_diag it reads itself: ``evaluate_functionals(levels, cfg)``,
+``EnergyNormK0(psi_x, a_psi, bracket, cfg)``, ``steady_mean(level)``.
 
 Time derivatives are backward difference quotients over the history
 buffer; the s-th quotient needs s+1 uniformly spaced entries.  Terms whose
@@ -54,11 +59,6 @@ from .grids import (
 from .transform import grid_profiles, norm_weights
 
 
-def derivative_pairs(k_diag):
-    """All (mu, s) with mu + 2s <= 2 k_diag, s-major order."""
-    return [(mu, s) for s in range(k_diag + 1) for mu in range(2 * (k_diag - s) + 1)]
-
-
 def uniform_step(times, what):
     """The common spacing of ``times`` (None for a single entry); raises
     ValueError naming ``what`` unless the spacing is uniform."""
@@ -68,56 +68,22 @@ def uniform_step(times, what):
     return float(steps[0]) if len(steps) else None
 
 
-class DerivativeStack:
-    """History window of accepted levels and their backward difference
-    quotients.
-
-    ``levels`` are ``stepper.Level`` records (``stepper.make_level`` builds
-    one from raw arrays), oldest first, uniformly spaced in t.  The
-    weights (a_psi, <psi>) are frozen at the newest interface, whose slope
-    psi_x its level holds.  The transform of a quotient is the same
-    quotient of the levels' transforms.
-    """
-
-    def __init__(self, grids, cutoff, k_diag, levels):
-        self.levels = list(levels)
-        if not self.levels:
-            raise ValueError("history must be non-empty")
-        self.dt = uniform_step([lv.t for lv in self.levels], "history")
-        self.grids = grids
-        self.cutoff = cutoff
-        self.k_diag = int(k_diag)
-        newest = self.levels[-1]
-        self.psi = newest.rho
-        self.psi_x = newest.rho_x
-        self.a_psi, self.bracket = norm_weights(self.psi, self.psi_x, cutoff, grids)
-
-    @property
-    def t(self):
-        return float(self.levels[-1].t)
-
-    def quotients(self, name, count):
-        """The backward time quotients s = 0 .. count - 1 of the levels'
-        attribute ``name`` at the newest time, None where the history is
-        too short: the window is stacked once and differenced once per
-        order (the s-th quotient is ``np.diff`` of order s of the newest
-        s + 1 levels, over dt^s)."""
-        values = [getattr(lv, name) for lv in self.levels[-count:]]
-        out, diffs = [values[-1]], np.stack(values)
-        for s in range(1, count):
-            if s >= len(values):
-                out.append(None)
-                continue
-            diffs = diffs[1:] - diffs[:-1]
-            out.append(diffs[-1] / self.dt**s)
-        return out
-
-    def u_quotient(self, s):
-        """s-th backward time quotient of u at the newest time (None if short)."""
-        return self.quotients("u", s + 1)[s]
-
-    def rho_quotient(self, s):
-        return self.quotients("rho", s + 1)[s]
+def _quotients(levels, name, count, dt):
+    """The backward time quotients s = 0 .. count - 1 of the levels'
+    attribute ``name`` at the newest time, None where the history is too
+    short: the window is stacked once and differenced once per order (the
+    s-th quotient is ``np.diff`` of order s of the newest s + 1 levels,
+    over dt^s).  The transform of a quotient is the same quotient of the
+    levels' transforms."""
+    values = [getattr(lv, name) for lv in levels[-count:]]
+    out, diffs = [values[-1]], np.stack(values)
+    for s in range(1, count):
+        if s >= len(values):
+            out.append(None)
+            continue
+        diffs = diffs[1:] - diffs[:-1]
+        out.append(diffs[-1] / dt**s)
+    return out
 
 
 def _i_psi_args(omega, psi):
@@ -186,7 +152,7 @@ def _interface_terms(v, mu, eps, L, px, g):
 
 @dataclass(frozen=True)
 class Functionals:
-    """Every per-step functional of one DerivativeStack, a partial sum
+    """Every per-step functional of one history window, a partial sum
     each, and the (mu, s) terms that lacked history: ``missing_E`` those of
     the E sums, ``missing_D`` of the D sums (``EnergyReport``'s fields)."""
 
@@ -201,9 +167,15 @@ class Functionals:
     i_psi_min_gap: float
 
 
-def evaluate_functionals(stack, eps):
+def evaluate_functionals(levels, cfg):
     """E, D, E_eps, D_eps and their unweighted Sobolev counterparts from
     one shared derivative pass, plus the least I_psi - lower bound gap.
+
+    ``levels`` are ``stepper.Level`` records, oldest first, uniformly
+    spaced in t (ValueError otherwise, or when there are none); the run's
+    ``cfg`` gives the grids, the cutoff, epsilon and the diagnostic order
+    k_diag.  The weights (a_psi, <psi>) are frozen at the newest
+    interface, whose slope psi_x its level holds.
 
     No forward transform: the rfft along x of each time quotient u_s and
     rho_s is the same quotient of the levels' rffts, and those of the
@@ -229,18 +201,22 @@ def evaluate_functionals(stack, eps):
 
     No finiteness checks: ``run`` checks each accepted state once.
     """
-    g = stack.grids
-    k = stack.k_diag
+    levels = list(levels)
+    if not levels:
+        raise ValueError("history must be non-empty")
+    dt = uniform_step([lv.t for lv in levels], "history")
+    g, eps, k = cfg.grids(), cfg.epsilon, cfg.k_diag
     n = g.tangential.n_x
     dz = g.normal.dz
-    a_h = halves(stack.a_psi, g.normal)
+    px = levels[-1].rho_x
+    a_psi, bracket = norm_weights(levels[-1].rho, px, cfg.cutoff(), g)
+    a_h = halves(a_psi, g.normal)
     W = quadrature_weights(a_h.shape, g)  # bulk_sum as a dot product
     aW = a_h * W
     a2W = a_h * aW
-    L = 1.0 / stack.bracket
-    px = stack.psi_x
-    u_hats = stack.quotients("u_hat", k + 2)
-    r_hats = stack.quotients("rho_hat", k + 2)
+    L = 1.0 / bracket
+    u_hats = _quotients(levels, "u_hat", k + 2, dt)
+    r_hats = _quotients(levels, "rho_hat", k + 2, dt)
     powers = [None if hat is None else power_spectrum(hat) for hat in u_hats]
 
     E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
@@ -297,19 +273,19 @@ def evaluate_functionals(stack, eps):
     )
 
 
-def energy_eps(stack, eps):
-    """Regularized energy E_eps; eps = 0 gives the base energy E exactly."""
-    return evaluate_functionals(stack, eps).E_eps
+def energy_eps(levels, cfg):
+    """Regularized energy E_eps; epsilon = 0 gives the base energy E exactly."""
+    return evaluate_functionals(levels, cfg).E_eps
 
 
-def dissipation_eps(stack, eps):
-    """Regularized dissipation D_eps; eps = 0 gives the base dissipation D."""
-    return evaluate_functionals(stack, eps).D_eps
+def dissipation_eps(levels, cfg):
+    """Regularized dissipation D_eps; epsilon = 0 gives the base dissipation D."""
+    return evaluate_functionals(levels, cfg).D_eps
 
 
-def sobolev_norms(stack, eps):
+def sobolev_norms(levels, cfg):
     """Unweighted Sobolev counterparts (norm_E^2, norm_D^2) of E_eps, D_eps."""
-    f = evaluate_functionals(stack, eps)
+    f = evaluate_functionals(levels, cfg)
     return f.sobolev_E, f.sobolev_D
 
 
@@ -376,15 +352,16 @@ class EnergyNormK0:
 
     psi_x (the spectral slope of psi), a_psi (bulk, (n_x, n_z)) and
     bracket = <psi> ((n_x,)) are the interface derivative and the
-    ``coefficients`` fields at psi, which callers already hold.  Holds
-    a_psi times the weights of the normal-derivative stencil sum
-    (``_normal_stencils``), 1/<psi> and psi_x; the Parseval weights of
-    int u^2 + u_x^2 are cached per grid pair.
+    ``coefficients`` fields at psi, which callers already hold; the run's
+    ``cfg`` gives the grids and epsilon.  Holds a_psi times the weights of
+    the normal-derivative stencil sum (``_normal_stencils``), 1/<psi> and
+    psi_x; the Parseval weights of int u^2 + u_x^2 are cached per grid
+    pair.
     """
 
-    def __init__(self, psi_x, a_psi, bracket, eps, grids):
-        self.grids = grids
-        self.eps = float(eps)
+    def __init__(self, psi_x, a_psi, bracket, cfg):
+        grids = self.grids = cfg.grids()
+        self.eps = float(cfg.epsilon)
         self.psi_x = np.asarray(psi_x, dtype=float)
         self.L = 1.0 / np.asarray(bracket, dtype=float)
         w_c, rows, self.stencils, w_e = _normal_stencils(grids.tangential, grids.normal)
@@ -435,13 +412,14 @@ def conservation_residual(old, new):
     return abs(new.Q - old.Q)
 
 
-def steady_mean(u0, rho0, cutoff, grids):
-    """Mean interface height of the flat steady state selected by the data.
+def steady_mean(level):
+    """Mean interface height of the flat steady state selected by the
+    initial ``stepper.Level``, from the conserved quantity Q it holds.
 
     The conservation law fixes  mean(rho_bar) = [int rho0 - int_O u0 (1+phi' rho0)] / (2 pi).
     """
     # 0 - Q, not -Q: a state with Q = 0 has steady level +0, not -0
-    return (0.0 - conserved_quantity(u0, rho0, cutoff, grids)) / (2.0 * np.pi)
+    return (0.0 - level.Q) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,14 @@ All time derivatives are *centered* difference quotients at the window
 midpoint, so the evaluator's own error is O(dt^2) and the reported
 residual is dominated by the solver and quadrature errors.
 
-The window is three ``stepper.Level`` records, and the evaluator makes no
-forward transform: the transforms of rho_t and of u_n are the same
-quotient and stencil of the levels' transforms, and the tangential
-derivatives of one field come from one batched inverse transform.  The
-model energy of each level is evaluated once and kept on the level.
+The window is three ``stepper.Level`` records, and the run's ``cfg``
+gives epsilon, the grids and the cutoff (read by attribute: ``stepper``
+imports this module, which so cannot import ``SolverConfig``).  The
+evaluator makes no forward transform: the transforms of rho_t and of u_n
+are the same quotient and stencil of the levels' transforms, and the
+tangential derivatives of one field come from one batched inverse
+transform.  The model energy of each level is evaluated once and kept on
+the level.
 """
 from __future__ import annotations
 
@@ -98,16 +101,19 @@ def _a_derivs(rho, rx, rxx, rt, rxt, cutoff, grids):
     return a_n, a_t, a_x
 
 
-def model_energy(level, eps, cutoff, grids):
-    """E_bar of one level (no time derivatives enter), evaluated once per
-    epsilon and kept on the level as ``E_bar``.  int u_x^2 is a Parseval
-    sum on the level's transform of u.  No finiteness check."""
+def model_energy(level, cfg):
+    """E_bar of one level (no time derivatives enter) at ``cfg.epsilon``,
+    evaluated once per epsilon and kept on the level as ``E_bar``.
+    int u_x^2 is a Parseval sum on the level's transform of u.  No
+    finiteness check."""
+    eps = cfg.epsilon
     if level.E_bar is not None and level.E_bar[0] == eps:
         return level.E_bar[1]
+    grids = cfg.grids()
     tg = grids.tangential
     u, rho, rx, rxx = level.u, level.rho, level.rho_x, level.rho_xx
     rxxx, rxxxx = d_tangential_hats(level.rho_hat, tg.n_x, ((3,), (4,)))
-    a, bracket = norm_weights(rho, rx, cutoff, grids)
+    a, bracket = norm_weights(rho, rx, cfg.cutoff(), grids)
     L = 1.0 / bracket
     un = first_walls(halves(u, grids.normal), grids.normal.dz)
     val = 0.5 * bulk_sum(u**2, grids)
@@ -119,7 +125,7 @@ def model_energy(level, eps, cutoff, grids):
     return level.E_bar[1]
 
 
-def identity_residual_k0(window, eps, cutoff, grids):
+def identity_residual_k0(window, cfg):
     """Evaluate the model-problem identity on a centered window of states.
 
     Parameters
@@ -129,10 +135,13 @@ def identity_residual_k0(window, eps, cutoff, grids):
         source f = -B u_xz - c u_z that the full evolution feeds into the
         model step.  No finiteness check: ``run`` checks each accepted
         state once.
+    cfg : the run's settings; epsilon, the grids and the cutoff are read
+        from it.
     """
     if len(window) != 3:
         raise ValueError(f"window must hold 3 samples, got {len(window)}")
     dt = uniform_step([lv.t for lv in window], "window")
+    eps, cutoff, grids = cfg.epsilon, cfg.cutoff(), cfg.grids()
     prev, mid, nxt = window
     nz, tg = grids.normal, grids.tangential
     n, u_c, rho_c = tg.n_x, mid.u, mid.rho
@@ -183,8 +192,8 @@ def identity_residual_k0(window, eps, cutoff, grids):
     bdry_T = interface_sum(T, tg)
 
     # LHS: centered difference of E_bar plus D_bar at the midpoint
-    e_prev = model_energy(prev, eps, cutoff, grids)
-    e_next = model_energy(nxt, eps, cutoff, grids)
+    e_prev = model_energy(prev, cfg)
+    e_next = model_energy(nxt, cfg)
     dE_dt = (e_next - e_prev) / (2.0 * dt)
     D_bar = bulk_sum(u_t**2 + ux**2 + uxx**2, grids)
     D_bar += bulk_sum(a * un**2 + 2.0 * a * uxn**2 + (a * unn) ** 2, grids)

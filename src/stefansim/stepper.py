@@ -86,7 +86,10 @@ u_old with its level's fields and its norm, the forcing and
 u_old / dt + theta f_new); the iterate adds its frozen coefficients and
 Dirichlet data, and ``SolverConfig``'s constants set the tolerances.
 The steady solve of ``compatible_initial_temperature`` builds its own
-``_Step`` with 1/dt = 0 and theta = 1.
+``_Step`` with 1/dt = 0 and theta = 1.  The diagnostics follow the same
+rule: ``make_level(t, u, rho, cfg)``, ``evaluate_functionals(history,
+cfg)`` and ``identity_residual_k0(window, cfg)`` read the grids, the
+cutoff, epsilon and k_diag from cfg.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
 once per iterate) makes no 2-D transform: the solve's Fourier
@@ -112,7 +115,6 @@ from scipy.linalg import lapack
 
 from .errors import ConfigError, FixedPointError, LinearSolveError, StefanSimError
 from .functionals import (
-    DerivativeStack,
     EnergyNormK0,
     EnergyReport,
     conservation_residual,
@@ -248,20 +250,22 @@ class Level(State):
     E_bar: tuple = None
 
 
-def make_level(t, u, rho, cutoff, grids, *, fields=None, forcing=None):
-    """The ``Level`` of the state (t, u, rho): the one constructor of level
-    records, for ``run``'s history and for callers that hold raw arrays.
-    ``fields`` (u's ``_bulk_fields``) are those an accepted step's final
-    solve already holds, and are built here when not given; rho's
-    transforms come from ``_interface_transforms``.  ``forcing`` is the
-    forcing's values at t, if already evaluated.  No finiteness check."""
+def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
+    """The ``Level`` of the state (t, u, rho) on the grids and cutoff of
+    ``cfg``: the one constructor of level records, for ``run``'s history
+    and for callers that hold raw arrays.  ``fields`` (u's
+    ``_bulk_fields``) are those an accepted step's final solve already
+    holds, and are built here when not given; rho's transforms come from
+    ``_interface_transforms``.  ``forcing`` is the forcing's values at t,
+    if already evaluated.  No finiteness check."""
+    grids = cfg.grids()
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if fields is None:
         fields = _bulk_fields(u, np.fft.rfft(u, axis=0), grids)
     rho_hat, rho_x, rho_xx = _interface_transforms(rho, grids.tangential.n_x)
     return Level(t=t, u=u, rho=rho, fields=fields, u_hat=fields.hat, rho_hat=rho_hat, rho_x=rho_x,
-                 rho_xx=rho_xx, Q=conserved_quantity(u, rho, cutoff, grids), forcing=forcing)
+                 rho_xx=rho_xx, Q=conserved_quantity(u, rho, cfg.cutoff(), grids), forcing=forcing)
 
 
 def _interface_transforms(rho, n_x):
@@ -677,7 +681,7 @@ def compatible_initial_temperature(rho0, cfg):
     grids, cutoff = cfg.grids(), cfg.cutoff()
     rho0 = np.asarray(rho0, dtype=float)
     _require_finite(rho0, "initial interface")
-    zero = make_level(0.0, np.zeros(grids.shape), rho0, cutoff, grids)
+    zero = make_level(0.0, np.zeros(grids.shape), rho0, cfg)
     coef = coefficients(rho0, np.zeros_like(rho0), cutoff, grids,
                         rho_x=zero.rho_x, rho_xx=zero.rho_xx)
     step = _prepare_step(coef.a.mean(axis=0), zero.u, zero.fields, None, None, 0.0, 1.0, grids)
@@ -787,7 +791,7 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
         # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
         # so at theta = 1 they are coef's own fields
         a_m, bracket_m = (coef.a, coef.bracket) if theta == 1.0 else weights
-        norm_m = EnergyNormK0(rx, a_m, bracket_m, cfg.epsilon, grids)
+        norm_m = EnergyNormK0(rx, a_m, bracket_m, cfg)
         dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
@@ -802,8 +806,7 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
                                        np.fft.rfft(rho_next - rho_m), norm_m))
         norms.append(diff)
         if diff <= cfg.fp_tol:
-            new = make_level(t_new, u_next, rho_next, cutoff, grids, fields=fields_next,
-                             forcing=f_new)
+            new = make_level(t_new, u_next, rho_next, cfg, fields=fields_next, forcing=f_new)
             trace = u_next[:, grids.normal.i_mid] - curvature_hat(new.rho_hat, new.rho_x)
             return new, StepReport(
                 fp_norms=tuple(norms), lin_residual=lin_res_max, lag_iters=lag_total,
@@ -833,24 +836,23 @@ class RunResult:
 
 
 def _make_report(history, cfg, steady_level, step_report, compute_identity):
-    """Diagnostics of the newest history level.  Its (u, rho) are checked
-    for finiteness here, once: every earlier level was checked when it was
-    the newest."""
-    grids, cutoff = cfg.grids(), cfg.cutoff()
+    """Diagnostics of the newest history level, at its time, from the
+    history's level records and the run's ``cfg``.  Its (u, rho) are
+    checked for finiteness here, once: every earlier level was checked
+    when it was the newest."""
     new = history[-1]
     _require_finite(new.u, "accepted u")
     _require_finite(new.rho, "accepted rho")
     cons_res = conservation_residual(history[-2], new) if len(history) >= 2 else 0.0
-    stack = DerivativeStack(grids, cutoff, cfg.k_diag, history)
-    f = evaluate_functionals(stack, cfg.epsilon)
+    f = evaluate_functionals(history, cfg)
     _require_finite([f.E, f.D, f.E_eps, f.D_eps, f.sobolev_E, f.sobolev_D], "functionals")
-    rho_dev = l2_interface(new.rho - steady_level, grids.tangential)
+    rho_dev = l2_interface(new.rho - steady_level, cfg.grids().tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
         window = [history[-3], history[-2], history[-1]]
-        identity_res = identity_residual_k0(window, cfg.epsilon, cutoff, grids).residual
+        identity_res = identity_residual_k0(window, cfg).residual
     return EnergyReport(
-        t=stack.t, **vars(f), cons_residual=cons_res, rho_dev_L2=rho_dev,
+        t=float(new.t), **vars(f), cons_residual=cons_res, rho_dev_L2=rho_dev,
         identity_residual=identity_res,
         inner_iters=step_report.inner_iters if step_report else 0,
     )
@@ -888,8 +890,9 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     The history holds one ``Level`` per accepted level (``make_level``),
     which the next steps and the diagnostics read instead of rebuilding
     it: the step takes u_old's fields, transforms and forcing from it, and
-    the reports their quotients' transforms, Q and the model energy.  The
-    states passed to callbacks and returned carry only (t, u, rho).
+    the reports their quotients' transforms, Q and the model energy; the
+    steady level is the initial level's ``steady_mean``.  The states
+    passed to callbacks and returned carry only (t, u, rho).
 
     Each step is passed the levels one and two dt back as ``earlier``, as
     far as the history holds them at the current dt, from which
@@ -912,14 +915,13 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     """
     require_whole_steps(t_end, cfg.dt)
     grids = cfg.grids()
-    cutoff = cfg.cutoff()
     u0 = np.asarray(u0, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)
     if u0.shape != grids.shape or rho0.shape != (cfg.n_x,):
         raise ConfigError(f"u0 of shape {u0.shape} and rho0 of shape {rho0.shape} do not fit "
                           f"the grid: they need {grids.shape} and {(cfg.n_x,)}")
-    level = make_level(0.0, u0, rho0, cutoff, grids)
-    steady_level = steady_mean(u0, rho0, cutoff, grids)
+    level = make_level(0.0, u0, rho0, cfg)
+    steady_level = steady_mean(level)
     history = deque(maxlen=max(cfg.k_diag + 2, 3))
     history.append(level)
     reports, t_new = [], 0.0  # a report per level made; the next level's time

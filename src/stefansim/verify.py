@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario, build_initial_data
-from .functionals import DerivativeStack, equivalence_constant, evaluate_functionals
+from .functionals import equivalence_constant, evaluate_functionals
 from .grids import band_limited
 from .identity import identity_residual_k0
 from .oracles import ManufacturedProblem
@@ -65,9 +65,8 @@ def suite_identity():
             callbacks=(lambda state, report: states.append((state.t, state.u, state.rho)),))
         times = np.array([s[0] for s in states])
         j = int(np.argmin(np.abs(times - t_star)))
-        cutoff, grids = cfg.cutoff(), cfg.grids()
-        window = [make_level(*state, cutoff, grids) for state in states[j - 1 : j + 2]]
-        rep = identity_residual_k0(window, eps, cutoff, grids)
+        window = [make_level(*state, cfg) for state in states[j - 1 : j + 2]]
+        rep = identity_residual_k0(window, cfg)
         residuals.append(rep.residual)
         lines.append(
             f"dt={cfg.dt:g} n_x={cfg.n_x} n_z={cfg.n_z}: residual={rep.residual:.3e}")
@@ -153,18 +152,17 @@ def random_state_history(rng, grids):
 def suite_norms():
     """Weighted/unweighted norm ratios against the predicted bracket [1/C, C]."""
     n_samples, eps = 50, 1e-2  # states seeded 0 .. n_samples - 1
-    cfg = SolverConfig(epsilon=eps, n_x=32, n_z=33)
+    cfg = SolverConfig(epsilon=eps, n_x=32, n_z=33, k_diag=1)
     grids, cutoff = cfg.grids(), cfg.cutoff()
     worst_margin = np.inf
     failures = 0
     for i in range(n_samples):
         rng = np.random.default_rng(i)
         times, us, rhos = random_state_history(rng, grids)
-        stack = DerivativeStack(grids, cutoff, 1, [
-            make_level(t, u, rho, cutoff, grids) for t, u, rho in zip(times, us, rhos)])
-        f = evaluate_functionals(stack, eps)
-        C_E = equivalence_constant(stack.psi, cutoff, kind="E")
-        C_D = equivalence_constant(stack.psi, cutoff, kind="D")
+        f = evaluate_functionals(
+            [make_level(t, u, rho, cfg) for t, u, rho in zip(times, us, rhos)], cfg)
+        C_E = equivalence_constant(rhos[-1], cutoff, kind="E")
+        C_D = equivalence_constant(rhos[-1], cutoff, kind="D")
         for val, sob, C in ((f.E_eps, f.sobolev_E, C_E), (f.D_eps, f.sobolev_D, C_D)):
             if sob <= 0:
                 continue

@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, settings
 
 from stefansim.grids import first_walls
 from stefansim.stepper import SolverConfig, compatible_initial_temperature, make_level
-from stefansim.transform import Cutoff
 
 settings.register_profile(
     "numerics",
@@ -36,10 +35,10 @@ def one_sided_normals(values, grid, walls=first_walls):
     return tuple(out)
 
 
-def levels(grids, times, us, rhos, cutoff=Cutoff()):
-    """The level records of aligned (t, u, rho) samples, built by
-    ``make_level`` as ``run`` builds its history."""
-    return [make_level(t, u, rho, cutoff, grids) for t, u, rho in zip(times, us, rhos, strict=True)]
+def levels(cfg, times, us, rhos):
+    """The level records of aligned (t, u, rho) samples on the grids of
+    ``cfg``, built by ``make_level`` as ``run`` builds its history."""
+    return [make_level(t, u, rho, cfg) for t, u, rho in zip(times, us, rhos, strict=True)]
 
 
 @pytest.fixture(scope="session")
@@ -83,14 +82,12 @@ class ConstantForcing:
 
 @pytest.fixture(scope="session")
 def forced_step_problem():
-    """Builds (cfg, grids, cutoff, level, forcing) for one forced time step
-    at a non-flat interface, given theta: level is the old time's
-    ``make_level``."""
+    """Builds (cfg, level, forcing) for one forced time step at a non-flat
+    interface, given theta: level is the old time's ``make_level``."""
     def build(theta):
         cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0, theta=theta)
-        grids, cutoff = cfg.grids(), cfg.cutoff()
-        x = grids.tangential.nodes
+        x = cfg.grids().tangential.nodes
         rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
         u0 = compatible_initial_temperature(rho0, cfg)
-        return cfg, grids, cutoff, make_level(0.0, u0, rho0, cutoff, grids), ConstantForcing(grids)
+        return cfg, make_level(0.0, u0, rho0, cfg), ConstantForcing(cfg.grids())
     return build

@@ -36,7 +36,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     # lag iterations are counted from temperature_step's result[2], bulk
     # unknowns from the size of _thomas_batched's 4th positional argument,
     # and fixed-point iterations from fixed_point_step's result[1]
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     lags, rhs_seen = [], []
     real_temperature, real_substitution = stepper.temperature_step, stepper._thomas_batched
 
@@ -59,6 +59,6 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     assert isinstance(report, stepper.StepReport)
     assert report.inner_iters >= 3 and len(lags) == report.inner_iters
     assert sum(lags) == report.lag_iters
-    unknowns = (cfg.n_x // 2 + 1) * grids.normal.n_z  # each mode's whole column
+    unknowns = (cfg.n_x // 2 + 1) * cfg.n_z  # each mode's whole column
     assert rhs_seen
     assert all(np.iscomplexobj(rhs) and rhs.size == unknowns for rhs in rhs_seen)

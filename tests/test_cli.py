@@ -147,6 +147,19 @@ def test_unusable_solver_values_are_config_errors(workdir, capsys, verb, text):
     assert not (workdir / "never").exists()
 
 
+@pytest.mark.parametrize("body", [None, "not,a,number\n"], ids=["missing", "non-numeric"])
+def test_unreadable_snapshot_is_a_config_error(workdir, capsys, body):
+    snap = workdir / "snap.csv"
+    if body is not None:
+        snap.write_text(body)
+    text = FAST_RUN.replace("rho_modes = 1:0.01\n", "").replace(
+        "u_init = compatible", f"u_init = snapshot:{snap}")
+    cfg_path = write_config(workdir, text, out="never")
+    assert main(["run", "--config", str(cfg_path), "--quiet"]) == 2
+    assert f"config error: snapshot {snap}: " in capsys.readouterr().err
+    assert not (workdir / "never").exists()
+
+
 def test_two_step_run_writes_its_summary(workdir):
     # too few reports for a decay fit: the summary says so instead of failing
     short = FAST_RUN.replace("t_end = 5e-3", "t_end = 2e-3")

@@ -1,6 +1,7 @@
 """Strict INI scenario schema and initial-data realization."""
 import configparser
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -296,3 +297,29 @@ def test_build_initial_data_from_snapshot(tmp_path):
     short.write_text("\n".join(snap.read_text().splitlines()[:-1]) + "\n")
     with pytest.raises(ConfigError, match=r"snapshot body shape \(15, 17\)"):
         build_initial_data(Scenario(name="s", u_init=f"snapshot:{short}", solver=cfg))
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("missing", "No such file"),
+    ("non-numeric", "could not convert string to float"),
+    ("ragged", "dimensions"),
+    ("no-rows", "contains no data rows"),
+], ids=["missing", "non-numeric", "ragged", "no-rows"])
+def test_unreadable_snapshot_is_a_config_error(tmp_path, case, reason):
+    # the snapshot file comes from outside: a missing file or a body that
+    # does not parse is a ConfigError naming the path, not a traceback
+    cfg = SolverConfig(n_x=16, n_z=17)
+    snap = tmp_path / "snap.csv"
+    if case != "missing":
+        write_snapshot(snap, State(t=0.0, u=np.zeros(cfg.grids().shape), rho=np.zeros(16)), cfg)
+        head = [line for line in snap.read_text().splitlines() if line.startswith("#")]
+        body = snap.read_text().splitlines()[len(head):]
+        if case == "non-numeric":
+            body[-1] = "zero" + body[-1][1:]
+        elif case == "ragged":
+            body[-1] = body[-1].rsplit(",", 1)[0]  # one u row a value short
+        else:
+            body = []
+        snap.write_text("\n".join(head + body) + "\n")
+    with pytest.raises(ConfigError, match=rf"^snapshot {re.escape(str(snap))}: .*{reason}"):
+        build_initial_data(Scenario(name="s", u_init=f"snapshot:{snap}", solver=cfg))

@@ -1,4 +1,6 @@
 """Energy/dissipation functionals against closed-form quadrature references."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,10 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from stefansim.functionals import (
-    DerivativeStack,
     EnergyNormK0,
+    _quotients,
     decay_fit,
-    derivative_pairs,
     dissipation_eps,
     energy_eps,
     equivalence_constant,
@@ -23,8 +24,6 @@ from stefansim.functionals import (
     steady_mean,
 )
 from stefansim.grids import (
-    Grids,
-    NormalGrid,
     TangentialGrid,
     band_limited,
     bulk_sum,
@@ -33,7 +32,7 @@ from stefansim.grids import (
     second_walls,
 )
 from stefansim.stepper import SolverConfig
-from stefansim.transform import Cutoff, coefficients
+from stefansim.transform import Cutoff, coefficients, norm_weights
 from stefansim.verify import random_state_history
 
 from conftest import levels, one_sided_normals
@@ -51,16 +50,10 @@ E_REF_EPS1 = 0.4952981676312048
 D_REF = 6.199996698632009
 
 
-def single_mode_stack(n_x=256, k_diag=0):
-    grids = Grids(TangentialGrid(n_x), NormalGrid(9))
-    cutoff = Cutoff()
-    x = grids.tangential.nodes
-    u = np.zeros(grids.shape)
-    return DerivativeStack(grids, cutoff, k_diag, levels(grids, [0.0], [u], [DELTA * np.sin(x)]))
-
-
 def test_energy_reference_values():
-    stack = single_mode_stack()
+    cfg = SolverConfig(n_x=256, n_z=9, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    single_mode = levels(cfg, [0.0], [np.zeros(cfg.grids().shape)], [DELTA * np.sin(x)])
 
     def integrand(x):
         c2 = np.cos(x) ** 2
@@ -69,26 +62,41 @@ def test_energy_reference_values():
 
     quad_val, quad_err = quad(integrand, 0.0, 2 * np.pi, limit=200)
     assert quad_val == pytest.approx(E_REF, abs=10 * quad_err)
-    assert energy_eps(stack, 0.0) == pytest.approx(E_REF, rel=1e-13)
-    assert energy_eps(stack, 1.0) == pytest.approx(E_REF_EPS1, rel=1e-13)
+    assert energy_eps(single_mode, cfg) == pytest.approx(E_REF, rel=1e-13)
+    assert energy_eps(single_mode, dataclasses.replace(cfg, epsilon=1.0)) == pytest.approx(
+        E_REF_EPS1, rel=1e-13)
 
 
 def test_dissipation_reference_value():
-    grids = Grids(TangentialGrid(256), NormalGrid(9))
-    x = grids.tangential.nodes
-    u = np.zeros(grids.shape)
-    stack = DerivativeStack(grids, Cutoff(), 0, levels(grids, [0.0, 0.01], [u, u],
-                                                       [0.2 * np.sin(x), 0.19 * np.sin(x)]))
+    cfg = SolverConfig(n_x=256, n_z=9, k_diag=0)
+    x = cfg.grids().tangential.nodes
+    u = np.zeros(cfg.grids().shape)
+    history = levels(cfg, [0.0, 0.01], [u, u], [0.2 * np.sin(x), 0.19 * np.sin(x)])
 
     def integrand(x):
         return 2.0 * np.cos(x) ** 2 / np.sqrt(1 + 0.19**2 * np.cos(x) ** 2)
 
     quad_val, quad_err = quad(integrand, 0.0, 2 * np.pi, limit=200)
     assert quad_val == pytest.approx(D_REF, abs=10 * quad_err)
-    assert dissipation_eps(stack, 0.0) == pytest.approx(D_REF, rel=1e-13)
+    assert dissipation_eps(history, cfg) == pytest.approx(D_REF, rel=1e-13)
 
 
 # ------------------------------------------- shared-pass evaluator
+
+def derivative_pairs(k_diag):
+    """All (mu, s) with mu + 2s <= 2 k_diag, s-major order."""
+    return [(mu, s) for s in range(k_diag + 1) for mu in range(2 * (k_diag - s) + 1)]
+
+
+def raw_quotient(times, fields, s):
+    """The s-th backward time quotient at the newest time of the aligned
+    samples ``fields``, ``np.diff`` of order s of the raw arrays over dt^s;
+    None where there are fewer than s + 1 samples."""
+    if s >= len(fields):
+        return None
+    dt = times[1] - times[0] if s else 1.0
+    return np.diff(np.stack(fields[len(fields) - s - 1:]), n=s, axis=0)[0] / dt**s
+
 
 def dx(f, order):
     return d_tangential(f, order) if order else f
@@ -101,18 +109,22 @@ def sided_sum(above, below, grids):
     return bulk_sum(np.stack((below[..., : mid + 1], above[..., mid:]), axis=-2), grids)
 
 
-def reference_functionals(stack, eps):
-    """The six functionals, term by term from the public primitives."""
-    g, tg = stack.grids, stack.grids.tangential
-    L, a, psi = 1.0 / stack.bracket, stack.a_psi, stack.psi
+def reference_functionals(times, us, rhos, cfg):
+    """The six functionals of the raw samples (t, u, rho), term by term from
+    the public primitives: quotients by ``np.diff`` of the arrays, weights
+    from ``norm_weights`` at the newest rho."""
+    g, tg, eps = cfg.grids(), cfg.grids().tangential, cfg.epsilon
+    psi = rhos[-1]
+    a, bracket = norm_weights(psi, d_tangential(psi, 1), cfg.cutoff(), g)
+    L = 1.0 / bracket
 
     def sided(above, below):
         return sided_sum(above, below, g)
 
     E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
     missing_E, missing_D = [], []
-    for mu, s in derivative_pairs(stack.k_diag):
-        u, r = stack.u_quotient(s), stack.rho_quotient(s)
+    for mu, s in derivative_pairs(cfg.k_diag):
+        u, r = raw_quotient(times, us, s), raw_quotient(times, rhos, s)
         if u is None or r is None:
             missing_E.append((mu, s))
             missing_D.append((mu, s))
@@ -127,7 +139,7 @@ def reference_functionals(stack, eps):
         sob_E += (bulk_sum(w**2 + wx**2, g) + sided(up**2, lo**2)
                   + interface_sum(vx**2 + vxx**2, tg))
         sob_X += interface_sum(v3**2 + v4**2, tg)
-        u1, r1 = stack.u_quotient(s + 1), stack.rho_quotient(s + 1)
+        u1, r1 = raw_quotient(times, us, s + 1), raw_quotient(times, rhos, s + 1)
         if u1 is None or r1 is None:
             missing_D.append((mu, s))
             continue
@@ -167,7 +179,8 @@ def test_evaluator_matches_term_by_term_reference_at_order_0(n_entries):
 
 
 def check_evaluator_against_reference(n_entries, k_diag):
-    grids = Grids(TangentialGrid(32), NormalGrid(33))
+    cfg = SolverConfig(epsilon=1e-3, n_x=32, n_z=33, k_diag=k_diag)
+    grids = cfg.grids()
     rng = np.random.default_rng(7)
     tg, z = grids.tangential, grids.normal.nodes[None, :]
     rho_a, rho_b = band_limited(rng, tg, 0.1), band_limited(rng, tg, 0.05)
@@ -179,27 +192,27 @@ def check_evaluator_against_reference(n_entries, k_diag):
     # curved in time, so quotients of every order are nonzero
     us = [u_a + np.sin(30 * t) * u_b for t in times]
     rhos = [rho_a + np.sin(20 * t) * rho_b + (10 * t) ** 3 * rho_a for t in times]
-    stack = DerivativeStack(grids, Cutoff(), k_diag, levels(grids, times, us, rhos))
-    eps = 1e-3
-    got = evaluate_functionals(stack, eps)
+    history = levels(cfg, times, us, rhos)
+    got = evaluate_functionals(history, cfg)
     values = (got.E, got.D, got.E_eps, got.D_eps, got.sobolev_E, got.sobolev_D)
     missings = (got.missing_E, got.missing_D) * 3  # in the order of values
-    ref_values, ref_missing = reference_functionals(stack, eps)
+    ref_values, ref_missing = reference_functionals(times, us, rhos, cfg)
     for value, got_missing, ref, missing in zip(values, missings, ref_values, ref_missing,
                                                 strict=True):
         assert got_missing == missing
         assert value == pytest.approx(ref, rel=1e-13, abs=0.0 if ref else 1e-300)
     # I_psi equals its lower bound in one tangential dimension: both gaps
     # are roundoff on the scale of the largest form
-    hessians = [dx(stack.rho_quotient(s), mu) for mu, s in derivative_pairs(k_diag)
-                if stack.rho_quotient(s) is not None]
-    scale = max(i_psi(v, stack.psi) for v in hessians)
-    ref_gap = min(i_psi(v, stack.psi) - i_psi_lower_bound(v, stack.psi) for v in hessians)
+    psi = rhos[-1]
+    hessians = [dx(raw_quotient(times, rhos, s), mu) for mu, s in derivative_pairs(k_diag)
+                if raw_quotient(times, rhos, s) is not None]
+    scale = max(i_psi(v, psi) for v in hessians)
+    ref_gap = min(i_psi(v, psi) - i_psi_lower_bound(v, psi) for v in hessians)
     assert abs(got.i_psi_min_gap) <= 1e-14 * scale
     assert abs(got.i_psi_min_gap - ref_gap) <= 1e-14 * scale
-    assert energy_eps(stack, eps) == got.E_eps
-    assert dissipation_eps(stack, eps) == got.D_eps
-    assert sobolev_norms(stack, eps) == (got.sobolev_E, got.sobolev_D)
+    assert energy_eps(history, cfg) == got.E_eps
+    assert dissipation_eps(history, cfg) == got.D_eps
+    assert sobolev_norms(history, cfg) == (got.sobolev_E, got.sobolev_D)
 
 
 # ------------------------------------------------- fixed-point norm
@@ -223,8 +236,8 @@ def reference_state_energy_k0(u, rho, psi, eps, cutoff, grids):
 @pytest.mark.parametrize("n_x, n_z", [(64, 65), (32, 257)])
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
 def test_state_energy_k0_matches_real_space_reference(n_x, n_z, eps):
-    grids = Grids(TangentialGrid(n_x), NormalGrid(n_z))
-    cutoff = Cutoff()
+    cfg = SolverConfig(epsilon=eps, n_x=n_x, n_z=n_z)
+    grids, cutoff = cfg.grids(), cfg.cutoff()
     rng = np.random.default_rng(3)
     tg, z = grids.tangential, grids.normal.nodes[None, :]
     psi = band_limited(rng, tg, 0.1)
@@ -238,7 +251,7 @@ def test_state_energy_k0_matches_real_space_reference(n_x, n_z, eps):
     psi_x = d_tangential(psi, 1)
     coef = coefficients(psi, np.zeros_like(psi), cutoff, grids,
                         rho_x=d_tangential(psi, 1), rho_xx=d_tangential(psi, 2))
-    norm = EnergyNormK0(psi_x, coef.a, coef.bracket, eps, grids)
+    norm = EnergyNormK0(psi_x, coef.a, coef.bracket, cfg)
     u_hat = np.fft.rfft(u, axis=0)
     got = state_energy_k0(u, u_hat, np.fft.rfft(rho), norm)
     ref = reference_state_energy_k0(u, rho, psi, eps, cutoff, grids)
@@ -285,7 +298,7 @@ def test_state_energy_quadratic_scaling(small_cfg, small_grids, small_cutoff, sm
     coef = coefficients(psi, np.zeros_like(psi), small_cutoff, small_grids,
                         rho_x=d_tangential(psi, 1), rho_xx=d_tangential(psi, 2))
     psi_x = d_tangential(psi, 1)
-    norm = EnergyNormK0(psi_x, coef.a, coef.bracket, 0.5, small_grids)
+    norm = EnergyNormK0(psi_x, coef.a, coef.bracket, dataclasses.replace(small_cfg, epsilon=0.5))
 
     def energy(u, rho):
         return state_energy_k0(u, np.fft.rfft(u, axis=0), np.fft.rfft(rho), norm)
@@ -298,51 +311,52 @@ def test_state_energy_quadratic_scaling(small_cfg, small_grids, small_cutoff, sm
 
 @given(seed=st.integers(0, 10**6))
 def test_energy_dissipation_monotone_in_eps(seed):
-    grids = Grids(TangentialGrid(32), NormalGrid(33))
+    cfg = SolverConfig(n_x=32, n_z=33, k_diag=1)
     rng = np.random.default_rng(seed)
-    times, us, rhos = random_state_history(rng, grids)
-    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, times, us, rhos))
-    eps_grid = (0.0, 1e-4, 1e-2, 1.0)
-    e_vals = [energy_eps(stack, e) for e in eps_grid]
-    d_vals = [dissipation_eps(stack, e) for e in eps_grid]
+    times, us, rhos = random_state_history(rng, cfg.grids())
+    history = levels(cfg, times, us, rhos)
+    cfgs = [dataclasses.replace(cfg, epsilon=e) for e in (0.0, 1e-4, 1e-2, 1.0)]
+    e_vals = [energy_eps(history, c) for c in cfgs]
+    d_vals = [dissipation_eps(history, c) for c in cfgs]
     assert all(a <= b + 1e-12 for a, b in zip(e_vals, e_vals[1:]))
     assert all(a <= b + 1e-12 for a, b in zip(d_vals, d_vals[1:]))
     assert e_vals[0] > 0 and d_vals[0] > 0
 
 
 def test_sobolev_norms_of_zero_state():
-    grids = Grids(TangentialGrid(16), NormalGrid(17))
-    zeros_u = [np.zeros(grids.shape)] * 3
+    cfg = SolverConfig(epsilon=0.5, n_x=16, n_z=17, k_diag=1)
+    zeros_u = [np.zeros(cfg.grids().shape)] * 3
     zeros_r = [np.zeros(16)] * 3
-    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0, 0.1, 0.2], zeros_u, zeros_r))
-    sob_e, sob_d = sobolev_norms(stack, 0.5)
+    history = levels(cfg, [0.0, 0.1, 0.2], zeros_u, zeros_r)
+    sob_e, sob_d = sobolev_norms(history, cfg)
     assert sob_e == 0.0 and sob_d == 0.0
-    f = evaluate_functionals(stack, 0.5)
+    f = evaluate_functionals(history, cfg)
     assert f.missing_E == () and f.missing_D == ()
 
 
 # ----------------------------------------------------- conserved quantity
 
-def test_conserved_quantity_and_residual(small_grids, small_cutoff):
+def test_conserved_quantity_and_residual(small_cfg, small_grids, small_cutoff):
     n_x = small_grids.tangential.n_x
     rho = np.full(n_x, 0.05)
     u0 = np.zeros(small_grids.shape)
     assert conserved_quantity(u0, rho, small_cutoff, small_grids) == pytest.approx(
         -0.05 * 2 * np.pi, rel=1e-13)
-    old, new = levels(small_grids, [0.0, 0.0], [u0, u0], [rho, rho + 0.01], small_cutoff)
+    old, new = levels(small_cfg, [0.0, 0.0], [u0, u0], [rho, rho + 0.01])
     assert conservation_residual(old, new) == pytest.approx(0.01 * 2 * np.pi, rel=1e-12)
     assert conservation_residual(old, old) == 0.0
 
 
-def test_steady_mean_reference_cases(small_grids, small_cutoff):
+def test_steady_mean_reference_cases(small_cfg, small_grids):
     n_x = small_grids.tangential.n_x
     x = small_grids.tangential.nodes
     rho0 = 0.03 * np.sin(x) + 0.07
     u0 = np.zeros(small_grids.shape)
-    assert steady_mean(u0, rho0, small_cutoff, small_grids) == pytest.approx(0.07, rel=1e-12)
+    initial, = levels(small_cfg, [0.0], [u0], [rho0])
+    assert steady_mean(initial) == pytest.approx(0.07, rel=1e-12)
     u_const = np.full(small_grids.shape, 0.2)
-    assert steady_mean(u_const, np.zeros(n_x), small_cutoff, small_grids) == pytest.approx(
-        -0.4, rel=1e-12)
+    initial, = levels(small_cfg, [0.0], [u_const], [np.zeros(n_x)])
+    assert steady_mean(initial) == pytest.approx(-0.4, rel=1e-12)
 
 
 # ------------------------------------------------------------- decay fit
@@ -365,7 +379,7 @@ def test_decay_fit_degenerate_and_invalid():
         decay_fit(t, np.ones(9))
 
 
-# ------------------------------------------------------ derivative stack
+# ------------------------------------------------------ history quotients
 
 def test_derivative_pairs_family():
     assert derivative_pairs(0) == [(0, 0)]
@@ -376,41 +390,43 @@ def test_derivative_pairs_family():
 
 
 def test_stack_validation():
-    grids = Grids(TangentialGrid(16), NormalGrid(9))
-    u = np.zeros(grids.shape)
+    cfg = SolverConfig(n_x=16, n_z=9, k_diag=1)
+    u = np.zeros(cfg.grids().shape)
     r = np.zeros(16)
     with pytest.raises(ValueError):
-        DerivativeStack(grids, Cutoff(), 1, [])
+        evaluate_functionals([], cfg)
     with pytest.raises(ValueError):
-        DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0, 0.1, 0.35], [u] * 3, [r] * 3))
+        evaluate_functionals(levels(cfg, [0.0, 0.1, 0.35], [u] * 3, [r] * 3), cfg)
 
 
 def test_stack_quotients_and_missing_flags():
-    grids = Grids(TangentialGrid(16), NormalGrid(9))
-    x = grids.tangential.nodes
-    u = np.ones(grids.shape)
-    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, [0.0], [u], [0.01 * np.sin(x)]))
-    assert stack.u_quotient(0) is u or np.array_equal(stack.u_quotient(0), u)
-    assert stack.u_quotient(1) is None
-    f = evaluate_functionals(stack, 0.0)
+    cfg = SolverConfig(n_x=16, n_z=9, k_diag=1)
+    x = cfg.grids().tangential.nodes
+    u = np.ones(cfg.grids().shape)
+    history = levels(cfg, [0.0], [u], [0.01 * np.sin(x)])
+    u0, u1 = _quotients(history, "u", 2, None)
+    assert np.array_equal(u0, u)
+    assert u1 is None
+    f = evaluate_functionals(history, cfg)
     assert f.missing_E == ((0, 1),)
-    assert energy_eps(stack, 0.0) > 0.0
+    assert energy_eps(history, cfg) > 0.0
     assert set(f.missing_D) == {(0, 0), (1, 0), (2, 0), (0, 1)}
-    assert dissipation_eps(stack, 0.0) == 0.0
+    assert dissipation_eps(history, cfg) == 0.0
 
 
 def test_stack_quotients_linear_history_exact():
     # linear-in-time history: first quotient is the slope, second vanishes
-    grids = Grids(TangentialGrid(16), NormalGrid(9))
-    x = grids.tangential.nodes
-    slope_u = np.cos(x)[:, None] * np.ones(grids.shape[1])
+    cfg = SolverConfig(n_x=16, n_z=9)
+    x = cfg.grids().tangential.nodes
+    slope_u = np.cos(x)[:, None] * np.ones(cfg.grids().shape[1])
     times = [0.0, 0.1, 0.2]
     us = [t * slope_u for t in times]
     rhos = [t * 0.05 * np.sin(x) for t in times]
-    stack = DerivativeStack(grids, Cutoff(), 1, levels(grids, times, us, rhos))
-    assert np.abs(stack.u_quotient(1) - slope_u).max() < 1e-13
-    assert np.abs(stack.rho_quotient(1) - 0.05 * np.sin(x)).max() < 1e-13
-    assert np.abs(stack.u_quotient(2)).max() < 1e-12
+    history = levels(cfg, times, us, rhos)
+    _, u1, u2 = _quotients(history, "u", 3, 0.1)
+    assert np.abs(u1 - slope_u).max() < 1e-13
+    assert np.abs(_quotients(history, "rho", 2, 0.1)[1] - 0.05 * np.sin(x)).max() < 1e-13
+    assert np.abs(u2).max() < 1e-12
 
 
 # ---------------------------------------------- norm equivalence constant

@@ -7,10 +7,8 @@ import pytest
 
 from stefansim import stepper
 from stefansim.errors import NonFiniteFieldError
-from stefansim.grids import Grids, NormalGrid, TangentialGrid
 from stefansim.identity import identity_residual_k0, model_energy
 from stefansim.stepper import SolverConfig, compatible_initial_temperature, run
-from stefansim.transform import Cutoff
 
 from conftest import levels
 
@@ -30,26 +28,31 @@ def synthetic_samples(grids, dt=1e-3, amp=0.05, decay=0.7):
     return [sample(j * dt) for j in range(3)]
 
 
-def as_levels(samples, grids):
-    return levels(grids, *zip(*samples))
+def as_levels(samples, cfg):
+    return levels(cfg, *zip(*samples))
 
 
-def synthetic_window(grids):
+def synthetic_window(cfg):
     """The level records of ``synthetic_samples``."""
-    return as_levels(synthetic_samples(grids), grids)
+    return as_levels(synthetic_samples(cfg.grids()), cfg)
+
+
+def med(eps):
+    """The 32 x 33 settings at epsilon ``eps``."""
+    return SolverConfig(epsilon=eps, n_x=32, n_z=33)
 
 
 @pytest.fixture(scope="module")
 def med_grids():
-    return Grids(TangentialGrid(32), NormalGrid(33))
+    return med(0.0).grids()
 
 
 def test_steady_window_is_exactly_balanced(med_grids):
     # u == 0, rho == const: every term of the identity vanishes identically
     u = np.zeros(med_grids.shape)
     rho = np.full(32, 0.1)
-    window = levels(med_grids, [0.0, 0.1, 0.2], [u] * 3, [rho] * 3)
-    rep = identity_residual_k0(window, 1e-3, Cutoff(), med_grids)
+    window = levels(med(0.0), [0.0, 0.1, 0.2], [u] * 3, [rho] * 3)
+    rep = identity_residual_k0(window, med(1e-3))
     assert rep.lhs == 0.0 and rep.rhs == 0.0
     assert rep.residual == 0.0
     assert rep.dE_dt == 0.0 and rep.D_bar == 0.0
@@ -59,34 +62,34 @@ def test_steady_window_is_exactly_balanced(med_grids):
 
 def test_window_validation(med_grids):
     samples = synthetic_samples(med_grids)
-    window = as_levels(samples, med_grids)
+    window = as_levels(samples, med(0.0))
     with pytest.raises(ValueError):
-        identity_residual_k0(window[:2], 0.0, Cutoff(), med_grids)  # even length
+        identity_residual_k0(window[:2], med(0.0))  # even length
     with pytest.raises(ValueError):
-        identity_residual_k0(window[:1], 0.0, Cutoff(), med_grids)  # too short
+        identity_residual_k0(window[:1], med(0.0))  # too short
     dt = samples[1][0] - samples[0][0]
     five = as_levels(samples + [(samples[2][0] + j * dt, *samples[2][1:]) for j in (1, 2)],
-                     med_grids)
+                     med(0.0))
     with pytest.raises(ValueError):
-        identity_residual_k0(five, 0.0, Cutoff(), med_grids)  # uniform, but not three
+        identity_residual_k0(five, med(0.0))  # uniform, but not three
     skewed = as_levels([samples[0], samples[1], (samples[2][0] + 0.5, *samples[2][1:])],
-                       med_grids)
+                       med(0.0))
     with pytest.raises(ValueError):
-        identity_residual_k0(skewed, 0.0, Cutoff(), med_grids)  # non-uniform
+        identity_residual_k0(skewed, med(0.0))  # non-uniform
 
 
-def test_generic_window_report_is_consistent(med_grids):
-    rep = identity_residual_k0(synthetic_window(med_grids), 1e-2, Cutoff(), med_grids)
+def test_generic_window_report_is_consistent():
+    rep = identity_residual_k0(synthetic_window(med(0.0)), med(1e-2))
     assert rep.t == pytest.approx(1e-3)
     assert rep.residual >= 0.0
     assert rep.lhs == pytest.approx(rep.dE_dt + rep.D_bar)
 
 
-def test_zero_eps_is_the_continuous_limit(med_grids):
+def test_zero_eps_is_the_continuous_limit():
     # the eps terms enter multiplicatively: eps -> 0 must agree with eps = 0
-    window = synthetic_window(med_grids)
-    rep0 = identity_residual_k0(window, 0.0, Cutoff(), med_grids)
-    rep_tiny = identity_residual_k0(window, 1e-30, Cutoff(), med_grids)
+    window = synthetic_window(med(0.0))
+    rep0 = identity_residual_k0(window, med(0.0))
+    rep_tiny = identity_residual_k0(window, med(1e-30))
     for f in dataclasses.fields(rep0):
         a = getattr(rep0, f.name)
         b = getattr(rep_tiny, f.name)
@@ -94,18 +97,18 @@ def test_zero_eps_is_the_continuous_limit(med_grids):
 
 
 def test_model_energy_basics(med_grids):
-    zero, = levels(med_grids, [0.0], [np.zeros(med_grids.shape)], [np.zeros(32)])
-    assert model_energy(zero, 0.5, Cutoff(), med_grids) == 0.0
+    zero, = levels(med(0.0), [0.0], [np.zeros(med_grids.shape)], [np.zeros(32)])
+    assert model_energy(zero, med(0.5)) == 0.0
     x = med_grids.tangential.nodes
     z = med_grids.normal.nodes[None, :]
     u = 0.1 * np.cos(x)[:, None] * np.cos(np.pi * z)
     rho = 0.05 * np.sin(x)
-    level, = levels(med_grids, [0.0], [u], [rho])
-    e0 = model_energy(level, 0.0, Cutoff(), med_grids)
-    e1 = model_energy(level, 1.0, Cutoff(), med_grids)
+    level, = levels(med(0.0), [0.0], [u], [rho])
+    e0 = model_energy(level, med(0.0))
+    e1 = model_energy(level, med(1.0))
     assert 0.0 < e0 < e1  # eps terms only add nonnegative interface energy
     # the level keeps the value of the epsilon it was last taken at
-    assert level.E_bar == (1.0, e1) and model_energy(level, 0.0, Cutoff(), med_grids) == e0
+    assert level.E_bar == (1.0, e1) and model_energy(level, med(0.0)) == e0
 
 
 # IdentityReport of synthetic_window on the 32 x 33 grids, recorded from the
@@ -126,14 +129,14 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("eps", sorted(GOLDEN))
-def test_report_matches_the_literal_evaluator(med_grids, eps):
-    rep = identity_residual_k0(synthetic_window(med_grids), eps, Cutoff(), med_grids)
+def test_report_matches_the_literal_evaluator(eps):
+    rep = identity_residual_k0(synthetic_window(med(0.0)), med(eps))
     assert {f.name for f in dataclasses.fields(rep)} == set(GOLDEN[eps])
     for name, ref in GOLDEN[eps].items():
         assert getattr(rep, name) == pytest.approx(ref, rel=1e-12, abs=0.0), name
 
 
-def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
+def test_one_call_transforms_each_field_once(monkeypatch):
     # u and rho of each level are transformed once, when its record is
     # built; the evaluator makes no forward transform (rho_t's and u_n's
     # come from the levels') and no checked derivative: run checks each
@@ -152,9 +155,9 @@ def test_one_call_transforms_each_field_once(med_grids, monkeypatch):
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("stefansim") and hasattr(mod, "d_tangential"):
             monkeypatch.setattr(mod, "d_tangential", forbidden)
-    window = synthetic_window(med_grids)
+    window = synthetic_window(med(0.0))
     assert count["rfft"] == 6
-    identity_residual_k0(window, 1e-2, Cutoff(), med_grids)
+    identity_residual_k0(window, med(1e-2))
     assert count["rfft"] == 6
 
 

@@ -1,6 +1,7 @@
 """Time stepping: solver config, temperature solve, interface update,
 per-step fixed point, and the run driver."""
 import gc
+import inspect
 import re
 import sys
 import weakref
@@ -13,7 +14,7 @@ import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import lapack
 from scipy.sparse.linalg import LinearOperator
 
-from stefansim import stepper
+from stefansim import functionals, identity, stepper
 from stefansim import grids as grids_module
 from stefansim.config import build_initial_data, parse_config
 from stefansim.errors import (
@@ -24,8 +25,9 @@ from stefansim.errors import (
     NonFiniteFieldError,
     ResolutionWarning,
 )
-from stefansim.functionals import EnergyNormK0, state_energy_k0
+from stefansim.functionals import EnergyNormK0, evaluate_functionals, state_energy_k0
 from stefansim.grids import d_tangential
+from stefansim.identity import identity_residual_k0
 from stefansim.stepper import (
     SolverConfig,
     State,
@@ -37,7 +39,6 @@ from stefansim.stepper import (
     temperature_step,
 )
 from stefansim.transform import (
-    Cutoff,
     coefficients,
     curvature,
     jump_normal_derivative,
@@ -517,7 +518,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     # iterations and the Dirichlet data transform
     x = grids.tangential.nodes
     rx = d_tangential(rho, 1)
-    norm = EnergyNormK0(rx, *norm_weights(rho, rx, cutoff, grids), cfg.epsilon, grids)
+    norm = EnergyNormK0(rx, *norm_weights(rho, rx, cutoff, grids), cfg)
     warm = stepper._WarmStart(u, fields, 1e-9, norm)
     counts.update(rfft=0, irfft=0)
     _, residual, warm_iters, _ = temperature_step(
@@ -547,10 +548,10 @@ def unstabilized(n_x):
     return {"jump_response": np.zeros(n_x // 2 + 1)}
 
 
-def accepted(rho, grids):
+def accepted(rho, cfg):
     """The level of the accepted interface rho (with u = 0), whose rho and
     rfft ``interface_step`` reads."""
-    return make_level(0.0, np.zeros(grids.shape), rho, Cutoff(), grids)
+    return make_level(0.0, np.zeros(cfg.grids().shape), rho, cfg)
 
 
 def test_interface_step_explicit_forms(small_grids):
@@ -561,19 +562,19 @@ def test_interface_step_explicit_forms(small_grids):
     base = 0.02 * np.cos(2 * x)
 
     cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new = interface_step(u_zero, accepted(base, small_grids), cfg,
+    rho_new = interface_step(u_zero, accepted(base, cfg), cfg,
                              jump_forcing=np.sin(x), **rho_transforms(zeros),
                              **unstabilized(n_x))
     assert np.abs((rho_new - base) / cfg.dt - np.sin(x)).max() < 1e-13
     assert np.abs(rho_new - base - cfg.dt * np.sin(x)).max() < 1e-14
 
     cfg1 = SolverConfig(epsilon=1.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new = interface_step(u_zero, accepted(base, small_grids), cfg1,
+    rho_new = interface_step(u_zero, accepted(base, cfg1), cfg1,
                              jump_forcing=np.sin(x), **rho_transforms(zeros),
                              **unstabilized(n_x))
     # (1 + eps k^4) at k=1
     assert np.abs((rho_new - base) / cfg1.dt - 0.5 * np.sin(x)).max() < 1e-13
-    rho_new = interface_step(u_zero, accepted(base, small_grids), cfg1,
+    rho_new = interface_step(u_zero, accepted(base, cfg1), cfg1,
                              jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros),
                              **unstabilized(n_x))
     assert np.abs((rho_new - base) / cfg1.dt - 0.4).max() < 1e-14  # the mean mode is never damped
@@ -583,7 +584,7 @@ def test_interface_step_theta_blends_right_hand_sides(small_grids):
     n_x = small_grids.tangential.n_x
     x = small_grids.tangential.nodes
     cfg = SolverConfig(theta=0.5, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
-    rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), small_grids),
+    rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), cfg),
                              cfg, jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
                              **rho_transforms(np.zeros(n_x)), **unstabilized(n_x))
     assert np.abs(rho_new / cfg.dt - 2.0 * np.sin(x)).max() < 1e-13
@@ -599,7 +600,7 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
     forcing = np.sin(x) + 0.2 * np.cos(3 * x)
     rho_m = cfg.dt * forcing  # = rho_base + dt * rhs with rho_base = 0
     sigma = 5.0 + np.arange(n_x // 2 + 1, dtype=float)
-    rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), small_grids),
+    rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), cfg),
                              cfg, jump_forcing=forcing, jump_response=sigma,
                              **rho_transforms(rho_m))
     assert np.abs(rho_new - rho_m).max() < 1e-15
@@ -608,9 +609,9 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
 
 # ------------------------------------------------------------ fixed point
 
-def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids, small_cutoff):
+def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids):
     rho = np.full(small_cfg.n_x, 0.1)
-    state = make_level(0.0, np.zeros(small_grids.shape), rho, small_cutoff, small_grids)
+    state = make_level(0.0, np.zeros(small_grids.shape), rho, small_cfg)
     new_state, report = fixed_point_step(state, small_cfg, t_new=small_cfg.dt)
     assert report.inner_iters == 1
     assert np.all(new_state.u == 0.0)
@@ -618,13 +619,12 @@ def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids, sm
     assert new_state.t == small_cfg.dt
 
 
-def test_fixed_point_contracts_after_first_iterate(small_grids, small_cutoff):
+def test_fixed_point_contracts_after_first_iterate(small_grids):
     cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     rho0 = 0.05 * np.sin(x)
     u0 = compatible_initial_temperature(rho0, cfg)
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, small_cutoff, small_grids), cfg,
-                                 t_new=cfg.dt)
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg, t_new=cfg.dt)
     assert report.inner_iters >= 2
     assert len(report.fp_norms) == report.inner_iters
     # the first ratio overshoots (the seed iterate lags rho_t), later ones
@@ -646,7 +646,7 @@ def test_fixed_point_tall_manufactured_column_converges():
     grids, cutoff = cfg.grids(), cfg.cutoff()
     problem = ManufacturedProblem(grids, cutoff, cfg.epsilon)
     u0, rho0 = problem.initial_data()
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, cutoff, grids), cfg,
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg,
                                  forcing=problem, t_new=cfg.dt)
     assert report.inner_iters <= 6
     assert report.fp_norms[-1] <= cfg.fp_tol
@@ -655,7 +655,7 @@ def test_fixed_point_tall_manufactured_column_converges():
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
                                                          forced_step_problem):
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     counts = {"dgttrf": 0, "jump_response": 0, "substitutions": 0}
     real_factor, real_jump = lapack.dgttrf, stepper._BulkLU.jump_response
     real_substitution = stepper._thomas_batched
@@ -693,10 +693,10 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
     # predictor from the level one dt back) factor the step and serve
     # iterate 1; at theta < 1 each later iterate needs those of its own
     # rho_m (at theta = 1 they are the coefficients' own fields)
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     earlier = ()
     if predicted:  # the predictor is 1.01 state.rho, up to roundoff
-        earlier = (make_level(state.t - cfg.dt, 0.99 * state.u, 0.99 * state.rho, cutoff, grids),)
+        earlier = (make_level(state.t - cfg.dt, 0.99 * state.u, 0.99 * state.rho, cfg),)
     calls, real_weights = [], stepper.norm_weights
     monkeypatch.setattr(stepper, "norm_weights",
                         lambda *args: calls.append(args) or real_weights(*args))
@@ -715,9 +715,9 @@ def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypa
     # old level here (its rfft, u_xx and u_xz; run's levels carry them, see
     # test_run_transforms_each_level_once); the fixed-point norms and the
     # warm exit rule work on the coefficients the solves return
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     counts = count_transforms(monkeypatch, two_d_only=True)
-    level = make_level(state.t, state.u, state.rho, cutoff, grids)
+    level = make_level(state.t, state.u, state.rho, cfg)
     _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     assert counts["rfft"] == report.lag_iters + 1
@@ -730,7 +730,7 @@ def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatc
     # one call per iterate (the fixed-point difference, interface terms
     # included) and one per warm exit check (a bulk-only lag update, made
     # inside the solve): the benchmark traces the norm by this name
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     real_norm, real_temperature = stepper.state_energy_k0, stepper.temperature_step
     calls, solves, inside = [], [], [False]  # calls: (inside a solve, bulk-only)
 
@@ -765,7 +765,7 @@ def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
                                                              forced_step_problem):
     # every iterate's interface update reads the old level's rfft of rho
     # from the level: no forward transform of that interface in the step
-    cfg, grids, cutoff, level, forcing = forced_step_problem(theta)
+    cfg, level, forcing = forced_step_problem(theta)
     old_rho_transforms, real_rfft = [0], np.fft.rfft
 
     def recording_rfft(a, *args, **kwargs):
@@ -779,11 +779,11 @@ def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
     assert old_rho_transforms == [0]
 
 
-def cold_reference_step(state, cfg, grids, cutoff, forcing):
+def cold_reference_step(state, cfg, forcing):
     """The fixed-point loop with every iterate solved afresh: the bulk
     operator factored at the iterate, its jump response recomputed, and the
     lag loop started from u_old."""
-    theta, dt = cfg.theta, cfg.dt
+    theta, dt, grids, cutoff = cfg.theta, cfg.dt, cfg.grids(), cfg.cutoff()
     f_new, g_dir, j_new = forcing.at(state.t + dt)
     f_old, _, j_old = forcing.at(state.t)
     rhs_old = ((1.0 + d_tangential(state.rho, 1) ** 2)
@@ -802,7 +802,7 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
                                   jump_forcing=j_new, rhs_old=rhs_old,
                                   jump_response=sigma, **rho_transforms(rho_m))
         rx = d_tangential(rho_m, 1)
-        norm = EnergyNormK0(rx, *norm_weights(rho_m, rx, cutoff, grids), cfg.epsilon, grids)
+        norm = EnergyNormK0(rx, *norm_weights(rho_m, rx, cutoff, grids), cfg)
         du, drho = u_next - u_m, rho_next - rho_m
         diff = np.sqrt(state_energy_k0(du, np.fft.rfft(du, axis=0), np.fft.rfft(drho), norm))
         u_m, rho_m = u_next, rho_next
@@ -813,9 +813,9 @@ def cold_reference_step(state, cfg, grids, cutoff, forcing):
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_warm_started_step_matches_cold_reference_loop(theta, forced_step_problem):
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
-    u_ref, rho_ref = cold_reference_step(state, cfg, grids, cutoff, forcing)
+    u_ref, rho_ref = cold_reference_step(state, cfg, forcing)
     assert report.inner_iters >= 3
     assert np.abs(new_state.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
     assert np.abs(new_state.rho - rho_ref).max() <= 1e-10 * np.abs(rho_ref).max()
@@ -843,7 +843,7 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
     monkeypatch.setattr(stepper._Secant, "next", recording_next)
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, cutoff, grids), cfg, t_new=cfg.dt)
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg, t_new=cfg.dt)
     assert len(seen_dirichlet) == len(seen_rho) == report.inner_iters >= 3
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
         assert np.array_equal(dirichlet.view(np.uint64), curvature(rho_m).view(np.uint64))
@@ -854,7 +854,7 @@ def test_fixed_point_step_accepts_the_last_unmixed_interface(monkeypatch, theta,
                                                              forced_step_problem):
     # the stopping test reads the unmixed pair, so the accepted rho is an
     # interface update itself, while the iterates fed back are mixed
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     images, iterates = [], []
     real_interface, real_next = stepper.interface_step, stepper._Secant.next
 
@@ -886,8 +886,7 @@ def rough_initial_data():
 def test_fixed_point_step_first_rough_step_is_short():
     # plain successive substitution took 19 iterates here
     cfg, u0, rho0 = rough_initial_data()
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg.cutoff(), cfg.grids()), cfg,
-                                 t_new=cfg.dt)
+    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg, t_new=cfg.dt)
     assert report.inner_iters <= 8
 
 
@@ -922,21 +921,20 @@ def test_anderson_mixing_drops_its_history():
     assert mixer.mixed
 
 
-def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids, small_cutoff):
+def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids):
     cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)  # mode 12 lies in the top third
-    state = make_level(0.0, np.zeros(small_grids.shape), rho, small_cutoff, small_grids)
+    state = make_level(0.0, np.zeros(small_grids.shape), rho, cfg)
     with pytest.warns(ResolutionWarning, match="under-resolved"):
         fixed_point_step(state, cfg, t_new=cfg.dt)
 
 
-def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids, small_cutoff):
+def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids):
     monkeypatch.setattr(SolverConfig, "fp_max_iter", 4)
     cfg = SolverConfig(dt=50.0, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
-    state = make_level(0.0, np.zeros(small_grids.shape), 0.05 * np.sin(x), small_cutoff,
-                       small_grids)
+    state = make_level(0.0, np.zeros(small_grids.shape), 0.05 * np.sin(x), cfg)
     with pytest.raises(FixedPointError) as exc:
         fixed_point_step(state, cfg, t_new=cfg.dt)
     assert exc.value.last_norm > cfg.fp_tol
@@ -947,10 +945,11 @@ def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids, s
 def test_fixed_point_step_measures_its_trace_gap(theta, forced_step_problem):
     # max |u(., 0) - kappa(rho) - g| of the accepted state, g the step's own
     # Dirichlet shift, from the transform of rho the step already holds
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
     g_dir = forcing.at(new_state.t)[1]
-    gap = np.abs(new_state.u[:, grids.normal.i_mid] - curvature(new_state.rho) - g_dir).max()
+    gap = np.abs(new_state.u[:, cfg.grids().normal.i_mid] - curvature(new_state.rho)
+                 - g_dir).max()
     assert report.trace_gap == gap <= cfg.trace_tol
 
 
@@ -1075,7 +1074,7 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
         return (0.02 * np.cos(x)[:, None] + t * 0.01 * np.sin(2 * x)[:, None] * z**2
                 + t**2 * 0.3 * np.sin(x)[:, None] * np.cos(np.pi * z))
 
-    l0, l1, l2 = (make_level(t, u(t), rho(t), cutoff, grids) for t in (0.0, cfg.dt, 2 * cfg.dt))
+    l0, l1, l2 = (make_level(t, u(t), rho(t), cfg) for t in (0.0, cfg.dt, 2 * cfg.dt))
     rho_starts, starts = [], []
     real_weights = stepper.norm_weights
 
@@ -1242,6 +1241,34 @@ def test_run_identity_column_fills_once_history_suffices():
     assert res.reports[2].missing_E == ()
 
 
+def test_run_reports_match_diagnostics_of_rebuilt_levels():
+    # run's reports read the levels it carries; the same diagnostics of
+    # levels rebuilt by make_level from the states it hands out agree.  The
+    # carried u_hat is the final solve's coefficients, not the rfft of its
+    # u, so the two differ by roundoff, which the time quotients divide by
+    # up to dt^3: measured at most 1.1e-12 relative, bound 1e-10
+    cfg = SolverConfig(epsilon=1e-3, n_x=32, n_z=33, dt=1e-3, k_diag=2)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    states = [State(0.0, u0, rho0)]
+    res = run(u0, rho0, cfg, 10 * cfg.dt, compute_identity=True,
+              callbacks=(lambda state, report: states.append(state),))
+    assert res.cfg.dt == cfg.dt and len(res.reports) == 11
+    rebuilt = [make_level(s.t, s.u, s.rho, cfg) for s in states]
+    for i, report in enumerate(res.reports):
+        f = evaluate_functionals(rebuilt[max(0, i - cfg.k_diag - 1): i + 1], cfg)
+        assert (report.missing_E, report.missing_D) == (f.missing_E, f.missing_D)
+        for name in ("E", "D", "E_eps", "D_eps", "sobolev_E", "sobolev_D"):
+            assert getattr(report, name) == pytest.approx(getattr(f, name), rel=1e-10, abs=0.0)
+        if i < 2:
+            assert report.identity_residual is None
+        else:
+            assert report.identity_residual == pytest.approx(
+                identity_residual_k0(rebuilt[i - 2: i + 1], cfg).residual, rel=1e-10, abs=0.0)
+    assert not res.reports[-1].missing_E and not res.reports[-1].missing_D
+
+
 def test_run_rejects_non_finite_accepted_state_naming_t(monkeypatch):
     cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=1)
     x = cfg.grids().tangential.nodes
@@ -1324,7 +1351,7 @@ def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, levels_
     # record, so the run evaluates each level it reads once: every new
     # level, and at theta < 1 the initial one.  The trace check reads the
     # step's own Dirichlet shift.
-    cfg, grids, cutoff, state, forcing = forced_step_problem(theta)
+    cfg, state, forcing = forced_step_problem(theta)
     times, real_at = [], forcing.at
 
     def counting_at(t):
@@ -1424,3 +1451,19 @@ def test_run_raises_on_a_trace_gap_without_halving_dt(monkeypatch):
                        match=r"^step 1 \(t=0\.001\): accepted step violates trace consistency"):
         run(u0, rho0, cfg, 4 * cfg.dt)
     assert dts == [cfg.dt]  # the first step, not retried at a smaller dt
+
+
+@pytest.mark.parametrize("module", [functionals, identity, stepper],
+                         ids=["functionals", "identity", "stepper"])
+def test_public_callables_read_grids_and_cutoff_from_cfg(module):
+    # one trajectory has one grid and one cutoff: a stage or diagnostic
+    # takes level records and cfg, never the parts cfg already names.
+    # conserved_quantity(u, rho, cutoff, grids) and equivalence_constant(psi,
+    # cutoff, kind) keep theirs: bench/workload.py calls them on bare arrays
+    kept = {"conserved_quantity", "equivalence_constant"}
+    offenders = [
+        f"{name}{inspect.signature(obj)}" for name, obj in vars(module).items()
+        if callable(obj) and not name.startswith("_") and name not in kept
+        and getattr(obj, "__module__", None) == module.__name__
+        and {"cutoff", "grids"} & set(inspect.signature(obj).parameters)]
+    assert offenders == []
