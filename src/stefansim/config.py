@@ -256,7 +256,11 @@ def build_initial_data(scenario, cfg=None):
         # the state belongs to its own grid, epsilon and cutoff
         for name in ("n_x", "n_z", "epsilon", "alpha"):
             stored, solver = meta.get(name), getattr(cfg, name)
-            if stored is None or float(stored) != solver:
+            try:
+                match = float(stored) == solver
+            except (TypeError, ValueError):  # absent, or not a number
+                match = False
+            if not match:
                 raise ConfigError(f"snapshot {name}={stored} does not match solver "
                                   f"{name}={solver!r}")
         if state.u.shape != grids.shape or state.rho.shape != (grids.tangential.n_x,):

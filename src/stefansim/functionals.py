@@ -6,10 +6,8 @@ functionals are instantiated at psi = rho (the weights <psi>, a_psi are
 built from the newest interface of the history) and summed over the mixed
 derivative family  { d_x^mu d_t^s : mu + 2s <= 2 k_diag }.
 
-Each diagnostic takes level records and the run's ``cfg`` (a
-``stepper.SolverConfig``), whose ``grids()``, ``cutoff()``, epsilon and
-k_diag it reads itself: ``evaluate_functionals(levels, cfg)``,
-``EnergyNormK0(psi_x, a_psi, bracket, cfg)``, ``steady_mean(level)``.
+Each diagnostic takes level records and the run's ``cfg``, and reads
+the grids, the cutoff, epsilon and k_diag from it.
 
 Time derivatives are backward difference quotients over the history
 buffer; the s-th quotient needs s+1 uniformly spaced entries.  Terms whose

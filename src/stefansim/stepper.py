@@ -86,10 +86,8 @@ u_old with its level's fields and its norm, the forcing and
 u_old / dt + theta f_new); the iterate adds its frozen coefficients and
 Dirichlet data, and ``SolverConfig``'s constants set the tolerances.
 The steady solve of ``compatible_initial_temperature`` builds its own
-``_Step`` with 1/dt = 0 and theta = 1.  The diagnostics follow the same
-rule: ``make_level(t, u, rho, cfg)``, ``evaluate_functionals(history,
-cfg)`` and ``identity_residual_k0(window, cfg)`` read the grids, the
-cutoff, epsilon and k_diag from cfg.
+``_Step`` with 1/dt = 0 and theta = 1.  ``make_level`` and the
+diagnostics read the same cfg.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
 once per iterate) makes no 2-D transform: the solve's Fourier

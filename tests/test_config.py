@@ -304,7 +304,8 @@ def test_build_initial_data_from_snapshot(tmp_path):
     ("non-numeric", "could not convert string to float"),
     ("ragged", "dimensions"),
     ("no-rows", "contains no data rows"),
-], ids=["missing", "non-numeric", "ragged", "no-rows"])
+    ("header", "does not match solver n_x=16"),
+], ids=["missing", "non-numeric", "ragged", "no-rows", "header"])
 def test_unreadable_snapshot_is_a_config_error(tmp_path, case, reason):
     # the snapshot file comes from outside: a missing file or a body that
     # does not parse is a ConfigError naming the path, not a traceback
@@ -318,8 +319,11 @@ def test_unreadable_snapshot_is_a_config_error(tmp_path, case, reason):
             body[-1] = "zero" + body[-1][1:]
         elif case == "ragged":
             body[-1] = body[-1].rsplit(",", 1)[0]  # one u row a value short
-        else:
+        elif case == "no-rows":
             body = []
+        else:
+            head = [line.replace("# n_x=16", "# n_x=sixteen") for line in head]
         snap.write_text("\n".join(head + body) + "\n")
-    with pytest.raises(ConfigError, match=rf"^snapshot {re.escape(str(snap))}: .*{reason}"):
+    named = "n_x=sixteen " if case == "header" else f"{re.escape(str(snap))}: .*"
+    with pytest.raises(ConfigError, match=rf"^snapshot {named}{reason}"):
         build_initial_data(Scenario(name="s", u_init=f"snapshot:{snap}", solver=cfg))
