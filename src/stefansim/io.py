@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .functionals import EnergyReport
-from .stepper import SolverConfig, State
+from .stepper import State
 
 
 def _fmt(x):

@@ -4,10 +4,14 @@ manufactured solutions, closed-form curvature.
 Everything here is built by a different route than the production solver
 (dense eigensolves, transcendental root finding, closed-form
 differentiation) so the two can be compared without shared
-discretization machinery.
+discretization machinery.  The dispersion root comes from a safeguarded
+Newton iteration inside its sign bracket (bisection when a step leaves
+it), stopped when the residual is 0 or the bracket is a few ulps wide;
+scipy.optimize is not used.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,8 @@ from .transform import Cutoff, coefficients
 # slowest mode decays at twice this rate.
 LEADING_RATE_K1 = -0.6417103015671509
 MIN_DENSE_NODES = 64  # fewest nodes per half-strip of the dense eigensolve
+ROOT_ULPS = 4  # sign bracket width, in ulps, that stops the root iteration
+ROOT_MAX_ITER = 200  # safeguard: k <= 10^5, 0 <= eps <= 1e12 took at most 38
 
 
 def dispersion_residual(lam, k, eps=0.0):
@@ -44,14 +50,40 @@ def dispersion_residual(lam, k, eps=0.0):
 def dispersion_leading_root(k, eps=0.0):
     """Leading (least negative) coupled eigenvalue at wavenumber k >= 1.
 
-    The root always lies in (-k^2, 0): the residual is negative at -k^2
-    and positive at 0, and m tanh m is monotone on that branch.
+    The root always lies in (-k^2, 0): the residual F is negative at -k^2
+    and positive at 0, and increasing in between, with
+      dF/dlam = (1 + eps k^4) + k^2 (tanh m / m + sech^2 m).
+    Newton steps from lam = 0 inside that sign bracket; a step that leaves
+    the bracket is replaced by bisection, and one that rounds back onto
+    the iterate moves it one ulp toward the root.  The iteration stops
+    when F = 0 or the bracket is at most ROOT_ULPS ulps wide, and returns
+    the iterate with the smallest |F|.
     """
-    from scipy.optimize import brentq  # only summaries and checks need it
     if k < 1:
         raise ValueError("leading coupled root is defined for k >= 1")
-    lo, hi = -float(k * k) * (1.0 - 1e-12), -1e-300
-    return brentq(dispersion_residual, lo, hi, args=(k, eps), xtol=1e-14, rtol=1e-15)
+    k2 = float(k * k)
+    scale = 1.0 + eps * k**4
+    lo, hi = -k2, 0.0
+    lam, best, best_f = 0.0, 0.0, math.inf
+    for _ in range(ROOT_MAX_ITER):
+        f = float(dispersion_residual(lam, k, eps))
+        if abs(f) < best_f:
+            best, best_f = lam, abs(f)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= ROOT_ULPS * math.ulp(lo):
+            break
+        m = math.sqrt(lam + k2)
+        t = math.tanh(m)
+        step = lam - f / (scale + k2 * (t / m + 1.0 - t * t))
+        if step == lam:
+            step = math.nextafter(lam, hi if f < 0.0 else lo)
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
+    return best
 
 
 @dataclass(frozen=True)

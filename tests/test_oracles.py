@@ -26,7 +26,7 @@ from stefansim.transform import Cutoff, coefficients
 # ------------------------------------------------------ dispersion roots
 
 def test_pinned_leading_rate():
-    assert dispersion_leading_root(1) == pytest.approx(LEADING_RATE_K1, abs=1e-12)
+    assert dispersion_leading_root(1) == LEADING_RATE_K1
     assert dispersion_residual(LEADING_RATE_K1, 1) == pytest.approx(0.0, abs=1e-12)
     assert -1.0 < LEADING_RATE_K1 < 0.0
 
@@ -43,6 +43,17 @@ def test_leading_root_monotone_in_eps():
     roots = [dispersion_leading_root(1, eps) for eps in (0.0, 1e-2, 1e-1, 1.0)]
     assert all(b > a for a, b in zip(roots, roots[1:]))
     assert all(r < 0 for r in roots)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_leading_root_residual_at_roundoff(eps):
+    # |F| against the size of its two terms: what rounding alone leaves
+    for k in range(1, 33):
+        lam = dispersion_leading_root(k, eps)
+        assert -k * k < lam < 0.0, (k, eps)
+        m = np.sqrt(lam + k * k)
+        size = (1.0 + eps * k**4) * abs(lam) + 2.0 * k * k * abs(m * np.tanh(m))
+        assert abs(dispersion_residual(lam, k, eps)) <= 1e-13 * size, (k, eps)
 
 
 def test_dispersion_validation():
@@ -200,18 +211,42 @@ def test_manufactured_closed_forms_match_symbolic_derivatives(n_x, n_z):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (name, t)
 
 
+def package_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    src = str(Path(stefansim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.sparse.linalg"])
 def test_runtime_package_does_not_import_sympy(module):
     # sympy is a test dependency only: the package builds its manufactured
-    # solution from closed forms; scipy.optimize and scipy.sparse.linalg are
-    # loaded by the one root finder and the GMRES fallback that need them,
-    # not at import
-    src = str(Path(stefansim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # solution from closed forms; scipy.sparse.linalg is loaded only by the
+    # GMRES fallback of a stalled solve, and scipy.optimize by nothing
     code = ("import sys, stefansim, stefansim.cli, stefansim.oracles; "
             f"sys.exit({module!r} in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=package_env()).returncode == 0
+
+
+def test_dispersion_root_and_run_summary_do_not_import_scipy_optimize(tmp_path):
+    # the root finder and the summary's K2_oracle line (a single-mode run)
+    # work without scipy.optimize, which would add ~20 MB to every run
+    (tmp_path / "k2.ini").write_text(
+        "[scenario]\nname = k2\nrho_modes = 2:1e-3\nt_end = 0.02\n"
+        "[solver]\nn_x = 16\nn_z = 17\ndt = 1e-3\n")
+    code = (
+        "import sys\n"
+        "from stefansim.cli import main\n"
+        "from stefansim.oracles import dispersion_leading_root\n"
+        "for k, eps in ((1, 0.0), (3, 1e-2), (8, 1.0), (32, 1e6)):\n"
+        "    assert -k * k < dispersion_leading_root(k, eps) < 0\n"
+        f"code = main(['run', '--config', {str(tmp_path / 'k2.ini')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "sys.exit(code or 10 * ('scipy.optimize' in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "K2_oracle=" in done.stdout
 
 
 def test_oracles_do_not_import_solver_modules():
