@@ -55,14 +55,13 @@ def workloads(checkout):
 
 def chosen_workloads(requested, offered):
     """The workloads of a ``--workloads`` comma list (None: all ``offered``),
-    in the order given; SystemExit naming any that is not offered."""
+    in the order given; SystemExit if it names none or one not offered."""
     if requested is None:
         return list(offered)
     names = list(dict.fromkeys(w.strip() for w in requested.split(",") if w.strip()))
-    unknown = [w for w in names if w not in offered]
-    if unknown or not names:
-        raise SystemExit(f"--workloads {requested!r}: unknown {unknown or 'empty list'}; "
-                         f"bench/run.py offers {', '.join(offered)}")
+    if not names or not set(names) <= set(offered):
+        raise SystemExit(f"--workloads {requested!r} is not a list of the workloads "
+                         f"bench/run.py offers: {', '.join(offered)}")
     return names
 
 

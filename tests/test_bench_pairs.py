@@ -161,7 +161,7 @@ def test_workloads_flag_chooses_what_runs_and_is_recorded(bench_pairs, offline, 
 @pytest.mark.parametrize("flag", ["mms-colum", "decay-k1,k2", ","])
 def test_unknown_workload_stops_before_any_run(bench_pairs, offline, tmp_path, flag):
     out = tmp_path / "BENCH.json"
-    with pytest.raises(SystemExit, match="offers decay-k1, rough-mass-diag, mms-column"):
+    with pytest.raises(SystemExit, match="offers: decay-k1, rough-mass-diag, mms-column"):
         bench_pairs.main(["--parent", "p", "--change", "c", "--pairs", "1",
                           "--out", str(out), "--workloads", flag])
     assert offline == [] and not out.exists()
