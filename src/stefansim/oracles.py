@@ -7,7 +7,7 @@ differentiation) so the two can be compared without shared
 discretization machinery.  The dispersion root comes from a safeguarded
 Newton iteration inside its sign bracket (bisection when a step leaves
 it), stopped when the residual is 0 or the bracket is a few ulps wide;
-scipy.optimize is not used.
+no root-finding library is imported.
 """
 from __future__ import annotations
 
