@@ -3,18 +3,16 @@
 
     git worktree add --detach ../parent <parent commit>
     python scripts/bench_pairs.py --parent ../parent --change . --pairs 10 \\
-        --out BENCH_20.json [--workloads decay-k1,mms-column]
+        --out BENCH_20.json
 
 Make the parent checkout with ``git worktree add --detach``, as above.
 Both checkouts' commit ids are resolved before the first run and
 recorded; a checkout without one (a ``git archive`` copy, say) is an
 error before any run.
 
-For each workload that ``bench/run.py`` offers (its own WORKLOADS), or
-only those named by ``--workloads`` (an unknown name is an error before
-any run; the report's "workloads" lists the chosen ones), pair i (1, 2,
-...) runs ``bench/run.py --seconds 30 --trace 0 --seed 101*i`` once in
-each checkout, the parent first in odd pairs and the change first
+For each workload that ``bench/run.py`` offers (its own WORKLOADS), pair
+i (1, 2, ...) runs ``bench/run.py --seconds 30 --trace 0 --seed 101*i``
+once in each checkout, the parent first in odd pairs and the change first
 in even ones, so a drift of the host over the session falls on both sides
 alike.  Then each side makes one ``--trace 1`` run per workload at
 ``--seed 11``.  Every run's final JSON line is kept.
@@ -51,18 +49,6 @@ def workloads(checkout):
         [sys.executable, "-B", "-c", "from run import WORKLOADS; print(*WORKLOADS)"],
         cwd=os.path.join(checkout, "bench"), capture_output=True, text=True,
         check=True).stdout.split()
-
-
-def chosen_workloads(requested, offered):
-    """The workloads of a ``--workloads`` comma list (None: all ``offered``),
-    in the order given; SystemExit if it names none or one not offered."""
-    if requested is None:
-        return list(offered)
-    names = list(dict.fromkeys(w.strip() for w in requested.split(",") if w.strip()))
-    if not names or not set(names) <= set(offered):
-        raise SystemExit(f"--workloads {requested!r} is not a list of the workloads "
-                         f"bench/run.py offers: {', '.join(offered)}")
-    return names
 
 
 def bench_line(checkout, workload, seed, trace):
@@ -143,12 +129,10 @@ def main(argv=None):
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workloads", default=None,
-                    help="comma list of workloads to run (default: every one bench/run.py offers)")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     commits = {side: git_head(path) for side, path in checkouts.items()}
-    names = chosen_workloads(args.workloads, workloads(args.change))
+    names = workloads(args.change)
 
     runs = {w: [] for w in names}
     for workload in names:
@@ -172,7 +156,6 @@ def main(argv=None):
         "host": host(),
         "parent": commits["parent"],
         "change": commits["change"],
-        "workloads": names,
         "runs": runs,
         "summary": summarize(runs),
         "trace": trace,

@@ -4,10 +4,9 @@ manufactured solutions, closed-form curvature.
 Everything here is built by a different route than the production solver
 (dense eigensolves, transcendental root finding, closed-form
 differentiation) so the two can be compared without shared
-discretization machinery.  The dispersion root comes from a safeguarded
-Newton iteration inside its sign bracket (bisection when a step leaves
-it), stopped when the residual is 0 or the bracket is a few ulps wide;
-no root-finding library is imported.
+discretization machinery.  The dispersion root comes from bisecting its
+sign bracket until the two ends are adjacent floats; no root-finding
+library is imported.
 """
 from __future__ import annotations
 
@@ -26,8 +25,6 @@ from .transform import Cutoff, coefficients
 # slowest mode decays at twice this rate.
 LEADING_RATE_K1 = -0.6417103015671509
 MIN_DENSE_NODES = 64  # fewest nodes per half-strip of the dense eigensolve
-ROOT_ULPS = 4  # sign bracket width, in ulps, that stops the root iteration
-ROOT_MAX_ITER = 200  # safeguard: k <= 10^5, 0 <= eps <= 1e12 took at most 38
 
 
 def dispersion_residual(lam, k, eps=0.0):
@@ -50,40 +47,20 @@ def dispersion_residual(lam, k, eps=0.0):
 def dispersion_leading_root(k, eps=0.0):
     """Leading (least negative) coupled eigenvalue at wavenumber k >= 1.
 
-    The root always lies in (-k^2, 0): the residual F is negative at -k^2
-    and positive at 0, and increasing in between, with
-      dF/dlam = (1 + eps k^4) + k^2 (tanh m / m + sech^2 m).
-    Newton steps from lam = 0 inside that sign bracket; a step that leaves
-    the bracket is replaced by bisection, and one that rounds back onto
-    the iterate moves it one ulp toward the root.  The iteration stops
-    when F = 0 or the bracket is at most ROOT_ULPS ulps wide, and returns
-    the iterate with the smallest |F|.
+    The root always lies in (-k^2, 0) for eps >= 0: the residual F is
+    negative at -k^2, positive at 0 and increasing in between.  That sign
+    bracket is halved until its ends are adjacent floats (about 50
+    halvings at eps = 0, under 100 for eps k^4 up to 1e12), and whichever
+    end has the smaller |F| is returned.
     """
-    if k < 1:
-        raise ValueError("leading coupled root is defined for k >= 1")
-    k2 = float(k * k)
-    scale = 1.0 + eps * k**4
-    lo, hi = -k2, 0.0
-    lam, best, best_f = 0.0, 0.0, math.inf
-    for _ in range(ROOT_MAX_ITER):
-        f = float(dispersion_residual(lam, k, eps))
-        if abs(f) < best_f:
-            best, best_f = lam, abs(f)
-        if f == 0.0:
-            break
-        if f < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= ROOT_ULPS * math.ulp(lo):
-            break
-        m = math.sqrt(lam + k2)
-        t = math.tanh(m)
-        step = lam - f / (scale + k2 * (t / m + 1.0 - t * t))
-        if step == lam:
-            step = math.nextafter(lam, hi if f < 0.0 else lo)
-        lam = step if lo < step < hi else 0.5 * (lo + hi)
-    return best
+    if not 1 <= k < math.inf:
+        raise ValueError("leading coupled root is defined for finite k >= 1")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError("leading coupled root is defined for finite eps >= 0")
+    lo, hi = -float(k * k), 0.0
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if dispersion_residual(mid, k, eps) < 0.0 else (lo, mid)
+    return min((lo, hi), key=lambda lam: abs(dispersion_residual(lam, k, eps)))
 
 
 @dataclass(frozen=True)

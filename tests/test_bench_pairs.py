@@ -1,8 +1,6 @@
 """``scripts/bench_pairs.py``: its summary on synthetic result lines (no
-benchmark run), the workload list it takes from ``bench/run.py`` and the
-``--workloads`` choice (no subprocess)."""
+benchmark run), and the workload list it takes from ``bench/run.py``."""
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -114,54 +112,3 @@ def test_a_checkout_without_a_commit_id_stops_before_any_run(bench_pairs, tmp_pa
                           "--pairs", "1", "--out", str(out)])
     assert commands and all(cmd[0] == "git" for cmd in commands)
     assert not out.exists()
-
-
-OFFERED = ["decay-k1", "rough-mass-diag", "mms-column"]
-
-
-@pytest.fixture
-def offline(bench_pairs, monkeypatch):
-    """``bench_pairs`` with its git, workload listing and benchmark runs
-    replaced by stand-ins (no subprocess); returns the (workload, seed,
-    trace) of every run it is asked for."""
-    asked = []
-
-    def fake_line(checkout, workload, seed, trace):
-        asked.append((workload, seed, trace))
-        return line(1.0, 60.0)
-
-    def no_subprocess(*args, **kwargs):
-        raise AssertionError("started a subprocess")
-
-    monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: f"commit of {checkout}")
-    monkeypatch.setattr(bench_pairs, "workloads", lambda checkout: list(OFFERED))
-    monkeypatch.setattr(bench_pairs, "bench_line", fake_line)
-    monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
-    return asked
-
-
-@pytest.mark.parametrize("flag, want", [
-    (None, OFFERED),
-    ("mms-column", ["mms-column"]),
-    ("mms-column,decay-k1,mms-column", ["mms-column", "decay-k1"]),
-])
-def test_workloads_flag_chooses_what_runs_and_is_recorded(bench_pairs, offline, tmp_path,
-                                                         flag, want):
-    out = tmp_path / "BENCH.json"
-    argv = ["--parent", "p", "--change", "c", "--pairs", "2", "--out", str(out)]
-    bench_pairs.main(argv + ([] if flag is None else ["--workloads", flag]))
-    report = json.loads(out.read_text())
-    assert report["workloads"] == want
-    assert list(report["runs"]) == list(report["summary"]) == list(report["trace"]) == want
-    # two pairs of two untraced runs, then one traced run per side
-    assert offline == [(w, seed, 0) for w in want for seed in (101, 101, 202, 202)] + [
-        (w, bench_pairs.TRACE_SEED, 1) for w in want for _ in range(2)]
-
-
-@pytest.mark.parametrize("flag", ["mms-colum", "decay-k1,k2", ","])
-def test_unknown_workload_stops_before_any_run(bench_pairs, offline, tmp_path, flag):
-    out = tmp_path / "BENCH.json"
-    with pytest.raises(SystemExit, match="offers: decay-k1, rough-mass-diag, mms-column"):
-        bench_pairs.main(["--parent", "p", "--change", "c", "--pairs", "1",
-                          "--out", str(out), "--workloads", flag])
-    assert offline == [] and not out.exists()

@@ -57,8 +57,11 @@ def test_leading_root_residual_at_roundoff(eps):
 
 
 def test_dispersion_validation():
-    with pytest.raises(ValueError):
-        dispersion_leading_root(0)
+    # outside k >= 1, eps >= 0 the bracket (-k^2, 0) need not hold a sign change
+    for k, eps in ((0, 0.0), (float("inf"), 0.0), (float("nan"), 0.0),
+                   (1, -1.0), (1, -1e-6), (1, float("nan")), (1, float("inf"))):
+        with pytest.raises(ValueError):
+            dispersion_leading_root(k, eps)
     with pytest.raises(ValueError):
         linearized_spectrum(1, n_z_dense=63)
 
@@ -211,42 +214,32 @@ def test_manufactured_closed_forms_match_symbolic_derivatives(n_x, n_z):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (name, t)
 
 
-def package_env():
-    """The environment of a subprocess that imports this checkout's package."""
-    src = str(Path(stefansim.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
 @pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.sparse.linalg"])
-def test_runtime_package_does_not_import_sympy(module):
+def test_runtime_package_does_not_import_sympy(module, tmp_path):
     # sympy is a test dependency only: the package builds its manufactured
     # solution from closed forms; scipy.sparse.linalg is loaded only by the
-    # GMRES fallback of a stalled solve, and scipy.optimize by nothing
-    code = ("import sys, stefansim, stefansim.cli, stefansim.oracles; "
-            f"sys.exit({module!r} in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=package_env()).returncode == 0
-
-
-def test_dispersion_root_and_run_summary_do_not_import_scipy_optimize(tmp_path):
-    # the root finder and the summary's K2_oracle line (a single-mode run)
-    # work without scipy.optimize, which would add ~20 MB to every run
-    (tmp_path / "k2.ini").write_text(
-        "[scenario]\nname = k2\nrho_modes = 2:1e-3\nt_end = 0.02\n"
-        "[solver]\nn_x = 16\nn_z = 17\ndt = 1e-3\n")
-    code = (
-        "import sys\n"
-        "from stefansim.cli import main\n"
-        "from stefansim.oracles import dispersion_leading_root\n"
-        "for k, eps in ((1, 0.0), (3, 1e-2), (8, 1.0), (32, 1e6)):\n"
-        "    assert -k * k < dispersion_leading_root(k, eps) < 0\n"
-        f"code = main(['run', '--config', {str(tmp_path / 'k2.ini')!r}, "
-        f"'--out', {str(tmp_path / 'out')!r}])\n"
-        "sys.exit(code or 10 * ('scipy.optimize' in sys.modules))\n")
-    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+    # GMRES fallback of a stalled solve, and scipy.optimize by nothing: not
+    # by the dispersion root, nor by the K2_oracle line of a single-mode
+    # run's summary (it would add ~20 MB to every such run)
+    src = str(Path(stefansim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, stefansim, stefansim.cli, stefansim.oracles\n"
+    if module == "scipy.optimize":
+        config, out = tmp_path / "k2.ini", tmp_path / "out"
+        config.write_text("[scenario]\nname = k2\nrho_modes = 2:1e-3\nt_end = 0.02\n"
+                          "[solver]\nn_x = 16\nn_z = 17\ndt = 1e-3\n")
+        code += (
+            "for k, eps in ((1, 0.0), (3, 1e-2), (8, 1.0), (32, 1e6)):\n"
+            "    assert -k * k < stefansim.oracles.dispersion_leading_root(k, eps) < 0\n"
+            f"assert stefansim.cli.main(['run', '--config', {str(config)!r}, "
+            f"'--out', {str(out)!r}]) == 0\n")
+    code += f"sys.exit({module!r} in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert "K2_oracle=" in done.stdout
+    if module == "scipy.optimize":
+        assert "K2_oracle=" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_oracles_do_not_import_solver_modules():
