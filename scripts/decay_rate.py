@@ -15,7 +15,6 @@ Plotting recipe (external, optional):
 """
 import argparse
 import csv
-import dataclasses
 
 import numpy as np
 

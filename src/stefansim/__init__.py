@@ -58,4 +58,15 @@ from .config import Scenario, build_initial_data, parse_config
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [  # the names imported above, and no submodule
+    "ConfigError", "DegenerateTransformError", "FixedPointError", "LinearSolveError",
+    "NonFiniteFieldError", "StefanSimError", "Grids", "NormalGrid", "TangentialGrid",
+    "band_limited", "d_tangential", "Cutoff", "TransformCoefficients", "coefficients", "curvature",
+    "EnergyReport", "conservation_residual", "decay_fit", "dissipation_eps", "energy_eps",
+    "equivalence_constant", "evaluate_functionals", "i_psi", "sobolev_norms", "state_energy_k0",
+    "steady_mean", "IdentityReport", "identity_residual_k0", "model_energy", "Level",
+    "SolverConfig", "State", "compatible_initial_temperature", "fixed_point_step", "make_level",
+    "run", "LinearizedMode", "ManufacturedProblem", "curvature_closed_form",
+    "dispersion_leading_root", "linearized_spectrum", "Scenario", "build_initial_data",
+    "parse_config",
+]

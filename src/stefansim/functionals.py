@@ -345,8 +345,8 @@ def _normal_stencils(tangential, normal):
 
 class EnergyNormK0:
     """The order-0 norm: E_eps at diagnostic order 0 with the weights of
-    one interface psi frozen, set up once per interface for
-    ``state_energy_k0``.
+    one interface psi frozen, set up once for ``state_energy_k0`` (by the
+    stepper once per step, with its LU, at iterate 1's interface).
 
     psi_x (the spectral slope of psi), a_psi (bulk, (n_x, n_z)) and
     bracket = <psi> ((n_x,)) are the interface derivative and the

@@ -79,18 +79,18 @@ The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
 t_new=..., forcing=..., earlier=...)``, ``interface_step(u_new, old, cfg,
 ...)``, which reads rho's rfft from the old level, and every solve's one
-call shape ``temperature_step(step, coef, dirichlet=..., warm=...)``.
-``step`` is the ``_Step`` that ``_prepare_step`` builds once per time
-step, before the first iterate (the grids, the factors, 1/dt and theta,
-u_old with its level's fields and its norm, the forcing and
-u_old / dt + theta f_new); the iterate adds its frozen coefficients and
-Dirichlet data, and ``SolverConfig``'s constants set the tolerances.
+call shape ``temperature_step(step, coef, dirichlet=..., start=...,
+fp_diff=...)``.  ``step`` is the ``_Step`` that ``_prepare_step`` builds
+once per time step, before the first iterate; the iterate adds its
+frozen coefficients, Dirichlet data, lag-loop start and last fixed-point
+difference, and ``SolverConfig``'s constants set the tolerances.
 The steady solve of ``compatible_initial_temperature`` builds its own
-``_Step`` with 1/dt = 0 and theta = 1.  ``make_level`` and the
+``_Step`` with 1/dt = 0, theta = 1 and no norm.  ``make_level`` and the
 diagnostics read the same cfg.
 
-The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0`` built
-once per iterate) makes no 2-D transform: the solve's Fourier
+The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0``) is
+frozen with the LU at iterate 1's interface, whose one ``norm_weights``
+call gives both, and makes no 2-D transform: the solve's Fourier
 coefficients travel with the fields it returns, so the bulk terms
 int w^2 + w_x^2 of the fixed-point difference are a Parseval sum over
 the difference of the two solves' coefficients (u_old's at iterate 1),
@@ -235,9 +235,10 @@ class Level(State):
     ``run`` keeps levels in its bounded history only, and drops what no
     step can read: the step from a level reads all its ``fields`` and its
     ``forcing``, the predictors of the two steps after it only the fields'
-    zz, xz and z, and the reports read the rest.  The states it hands to
-    callbacks and returns are plain ``State``s, so a caller that keeps
-    every state keeps no derived fields."""
+    zz, xz and z: a level one back drops its fields' xx and its forcing,
+    three back all its fields.  The reports read the rest, ``u_hat`` (the
+    fields' hat) too.  The states it hands to callbacks and returns are
+    plain ``State``s, so a caller that keeps every state keeps none."""
     fields: _Fields = None
     u_hat: np.ndarray = None
     rho_hat: np.ndarray = None
@@ -301,8 +302,9 @@ class _Step:
     ``_BulkLU`` factored at the step's first interface iterate, 1/dt (0
     for the steady solve) and theta, u_old with its ``_bulk_fields`` and
     norm, the bulk forcing at both time levels (zeros without forcing), the
-    norm of their theta blend, and the part of the right-hand side they
-    fix, u_old / dt + theta f_new.  Made by ``_prepare_step``."""
+    norm of their theta blend, the part of the right-hand side they fix,
+    u_old / dt + theta f_new, and the fixed-point norm at the factors'
+    interface (None for the steady solve).  Made by ``_prepare_step``."""
     grids: Grids
     bulk: _BulkLU
     inv_dt: float
@@ -314,9 +316,11 @@ class _Step:
     f_old: np.ndarray
     norm_f: float
     base_rhs: np.ndarray
+    fp_norm: EnergyNormK0
 
 
-def _prepare_step(a_mean, u_old, fields_old, forcing_new, forcing_old, inv_dt, theta, grids):
+def _prepare_step(a_mean, u_old, fields_old, forcing_new, forcing_old, inv_dt, theta, grids,
+                  fp_norm=None):
     """The ``_Step`` of a step from u_old, whose ``_bulk_fields`` the caller
     holds, with the operator factored at the z-profile a_mean; a forcing
     of None is zero."""
@@ -327,21 +331,7 @@ def _prepare_step(a_mean, u_old, fields_old, forcing_new, forcing_old, inv_dt, t
         u=u_old, fields=fields_old,
         norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
         norm_f=np.linalg.norm(theta * f_new + (1.0 - theta) * f_old),
-        base_rhs=u_old * inv_dt + theta * f_new)
-
-
-@dataclass(frozen=True)
-class _WarmStart:
-    """Where a temperature solve begins, and what its exit rule measures
-    against: the previous fixed-point iterate u and its ``_bulk_fields``,
-    the previous fixed-point difference, and the fixed-point norm at the
-    iterate (an ``EnergyNormK0``).  A difference of inf leaves the
-    residual test alone and needs no norm, nor the fields' xx and hat: a
-    step's first iterate and the steady solve start so."""
-    u: np.ndarray
-    fields: _Fields
-    fp_diff: float
-    norm: EnergyNormK0
+        base_rhs=u_old * inv_dt + theta * f_new, fp_norm=fp_norm)
 
 
 def _thomas_batched(dl, d, du, rhs, du2, ipiv):
@@ -477,16 +467,18 @@ def _interior_operator(coef, fields):
     return out, sum(np.linalg.norm(t) for t in terms)
 
 
-def temperature_step(step, coef, *, dirichlet, warm):
+def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
     ``step`` is the ``_Step`` every solve of one time step shares (the
     grids, the factored operator, 1/dt and theta, u_old's fields and norm,
-    the forcing and the fixed part of the right-hand side); ``coef`` holds the
-    frozen coefficients and ``dirichlet`` the interface values.  The lag
-    loop lags whatever of ``coef.a`` the factored a_mean leaves out; a
-    step with inv_dt = 0 gives the steady solve used to build compatible
-    initial data.
+    the forcing, the fixed part of the right-hand side and the fixed-point
+    norm); ``coef`` holds the frozen coefficients, ``dirichlet`` the
+    interface values and ``start`` the last iterate (u, its
+    ``_bulk_fields``), where the lag loop starts.  The lag loop lags
+    whatever of ``coef.a`` the factored a_mean leaves out; a step with
+    inv_dt = 0 gives the steady solve used to build compatible initial
+    data.
 
     Returns (u_new, final_residual, lag_iterations, fields): fields are
     u_new's ``_bulk_fields``, its rfft included, which a solve
@@ -501,17 +493,17 @@ def temperature_step(step, coef, *, dirichlet, warm):
     unchanged, the next iteration's lagged terms.
 
     Exit rule.  Every solve ends with ``full residual <= lin_tol``, checked
-    on the returned u.  The lag loop starts from ``warm`` (a
-    ``_WarmStart``).  When its fixed-point difference is finite, the loop,
-    once the residual test holds, also measures the last lag update in the
-    fixed-point norm (``state_energy_k0`` with the iterate's
-    ``EnergyNormK0``, on the update's Fourier coefficients x_hat - prev_hat
-    and without the interface terms, which are 0: no transform).  It
-    accepts when that update is at most WARM_FP_FRACTION of the previous
-    fixed-point difference or WARM_TOL_FRACTION of fp_tol, or is no
-    smaller than the update before it (the roundoff floor).  A residual
-    test alone would end warm solves at residuals far below lin_tol yet
-    carry the lag loop's contraction into the fixed-point iterates.
+    on the returned u.  When ``fp_diff``, the last fixed-point difference,
+    is finite, the loop, once the residual test holds, also measures the
+    last lag update in the step's fixed-point norm (``state_energy_k0`` on
+    the update's Fourier coefficients x_hat - prev_hat and without the
+    interface terms, which are 0: no transform).  It accepts when that
+    update is at most WARM_FP_FRACTION of ``fp_diff`` or WARM_TOL_FRACTION
+    of fp_tol, or is no smaller than the update before it (the roundoff
+    floor).  A residual test alone would end warm solves at residuals far
+    below lin_tol yet carry the lag loop's contraction into the fixed-point
+    iterates.  An inf ``fp_diff`` (iterate 1, the steady solve) skips the
+    update test, and so needs no norm, nor the start's xx and hat.
 
     GMRES fallback.  If the residual has not fallen over STALL_WINDOW lag
     iterations, the loop has stopped contracting (or diverges), and the
@@ -599,10 +591,10 @@ def temperature_step(step, coef, *, dirichlet, warm):
             residual=float(residual),
         )
 
-    u_prev, fields = warm.u, warm.fields
+    u_prev, fields = start
     # the update test below reads the start's hat, which an extrapolated
     # start (``_extrapolate``) leaves None: such a start must skip the test
-    assert fields.hat is not None or warm.fp_diff == np.inf, "start without hat needs fp_diff inf"
+    assert fields.hat is not None or fp_diff == np.inf, "start without hat needs fp_diff inf"
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, max_iter + 1):
@@ -612,11 +604,11 @@ def temperature_step(step, coef, *, dirichlet, warm):
         prev_hat = fields.hat
         fields, r, residual = measure(u_new, x_hat)
         if residual <= lin_tol:
-            if warm.fp_diff == np.inf or it == max_iter:
+            if fp_diff == np.inf or it == max_iter:
                 return u_new, float(residual), it, fields
             # measured only once the residual test holds
-            update = np.sqrt(state_energy_k0(u_new - u_prev, x_hat - prev_hat, None, warm.norm))
-            if (update <= WARM_FP_FRACTION * warm.fp_diff
+            update = np.sqrt(state_energy_k0(u_new - u_prev, x_hat - prev_hat, None, step.fp_norm))
+            if (update <= WARM_FP_FRACTION * fp_diff
                     or update <= WARM_TOL_FRACTION * SolverConfig.fp_tol
                     or update >= last_update):
                 return u_new, float(residual), it, fields
@@ -684,7 +676,7 @@ def compatible_initial_temperature(rho0, cfg):
                         rho_x=zero.rho_x, rho_xx=zero.rho_xx)
     step = _prepare_step(coef.a.mean(axis=0), zero.u, zero.fields, None, None, 0.0, 1.0, grids)
     u0, _, _, _ = temperature_step(step, coef, dirichlet=curvature_hat(zero.rho_hat, zero.rho_x),
-                                   warm=_WarmStart(step.u, step.fields, np.inf, None))
+                                   start=(step.u, step.fields), fp_diff=np.inf)
     return u0
 
 
@@ -734,9 +726,10 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
     curvature of rho_m as Dirichlet data, then interface update; u_m only
     warm-starts the next solve) until the difference of the unmixed pair
     (u_next, rho_next) from (u_m, rho_m), measured in the order-0
-    regularized-energy norm at rho_m, drops below fp_tol; the accepted
-    state is that pair, a true output of G.  With ``earlier``, iterate 1
-    starts from ``_extrapolate``'s polynomial through level and earlier:
+    regularized-energy norm at iterate 1's rho_m (frozen with the LU),
+    drops below fp_tol; the accepted state is that pair, a true output of
+    G.  With ``earlier``, iterate 1 starts from ``_extrapolate``'s
+    polynomial through level and earlier:
     the interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (two earlier
     levels) or 2 rho_n - rho_{n-1} (one), the lag loop from the same
     combination of the temperatures and their fields; without, from
@@ -770,9 +763,9 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
         rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids)
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
-    weights = norm_weights(rho_m, rx, cutoff, grids)  # (a, <rho>) at iterate 1's rho_m
-    step = _prepare_step(weights[0].mean(axis=0), level.u, level.fields, f_bulk_new, f_bulk_old,
-                         1.0 / dt, theta, grids)
+    a, bracket = norm_weights(rho_m, rx, cutoff, grids)  # at iterate 1's rho_m
+    step = _prepare_step(a.mean(axis=0), level.u, level.fields, f_bulk_new, f_bulk_old,
+                         1.0 / dt, theta, grids, fp_norm=EnergyNormK0(rx, a, bracket, cfg))
     sigma = step.bulk.jump_response()
 
     mixer = _Secant()
@@ -786,22 +779,18 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
                             (rho_m - level.rho) / dt, cutoff, grids,
                             rho_x=theta * rx + (1.0 - theta) * base_x,
                             rho_xx=theta * rxx + (1.0 - theta) * base_xx)
-        # the norm's weights at rho_m: a and <rho> do not depend on rho_t,
-        # so at theta = 1 they are coef's own fields
-        a_m, bracket_m = (coef.a, coef.bracket) if theta == 1.0 else weights
-        norm_m = EnergyNormK0(rx, a_m, bracket_m, cfg)
         dirichlet = curvature_hat(rho_hat, rx)
         if g_dir is not None:
             dirichlet = dirichlet + g_dir
         u_next, lin_res, lag_iters, fields_next = temperature_step(
-            step, coef, dirichlet=dirichlet, warm=_WarmStart(*start, diff, norm_m))
+            step, coef, dirichlet=dirichlet, start=start, fp_diff=diff)
         rho_next = interface_step(u_next, level, cfg, rho_x=rx, rho_hat=rho_hat,
                                   jump_response=sigma, jump_forcing=f_jump_new, rhs_old=rhs_old)
         lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
         # the bulk difference's coefficients are those of the two solves
         diff = np.sqrt(state_energy_k0(u_next - u_m, fields_next.hat - fields_m.hat,
-                                       np.fft.rfft(rho_next - rho_m), norm_m))
+                                       np.fft.rfft(rho_next - rho_m), step.fp_norm))
         norms.append(diff)
         if diff <= cfg.fp_tol:
             new = make_level(t_new, u_next, rho_next, cfg, fields=fields_next, forcing=f_new)
@@ -813,8 +802,6 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
         start = (u_m, fields_m)
         rho_m = mixer.next(rho_m, rho_next, diff)
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
-        if theta < 1.0:
-            weights = norm_weights(rho_m, rx, cutoff, grids)
     last_ratio = norms[-1] / norms[-2] if len(norms) >= 2 else None
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "
@@ -898,10 +885,11 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     levels, linearly from two (step 2 and the second step after a
     halving); step 1 and the first step after a halving have none and
     start from rho_n and u_n.  A level keeps its fields' zz, xz and z
-    while a predictor can still read them, and its other fields and
-    forcing only while it is the newest.  Within the
-    step it mixes the interface iterates by a secant step and stops on the
-    unmixed pair, so the accepted state is an output of the step's map.
+    while a predictor can still read them, and their xx and its forcing
+    only while it is the newest (their hat is the reports' ``u_hat``).
+    Within the step it mixes the interface iterates by a secant step and
+    stops on the unmixed pair, so the accepted state is an output of the
+    step's map.
 
     u0 must have the grid's shape (n_x, n_z) and rho0 the shape (n_x,),
     and t_end must be finite and >= 0; ``run`` raises ConfigError before
@@ -952,7 +940,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
             # predictor the lagged fields of the two levels before it
             if len(history) >= 2:
                 older = history[-2]
-                older.fields, older.forcing = older.fields._replace(xx=None, hat=None), None
+                older.fields, older.forcing = older.fields._replace(xx=None), None
             if len(history) >= 4:
                 history[-4].fields = None
             report = _make_report(history, cfg, steady_level, step_report, compute_identity)

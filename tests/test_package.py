@@ -1,5 +1,8 @@
-"""Source hygiene of the package: every module uses the names it imports."""
+"""Source hygiene of the package and the study scripts: every module uses
+the names it imports, and ``__all__`` names the package's exports and no
+submodule."""
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import stefansim
 
 PACKAGE = Path(stefansim.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
@@ -38,6 +42,17 @@ def test_unused_import_scan_sees_docstring_only_names():
     assert unused_imports(source) == [(5, "SolverConfig")]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("module", MODULES + SCRIPTS,
+                         ids=lambda p: p.stem if p in MODULES else f"scripts.{p.stem}")
 def test_modules_use_every_name_they_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_all_lists_each_export_once_and_no_module():
+    names = stefansim.__all__
+    assert len(names) == len(set(names)) == 44
+    assert not [name for name in names if isinstance(getattr(stefansim, name), types.ModuleType)]
+    # every public name the package binds, other than its submodules
+    exported = {name for name, value in vars(stefansim).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == exported

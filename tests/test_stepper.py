@@ -115,20 +115,21 @@ def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
     step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, inv_dt, cfg.theta, grids)
     return temperature_step(step, coef,
                             dirichlet=curvature(rho) if dirichlet is None else dirichlet,
-                            warm=cold_start(step))
+                            **cold_start(step))
 
 
-def prepare_step(a_mean, u_old, f_new, f_old, inv_dt, theta, grids):
+def prepare_step(a_mean, u_old, f_new, f_old, inv_dt, theta, grids, fp_norm=None):
     """``stepper._prepare_step`` from u_old alone: its fields are built
     here, as ``make_level`` builds them."""
     fields = stepper._bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
-    return stepper._prepare_step(a_mean, u_old, fields, f_new, f_old, inv_dt, theta, grids)
+    return stepper._prepare_step(a_mean, u_old, fields, f_new, f_old, inv_dt, theta, grids,
+                                 fp_norm=fp_norm)
 
 
 def cold_start(step):
-    """The start of a solve from the step's u_old on the residual test
-    alone, as a step's first iterate makes it."""
-    return stepper._WarmStart(step.u, step.fields, np.inf, None)
+    """The ``temperature_step`` arguments of a solve from the step's u_old
+    on the residual test alone, as a step's first iterate makes it."""
+    return {"start": (step.u, step.fields), "fp_diff": np.inf}
 
 
 def bulk_operator(v, coef, grids):
@@ -501,11 +502,14 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     coef = coefficients(data[0], data[1], cutoff, grids,
                         rho_x=d_tangential(data[0], 1), rho_xx=d_tangential(data[0], 2))
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
+    rx = d_tangential(rho, 1)
+    norm = EnergyNormK0(rx, *norm_weights(rho, rx, cutoff, grids), cfg)
     counts = count_transforms(monkeypatch)
-    step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids)
+    step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids,
+                        fp_norm=norm)
     step.bulk.jump_response()
     u, _, lag_iters, fields = temperature_step(step, coef, dirichlet=dirichlet,
-                                               warm=cold_start(step))
+                                               **cold_start(step))
     assert lag_iters >= 3
     assert counts["rfft"] <= lag_iters + 2
     assert counts["irfft"] <= 3 * lag_iters + 2
@@ -517,12 +521,9 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     # lag update works on the coefficients the solve holds, so only the lag
     # iterations and the Dirichlet data transform
     x = grids.tangential.nodes
-    rx = d_tangential(rho, 1)
-    norm = EnergyNormK0(rx, *norm_weights(rho, rx, cutoff, grids), cfg)
-    warm = stepper._WarmStart(u, fields, 1e-9, norm)
     counts.update(rfft=0, irfft=0)
     _, residual, warm_iters, _ = temperature_step(
-        step, coef, dirichlet=dirichlet + 1e-6 * np.cos(x), warm=warm)
+        step, coef, dirichlet=dirichlet + 1e-6 * np.cos(x), start=(u, fields), fp_diff=1e-9)
     assert residual <= cfg.lin_tol and warm_iters >= 2
     assert counts["rfft"] == warm_iters + 1
     assert counts["irfft"] == 3 * warm_iters
@@ -683,16 +684,14 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
     assert counts["substitutions"] == report.lag_iters + 1
 
 
-@pytest.mark.parametrize("theta, per_iterate, predicted",
-                         [(1.0, False, False), (0.5, True, False),
-                          (1.0, False, True), (0.5, True, True)],
+@pytest.mark.parametrize("theta, predicted", [(1.0, False), (0.5, False), (1.0, True), (0.5, True)],
                          ids=["1.0-False", "0.5-True", "1.0-False-predicted", "0.5-True-predicted"])
-def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, per_iterate,
-                                                               predicted, forced_step_problem):
+def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, predicted,
+                                                               forced_step_problem):
     # the set-up's weights at iterate 1's rho_m (state.rho, or the
-    # predictor from the level one dt back) factor the step and serve
-    # iterate 1; at theta < 1 each later iterate needs those of its own
-    # rho_m (at theta = 1 they are the coefficients' own fields)
+    # predictor from the level one dt back) factor the step and give its
+    # one fixed-point norm, which every iterate of the step measures in,
+    # at every theta
     cfg, state, forcing = forced_step_problem(theta)
     earlier = ()
     if predicted:  # the predictor is 1.01 state.rho, up to roundoff
@@ -700,9 +699,12 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
     calls, real_weights = [], stepper.norm_weights
     monkeypatch.setattr(stepper, "norm_weights",
                         lambda *args: calls.append(args) or real_weights(*args))
+    norms, real_norm = [], stepper.EnergyNormK0
+    monkeypatch.setattr(stepper, "EnergyNormK0",
+                        lambda *args: norms.append(args) or real_norm(*args))
     _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, earlier=earlier)
     assert report.inner_iters >= 3
-    assert len(calls) == (report.inner_iters if per_iterate else 1)
+    assert len(calls) == 1 and len(norms) == 1
     assert np.array_equal(calls[0][0],
                           2.0 * state.rho - earlier[0].rho if predicted else state.rho)
 
@@ -796,7 +798,7 @@ def cold_reference_step(state, cfg, forcing):
                             rho_x=d_tangential(rho_eff, 1), rho_xx=d_tangential(rho_eff, 2))
         step = prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old, 1.0 / dt, theta, grids)
         u_next, *_ = temperature_step(step, coef,
-                                      dirichlet=curvature(rho_m) + g_dir, warm=cold_start(step))
+                                      dirichlet=curvature(rho_m) + g_dir, **cold_start(step))
         sigma = step.bulk.jump_response()
         rho_next = interface_step(u_next, state, cfg,
                                   jump_forcing=j_new, rhs_old=rhs_old,
@@ -1011,7 +1013,7 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     real_weights = stepper.norm_weights
 
     def recording_temperature(*args, **kwargs):
-        warm_starts.append((kwargs["warm"].u, kwargs["warm"].fields))
+        warm_starts.append(kwargs["start"])
         return real_temperature(*args, **kwargs)
 
     def recording_step(level, *args, earlier=(), **kwargs):
@@ -1078,8 +1080,8 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
     rho_starts, starts = [], []
     real_weights = stepper.norm_weights
 
-    def first_solve(step, coef, *, dirichlet, warm):
-        starts.append(warm)
+    def first_solve(step, coef, *, dirichlet, start, fp_diff):
+        starts.append(start)
         raise _FirstSolve
 
     monkeypatch.setattr(stepper, "norm_weights",
@@ -1087,12 +1089,12 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
     monkeypatch.setattr(stepper, "temperature_step", first_solve)
     with pytest.raises(_FirstSolve):
         fixed_point_step(l2, cfg, t_new=3 * cfg.dt, earlier=(l1, l0))
-    (rho_m,), (warm,) = rho_starts, starts
+    (rho_m,), ((u_start, fields),) = rho_starts, starts
     rho_ref, u_ref = rho(3 * cfg.dt), u(3 * cfg.dt)
     assert np.abs(rho_m - rho_ref).max() <= 1e-14 * np.abs(rho_ref).max()
-    assert np.abs(warm.u - u_ref).max() <= 1e-14 * np.abs(u_ref).max()
-    want = stepper._lagged_fields(warm.u, np.fft.rfft(warm.u, axis=0), grids)
-    for got, ref in zip((warm.fields.zz, warm.fields.xz, warm.fields.z), want, strict=True):
+    assert np.abs(u_start - u_ref).max() <= 1e-14 * np.abs(u_ref).max()
+    want = stepper._lagged_fields(u_start, np.fft.rfft(u_start, axis=0), grids)
+    for got, ref in zip((fields.zz, fields.xz, fields.z), want, strict=True):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
