@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .grids import Grids
 from .transform import Cutoff, coefficients
@@ -122,6 +121,8 @@ def linearized_spectrum(k, n_z_dense=201, eps=0.0):
     A[i_rho, 1] = -4.0 / (2 * h)
     A[i_rho, 2] = 1.0 / (2 * h)
     M[i_rho, i_rho] = 1.0 + eps * k**4
+
+    import scipy.linalg  # only the spectrum needs it: a run does not load scipy
 
     vals = scipy.linalg.eig(A, M, right=False)
     vals = vals[np.isfinite(vals)]

@@ -98,10 +98,20 @@ and those of a warm solve's lag update over x_hat - prev_hat.  The
 a-weighted normal-derivative term is a stencil sum, and only the
 fixed-point difference has interface terms, from one 1-D FFT and one
 batched inverse FFT.
+
+The bulk LU is LAPACK's ``dgttrf`` and its substitution ``zgttrs``, called
+by ctypes from the LAPACK numpy is linked against: numpy's wheels ship an
+ILP64 OpenBLAS, already loaded, that exports them as ``scipy_dgttrf_64_``
+and ``scipy_zgttrs_64_``.  So a run does not import scipy, whose own
+OpenBLAS costs about 28 MB of resident memory.  Where numpy's library
+lacks the two symbols (another BLAS, a source build) they come from
+``scipy.linalg.lapack`` instead; ``_gt_lapack`` decides once, at import.
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache
@@ -109,7 +119,6 @@ from itertools import islice
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import ConfigError, FixedPointError, LinearSolveError, StefanSimError
 from .functionals import (
@@ -334,19 +343,140 @@ def _prepare_step(a_mean, u_old, fields_old, forcing_new, forcing_old, inv_dt, t
         base_rhs=u_old * inv_dt + theta * f_new, fp_norm=fp_norm)
 
 
+_REAL, _COMPLEX, _INT = np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.int64)
+_INT_P = ctypes.POINTER(ctypes.c_int64)
+
+
+def _checked(name, a, dtype, size):
+    """a, if it is a C-contiguous ndarray of ``dtype`` with ``size``
+    entries; else ValueError.  ctypes hands LAPACK bare pointers, so every
+    array is checked before a call, as f2py's wrappers check theirs."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous
+            and a.size == size):
+        raise ValueError(f"{name}: need a C-contiguous {dtype} array of {size} "
+                         f"entries, got {getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}")
+    return a
+
+
+def _pointer(a):
+    """A pointer to a's first entry that keeps a alive: three times cheaper
+    than one from ``a.ctypes``."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+
+def _byref_int(value):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+class _Dgttrf:
+    """An ILP64 ``dgttrf`` by ctypes, with ``scipy.linalg.lapack.dgttrf``'s
+    arguments and results: (dl, d, du, du2, ipiv, info) = dgttrf(dl, d, du)
+    factors the tridiagonal matrix of float64 diagonals dl, d, du into new
+    arrays (the inputs are kept) with int64 pivots."""
+
+    def __init__(self, routine):
+        self.routine = routine
+
+    def __call__(self, dl, d, du):
+        n = np.size(d)
+        dl, d, du = (_checked(name, a, _REAL, size).copy() for name, a, size in
+                     (("dl", dl, max(n - 1, 0)), ("d", d, n), ("du", du, max(n - 1, 0))))
+        du2, ipiv, info = np.zeros(max(n - 2, 0)), np.zeros(n, np.int64), ctypes.c_int64()
+        self.routine(_byref_int(n), *map(_pointer, (dl, d, du, du2, ipiv)), ctypes.byref(info))
+        return dl, d, du, du2, ipiv, info.value
+
+
+class _Zgttrs:
+    """An ILP64 ``zgttrs`` by ctypes, with ``scipy.linalg.lapack.zgttrs``'s
+    arguments but in place: (b, info) = zgttrs(dl, d, du, du2, ipiv, b)
+    overwrites b, whose entries in flat order are the right-hand sides of
+    the systems end to end, with the solution; dl, d, du and du2 are the
+    complex ``dgttrf`` factors and ipiv their int64 pivots.
+
+    The factors' arguments (their pointers, n, nrhs and ldb) are checked
+    and built at their first solve and kept, with the factors, until a
+    solve passes other factor arrays: every solve of one ``_BulkLU``
+    passes the same ones, so a solve checks b and builds only its pointer.
+    ``bound`` is replaced whole, never edited, so concurrent solves read
+    consistent arguments.
+    """
+
+    def __init__(self, routine):
+        self.routine = routine
+        # the bound factors, n, the arguments before b's and ldb
+        self.bound = (None,) * 5, 0, (), None
+
+    def __call__(self, dl, d, du, du2, ipiv, b):
+        factors = (dl, d, du, du2, ipiv)
+        bound, n, head, ldb = self.bound
+        if not all(map(operator.is_, factors, bound)):
+            n = np.size(d)
+            for name, a, dtype, size in (("dl", dl, _COMPLEX, n - 1), ("d", d, _COMPLEX, n),
+                                         ("du", du, _COMPLEX, n - 1),
+                                         ("du2", du2, _COMPLEX, n - 2), ("ipiv", ipiv, _INT, n)):
+                _checked(name, a, dtype, max(size, 0))
+            head = (b"N", _byref_int(n), _byref_int(1), *map(_pointer, factors))
+            ldb = _byref_int(max(n, 1))
+            self.bound = factors, n, head, ldb
+        _checked("b", b, _COMPLEX, n)
+        info = ctypes.c_int64()
+        self.routine(*head, _pointer(b), ldb, ctypes.byref(info), 1)
+        return b, info.value
+
+
+def _gt_lapack(lib):
+    """(dgttrf, zgttrs) of the bulk LU: ``_Dgttrf`` and ``_Zgttrs`` on
+    lib's ``scipy_dgttrf_64_`` and ``scipy_zgttrs_64_``, the names
+    OpenBLAS's ILP64 build for numpy and scipy gives them; if lib is None
+    or lacks either, ``scipy.linalg.lapack``'s, zgttrs made in place
+    alike.  Both pairs give the same factors and solutions bitwise."""
+    try:
+        factor, substitute = lib.scipy_dgttrf_64_, lib.scipy_zgttrs_64_
+    except AttributeError:
+        from scipy.linalg import lapack
+
+        def zgttrs(dl, d, du, du2, ipiv, b):
+            x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1), overwrite_b=1)
+            return x.reshape(b.shape), info
+
+        return lapack.dgttrf, zgttrs
+    factor.restype = substitute.restype = None
+    # dgttrf(N, DL, D, DU, DU2, IPIV, INFO)
+    factor.argtypes = [_INT_P] + [ctypes.c_void_p] * 5 + [_INT_P]
+    # zgttrs(TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO), then
+    # gfortran's hidden length of the character argument TRANS
+    substitute.argtypes = ([ctypes.c_char_p, _INT_P, _INT_P] + [ctypes.c_void_p] * 6
+                           + [_INT_P, _INT_P, ctypes.c_size_t])
+    return _Dgttrf(factor), _Zgttrs(substitute)
+
+
+def _numpy_lapack():
+    """numpy's linear-algebra extension, through which the symbols of the
+    LAPACK numpy is linked against resolve; None if it cannot be loaded."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+_dgttrf, _zgttrs = _gt_lapack(_numpy_lapack())
+
+
 def _thomas_batched(dl, d, du, rhs, du2, ipiv):
     """Solve with the complex ``dgttrf`` factors of tridiagonal systems
-    laid end to end, by one ``zgttrs`` call, in place.
+    laid end to end, by one ``_zgttrs`` call, in place.
 
-    rhs: complex and C-contiguous, the systems end to end in its flat
+    rhs: complex128 and C-contiguous, the systems end to end in its flat
     order; it is overwritten by the solution, which is returned in its
-    shape.  The name and the right-hand side as fourth positional argument
-    are what ``bench/workload.py`` traces the bulk solve by.
+    shape.  On numpy's LAPACK a rhs or factor of another dtype, layout or
+    length raises ValueError before the call.  The name and the
+    right-hand side as fourth positional argument are what
+    ``bench/workload.py`` traces the bulk solve by.
     """
-    x, info = lapack.zgttrs(dl, d, du, du2, ipiv, rhs.reshape(-1, 1), overwrite_b=1)
+    x, info = _zgttrs(dl, d, du, du2, ipiv, rhs)
     if info != 0:
         raise LinearSolveError(f"banded substitution failed (zgttrs info={info})")
-    return x.reshape(rhs.shape)
+    return x
 
 
 class _BulkLU:
@@ -359,8 +489,9 @@ class _BulkLU:
     two neighbours' couplings to it move into their right-hand sides
     (``couple``), so it couples to nothing and partial pivoting never
     swaps it.  One real ``dgttrf`` factors every mode; its factors are
-    made complex once, for ``zgttrs``.  Raises LinearSolveError if the
-    operator is singular.
+    made complex once, for ``zgttrs``, and every solve passes the same
+    factor arrays, so ``_zgttrs`` builds their ctypes arguments once per
+    LU.  Raises LinearSolveError if the operator is singular.
     """
 
     def __init__(self, a_mean, inv_dt, theta, grids):
@@ -384,8 +515,7 @@ class _BulkLU:
         # no coupling between consecutive modes of the end-to-end layout
         lower[:, 0] = 0.0
         upper[:, -1] = 0.0
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(
-            lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+        dl, d, du, du2, ipiv, info = _dgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
         if info != 0:
             raise LinearSolveError(f"bulk operator is singular (dgttrf info={info})")
         self.factors = (*(f.astype(complex) for f in (dl, d, du, du2)), ipiv)

@@ -214,18 +214,25 @@ def test_manufactured_closed_forms_match_symbolic_derivatives(n_x, n_z):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (name, t)
 
 
-@pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.sparse.linalg"])
+def package_env():
+    """The environment of a subprocess that imports this stefansim."""
+    src = str(Path(stefansim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.parametrize("module", ["sympy", "scipy.optimize", "scipy.sparse.linalg",
+                                    "scipy.linalg"])
 def test_runtime_package_does_not_import_sympy(module, tmp_path):
     # sympy is a test dependency only: the package builds its manufactured
     # solution from closed forms; scipy.sparse.linalg is loaded only by the
-    # GMRES fallback of a stalled solve, and scipy.optimize by nothing: not
-    # by the dispersion root, nor by the K2_oracle line of a single-mode
-    # run's summary (it would add ~20 MB to every such run)
-    src = str(Path(stefansim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # GMRES fallback of a stalled solve, scipy.linalg only by the dense
+    # eigensolve of ``linearized_spectrum`` (the bulk LU calls numpy's
+    # LAPACK), and scipy.optimize by nothing: not by the dispersion root,
+    # nor by the K2_oracle line of a single-mode run's summary.  Each would
+    # add 20-30 MB to every run.
     code = "import sys, stefansim, stefansim.cli, stefansim.oracles\n"
-    if module == "scipy.optimize":
+    if module in ("scipy.optimize", "scipy.linalg"):
         config, out = tmp_path / "k2.ini", tmp_path / "out"
         config.write_text("[scenario]\nname = k2\nrho_modes = 2:1e-3\nt_end = 0.02\n"
                           "[solver]\nn_x = 16\nn_z = 17\ndt = 1e-3\n")
@@ -235,11 +242,32 @@ def test_runtime_package_does_not_import_sympy(module, tmp_path):
             f"assert stefansim.cli.main(['run', '--config', {str(config)!r}, "
             f"'--out', {str(out)!r}]) == 0\n")
     code += f"sys.exit({module!r} in sys.modules)\n"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    if module == "scipy.optimize":
+    if module in ("scipy.optimize", "scipy.linalg"):
         assert "K2_oracle=" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_runtime_package_adds_little_memory_to_numpy():
+    # peak RSS (ru_maxrss) of importing the package and its CLI over a bare
+    # numpy import, each in a fresh process.  A process's ru_maxrss starts
+    # at the peak of the process it was forked from, so each is forked
+    # from a small launcher, not from this test's process.  Measured on
+    # Linux x86-64 with numpy 2.4.6: +8.1 MB (numpy alone 26.8 MB), a
+    # margin of 1.9 MB; with scipy.linalg loaded at import, as before the
+    # bulk LU called numpy's LAPACK, +30.5 MB.
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+    def peak_kib(imports):
+        code = f"import resource, {imports}\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code],
+                              env=package_env(), capture_output=True, text=True, check=True)
+        return int(done.stdout)
+
+    added_mb = (peak_kib("numpy, stefansim, stefansim.cli") - peak_kib("numpy")) / 1024.0
+    assert added_mb < 10.0, added_mb
 
 
 def test_oracles_do_not_import_solver_modules():

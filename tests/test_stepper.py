@@ -2,11 +2,13 @@
 per-step fixed point, and the run driver."""
 import gc
 import inspect
+import operator
 import re
 import sys
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,6 +232,134 @@ def test_bulk_solve_keeps_its_arguments_and_the_dirichlet_row(n_z, theta):
     assert np.array_equal(dir_hat.view(np.uint64), dir_copy.view(np.uint64))
     row = np.ascontiguousarray(x_hat[:, grids.normal.i_mid])
     assert np.array_equal(row.view(np.uint64), dir_hat.view(np.uint64))
+
+
+# (name, SolverConfig overrides) of the benchmark's bulk operators: 33 modes
+# of 65 nodes (decay-k1) and 17 modes of 257 (mms-column)
+BULK_OPERATORS = {"decay-k1": dict(n_x=64, n_z=65, theta=1.0, dt=1e-3),
+                  "mms-column": dict(n_x=32, n_z=257, theta=0.5, dt=0.01)}
+numpy_lapack = pytest.mark.skipif(not isinstance(stepper._zgttrs, stepper._Zgttrs),
+                                  reason="numpy's LAPACK lacks scipy_dgttrf_64_/scipy_zgttrs_64_")
+
+
+def bulk_diagonals(monkeypatch, name):
+    """The (dl, d, du) that ``_BulkLU`` factors for the operator ``name``
+    at a non-flat interface, caught on their way to ``_dgttrf``."""
+    cfg = SolverConfig(**BULK_OPERATORS[name])
+    grids, cutoff = cfg.grids(), cfg.cutoff()
+    x = grids.tangential.nodes
+    rho = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
+    a_mean = coefficients(rho, np.zeros_like(rho), cutoff, grids, rho_x=d_tangential(rho, 1),
+                          rho_xx=d_tangential(rho, 2)).a.mean(axis=0)
+    seen, real = [], stepper._dgttrf
+    monkeypatch.setattr(stepper, "_dgttrf", lambda *args: seen.append(args) or real(*args))
+    stepper._BulkLU(a_mean, 1.0 / cfg.dt, cfg.theta, grids)
+    monkeypatch.undo()
+    (diagonals,) = seen
+    assert diagonals[1].size == (cfg.n_x // 2 + 1) * cfg.n_z
+    return diagonals
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                                 np.ascontiguousarray(b).view(np.uint8))
+
+
+def factor_and_solve(dgttrf, zgttrs, diagonals, rhs):
+    """The real factors and pivots of ``dgttrf`` and the solution of their
+    complex copies for rhs by ``zgttrs``, as ``_BulkLU`` uses them."""
+    *factors, ipiv, info = dgttrf(*diagonals)
+    assert info == 0
+    x, info = zgttrs(*(f.astype(complex) for f in factors), ipiv, rhs.copy())
+    assert info == 0
+    return factors, ipiv, x
+
+
+@numpy_lapack
+@pytest.mark.parametrize("name", sorted(BULK_OPERATORS))
+def test_numpy_lapack_binding_matches_scipy_bitwise(monkeypatch, name):
+    diagonals = bulk_diagonals(monkeypatch, name)
+    n = diagonals[1].size
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    factors, ipiv, x = factor_and_solve(stepper._dgttrf, stepper._zgttrs, diagonals, rhs)
+    ref_factors, ref_ipiv, ref_x = factor_and_solve(
+        lapack.dgttrf, lambda *args: lapack.zgttrs(*args[:5], args[5].reshape(-1, 1)),
+        diagonals, rhs)
+    assert all(map(same_bits, factors, ref_factors))
+    assert ipiv.dtype == np.int64 and np.array_equal(ipiv, ref_ipiv)
+    assert same_bits(x, ref_x.ravel())
+    # the factored diagonals are kept, as scipy's wrapper keeps them
+    assert all(map(same_bits, diagonals, bulk_diagonals(monkeypatch, name)))
+
+
+@pytest.mark.parametrize("name", sorted(BULK_OPERATORS))
+def test_lapack_resolver_falls_back_to_scipy_with_the_same_results(monkeypatch, name):
+    # a library without both ILP64 symbols, or none, gets scipy's routines
+    for lib in (None, SimpleNamespace(scipy_dgttrf_64_=None)):
+        dgttrf, zgttrs = stepper._gt_lapack(lib)
+        assert dgttrf is lapack.dgttrf
+    diagonals = bulk_diagonals(monkeypatch, name)
+    rng = np.random.default_rng(6)
+    rhs = rng.standard_normal(diagonals[1].size) + 1j * rng.standard_normal(diagonals[1].size)
+    factors, ipiv, x = factor_and_solve(dgttrf, zgttrs, diagonals, rhs)
+    ours, our_ipiv, our_x = factor_and_solve(stepper._dgttrf, stepper._zgttrs, diagonals, rhs)
+    assert all(map(same_bits, factors, ours))
+    assert np.array_equal(ipiv, our_ipiv)
+    assert same_bits(x, our_x)
+
+
+def test_singular_bulk_operator_raises_with_dgttrf_info():
+    # with a = 0 and 1/dt = 0 the k = 0 mode's rows are all zero but the
+    # interface row: the first pivot vanishes
+    grids = SolverConfig(n_x=16, n_z=17).grids()
+    with pytest.raises(LinearSolveError, match=r"dgttrf info=1\)"):
+        stepper._BulkLU(np.zeros(17), 0.0, 1.0, grids)
+
+
+@numpy_lapack
+def test_numpy_lapack_binding_refuses_bad_arguments_before_the_call():
+    calls = []
+    factor = stepper._Dgttrf(lambda *args: calls.append("dgttrf"))
+    substitute = stepper._Zgttrs(lambda *args: calls.append("zgttrs"))
+    n = 12
+    dl, d, du = -np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)
+    for bad in ((dl.astype(np.float32), d, du), (dl, d[:-1], du), (dl, d, np.repeat(du, 2)[::2]),
+                (dl, d.astype(complex), du), (list(dl), d, du)):
+        with pytest.raises(ValueError):
+            factor(*bad)
+    *real, ipiv, _ = stepper._dgttrf(dl, d, du)
+    real = [f.astype(complex) for f in real]
+    for bad in ((*real, ipiv.astype(np.int32)), (*real[:3], real[3][:-1], ipiv),
+                (real[0].real.copy(), *real[1:], ipiv)):
+        with pytest.raises(ValueError):
+            substitute(*bad, np.zeros(n, complex))
+    wide = np.zeros((n, 2), complex)
+    for bad in (np.zeros(n), np.zeros(n, np.complex64), np.zeros(n + 1, complex), wide[:, 0],
+                np.zeros((3, n // 3), complex, order="F"), list(np.zeros(n, complex))):
+        with pytest.raises(ValueError):
+            substitute(*real, ipiv, bad)
+    assert calls == []
+    x, info = substitute(*real, ipiv, np.zeros((3, n // 3), complex))
+    assert calls == ["zgttrs"] and info == 0 and x.shape == (3, n // 3)
+
+
+@numpy_lapack
+def test_bulk_lu_builds_its_substitution_arguments_once(monkeypatch):
+    # every solve of one LU passes the same factor arrays, so the binding
+    # builds their ctypes arguments at the first solve and reuses them
+    monkeypatch.setattr(stepper, "_zgttrs", stepper._Zgttrs(stepper._zgttrs.routine))
+    grids = SolverConfig(n_x=16, n_z=17).grids()
+    bulk = stepper._BulkLU(1.0 + 0.3 * np.cos(np.pi * grids.normal.nodes), 1e2, 1.0, grids)
+    bulk.jump_response()
+    bound = stepper._zgttrs.bound
+    assert all(map(operator.is_, bound[0], bulk.factors))
+    rhs = np.ones(bulk.shape, complex)
+    first = bulk.solve(rhs, np.ones(bulk.shape[0]))
+    assert stepper._zgttrs.bound is bound
+    other = stepper._BulkLU(bulk.a_mean, 1e2, 1.0, grids)  # equal factors, new arrays
+    assert same_bits(other.solve(rhs, np.ones(bulk.shape[0])), first)
+    assert stepper._zgttrs.bound is not bound
 
 
 def test_temperature_step_far_field_continuum():
@@ -658,7 +788,7 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
                                                          forced_step_problem):
     cfg, state, forcing = forced_step_problem(theta)
     counts = {"dgttrf": 0, "jump_response": 0, "substitutions": 0}
-    real_factor, real_jump = lapack.dgttrf, stepper._BulkLU.jump_response
+    real_factor, real_jump = stepper._dgttrf, stepper._BulkLU.jump_response
     real_substitution = stepper._thomas_batched
 
     def factor(*args, **kwargs):
@@ -673,7 +803,7 @@ def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
         counts["substitutions"] += 1
         return real_substitution(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgttrf", factor)
+    monkeypatch.setattr(stepper, "_dgttrf", factor)
     monkeypatch.setattr(stepper._BulkLU, "jump_response", jump)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
     _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
