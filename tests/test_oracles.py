@@ -249,7 +249,7 @@ def test_runtime_package_does_not_import_sympy(module, tmp_path):
         assert "K2_oracle=" in (tmp_path / "out" / "summary.txt").read_text()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB only on Linux")
 def test_runtime_package_adds_little_memory_to_numpy():
     # peak RSS (ru_maxrss) of importing the package and its CLI over a bare
     # numpy import, each in a fresh process.  A process's ru_maxrss starts
