@@ -20,11 +20,11 @@ alike.  Then each side makes one ``--trace 1`` run per workload at
 The summary gives, per workload and end-to-end metric, both sides'
 medians, the parent's quartiles, the number of pairs in which the change
 was lower (``change_lower_in``, "k/n"), the relative change of the
-medians and a ``verdict``: ``lower`` when the change median lies below
-the parent's lower quartile and the change was lower in at least
-WIN_SHARE of the pairs, ``higher`` when it lies above the upper quartile
-and the change was lower in at most 1 - WIN_SHARE of them (8 or more, or
-2 or fewer, of 10), ``unresolved`` otherwise.
+medians and a ``verdict``: ``lower`` when the change was lower in at
+least WIN_SHARE of the pairs (9 or more of 10; a tie counts for neither
+side) and its median lies below the parent's by more than the parent's
+interquartile distance, ``higher`` when the same holds with the change
+higher, ``unresolved`` otherwise.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from fractions import Fraction
 SECONDS = 30
 END_TO_END = ("run_s", "step_ms_p50", "setup_s", "peak_rss_mb")
 TRACE_SEED = 11
-WIN_SHARE = Fraction(4, 5)  # share of the pairs a resolved move must win, exactly
+WIN_SHARE = Fraction(9, 10)  # share of the pairs a resolved move must win, exactly
 
 
 def workloads(checkout):
@@ -65,14 +65,14 @@ def pair_order(i):
     return ("parent", "change") if i % 2 else ("change", "parent")
 
 
-def verdict(change_median, parent_quartiles, lower, pairs):
+def verdict(parent_median, change_median, parent_quartiles, lower, higher, pairs):
     """``lower``, ``higher`` or ``unresolved``: the rule of the module
-    docstring, for a change median, the parent's (q1, q3) and the number
-    of the ``pairs`` in which the change was lower."""
+    docstring, for both medians, the parent's (q1, q3) and the numbers of
+    the ``pairs`` in which the change was lower and higher."""
     q1, q3 = parent_quartiles
-    if change_median < q1 and lower >= WIN_SHARE * pairs:
+    if parent_median - change_median > q3 - q1 and lower >= WIN_SHARE * pairs:
         return "lower"
-    if change_median > q3 and lower <= (1 - WIN_SHARE) * pairs:
+    if change_median - parent_median > q3 - q1 and higher >= WIN_SHARE * pairs:
         return "higher"
     return "unresolved"
 
@@ -93,6 +93,7 @@ def summarize(runs):
             parent = [sides["parent"][name]["value"] for sides in pairs]
             change = [sides["change"][name]["value"] for sides in pairs]
             lower = sum(c < p for p, c in zip(parent, change))
+            higher = sum(c > p for p, c in zip(parent, change))
             p_med, c_med = statistics.median(parent), statistics.median(change)
             q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) >= 2 else (p_med,) * 3
             summary[workload][name] = {
@@ -101,7 +102,7 @@ def summarize(runs):
                 "parent_quartiles": [q1, q3],
                 "change_lower_in": f"{lower}/{len(pairs)}",
                 "relative_change": c_med / p_med - 1.0,
-                "verdict": verdict(c_med, (q1, q3), lower, len(pairs)),
+                "verdict": verdict(p_med, c_med, (q1, q3), lower, higher, len(pairs)),
             }
     return summary
 
@@ -149,10 +150,10 @@ def main(argv=None):
                   "alternates from pair to pair; pair i uses --seed 101*i), then one --trace 1 "
                   f"line per side and workload at --seed {TRACE_SEED}. 'summary' gives each "
                   "end-to-end metric's medians, the parent's quartiles, the number of pairs "
-                  "the change won and a verdict: 'lower' or 'higher' when the change median "
-                  "lies outside the parent's quartiles and the change won at least "
-                  f"{float(WIN_SHARE):.0%} of the pairs (or at most {float(1 - WIN_SHARE):.0%}), "
-                  "'unresolved' otherwise."),
+                  "in which the change was lower and a verdict: 'lower' (or 'higher') when "
+                  f"the change was lower (higher) in at least {float(WIN_SHARE):.0%} of the "
+                  "pairs, a tie counting for neither side, and the medians differ by more "
+                  "than the parent's interquartile distance, 'unresolved' otherwise."),
         "host": host(),
         "parent": commits["parent"],
         "change": commits["change"],

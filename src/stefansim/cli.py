@@ -18,13 +18,7 @@ import numpy as np
 from .config import Scenario, build_initial_data, parse_config, resolve_out_dir, sweep_points
 from .errors import ConfigError, StefanSimError
 from .functionals import DECAY_MIN_SAMPLES, decay_fit
-from .io import (
-    atomic_write_text,
-    spectrum_csv_text,
-    write_energy_csv,
-    write_sidecar,
-    write_snapshot,
-)
+from .io import spectrum_csv_text, write_artifact, write_energy_csv, write_snapshot
 from .oracles import MIN_DENSE_NODES, dispersion_leading_root, linearized_spectrum
 from .stepper import run
 from .verify import SUITES
@@ -68,21 +62,35 @@ def _summarize(scenario, result):
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args):
+def _load_scenario(args):
+    """The scenario of ``--config``, with ``--seed`` in place of its seed when given."""
     scenario = parse_config(args.config)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
+    return scenario
+
+
+def _run_point(scenario, cfg, out_dir):
+    """Run ``scenario`` at ``cfg`` and write its ``energy.csv`` into ``out_dir``.
+
+    The CSV carries the run's final cfg (dt after any halving) and the
+    scenario's seed.  Returns the run's result.
+    """
+    u0, rho0 = build_initial_data(scenario, cfg)
+    result = run(u0, rho0, cfg, scenario.t_end, compute_identity=scenario.compute_identity)
+    write_energy_csv(os.path.join(out_dir, "energy.csv"), result.reports, result.cfg,
+                     seed=scenario.seed)
+    return result
+
+
+def cmd_run(args):
+    scenario = _load_scenario(args)
     out_dir = resolve_out_dir(scenario, args.out)
-    u0, rho0 = build_initial_data(scenario)
-    result = run(u0, rho0, scenario.solver, scenario.t_end,
-                 compute_identity=scenario.compute_identity)
-    write_energy_csv(os.path.join(out_dir, "energy.csv"), result.reports,
-                     result.cfg, seed=scenario.seed)
+    result = _run_point(scenario, scenario.solver, out_dir)
     write_snapshot(os.path.join(out_dir, "final_snapshot.csv"), result.state,
                    result.cfg)
     summary = _summarize(scenario, result)
-    atomic_write_text(os.path.join(out_dir, "summary.txt"), summary)
-    write_sidecar(os.path.join(out_dir, "summary.txt"))
+    write_artifact(os.path.join(out_dir, "summary.txt"), summary)
     if not args.quiet:
         print(summary, end="")
     return 0
@@ -125,9 +133,7 @@ def cmd_spectrum(args):
             eps_col.append(eps)
     text = spectrum_csv_text(modes, eps_col)
     out_dir = resolve_out_dir(Scenario(name="spectrum"), args.out)
-    path = os.path.join(out_dir, "spectrum.csv")
-    atomic_write_text(path, text)
-    write_sidecar(path)
+    write_artifact(os.path.join(out_dir, "spectrum.csv"), text)
     if not args.quiet:
         print(text, end="")
     return 0
@@ -141,16 +147,9 @@ def cmd_verify(args):
 
 def _sweep_worker(payload):
     scenario, cfg, out_dir, label = payload
-    u0, rho0 = build_initial_data(scenario, cfg)
-    result = run(u0, rho0, cfg, scenario.t_end,
-                 compute_identity=scenario.compute_identity)
-    # the run's final cfg (dt after any halving), as cmd_run writes it
-    write_energy_csv(os.path.join(out_dir, label, "energy.csv"), result.reports,
-                     result.cfg, seed=scenario.seed)
-    times = [r.t for r in result.reports]
-    E = [r.E for r in result.reports]
-    worst_cons = max((r.cons_residual for r in result.reports[1:]), default=0.0)
-    return label, cfg, times, E, worst_cons
+    reports = _run_point(scenario, cfg, os.path.join(out_dir, label)).reports
+    worst_cons = max((r.cons_residual for r in reports[1:]), default=0.0)
+    return label, cfg, [r.E for r in reports], worst_cons
 
 
 def _point_label(cfg):
@@ -160,31 +159,33 @@ def _point_label(cfg):
 def cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    scenario = parse_config(args.config)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+    scenario = _load_scenario(args)
     points = sweep_points(scenario)
+    labels = [_point_label(cfg) for cfg in points]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"{labels.count(label)} sweep points share the label {label}: "
+                              "each point needs its own output directory")
     out_dir = resolve_out_dir(scenario, args.out)
-    payloads = [(scenario, cfg, out_dir, _point_label(cfg)) for cfg in points]
+    payloads = [(scenario, cfg, out_dir, label) for cfg, label in zip(points, labels)]
     if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             results = list(pool.map(_sweep_worker, payloads))
     else:
         results = [_sweep_worker(p) for p in payloads]
 
     results.sort(key=lambda r: (-r[1].epsilon, r[1].dt, r[1].n_x, r[1].n_z))
     lines = ["label,epsilon,dt,n_x,n_z,E_final,max_cons_residual"]
-    for label, cfg, times, E, worst in results:
+    for label, cfg, E, worst in results:
         lines.append(f"{label},{cfg.epsilon:.17g},{cfg.dt:.17g},{cfg.n_x},"
                      f"{cfg.n_z},{E[-1]:.17g},{worst:.17g}")
-    atomic_write_text(os.path.join(out_dir, "sweep_summary.csv"),
-                      "\n".join(lines) + "\n")
-    write_sidecar(os.path.join(out_dir, "sweep_summary.csv"))
+    write_artifact(os.path.join(out_dir, "sweep_summary.csv"), "\n".join(lines) + "\n")
 
     # epsilon-continuation table: consecutive eps levels at fixed other axes
     eps_lines = ["dt,n_x,n_z,eps_hi,eps_lo,sup_E_distance"]
     groups = {}
-    for label, cfg, times, E, worst in results:
+    for label, cfg, E, worst in results:
         groups.setdefault((cfg.dt, cfg.n_x, cfg.n_z), []).append((cfg.epsilon, E))
     table_rows = []
     for (dt, n_x, n_z), members in sorted(groups.items()):
@@ -194,9 +195,8 @@ def cmd_sweep(args):
             dist = float(np.abs(np.array(E_hi[:n]) - np.array(E_lo[:n])).max())
             table_rows.append(f"{dt:.17g},{n_x},{n_z},{e_hi:.17g},{e_lo:.17g},{dist:.17g}")
     if table_rows:
-        atomic_write_text(os.path.join(out_dir, "epsilon_table.csv"),
-                          "\n".join(eps_lines + table_rows) + "\n")
-        write_sidecar(os.path.join(out_dir, "epsilon_table.csv"))
+        write_artifact(os.path.join(out_dir, "epsilon_table.csv"),
+                       "\n".join(eps_lines + table_rows) + "\n")
     if not args.quiet:
         print("\n".join(lines))
         if table_rows:

@@ -481,15 +481,3 @@ class EnergyReport:
         "t", "E", "D", "E_eps", "D_eps", "sobolev_E", "sobolev_D",
         "cons_residual", "rho_dev_L2", "identity_residual", "inner_iters",
     )
-
-    def csv_row(self):
-        cells = []
-        for name in self.CSV_COLUMNS:
-            val = getattr(self, name)
-            if val is None:
-                cells.append("")
-            elif name == "inner_iters":
-                cells.append(str(int(val)))
-            else:
-                cells.append(format(float(val), ".17g"))
-        return ",".join(cells)

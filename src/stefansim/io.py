@@ -38,9 +38,26 @@ def atomic_write_text(path, text):
     os.replace(tmp, path)
 
 
-def write_sidecar(path):
-    """Wall-clock metadata next to a deterministic artifact."""
+def write_artifact(path, text):
+    """Write a deterministic artifact body and, beside it, its wall-clock
+    ``<path>.meta`` sidecar."""
+    atomic_write_text(path, text)
     atomic_write_text(f"{path}.meta", f"written_unix={time.time():.3f}\n")
+
+
+def _energy_row(report):
+    """One energy.csv row: %.17g cells, an integer ``inner_iters``, and an
+    empty cell for a missing (None) value."""
+    cells = []
+    for name in EnergyReport.CSV_COLUMNS:
+        val = getattr(report, name)
+        if val is None:
+            cells.append("")
+        elif name == "inner_iters":
+            cells.append(str(int(val)))
+        else:
+            cells.append(_fmt(val))
+    return ",".join(cells)
 
 
 def energy_csv_text(reports, cfg, seed=None):
@@ -48,13 +65,12 @@ def energy_csv_text(reports, cfg, seed=None):
     if seed is not None:
         head.append(f"# seed={seed}")
     head.append(",".join(EnergyReport.CSV_COLUMNS))
-    rows = [r.csv_row() for r in reports]
+    rows = [_energy_row(r) for r in reports]
     return "\n".join(head + rows) + "\n"
 
 
 def write_energy_csv(path, reports, cfg, seed=None):
-    atomic_write_text(path, energy_csv_text(reports, cfg, seed=seed))
-    write_sidecar(path)
+    write_artifact(path, energy_csv_text(reports, cfg, seed=seed))
 
 
 def read_energy_csv(path):
@@ -94,8 +110,7 @@ def snapshot_text(state, cfg):
 
 
 def write_snapshot(path, state, cfg):
-    atomic_write_text(path, snapshot_text(state, cfg))
-    write_sidecar(path)
+    write_artifact(path, snapshot_text(state, cfg))
 
 
 def read_snapshot(path):

@@ -68,18 +68,25 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartil
 @pytest.mark.parametrize("change, lower_in, want", [
     # median 0.92 below q1, change lower in 10/10
     ([0.92] * 10, "10/10", "lower"),
-    # median below q1, lower in exactly 8/10
-    ([0.90] * 8 + [1.10] * 2, "8/10", "lower"),
+    # median 0.90 lies 0.10 below, but the change is lower in only 8/10
+    ([0.90] * 8 + [1.10] * 2, "8/10", "unresolved"),
     # median below q1, but lower in only 7/10
     ([0.90] * 7 + [1.10] * 3, "7/10", "unresolved"),
     # lower in 10/10, but the median 0.995 lies inside the quartiles
     ([p - 0.005 for p in PARENT], "10/10", "unresolved"),
-    # median above q3, lower in exactly 2/10
-    ([0.90] * 2 + [1.10] * 8, "2/10", "higher"),
+    # median 1.10 lies 0.10 above, but the change is higher in only 8/10
+    ([0.90] * 2 + [1.10] * 8, "2/10", "unresolved"),
     # median above q3, but lower in 3/10
     ([0.90] * 3 + [1.10] * 7, "3/10", "unresolved"),
     # the same code on both sides
     (PARENT, "0/10", "unresolved"),
+    # lower in 10/10 and the median 0.965 below q1, but only 0.035 below
+    # the parent's median: inside the interquartile distance 0.04
+    ([0.965] * 10, "10/10", "unresolved"),
+    # median 1.10, higher in 10/10
+    ([1.10] * 10, "0/10", "higher"),
+    # median 1.10, higher in 8/10 and tied in 2: a tie counts for neither side
+    ([1.10] * 8 + PARENT[8:], "0/10", "unresolved"),
 ])
 def test_summary_verdict_needs_the_quartiles_and_the_pairs(bench_pairs, change, lower_in, want):
     run_s = bench_pairs.summarize(paired_runs(bench_pairs, PARENT, change))["mms-column"]["run_s"]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stefansim import cli
 from stefansim.cli import build_parser, main
 from stefansim.io import read_energy_csv
 from stefansim.stepper import SolverConfig
@@ -339,3 +340,64 @@ def test_sweep_respects_job_cap(workdir, capsys):
     assert main(["sweep", "--config", str(cfg_path), "--quiet"]) == 2
     assert "job_cap" in capsys.readouterr().err
     assert not (workdir / "capped").exists()
+
+
+@pytest.mark.parametrize("axis", ["1e-4, 1.0000001e-4", "1e-4, 1e-4"],
+                         ids=["same-label", "repeated-value"])
+def test_sweep_rejects_points_that_share_a_label(workdir, capsys, monkeypatch, axis):
+    # two points, one directory: rejected before any point runs
+    monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a sweep point ran"))
+    cfg_path = write_config(workdir, FAST_RUN + f"\n[sweep]\nepsilon = {axis}\n", out="never")
+    assert main(["sweep", "--config", str(cfg_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "eps=0.0001_dt=0.001_nx=16_nz=17" in err
+    assert not (workdir / "never").exists()
+
+
+def test_sweep_starts_at_most_one_worker_per_point(workdir, monkeypatch):
+    # a stand-in for the pool records its size and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    for jobs in ("64", "2"):
+        cfg_path = write_config(workdir, SWEEP_3EPS, out=f"jobs{jobs}")
+        assert main(["sweep", "--config", str(cfg_path), "--quiet", "--jobs", jobs]) == 0
+    assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("argv, bodies", [
+    (["run"], ["energy.csv", "final_snapshot.csv", "summary.txt"]),
+    (["sweep"], ["epsilon_table.csv", "eps=0.0001_dt=0.001_nx=16_nz=17/energy.csv",
+                 "eps=0.01_dt=0.001_nx=16_nz=17/energy.csv",
+                 "eps=0_dt=0.001_nx=16_nz=17/energy.csv", "sweep_summary.csv"]),
+    (["spectrum", "--k", "0:1", "--eps", "0,1e-2", "--n-dense", "101"], ["spectrum.csv"]),
+], ids=["run", "sweep", "spectrum"])
+def test_every_artifact_has_a_sidecar_and_a_stable_body(workdir, argv, bodies):
+    if argv[0] != "spectrum":
+        argv = argv + ["--config", str(write_config(workdir, SWEEP_3EPS, out="out"))]
+    out = workdir / "out"
+
+    def written():
+        files = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
+        assert sorted(files) == sorted(bodies + [f"{body}.meta" for body in bodies])
+        return {body: (files[body].read_bytes(), files[body].stat().st_ino) for body in bodies}
+
+    assert main(argv + ["--quiet"]) == 0
+    first = written()
+    assert main(argv + ["--quiet"]) == 0
+    for body, (data, inode) in written().items():
+        # a new file (the atomic rename), with the same bytes
+        assert inode != first[body][1] and data == first[body][0], body

@@ -12,10 +12,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("script, argv, out, header", [
     ("decay_rate.py", ["--amplitudes", "1e-3", "--t-end", "0.02"], "decay_rates.csv",
      ["amplitude", "K2_hat", "r_squared", "relative_gap"]),
-    ("epsilon_continuation.py", ["--eps", "1e-2,0", "--t-end", "0.02"],
-     "epsilon_continuation.csv", ["eps_hi", "eps_lo", "sup_E_distance", "relative"]),
     ("spectrum_table.py", ["--k-max", "1", "--eps", "0"], None, None),
-], ids=["decay_rate", "epsilon_continuation", "spectrum_table"])
+], ids=["decay_rate", "spectrum_table"])
 def test_study_script_runs_on_tiny_inputs(script, argv, out, header, tmp_path, monkeypatch,
                                           capsys):
     # in-process, as ``python scripts/<script> <argv>`` from tmp_path: a
