@@ -10,12 +10,15 @@ Both checkouts' commit ids are resolved before the first run and
 recorded; a checkout without one (a ``git archive`` copy, say) is an
 error before any run.
 
-For each workload that ``bench/run.py`` offers (its own WORKLOADS), pair
-i (1, 2, ...) runs ``bench/run.py --seconds 30 --trace 0 --seed 101*i``
-once in each checkout, the parent first in odd pairs and the change first
-in even ones, so a drift of the host over the session falls on both sides
-alike.  Then each side makes one ``--trace 1`` run per workload at
-``--seed 11``.  Every run's final JSON line is kept.
+Pair i (1, 2, ...) runs ``bench/run.py --seconds 30 --trace 0 --seed
+101*i`` once in each checkout for every workload that ``bench/run.py``
+offers (its own WORKLOADS, in their order), the parent first in odd pairs
+and the change first in even ones, so a drift of the host over the
+session falls on both sides alike.  Every workload's pair i runs before
+pair i + 1 starts, so a host state that lasts about as long as one
+workload's runs cannot shift all of that workload's pairs.  Then each
+side makes one ``--trace 1`` run per workload at ``--seed 11``.  Every
+run's final JSON line is kept.
 
 The summary gives, per workload and end-to-end metric, both sides'
 medians, the parent's quartiles, the number of pairs in which the change
@@ -136,8 +139,8 @@ def main(argv=None):
     names = workloads(args.change)
 
     runs = {w: [] for w in names}
-    for workload in names:
-        for i in range(1, args.pairs + 1):
+    for i in range(1, args.pairs + 1):
+        for workload in names:
             for side in pair_order(i):
                 result = bench_line(checkouts[side], workload, 101 * i, 0)
                 runs[workload].append({"side": side, "seed": 101 * i, "result": result})
@@ -147,7 +150,8 @@ def main(argv=None):
     report = {
         "about": (f"bench/run.py --seconds {SECONDS}: the final JSON line of every run, "
                   "parent and change alternated in pairs on one host (which side ran first "
-                  "alternates from pair to pair; pair i uses --seed 101*i), then one --trace 1 "
+                  "alternates from pair to pair; pair i uses --seed 101*i and runs every "
+                  "workload before pair i + 1 starts), then one --trace 1 "
                   f"line per side and workload at --seed {TRACE_SEED}. 'summary' gives each "
                   "end-to-end metric's medians, the parent's quartiles, the number of pairs "
                   "in which the change was lower and a verdict: 'lower' (or 'higher') when "

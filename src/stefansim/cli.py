@@ -146,8 +146,14 @@ def cmd_verify(args):
 
 
 def _sweep_worker(payload):
+    """Run one sweep point; an error it raises keeps its type (so its exit
+    code) and its message begins with the point's label."""
     scenario, cfg, out_dir, label = payload
-    reports = _run_point(scenario, cfg, os.path.join(out_dir, label)).reports
+    try:
+        reports = _run_point(scenario, cfg, os.path.join(out_dir, label)).reports
+    except StefanSimError as exc:
+        exc.args = (f"sweep point {label}: {exc.args[0]}",) + exc.args[1:]
+        raise
     worst_cons = max((r.cons_residual for r in reports[1:]), default=0.0)
     return label, cfg, [r.E for r in reports], worst_cons
 

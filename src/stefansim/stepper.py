@@ -114,7 +114,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
 from typing import ClassVar, NamedTuple
 
@@ -533,13 +533,21 @@ class _BulkLU:
         dl, d, du, du2, ipiv = self.factors
         return _thomas_batched(dl, d, du, b, du2, ipiv)
 
+    @cached_property
+    def dirichlet_response(self):
+        """Per-mode solution w (modes, n_z) of the homogeneous solve with
+        unit Dirichlet data, by one substitution on first use: the
+        solution's first-order change under a change dd_hat of the
+        Dirichlet data is w dd_hat, mode by mode.  Its interface row is 1."""
+        return self.solve(np.zeros(self.shape, dtype=complex), np.ones(self.shape[0])).real
+
     def jump_response(self):
-        """Per-mode normal-derivative jump of the homogeneous solve with
-        unit Dirichlet data: the diagonal linear model of the curvature ->
-        temperature -> jump chain, used to make the interface update
-        contractive at high wavenumbers."""
-        mid = self.mid
-        w = self.solve(np.zeros(self.shape, dtype=complex), np.ones(self.shape[0])).real
+        """Per-mode normal-derivative jump of ``dirichlet_response``: the
+        diagonal linear model of the curvature -> temperature -> jump
+        chain, used to make the interface update contractive at high
+        wavenumbers.  ``fixed_point_step`` also reads the response itself,
+        to correct iterate 1's temperature (no second substitution)."""
+        mid, w = self.mid, self.dirichlet_response
         return (6.0 - 4.0 * (w[:, mid + 1] + w[:, mid - 1])
                 + (w[:, mid + 2] + w[:, mid - 2])) / (2.0 * self.dz)
 
@@ -898,10 +906,15 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
                          1.0 / dt, theta, grids, fp_norm=EnergyNormK0(rx, a, bracket, cfg))
     sigma = step.bulk.jump_response()
 
+    def dirichlet_data(rho_hat, rx):  # the curvature Dirichlet data of an iterate
+        kappa = curvature_hat(rho_hat, rx)
+        return kappa if g_dir is None else kappa + g_dir
+
     mixer = _Secant()
     norms = []
     diff = np.inf  # iterate 1 has no previous difference to measure against
     lin_res_max, lag_total = 0.0, 0
+    dirichlet = dirichlet_data(rho_hat, rx)
     for m in range(1, cfg.fp_max_iter + 1):
         # frozen at the theta blend of rho_m and level.rho, and of their
         # derivatives; at theta = 1 the blend is rho_m bitwise
@@ -909,9 +922,6 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
                             (rho_m - level.rho) / dt, cutoff, grids,
                             rho_x=theta * rx + (1.0 - theta) * base_x,
                             rho_xx=theta * rxx + (1.0 - theta) * base_xx)
-        dirichlet = curvature_hat(rho_hat, rx)
-        if g_dir is not None:
-            dirichlet = dirichlet + g_dir
         u_next, lin_res, lag_iters, fields_next = temperature_step(
             step, coef, dirichlet=dirichlet, start=start, fp_diff=diff)
         rho_next = interface_step(u_next, level, cfg, rho_x=rx, rho_hat=rho_hat,
@@ -928,10 +938,20 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
             return new, StepReport(
                 fp_norms=tuple(norms), lin_residual=lin_res_max, lag_iters=lag_total,
                 trace_gap=float(np.abs(trace if g_dir is None else trace - g_dir).max()))
-        u_m, fields_m = u_next, fields_next
-        start = (u_m, fields_m)
         rho_m = mixer.next(rho_m, rho_next, diff)
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
+        d_next = dirichlet_data(rho_hat, rx)
+        if m == 1:
+            # correct u_1, solved with the predictor's Dirichlet data, to
+            # first order for the next iterate's: u_hat + w rfft(d_next - d_1)
+            u_hat = fields_next.hat
+            u_hat += step.bulk.dirichlet_response * np.fft.rfft(d_next - dirichlet)[:, None]
+            u_next = fields_next = start = None  # drop the uncorrected fields first
+            u_next = np.fft.irfft(u_hat, n=n_x, axis=0)
+            fields_next = _Fields(None, *_lagged_fields(u_next, u_hat, grids), u_hat)
+        u_m, fields_m = u_next, fields_next
+        start = (u_m, fields_m)
+        dirichlet = d_next
     last_ratio = norms[-1] / norms[-2] if len(norms) >= 2 else None
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "

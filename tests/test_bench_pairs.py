@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``: its summary on synthetic result lines (no
 benchmark run), and the workload list it takes from ``bench/run.py``."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,30 @@ def test_a_checkout_without_a_commit_id_stops_before_any_run(bench_pairs, tmp_pa
                           "--pairs", "1", "--out", str(out)])
     assert commands and all(cmd[0] == "git" for cmd in commands)
     assert not out.exists()
+
+
+def test_each_pair_runs_every_workload_before_the_next_pair(bench_pairs, tmp_path, monkeypatch):
+    # a host state that lasts one block of runs must not shift all of one
+    # workload's pairs: pair i runs every workload, both sides, before pair i + 1
+    calls = []
+
+    def fake_bench_line(checkout, workload, seed, trace):
+        calls.append((checkout, workload, seed, trace))
+        return line(1.0, 60.0)
+
+    monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: f"id-{checkout}")
+    monkeypatch.setattr(bench_pairs, "workloads", lambda checkout: ["w1", "w2"])
+    monkeypatch.setattr(bench_pairs, "bench_line", fake_bench_line)
+    monkeypatch.setattr(bench_pairs, "host", lambda: {})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", "P", "--change", "C", "--pairs", "2", "--out", str(out)])
+
+    assert calls == [
+        ("P", "w1", 101, 0), ("C", "w1", 101, 0), ("P", "w2", 101, 0), ("C", "w2", 101, 0),
+        ("C", "w1", 202, 0), ("P", "w1", 202, 0), ("C", "w2", 202, 0), ("P", "w2", 202, 0),
+        ("P", "w1", 11, 1), ("C", "w1", 11, 1), ("P", "w2", 11, 1), ("C", "w2", 11, 1)]
+    report = json.loads(out.read_text())
+    assert [(e["side"], e["seed"]) for e in report["runs"]["w1"]] == [
+        ("parent", 101), ("change", 101), ("change", 202), ("parent", 202)]
+    assert set(report["summary"]) == {"w1", "w2"}
+    assert report["summary"]["w2"]["run_s"]["change_lower_in"] == "0/2"

@@ -333,6 +333,16 @@ def test_sweep_epsilon_table_parallel(workdir):
         assert (out / label / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_sweep_point_names_itself(workdir, capsys, jobs):
+    # the dt = 0.08 point still fails after two halvings, at dt = 0.02
+    text = HALVING_RUN + "\n[sweep]\ndt = 0.01, 0.08\n"
+    cfg_path = write_config(workdir, text, out="failing")
+    assert main(["sweep", "--config", str(cfg_path), "--quiet", "--jobs", jobs]) == 1
+    assert ("run failed: sweep point eps=0_dt=0.08_nx=32_nz=33: step 1 (t=0.02): "
+            "temperature solve stalled") in capsys.readouterr().err
+
+
 def test_sweep_respects_job_cap(workdir, capsys):
     # 3 epsilon x 6 dt = 18 points, above the cap of 16
     text = SWEEP_3EPS + "dt = 1e-3, 5e-4, 2.5e-4, 1.25e-4, 1e-4, 5e-5\n"

@@ -830,17 +830,18 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
 def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta,
                                                                        forced_step_problem):
     # the only 2-D transforms of a step: 1 forward and 3 inverse per lag
-    # iteration, and u_old's, once per level, as ``make_level`` builds the
-    # old level here (its rfft, u_xx and u_xz; run's levels carry them, see
-    # test_run_transforms_each_level_once); the fixed-point norms and the
-    # warm exit rule work on the coefficients the solves return
+    # iteration, 2 inverse (u and u_xz) for the correction of iterate 1's
+    # temperature, and u_old's, once per level, as ``make_level`` builds
+    # the old level here (its rfft, u_xx and u_xz; run's levels carry
+    # them, see test_run_transforms_each_level_once); the fixed-point norms
+    # and the warm exit rule work on the coefficients the solves return
     cfg, state, forcing = forced_step_problem(theta)
     counts = count_transforms(monkeypatch, two_d_only=True)
     level = make_level(state.t, state.u, state.rho, cfg)
     _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     assert counts["rfft"] == report.lag_iters + 1
-    assert counts["irfft"] == 3 * report.lag_iters + 2
+    assert counts["irfft"] == 3 * report.lag_iters + 2 + 2
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -991,6 +992,39 @@ def test_fixed_point_step_accepts_the_last_unmixed_interface(monkeypatch, theta,
     assert len(images) == len(iterates) + 1 == report.inner_iters >= 3
     assert np.array_equal(new_state.rho.view(np.uint64), images[-1].view(np.uint64))
     assert any(not np.array_equal(rho_m, g) for rho_m, g in zip(iterates, images))
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_fixed_point_step_starts_iterate_2_from_a_corrected_temperature(monkeypatch, theta,
+                                                                        forced_step_problem):
+    # iterate 1's u, solved with the first Dirichlet data, is corrected by
+    # the step's unit Dirichlet response: the start of iterate 2 holds
+    # iterate 2's Dirichlet data on its interface row, and its lagged
+    # fields and rfft are those of its u
+    cfg, state, forcing = forced_step_problem(theta)
+    grids, mid = cfg.grids(), cfg.grids().normal.i_mid
+    calls, real_temperature = [], stepper.temperature_step
+
+    def recording_temperature(step, coef, *, dirichlet, start, fp_diff):
+        result = real_temperature(step, coef, dirichlet=dirichlet, start=start, fp_diff=fp_diff)
+        calls.append((dirichlet, start, result[0]))
+        return result
+
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
+    assert report.inner_iters == len(calls) >= 3
+    dirichlet, (u, fields), _ = calls[1]
+    u_1 = calls[0][2]
+    assert not np.array_equal(u, u_1)
+    assert np.abs(u[:, mid] - dirichlet).max() <= 1e-14 * np.abs(dirichlet).max()
+    assert np.abs(u_1[:, mid] - dirichlet).max() > 1e-10 * np.abs(dirichlet).max()
+    hat = np.fft.rfft(u, axis=0)
+    assert np.abs(fields.hat - hat).max() <= 1e-14 * np.abs(hat).max()
+    assert fields.xx is None  # a lag loop's start reads no xx
+    for got, want in zip(fields[1:4], stepper._lagged_fields(u, hat, grids), strict=True):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # later iterates start from the solve before, uncorrected
+    assert all(start[0] is out for (_, start, _), (_, _, out) in zip(calls[2:], calls[1:]))
 
 
 def rough_initial_data():
@@ -1247,6 +1281,17 @@ def test_run_keeps_a_flat_state_at_one_iterate_per_step():
     assert np.all(res.state.u == 0.0) and np.abs(res.state.rho - 0.1).max() < 1e-15
 
 
+def test_run_ends_smooth_steps_at_fixed_point_iterate_2():
+    # a small single-mode decay: from step 3 on (the quadratic predictor)
+    # iterate 2's difference from the corrected iterate 1 stays below
+    # fp_tol (at most about 1.1e-13 here), so each step ends at iterate 2;
+    # step 1 (no predictor) and step 2 (the linear one) take 3
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+    rho0 = 1e-4 * np.sin(cfg.grids().tangential.nodes)
+    res = run(compatible_initial_temperature(rho0, cfg), rho0, cfg, 40 * cfg.dt)
+    assert [r.inner_iters for r in res.reports[1:]] == [3, 3] + [2] * 38
+
+
 @pytest.mark.parametrize("amp", [0.1, 0.15])
 def test_run_converges_on_a_tall_column_at_a_large_interface(monkeypatch, amp):
     # plain successive substitution stops contracting here (ratio 0.946)
@@ -1485,7 +1530,9 @@ def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, levels_
 
 def test_run_transforms_each_level_once(monkeypatch):
     # the bulk transforms of a step are its lag iterations' own (one
-    # forward, three inverse each): u_old's fields come from its level.  A
+    # forward, three inverse each) and, on a step that goes past iterate
+    # 1, the two inverse ones of iterate 1's corrected temperature: u_old's
+    # fields come from its level.  A
     # report, identity included, makes no forward bulk transform: the
     # quotients' transforms are differences of the levels'.  The run's
     # one other forward transform builds the initial level.
@@ -1494,14 +1541,14 @@ def test_run_transforms_each_level_once(monkeypatch):
     rho0 = 0.01 * np.sin(x) + 0.005 * np.cos(2 * x)
     u0 = compatible_initial_temperature(rho0, cfg)
     counts = count_transforms(monkeypatch, two_d_only=True)
-    steps, reports = [], []  # (forward, inverse, lag iterations); forward
+    steps, reports = [], []  # (forward, inverse, lag iterations, corrected); forward
     real_step, real_report = stepper.fixed_point_step, stepper._make_report
 
     def counting_step(*args, **kwargs):
         before = dict(counts)
         result = real_step(*args, **kwargs)
         steps.append((counts["rfft"] - before["rfft"], counts["irfft"] - before["irfft"],
-                      result[1].lag_iters))
+                      result[1].lag_iters, result[1].inner_iters > 1))
         return result
 
     def counting_report(*args, **kwargs):
@@ -1515,8 +1562,9 @@ def test_run_transforms_each_level_once(monkeypatch):
     res = run(u0, rho0, cfg, 5 * cfg.dt, compute_identity=True)
     assert res.reports[-1].identity_residual is not None and not res.reports[-1].missing_D
     assert len(steps) == 5 and reports == [0] * 6
-    assert all(forward == lag and inverse == 3 * lag for forward, inverse, lag in steps)
-    assert counts["rfft"] == sum(lag for *_, lag in steps) + 1
+    assert all(corrected for *_, corrected in steps)
+    assert all(forward == lag and inverse == 3 * lag + 2 for forward, inverse, lag, _ in steps)
+    assert counts["rfft"] == sum(lag for _, _, lag, _ in steps) + 1
 
 
 def test_run_hands_out_states_without_level_fields(monkeypatch):
