@@ -24,7 +24,8 @@ satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
 (second-order Neumann); the interface row is a Dirichlet row.
 
 The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
-loop, which reuses the fields u_m's solve returned.  Iterate 1 starts
+loop, which reuses the fields u_m's solve returned (after iterate 1, those
+of its corrected u, below).  Iterate 1 starts
 from the polynomial extrapolation through the levels ``run``'s history
 holds at the current dt, up to three: with the levels one and two dt
 back, from the predictor 3 rho_n - 3 rho_{n-1} + rho_{n-2} and its lag
@@ -35,7 +36,20 @@ the levels' fields (no transform).  With no earlier level (step 1 and
 the first step after a halving) they start from rho_n and u_old.  The
 trajectory is smooth in t (perturbed flat states relax smoothly), so
 the quadratic predictor is off by O(dt^3).  Iterate 1's difference is
-measured against u_old either way.  Each later rho_m is a
+measured against u_old either way.  Iterate 1's u was solved with the
+predictor's Dirichlet data d_1; once its interface update is done, u is
+corrected to first order for the next iterate's data d_2: per mode,
+u_hat + w rfft(d_2 - d_1), where w is the LU's solve with unit Dirichlet
+data (``_BulkLU.dirichlet_response``, which also gives the jump
+response).  The corrected u, with its lagged fields, starts iterate 2's
+lag loop and is what iterate 2's difference is measured against.  On a
+smooth step iterate 1's interface image is all but converged and only
+its u lags, so iterate 2 ends the step: decay-k1 went from 3.002 to
+2.058 iterates per step, rough-mass-diag from 5.08 to 4.78.  Only
+iterate 1 is corrected: mms-column's later iterates (5.05 per step
+either way) come from how the frozen coefficients change with rho, which
+the correction does not model, so correcting them too would add
+transforms there and save no iterate.  Each later rho_m is a
 secant step (Anderson mixing of depth 1) from the last two iterates and
 their images; it falls back to the plain image, and mixes again from the
 next iterate, when the residual does not change or when a mixed
@@ -60,7 +74,9 @@ A fixed-point iterate transforms rho_m once: its slope and second
 derivative, the resolution check and the curvature Dirichlet data and
 the interface update all share that FFT, taken at the end of the
 iterate before (iterate 1's is the old level's, or the predictor's in
-the step's set-up).  The converged step's trace gap
+the step's set-up).  The correction of iterate 1's u costs two inverse
+FFTs (u and u_xz; a lag loop's start needs no xx).  The converged step's
+trace gap
 max |u(., 0) - kappa(rho) - g| comes from the accepted rho's FFT;
 ``run`` checks it against trace_tol.
 
@@ -613,7 +629,8 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     the forcing, the fixed part of the right-hand side and the fixed-point
     norm); ``coef`` holds the frozen coefficients, ``dirichlet`` the
     interface values and ``start`` the last iterate (u, its
-    ``_bulk_fields``), where the lag loop starts.  The lag loop lags
+    ``_bulk_fields``, of which the loop reads no xx), where the lag loop
+    starts.  The lag loop lags
     whatever of ``coef.a`` the factored a_mean leaves out; a step with
     inv_dt = 0 gives the steady solve used to build compatible initial
     data.
@@ -872,7 +889,13 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
     levels) or 2 rho_n - rho_{n-1} (one), the lag loop from the same
     combination of the temperatures and their fields; without, from
     level.rho and u_old.
-    Iterate 1's difference is measured against u_old either way.  Each
+    Iterate 1's difference is measured against u_old either way.  Unless
+    iterate 1 ends the step, its u is then corrected to first order for
+    the change from its Dirichlet data to iterate 2's (computed once, and
+    handed to iterate 2) by the LU's ``dirichlet_response``, its
+    uncorrected fields dropped first; the corrected u and its lagged
+    fields start iterate 2's lag loop and are what iterate 2's difference
+    is measured against.  Each
     later rho_m is the ``_Secant`` mix of the last two iterates.  The
     coefficients are frozen at the theta blend of rho_m and level.rho.
     The report carries the accepted state's trace gap

@@ -1,5 +1,6 @@
-"""``scripts/bench_pairs.py``: its summary on synthetic result lines (no
-benchmark run), and the workload list it takes from ``bench/run.py``."""
+"""``scripts/bench_pairs.py``: its summary on synthetic result lines and
+the order of its runs (no benchmark run), and the workload list it takes
+from ``bench/run.py``."""
 import importlib.util
 import json
 from pathlib import Path
