@@ -28,6 +28,13 @@ least WIN_SHARE of the pairs (9 or more of 10; a tie counts for neither
 side) and its median lies below the parent's by more than the parent's
 interquartile distance, ``higher`` when the same holds with the change
 higher, ``unresolved`` otherwise.
+
+Beside the timings, each workload's summary has a ``work`` entry: the
+parent -> change value of every traced ``*.calls`` and ``*.unknowns``
+count and of ``stepper.fp_iters_per_step`` and
+``stepper.lag_iters_per_solve``, read from the ``--trace 1`` lines.
+Unlike the timings, these counts repeat exactly from run to run, so a
+move in them is a move in the work the code does.
 """
 from __future__ import annotations
 
@@ -43,6 +50,8 @@ from fractions import Fraction
 SECONDS = 30
 END_TO_END = ("run_s", "step_ms_p50", "setup_s", "peak_rss_mb")
 TRACE_SEED = 11
+# the traced work counts the summary compares beside the *.calls and *.unknowns counts
+PER_STEP_COUNTS = ("stepper.fp_iters_per_step", "stepper.lag_iters_per_solve")
 WIN_SHARE = Fraction(9, 10)  # share of the pairs a resolved move must win, exactly
 
 
@@ -80,11 +89,23 @@ def verdict(parent_median, change_median, parent_quartiles, lower, higher, pairs
     return "unresolved"
 
 
-def summarize(runs):
+def work_counts(sides):
+    """{count: {"parent": value, "change": value}} for every ``*.calls``
+    and ``*.unknowns`` metric and each of PER_STEP_COUNTS in the
+    ``--trace 1`` lines ``sides`` ({"parent": line, "change": line})."""
+    parent, change = sides["parent"]["metrics"], sides["change"]["metrics"]
+    return {name: {"parent": parent[name]["value"], "change": change[name]["value"]}
+            for name in parent if name in change
+            and (name.endswith((".calls", ".unknowns")) or name in PER_STEP_COUNTS)}
+
+
+def summarize(runs, trace=None):
     """Per workload and metric: medians, the parent's quartiles, the pairs
     (matched by seed) in which the change was lower, the relative change
     of the medians and the ``verdict``.  ``runs`` maps a workload to its
-    list of {"side", "seed", "result"} entries."""
+    list of {"side", "seed", "result"} entries.  With ``trace`` (a
+    workload's {"parent": line, "change": line} of ``--trace 1`` lines),
+    each workload also gets its ``work_counts`` under ``work``."""
     summary = {}
     for workload, entries in runs.items():
         by_seed = {}
@@ -107,6 +128,8 @@ def summarize(runs):
                 "relative_change": c_med / p_med - 1.0,
                 "verdict": verdict(p_med, c_med, (q1, q3), lower, higher, len(pairs)),
             }
+        if trace is not None:
+            summary[workload]["work"] = work_counts(trace[workload])
     return summary
 
 
@@ -157,12 +180,15 @@ def main(argv=None):
                   "in which the change was lower and a verdict: 'lower' (or 'higher') when "
                   f"the change was lower (higher) in at least {float(WIN_SHARE):.0%} of the "
                   "pairs, a tie counting for neither side, and the medians differ by more "
-                  "than the parent's interquartile distance, 'unresolved' otherwise."),
+                  "than the parent's interquartile distance, 'unresolved' otherwise. Each "
+                  "workload's 'work' gives the parent and change values of the --trace 1 "
+                  "lines' *.calls and *.unknowns counts and of "
+                  f"{' and '.join(PER_STEP_COUNTS)}, which repeat exactly from run to run."),
         "host": host(),
         "parent": commits["parent"],
         "change": commits["change"],
         "runs": runs,
-        "summary": summarize(runs),
+        "summary": summarize(runs, trace),
         "trace": trace,
     }
     with open(args.out, "w") as fh:

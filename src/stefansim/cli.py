@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -158,6 +160,39 @@ def _sweep_worker(payload):
     return label, cfg, [r.E for r in reports], worst_cons
 
 
+def _run_sweep_points(scenario, points, labels, out_dir, jobs):
+    """Run every sweep point and return their results in order.
+
+    The points write into a staging directory under ``out_dir``, and each
+    point's directory is renamed into place, over any earlier one, only
+    once every point has succeeded; the staging directory is removed
+    either way, and so is ``out_dir`` if this sweep made it and a point
+    failed, so a failed sweep leaves no partial output."""
+    made = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".sweep-", dir=out_dir)
+    payloads = [(scenario, cfg, staging, label) for cfg, label in zip(points, labels)]
+    results = None
+    try:
+        if jobs > 1 and len(payloads) > 1:
+            # the fork start method starts every worker at the first submit;
+            # leaving the block waits for them all
+            with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+                results = list(pool.map(_sweep_worker, payloads))
+        else:
+            results = [_sweep_worker(p) for p in payloads]
+        for label in labels:
+            point = os.path.join(out_dir, label)
+            if os.path.exists(point):  # an earlier sweep's: swapped out into the staging area
+                os.replace(point, os.path.join(staging, f"replaced-{label}"))
+            os.replace(os.path.join(staging, label), point)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        if results is None and made:
+            shutil.rmtree(out_dir, ignore_errors=True)
+    return results
+
+
 def _point_label(cfg):
     return f"eps={cfg.epsilon:g}_dt={cfg.dt:g}_nx={cfg.n_x}_nz={cfg.n_z}"
 
@@ -173,13 +208,7 @@ def cmd_sweep(args):
             raise ConfigError(f"{labels.count(label)} sweep points share the label {label}: "
                               "each point needs its own output directory")
     out_dir = resolve_out_dir(scenario, args.out)
-    payloads = [(scenario, cfg, out_dir, label) for cfg, label in zip(points, labels)]
-    if args.jobs > 1 and len(payloads) > 1:
-        # the fork start method starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    else:
-        results = [_sweep_worker(p) for p in payloads]
+    results = _run_sweep_points(scenario, points, labels, out_dir, args.jobs)
 
     results.sort(key=lambda r: (-r[1].epsilon, r[1].dt, r[1].n_x, r[1].n_z))
     lines = ["label,epsilon,dt,n_x,n_z,E_final,max_cons_residual"]

@@ -22,8 +22,12 @@ The unweighted bulk integrals (int w^2 + w_x^2 in E, int w_t^2 + w_x^2 +
 w_xx^2 in D, w = d_x^mu u_s) are summed on the Fourier modes of each
 field by Parseval (``grids.parseval_weights``).  The a-weighted
 normal-derivative terms and the interface terms have weights that vary
-in x and are summed in real space, each bulk integral as one dot product
-with cached quadrature weights (``grids.quadrature_weights``).
+in x and are summed in real space: each normal-derivative integral as a
+stencil sum on the real rows d_x^mu u_s (``_normal_stencils``, the
+one-sided stencils of ``grids.first_walls`` and ``grids.second_walls``
+on ``grids.halves``), all rows of one quotient in one weighted reduction
+per stencil order (``_stencil_sums``), and the interface integrals of
+one quotient of rho in one (``_interface_sums``).
 
 The interface form
 
@@ -43,27 +47,29 @@ import numpy as np
 
 from .grids import (
     PERIOD,
+    _distinct_terms,
     bulk_sum,
     d_tangential,
     d_tangential_hats,
-    first_walls,
-    halves,
     interface_sum,
     parseval_sum,
     power_spectrum,
-    quadrature_weights,
-    second_walls,
 )
 from .transform import grid_profiles, norm_weights
 
 
 def uniform_step(times, what):
     """The common spacing of ``times`` (None for a single entry); raises
-    ValueError naming ``what`` unless the spacing is uniform."""
-    steps = np.diff(np.asarray(times, dtype=float))
-    if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
+    ValueError naming ``what`` unless every spacing s has
+    |s - s0| <= 1e-15 + 1e-9 |s0|, s0 the first."""
+    times = [float(t) for t in times]
+    if len(times) < 2:
+        return None
+    first = times[1] - times[0]
+    bound = 1e-15 + 1e-9 * abs(first)
+    if not all(abs(b - a - first) <= bound for a, b in zip(times, times[1:])):
         raise ValueError(f"{what} must be uniformly spaced in time")
-    return float(steps[0]) if len(steps) else None
+    return first
 
 
 def _quotients(levels, name, count, dt):
@@ -102,14 +108,14 @@ def i_psi_lower_bound(omega, psi):
     return _i_psi_lower(oxx, L, h)
 
 
-def _dx_table(hat, n, terms):
-    """{factors: derivative of v} for each derivative of ``terms``, named
-    by the orders of its factors ((mu,) is d_x^mu, (mu, 1) is d_x of
-    d_x^mu; (0,) is v itself), v the n-point field whose rfft along axis 0
-    is ``hat``, from one batched inverse transform (``d_tangential_hats``,
-    which alone decides the Nyquist mode).  No finiteness check."""
-    terms = tuple(terms)
-    return dict(zip(terms, d_tangential_hats(hat, n, terms)))
+def _dx_rows(hat, n, terms):
+    """(rows, index): the distinct derivatives among ``terms`` (each named
+    by the orders of its factors; (0,) is v itself) of the n-point field v
+    whose rfft along axis 0 is ``hat``, stacked, from one batched inverse
+    transform (``d_tangential_hats``, which alone decides the Nyquist
+    mode), and each term's row.  No finiteness check."""
+    distinct, index = _distinct_terms(tuple(terms))
+    return d_tangential_hats(hat, n, distinct), range(len(terms)) if index is None else index
 
 
 def _i_psi_form(oxx, L, px, h):
@@ -123,29 +129,27 @@ def _i_psi_lower(oxx, L, h):
     return float((oxx**2 * L**3).sum() * h)
 
 
-def _interface_orders(mu, eps):
-    """The derivatives of the s-th quotient of rho that ``_interface_terms``
-    reads for its (mu, s) term, each named by the orders of its factors:
-    (mu, j) is d_x^j of w = d_x^mu rho_s, j = 1, 2 (and 3, 4 for eps != 0)."""
-    return tuple((mu, j) for j in range(1, 5 if eps != 0.0 else 3))
+# the columns of ``_interface_weights``
+_L, _PLAIN, _L3, _I_PSI = range(4)
 
 
-def _interface_terms(v, mu, eps, L, px, g):
-    """The interface part of the (mu, s) term of E, the eps coefficient X
-    of E_eps = E + eps X, the unweighted counterparts of both, the I_psi
-    part of E and the Hessian it is taken on, from the ``_dx_table`` v of
-    the s-th quotient of rho that holds ``_interface_orders(mu, eps)``."""
-    h = g.tangential.spacing
-    vx, vxx, *higher = (v[order] for order in _interface_orders(mu, eps))
-    i_form = _i_psi_form(vxx, L, px, h)
-    E = interface_sum(vx**2 * L, g.tangential) + i_form
-    sob_E = interface_sum(vx**2 + vxx**2, g.tangential)
-    X = sob_X = 0.0
-    if eps != 0.0:
-        v3, v4 = higher
-        X = interface_sum(v3**2 * L, g.tangential) + _i_psi_form(v4, L, px, h)
-        sob_X = interface_sum(v3**2 + v4**2, g.tangential)
-    return E, X, sob_E, sob_X, i_form, vxx
+def _interface_weights(psi_x, L, tangential):
+    """(n_x, 4) columns h L, h, h L^3 and h (L - psi_x^2 L^3), h the
+    spacing and L = 1/<psi>: summed against (d_x^j v)^2, the interface
+    integrals of ``_interface_sums``.  The last column gives I_psi of a
+    Hessian (``_i_psi_form``) and the third its lower bound."""
+    L3 = L**3
+    return np.stack((L, np.ones_like(L), L3, L - psi_x**2 * L3), axis=1) * tangential.spacing
+
+
+def _interface_sums(hat, n, terms, weights):
+    """{term: the sums of (d v)^2 against each column of ``weights``
+    (``_interface_weights``)} for the derivatives ``terms`` of the n-point
+    interface field v whose rfft is ``hat``, from one batched inverse
+    transform and one weighted reduction (``_dx_rows``)."""
+    rows, index = _dx_rows(hat, n, terms)
+    sums = ((rows * rows) @ weights).tolist()
+    return {term: sums[i] for term, i in zip(terms, index)}
 
 
 @dataclass(frozen=True)
@@ -176,22 +180,25 @@ def evaluate_functionals(levels, cfg):
     interface, whose slope psi_x its level holds.
 
     No forward transform: the rfft along x of each time quotient u_s and
-    rho_s is the same quotient of the levels' rffts, and those of the
-    one-sided normal derivatives d_z u_s, d_z^2 u_s are the same stencils
-    on u_s's (both are linear along z, and the transform acts along x).
-    The unweighted bulk sums of E and D, int w^2 + w_x^2 and
-    int w_t^2 + w_x^2 + w_xx^2 with w = d_x^mu u_s, are summed on those
-    transforms by Parseval (``parseval_weights``).  Every other d_x^mu is
-    one multiplication by a cached (ik)^n and an inverse transform, all
-    those of one field (d_z u_s, d_z^2 u_s, rho_s or rho_{s+1} for one s)
-    batched into one call: the a-weighted normal-derivative terms and the
-    interface terms have weights that vary in x, so they are summed in
-    real space, by one weighted sum per integral.  Each derivative is
-    named by the orders of its factors, (mu,) or (mu, j) for d_x^j of
-    d_x^mu, and ``grids`` decides its Nyquist mode from them, as nested
-    ``d_tangential`` calls would.
-    E_eps = E + eps X and D_eps = D + eps Y share their arrays with E and
-    D, and the Sobolev sums are the same arrays without the weights.
+    rho_s is the same quotient of the levels' rffts.  The unweighted bulk
+    sums of E and D, int w^2 + w_x^2 and int w_t^2 + w_x^2 + w_xx^2 with
+    w = d_x^mu u_s, are summed on those transforms by Parseval
+    (``parseval_weights``), one sum per quotient and family.  The other
+    terms have weights that vary in x and are summed in real space, on
+    stacked real rows keyed by factor tuple ((mu,) is d_x^mu, (mu, j) is
+    d_x^j of d_x^mu, and ``grids`` decides the Nyquist mode from the tuple,
+    as nested ``d_tangential`` calls would).  A quotient's rows come from
+    one batched inverse transform of its rfft, and u_0's row (0,) is the
+    newest level's u itself.  Every a- and a^2-weighted normal-derivative
+    integral, int a (d_z w)^2, 2 int a (d_z w_x)^2 and int (a d_z^2 w)^2
+    with their unweighted twins, is a stencil sum on those rows
+    (``_stencil_sums``: ``_normal_stencils``' one-sided stencils at the
+    walls and on both sides of the interface, as ``first_walls`` and
+    ``second_walls`` on ``halves``), one weighted reduction per quotient
+    and stencil order.  The interface integrals are one weighted
+    reduction per rho quotient (``_interface_sums``).
+    E_eps = E + eps X and D_eps = D + eps Y share their sums with E and
+    D, and the Sobolev sums are the same sums without the weights.
 
     The eps addition to D is 2 eps int |d_x^mu Delta grad rho_t|^2 <psi>^-1
     per (mu, s) (the time-differentiated form; see the energy identity,
@@ -205,63 +212,81 @@ def evaluate_functionals(levels, cfg):
     dt = uniform_step([lv.t for lv in levels], "history")
     g, eps, k = cfg.grids(), cfg.epsilon, cfg.k_diag
     n = g.tangential.n_x
-    dz = g.normal.dz
-    px = levels[-1].rho_x
-    a_psi, bracket = norm_weights(levels[-1].rho, px, cfg.cutoff(), g)
-    a_h = halves(a_psi, g.normal)
-    W = quadrature_weights(a_h.shape, g)  # bulk_sum as a dot product
-    aW = a_h * W
-    a2W = a_h * aW
-    L = 1.0 / bracket
+    newest = levels[-1]
+    a_psi, bracket = norm_weights(newest.rho, newest.rho_x, cfg.cutoff(), g)
     u_hats = _quotients(levels, "u_hat", k + 2, dt)
     r_hats = _quotients(levels, "rho_hat", k + 2, dt)
-    powers = [None if hat is None else power_spectrum(hat) for hat in u_hats]
+    count = sum(hat is not None for hat in u_hats)  # the quotients 0 .. count - 1 exist
+
+    def orders(s):  # the mu of the (mu, s) terms
+        return range(2 * (k - s) + 1)
+
+    # the derivatives of each rho quotient: its E terms', and its D terms'
+    # (those of the quotient one order below), in one transform per quotient
+    eps_orders = (1, 2, 3, 4) if eps != 0.0 else (1, 2)
+    r_terms = [[] for _ in range(count)]
+    for s in range(min(count, k + 1)):
+        r_terms[s] += [(mu, j) for mu in orders(s) for j in eps_orders]
+        if s + 1 < count:
+            r_terms[s + 1] += [(mu, j) for mu in orders(s) for j in eps_orders[::2]]
+    weights = _interface_weights(newest.rho_x, 1.0 / bracket, g.tangential)
+    iface = [_interface_sums(r_hats[q], n, terms, weights) for q, terms in enumerate(r_terms)]
+    first = _stencil_weights((a_psi, None), 1, g)  # a (d_z w)^2 and (d_z w)^2
+    second = _stencil_weights((a_psi * a_psi, None), 2, g) if count > 1 else None
 
     E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
     gaps, missing_E, missing_D = [], [], []
     for s in range(k + 1):
-        mus = range(2 * (k - s) + 1)
+        mus = orders(s)
         ws = [(mu,) for mu in mus]  # w = d_x^mu of the s-th quotient
-        if u_hats[s] is None:
+        if s >= count:
             missing_E.extend((mu, s) for mu in mus)
             missing_D.extend((mu, s) for mu in mus)
             continue
-        # one batched inverse transform per field: d_x^mu of u_n for E, and
-        # d_x^(mu+1) of u_n, d_x^mu of u_nn and the rho_t terms for D
-        with_D = u_hats[s + 1] is not None
-        u_h = halves(u_hats[s], g.normal)
-        wn = _dx_table(first_walls(u_h, dz), n,
-                       ws + ([(mu, 1) for mu in mus] if with_D else []))
-        v = _dx_table(r_hats[s], n, [o for mu in mus for o in _interface_orders(mu, eps)])
-        if with_D:
-            wnn = _dx_table(second_walls(u_h, dz), n, ws)
-            vt = _dx_table(r_hats[s + 1], n, [(mu, 1) for mu in mus]
-                           + ([(mu, 3) for mu in mus] if eps != 0.0 else []))
+        with_D = s + 1 < count
+        w_x = [(mu, 1) for mu in mus] if with_D else []
+        if s == 0:  # u_0's row (0,) is the newest level's u
+            rows, index = newest.u[None], [0]
+            if len(ws) + len(w_x) > 1:
+                rest, rest_index = _dx_rows(u_hats[0], n, ws[1:] + w_x)
+                rows = np.concatenate((rows, rest))
+                index += [i + 1 for i in rest_index]
+        else:
+            rows, index = _dx_rows(u_hats[s], n, ws + w_x)
+        normal = _stencil_sums(rows, first).tolist()
+        bulk = parseval_sum(power_spectrum(u_hats[s]), tuple(ws + [(mu, 1) for mu in mus]), g)
+        E += bulk
+        sob_E += bulk
         for mu in mus:
-            wn2 = wn[(mu,)] ** 2
-            bulk = parseval_sum(powers[s], ((mu,), (mu, 1)), g)  # w, w_x
-            e, x, se, sx, i_form, vxx = _interface_terms(v, mu, eps, L, px, g)
-            E += bulk + float(np.vdot(aW, wn2)) + e
-            sob_E += bulk + float(np.vdot(W, wn2)) + se
-            X, sob_X = X + x, sob_X + sx
-            gaps.append(i_form - _i_psi_lower(vxx, L, g.tangential.spacing))
-            if not with_D:
-                missing_D.append((mu, s))
-                continue
-            # a u_n^2 + 2 a u_xn^2 + (a u_nn)^2, and the same without a
-            first = wn2 + 2.0 * wn[mu, 1] ** 2
-            wnn2 = wnn[(mu,)] ** 2
-            vtx = vt[mu, 1]
-            bulk = (parseval_sum(powers[s + 1], ((mu,),), g)  # w_t
-                    + parseval_sum(powers[s], ((mu, 1), (mu, 2)), g))  # w_x, w_xx
-            D += (bulk + float(np.vdot(aW, first)) + float(np.vdot(a2W, wnn2))
-                  + 2.0 * interface_sum(vtx**2 * L, g.tangential))
-            sob_D += (bulk + float(np.vdot(W, first + wnn2))
-                      + interface_sum(vtx**2, g.tangential))
+            n_w = normal[index[mu]]
+            vx, vxx = iface[s][mu, 1], iface[s][mu, 2]
+            E += n_w[0] + vx[_L] + vxx[_I_PSI]
+            sob_E += n_w[1] + vx[_PLAIN] + vxx[_PLAIN]
+            gaps.append(vxx[_I_PSI] - vxx[_L3])
             if eps != 0.0:
-                vt3 = vt[mu, 3]
-                Y += 2.0 * interface_sum(vt3**2 * L, g.tangential)
-                sob_Y += interface_sum(vt3**2, g.tangential)
+                v3, v4 = iface[s][mu, 3], iface[s][mu, 4]
+                X += v3[_L] + v4[_I_PSI]
+                sob_X += v3[_PLAIN] + v4[_PLAIN]
+        if not with_D:
+            missing_D.extend((mu, s) for mu in mus)
+            continue
+        # a u_n^2 + 2 a u_xn^2 + (a u_nn)^2, and the same without a; the
+        # (mu,) rows lead, in the order of mus
+        normal_nn = _stencil_sums(rows[:len(mus)], second).tolist()
+        bulk = (parseval_sum(power_spectrum(u_hats[s + 1]), tuple(ws), g)  # w_t
+                + parseval_sum(power_spectrum(u_hats[s]),
+                               tuple(t for mu in mus for t in ((mu, 1), (mu, 2))), g))  # w_x, w_xx
+        D += bulk
+        sob_D += bulk
+        for mu in mus:
+            n_w, n_wx, n_nn = normal[index[mu]], normal[index[len(mus) + mu]], normal_nn[mu]
+            vtx = iface[s + 1][mu, 1]
+            D += n_w[0] + 2.0 * n_wx[0] + n_nn[0] + 2.0 * vtx[_L]
+            sob_D += n_w[1] + 2.0 * n_wx[1] + n_nn[1] + vtx[_PLAIN]
+            if eps != 0.0:
+                vt3 = iface[s + 1][mu, 3]
+                Y += 2.0 * vt3[_L]
+                sob_Y += vt3[_PLAIN]
 
     return Functionals(
         E=E, D=D, E_eps=E + eps * X, D_eps=D + eps * Y,
@@ -317,55 +342,96 @@ def equivalence_constant(psi, cutoff, kind="E"):
 
 
 @lru_cache(maxsize=None)
-def _normal_stencils(tangential, normal):
-    """The a-weighted normal-derivative term of the order-0 norm as a
-    stencil sum, cached per grid pair: int a u_n^2 over both half-strips
-    (``bulk_sum`` of ``first_walls`` on ``halves``) is
+def _normal_stencils(tangential, normal, order):
+    """The quadrature of a squared normal derivative of order 1 or 2 as a
+    stencil sum, cached per grid pair and order: int f (d_z^order w)^2
+    over both half-strips (``bulk_sum`` of ``first_walls`` or
+    ``second_walls`` on ``halves``) is
 
-        sum a[:, 1:-1] c w_c c  +  sum a[:, rows] (u @ S) w_e (u @ S)
+        sum f_c w_c c^2  +  sum f[:, rows] w_e (w @ S)^2
 
-    with c = u[:, 2:] - u[:, :-2] the centered differences (zero weight on
-    the interface row) and S the four one-sided 3-point stencils: the
-    walls, and the interface row from below and from above.  Returns
-    (w_c, rows, S, w_e); the weights hold the quadrature and 1/(2 dz)^2.
+    Here c are the centered differences on the flattened (C-order) field,
+    w_{p+1} - w_{p-1} (order 1) or w_{p+1} - 2 w_p + w_{p-1} (order 2) at
+    each flat node p but the first and last, and f_c the weight field at
+    those nodes.  w_c is zero on the walls, where c reaches into the next
+    x row, and on the interface row.  S holds the four one-sided stencils
+    (3-point for order 1, 4-point for order 2): the walls, and the
+    interface row from below and from above.  Returns (w_c, rows, S,
+    w_e); the weights hold the quadrature and 1/(2 dz)^2 or 1/dz^4.
     """
     n_z, mid, dz = normal.n_z, normal.i_mid, normal.dz
-    scale = tangential.spacing / (4.0 * dz)  # dz h / (2 dz)^2
-    w_c = np.full(n_z - 2, scale)
-    w_c[mid - 1] = 0.0
+    scale = tangential.spacing * dz / ((2.0 * dz) ** 2 if order == 1 else dz**4)
+    per_row = np.full(n_z, scale)
+    per_row[[0, mid, n_z - 1]] = 0.0
+    w_c = np.tile(per_row, tangential.n_x)[1:-1]
     rows = np.array([0, mid, mid, n_z - 1])
+    taps = (-3.0, 4.0, -1.0) if order == 1 else (2.0, -5.0, 4.0, -1.0)
     S = np.zeros((n_z, 4))
     for col, (i, step) in enumerate(((0, 1), (mid, -1), (mid, 1), (n_z - 1, -1))):
-        S[[i, i + step, i + 2 * step], col] = -3.0 * step, 4.0 * step, -step
+        # a first derivative's stencil changes sign with its direction
+        S[i + step * np.arange(len(taps)), col] = np.multiply(taps, step if order == 1 else 1)
     w_e = np.full(4, 0.5 * scale)  # the ends of the half-strips
     for v in (w_c, rows, S, w_e):
         v.setflags(write=False)
     return w_c, rows, S, w_e
 
 
+def _stencil_weights(fields, order, grids):
+    """The weights of ``_stencil_sums`` for the weight fields ``fields``
+    ((n_x, n_z) arrays, or None for 1), one row each: (centered
+    (K, n_x n_z - 2), edges (K, n_x, 4), order, S)."""
+    w_c, rows, S, w_e = _normal_stencils(grids.tangential, grids.normal, order)
+    centered = np.empty((len(fields), w_c.size))
+    edges = np.empty((len(fields), grids.tangential.n_x, 4))
+    for f, row_c, row_e in zip(fields, centered, edges):
+        if f is None:
+            row_c[:], row_e[:] = w_c, w_e
+        else:
+            np.multiply(f.reshape(-1)[1:-1], w_c, out=row_c)
+            np.multiply(f[:, rows], w_e, out=row_e)
+    return centered, edges, order, S
+
+
+def _stencil_sums(rows, weights):
+    """(m, K): for each stacked bulk field w of ``rows`` (m, n_x, n_z) and
+    each weight field f of ``weights`` (``_stencil_weights``), int f
+    (d_z^order w)^2 over both half-strips, by ``_normal_stencils``' stencil
+    sum: one weighted reduction of all rows' squared stencils per part."""
+    centered, edges, order, S = weights
+    m = len(rows)
+    flat = rows.reshape(m, -1)
+    if order == 1:
+        c = flat[:, 2:] - flat[:, :-2]
+    else:
+        c = flat[:, 1:] - flat[:, :-1]
+        c = c[:, 1:] - c[:, :-1]
+    c *= c
+    e = rows @ S
+    e *= e
+    return c @ centered.T + e.reshape(m, -1) @ edges.reshape(len(edges), -1).T
+
+
 class EnergyNormK0:
     """The order-0 norm: E_eps at diagnostic order 0 with the weights of
     one interface psi frozen, set up once for ``state_energy_k0`` (by the
-    stepper once per step, with its LU, at iterate 1's interface).
+    stepper once per step, at iterate 1's interface).
 
     psi_x (the spectral slope of psi), a_psi (bulk, (n_x, n_z)) and
     bracket = <psi> ((n_x,)) are the interface derivative and the
     ``coefficients`` fields at psi, which callers already hold; the run's
-    ``cfg`` gives the grids and epsilon.  Holds a_psi times the weights of
-    the normal-derivative stencil sum (``_normal_stencils``), 1/<psi> and
-    psi_x; the Parseval weights of int u^2 + u_x^2 are cached per grid
+    ``cfg`` gives the grids and epsilon.  Holds the ``_stencil_weights``
+    of a_psi for the normal-derivative term and the ``_interface_weights``
+    of psi; the Parseval weights of int u^2 + u_x^2 are cached per grid
     pair.
     """
 
     def __init__(self, psi_x, a_psi, bracket, cfg):
         grids = self.grids = cfg.grids()
         self.eps = float(cfg.epsilon)
-        self.psi_x = np.asarray(psi_x, dtype=float)
-        self.L = 1.0 / np.asarray(bracket, dtype=float)
-        w_c, rows, self.stencils, w_e = _normal_stencils(grids.tangential, grids.normal)
-        a_psi = np.asarray(a_psi, dtype=float)
-        self.a_centered = a_psi[:, 1:-1] * w_c
-        self.a_edges = a_psi[:, rows] * w_e
+        self.normal = _stencil_weights((np.asarray(a_psi, dtype=float),), 1, grids)
+        self.interface = _interface_weights(np.asarray(psi_x, dtype=float),
+                                            1.0 / np.asarray(bracket, dtype=float),
+                                            grids.tangential)
 
 
 def state_energy_k0(u, u_hat, rho_hat, norm):
@@ -376,22 +442,23 @@ def state_energy_k0(u, u_hat, rho_hat, norm):
     already hold; rho_hat None stands for rho = 0, whose terms are exactly
     0 and are skipped.  The unweighted bulk terms int u^2 + u_x^2 are one
     Parseval sum over |u_hat|^2.  The a-weighted normal-derivative term is
-    a stencil sum on u and the interface terms come from rho_hat, both in
-    real space, because their weights vary in x.  No 2-D transform and no
-    finiteness check.  Used for fixed-point difference norms; no time
-    derivatives enter at order 0, so no history is needed.
+    a stencil sum on u (``_stencil_sums``) and the interface terms come
+    from rho_hat (``_interface_sums``), both in real space, because their
+    weights vary in x.  No 2-D transform and no finiteness check.  Used
+    for fixed-point difference norms; no time derivatives enter at order
+    0, so no history is needed.
     """
     g = norm.grids
-    centered = u[:, 2:] - u[:, :-2]
-    edges = u @ norm.stencils
     energy = (parseval_sum(power_spectrum(u_hat), ((0,), (1,)), g)
-              + float(np.vdot(norm.a_centered * centered, centered))
-              + float(np.vdot(norm.a_edges * edges, edges)))
+              + float(_stencil_sums(u[None], norm.normal)[0, 0]))
     if rho_hat is None:
         return energy
-    v = _dx_table(rho_hat, g.tangential.n_x, _interface_orders(0, norm.eps))
-    e, x, *_ = _interface_terms(v, 0, norm.eps, norm.L, norm.psi_x, g)
-    return energy + e + norm.eps * x
+    terms = ((0, 1), (0, 2), (0, 3), (0, 4)) if norm.eps != 0.0 else ((0, 1), (0, 2))
+    v = _interface_sums(rho_hat, g.tangential.n_x, terms, norm.interface)
+    energy += v[0, 1][_L] + v[0, 2][_I_PSI]
+    if norm.eps != 0.0:
+        energy += norm.eps * (v[0, 3][_L] + v[0, 4][_I_PSI])
+    return energy
 
 
 def conserved_quantity(u, rho, cutoff, grids):

@@ -13,14 +13,19 @@ in the order-0 regularized-energy norm:
 The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on the
-mode's whole column.  It is factored once per step (one banded LU of all
-modes' columns) at iterate 1's interface, before the first iterate; the
-jump response sigma_k that stabilizes the interface update comes from
-the same factors.  The rest of the frozen coefficients,
-(a - a_mean) u_zz - B u_xz - c u_z with a_mean iterate 1's, is lagged one
-lag iteration; every lag iteration reuses the factors, and
-the lag loop runs until the *full* frozen-coefficient discrete system is
-satisfied to ``lin_tol``.  Walls use mirror-ghost elimination
+mode's whole column.  It is factored once per dt (one banded LU of all
+modes' columns): ``run`` factors it when a dt starts, at the interface
+of that step's iterate 1 (step 1 and the first step after a halving
+have no predictor, so that is the level's own interface), and hands it
+to every step of the dt; a halving drops it with the history.  The jump
+response sigma_k that stabilizes the interface update and the unit
+Dirichlet response w that corrects iterate 1 come from the same
+factors, once per dt.  The rest of the frozen coefficients,
+(a - a_mean) u_zz - B u_xz - c u_z, is lagged one lag iteration; every
+lag iteration reuses the factors, and the lag loop runs until the *full*
+frozen-coefficient discrete system is satisfied to ``lin_tol``, so
+a_mean only preconditions the loop and the solution does not depend on
+which interface it was taken at.  Walls use mirror-ghost elimination
 (second-order Neumann); the interface row is a Dirichlet row.
 
 The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
@@ -66,16 +71,17 @@ GMRES on the same affine map with the banded LU as preconditioner; the
 final check is the same full residual.
 
 Each iterate transforms each field once.  A lag iteration makes one
-forward FFT (its right-hand side); u_new, u_xx and u_xz come from the
-solve's Fourier coefficients by three inverse FFTs, u_zz and u_z by
-stencil, and those fields serve both the residual and the next
-iteration's lagged terms.  The iterate is checked for finiteness once.
-A fixed-point iterate transforms rho_m once: its slope and second
-derivative, the resolution check and the curvature Dirichlet data and
-the interface update all share that FFT, taken at the end of the
+forward FFT (its right-hand side) and two inverse ones from the solve's
+Fourier coefficients: u_new, and u_x stacked with u_xx; u_xz is the d_z
+stencil of the real u_x, u_zz and u_z stencils of u_new, and those
+fields serve both the residual and the next iteration's lagged terms.
+The iterate is checked for finiteness once.  A fixed-point iterate
+transforms rho_m once: its slope and second derivative, the resolution
+check and the curvature Dirichlet data and the interface update all
+share that FFT, taken at the end of the
 iterate before (iterate 1's is the old level's, or the predictor's in
 the step's set-up).  The correction of iterate 1's u costs two inverse
-FFTs (u and u_xz; a lag loop's start needs no xx).  The converged step's
+FFTs (u and u_x; a lag loop's start needs no xx).  The converged step's
 trace gap
 max |u(., 0) - kappa(rho) - g| comes from the accepted rho's FFT;
 ``run`` checks it against trace_tol.
@@ -97,18 +103,18 @@ t_new=..., forcing=..., earlier=...)``, ``interface_step(u_new, old, cfg,
 ...)``, which reads rho's rfft from the old level, and every solve's one
 call shape ``temperature_step(step, coef, dirichlet=..., start=...,
 fp_diff=...)``.  ``step`` is the ``_Step`` that ``_prepare_step`` builds
-once per time step, before the first iterate; the iterate adds its
-frozen coefficients, Dirichlet data, lag-loop start and last fixed-point
-difference, and ``SolverConfig``'s constants set the tolerances.
-The steady solve of ``compatible_initial_temperature`` builds its own
-``_Step`` with 1/dt = 0, theta = 1 and no norm.  ``make_level`` and the
-diagnostics read the same cfg.
+once per time step, before the first iterate, around the dt's LU; the
+iterate adds its frozen coefficients, Dirichlet data, lag-loop start and
+last fixed-point difference, and ``SolverConfig``'s constants set the
+tolerances.  The steady solve of ``compatible_initial_temperature``
+factors its own LU, with 1/dt = 0 and theta = 1, for a ``_Step`` with
+no norm.  ``make_level`` and the diagnostics read the same cfg.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0``) is
-frozen with the LU at iterate 1's interface, whose one ``norm_weights``
-call gives both, and makes no 2-D transform: the solve's Fourier
-coefficients travel with the fields it returns, so the bulk terms
-int w^2 + w_x^2 of the fixed-point difference are a Parseval sum over
+frozen per step at iterate 1's interface, from its one ``norm_weights``
+call (which on the first step of a dt is also the LU's), and makes no
+2-D transform: the solve's Fourier coefficients travel with the fields
+it returns, so the bulk terms int w^2 + w_x^2 of the fixed-point difference are a Parseval sum over
 the difference of the two solves' coefficients (u_old's at iterate 1),
 and those of a warm solve's lag update over x_hat - prev_hat.  The
 a-weighted normal-derivative term is a stencil sum, and only the
@@ -311,8 +317,12 @@ def _extrapolate(levels):
     k = len(levels)
     weights = [float((-1) ** j * math.comb(k, j + 1)) for j in range(k)]
 
-    def combine(arrays):
-        return sum(w * a for w, a in zip(weights, arrays, strict=True))
+    def combine(arrays):  # accumulated in place, newest first
+        arrays = iter(arrays)
+        out = weights[0] * next(arrays)
+        for w, a in zip(weights[1:], arrays, strict=True):
+            out += w * a
+        return out
 
     fields = [level.fields for level in levels]
     return combine(level.rho for level in levels), (
@@ -324,16 +334,14 @@ def _extrapolate(levels):
 @dataclass(frozen=True)
 class _Step:
     """What every temperature solve of one step shares: the grids, the
-    ``_BulkLU`` factored at the step's first interface iterate, 1/dt (0
-    for the steady solve) and theta, u_old with its ``_bulk_fields`` and
-    norm, the bulk forcing at both time levels (zeros without forcing), the
-    norm of their theta blend, the part of the right-hand side they fix,
-    u_old / dt + theta f_new, and the fixed-point norm at the factors'
-    interface (None for the steady solve).  Made by ``_prepare_step``."""
+    dt's ``_BulkLU`` (which holds 1/dt, 0 for the steady solve, and
+    theta), u_old with its ``_bulk_fields`` and norm, the bulk forcing at
+    both time levels (zeros without forcing), the norm of their theta
+    blend, the part of the right-hand side they fix, u_old / dt + theta
+    f_new, and the fixed-point norm at the step's first interface iterate
+    (None for the steady solve).  Made by ``_prepare_step``."""
     grids: Grids
     bulk: _BulkLU
-    inv_dt: float
-    theta: float
     u: np.ndarray
     fields: _Fields
     norm_u: float
@@ -344,16 +352,14 @@ class _Step:
     fp_norm: EnergyNormK0
 
 
-def _prepare_step(a_mean, u_old, fields_old, forcing_new, forcing_old, inv_dt, theta, grids,
-                  fp_norm=None):
+def _prepare_step(bulk, u_old, fields_old, forcing_new, forcing_old, grids, fp_norm=None):
     """The ``_Step`` of a step from u_old, whose ``_bulk_fields`` the caller
-    holds, with the operator factored at the z-profile a_mean; a forcing
-    of None is zero."""
+    holds, with the factored operator ``bulk``; a forcing of None is zero."""
+    inv_dt, theta = bulk.inv_dt, bulk.theta
     f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
     f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
     return _Step(
-        grids=grids, bulk=_BulkLU(a_mean, inv_dt, theta, grids), inv_dt=inv_dt, theta=theta,
-        u=u_old, fields=fields_old,
+        grids=grids, bulk=bulk, u=u_old, fields=fields_old,
         norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
         norm_f=np.linalg.norm(theta * f_new + (1.0 - theta) * f_old),
         base_rhs=u_old * inv_dt + theta * f_new, fp_norm=fp_norm)
@@ -497,7 +503,11 @@ def _thomas_batched(dl, d, du, rhs, du2, ipiv):
 
 class _BulkLU:
     """Per-mode implicit operator  1/dt + theta k^2 - theta a_mean(z) d_zz
-    on the whole column, LU-factored once.
+    on the whole column, LU-factored once: ``run`` factors one per dt, at
+    the interface of the level the dt starts from, and every step of that
+    dt solves with it (a halving drops it with the history).  a_mean only
+    preconditions the lag loop, which solves the full frozen-coefficient
+    system whatever it is; 1/dt (``inv_dt``) and theta are the step's.
 
     Each mode's column runs in z order, lower wall first, and the modes are
     laid end to end, the layout of the solve's (modes, n_z) coefficients.
@@ -514,6 +524,7 @@ class _BulkLU:
         n_z, mid, dz = grids.normal.n_z, grids.normal.i_mid, grids.normal.dz
         self.shape = (grids.tangential.n_x // 2 + 1, n_z)  # (modes, n_z)
         self.a_mean = a_mean
+        self.inv_dt, self.theta = inv_dt, theta
         self.mid = mid
         self.dz = dz
         off = theta * a_mean / dz**2
@@ -552,56 +563,71 @@ class _BulkLU:
     @cached_property
     def dirichlet_response(self):
         """Per-mode solution w (modes, n_z) of the homogeneous solve with
-        unit Dirichlet data, by one substitution on first use: the
-        solution's first-order change under a change dd_hat of the
+        unit Dirichlet data, by one substitution on first use, so once per
+        LU: the solution's first-order change under a change dd_hat of the
         Dirichlet data is w dd_hat, mode by mode.  Its interface row is 1."""
         return self.solve(np.zeros(self.shape, dtype=complex), np.ones(self.shape[0])).real
 
+    @cached_property
     def jump_response(self):
-        """Per-mode normal-derivative jump of ``dirichlet_response``: the
-        diagonal linear model of the curvature -> temperature -> jump
-        chain, used to make the interface update contractive at high
-        wavenumbers.  ``fixed_point_step`` also reads the response itself,
-        to correct iterate 1's temperature (no second substitution)."""
+        """Per-mode normal-derivative jump sigma of ``dirichlet_response``,
+        once per LU: the diagonal linear model of the curvature ->
+        temperature -> jump chain, used to make the interface update
+        contractive at high wavenumbers.  ``fixed_point_step`` also reads
+        the response itself, to correct iterate 1's temperature (no second
+        substitution)."""
         mid, w = self.mid, self.dirichlet_response
         return (6.0 - 4.0 * (w[:, mid + 1] + w[:, mid - 1])
                 + (w[:, mid + 2] + w[:, mid - 2])) / (2.0 * self.dz)
 
 
 def _d_z(v, grids):
-    """Centred d_z along the last axis; 0 on the walls (Neumann) and on the
-    interface row.  Real or complex (per-mode) input of any memory layout."""
+    """Centred d_z along the last axis of the real field v (any memory
+    layout); 0 on the walls (Neumann) and on the interface row.  Taken on
+    the flattened field, whose differences reach across x rows only on the
+    wall rows, which are then set."""
     dz, mid = grids.normal.dz, grids.normal.i_mid
-    out = np.zeros_like(v)
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * dz)
-    out[:, mid] = 0.0
+    f, out = np.ravel(v), np.empty(v.shape)
+    flat = out.reshape(-1)
+    np.subtract(f[2:], f[:-2], out=flat[1:-1])
+    flat[1:-1] /= 2.0 * dz
+    out[:, 0] = out[:, mid] = out[:, -1] = 0.0
     return out
 
 
-def _lagged_fields(v, v_hat, grids):
-    """(v_zz, v_xz, v_z) of the bulk field v with rfft ``v_hat``, the
-    derivatives the lagged part of the operator reads: v_xz (= ik times d_z
-    of v_hat) is one inverse transform, v_zz (mirror-ghost walls) and v_z
-    are stencils on v.  Interface rows are zero; no finiteness check."""
+def _lagged_fields(v, v_x, grids):
+    """(v_zz, v_xz, v_z) of the bulk field v with tangential derivative
+    ``v_x``, the derivatives the lagged part of the operator reads: v_xz is
+    ``_d_z`` of v_x, v_zz (mirror-ghost walls, on the flattened field as
+    in ``_d_z``) and v_z are stencils on v.  Interface rows are zero; no
+    finiteness check."""
     dz, mid = grids.normal.dz, grids.normal.i_mid
-    v_zz = np.empty_like(v)
-    v_zz[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dz**2
+    f = np.ravel(v)
+    v_zz = np.empty(v.shape)
+    v_zz.reshape(-1)[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dz**2
     v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
-    return v_zz, d_tangential_hats(_d_z(v_hat, grids), v.shape[0], ((1,),))[0], _d_z(v, grids)
+    return v_zz, _d_z(v_x, grids), _d_z(v, grids)
+
+
+def _d_x(v_hat, n_x):
+    """The tangential derivative of the n_x-point field whose rfft along
+    axis 0 is ``v_hat``: one inverse transform."""
+    return d_tangential_hats(v_hat, n_x, ((1,),))[0]
 
 
 def _bulk_fields(v, v_hat, grids):
     """(v_xx, v_zz, v_xz, v_z, v_hat) of the bulk field v with rfft
-    ``v_hat``, as a ``_Fields``: v_xx is one inverse transform, the rest
-    are ``_lagged_fields``.  The interface row of every derivative is zero:
-    the solve ignores it, and the operator's value there is replaced by
-    the Dirichlet condition.  v_hat rides along for the fixed-point norm.
+    ``v_hat``, as a ``_Fields``: v_x and v_xx come from one stacked
+    inverse transform, the rest are ``_lagged_fields`` (v_xz from v_x).
+    The interface row of every derivative is zero: the solve ignores it,
+    and the operator's value there is replaced by the Dirichlet condition.
+    v_hat rides along for the fixed-point norm.
     """
-    v_xx = d_tangential_hats(v_hat, v.shape[0], ((2,),))[0]
+    v_x, v_xx = d_tangential_hats(v_hat, v.shape[0], ((1,), (2,)))
     v_xx[:, grids.normal.i_mid] = 0.0
-    return _Fields(v_xx, *_lagged_fields(v, v_hat, grids), v_hat)
+    return _Fields(v_xx, *_lagged_fields(v, v_x, grids), v_hat)
 
 
 def _interior_operator(coef, fields):
@@ -625,9 +651,9 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
     ``step`` is the ``_Step`` every solve of one time step shares (the
-    grids, the factored operator, 1/dt and theta, u_old's fields and norm,
-    the forcing, the fixed part of the right-hand side and the fixed-point
-    norm); ``coef`` holds the frozen coefficients, ``dirichlet`` the
+    grids, the dt's factored operator with its 1/dt and theta, u_old's
+    fields and norm, the forcing, the fixed part of the right-hand side
+    and the fixed-point norm); ``coef`` holds the frozen coefficients, ``dirichlet`` the
     interface values and ``start`` the last iterate (u, its
     ``_bulk_fields``, of which the loop reads no xx), where the lag loop
     starts.  The lag loop lags
@@ -643,9 +669,9 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     ``SolverConfig.lin_tol`` and NonFiniteFieldError on a non-finite iterate.
 
     Each lag iteration makes one forward transform (of its right-hand
-    side) and three inverse ones: u_new, u_xx and u_xz all come from the
-    solve's Fourier coefficients.  The fields serve the residual and,
-    unchanged, the next iteration's lagged terms.
+    side) and two inverse ones: u_new, and u_x stacked with u_xx, come
+    from the solve's Fourier coefficients (``_bulk_fields``).  The fields
+    serve the residual and, unchanged, the next iteration's lagged terms.
 
     Exit rule.  Every solve ends with ``full residual <= lin_tol``, checked
     on the returned u.  When ``fp_diff``, the last fixed-point difference,
@@ -671,7 +697,8 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     that many fields.  An application builds only the ``_lagged_fields``
     of its vector: two inverse transforms, with that of the solve.
     """
-    grids, bulk, inv_dt, theta = step.grids, step.bulk, step.inv_dt, step.theta
+    grids, bulk = step.grids, step.bulk
+    inv_dt, theta = bulk.inv_dt, bulk.theta
     u_old, f_new = step.u, step.f_new
     lin_tol, max_iter = SolverConfig.lin_tol, SolverConfig.lin_max_iter
     mid = grids.normal.i_mid
@@ -725,7 +752,8 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
             nonlocal matvecs
             matvecs += 1
             v = v.reshape(grids.shape)
-            lagged = lag_solve(*_lagged_fields(v, np.fft.rfft(v, axis=0), grids), 0.0, zero_dir)
+            lagged = lag_solve(*_lagged_fields(v, _d_x(np.fft.rfft(v, axis=0), n_x), grids),
+                               0.0, zero_dir)
             return (v - np.fft.irfft(lagged, n=n_x, axis=0)).ravel()
 
         op = LinearOperator((u_new.size,) * 2, matvec=apply, dtype=float)
@@ -829,7 +857,8 @@ def compatible_initial_temperature(rho0, cfg):
     zero = make_level(0.0, np.zeros(grids.shape), rho0, cfg)
     coef = coefficients(rho0, np.zeros_like(rho0), cutoff, grids,
                         rho_x=zero.rho_x, rho_xx=zero.rho_xx)
-    step = _prepare_step(coef.a.mean(axis=0), zero.u, zero.fields, None, None, 0.0, 1.0, grids)
+    step = _prepare_step(_BulkLU(coef.a.mean(axis=0), 0.0, 1.0, grids), zero.u, zero.fields,
+                         None, None, grids)
     u0, _, _, _ = temperature_step(step, coef, dirichlet=curvature_hat(zero.rho_hat, zero.rho_x),
                                    start=(step.u, step.fields), fp_diff=np.inf)
     return u0
@@ -865,9 +894,22 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
-def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
+def _dt_operator(a_psi, cfg):
+    """The ``_BulkLU`` of cfg's dt and theta at the tangential mean of the
+    weight a_psi (``norm_weights``' a) of an interface."""
+    return _BulkLU(a_psi.mean(axis=0), 1.0 / cfg.dt, cfg.theta, cfg.grids())
+
+
+def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=(), bulk=None):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
+
+    ``bulk`` is the dt's ``_BulkLU`` (its 1/dt must be cfg's), which
+    ``run`` factors when the dt starts and hands to every step of it; its
+    a_mean only preconditions the lag loop, its jump response damps the
+    interface update and its Dirichlet response corrects iterate 1.
+    Without one, the step factors its own at iterate 1's interface, as
+    ``run``'s first step of a dt has it.
 
     ``level`` is the ``Level`` of the old time (``make_level`` builds one
     from raw arrays), and the step reads its fields, transforms and, at
@@ -881,7 +923,7 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
     curvature of rho_m as Dirichlet data, then interface update; u_m only
     warm-starts the next solve) until the difference of the unmixed pair
     (u_next, rho_next) from (u_m, rho_m), measured in the order-0
-    regularized-energy norm at iterate 1's rho_m (frozen with the LU),
+    regularized-energy norm at iterate 1's rho_m (frozen once per step),
     drops below fp_tol; the accepted state is that pair, a true output of
     G.  With ``earlier``, iterate 1 starts from ``_extrapolate``'s
     polynomial through level and earlier:
@@ -894,8 +936,9 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
     the change from its Dirichlet data to iterate 2's (computed once, and
     handed to iterate 2) by the LU's ``dirichlet_response``, its
     uncorrected fields dropped first; the corrected u and its lagged
-    fields start iterate 2's lag loop and are what iterate 2's difference
-    is measured against.  Each
+    fields (from one inverse transform of u and one of u_x) start
+    iterate 2's lag loop and are what iterate 2's difference is measured
+    against.  Each
     later rho_m is the ``_Secant`` mix of the last two iterates.  The
     coefficients are frozen at the theta blend of rho_m and level.rho.
     The report carries the accepted state's trace gap
@@ -925,9 +968,11 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
     a, bracket = norm_weights(rho_m, rx, cutoff, grids)  # at iterate 1's rho_m
-    step = _prepare_step(a.mean(axis=0), level.u, level.fields, f_bulk_new, f_bulk_old,
-                         1.0 / dt, theta, grids, fp_norm=EnergyNormK0(rx, a, bracket, cfg))
-    sigma = step.bulk.jump_response()
+    if bulk is None:
+        bulk = _dt_operator(a, cfg)
+    step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids,
+                         fp_norm=EnergyNormK0(rx, a, bracket, cfg))
+    sigma = bulk.jump_response
 
     def dirichlet_data(rho_hat, rx):  # the curvature Dirichlet data of an iterate
         kappa = curvature_hat(rho_hat, rx)
@@ -968,10 +1013,10 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=()):
             # correct u_1, solved with the predictor's Dirichlet data, to
             # first order for the next iterate's: u_hat + w rfft(d_next - d_1)
             u_hat = fields_next.hat
-            u_hat += step.bulk.dirichlet_response * np.fft.rfft(d_next - dirichlet)[:, None]
+            u_hat += bulk.dirichlet_response * np.fft.rfft(d_next - dirichlet)[:, None]
             u_next = fields_next = start = None  # drop the uncorrected fields first
             u_next = np.fft.irfft(u_hat, n=n_x, axis=0)
-            fields_next = _Fields(None, *_lagged_fields(u_next, u_hat, grids), u_hat)
+            fields_next = _Fields(None, *_lagged_fields(u_next, _d_x(u_hat, n_x), grids), u_hat)
         u_m, fields_m = u_next, fields_next
         start = (u_m, fields_m)
         dirichlet = d_next
@@ -1052,6 +1097,13 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     steady level is the initial level's ``steady_mean``.  The states
     passed to callbacks and returned carry only (t, u, rho).
 
+    Each step is passed the dt's ``_BulkLU``, which ``run`` factors when
+    the dt starts (before step 1, and before the first step after each
+    halving, which drops it with the history), at the interface that
+    step's iterate 1 takes, the level's own: that step's operator is the
+    one it would factor itself, and the later steps of the dt reuse it,
+    its jump and Dirichlet responses included.
+
     Each step is passed the levels one and two dt back as ``earlier``, as
     far as the history holds them at the current dt, from which
     ``fixed_point_step`` extrapolates its start: quadratically from three
@@ -1086,14 +1138,18 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     reports, t_new = [], 0.0  # a report per level made; the next level's time
     m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
     halvings = 0
+    bulk = None  # the current dt's operator, factored when the dt starts
     try:
         reports.append(_make_report(history, cfg, steady_level, None, compute_identity))
         while m < n_steps:
             t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
             try:  # with the levels one and two dt back, as far as the history holds them
+                if bulk is None:  # at iterate 1's interface of this step, which has no predictor
+                    bulk = _dt_operator(norm_weights(level.rho, level.rho_x, cfg.cutoff(),
+                                                     grids)[0], cfg)
                 new, step_report = fixed_point_step(
                     level, cfg, t_new=t_new, forcing=forcing,
-                    earlier=tuple(islice(reversed(history), 1, 3)))
+                    earlier=tuple(islice(reversed(history), 1, 3)), bulk=bulk)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise
@@ -1102,6 +1158,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                 m, n_steps = 2 * m, 2 * n_steps
                 history.clear()
                 history.append(level)
+                bulk = None
                 continue
             if step_report.trace_gap > cfg.trace_tol:
                 raise FixedPointError(

@@ -110,29 +110,32 @@ def coefficients(rho, rho_t, cutoff, grids, *, rho_x, rho_xx):
     of rho, which every caller already holds (spectral ones, or exact ones
     in manufactured-solution tooling).  No finiteness check.
     Raises DegenerateTransformError when 1 + phi' rho <= 0 somewhere.
+
+    Every term is a product with one reciprocal Jacobian j = 1/(1 + phi'
+    rho), taken once by ``_metric`` with a:
+    B = 2 phi rho_x j and, since (1 + (phi rho_x)^2) j^2 = a,
+    c = j (phi (rho_xx - rho_t) - (phi^2)' rho_x^2 j + phi'' rho a).
     """
     rho = np.asarray(rho, dtype=float)
-    rho_t = np.asarray(rho_t, dtype=float)
     rx = np.asarray(rho_x, dtype=float)
-    rxx = np.asarray(rho_xx, dtype=float)
     phi, dphi, d2phi = grid_profiles(cutoff, grids.normal)
-    r, rt = rho[:, None], rho_t[:, None]
-    rxc, rxxc = rx[:, None], rxx[:, None]
-    jac, slope2, a = _metric(r, rxc, phi, dphi)
-    B = 2.0 * phi * rxc / jac
-    d = (
-        phi * rxxc / jac
-        - 2.0 * phi * dphi * rxc**2 / jac**2
-        + d2phi * r * (1.0 + slope2) / jac**3
-    )
-    e = -phi * rt / jac
-    bracket = np.sqrt(1.0 + rx**2)
-    return TransformCoefficients(a=a, B=B, c=d + e, bracket=bracket)
+    inv, phi_rx, a = _metric(rho[:, None], rx[:, None], phi, dphi)
+    B = 2.0 * phi_rx
+    B *= inv
+    c = (2.0 * phi * dphi) * (rx**2)[:, None]
+    c *= inv
+    rxx_t = np.asarray(rho_xx, dtype=float) - np.asarray(rho_t, dtype=float)
+    np.subtract(rxx_t[:, None] * phi, c, out=c)
+    c += (d2phi * rho[:, None]) * a
+    c *= inv
+    return TransformCoefficients(a=a, B=B, c=c, bracket=np.sqrt(1.0 + rx**2))
 
 
 def _metric(r, rxc, phi, dphi):
-    """(jacobian 1 + phi' rho, (phi rho_x)^2, a) from column-shaped rho and
-    rho_x; raises DegenerateTransformError when the jacobian is <= 0."""
+    """(1 / jacobian, phi rho_x, a) from column-shaped rho and rho_x, with
+    the jacobian 1 + phi' rho and a = (1 + (phi rho_x)^2) / jacobian^2;
+    raises DegenerateTransformError naming the first node where the
+    jacobian is <= 0."""
     jac = 1.0 + dphi * r
     if np.any(jac <= 0.0):
         i, j = np.argwhere(jac <= 0.0)[0]
@@ -141,8 +144,13 @@ def _metric(r, rxc, phi, dphi):
             f"at node (x index {i}, z index {j})",
             node=(int(i), int(j)),
         )
-    slope2 = (phi * rxc) ** 2
-    return jac, slope2, (1.0 + slope2) / jac**2
+    inv = np.reciprocal(jac, out=jac)
+    phi_rx = phi * rxc
+    a = phi_rx * phi_rx
+    a += 1.0
+    a *= inv
+    a *= inv
+    return inv, phi_rx, a
 
 
 def norm_weights(rho, rho_x, cutoff, grids):

@@ -54,6 +54,34 @@ def test_summary_matches_pairs_by_seed(bench_pairs):
     assert rss["parent_quartiles"] == [60.0, 60.0] and rss["relative_change"] == pytest.approx(0.05)
 
 
+def traced(values):
+    """A --trace 1 line with the given metric values."""
+    return {"correct": True, "attempted": 500, "failed": 0,
+            "metrics": {name: {"value": value, "unit": "count"} for name, value in values.items()}}
+
+
+def test_summary_gives_the_exact_work_counts_of_the_traced_lines(bench_pairs):
+    # every *.calls and *.unknowns count and the two per-step counts, parent
+    # -> change, from the --trace 1 lines; timings and other layers are left out
+    common = {"import_s": 0.2, "stepper.bulk_solve.self_s": 0.1, "trace.spans": 9906}
+    parent = traced({**common, "stepper.bulk_solve.calls": 1615,
+                     "stepper.bulk_solve.unknowns": 3464175, "transform.coefficients.calls": 1029,
+                     "stepper.fp_iters_per_step": 2.058, "stepper.lag_iters_per_solve": 1.0836})
+    change = traced({**common, "stepper.bulk_solve.calls": 1115,
+                     "stepper.bulk_solve.unknowns": 2391675, "transform.coefficients.calls": 1029,
+                     "stepper.fp_iters_per_step": 2.058, "stepper.lag_iters_per_solve": 1.0826})
+    runs = paired_runs(bench_pairs, PARENT[:2], PARENT[:2])
+    summary = bench_pairs.summarize(runs, {"mms-column": {"parent": parent, "change": change}})
+    assert summary["mms-column"]["work"] == {
+        "stepper.bulk_solve.calls": {"parent": 1615, "change": 1115},
+        "stepper.bulk_solve.unknowns": {"parent": 3464175, "change": 2391675},
+        "transform.coefficients.calls": {"parent": 1029, "change": 1029},
+        "stepper.fp_iters_per_step": {"parent": 2.058, "change": 2.058},
+        "stepper.lag_iters_per_solve": {"parent": 1.0836, "change": 1.0826},
+    }
+    assert set(summary["mms-column"]) == set(bench_pairs.END_TO_END) | {"work"}
+
+
 def paired_runs(bench_pairs, parent, change):
     """{"mms-column": entries} of pairs i = 1, 2, ... with the given run_s."""
     entries = []
@@ -148,3 +176,4 @@ def test_each_pair_runs_every_workload_before_the_next_pair(bench_pairs, tmp_pat
         ("parent", 101), ("change", 101), ("change", 202), ("parent", 202)]
     assert set(report["summary"]) == {"w1", "w2"}
     assert report["summary"]["w2"]["run_s"]["change_lower_in"] == "0/2"
+    assert report["summary"]["w2"]["work"] == {}  # the stand-in lines trace no counts

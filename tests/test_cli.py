@@ -341,6 +341,26 @@ def test_a_failed_sweep_point_names_itself(workdir, capsys, jobs):
     assert main(["sweep", "--config", str(cfg_path), "--quiet", "--jobs", jobs]) == 1
     assert ("run failed: sweep point eps=0_dt=0.08_nx=32_nz=33: step 1 (t=0.02): "
             "temperature solve stalled") in capsys.readouterr().err
+    # the dt = 0.01 point succeeded, but a failed sweep leaves no output:
+    # no point directory, no staging directory, and no output directory
+    # it made itself
+    assert not (workdir / "failing").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_sweep_keeps_an_earlier_sweeps_output(workdir, jobs):
+    # the failing sweep's points are staged, so the points an earlier
+    # sweep left in the same directory stay as they were
+    ok = write_config(workdir, HALVING_RUN + "\n[sweep]\ndt = 0.01\n", name="ok.ini", out="kept")
+    assert main(["sweep", "--config", str(ok), "--quiet"]) == 0
+    out = workdir / "kept"
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    bad = write_config(workdir, HALVING_RUN + "\n[sweep]\ndt = 0.01, 0.08\n", name="bad.ini",
+                       out="kept")
+    assert main(["sweep", "--config", str(bad), "--quiet", "--jobs", jobs]) == 1
+    after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert after == before
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["eps=0_dt=0.01_nx=32_nz=33"]
 
 
 def test_sweep_respects_job_cap(workdir, capsys):
@@ -403,6 +423,9 @@ def test_every_artifact_has_a_sidecar_and_a_stable_body(workdir, argv, bodies):
     def written():
         files = {p.relative_to(out).as_posix(): p for p in out.rglob("*") if p.is_file()}
         assert sorted(files) == sorted(bodies + [f"{body}.meta" for body in bodies])
+        # no directory beyond those of the bodies (a sweep's staging area is gone)
+        assert ({p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_dir()}
+                == {body.rpartition("/")[0] for body in bodies} - {""})
         return {body: (files[body].read_bytes(), files[body].stat().st_ino) for body in bodies}
 
     assert main(argv + ["--quiet"]) == 0

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 from stefansim.functionals import (
     EnergyNormK0,
     _quotients,
+    _i_psi_form,
+    _i_psi_lower,
     decay_fit,
     dissipation_eps,
     energy_eps,
@@ -22,13 +24,20 @@ from stefansim.functionals import (
     sobolev_norms,
     state_energy_k0,
     steady_mean,
+    uniform_step,
 )
 from stefansim.grids import (
     TangentialGrid,
     band_limited,
     bulk_sum,
     d_tangential,
+    d_tangential_hats,
+    first_walls,
+    halves,
     interface_sum,
+    parseval_sum,
+    power_spectrum,
+    quadrature_weights,
     second_walls,
 )
 from stefansim.stepper import SolverConfig
@@ -213,6 +222,143 @@ def check_evaluator_against_reference(n_entries, k_diag):
     assert energy_eps(history, cfg) == got.E_eps
     assert dissipation_eps(history, cfg) == got.D_eps
     assert sobolev_norms(history, cfg) == (got.sobolev_E, got.sobolev_D)
+
+
+def half_strip_functionals(levels, cfg):
+    """The six functionals and the missing terms of ``levels`` as the
+    evaluator took them before its stencil sums: every a-weighted normal
+    derivative by ``first_walls`` and ``second_walls`` on the ``halves`` of
+    each quotient's rfft, inverse-transformed and summed with the
+    quadrature weights one (mu, s) term at a time, and every interface
+    term by its own sums."""
+    dt = uniform_step([lv.t for lv in levels], "history")
+    g, eps, k = cfg.grids(), cfg.epsilon, cfg.k_diag
+    n, dz, tg, h = g.tangential.n_x, g.normal.dz, g.tangential, g.tangential.spacing
+    px = levels[-1].rho_x
+    a_psi, bracket = norm_weights(levels[-1].rho, px, cfg.cutoff(), g)
+    a_h = halves(a_psi, g.normal)
+    W = quadrature_weights(a_h.shape, g)
+    aW, L = a_h * W, 1.0 / bracket
+    u_hats = _quotients(levels, "u_hat", k + 2, dt)
+    r_hats = _quotients(levels, "rho_hat", k + 2, dt)
+
+    def table(hat, terms):
+        return dict(zip(terms, d_tangential_hats(hat, n, tuple(terms))))
+
+    top = 5 if eps != 0.0 else 3
+    E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
+    missing_E, missing_D = [], []
+    for s in range(k + 1):
+        mus = range(2 * (k - s) + 1)
+        if u_hats[s] is None:
+            missing_E.extend((mu, s) for mu in mus)
+            missing_D.extend((mu, s) for mu in mus)
+            continue
+        with_D = u_hats[s + 1] is not None
+        u_h = halves(u_hats[s], g.normal)
+        wn = table(first_walls(u_h, dz), [(mu,) for mu in mus] + [(mu, 1) for mu in mus])
+        wnn = table(second_walls(u_h, dz), [(mu,) for mu in mus])
+        v = table(r_hats[s], [(mu, j) for mu in mus for j in range(1, top)])
+        for mu in mus:
+            bulk = parseval_sum(power_spectrum(u_hats[s]), ((mu,), (mu, 1)), g)
+            vx, vxx = v[mu, 1], v[mu, 2]
+            E += (bulk + float(np.vdot(aW, wn[(mu,)] ** 2)) + interface_sum(vx**2 * L, tg)
+                  + _i_psi_form(vxx, L, px, h))
+            sob_E += bulk + float(np.vdot(W, wn[(mu,)] ** 2)) + interface_sum(vx**2 + vxx**2, tg)
+            if eps != 0.0:
+                v3, v4 = v[mu, 3], v[mu, 4]
+                X += interface_sum(v3**2 * L, tg) + _i_psi_form(v4, L, px, h)
+                sob_X += interface_sum(v3**2 + v4**2, tg)
+            if not with_D:
+                missing_D.append((mu, s))
+                continue
+            vt = table(r_hats[s + 1], [(mu, 1), (mu, 3)])
+            first = wn[(mu,)] ** 2 + 2.0 * wn[mu, 1] ** 2
+            wnn2 = wnn[(mu,)] ** 2
+            bulk = (parseval_sum(power_spectrum(u_hats[s + 1]), ((mu,),), g)
+                    + parseval_sum(power_spectrum(u_hats[s]), ((mu, 1), (mu, 2)), g))
+            D += (bulk + float(np.vdot(aW, first)) + float(np.vdot(a_h * aW, wnn2))
+                  + 2.0 * interface_sum(vt[mu, 1] ** 2 * L, tg))
+            sob_D += bulk + float(np.vdot(W, first + wnn2)) + interface_sum(vt[mu, 1] ** 2, tg)
+            Y += 2.0 * interface_sum(vt[mu, 3] ** 2 * L, tg)
+            sob_Y += interface_sum(vt[mu, 3] ** 2, tg)
+    values = (E, D, E + eps * X, D + eps * Y, sob_E + eps * sob_X, sob_D + eps * sob_Y)
+    return values, (tuple(missing_E), tuple(missing_D))
+
+
+def decaying_history(cfg, count):
+    """``count`` levels, dt = 0.01 apart, of a smooth state that relaxes
+    and oscillates in time, with a kink across z = 0 and Nyquist content."""
+    grids = cfg.grids()
+    rng = np.random.default_rng(11)
+    tg, z = grids.tangential, grids.normal.nodes[None, :]
+    u_a = (band_limited(rng, tg, 0.2)[:, None] * np.cos(np.pi * z)
+           + band_limited(rng, tg, 0.1)[:, None] * np.abs(z))
+    u_b = (band_limited(rng, tg, 0.2)[:, None] * z**2
+           + 1e-3 * nyquist_mode(tg.n_x)[:, None] * np.cos(np.pi * z))
+    rho_a, rho_b = band_limited(rng, tg, 0.1), band_limited(rng, tg, 0.05)
+    times = [0.5 + 0.01 * j for j in range(count)]
+    return levels(cfg, times,
+                  [np.exp(-t) * u_a + np.cos(7 * t) * u_b for t in times],
+                  [np.exp(-2 * t) * rho_a + np.sin(5 * t) * rho_b for t in times])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+@pytest.mark.parametrize("k_diag", [0, 1, 2, 3])
+def test_stencil_sums_match_the_half_strip_evaluator(k_diag, eps):
+    # every history length up to k_diag + 2, so the rows with missing
+    # terms too; E through sobolev_D within 1e-12 relative, the missing
+    # terms identical
+    cfg = SolverConfig(epsilon=eps, n_x=32, n_z=33, k_diag=k_diag)
+    history = decaying_history(cfg, k_diag + 2)
+    for count in range(1, k_diag + 3):
+        window = history[-count:]
+        got = evaluate_functionals(window, cfg)
+        values = (got.E, got.D, got.E_eps, got.D_eps, got.sobolev_E, got.sobolev_D)
+        ref_values, ref_missing = half_strip_functionals(window, cfg)
+        assert (got.missing_E, got.missing_D) == ref_missing
+        for value, ref in zip(values, ref_values, strict=True):
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0 if ref else 1e-300)
+
+
+@pytest.mark.parametrize("k_diag", [0, 2])
+def test_a_report_transforms_each_quotient_of_each_field_once(monkeypatch, k_diag):
+    # no forward transform, and at most one batched inverse transform per
+    # quotient of u (its bulk rows; u_0's row (0,) is the level's own u)
+    # and per quotient of rho (its interface rows)
+    cfg = SolverConfig(epsilon=1e-4, n_x=32, n_z=33, k_diag=k_diag)
+    history = decaying_history(cfg, k_diag + 2)
+    calls = {"rfft": [], "irfft": []}
+    for name, record in calls.items():
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, _real=real, _record=record, **kw:
+                            _record.append(np.ndim(a)) or _real(a, *args, **kw))
+    for count in range(1, k_diag + 3):
+        for record in calls.values():
+            record.clear()
+        evaluate_functionals(history[-count:], cfg)
+        bulk = sum(ndim == 3 for ndim in calls["irfft"])  # (rows, modes, n_z)
+        interface = sum(ndim == 2 for ndim in calls["irfft"])  # (rows, modes)
+        assert calls["rfft"] == [] and bulk + interface == len(calls["irfft"])
+        assert interface == count  # the quotients 0 .. count - 1 of rho
+        assert bulk == min(count, k_diag + 1) - (k_diag == 0 and count == 1)
+
+
+@pytest.mark.parametrize("first", [1e-3, 0.01, 7.0])
+def test_uniform_step_keeps_the_allclose_rule(first):
+    # |s - s0| <= 1e-15 + 1e-9 |s0| passes and returns s0 as a float; a
+    # spacing just outside raises naming the history
+    bound = 1e-15 + 1e-9 * first
+    inside = [0.0, first, 2 * first + 0.9 * bound, 3 * first]
+    assert np.allclose(np.diff(inside), first, rtol=1e-9, atol=1e-15)
+    step = uniform_step(inside, "history")
+    assert type(step) is float and step == first
+    for off in (1.1 * bound, -1.1 * bound):
+        outside = [0.0, first, 2 * first + off]
+        assert not np.allclose(np.diff(outside), first, rtol=1e-9, atol=1e-15)
+        with pytest.raises(ValueError, match="^history must be uniformly spaced in time$"):
+            uniform_step(outside, "history")
+    assert uniform_step([5.0], "history") is None and uniform_step([], "history") is None
 
 
 # ------------------------------------------------- fixed-point norm

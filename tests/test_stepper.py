@@ -1,5 +1,6 @@
 """Time stepping: solver config, temperature solve, interface update,
 per-step fixed point, and the run driver."""
+import functools
 import gc
 import inspect
 import operator
@@ -121,11 +122,12 @@ def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
 
 
 def prepare_step(a_mean, u_old, f_new, f_old, inv_dt, theta, grids, fp_norm=None):
-    """``stepper._prepare_step`` from u_old alone: its fields are built
-    here, as ``make_level`` builds them."""
+    """``stepper._prepare_step`` from u_old alone, with the operator
+    factored at a_mean: u_old's fields are built here, as ``make_level``
+    builds them."""
     fields = stepper._bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
-    return stepper._prepare_step(a_mean, u_old, fields, f_new, f_old, inv_dt, theta, grids,
-                                 fp_norm=fp_norm)
+    return stepper._prepare_step(stepper._BulkLU(a_mean, inv_dt, theta, grids), u_old, fields,
+                                 f_new, f_old, grids, fp_norm=fp_norm)
 
 
 def cold_start(step):
@@ -210,7 +212,7 @@ def test_bulk_solve_matches_dense_half_strips(n_z, theta, inv_dt):
             unit = dense_half_strip_solve(a_mean[rows], k, inv_dt, theta, dz,
                                           np.zeros(rows.size), 1.0).real
             sigma_ref[k] += (3.0 - 4.0 * unit[1] + unit[2]) / (2.0 * dz)
-    sigma = bulk.jump_response()
+    sigma = bulk.jump_response
     assert np.abs(sigma - sigma_ref).max() <= 1e-12 * np.abs(sigma_ref).max()
 
 
@@ -338,7 +340,7 @@ def test_bulk_lu_builds_its_substitution_arguments_once(monkeypatch):
     monkeypatch.setattr(stepper, "_zgttrs", stepper._Zgttrs(stepper._zgttrs.routine))
     grids = SolverConfig(n_x=16, n_z=17).grids()
     bulk = stepper._BulkLU(1.0 + 0.3 * np.cos(np.pi * grids.normal.nodes), 1e2, 1.0, grids)
-    bulk.jump_response()
+    bulk.jump_response
     bound = stepper._zgttrs.bound
     assert all(map(operator.is_, bound[0], bulk.factors))
     rhs = np.ones(bulk.shape, complex)
@@ -380,7 +382,7 @@ def test_jump_response_is_positive_and_monotone(small_cfg, small_grids, small_cu
     a_mean = coefficients(zeros, zeros, small_cutoff, small_grids,
                           rho_x=zeros, rho_xx=zeros).a.mean(axis=0)
     sigma = stepper._BulkLU(a_mean, 1.0 / small_cfg.dt, small_cfg.theta,
-                            small_grids).jump_response()
+                            small_grids).jump_response
     assert sigma.shape == (small_cfg.n_x // 2 + 1,)
     assert np.all(sigma > 0)
     assert np.all(np.diff(sigma) > 0)  # stiffer response at higher wavenumber
@@ -612,9 +614,10 @@ def count_transforms(monkeypatch, two_d_only=False):
 
 
 def test_temperature_step_transforms_each_iterate_once(monkeypatch):
-    # one forward transform (the right-hand side) and three inverse ones
-    # (u, u_xx, u_xz) per lag iteration, plus a constant for u_old and the
-    # Dirichlet data; the jump response makes none
+    # one forward transform (the right-hand side) and two inverse ones (u,
+    # and u_x with u_xx stacked; u_xz is d_z of u_x) per lag iteration, plus
+    # u_old's fields (one of each) and the Dirichlet data's rfft; the jump
+    # response makes none
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
     coef = coefficients(data[0], data[1], cutoff, grids,
                         rho_x=d_tangential(data[0], 1), rho_xx=d_tangential(data[0], 2))
@@ -624,12 +627,12 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     counts = count_transforms(monkeypatch)
     step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids,
                         fp_norm=norm)
-    step.bulk.jump_response()
+    step.bulk.jump_response
     u, _, lag_iters, fields = temperature_step(step, coef, dirichlet=dirichlet,
                                                **cold_start(step))
     assert lag_iters >= 3
-    assert counts["rfft"] <= lag_iters + 2
-    assert counts["irfft"] <= 3 * lag_iters + 2
+    assert counts["rfft"] == lag_iters + 2
+    assert counts["irfft"] == 2 * lag_iters + 1
     # the returned fields carry u's Fourier coefficients: those of its solve
     hat = np.fft.rfft(u, axis=0)
     assert np.abs(fields.hat - hat).max() <= 1e-13 * np.abs(hat).max()
@@ -643,7 +646,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
         step, coef, dirichlet=dirichlet + 1e-6 * np.cos(x), start=(u, fields), fp_diff=1e-9)
     assert residual <= cfg.lin_tol and warm_iters >= 2
     assert counts["rfft"] == warm_iters + 1
-    assert counts["irfft"] == 3 * warm_iters
+    assert counts["irfft"] == 2 * warm_iters
 
 
 def test_temperature_step_rejects_a_non_finite_iterate(small_cfg, small_grids, small_cutoff):
@@ -770,37 +773,6 @@ def test_fixed_point_tall_manufactured_column_converges():
     assert report.fp_norms[-1] <= cfg.fp_tol
 
 
-@pytest.mark.parametrize("theta", [1.0, 0.5])
-def test_fixed_point_step_factors_the_bulk_operator_once(monkeypatch, theta,
-                                                         forced_step_problem):
-    cfg, state, forcing = forced_step_problem(theta)
-    counts = {"dgttrf": 0, "jump_response": 0, "substitutions": 0}
-    real_factor, real_jump = stepper._dgttrf, stepper._BulkLU.jump_response
-    real_substitution = stepper._thomas_batched
-
-    def factor(*args, **kwargs):
-        counts["dgttrf"] += 1
-        return real_factor(*args, **kwargs)
-
-    def jump(self):
-        counts["jump_response"] += 1
-        return real_jump(self)
-
-    def substitution(*args, **kwargs):
-        counts["substitutions"] += 1
-        return real_substitution(*args, **kwargs)
-
-    monkeypatch.setattr(stepper, "_dgttrf", factor)
-    monkeypatch.setattr(stepper._BulkLU, "jump_response", jump)
-    monkeypatch.setattr(stepper, "_thomas_batched", substitution)
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
-    assert report.inner_iters >= 3
-    # one LU and one jump response per step; every other substitution is
-    # a lag iteration
-    assert counts["dgttrf"] == 1 and counts["jump_response"] == 1
-    assert counts["substitutions"] == report.lag_iters + 1
-
-
 @pytest.mark.parametrize("theta, predicted", [(1.0, False), (0.5, False), (1.0, True), (0.5, True)],
                          ids=["1.0-False", "0.5-True", "1.0-False-predicted", "0.5-True-predicted"])
 def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, predicted,
@@ -829,19 +801,20 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta,
                                                                        forced_step_problem):
-    # the only 2-D transforms of a step: 1 forward and 3 inverse per lag
-    # iteration, 2 inverse (u and u_xz) for the correction of iterate 1's
-    # temperature, and u_old's, once per level, as ``make_level`` builds
-    # the old level here (its rfft, u_xx and u_xz; run's levels carry
-    # them, see test_run_transforms_each_level_once); the fixed-point norms
-    # and the warm exit rule work on the coefficients the solves return
+    # the only 2-D transforms of a step: 1 forward and 2 inverse per lag
+    # iteration (u, and u_x stacked with u_xx), 2 inverse (u and u_x) for
+    # the correction of iterate 1's temperature, and u_old's, once per
+    # level, as ``make_level`` builds the old level here (its rfft and one
+    # stacked inverse; run's levels carry them, see
+    # test_run_transforms_each_level_once); the fixed-point norms and the
+    # warm exit rule work on the coefficients the solves return
     cfg, state, forcing = forced_step_problem(theta)
     counts = count_transforms(monkeypatch, two_d_only=True)
     level = make_level(state.t, state.u, state.rho, cfg)
     _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing)
     assert report.inner_iters >= 3
     assert counts["rfft"] == report.lag_iters + 1
-    assert counts["irfft"] == 3 * report.lag_iters + 2 + 2
+    assert counts["irfft"] == 2 * report.lag_iters + 2 + 1
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -917,7 +890,7 @@ def cold_reference_step(state, cfg, forcing):
         step = prepare_step(coef.a.mean(axis=0), state.u, f_new, f_old, 1.0 / dt, theta, grids)
         u_next, *_ = temperature_step(step, coef,
                                       dirichlet=curvature(rho_m) + g_dir, **cold_start(step))
-        sigma = step.bulk.jump_response()
+        sigma = step.bulk.jump_response
         rho_next = interface_step(u_next, state, cfg,
                                   jump_forcing=j_new, rhs_old=rhs_old,
                                   jump_response=sigma, **rho_transforms(rho_m))
@@ -1021,7 +994,8 @@ def test_fixed_point_step_starts_iterate_2_from_a_corrected_temperature(monkeypa
     hat = np.fft.rfft(u, axis=0)
     assert np.abs(fields.hat - hat).max() <= 1e-14 * np.abs(hat).max()
     assert fields.xx is None  # a lag loop's start reads no xx
-    for got, want in zip(fields[1:4], stepper._lagged_fields(u, hat, grids), strict=True):
+    for got, want in zip(fields[1:4], stepper._lagged_fields(u, d_tangential(u, 1), grids),
+                          strict=True):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # later iterates start from the solve before, uncorrected
     assert all(start[0] is out for (_, start, _), (_, _, out) in zip(calls[2:], calls[1:]))
@@ -1144,6 +1118,69 @@ def test_run_halves_dt_on_failure_and_persists(monkeypatch):
         run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
 
 
+@pytest.mark.parametrize("case", ["decay", "halving"])
+def test_run_factors_one_bulk_operator_per_dt(monkeypatch, case):
+    # run factors one LU, and takes its one Dirichlet response (from which
+    # the jump response comes), when a dt starts: 1 on a 40-step decay, and
+    # 1 + 2 on tests/test_cli.py's HALVING_RUN, whose dt = 0.04 halves
+    # twice.  Every step of a dt solves with that dt's operator, whose 1/dt
+    # and theta are the step's.  The steady initial solve factors its own.
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
+    if case == "decay":
+        cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+        t_end, halvings, amp = 40 * cfg.dt, 0, 1e-4
+    else:
+        cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
+        t_end, halvings, amp = 0.08, 2, 0.1
+    rho0 = amp * np.sin(cfg.grids().tangential.nodes)
+    counts = {"dgttrf": 0, "dirichlet_response": 0}
+    real_factor = stepper._dgttrf
+    real_response = stepper._BulkLU.__dict__["dirichlet_response"].func
+
+    def factor(*args):
+        counts["dgttrf"] += 1
+        return real_factor(*args)
+
+    def response(self):
+        counts["dirichlet_response"] += 1
+        return real_response(self)
+
+    counting_response = functools.cached_property(response)
+    counting_response.__set_name__(stepper._BulkLU, "dirichlet_response")
+    monkeypatch.setattr(stepper, "_dgttrf", factor)
+    monkeypatch.setattr(stepper._BulkLU, "dirichlet_response", counting_response)
+    u0 = np.zeros(cfg.grids().shape)
+    if case == "decay":
+        u0 = compatible_initial_temperature(rho0, cfg)
+        assert counts == {"dgttrf": 1, "dirichlet_response": 0}
+        counts.update(dgttrf=0)
+
+    handed, solved = [], []  # (dt, theta, operator) of each step; each step's solve operator
+    real_step, real_prepare = stepper.fixed_point_step, stepper._prepare_step
+
+    def recording_step(level, step_cfg, **kwargs):
+        handed.append((step_cfg.dt, step_cfg.theta, kwargs["bulk"]))
+        return real_step(level, step_cfg, **kwargs)
+
+    def recording_prepare(bulk, *args, **kwargs):
+        solved.append(bulk)
+        return real_prepare(bulk, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    monkeypatch.setattr(stepper, "_prepare_step", recording_prepare)
+    res = run(u0, rho0, cfg, t_end)
+    assert res.cfg.dt == cfg.dt / 2**halvings and res.state.t == t_end
+    assert counts == {"dgttrf": 1 + halvings, "dirichlet_response": 1 + halvings}
+    assert len(solved) == len(handed) == round(t_end / res.cfg.dt) + halvings
+    assert all(s is bulk for s, (*_, bulk) in zip(solved, handed))
+    assert all(bulk.inv_dt == 1.0 / dt and bulk.theta == theta for dt, theta, bulk in handed)
+    # the steps of one dt share its operator, one per dt
+    per_dt = {}
+    for dt, _, bulk in handed:
+        per_dt.setdefault(dt, set()).add(id(bulk))
+    assert len(per_dt) == 1 + halvings and all(len(ids) == 1 for ids in per_dt.values())
+
+
 def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     # dt = 0.04 and 0.02 fail: the first attempt and each retry after a
     # halving start from the old level (its interface, and u_old for the
@@ -1202,7 +1239,7 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
         assert np.array_equal(pred.view(np.uint64), rho_ref.view(np.uint64))
         assert np.array_equal(u_start.view(np.uint64), u_ref.view(np.uint64))
         # the three fields the first lag loop reads; xx and hat are not built
-        want = stepper._lagged_fields(u_start, np.fft.rfft(u_start, axis=0), grids)
+        want = stepper._lagged_fields(u_start, d_tangential(u_start, 1), grids)
         for got, ref in zip((fields.zz, fields.xz, fields.z), want, strict=True):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -1244,7 +1281,7 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
     rho_ref, u_ref = rho(3 * cfg.dt), u(3 * cfg.dt)
     assert np.abs(rho_m - rho_ref).max() <= 1e-14 * np.abs(rho_ref).max()
     assert np.abs(u_start - u_ref).max() <= 1e-14 * np.abs(u_ref).max()
-    want = stepper._lagged_fields(u_start, np.fft.rfft(u_start, axis=0), grids)
+    want = stepper._lagged_fields(u_start, d_tangential(u_start, 1), grids)
     for got, ref in zip((fields.zz, fields.xz, fields.z), want, strict=True):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -1530,7 +1567,7 @@ def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, levels_
 
 def test_run_transforms_each_level_once(monkeypatch):
     # the bulk transforms of a step are its lag iterations' own (one
-    # forward, three inverse each) and, on a step that goes past iterate
+    # forward, two inverse each) and, on a step that goes past iterate
     # 1, the two inverse ones of iterate 1's corrected temperature: u_old's
     # fields come from its level.  A
     # report, identity included, makes no forward bulk transform: the
@@ -1563,7 +1600,7 @@ def test_run_transforms_each_level_once(monkeypatch):
     assert res.reports[-1].identity_residual is not None and not res.reports[-1].missing_D
     assert len(steps) == 5 and reports == [0] * 6
     assert all(corrected for *_, corrected in steps)
-    assert all(forward == lag and inverse == 3 * lag + 2 for forward, inverse, lag, _ in steps)
+    assert all(forward == lag and inverse == 2 * lag + 2 for forward, inverse, lag, _ in steps)
     assert counts["rfft"] == sum(lag for _, _, lag, _ in steps) + 1
 
 
