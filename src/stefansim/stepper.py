@@ -99,7 +99,7 @@ energies.
 
 The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
-t_new=..., forcing=..., earlier=...)``, ``interface_step(u_new, old, cfg,
+t_new=..., forcing=..., earlier=..., bulk=...)``, ``interface_step(u_new, old, cfg,
 ...)``, which reads rho's rfft from the old level, and every solve's one
 call shape ``temperature_step(step, coef, dirichlet=..., start=...,
 fp_diff=...)``.  ``step`` is the ``_Step`` that ``_prepare_step`` builds
