@@ -43,7 +43,6 @@ from .stepper import (
     SolverConfig,
     State,
     compatible_initial_temperature,
-    fixed_point_step,
     make_level,
     run,
 )
@@ -65,7 +64,7 @@ __all__ = [  # the names imported above, and no submodule
     "EnergyReport", "conservation_residual", "decay_fit", "dissipation_eps", "energy_eps",
     "equivalence_constant", "evaluate_functionals", "i_psi", "sobolev_norms", "state_energy_k0",
     "steady_mean", "IdentityReport", "identity_residual_k0", "model_energy", "Level",
-    "SolverConfig", "State", "compatible_initial_temperature", "fixed_point_step", "make_level",
+    "SolverConfig", "State", "compatible_initial_temperature", "make_level",
     "run", "LinearizedMode", "ManufacturedProblem", "curvature_closed_form",
     "dispersion_leading_root", "linearized_spectrum", "Scenario", "build_initial_data",
     "parse_config",

@@ -46,7 +46,9 @@ from typing import Optional
 import numpy as np
 
 from .grids import (
+    FIRST_WALL_TAPS,
     PERIOD,
+    SECOND_WALL_TAPS,
     _distinct_terms,
     bulk_sum,
     d_tangential,
@@ -90,24 +92,6 @@ def _quotients(levels, name, count, dt):
     return out
 
 
-def _i_psi_args(omega, psi):
-    """(Hessian of omega, 1/<psi>, psi_x, grid spacing)."""
-    px = d_tangential(psi, 1)
-    oxx = d_tangential(omega, 2)
-    return oxx, 1.0 / np.sqrt(1.0 + px**2), px, PERIOD / oxx.shape[0]
-
-
-def i_psi(omega, psi):
-    """Weighted interface form I_psi evaluated on the Hessian of omega."""
-    return _i_psi_form(*_i_psi_args(omega, psi))
-
-
-def i_psi_lower_bound(omega, psi):
-    """The pointwise lower bound int |Hess omega|^2 <psi>^-3 (equality in 1-D)."""
-    oxx, L, _, h = _i_psi_args(omega, psi)
-    return _i_psi_lower(oxx, L, h)
-
-
 def _dx_rows(hat, n, terms):
     """(rows, index): the distinct derivatives among ``terms`` (each named
     by the orders of its factors; (0,) is v itself) of the n-point field v
@@ -118,28 +102,17 @@ def _dx_rows(hat, n, terms):
     return d_tangential_hats(hat, n, distinct), range(len(terms)) if index is None else index
 
 
-def _i_psi_form(oxx, L, px, h):
-    """I_psi from the Hessian oxx and the weights on a tangential grid of
-    spacing h."""
-    return float((oxx**2 * L - (oxx * px) ** 2 * L**3).sum() * h)
-
-
-def _i_psi_lower(oxx, L, h):
-    """The lower bound of ``_i_psi_form`` on the same arguments."""
-    return float((oxx**2 * L**3).sum() * h)
-
-
 # the columns of ``_interface_weights``
 _L, _PLAIN, _L3, _I_PSI = range(4)
 
 
-def _interface_weights(psi_x, L, tangential):
-    """(n_x, 4) columns h L, h, h L^3 and h (L - psi_x^2 L^3), h the
+def _interface_weights(psi_x, L, h):
+    """(n_x, 4) columns h L, h, h L^3 and h (L - psi_x^2 L^3), h the grid
     spacing and L = 1/<psi>: summed against (d_x^j v)^2, the interface
     integrals of ``_interface_sums``.  The last column gives I_psi of a
-    Hessian (``_i_psi_form``) and the third its lower bound."""
+    Hessian (``i_psi``) and the third its lower bound."""
     L3 = L**3
-    return np.stack((L, np.ones_like(L), L3, L - psi_x**2 * L3), axis=1) * tangential.spacing
+    return np.stack((L, np.ones_like(L), L3, L - psi_x**2 * L3), axis=1) * h
 
 
 def _interface_sums(hat, n, terms, weights):
@@ -150,6 +123,24 @@ def _interface_sums(hat, n, terms, weights):
     rows, index = _dx_rows(hat, n, terms)
     sums = ((rows * rows) @ weights).tolist()
     return {term: sums[i] for term, i in zip(terms, index)}
+
+
+def _hessian_sums(omega, psi):
+    """The sums of (d_x^2 omega)^2 against each column of psi's
+    ``_interface_weights``, the weights of every report's interface terms."""
+    px = d_tangential(psi, 1)
+    oxx = d_tangential(omega, 2)
+    return (oxx * oxx) @ _interface_weights(px, 1.0 / np.sqrt(1.0 + px**2), PERIOD / oxx.size)
+
+
+def i_psi(omega, psi):
+    """Weighted interface form I_psi evaluated on the Hessian of omega."""
+    return float(_hessian_sums(omega, psi)[_I_PSI])
+
+
+def i_psi_lower_bound(omega, psi):
+    """The pointwise lower bound int |Hess omega|^2 <psi>^-3 (equality in 1-D)."""
+    return float(_hessian_sums(omega, psi)[_L3])
 
 
 @dataclass(frozen=True)
@@ -229,7 +220,7 @@ def evaluate_functionals(levels, cfg):
         r_terms[s] += [(mu, j) for mu in orders(s) for j in eps_orders]
         if s + 1 < count:
             r_terms[s + 1] += [(mu, j) for mu in orders(s) for j in eps_orders[::2]]
-    weights = _interface_weights(newest.rho_x, 1.0 / bracket, g.tangential)
+    weights = _interface_weights(newest.rho_x, 1.0 / bracket, g.tangential.spacing)
     iface = [_interface_sums(r_hats[q], n, terms, weights) for q, terms in enumerate(r_terms)]
     first = _stencil_weights((a_psi, None), 1, g)  # a (d_z w)^2 and (d_z w)^2
     second = _stencil_weights((a_psi * a_psi, None), 2, g) if count > 1 else None
@@ -365,7 +356,7 @@ def _normal_stencils(tangential, normal, order):
     per_row[[0, mid, n_z - 1]] = 0.0
     w_c = np.tile(per_row, tangential.n_x)[1:-1]
     rows = np.array([0, mid, mid, n_z - 1])
-    taps = (-3.0, 4.0, -1.0) if order == 1 else (2.0, -5.0, 4.0, -1.0)
+    taps = FIRST_WALL_TAPS if order == 1 else SECOND_WALL_TAPS
     S = np.zeros((n_z, 4))
     for col, (i, step) in enumerate(((0, 1), (mid, -1), (mid, 1), (n_z - 1, -1))):
         # a first derivative's stencil changes sign with its direction
@@ -431,7 +422,7 @@ class EnergyNormK0:
         self.normal = _stencil_weights((np.asarray(a_psi, dtype=float),), 1, grids)
         self.interface = _interface_weights(np.asarray(psi_x, dtype=float),
                                             1.0 / np.asarray(bracket, dtype=float),
-                                            grids.tangential)
+                                            grids.tangential.spacing)
 
 
 def state_energy_k0(u, u_hat, rho_hat, norm):

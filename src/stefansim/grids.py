@@ -203,11 +203,25 @@ def d_tangential(values, order=1):
     return d_tangential_hats(np.fft.rfft(v, axis=0), v.shape[0], ((order,),))[0]
 
 
+# the taps of the second-order one-sided stencils along the last axis,
+# from the end node inwards: 3 points for a first derivative (over 2h), 4
+# for a second (over h^2)
+FIRST_WALL_TAPS = (-3.0, 4.0, -1.0)
+SECOND_WALL_TAPS = (2.0, -5.0, 4.0, -1.0)
+
+
+def _tap_sum(values, i, step, taps):
+    """sum_j taps[j] values[..., i + j step], summed in tap order."""
+    out = taps[0] * values[..., i]
+    for j, tap in enumerate(taps[1:], 1):
+        out = out + tap * values[..., i + j * step]
+    return out
+
+
 def _one_sided_first(values, i, h, forward):
-    # second-order 3-point stencil
-    if forward:
-        return (-3.0 * values[..., i] + 4.0 * values[..., i + 1] - values[..., i + 2]) / (2.0 * h)
-    return (3.0 * values[..., i] - 4.0 * values[..., i - 1] + values[..., i - 2]) / (2.0 * h)
+    # a first derivative's stencil changes sign with its direction
+    s = 1 if forward else -1
+    return _tap_sum(values, i, s, [s * tap for tap in FIRST_WALL_TAPS]) / (2.0 * h)
 
 
 def first_walls(values, h):
@@ -221,10 +235,7 @@ def first_walls(values, h):
 
 
 def _one_sided_second(values, i, h, forward):
-    # second-order 4-point stencil
-    s = 1 if forward else -1
-    return (2.0 * values[..., i] - 5.0 * values[..., i + s] + 4.0 * values[..., i + 2 * s]
-            - values[..., i + 3 * s]) / h**2
+    return _tap_sum(values, i, 1 if forward else -1, SECOND_WALL_TAPS) / h**2
 
 
 def second_walls(values, h):

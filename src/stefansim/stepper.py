@@ -13,35 +13,33 @@ in the order-0 regularized-energy norm:
 The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on the
-mode's whole column.  It is factored once per dt (one banded LU of all
-modes' columns): ``run`` factors it when a dt starts, at the interface
-of that step's iterate 1 (step 1 and the first step after a halving
-have no predictor, so that is the level's own interface), and hands it
-to every step of the dt; a halving drops it with the history.  The jump
-response sigma_k that stabilizes the interface update and the unit
-Dirichlet response w that corrects iterate 1 come from the same
-factors, once per dt.  The rest of the frozen coefficients,
-(a - a_mean) u_zz - B u_xz - c u_z, is lagged one lag iteration; every
-lag iteration reuses the factors, and the lag loop runs until the *full*
-frozen-coefficient discrete system is satisfied to ``lin_tol``, so
-a_mean only preconditions the loop and the solution does not depend on
-which interface it was taken at.  Walls use mirror-ghost elimination
-(second-order Neumann); the interface row is a Dirichlet row.
+mode's whole column.  ``run`` factors it, one banded LU of all modes'
+columns (a ``_BulkLU``), when a dt starts, at the tangential mean of the
+weight a of the level the dt starts from, and hands it to every step of
+the dt; a halving drops it with the history.  The jump response sigma_k
+that stabilizes the interface update and the unit Dirichlet response w
+that corrects iterate 1 come from the same factors, once per dt.  The
+rest of the frozen coefficients, (a - a_mean) u_zz - B u_xz - c u_z, is
+lagged one lag iteration; every lag iteration reuses the factors, and
+the lag loop runs until the *full* frozen-coefficient discrete system is
+satisfied to ``lin_tol``, so a_mean only preconditions the loop and the
+solution does not depend on which interface it was taken at.  Walls use
+mirror-ghost elimination (second-order Neumann); the interface row is a
+Dirichlet row.
 
 The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
 loop, which reuses the fields u_m's solve returned (after iterate 1, those
-of its corrected u, below).  Iterate 1 starts
-from the polynomial extrapolation through the levels ``run``'s history
-holds at the current dt, up to three: with the levels one and two dt
-back, from the predictor 3 rho_n - 3 rho_{n-1} + rho_{n-2} and its lag
-loop from 3 u_n - 3 u_{n-1} + u_{n-2}; with the level one dt back only
-(step 2 and the second step after a dt halving), from 2 rho_n - rho_{n-1}
-and 2 u_n - u_{n-1}; the lag loop's fields are the same combination of
-the levels' fields (no transform).  With no earlier level (step 1 and
-the first step after a halving) they start from rho_n and u_old.  The
-trajectory is smooth in t (perturbed flat states relax smoothly), so
-the quadratic predictor is off by O(dt^3).  Iterate 1's difference is
-measured against u_old either way.  Iterate 1's u was solved with the
+of its corrected u, below).  Iterate 1 starts from ``_extrapolate``'s
+polynomial through the step's level and the earlier levels ``run``'s
+history holds at the current dt, up to three in all, taken one dt on: the
+interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (three levels),
+2 rho_n - rho_{n-1} (two: step 2 and the second step after a dt
+halving) or rho_n (one: step 1 and the first step after a halving), and
+the lag loop from the same combination of the temperatures and of their
+fields (no transform), which for one level is that level's u and fields
+bitwise.  The trajectory is smooth in t (perturbed flat states relax
+smoothly), so the quadratic predictor is off by O(dt^3).  Iterate 1's
+difference is measured against u_old.  Iterate 1's u was solved with the
 predictor's Dirichlet data d_1; once its interface update is done, u is
 corrected to first order for the next iterate's data d_2: per mode,
 u_hat + w rfft(d_2 - d_1), where w is the LU's solve with unit Dirichlet
@@ -49,18 +47,16 @@ data (``_BulkLU.dirichlet_response``, which also gives the jump
 response).  The corrected u, with its lagged fields, starts iterate 2's
 lag loop and is what iterate 2's difference is measured against.  On a
 smooth step iterate 1's interface image is all but converged and only
-its u lags, so iterate 2 ends the step: decay-k1 went from 3.002 to
-2.058 iterates per step, rough-mass-diag from 5.08 to 4.78.  Only
-iterate 1 is corrected: mms-column's later iterates (5.05 per step
-either way) come from how the frozen coefficients change with rho, which
-the correction does not model, so correcting them too would add
-transforms there and save no iterate.  Each later rho_m is a
-secant step (Anderson mixing of depth 1) from the last two iterates and
-their images; it falls back to the plain image, and mixes again from the
-next iterate, when the residual does not change or when a mixed
-iterate's difference exceeds the one before.  The stopping test ``diff <= fp_tol`` reads the unmixed
-pair (u_next, rho_next) against (u_m, rho_m), and that pair is the
-accepted state: a true output of G.
+its u lags, so iterate 2 ends the step.  Only iterate 1 is corrected:
+the later iterates of a step that needs them come from how the frozen
+coefficients change with rho, which the correction does not model, so
+correcting them too would add transforms and save no iterate.  Each
+later rho_m is a secant step (Anderson mixing of depth 1) from the last
+two iterates and their images; it falls back to the plain image, and
+mixes again from the next iterate, when the residual does not change or
+when a mixed iterate's difference exceeds the one before.  The stopping
+test ``diff <= fp_tol`` reads the unmixed pair (u_next, rho_next) against
+(u_m, rho_m), and that pair is the accepted state: a true output of G.
 
 After iterate 1 a solve ends once the residual test holds and its last
 lag update, in the fixed-point norm, is small against the previous
@@ -78,13 +74,11 @@ fields serve both the residual and the next iteration's lagged terms.
 The iterate is checked for finiteness once.  A fixed-point iterate
 transforms rho_m once: its slope and second derivative, the resolution
 check and the curvature Dirichlet data and the interface update all
-share that FFT, taken at the end of the
-iterate before (iterate 1's is the old level's, or the predictor's in
+share that FFT, taken at the end of the iterate before (iterate 1's in
 the step's set-up).  The correction of iterate 1's u costs two inverse
 FFTs (u and u_x; a lag loop's start needs no xx).  The converged step's
-trace gap
-max |u(., 0) - kappa(rho) - g| comes from the accepted rho's FFT;
-``run`` checks it against trace_tol.
+trace gap max |u(., 0) - kappa(rho) - g| comes from the accepted rho's
+FFT; ``run`` checks it against trace_tol.
 
 Each time level is a ``Level`` record, built once by ``make_level``: t,
 u, rho, the final solve's ``_bulk_fields`` of u (its rfft included),
@@ -99,35 +93,35 @@ energies.
 
 The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
-t_new=..., forcing=..., earlier=..., bulk=...)``, ``interface_step(u_new, old, cfg,
-...)``, which reads rho's rfft from the old level, and every solve's one
-call shape ``temperature_step(step, coef, dirichlet=..., start=...,
-fp_diff=...)``.  ``step`` is the ``_Step`` that ``_prepare_step`` builds
-once per time step, before the first iterate, around the dt's LU; the
-iterate adds its frozen coefficients, Dirichlet data, lag-loop start and
-last fixed-point difference, and ``SolverConfig``'s constants set the
-tolerances.  The steady solve of ``compatible_initial_temperature``
+t_new=..., bulk=..., forcing=..., earlier=...)``, ``interface_step(u_new,
+old, cfg, ...)``, which reads rho's rfft from the old level, and every
+solve's one call shape ``temperature_step(step, coef, dirichlet=...,
+start=..., fp_diff=...)``.  ``step`` is the ``_Step`` that
+``_prepare_step`` builds once per time step, before the first iterate,
+around the dt's LU; the iterate adds its frozen coefficients, Dirichlet
+data, lag-loop start and last fixed-point difference, and
+``SolverConfig``'s constants set the tolerances.  The steady solve of ``compatible_initial_temperature``
 factors its own LU, with 1/dt = 0 and theta = 1, for a ``_Step`` with
 no norm.  ``make_level`` and the diagnostics read the same cfg.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0``) is
 frozen per step at iterate 1's interface, from its one ``norm_weights``
-call (which on the first step of a dt is also the LU's), and makes no
-2-D transform: the solve's Fourier coefficients travel with the fields
-it returns, so the bulk terms int w^2 + w_x^2 of the fixed-point difference are a Parseval sum over
-the difference of the two solves' coefficients (u_old's at iterate 1),
-and those of a warm solve's lag update over x_hat - prev_hat.  The
-a-weighted normal-derivative term is a stencil sum, and only the
-fixed-point difference has interface terms, from one 1-D FFT and one
-batched inverse FFT.
+call, and makes no 2-D transform: the solve's Fourier coefficients
+travel with the fields it returns, so the bulk terms int w^2 + w_x^2 of
+the fixed-point difference are a Parseval sum over the difference of
+the two solves' coefficients (u_old's at iterate 1), and those of a warm
+solve's lag update over x_hat - prev_hat.  The a-weighted
+normal-derivative term is a stencil sum, and only the fixed-point
+difference has interface terms, from one 1-D FFT and one batched inverse
+FFT.
 
 The bulk LU is LAPACK's ``dgttrf`` and its substitution ``zgttrs``, called
 by ctypes from the LAPACK numpy is linked against: numpy's wheels ship an
 ILP64 OpenBLAS, already loaded, that exports them as ``scipy_dgttrf_64_``
-and ``scipy_zgttrs_64_``.  So a run does not import scipy, whose own
-OpenBLAS costs about 28 MB of resident memory.  Where numpy's library
-lacks the two symbols (another BLAS, a source build) they come from
-``scipy.linalg.lapack`` instead; ``_gt_lapack`` decides once, at import.
+and ``scipy_zgttrs_64_``.  So a run does not import scipy, which loads
+an OpenBLAS of its own.  Where numpy's library lacks the two symbols
+(another BLAS, a source build) they come from ``scipy.linalg.lapack``
+instead; ``_gt_lapack`` decides once, at import.
 """
 from __future__ import annotations
 
@@ -308,12 +302,12 @@ def _interface_transforms(rho, n_x):
 def _extrapolate(levels):
     """(rho, (u, fields)) of the polynomial through ``levels``, the newest
     first and one dt apart, taken one dt past the newest: one set of
-    weights, (2, -1) for two levels (2 y_n - y_{n-1}) and (3, -3, 1) for
-    three (3 y_n - 3 y_{n-1} + y_{n-2}), combines the interfaces, the
-    temperatures and their fields, so no transform.  (u, fields) is the
-    first lag loop's start, which the step drops once iterate 1 is done;
-    only zz, xz and z are combined, the fields that loop reads of its
-    start, and xx and hat are None."""
+    weights, (1,) for one level (its own values bitwise), (2, -1) for two
+    (2 y_n - y_{n-1}) and (3, -3, 1) for three (3 y_n - 3 y_{n-1} +
+    y_{n-2}), combines the interfaces, the temperatures and their fields,
+    so no transform.  (u, fields) is the first lag loop's start, which the
+    step drops once iterate 1 is done; only zz, xz and z are combined,
+    the fields that loop reads of its start, and xx and hat are None."""
     k = len(levels)
     weights = [float((-1) ** j * math.comb(k, j + 1)) for j in range(k)]
 
@@ -503,11 +497,10 @@ def _thomas_batched(dl, d, du, rhs, du2, ipiv):
 
 class _BulkLU:
     """Per-mode implicit operator  1/dt + theta k^2 - theta a_mean(z) d_zz
-    on the whole column, LU-factored once: ``run`` factors one per dt, at
-    the interface of the level the dt starts from, and every step of that
-    dt solves with it (a halving drops it with the history).  a_mean only
-    preconditions the lag loop, which solves the full frozen-coefficient
-    system whatever it is; 1/dt (``inv_dt``) and theta are the step's.
+    on the whole column, LU-factored once (``run`` makes one per dt; see
+    the module docstring).  a_mean only preconditions the lag loop, which
+    solves the full frozen-coefficient system whatever it is; 1/dt
+    (``inv_dt``) and theta are the step's.
 
     Each mode's column runs in z order, lower wall first, and the modes are
     laid end to end, the layout of the solve's (modes, n_z) coefficients.
@@ -609,12 +602,6 @@ def _lagged_fields(v, v_x, grids):
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
     return v_zz, _d_z(v_x, grids), _d_z(v, grids)
-
-
-def _d_x(v_hat, n_x):
-    """The tangential derivative of the n_x-point field whose rfft along
-    axis 0 is ``v_hat``: one inverse transform."""
-    return d_tangential_hats(v_hat, n_x, ((1,),))[0]
 
 
 def _bulk_fields(v, v_hat, grids):
@@ -752,8 +739,8 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
             nonlocal matvecs
             matvecs += 1
             v = v.reshape(grids.shape)
-            lagged = lag_solve(*_lagged_fields(v, _d_x(np.fft.rfft(v, axis=0), n_x), grids),
-                               0.0, zero_dir)
+            v_x = d_tangential_hats(np.fft.rfft(v, axis=0), n_x, ((1,),))[0]
+            lagged = lag_solve(*_lagged_fields(v, v_x, grids), 0.0, zero_dir)
             return (v - np.fft.irfft(lagged, n=n_x, axis=0)).ravel()
 
         op = LinearOperator((u_new.size,) * 2, matvec=apply, dtype=float)
@@ -894,22 +881,13 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
-def _dt_operator(a_psi, cfg):
-    """The ``_BulkLU`` of cfg's dt and theta at the tangential mean of the
-    weight a_psi (``norm_weights``' a) of an interface."""
-    return _BulkLU(a_psi.mean(axis=0), 1.0 / cfg.dt, cfg.theta, cfg.grids())
-
-
-def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=(), bulk=None):
+def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
 
-    ``bulk`` is the dt's ``_BulkLU`` (its 1/dt must be cfg's), which
-    ``run`` factors when the dt starts and hands to every step of it; its
-    a_mean only preconditions the lag loop, its jump response damps the
-    interface update and its Dirichlet response corrects iterate 1.
-    Without one, the step factors its own at iterate 1's interface, as
-    ``run``'s first step of a dt has it.
+    ``bulk`` is the dt's ``_BulkLU`` (its 1/dt and theta must be cfg's):
+    its a_mean only preconditions the lag loop, its jump response damps
+    the interface update and its Dirichlet response corrects iterate 1.
 
     ``level`` is the ``Level`` of the old time (``make_level`` builds one
     from raw arrays), and the step reads its fields, transforms and, at
@@ -925,23 +903,17 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=(), bulk=None):
     (u_next, rho_next) from (u_m, rho_m), measured in the order-0
     regularized-energy norm at iterate 1's rho_m (frozen once per step),
     drops below fp_tol; the accepted state is that pair, a true output of
-    G.  With ``earlier``, iterate 1 starts from ``_extrapolate``'s
-    polynomial through level and earlier:
-    the interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (two earlier
-    levels) or 2 rho_n - rho_{n-1} (one), the lag loop from the same
-    combination of the temperatures and their fields; without, from
-    level.rho and u_old.
-    Iterate 1's difference is measured against u_old either way.  Unless
-    iterate 1 ends the step, its u is then corrected to first order for
-    the change from its Dirichlet data to iterate 2's (computed once, and
-    handed to iterate 2) by the LU's ``dirichlet_response``, its
+    G.  Iterate 1 starts from ``_extrapolate((level, *earlier))`` (see the
+    module docstring), and its difference is measured against u_old.
+    Unless iterate 1 ends the step, its u is then corrected to first order
+    for the change from its Dirichlet data to iterate 2's (computed once,
+    and handed to iterate 2) by the LU's ``dirichlet_response``, its
     uncorrected fields dropped first; the corrected u and its lagged
     fields (from one inverse transform of u and one of u_x) start
     iterate 2's lag loop and are what iterate 2's difference is measured
-    against.  Each
-    later rho_m is the ``_Secant`` mix of the last two iterates.  The
-    coefficients are frozen at the theta blend of rho_m and level.rho.
-    The report carries the accepted state's trace gap
+    against.  Each later rho_m is the ``_Secant`` mix of the last two
+    iterates.  The coefficients are frozen at the theta blend of rho_m
+    and level.rho.  The report carries the accepted state's trace gap
     max |u(., 0) - kappa(rho) - g|.
     """
     grids, cutoff, dt, theta, n_x = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta, cfg.n_x
@@ -953,23 +925,18 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=(), bulk=None):
             if level.forcing is None:
                 level.forcing = forcing.at(level.t)
             f_bulk_old, _, f_jump_old = level.forcing
-    # each iterate's transforms are taken at the end of the iterate before,
-    # iterate 1's here (or held by the old level)
     base_x, base_xx = level.rho_x, level.rho_xx
-    rho_m, rho_hat, rx, rxx = level.rho, level.rho_hat, base_x, base_xx
     u_m, fields_m = level.u, level.fields
-    start = (u_m, fields_m)  # where the next lag loop starts
-    if earlier:
-        rho_m, start = _extrapolate((level, *earlier))
-        rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
+    rho_m, start = _extrapolate((level, *earlier))  # start: where the next lag loop starts
+    # each iterate's transforms are taken at the end of the iterate before,
+    # iterate 1's here
+    rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
     rhs_old = None
     if theta < 1.0:
         rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids)
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
     a, bracket = norm_weights(rho_m, rx, cutoff, grids)  # at iterate 1's rho_m
-    if bulk is None:
-        bulk = _dt_operator(a, cfg)
     step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids,
                          fp_norm=EnergyNormK0(rx, a, bracket, cfg))
     sigma = bulk.jump_response
@@ -1016,7 +983,8 @@ def fixed_point_step(level, cfg, *, t_new, forcing=None, earlier=(), bulk=None):
             u_hat += bulk.dirichlet_response * np.fft.rfft(d_next - dirichlet)[:, None]
             u_next = fields_next = start = None  # drop the uncorrected fields first
             u_next = np.fft.irfft(u_hat, n=n_x, axis=0)
-            fields_next = _Fields(None, *_lagged_fields(u_next, _d_x(u_hat, n_x), grids), u_hat)
+            u_x = d_tangential_hats(u_hat, n_x, ((1,),))[0]
+            fields_next = _Fields(None, *_lagged_fields(u_next, u_x, grids), u_hat)
         u_m, fields_m = u_next, fields_next
         start = (u_m, fields_m)
         dirichlet = d_next
@@ -1097,21 +1065,12 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     steady level is the initial level's ``steady_mean``.  The states
     passed to callbacks and returned carry only (t, u, rho).
 
-    Each step is passed the dt's ``_BulkLU``, which ``run`` factors when
-    the dt starts (before step 1, and before the first step after each
-    halving, which drops it with the history), at the interface that
-    step's iterate 1 takes, the level's own: that step's operator is the
-    one it would factor itself, and the later steps of the dt reuse it,
-    its jump and Dirichlet responses included.
-
-    Each step is passed the levels one and two dt back as ``earlier``, as
-    far as the history holds them at the current dt, from which
-    ``fixed_point_step`` extrapolates its start: quadratically from three
-    levels, linearly from two (step 2 and the second step after a
-    halving); step 1 and the first step after a halving have none and
-    start from rho_n and u_n.  A level keeps its fields' zz, xz and z
-    while a predictor can still read them, and their xx and its forcing
-    only while it is the newest (their hat is the reports' ``u_hat``).
+    Each step is passed the dt's ``_BulkLU`` and, as ``earlier``, the
+    levels one and two dt back, as far as the history holds them at the
+    current dt (see the module docstring for both).  A level keeps its
+    fields' zz, xz and z while a predictor can still read them, and their
+    xx and its forcing only while it is the newest (their hat is the
+    reports' ``u_hat``).
     Within the step it mixes the interface iterates by a secant step and
     stops on the unmixed pair, so the accepted state is an output of the
     step's map.
@@ -1144,12 +1103,12 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
         while m < n_steps:
             t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
             try:  # with the levels one and two dt back, as far as the history holds them
-                if bulk is None:  # at iterate 1's interface of this step, which has no predictor
-                    bulk = _dt_operator(norm_weights(level.rho, level.rho_x, cfg.cutoff(),
-                                                     grids)[0], cfg)
+                if bulk is None:  # the dt starts here, at this level's weight a
+                    a_psi, _ = norm_weights(level.rho, level.rho_x, cfg.cutoff(), grids)
+                    bulk = _BulkLU(a_psi.mean(axis=0), 1.0 / cfg.dt, cfg.theta, grids)
                 new, step_report = fixed_point_step(
-                    level, cfg, t_new=t_new, forcing=forcing,
-                    earlier=tuple(islice(reversed(history), 1, 3)), bulk=bulk)
+                    level, cfg, t_new=t_new, bulk=bulk, forcing=forcing,
+                    earlier=tuple(islice(reversed(history), 1, 3)))
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise

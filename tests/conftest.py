@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from stefansim.grids import first_walls
-from stefansim.stepper import SolverConfig, compatible_initial_temperature, make_level
+from stefansim.stepper import _BulkLU, SolverConfig, compatible_initial_temperature, make_level
+from stefansim.transform import norm_weights
 
 settings.register_profile(
     "numerics",
@@ -39,6 +40,14 @@ def levels(cfg, times, us, rhos):
     """The level records of aligned (t, u, rho) samples on the grids of
     ``cfg``, built by ``make_level`` as ``run`` builds its history."""
     return [make_level(t, u, rho, cfg) for t, u, rho in zip(times, us, rhos, strict=True)]
+
+
+def dt_operator(level, cfg):
+    """The ``_BulkLU`` that ``run`` factors when a dt starts from ``level``:
+    at the tangential mean of the weight a of its interface, with cfg's dt
+    and theta."""
+    a_psi, _ = norm_weights(level.rho, level.rho_x, cfg.cutoff(), cfg.grids())
+    return _BulkLU(a_psi.mean(axis=0), 1.0 / cfg.dt, cfg.theta, cfg.grids())
 
 
 @pytest.fixture(scope="session")

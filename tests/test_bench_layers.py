@@ -9,6 +9,8 @@ import pytest
 
 from stefansim import stepper
 
+from conftest import dt_operator
+
 WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
 
 
@@ -37,6 +39,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     # unknowns from the size of _thomas_batched's 4th positional argument,
     # and fixed-point iterations from fixed_point_step's result[1]
     cfg, state, forcing = forced_step_problem(theta)
+    bulk = dt_operator(state, cfg)
     lags, rhs_seen = [], []
     real_temperature, real_substitution = stepper.temperature_step, stepper._thomas_batched
 
@@ -52,7 +55,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
 
     monkeypatch.setattr(stepper, "temperature_step", temperature)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
-    result = stepper.fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
+    result = stepper.fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing)
     assert isinstance(result, tuple) and len(result) == 2
     new_state, report = result
     assert isinstance(new_state, stepper.State)

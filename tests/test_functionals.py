@@ -10,8 +10,6 @@ from scipy.integrate import quad
 from stefansim.functionals import (
     EnergyNormK0,
     _quotients,
-    _i_psi_form,
-    _i_psi_lower,
     decay_fit,
     dissipation_eps,
     energy_eps,
@@ -222,6 +220,13 @@ def check_evaluator_against_reference(n_entries, k_diag):
     assert energy_eps(history, cfg) == got.E_eps
     assert dissipation_eps(history, cfg) == got.D_eps
     assert sobolev_norms(history, cfg) == (got.sobolev_E, got.sobolev_D)
+
+
+def _i_psi_form(oxx, L, px, h):
+    """I_psi from the Hessian oxx, L = 1/<psi> and the slope px on a
+    tangential grid of spacing h, summed as written: a formula independent
+    of the package's ``_interface_weights``."""
+    return float((oxx**2 * L - (oxx * px) ** 2 * L**3).sum() * h)
 
 
 def half_strip_functionals(levels, cfg):

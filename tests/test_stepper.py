@@ -48,6 +48,8 @@ from stefansim.transform import (
     norm_weights,
 )
 
+from conftest import dt_operator
+
 
 # --------------------------------------------------------------- config
 
@@ -733,7 +735,8 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
 def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids):
     rho = np.full(small_cfg.n_x, 0.1)
     state = make_level(0.0, np.zeros(small_grids.shape), rho, small_cfg)
-    new_state, report = fixed_point_step(state, small_cfg, t_new=small_cfg.dt)
+    new_state, report = fixed_point_step(state, small_cfg, t_new=small_cfg.dt,
+                                         bulk=dt_operator(state, small_cfg))
     assert report.inner_iters == 1
     assert np.all(new_state.u == 0.0)
     assert np.abs(new_state.rho - 0.1).max() < 1e-15
@@ -744,8 +747,8 @@ def test_fixed_point_contracts_after_first_iterate(small_grids):
     cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     rho0 = 0.05 * np.sin(x)
-    u0 = compatible_initial_temperature(rho0, cfg)
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg, t_new=cfg.dt)
+    level = make_level(0.0, compatible_initial_temperature(rho0, cfg), rho0, cfg)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg))
     assert report.inner_iters >= 2
     assert len(report.fp_norms) == report.inner_iters
     # the first ratio overshoots (the seed iterate lags rho_t), later ones
@@ -767,8 +770,9 @@ def test_fixed_point_tall_manufactured_column_converges():
     grids, cutoff = cfg.grids(), cfg.cutoff()
     problem = ManufacturedProblem(grids, cutoff, cfg.epsilon)
     u0, rho0 = problem.initial_data()
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg,
-                                 forcing=problem, t_new=cfg.dt)
+    level = make_level(0.0, u0, rho0, cfg)
+    _, report = fixed_point_step(level, cfg, forcing=problem, t_new=cfg.dt,
+                                 bulk=dt_operator(level, cfg))
     assert report.inner_iters <= 6
     assert report.fp_norms[-1] <= cfg.fp_tol
 
@@ -778,10 +782,11 @@ def test_fixed_point_tall_manufactured_column_converges():
 def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, predicted,
                                                                forced_step_problem):
     # the set-up's weights at iterate 1's rho_m (state.rho, or the
-    # predictor from the level one dt back) factor the step and give its
-    # one fixed-point norm, which every iterate of the step measures in,
-    # at every theta
+    # predictor from the level one dt back) give the step its one
+    # fixed-point norm, which every iterate of the step measures in, at
+    # every theta; the operator is the dt's, factored at state.rho
     cfg, state, forcing = forced_step_problem(theta)
+    bulk = dt_operator(state, cfg)
     earlier = ()
     if predicted:  # the predictor is 1.01 state.rho, up to roundoff
         earlier = (make_level(state.t - cfg.dt, 0.99 * state.u, 0.99 * state.rho, cfg),)
@@ -791,7 +796,8 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
     norms, real_norm = [], stepper.EnergyNormK0
     monkeypatch.setattr(stepper, "EnergyNormK0",
                         lambda *args: norms.append(args) or real_norm(*args))
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, earlier=earlier)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing,
+                                 earlier=earlier)
     assert report.inner_iters >= 3
     assert len(calls) == 1 and len(norms) == 1
     assert np.array_equal(calls[0][0],
@@ -809,9 +815,10 @@ def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypa
     # test_run_transforms_each_level_once); the fixed-point norms and the
     # warm exit rule work on the coefficients the solves return
     cfg, state, forcing = forced_step_problem(theta)
+    bulk = dt_operator(state, cfg)
     counts = count_transforms(monkeypatch, two_d_only=True)
     level = make_level(state.t, state.u, state.rho, cfg)
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing)
     assert report.inner_iters >= 3
     assert counts["rfft"] == report.lag_iters + 1
     assert counts["irfft"] == 2 * report.lag_iters + 2 + 1
@@ -840,7 +847,8 @@ def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatc
 
     monkeypatch.setattr(stepper, "state_energy_k0", counting_norm)
     monkeypatch.setattr(stepper, "temperature_step", counting_temperature)
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+                                 forcing=forcing)
     checks = sum(n for n, _ in solves)
     assert report.inner_iters >= 3 and len(solves) == report.inner_iters
     assert len(calls) == report.inner_iters + checks
@@ -857,8 +865,13 @@ def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatc
 def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
                                                              forced_step_problem):
     # every iterate's interface update reads the old level's rfft of rho
-    # from the level: no forward transform of that interface in the step
+    # from the level: no forward transform of that interface in the step.
+    # The set-up transforms iterate 1's interface once, and without an
+    # earlier level that interface holds the old one's values; with one
+    # (here 0.99 of the old level) it is the predictor, 1.01 level.rho
     cfg, level, forcing = forced_step_problem(theta)
+    bulk = dt_operator(level, cfg)
+    earlier = make_level(level.t - cfg.dt, 0.99 * level.u, 0.99 * level.rho, cfg)
     old_rho_transforms, real_rfft = [0], np.fft.rfft
 
     def recording_rfft(a, *args, **kwargs):
@@ -867,9 +880,13 @@ def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
         return real_rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", recording_rfft)
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing)
     assert report.inner_iters >= 3
-    assert old_rho_transforms == [0]
+    assert old_rho_transforms == [1]
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing,
+                                 earlier=(earlier,))
+    assert report.inner_iters >= 3
+    assert old_rho_transforms == [1]
 
 
 def cold_reference_step(state, cfg, forcing):
@@ -907,7 +924,8 @@ def cold_reference_step(state, cfg, forcing):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_warm_started_step_matches_cold_reference_loop(theta, forced_step_problem):
     cfg, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+                                         forcing=forcing)
     u_ref, rho_ref = cold_reference_step(state, cfg, forcing)
     assert report.inner_iters >= 3
     assert np.abs(new_state.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
@@ -936,7 +954,8 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
     monkeypatch.setattr(stepper._Secant, "next", recording_next)
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg, t_new=cfg.dt)
+    level = make_level(0.0, u0, rho0, cfg)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg))
     assert len(seen_dirichlet) == len(seen_rho) == report.inner_iters >= 3
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
         assert np.array_equal(dirichlet.view(np.uint64), curvature(rho_m).view(np.uint64))
@@ -961,7 +980,8 @@ def test_fixed_point_step_accepts_the_last_unmixed_interface(monkeypatch, theta,
 
     monkeypatch.setattr(stepper, "interface_step", recording_interface)
     monkeypatch.setattr(stepper._Secant, "next", recording_next)
-    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+                                         forcing=forcing)
     assert len(images) == len(iterates) + 1 == report.inner_iters >= 3
     assert np.array_equal(new_state.rho.view(np.uint64), images[-1].view(np.uint64))
     assert any(not np.array_equal(rho_m, g) for rho_m, g in zip(iterates, images))
@@ -984,7 +1004,8 @@ def test_fixed_point_step_starts_iterate_2_from_a_corrected_temperature(monkeypa
         return result
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+                                 forcing=forcing)
     assert report.inner_iters == len(calls) >= 3
     dirichlet, (u, fields), _ = calls[1]
     u_1 = calls[0][2]
@@ -1013,7 +1034,8 @@ def rough_initial_data():
 def test_fixed_point_step_first_rough_step_is_short():
     # plain successive substitution took 19 iterates here
     cfg, u0, rho0 = rough_initial_data()
-    _, report = fixed_point_step(make_level(0.0, u0, rho0, cfg), cfg, t_new=cfg.dt)
+    level = make_level(0.0, u0, rho0, cfg)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg))
     assert report.inner_iters <= 8
 
 
@@ -1053,8 +1075,9 @@ def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids):
     x = small_grids.tangential.nodes
     rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)  # mode 12 lies in the top third
     state = make_level(0.0, np.zeros(small_grids.shape), rho, cfg)
+    bulk = dt_operator(state, cfg)
     with pytest.warns(ResolutionWarning, match="under-resolved"):
-        fixed_point_step(state, cfg, t_new=cfg.dt)
+        fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk)
 
 
 def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids):
@@ -1062,8 +1085,9 @@ def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids):
     cfg = SolverConfig(dt=50.0, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     state = make_level(0.0, np.zeros(small_grids.shape), 0.05 * np.sin(x), cfg)
+    bulk = dt_operator(state, cfg)
     with pytest.raises(FixedPointError) as exc:
-        fixed_point_step(state, cfg, t_new=cfg.dt)
+        fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk)
     assert exc.value.last_norm > cfg.fp_tol
     assert exc.value.last_ratio is not None
 
@@ -1073,7 +1097,8 @@ def test_fixed_point_step_measures_its_trace_gap(theta, forced_step_problem):
     # max |u(., 0) - kappa(rho) - g| of the accepted state, g the step's own
     # Dirichlet shift, from the transform of rho the step already holds
     cfg, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing)
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+                                         forcing=forcing)
     g_dir = forcing.at(new_state.t)[1]
     gap = np.abs(new_state.u[:, cfg.grids().normal.i_mid] - curvature(new_state.rho)
                  - g_dir).max()
@@ -1183,8 +1208,8 @@ def test_run_factors_one_bulk_operator_per_dt(monkeypatch, case):
 
 def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     # dt = 0.04 and 0.02 fail: the first attempt and each retry after a
-    # halving start from the old level (its interface, and u_old for the
-    # first lag loop), the step after from 2 rho_n - rho_{n-1} and
+    # halving start from the old level's values bitwise (its interface, and
+    # u_old for the first lag loop), the step after from 2 rho_n - rho_{n-1} and
     # 2 u_n - u_{n-1}, every later step from 3 rho_n - 3 rho_{n-1} + rho_{n-2}
     # and 3 u_n - 3 u_{n-1} + u_{n-2}, whose fields are the same combination
     # of the levels'
@@ -1233,7 +1258,8 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     assert res.cfg.dt == 0.01 and len(calls) == 2 + 8
     assert [n for n, *_ in calls] == [0, 0, 0, 1] + [2] * 6
     for _, _, level, first, set_up in calls[:3]:
-        assert warm_starts[first][0] is level.u and rho_starts[set_up] is level.rho
+        assert np.array_equal(warm_starts[first][0].view(np.uint64), level.u.view(np.uint64))
+        assert np.array_equal(rho_starts[set_up].view(np.uint64), level.rho.view(np.uint64))
     for _, (rho_ref, u_ref), _, first, set_up in calls[3:]:
         (u_start, fields), pred = warm_starts[first], rho_starts[set_up]
         assert np.array_equal(pred.view(np.uint64), rho_ref.view(np.uint64))
@@ -1265,6 +1291,7 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
                 + t**2 * 0.3 * np.sin(x)[:, None] * np.cos(np.pi * z))
 
     l0, l1, l2 = (make_level(t, u(t), rho(t), cfg) for t in (0.0, cfg.dt, 2 * cfg.dt))
+    bulk = dt_operator(l2, cfg)
     rho_starts, starts = [], []
     real_weights = stepper.norm_weights
 
@@ -1276,7 +1303,7 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
                         lambda *args: rho_starts.append(args[0]) or real_weights(*args))
     monkeypatch.setattr(stepper, "temperature_step", first_solve)
     with pytest.raises(_FirstSolve):
-        fixed_point_step(l2, cfg, t_new=3 * cfg.dt, earlier=(l1, l0))
+        fixed_point_step(l2, cfg, t_new=3 * cfg.dt, bulk=bulk, earlier=(l1, l0))
     (rho_m,), ((u_start, fields),) = rho_starts, starts
     rho_ref, u_ref = rho(3 * cfg.dt), u(3 * cfg.dt)
     assert np.abs(rho_m - rho_ref).max() <= 1e-14 * np.abs(rho_ref).max()
