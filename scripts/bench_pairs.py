@@ -34,7 +34,8 @@ parent -> change value of every traced ``*.calls`` and ``*.unknowns``
 count and of ``stepper.fp_iters_per_step`` and
 ``stepper.lag_iters_per_solve``, read from the ``--trace 1`` lines.
 Unlike the timings, these counts repeat exactly from run to run, so a
-move in them is a move in the work the code does.
+move in them is a move in the work the code does; ``work["moved"]`` lists,
+in order, the counts whose parent and change values differ.
 """
 from __future__ import annotations
 
@@ -92,11 +93,14 @@ def verdict(parent_median, change_median, parent_quartiles, lower, higher, pairs
 def work_counts(sides):
     """{count: {"parent": value, "change": value}} for every ``*.calls``
     and ``*.unknowns`` metric and each of PER_STEP_COUNTS in the
-    ``--trace 1`` lines ``sides`` ({"parent": line, "change": line})."""
+    ``--trace 1`` lines ``sides`` ({"parent": line, "change": line}), and
+    under "moved" the list of those counts whose two values differ."""
     parent, change = sides["parent"]["metrics"], sides["change"]["metrics"]
-    return {name: {"parent": parent[name]["value"], "change": change[name]["value"]}
+    work = {name: {"parent": parent[name]["value"], "change": change[name]["value"]}
             for name in parent if name in change
             and (name.endswith((".calls", ".unknowns")) or name in PER_STEP_COUNTS)}
+    work["moved"] = [name for name, values in work.items() if values["parent"] != values["change"]]
+    return work
 
 
 def summarize(runs, trace=None):
@@ -183,7 +187,8 @@ def main(argv=None):
                   "than the parent's interquartile distance, 'unresolved' otherwise. Each "
                   "workload's 'work' gives the parent and change values of the --trace 1 "
                   "lines' *.calls and *.unknowns counts and of "
-                  f"{' and '.join(PER_STEP_COUNTS)}, which repeat exactly from run to run."),
+                  f"{' and '.join(PER_STEP_COUNTS)}, which repeat exactly from run to run, "
+                  "and under 'moved' the names of those whose two values differ."),
         "host": host(),
         "parent": commits["parent"],
         "change": commits["change"],

@@ -31,7 +31,8 @@ PERIOD = 2.0 * np.pi
 def _require_finite(values, what):
     if not np.all(np.isfinite(values)):
         bad = np.argwhere(~np.isfinite(np.asarray(values)))
-        raise NonFiniteFieldError(f"{what}: non-finite entry at index {tuple(bad[0])}")
+        raise NonFiniteFieldError(
+            f"{what}: non-finite entry at index {tuple(int(i) for i in bad[0])}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,74 @@ def d_tangential_hats(hat, n, terms):
     mult = mult.reshape(mult.shape + (1,) * (hat.ndim - 1))
     out = np.fft.irfft(hat * mult, n=n, axis=1)
     return out if index is None else [out[i] for i in index]
+
+
+class RealTransforms:
+    """The rfft along axis 0 of real fields on an n-point grid, its inverse
+    and its inverse tangential derivatives, as real matrices acting on the
+    *real layout* of the coefficients: an array (2, n // 2 + 1, ...) of the
+    modes' real parts, then their imaginary parts.  Each transform is one
+    BLAS product; ``real_transforms`` caches one instance per n.
+
+    The inverses follow ``np.fft.irfft``, which ignores the imaginary parts
+    of the k = 0 and Nyquist modes, and the derivative matrices are built
+    from ``tangential_multipliers``, so the Nyquist rule is this module's.
+    Every angle is taken from k j mod n, so no entry loses digits to a
+    large angle, and the sines at 0 and pi are exact zeros.
+    """
+
+    def __init__(self, n):
+        self.n, self.modes = n, n // 2 + 1
+        turns = np.outer(np.arange(self.modes), np.arange(n)) % n  # (modes, n)
+        cos, sin = np.cos(2.0 * np.pi * turns / n), np.sin(2.0 * np.pi * turns / n)
+        sin[turns % (n // 2) == 0] = 0.0
+        # 0.0 - sin: a +0.0, not a -0.0, where sin is 0
+        self.forward_matrix = self._frozen(np.concatenate((cos, 0.0 - sin)))
+        pairs = np.full(self.modes, 2.0)  # a mode stands for a conjugate pair ...
+        pairs[[0, -1]] = 1.0  # ... but k = 0 and the Nyquist mode
+
+        def inverse(mult):  # the (n, 2 modes) matrix of irfft(mult * hat)
+            w_re, w_im = (pairs * mult.real / n)[:, None], (pairs * mult.imag / n)[:, None]
+            return np.concatenate((w_re * cos - w_im * sin, -(w_im * cos + w_re * sin))).T
+
+        self.inverse_matrix = self._frozen(inverse(tangential_multipliers(n, ((0,),))[0]))
+        self.derivative_matrix = self._frozen(np.concatenate(
+            [inverse(mult) for mult in tangential_multipliers(n, ((1,), (2,)))]))
+
+    @staticmethod
+    def _frozen(matrix):
+        matrix = np.ascontiguousarray(matrix)
+        matrix.setflags(write=False)
+        return matrix
+
+    def forward(self, v):
+        """The real layout (2, modes, ...) of the rfft along axis 0 of the
+        real field v (n, ...): one product."""
+        return _shaped(self.forward_matrix @ v.reshape(self.n, -1), (2, self.modes, *v.shape[1:]))
+
+    def inverse(self, x):
+        """The real field (n, ...), an array of its own, whose rfft has the
+        real layout x: one product."""
+        return _shaped(self.inverse_matrix @ x.reshape(2 * self.modes, -1), (self.n, *x.shape[2:]))
+
+    def derivatives(self, x, count=2):
+        """d_x, and with ``count`` = 2 d_x^2 stacked after it, (count, n,
+        ...), of the real field whose rfft has the real layout x: one
+        product, into a new array."""
+        out = self.derivative_matrix[:count * self.n] @ x.reshape(2 * self.modes, -1)
+        return _shaped(out, (count, self.n, *x.shape[2:]))
+
+
+def _shaped(a, shape):
+    """a in ``shape``: a itself if it has it (so it stays an array of its
+    own), else a view."""
+    return a if a.shape == shape else a.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def real_transforms(n):
+    """The ``RealTransforms`` of an n-point grid (cached)."""
+    return RealTransforms(n)
 
 
 def power_spectrum(hat):

@@ -13,7 +13,7 @@ in the order-0 regularized-energy norm:
 The temperature solve is theta-implicit (theta = 1: backward Euler,
 theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on the
-mode's whole column.  ``run`` factors it, one banded LU of all modes'
+mode's whole column.  ``run`` factors it, one factorization of all modes'
 columns (a ``_BulkLU``), when a dt starts, at the tangential mean of the
 weight a of the level the dt starts from, and hands it to every step of
 the dt; a halving drops it with the history.  The jump response sigma_k
@@ -63,22 +63,31 @@ lag update, in the fixed-point norm, is small against the previous
 fixed-point difference or fp_tol, or has stopped shrinking (see
 ``temperature_step``).  When the lag loop stops contracting, its
 residual no longer falling over a few iterations, the solve goes on by
-GMRES on the same affine map with the banded LU as preconditioner; the
+GMRES on the same affine map with the factored operator as preconditioner; the
 final check is the same full residual.
 
-Each iterate transforms each field once.  A lag iteration makes one
-forward FFT (its right-hand side) and two inverse ones from the solve's
-Fourier coefficients: u_new, and u_x stacked with u_xx; u_xz is the d_z
-stencil of the real u_x, u_zz and u_z stencils of u_new, and those
-fields serve both the residual and the next iteration's lagged terms.
-The iterate is checked for finiteness once.  A fixed-point iterate
-transforms rho_m once: its slope and second derivative, the resolution
-check and the curvature Dirichlet data and the interface update all
-share that FFT, taken at the end of the iterate before (iterate 1's in
-the step's set-up).  The correction of iterate 1's u costs two inverse
-FFTs (u and u_x; a lag loop's start needs no xx).  The converged step's
-trace gap max |u(., 0) - kappa(rho) - g| comes from the accepted rho's
-FFT; ``run`` checks it against trace_tol.
+Every bulk solve works on a real layout of the tangential modes: an
+array (2, n_x/2 + 1, n_z) of the rfft's real parts, then its imaginary
+parts (``grids.RealTransforms``).  The transforms are products with
+cached real matrices, one BLAS call each, and the operator, being real,
+solves both blocks as two right-hand sides of one substitution.  Each
+iterate transforms each field once.  A lag iteration makes one forward
+product (its right-hand side), one substitution and two inverse
+products from the solve's coefficients: u_new, and u_x stacked with
+u_xx; u_xz is the d_z stencil of the real u_x, taken in u_x's place,
+u_zz and u_z stencils of u_new, and those fields serve both the
+residual and the next iteration's lagged terms.  The iterate is checked
+for finiteness through its residual, once.  The complex rfft of the
+solve's u, which the fixed-point norm, the level records and the
+reports read, is assembled once per solve.  A fixed-point iterate
+transforms rho_m once (numpy's FFT, as every interface transform): its
+slope and second derivative, the resolution check and the curvature
+Dirichlet data and the interface update all share that FFT, taken at
+the end of the iterate before (iterate 1's in the step's set-up).  The
+correction of iterate 1's u costs two inverse products (u and u_x; a
+lag loop's start needs no xx).  The converged step's trace gap
+max |u(., 0) - kappa(rho) - g| comes from the accepted rho's FFT;
+``run`` checks it against trace_tol.
 
 Each time level is a ``Level`` record, built once by ``make_level``: t,
 u, rho, the final solve's ``_bulk_fields`` of u (its rfft included),
@@ -115,19 +124,20 @@ normal-derivative term is a stencil sum, and only the fixed-point
 difference has interface terms, from one 1-D FFT and one batched inverse
 FFT.
 
-The bulk LU is LAPACK's ``dgttrf`` and its substitution ``zgttrs``, called
-by ctypes from the LAPACK numpy is linked against: numpy's wheels ship an
-ILP64 OpenBLAS, already loaded, that exports them as ``scipy_dgttrf_64_``
-and ``scipy_zgttrs_64_``.  So a run does not import scipy, which loads
-an OpenBLAS of its own.  Where numpy's library lacks the two symbols
-(another BLAS, a source build) they come from ``scipy.linalg.lapack``
-instead; ``_gt_lapack`` decides once, at import.
+The bulk operator's rows are scaled so that it is symmetric positive
+definite, and its factorization is LAPACK's ``dpttrf`` and its
+substitution ``dpttrs``, called by ctypes from the LAPACK numpy is
+linked against: numpy's wheels ship an ILP64 OpenBLAS, already loaded,
+that exports them as ``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_``.  So
+a run does not import scipy, which loads an OpenBLAS of its own.  Where
+numpy's library lacks the two symbols (another BLAS, a source build)
+they come from ``scipy.linalg.lapack`` instead; ``_pt_lapack`` decides
+once, at import.
 """
 from __future__ import annotations
 
 import ctypes
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -153,6 +163,7 @@ from .grids import (
     _require_finite,
     d_tangential_hats,
     l2_interface,
+    real_transforms,
 )
 from .identity import identity_residual_k0
 from .transform import (
@@ -286,7 +297,8 @@ def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if fields is None:
-        fields = _bulk_fields(u, np.fft.rfft(u, axis=0), grids)
+        x = real_transforms(grids.tangential.n_x).forward(u)
+        fields = _bulk_fields(u, x, grids, _complex(x))
     rho_hat, rho_x, rho_xx = _interface_transforms(rho, grids.tangential.n_x)
     return Level(t=t, u=u, rho=rho, fields=fields, u_hat=fields.hat, rho_hat=rho_hat, rho_x=rho_x,
                  rho_xx=rho_xx, Q=conserved_quantity(u, rho, cfg.cutoff(), grids), forcing=forcing)
@@ -359,7 +371,7 @@ def _prepare_step(bulk, u_old, fields_old, forcing_new, forcing_old, grids, fp_n
         base_rhs=u_old * inv_dt + theta * f_new, fp_norm=fp_norm)
 
 
-_REAL, _COMPLEX, _INT = np.dtype(np.float64), np.dtype(np.complex128), np.dtype(np.int64)
+_REAL = np.dtype(np.float64)
 _INT_P = ctypes.POINTER(ctypes.c_int64)
 
 
@@ -384,86 +396,84 @@ def _byref_int(value):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-class _Dgttrf:
-    """An ILP64 ``dgttrf`` by ctypes, with ``scipy.linalg.lapack.dgttrf``'s
-    arguments and results: (dl, d, du, du2, ipiv, info) = dgttrf(dl, d, du)
-    factors the tridiagonal matrix of float64 diagonals dl, d, du into new
-    arrays (the inputs are kept) with int64 pivots."""
+class _Dpttrf:
+    """An ILP64 ``dpttrf`` by ctypes, with ``scipy.linalg.lapack.dpttrf``'s
+    arguments and results: (d, e, info) = dpttrf(d, e) factors the
+    symmetric positive definite tridiagonal matrix of float64 diagonal d
+    and off-diagonal e as L D L^T into new arrays (the inputs are kept)."""
 
     def __init__(self, routine):
         self.routine = routine
 
-    def __call__(self, dl, d, du):
+    def __call__(self, d, e):
         n = np.size(d)
-        dl, d, du = (_checked(name, a, _REAL, size).copy() for name, a, size in
-                     (("dl", dl, max(n - 1, 0)), ("d", d, n), ("du", du, max(n - 1, 0))))
-        du2, ipiv, info = np.zeros(max(n - 2, 0)), np.zeros(n, np.int64), ctypes.c_int64()
-        self.routine(_byref_int(n), *map(_pointer, (dl, d, du, du2, ipiv)), ctypes.byref(info))
-        return dl, d, du, du2, ipiv, info.value
+        d, e = (_checked(name, a, _REAL, size).copy()
+                for name, a, size in (("d", d, n), ("e", e, max(n - 1, 0))))
+        info = ctypes.c_int64()
+        self.routine(_byref_int(n), _pointer(d), _pointer(e), ctypes.byref(info))
+        return d, e, info.value
 
 
-class _Zgttrs:
-    """An ILP64 ``zgttrs`` by ctypes, with ``scipy.linalg.lapack.zgttrs``'s
-    arguments but in place: (b, info) = zgttrs(dl, d, du, du2, ipiv, b)
-    overwrites b, whose entries in flat order are the right-hand sides of
-    the systems end to end, with the solution; dl, d, du and du2 are the
-    complex ``dgttrf`` factors and ipiv their int64 pivots.
+class _Dpttrs:
+    """An ILP64 ``dpttrs`` by ctypes, with ``scipy.linalg.lapack.dpttrs``'s
+    arguments but in place: (b, info) = dpttrs(d, e, b) overwrites b with
+    the solution.  d and e are the ``dpttrf`` factors of an n by n
+    system, and b, float64 and C-contiguous, holds nrhs = b.size / n
+    right-hand sides one after another in its flat order (LAPACK's
+    column-major (n, nrhs) array).
 
     The factors' arguments (their pointers, n, nrhs and ldb) are checked
     and built at their first solve and kept, with the factors, until a
-    solve passes other factor arrays: every solve of one ``_BulkLU``
-    passes the same ones, so a solve checks b and builds only its pointer.
-    ``bound`` is replaced whole, never edited, so concurrent solves read
-    consistent arguments.
+    solve passes other factor arrays or another nrhs: every solve of one
+    ``_BulkLU`` passes the same ones, so a solve checks b and builds only
+    its pointer.  ``bound`` is replaced whole, never edited, so concurrent
+    solves read consistent arguments.
     """
 
     def __init__(self, routine):
         self.routine = routine
-        # the bound factors, n, the arguments before b's and ldb
-        self.bound = (None,) * 5, 0, (), None
+        # the bound factors, nrhs, the arguments before b's, and ldb
+        self.bound = (None, None), 0, (), None
 
-    def __call__(self, dl, d, du, du2, ipiv, b):
-        factors = (dl, d, du, du2, ipiv)
-        bound, n, head, ldb = self.bound
-        if not all(map(operator.is_, factors, bound)):
-            n = np.size(d)
-            for name, a, dtype, size in (("dl", dl, _COMPLEX, n - 1), ("d", d, _COMPLEX, n),
-                                         ("du", du, _COMPLEX, n - 1),
-                                         ("du2", du2, _COMPLEX, n - 2), ("ipiv", ipiv, _INT, n)):
-                _checked(name, a, dtype, max(size, 0))
-            head = (b"N", _byref_int(n), _byref_int(1), *map(_pointer, factors))
+    def __call__(self, d, e, b):
+        n = np.size(d)
+        nrhs = np.size(b) // max(n, 1)
+        bound, bound_nrhs, head, ldb = self.bound
+        if not (d is bound[0] and e is bound[1] and nrhs == bound_nrhs):
+            _checked("d", d, _REAL, n)
+            _checked("e", e, _REAL, max(n - 1, 0))
+            head = (_byref_int(n), _byref_int(nrhs), _pointer(d), _pointer(e))
             ldb = _byref_int(max(n, 1))
-            self.bound = factors, n, head, ldb
-        _checked("b", b, _COMPLEX, n)
+            self.bound = (d, e), nrhs, head, ldb
+        _checked("b", b, _REAL, nrhs * n)
         info = ctypes.c_int64()
-        self.routine(*head, _pointer(b), ldb, ctypes.byref(info), 1)
+        self.routine(*head, _pointer(b), ldb, ctypes.byref(info))
         return b, info.value
 
 
-def _gt_lapack(lib):
-    """(dgttrf, zgttrs) of the bulk LU: ``_Dgttrf`` and ``_Zgttrs`` on
-    lib's ``scipy_dgttrf_64_`` and ``scipy_zgttrs_64_``, the names
+def _pt_lapack(lib):
+    """(dpttrf, dpttrs) of the bulk LU: ``_Dpttrf`` and ``_Dpttrs`` on
+    lib's ``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_``, the names
     OpenBLAS's ILP64 build for numpy and scipy gives them; if lib is None
-    or lacks either, ``scipy.linalg.lapack``'s, zgttrs made in place
+    or lacks either, ``scipy.linalg.lapack``'s, dpttrs made in place
     alike.  Both pairs give the same factors and solutions bitwise."""
     try:
-        factor, substitute = lib.scipy_dgttrf_64_, lib.scipy_zgttrs_64_
+        factor, substitute = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
     except AttributeError:
         from scipy.linalg import lapack
 
-        def zgttrs(dl, d, du, du2, ipiv, b):
-            x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b.reshape(-1, 1), overwrite_b=1)
-            return x.reshape(b.shape), info
+        def dpttrs(d, e, b):
+            # b's right-hand sides as the columns of a Fortran-ordered view
+            x, info = lapack.dpttrs(d, e, b.reshape(-1, np.size(d)).T, overwrite_b=1)
+            return x.T.reshape(b.shape), info
 
-        return lapack.dgttrf, zgttrs
+        return lapack.dpttrf, dpttrs
     factor.restype = substitute.restype = None
-    # dgttrf(N, DL, D, DU, DU2, IPIV, INFO)
-    factor.argtypes = [_INT_P] + [ctypes.c_void_p] * 5 + [_INT_P]
-    # zgttrs(TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO), then
-    # gfortran's hidden length of the character argument TRANS
-    substitute.argtypes = ([ctypes.c_char_p, _INT_P, _INT_P] + [ctypes.c_void_p] * 6
-                           + [_INT_P, _INT_P, ctypes.c_size_t])
-    return _Dgttrf(factor), _Zgttrs(substitute)
+    # dpttrf(N, D, E, INFO)
+    factor.argtypes = [_INT_P, ctypes.c_void_p, ctypes.c_void_p, _INT_P]
+    # dpttrs(N, NRHS, D, E, B, LDB, INFO)
+    substitute.argtypes = [_INT_P, _INT_P] + [ctypes.c_void_p] * 3 + [_INT_P, _INT_P]
+    return _Dpttrf(factor), _Dpttrs(substitute)
 
 
 def _numpy_lapack():
@@ -475,83 +485,93 @@ def _numpy_lapack():
         return None
 
 
-_dgttrf, _zgttrs = _gt_lapack(_numpy_lapack())
+_dpttrf, _dpttrs = _pt_lapack(_numpy_lapack())
 
 
-def _thomas_batched(dl, d, du, rhs, du2, ipiv):
-    """Solve with the complex ``dgttrf`` factors of tridiagonal systems
-    laid end to end, by one ``_zgttrs`` call, in place.
+def _thomas_batched(d, e, row_scale, rhs, dirichlet, mid):
+    """Solve the row-scaled bulk systems of the ``dpttrf`` factors (d, e)
+    for both blocks of the real layout at once, by one ``_dpttrs`` call.
 
-    rhs: complex128 and C-contiguous, the systems end to end in its flat
-    order; it is overwritten by the solution, which is returned in its
-    shape.  On numpy's LAPACK a rhs or factor of another dtype, layout or
-    length raises ValueError before the call.  The name and the
-    right-hand side as fourth positional argument are what
-    ``bench/workload.py`` traces the bulk solve by.
+    rhs: the unscaled right-hand side (2, modes, n_z), each mode's column
+    in z order and the modes end to end, real parts first; it is kept.
+    Its rows are scaled by ``row_scale`` (n_z,) into a new array whose
+    interface row ``mid`` holds the Dirichlet values ``dirichlet`` (2,
+    modes) and whose rows mid - 1 and mid + 1 gain them, the scaled
+    coupling of the interface row being -1.  Returns the solution, in
+    rhs's shape.  On numpy's LAPACK a factor or scaled right-hand side of
+    another dtype, layout or length raises ValueError before the call.
+    The name and the right-hand side as fourth positional argument are
+    what ``bench/workload.py`` traces the bulk solve by.
     """
-    x, info = _zgttrs(dl, d, du, du2, ipiv, rhs)
+    b = np.multiply(rhs, row_scale, order="C")
+    b[:, :, mid - 1] += dirichlet
+    b[:, :, mid] = dirichlet
+    b[:, :, mid + 1] += dirichlet
+    x, info = _dpttrs(d, e, b)
     if info != 0:
-        raise LinearSolveError(f"banded substitution failed (zgttrs info={info})")
+        raise LinearSolveError(f"banded substitution failed (dpttrs info={info})")
     return x
 
 
 class _BulkLU:
     """Per-mode implicit operator  1/dt + theta k^2 - theta a_mean(z) d_zz
-    on the whole column, LU-factored once (``run`` makes one per dt; see
-    the module docstring).  a_mean only preconditions the lag loop, which
+    on the whole column, factored once (``run`` makes one per dt; see the
+    module docstring).  a_mean only preconditions the lag loop, which
     solves the full frozen-coefficient system whatever it is; 1/dt
     (``inv_dt``) and theta are the step's.
 
     Each mode's column runs in z order, lower wall first, and the modes are
-    laid end to end, the layout of the solve's (modes, n_z) coefficients.
-    The interface row is an identity row holding the Dirichlet value; its
-    two neighbours' couplings to it move into their right-hand sides
-    (``couple``), so it couples to nothing and partial pivoting never
-    swaps it.  One real ``dgttrf`` factors every mode; its factors are
-    made complex once, for ``zgttrs``, and every solve passes the same
-    factor arrays, so ``_zgttrs`` builds their ctypes arguments once per
-    LU.  Raises LinearSolveError if the operator is singular.
+    laid end to end, the layout of one block of the solve's real layout
+    (2, modes, n_z) (``grids.RealTransforms``): the operator is real, so
+    the real and the imaginary parts are two right-hand sides of one
+    system.  Each row is scaled by dz^2 / (theta a_mean(z)), halved on the
+    walls, so every off-diagonal is -1; the interface row is an identity
+    row holding the Dirichlet value, and its two neighbours' couplings to
+    it move into their right-hand sides, so it couples to nothing.  The
+    scaled operator is then symmetric and diagonally dominant with a
+    decoupled Dirichlet row, so positive definite: one ``dpttrf`` factors
+    it, and every solve is one ``dpttrs`` call over both blocks with the
+    same factor arrays, whose ctypes arguments ``_dpttrs`` builds once per
+    LU.  Raises LinearSolveError unless a_mean > 0, or if the factorization
+    fails.  ``transforms`` are the grid's ``RealTransforms``.
     """
 
     def __init__(self, a_mean, inv_dt, theta, grids):
         n_z, mid, dz = grids.normal.n_z, grids.normal.i_mid, grids.normal.dz
-        self.shape = (grids.tangential.n_x // 2 + 1, n_z)  # (modes, n_z)
+        modes = grids.tangential.n_x // 2 + 1
+        self.shape = (2, modes, n_z)  # the real layout
+        self.transforms = real_transforms(grids.tangential.n_x)
         self.a_mean = a_mean
         self.inv_dt, self.theta = inv_dt, theta
         self.mid = mid
         self.dz = dz
-        off = theta * a_mean / dz**2
-        k2 = np.arange(self.shape[0], dtype=float) ** 2
-        diag = inv_dt + theta * k2[:, None] + 2.0 * off  # (modes, n_z)
-        lower = np.broadcast_to(-off, diag.shape).copy()  # row j's coefficient of u_{j-1}
-        upper = lower.copy()  # ... and of u_{j+1}
-        upper[:, 0] *= 2.0  # mirror-ghost walls: u_zz ~ 2(u_1 - u_0)/dz^2
-        lower[:, -1] *= 2.0
-        # the coefficients of the Dirichlet value in rows mid - 1 and mid + 1
-        self.couple = (upper[0, mid - 1], lower[0, mid + 1])
+        if not np.all(a_mean > 0.0):
+            raise LinearSolveError(f"bulk operator needs a_mean > 0, got min {float(np.min(a_mean))}")
+        scale = dz**2 / (theta * a_mean)
+        scale[[0, -1]] *= 0.5
+        scale[mid] = 1.0
+        self.row_scale = scale
+        k2 = np.arange(modes, dtype=float) ** 2
+        centre = np.full(n_z, 2.0)  # the scaled coefficient of u_j in -dz^2 u_zz ...
+        centre[[0, -1]] = 1.0  # ... halved on the mirror-ghost walls, u_zz ~ 2(u_1 - u_0)/dz^2
+        diag = (inv_dt + theta * k2[:, None]) * scale + centre  # (modes, n_z)
         diag[:, mid] = 1.0
-        lower[:, mid:mid + 2] = 0.0
-        upper[:, mid - 1:mid + 1] = 0.0
-        # no coupling between consecutive modes of the end-to-end layout
-        lower[:, 0] = 0.0
-        upper[:, -1] = 0.0
-        dl, d, du, du2, ipiv, info = _dgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+        off = -np.ones((modes, n_z))  # row j's coupling to row j + 1
+        off[:, mid - 1:mid + 1] = 0.0  # the Dirichlet row couples to nothing
+        off[:, -1] = 0.0  # nor does a mode's column to the next one's
+        d, e, info = _dpttrf(diag.ravel(), off.ravel()[:-1])
         if info != 0:
-            raise LinearSolveError(f"bulk operator is singular (dgttrf info={info})")
-        self.factors = (*(f.astype(complex) for f in (dl, d, du, du2)), ipiv)
+            raise LinearSolveError(f"bulk operator is not positive definite (dpttrf info={info})")
+        self.factors = (d, e)
 
-    def solve(self, rhs_hat, dir_hat):
-        """Per-mode solution (modes, n_z) for the right-hand side rhs_hat
-        (modes, n_z; the interface row is ignored) and the interface
-        Dirichlet values dir_hat (modes,).  Neither argument is changed,
-        and the interface row of the result is dir_hat."""
-        mid = self.mid
-        b = np.array(rhs_hat, dtype=complex, order="C")
-        b[:, mid - 1] -= self.couple[0] * dir_hat
-        b[:, mid] = dir_hat
-        b[:, mid + 1] -= self.couple[1] * dir_hat
-        dl, d, du, du2, ipiv = self.factors
-        return _thomas_batched(dl, d, du, b, du2, ipiv)
+    def solve(self, rhs, dirichlet):
+        """The real layout (2, modes, n_z) of the per-mode solution for
+        the right-hand side rhs (2, modes, n_z; the interface row is
+        ignored) and the interface Dirichlet values (2, modes), both in
+        the real layout.  Neither argument is changed, and the interface
+        row of the result is ``dirichlet``."""
+        d, e = self.factors
+        return _thomas_batched(d, e, self.row_scale, rhs, dirichlet, self.mid)
 
     @cached_property
     def dirichlet_response(self):
@@ -559,7 +579,9 @@ class _BulkLU:
         unit Dirichlet data, by one substitution on first use, so once per
         LU: the solution's first-order change under a change dd_hat of the
         Dirichlet data is w dd_hat, mode by mode.  Its interface row is 1."""
-        return self.solve(np.zeros(self.shape, dtype=complex), np.ones(self.shape[0])).real
+        unit = np.zeros(self.shape[:2])
+        unit[0] = 1.0
+        return self.solve(np.zeros(self.shape), unit)[0].copy()
 
     @cached_property
     def jump_response(self):
@@ -574,15 +596,17 @@ class _BulkLU:
                 + (w[:, mid + 2] + w[:, mid - 2])) / (2.0 * self.dz)
 
 
-def _d_z(v, grids):
+def _d_z(v, grids, out=None):
     """Centred d_z along the last axis of the real field v (any memory
-    layout); 0 on the walls (Neumann) and on the interface row.  Taken on
-    the flattened field, whose differences reach across x rows only on the
+    layout), into ``out`` (a new array if None; v itself is allowed); 0
+    on the walls (Neumann) and on the interface row.  Taken on the
+    flattened field, whose differences reach across x rows only on the
     wall rows, which are then set."""
     dz, mid = grids.normal.dz, grids.normal.i_mid
-    f, out = np.ravel(v), np.empty(v.shape)
+    f = np.ravel(v)
+    out = np.empty(v.shape) if out is None else out
     flat = out.reshape(-1)
-    np.subtract(f[2:], f[:-2], out=flat[1:-1])
+    np.subtract(f[2:], f[:-2], out=flat[1:-1])  # numpy buffers an overlap of v and out
     flat[1:-1] /= 2.0 * dz
     out[:, 0] = out[:, mid] = out[:, -1] = 0.0
     return out
@@ -591,9 +615,10 @@ def _d_z(v, grids):
 def _lagged_fields(v, v_x, grids):
     """(v_zz, v_xz, v_z) of the bulk field v with tangential derivative
     ``v_x``, the derivatives the lagged part of the operator reads: v_xz is
-    ``_d_z`` of v_x, v_zz (mirror-ghost walls, on the flattened field as
-    in ``_d_z``) and v_z are stencils on v.  Interface rows are zero; no
-    finiteness check."""
+    ``_d_z`` of v_x, taken in place (v_x, C-contiguous, is overwritten),
+    v_zz (mirror-ghost walls, on the flattened field as in ``_d_z``) and
+    v_z are stencils on v.  Interface rows are zero; no finiteness
+    check."""
     dz, mid = grids.normal.dz, grids.normal.i_mid
     f = np.ravel(v)
     v_zz = np.empty(v.shape)
@@ -601,25 +626,47 @@ def _lagged_fields(v, v_x, grids):
     v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
-    return v_zz, _d_z(v_x, grids), _d_z(v, grids)
+    return v_zz, _d_z(v_x, grids, out=v_x), _d_z(v, grids)
 
 
-def _bulk_fields(v, v_hat, grids):
-    """(v_xx, v_zz, v_xz, v_z, v_hat) of the bulk field v with rfft
-    ``v_hat``, as a ``_Fields``: v_x and v_xx come from one stacked
-    inverse transform, the rest are ``_lagged_fields`` (v_xz from v_x).
-    The interface row of every derivative is zero: the solve ignores it,
-    and the operator's value there is replaced by the Dirichlet condition.
-    v_hat rides along for the fixed-point norm.
-    """
-    v_x, v_xx = d_tangential_hats(v_hat, v.shape[0], ((1,), (2,)))
+def _complex(x):
+    """The complex (modes, ...) coefficients of the real layout x."""
+    hat = np.empty(x.shape[1:], dtype=complex)
+    hat.real, hat.imag = x
+    return hat
+
+
+def _real_layout(hat):
+    """The real layout (2, modes, ...) of the complex coefficients hat."""
+    return np.stack((hat.real, hat.imag))
+
+
+def _bulk_fields(v, x, grids, hat=None):
+    """(v_xx, v_zz, v_xz, v_z, hat) of the bulk field v whose rfft along x
+    has the real layout x, as a ``_Fields``: v_x and v_xx come from one
+    stacked inverse product (``RealTransforms.derivatives``), and v_xz,
+    ``_d_z`` of v_x, is taken in place of v_x, so the field set holds
+    the one buffer whole; the rest are ``_lagged_fields``.  The interface
+    row of every derivative is zero: the solve ignores it, and the
+    operator's value there is replaced by the Dirichlet condition.  hat,
+    the complex coefficients (for the fixed-point norm and the level
+    records), rides along."""
+    v_x, v_xx = real_transforms(v.shape[0]).derivatives(x)
     v_xx[:, grids.normal.i_mid] = 0.0
-    return _Fields(v_xx, *_lagged_fields(v, v_x, grids), v_hat)
+    return _Fields(v_xx, *_lagged_fields(v, v_x, grids), hat)
 
 
-def _interior_operator(coef, fields):
+def _operator_terms(coef, fields):
+    """(v_xx, a v_zz, B v_xz, c v_z) of the field v whose ``_bulk_fields``
+    are ``fields``: the terms of ``_interior_operator``.  The lag loop's
+    next right-hand side reuses the last two."""
+    return fields.xx, coef.a * fields.zz, coef.B * fields.xz, coef.c * fields.z
+
+
+def _interior_operator(coef, fields, terms=None):
     """Apply Lap' + a d_zz - B d_xz - c d_z on all rows except z = 0 to
-    the field v whose ``_bulk_fields`` are ``fields``.
+    the field v whose ``_bulk_fields`` are ``fields`` (or whose
+    ``_operator_terms`` are ``terms``, if given).
 
     Valid on interior rows (centered stencils) and walls (mirror-ghost
     d_zz, Neumann d_z = 0); the interface row of the result is zero and
@@ -629,9 +676,9 @@ def _interior_operator(coef, fields):
     residual (the norm of the sum vanishes at a steady solution).  No
     finiteness check.
     """
-    terms = (fields.xx, coef.a * fields.zz, -coef.B * fields.xz, -coef.c * fields.z)
-    out = terms[0] + terms[1] + terms[2] + terms[3]
-    return out, sum(np.linalg.norm(t) for t in terms)
+    xx, a_zz, b_xz, c_z = _operator_terms(coef, fields) if terms is None else terms
+    return xx + a_zz - b_xz - c_z, (np.linalg.norm(xx) + np.linalg.norm(a_zz)
+                                    + np.linalg.norm(b_xz) + np.linalg.norm(c_z))
 
 
 def temperature_step(step, coef, *, dirichlet, start, fp_diff):
@@ -649,23 +696,31 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     data.
 
     Returns (u_new, final_residual, lag_iterations, fields): fields are
-    u_new's ``_bulk_fields``, its rfft included, which a solve
-    warm-started from u_new and the fixed-point norm reuse, and
-    lag_iterations counts every operator application, GMRES's included.
-    Raises LinearSolveError if the solve cannot reach
-    ``SolverConfig.lin_tol`` and NonFiniteFieldError on a non-finite iterate.
+    u_new's ``_bulk_fields``, its complex rfft included (assembled once,
+    from the real layout of the final solve), which a solve warm-started
+    from u_new and the fixed-point norm reuse, and lag_iterations counts
+    every operator application, GMRES's included.  Raises
+    LinearSolveError if the solve cannot reach ``SolverConfig.lin_tol``
+    and NonFiniteFieldError on a non-finite iterate.
 
-    Each lag iteration makes one forward transform (of its right-hand
-    side) and two inverse ones: u_new, and u_x stacked with u_xx, come
-    from the solve's Fourier coefficients (``_bulk_fields``).  The fields
-    serve the residual and, unchanged, the next iteration's lagged terms.
+    Every bulk solve works on the real layout of the tangential modes
+    (``grids.RealTransforms``).  A lag iteration makes one forward
+    product (its right-hand side), one ``dpttrs`` substitution over both
+    blocks and two inverse products: u_new, and u_x stacked with u_xx
+    (``_bulk_fields``).  The fields serve the residual and, unchanged,
+    the next iteration's lagged terms, whose B u_xz and c u_z are the
+    residual's own products.  An iterate is checked for finiteness
+    through its relative residual, which any non-finite entry of u_new
+    makes non-finite: only then is u_new searched for the entry
+    (``_require_finite``), so the error names the lag iteration and the
+    index.
 
     Exit rule.  Every solve ends with ``full residual <= lin_tol``, checked
     on the returned u.  When ``fp_diff``, the last fixed-point difference,
     is finite, the loop, once the residual test holds, also measures the
     last lag update in the step's fixed-point norm (``state_energy_k0`` on
-    the update's Fourier coefficients x_hat - prev_hat and without the
-    interface terms, which are 0: no transform).  It accepts when that
+    the update's Fourier coefficients and without the interface terms,
+    which are 0: no transform).  It accepts when that
     update is at most WARM_FP_FRACTION of ``fp_diff`` or WARM_TOL_FRACTION
     of fp_tol, or is no smaller than the update before it (the roundoff
     floor).  A residual test alone would end warm solves at residuals far
@@ -682,14 +737,15 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     does not bound the full residual), within the one budget of
     ``lin_max_iter`` operator applications; its Krylov basis holds at most
     that many fields.  An application builds only the ``_lagged_fields``
-    of its vector: two inverse transforms, with that of the solve.
+    of its vector: two forward and two inverse products (u_x, and that of
+    the solve).
     """
     grids, bulk = step.grids, step.bulk
+    transforms = bulk.transforms
     inv_dt, theta = bulk.inv_dt, bulk.theta
     u_old, f_new = step.u, step.f_new
     lin_tol, max_iter = SolverConfig.lin_tol, SolverConfig.lin_max_iter
     mid = grids.normal.i_mid
-    n_x = grids.tangential.n_x
     a_fluct = coef.a - bulk.a_mean[None, :]  # the lagged part of a
 
     base_rhs = step.base_rhs
@@ -699,13 +755,14 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
         old_part = (1.0 - theta) * (L_old + step.f_old)  # the old level's explicit share
         base_rhs = base_rhs + old_part
 
-    dir_hat = np.fft.rfft(dirichlet)
+    dir_x = _real_layout(np.fft.rfft(dirichlet))
 
-    def measure(u_new, u_hat):
-        """u_new's fields, its full residual field and the relative full
-        residual."""
-        fields = _bulk_fields(u_new, u_hat, grids)
-        L_new, scale_new = _interior_operator(coef, fields)
+    def measure(u_new, fields, what):
+        """u_new's operator terms, its full residual field and the
+        relative full residual; a non-finite residual raises, naming
+        ``what`` and u_new's first non-finite entry if it has one."""
+        terms = _operator_terms(coef, fields)
+        L_new, scale_new = _interior_operator(coef, fields, terms)
         r = (u_new - u_old) * inv_dt - theta * (L_new + f_new)
         if theta < 1.0:
             r = r - old_part
@@ -716,13 +773,16 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
         scale = (inv_dt * max(np.linalg.norm(u_new), step.norm_u)
                  + theta * scale_new + (1.0 - theta) * scale_old
                  + step.norm_f + 1e-300)
-        return fields, r, np.linalg.norm(r) / scale
+        residual = np.linalg.norm(r) / scale
+        if not math.isfinite(residual):
+            _require_finite(u_new, what)
+        return terms, r, residual
 
-    def lag_solve(zz, xz, z, rhs, dir_values):
-        """Fourier coefficients of M^-1 (rhs + N v), v the field whose
-        ``_lagged_fields`` are (zz, xz, z)."""
-        rhs = rhs + theta * (a_fluct * zz - coef.B * xz - coef.c * z)
-        return bulk.solve(np.fft.rfft(rhs, axis=0), dir_values)
+    def lag_solve(zz, b_xz, c_z, rhs, dir_values):
+        """Real-layout coefficients of M^-1 (rhs + N v), v the field with
+        v_zz = zz, B v_xz = b_xz and c v_z = c_z."""
+        return bulk.solve(transforms.forward(rhs + theta * (a_fluct * zz - b_xz - c_z)),
+                          dir_values)
 
     def krylov(u_new, r, used):
         """Iterative refinement by GMRES from u_new with full residual r:
@@ -730,18 +790,19 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
         and adds d, until the full residual reaches lin_tol."""
         from scipy.sparse.linalg import LinearOperator, gmres  # only stalled solves need it
         matvecs = 0
-        zero_dir = np.zeros_like(dir_hat)
+        zero_dir = np.zeros_like(dir_x)
 
         def inv_m(v):
-            return np.fft.irfft(bulk.solve(np.fft.rfft(v, axis=0), zero_dir), n=n_x, axis=0)
+            return transforms.inverse(bulk.solve(transforms.forward(v), zero_dir))
 
         def apply(v):
             nonlocal matvecs
             matvecs += 1
             v = v.reshape(grids.shape)
-            v_x = d_tangential_hats(np.fft.rfft(v, axis=0), n_x, ((1,),))[0]
-            lagged = lag_solve(*_lagged_fields(v, v_x, grids), 0.0, zero_dir)
-            return (v - np.fft.irfft(lagged, n=n_x, axis=0)).ravel()
+            v_x = transforms.derivatives(transforms.forward(v), 1)[0]
+            zz, xz, z = _lagged_fields(v, v_x, grids)
+            lagged = lag_solve(zz, coef.B * xz, coef.c * z, 0.0, zero_dir)
+            return (v - transforms.inverse(lagged)).ravel()
 
         op = LinearOperator((u_new.size,) * 2, matvec=apply, dtype=float)
         residual = np.inf
@@ -751,10 +812,11 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
             d = d.reshape(grids.shape)
             d[:, mid] = 0.0
             u_new = u_new + d
-            _require_finite(u_new, "temperature iterate (GMRES)")
-            fields, r, residual = measure(u_new, np.fft.rfft(u_new, axis=0))
+            x = transforms.forward(u_new)
+            fields = _bulk_fields(u_new, x, grids)
+            _, r, residual = measure(u_new, fields, "temperature iterate (GMRES)")
             if residual <= lin_tol:
-                return u_new, float(residual), used + matvecs, fields
+                return u_new, float(residual), used + matvecs, fields._replace(hat=_complex(x))
         raise LinearSolveError(
             f"temperature solve stalled: GMRES reached relative residual {residual:.3e} "
             f"within {max_iter} operator applications (lin_tol={lin_tol:.1e})",
@@ -765,23 +827,26 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     # the update test below reads the start's hat, which an extrapolated
     # start (``_extrapolate``) leaves None: such a start must skip the test
     assert fields.hat is not None or fp_diff == np.inf, "start without hat needs fp_diff inf"
+    start_hat, x_prev = fields.hat, None  # the coefficients of the iterate before
+    b_xz, c_z = coef.B * fields.xz, coef.c * fields.z
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, max_iter + 1):
-        x_hat = lag_solve(fields.zz, fields.xz, fields.z, base_rhs, dir_hat)
-        u_new = np.fft.irfft(x_hat, n=n_x, axis=0)
-        _require_finite(u_new, f"temperature iterate (lag iteration {it})")
-        prev_hat = fields.hat
-        fields, r, residual = measure(u_new, x_hat)
+        x = lag_solve(fields.zz, b_xz, c_z, base_rhs, dir_x)
+        u_new = transforms.inverse(x)
+        fields = _bulk_fields(u_new, x, grids)
+        (_, _, b_xz, c_z), r, residual = measure(
+            u_new, fields, f"temperature iterate (lag iteration {it})")
         if residual <= lin_tol:
             if fp_diff == np.inf or it == max_iter:
-                return u_new, float(residual), it, fields
+                return u_new, float(residual), it, fields._replace(hat=_complex(x))
             # measured only once the residual test holds
-            update = np.sqrt(state_energy_k0(u_new - u_prev, x_hat - prev_hat, None, step.fp_norm))
+            d_hat = _complex(x) - start_hat if x_prev is None else _complex(x - x_prev)
+            update = np.sqrt(state_energy_k0(u_new - u_prev, d_hat, None, step.fp_norm))
             if (update <= WARM_FP_FRACTION * fp_diff
                     or update <= WARM_TOL_FRACTION * SolverConfig.fp_tol
                     or update >= last_update):
-                return u_new, float(residual), it, fields
+                return u_new, float(residual), it, fields._replace(hat=_complex(x))
             last_update = update
         else:
             if best is None or residual < best[0]:
@@ -789,7 +854,7 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
             if len(residuals) >= STALL_WINDOW and residual >= residuals[-STALL_WINDOW]:
                 return krylov(best[1], best[2], it)
         residuals.append(residual)
-        u_prev = u_new
+        u_prev, x_prev = u_new, x
     raise LinearSolveError(
         f"temperature solve stalled at relative residual {residual:.3e} "
         f"after {max_iter} lag iterations (lin_tol={lin_tol:.1e})",
@@ -909,7 +974,7 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
     for the change from its Dirichlet data to iterate 2's (computed once,
     and handed to iterate 2) by the LU's ``dirichlet_response``, its
     uncorrected fields dropped first; the corrected u and its lagged
-    fields (from one inverse transform of u and one of u_x) start
+    fields (from one inverse product for u and one for u_x) start
     iterate 2's lag loop and are what iterate 2's difference is measured
     against.  Each later rho_m is the ``_Secant`` mix of the last two
     iterates.  The coefficients are frozen at the theta blend of rho_m
@@ -982,8 +1047,9 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
             u_hat = fields_next.hat
             u_hat += bulk.dirichlet_response * np.fft.rfft(d_next - dirichlet)[:, None]
             u_next = fields_next = start = None  # drop the uncorrected fields first
-            u_next = np.fft.irfft(u_hat, n=n_x, axis=0)
-            u_x = d_tangential_hats(u_hat, n_x, ((1,),))[0]
+            x = _real_layout(u_hat)
+            u_next = bulk.transforms.inverse(x)
+            u_x = bulk.transforms.derivatives(x, 1)[0]
             fields_next = _Fields(None, *_lagged_fields(u_next, u_x, grids), u_hat)
         u_m, fields_m = u_next, fields_next
         start = (u_m, fields_m)
@@ -1070,7 +1136,8 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     current dt (see the module docstring for both).  A level keeps its
     fields' zz, xz and z while a predictor can still read them, and their
     xx and its forcing only while it is the newest (their hat is the
-    reports' ``u_hat``).
+    reports' ``u_hat``); its xz, which shares one buffer with xx, is
+    copied out when xx is dropped, so no dead xx stays behind.
     Within the step it mixes the interface iterates by a secant step and
     stops on the unmixed pair, so the accepted state is an output of the
     step's map.
@@ -1128,8 +1195,9 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
             # the next step reads this level's fields and forcing, its
             # predictor the lagged fields of the two levels before it
             if len(history) >= 2:
-                older = history[-2]
-                older.fields, older.forcing = older.fields._replace(xx=None), None
+                older = history[-2]  # its xz, copied out, frees the buffer it shares with xx
+                older.fields = older.fields._replace(xx=None, xz=older.fields.xz.copy())
+                older.forcing = None
             if len(history) >= 4:
                 history[-4].fields = None
             report = _make_report(history, cfg, steady_level, step_report, compute_identity)

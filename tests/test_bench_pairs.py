@@ -78,8 +78,28 @@ def test_summary_gives_the_exact_work_counts_of_the_traced_lines(bench_pairs):
         "transform.coefficients.calls": {"parent": 1029, "change": 1029},
         "stepper.fp_iters_per_step": {"parent": 2.058, "change": 2.058},
         "stepper.lag_iters_per_solve": {"parent": 1.0836, "change": 1.0826},
+        "moved": ["stepper.bulk_solve.calls", "stepper.bulk_solve.unknowns",
+                  "stepper.lag_iters_per_solve"],
     }
     assert set(summary["mms-column"]) == set(bench_pairs.END_TO_END) | {"work"}
+
+
+def test_summary_names_the_work_counts_that_moved(bench_pairs):
+    # a layout that doubles the unknowns of the same solves and a roundoff
+    # move of the lag iterations are named; equal counts, timings and
+    # per-layer times are not, whatever their values
+    common = {"stepper.bulk_solve.calls": 785, "stepper.fp_iters_per_step": 5.05,
+              "stepper.interior_operator.calls": 986}
+    parent = traced({**common, "stepper.bulk_solve.unknowns": 3429665,
+                     "stepper.lag_iters_per_solve": 3.881, "stepper.bulk_solve.self_s": 0.1})
+    change = traced({**common, "stepper.bulk_solve.unknowns": 6859330,
+                     "stepper.lag_iters_per_solve": 4.089, "stepper.bulk_solve.self_s": 0.2})
+    runs = paired_runs(bench_pairs, PARENT[:2], PARENT[:2])
+    work = bench_pairs.summarize(runs, {"mms-column": {"parent": parent, "change": change}})[
+        "mms-column"]["work"]
+    assert work["moved"] == ["stepper.bulk_solve.unknowns", "stepper.lag_iters_per_solve"]
+    same = bench_pairs.summarize(runs, {"mms-column": {"parent": parent, "change": parent}})
+    assert same["mms-column"]["work"]["moved"] == []
 
 
 def paired_runs(bench_pairs, parent, change):
@@ -176,4 +196,4 @@ def test_each_pair_runs_every_workload_before_the_next_pair(bench_pairs, tmp_pat
         ("parent", 101), ("change", 101), ("change", 202), ("parent", 202)]
     assert set(report["summary"]) == {"w1", "w2"}
     assert report["summary"]["w2"]["run_s"]["change_lower_in"] == "0/2"
-    assert report["summary"]["w2"]["work"] == {}  # the stand-in lines trace no counts
+    assert report["summary"]["w2"]["work"] == {"moved": []}  # the stand-in lines trace no counts

@@ -7,6 +7,7 @@ import pytest
 
 from stefansim import stepper
 from stefansim.errors import NonFiniteFieldError
+from stefansim.grids import RealTransforms
 from stefansim.identity import identity_residual_k0, model_energy
 from stefansim.stepper import SolverConfig, compatible_initial_temperature, run
 
@@ -138,20 +139,25 @@ def test_report_matches_the_literal_evaluator(eps):
 
 def test_one_call_transforms_each_field_once(monkeypatch):
     # u and rho of each level are transformed once, when its record is
-    # built; the evaluator makes no forward transform (rho_t's and u_n's
-    # come from the levels') and no checked derivative: run checks each
-    # accepted state once
+    # built (rho by numpy's rfft, u by the forward product); the evaluator
+    # makes no forward transform (rho_t's and u_n's come from the levels')
+    # and no checked derivative: run checks each accepted state once
     count = {"rfft": 0}
-    real = np.fft.rfft
+    real, real_forward = np.fft.rfft, RealTransforms.forward
 
     def counting(*args, **kwargs):
         count["rfft"] += 1
         return real(*args, **kwargs)
 
+    def counting_forward(self, v):
+        count["rfft"] += 1
+        return real_forward(self, v)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("d_tangential called")
 
     monkeypatch.setattr(np.fft, "rfft", counting)
+    monkeypatch.setattr(RealTransforms, "forward", counting_forward)
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("stefansim") and hasattr(mod, "d_tangential"):
             monkeypatch.setattr(mod, "d_tangential", forbidden)

@@ -29,7 +29,7 @@ from stefansim.errors import (
     ResolutionWarning,
 )
 from stefansim.functionals import EnergyNormK0, evaluate_functionals, state_energy_k0
-from stefansim.grids import d_tangential
+from stefansim.grids import RealTransforms, d_tangential, real_transforms
 from stefansim.identity import identity_residual_k0
 from stefansim.stepper import (
     SolverConfig,
@@ -123,13 +123,29 @@ def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
                             **cold_start(step))
 
 
+def real_layout(hat):
+    """The real layout (2, modes, ...) of the complex coefficients hat."""
+    return np.stack((hat.real, hat.imag))
+
+
+def complex_of(x):
+    """The complex coefficients of the real layout x."""
+    return x[0] + 1j * x[1]
+
+
+def fields_of(v, grids):
+    """v's ``_bulk_fields``, built as ``make_level`` builds them: from the
+    forward product of v, whose complex form rides along."""
+    x = real_transforms(grids.tangential.n_x).forward(v)
+    return stepper._bulk_fields(v, x, grids, stepper._complex(x))
+
+
 def prepare_step(a_mean, u_old, f_new, f_old, inv_dt, theta, grids, fp_norm=None):
     """``stepper._prepare_step`` from u_old alone, with the operator
     factored at a_mean: u_old's fields are built here, as ``make_level``
     builds them."""
-    fields = stepper._bulk_fields(u_old, np.fft.rfft(u_old, axis=0), grids)
-    return stepper._prepare_step(stepper._BulkLU(a_mean, inv_dt, theta, grids), u_old, fields,
-                                 f_new, f_old, grids, fp_norm=fp_norm)
+    return stepper._prepare_step(stepper._BulkLU(a_mean, inv_dt, theta, grids), u_old,
+                                 fields_of(u_old, grids), f_new, f_old, grids, fp_norm=fp_norm)
 
 
 def cold_start(step):
@@ -140,8 +156,7 @@ def cold_start(step):
 
 def bulk_operator(v, coef, grids):
     """``_interior_operator`` on v with v's fields built afresh."""
-    fields = stepper._bulk_fields(v, np.fft.rfft(v, axis=0), grids)
-    return stepper._interior_operator(coef, fields)
+    return stepper._interior_operator(coef, fields_of(v, grids))
 
 
 def test_temperature_step_matches_dense_flat_solve():
@@ -153,10 +168,16 @@ def test_temperature_step_matches_dense_flat_solve():
     u_new, residual, lag_iters, fields = solve_alone(
         zeros, zeros, u_old, cfg, grids, cutoff)
     assert residual <= cfg.lin_tol
-    # the fields a warm start from u_new reuses are u_new's own
-    ref = stepper._bulk_fields(u_new, np.fft.rfft(u_new, axis=0), grids)
-    for got, want in zip(fields, ref, strict=True):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the fields a warm start from u_new reuses are u_new's own.  u_new does
+    # not vary in x, so its xx and xz are zero up to the roundoff of the
+    # transform products, on both sides; the rest agree to 1e-12 of their own
+    # size
+    ref = fields_of(u_new, grids)
+    for name, got, want in zip(ref._fields, fields, ref, strict=True):
+        if name in ("xx", "xz"):
+            assert max(np.abs(got).max(), np.abs(want).max()) <= 1e-13 * np.abs(u_new).max()
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
     dense = dense_flat_reference(np.cos(np.pi * z), cfg.dt, 17)
     assert np.abs(u_new - dense[None, :]).max() < 1e-12
 
@@ -201,7 +222,7 @@ def test_bulk_solve_matches_dense_half_strips(n_z, theta, inv_dt):
     dir_hat = np.fft.rfft(rng.standard_normal(cfg.n_x))
 
     bulk = _BulkLU(a_mean, inv_dt, theta, grids)
-    x_hat = bulk.solve(rhs_hat, dir_hat)
+    x_hat = complex_of(bulk.solve(real_layout(rhs_hat), real_layout(dir_hat)))
     mid, dz = grids.normal.i_mid, grids.normal.dz
     halves = (np.arange(mid, n_z), np.arange(mid, -1, -1))  # interface outward
     sigma_ref = np.zeros(cfg.n_x // 2 + 1)
@@ -221,46 +242,48 @@ def test_bulk_solve_matches_dense_half_strips(n_z, theta, inv_dt):
 @pytest.mark.parametrize("n_z", [17, 257])
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_bulk_solve_keeps_its_arguments_and_the_dirichlet_row(n_z, theta):
-    # the solve works on its own copy of rhs_hat (callers reuse theirs), and
-    # the interface row is an identity row holding dir_hat exactly
+    # the solve works on its own scaled copy of rhs (callers reuse theirs),
+    # and the interface row is an identity row holding dirichlet exactly, in
+    # both blocks of the real layout
     cfg = SolverConfig(n_x=16, n_z=n_z, theta=theta)
     grids = cfg.grids()
     z = grids.normal.nodes
     bulk = stepper._BulkLU(1.0 + 0.3 * np.cos(np.pi * z), 1e2, theta, grids)
     rng = np.random.default_rng(3)
-    rhs_hat = np.fft.rfft(rng.standard_normal(grids.shape), axis=0)
-    dir_hat = np.fft.rfft(rng.standard_normal(cfg.n_x))
-    rhs_copy, dir_copy = rhs_hat.copy(), dir_hat.copy()
-    x_hat = bulk.solve(rhs_hat, dir_hat)
-    assert np.array_equal(rhs_hat.view(np.uint64), rhs_copy.view(np.uint64))
-    assert np.array_equal(dir_hat.view(np.uint64), dir_copy.view(np.uint64))
-    row = np.ascontiguousarray(x_hat[:, grids.normal.i_mid])
-    assert np.array_equal(row.view(np.uint64), dir_hat.view(np.uint64))
+    rhs = real_layout(np.fft.rfft(rng.standard_normal(grids.shape), axis=0))
+    dirichlet = real_layout(np.fft.rfft(rng.standard_normal(cfg.n_x)))
+    rhs_copy, dir_copy = rhs.copy(), dirichlet.copy()
+    x = bulk.solve(rhs, dirichlet)
+    assert x.shape == rhs.shape == bulk.shape and x.dtype == np.float64
+    assert np.array_equal(rhs.view(np.uint64), rhs_copy.view(np.uint64))
+    assert np.array_equal(dirichlet.view(np.uint64), dir_copy.view(np.uint64))
+    row = np.ascontiguousarray(x[:, :, grids.normal.i_mid])
+    assert np.array_equal(row.view(np.uint64), dirichlet.view(np.uint64))
 
 
 # (name, SolverConfig overrides) of the benchmark's bulk operators: 33 modes
 # of 65 nodes (decay-k1) and 17 modes of 257 (mms-column)
 BULK_OPERATORS = {"decay-k1": dict(n_x=64, n_z=65, theta=1.0, dt=1e-3),
                   "mms-column": dict(n_x=32, n_z=257, theta=0.5, dt=0.01)}
-numpy_lapack = pytest.mark.skipif(not isinstance(stepper._zgttrs, stepper._Zgttrs),
-                                  reason="numpy's LAPACK lacks scipy_dgttrf_64_/scipy_zgttrs_64_")
+numpy_lapack = pytest.mark.skipif(not isinstance(stepper._dpttrs, stepper._Dpttrs),
+                                  reason="numpy's LAPACK lacks scipy_dpttrf_64_/scipy_dpttrs_64_")
 
 
 def bulk_diagonals(monkeypatch, name):
-    """The (dl, d, du) that ``_BulkLU`` factors for the operator ``name``
-    at a non-flat interface, caught on their way to ``_dgttrf``."""
+    """The (d, e) that ``_BulkLU`` factors for the operator ``name`` at a
+    non-flat interface, caught on their way to ``_dpttrf``."""
     cfg = SolverConfig(**BULK_OPERATORS[name])
     grids, cutoff = cfg.grids(), cfg.cutoff()
     x = grids.tangential.nodes
     rho = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
     a_mean = coefficients(rho, np.zeros_like(rho), cutoff, grids, rho_x=d_tangential(rho, 1),
                           rho_xx=d_tangential(rho, 2)).a.mean(axis=0)
-    seen, real = [], stepper._dgttrf
-    monkeypatch.setattr(stepper, "_dgttrf", lambda *args: seen.append(args) or real(*args))
+    seen, real = [], stepper._dpttrf
+    monkeypatch.setattr(stepper, "_dpttrf", lambda *args: seen.append(args) or real(*args))
     stepper._BulkLU(a_mean, 1.0 / cfg.dt, cfg.theta, grids)
     monkeypatch.undo()
     (diagonals,) = seen
-    assert diagonals[1].size == (cfg.n_x // 2 + 1) * cfg.n_z
+    assert diagonals[0].size == (cfg.n_x // 2 + 1) * cfg.n_z
     return diagonals
 
 
@@ -269,14 +292,15 @@ def same_bits(a, b):
                                                  np.ascontiguousarray(b).view(np.uint8))
 
 
-def factor_and_solve(dgttrf, zgttrs, diagonals, rhs):
-    """The real factors and pivots of ``dgttrf`` and the solution of their
-    complex copies for rhs by ``zgttrs``, as ``_BulkLU`` uses them."""
-    *factors, ipiv, info = dgttrf(*diagonals)
+def factor_and_solve(dpttrf, dpttrs, diagonals, rhs):
+    """The ``dpttrf`` factors of the diagonals and the solution for rhs
+    (both blocks of the real layout at once) by ``dpttrs``, as ``_BulkLU``
+    uses them."""
+    d, e, info = dpttrf(*diagonals)
     assert info == 0
-    x, info = zgttrs(*(f.astype(complex) for f in factors), ipiv, rhs.copy())
+    x, info = dpttrs(d, e, rhs.copy())
     assert info == 0
-    return factors, ipiv, x
+    return (d, e), x
 
 
 @numpy_lapack
@@ -284,73 +308,74 @@ def factor_and_solve(dgttrf, zgttrs, diagonals, rhs):
 def test_numpy_lapack_binding_matches_the_scipy_fallback_bitwise(monkeypatch, name):
     # the resolver falls back to scipy's own routines for no library and
     # for one without both ILP64 symbols
-    for lib in (None, SimpleNamespace(scipy_dgttrf_64_=None)):
-        fallback = stepper._gt_lapack(lib)
-        assert fallback[0] is lapack.dgttrf
+    for lib in (None, SimpleNamespace(scipy_dpttrf_64_=None)):
+        fallback = stepper._pt_lapack(lib)
+        assert fallback[0] is lapack.dpttrf
     diagonals = bulk_diagonals(monkeypatch, name)
-    n = diagonals[1].size
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    factors, ipiv, x = factor_and_solve(stepper._dgttrf, stepper._zgttrs, diagonals, rhs)
-    ref_factors, ref_ipiv, ref_x = factor_and_solve(*fallback, diagonals, rhs)
+    n = diagonals[0].size
+    rhs = np.random.default_rng(5).standard_normal((2, n))
+    factors, x = factor_and_solve(stepper._dpttrf, stepper._dpttrs, diagonals, rhs)
+    ref_factors, ref_x = factor_and_solve(*fallback, diagonals, rhs)
     assert all(map(same_bits, factors, ref_factors))
-    assert ipiv.dtype == np.int64 and np.array_equal(ipiv, ref_ipiv)
-    assert same_bits(x, ref_x)
+    assert x.shape == rhs.shape and same_bits(x, ref_x)
     # the factored diagonals are kept, as scipy's wrapper keeps them
     assert all(map(same_bits, diagonals, bulk_diagonals(monkeypatch, name)))
 
 
-def test_singular_bulk_operator_raises_with_dgttrf_info():
-    # with a = 0 and 1/dt = 0 the k = 0 mode's rows are all zero but the
-    # interface row: the first pivot vanishes
+def test_indefinite_bulk_operator_raises_with_dpttrf_info():
+    # with a negative 1/dt the first pivot is negative; an a_mean that is
+    # not positive everywhere has no row scale and is refused before
     grids = SolverConfig(n_x=16, n_z=17).grids()
-    with pytest.raises(LinearSolveError, match=r"dgttrf info=1\)"):
-        stepper._BulkLU(np.zeros(17), 0.0, 1.0, grids)
+    with pytest.raises(LinearSolveError, match=r"not positive definite \(dpttrf info=1\)"):
+        stepper._BulkLU(np.ones(17), -1e3, 1.0, grids)
+    for a_mean in (np.zeros(17), -np.ones(17), np.full(17, np.nan)):
+        with pytest.raises(LinearSolveError, match=r"needs a_mean > 0"):
+            stepper._BulkLU(a_mean, 1e3, 1.0, grids)
 
 
 @numpy_lapack
 def test_numpy_lapack_binding_refuses_bad_arguments_before_the_call():
     calls = []
-    factor = stepper._Dgttrf(lambda *args: calls.append("dgttrf"))
-    substitute = stepper._Zgttrs(lambda *args: calls.append("zgttrs"))
+    factor = stepper._Dpttrf(lambda *args: calls.append("dpttrf"))
+    substitute = stepper._Dpttrs(lambda *args: calls.append("dpttrs"))
     n = 12
-    dl, d, du = -np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)
-    for bad in ((dl.astype(np.float32), d, du), (dl, d[:-1], du), (dl, d, np.repeat(du, 2)[::2]),
-                (dl, d.astype(complex), du), (list(dl), d, du)):
+    d, e = 4.0 * np.ones(n), -np.ones(n - 1)
+    for bad in ((d.astype(np.float32), e), (d, e[:-1]), (d, np.repeat(e, 2)[::2]),
+                (d.astype(complex), e), (list(d), e)):
         with pytest.raises(ValueError):
             factor(*bad)
-    *real, ipiv, _ = stepper._dgttrf(dl, d, du)
-    real = [f.astype(complex) for f in real]
-    for bad in ((*real, ipiv.astype(np.int32)), (*real[:3], real[3][:-1], ipiv),
-                (real[0].real.copy(), *real[1:], ipiv)):
+    d_f, e_f, _ = stepper._dpttrf(d, e)
+    for bad in ((d_f.astype(np.float32), e_f), (d_f, e_f[:-1]), (d_f.astype(complex), e_f),
+                (d_f, np.repeat(e_f, 2)[::2])):
         with pytest.raises(ValueError):
-            substitute(*bad, np.zeros(n, complex))
-    wide = np.zeros((n, 2), complex)
-    for bad in (np.zeros(n), np.zeros(n, np.complex64), np.zeros(n + 1, complex), wide[:, 0],
-                np.zeros((3, n // 3), complex, order="F"), list(np.zeros(n, complex))):
+            substitute(*bad, np.zeros((2, n)))
+    wide = np.zeros((2 * n, 2))
+    for bad in (np.zeros((2, n), np.float32), np.zeros((2, n), complex), np.zeros(2 * n + 1),
+                wide[:, 0], np.zeros((n, 2), order="F"), list(np.zeros(2 * n))):
         with pytest.raises(ValueError):
-            substitute(*real, ipiv, bad)
+            substitute(d_f, e_f, bad)
     assert calls == []
-    x, info = substitute(*real, ipiv, np.zeros((3, n // 3), complex))
-    assert calls == ["zgttrs"] and info == 0 and x.shape == (3, n // 3)
+    x, info = substitute(d_f, e_f, np.zeros((2, 3, n // 3)))
+    assert calls == ["dpttrs"] and info == 0 and x.shape == (2, 3, n // 3)
 
 
 @numpy_lapack
 def test_bulk_lu_builds_its_substitution_arguments_once(monkeypatch):
-    # every solve of one LU passes the same factor arrays, so the binding
-    # builds their ctypes arguments at the first solve and reuses them
-    monkeypatch.setattr(stepper, "_zgttrs", stepper._Zgttrs(stepper._zgttrs.routine))
+    # every solve of one LU passes the same factor arrays and both blocks,
+    # so the binding builds their ctypes arguments at the first solve and
+    # reuses them
+    monkeypatch.setattr(stepper, "_dpttrs", stepper._Dpttrs(stepper._dpttrs.routine))
     grids = SolverConfig(n_x=16, n_z=17).grids()
     bulk = stepper._BulkLU(1.0 + 0.3 * np.cos(np.pi * grids.normal.nodes), 1e2, 1.0, grids)
     bulk.jump_response
-    bound = stepper._zgttrs.bound
-    assert all(map(operator.is_, bound[0], bulk.factors))
-    rhs = np.ones(bulk.shape, complex)
-    first = bulk.solve(rhs, np.ones(bulk.shape[0]))
-    assert stepper._zgttrs.bound is bound
+    bound = stepper._dpttrs.bound
+    assert all(map(operator.is_, bound[0], bulk.factors)) and bound[1] == 2
+    rhs, dirichlet = np.ones(bulk.shape), np.ones(bulk.shape[:2])
+    first = bulk.solve(rhs, dirichlet)
+    assert stepper._dpttrs.bound is bound
     other = stepper._BulkLU(bulk.a_mean, 1e2, 1.0, grids)  # equal factors, new arrays
-    assert same_bits(other.solve(rhs, np.ones(bulk.shape[0])), first)
-    assert stepper._zgttrs.bound is not bound
+    assert same_bits(other.solve(rhs, dirichlet), first)
+    assert stepper._dpttrs.bound is not bound
 
 
 def test_temperature_step_far_field_continuum():
@@ -425,19 +450,22 @@ def test_compatible_initial_temperature_converges_where_the_lag_loop_stalls(n_x,
 
 def test_gmres_operator_application_makes_two_inverse_transforms(monkeypatch):
     # the lagged part reads u_zz, u_xz and u_z of a Krylov vector: one
-    # inverse 2-D FFT for u_xz and one for the solve's result, no u_xx
+    # inverse product for u_x (no u_xx) and one for the solve's result, and
+    # two forward ones (the vector, the solve's right-hand side); no 2-D
+    # numpy FFT
     cfg = SolverConfig(n_x=64, n_z=65)
     x = cfg.grids().tangential.nodes
     rho = 0.1 * (np.sin(x) + 0.5 * np.cos(2 * x))  # the lag loop stalls here
-    counts = count_transforms(monkeypatch, two_d_only=True)
+    ffts = count_transforms(monkeypatch, two_d_only=True)
+    products = count_products(monkeypatch)
     per_application = []
     real_gmres = sparse_linalg.gmres
 
     def counting_gmres(op, b, **kwargs):
         def matvec(v):
-            before = counts["irfft"]
+            before = dict(products)
             out = op.matvec(v)
-            per_application.append(counts["irfft"] - before)
+            per_application.append(tuple(products[k] - before[k] for k in sorted(products)))
             return out
 
         return real_gmres(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), b, **kwargs)
@@ -445,7 +473,9 @@ def test_gmres_operator_application_makes_two_inverse_transforms(monkeypatch):
     monkeypatch.setattr(sparse_linalg, "gmres", counting_gmres)
     compatible_initial_temperature(rho, cfg)
     assert len(per_application) >= 10
-    assert set(per_application) == {2}
+    assert sorted(products) == ["derivatives", "forward", "inverse"]
+    assert set(per_application) == {(1, 2, 1)}
+    assert ffts == {"rfft": 0, "irfft": 0}
 
 
 def test_temperature_step_raises_when_lag_loop_stalls(monkeypatch, small_grids, small_cutoff):
@@ -486,13 +516,13 @@ def reference_lag_loop(rho, rho_t, u_old, cfg, grids, cutoff, dirichlet, f_new, 
     L_old, scale_old, _ = reference_operator(u_old, coef, grids)
     base = u_old * inv_dt + theta * f_new + (1.0 - theta) * (L_old + f_old)
     bulk = stepper._BulkLU(a_mean, inv_dt, theta, grids)
-    dir_hat = np.fft.rfft(dirichlet)
+    dir_x = real_layout(np.fft.rfft(dirichlet))
     u_lag = u_old
     for it in range(1, cfg.lin_max_iter + 1):
         _, _, (lag_zz, lag_xz, lag_z) = reference_operator(u_lag, coef, grids)
         rhs = base + theta * ((coef.a - a_mean) * lag_zz - coef.B * lag_xz - coef.c * lag_z)
-        u_new = np.fft.irfft(bulk.solve(np.fft.rfft(rhs, axis=0), dir_hat),
-                             n=cfg.n_x, axis=0)
+        x = bulk.solve(real_layout(np.fft.rfft(rhs, axis=0)), dir_x)
+        u_new = np.fft.irfft(complex_of(x), n=cfg.n_x, axis=0)
         L_new, scale_new, _ = reference_operator(u_new, coef, grids)
         r = (u_new - u_old) * inv_dt - theta * (L_new + f_new) - (1.0 - theta) * (L_old + f_old)
         r[:, mid] = 0.0
@@ -575,26 +605,46 @@ def test_temperature_step_does_not_depend_on_memory_layout(layout):
 
 
 def test_temperature_step_returns_an_owned_u(monkeypatch):
+    # u is the inverse product's own array, shared with no field; the
+    # returned fields' xz is taken in place of u_x, so xx and xz share
+    # the one stacked buffer and hold no dead u_x
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
-    built = []
-    real_irfft, real_fields = np.fft.irfft, stepper._bulk_fields
+    built, stacked = [], []
+    real_inverse, real_derivatives = RealTransforms.inverse, RealTransforms.derivatives
 
-    def recording_irfft(*args, **kwargs):
-        built.append(real_irfft(*args, **kwargs))
+    def recording_inverse(self, *args):
+        built.append(real_inverse(self, *args))
         return built[-1]
 
-    def recording_fields(*args, **kwargs):
-        fields = real_fields(*args, **kwargs)
-        built.extend(fields)  # the derivatives and the rfft they carry
-        return fields
+    def recording_derivatives(self, *args):
+        stacked.append(real_derivatives(self, *args))
+        return stacked[-1]
 
-    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
-    monkeypatch.setattr(stepper, "_bulk_fields", recording_fields)
+    monkeypatch.setattr(RealTransforms, "inverse", recording_inverse)
+    monkeypatch.setattr(RealTransforms, "derivatives", recording_derivatives)
     u, _, _, fields = run_lag_problem(cfg, grids, cutoff, data)
     assert u.flags.owndata and u.base is None
     assert any(a is u for a in built)
-    assert any(a is fields.hat for a in built)
-    assert not any(np.shares_memory(u, a) for a in built + list(data) if a is not u)
+    assert fields.hat.dtype == complex and fields.hat.flags.owndata
+    assert not any(np.shares_memory(u, a) for a in stacked + list(fields) + list(data))
+    buffer = fields.xx.base
+    assert fields.xz.base is buffer and buffer.size == 2 * u.size
+    assert np.shares_memory(buffer, stacked[-1])
+
+
+def count_products(monkeypatch):
+    """Count the calls of each ``RealTransforms`` product: ``forward``,
+    ``inverse`` and ``derivatives``."""
+    counts = dict.fromkeys(("forward", "inverse", "derivatives"), 0)
+    for name in counts:
+        real = getattr(RealTransforms, name)
+
+        def counting(self, *args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(RealTransforms, name, counting)
+    return counts
 
 
 def count_transforms(monkeypatch, two_d_only=False):
@@ -616,9 +666,10 @@ def count_transforms(monkeypatch, two_d_only=False):
 
 
 def test_temperature_step_transforms_each_iterate_once(monkeypatch):
-    # one forward transform (the right-hand side) and two inverse ones (u,
+    # one forward product (the right-hand side) and two inverse ones (u,
     # and u_x with u_xx stacked; u_xz is d_z of u_x) per lag iteration, plus
-    # u_old's fields (one of each) and the Dirichlet data's rfft; the jump
+    # u_old's fields (one forward and one stacked inverse); the Dirichlet
+    # data's rfft is the one numpy FFT, on an interface row; the jump
     # response makes none
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
     coef = coefficients(data[0], data[1], cutoff, grids,
@@ -626,15 +677,17 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     rho, rho_t, u_old, dirichlet, f_new, f_old = data
     rx = d_tangential(rho, 1)
     norm = EnergyNormK0(rx, *norm_weights(rho, rx, cutoff, grids), cfg)
-    counts = count_transforms(monkeypatch)
+    ffts = count_transforms(monkeypatch)
+    products = count_products(monkeypatch)
     step = prepare_step(coef.a.mean(axis=0), u_old, f_new, f_old, 1.0 / cfg.dt, cfg.theta, grids,
                         fp_norm=norm)
     step.bulk.jump_response
     u, _, lag_iters, fields = temperature_step(step, coef, dirichlet=dirichlet,
                                                **cold_start(step))
     assert lag_iters >= 3
-    assert counts["rfft"] == lag_iters + 2
-    assert counts["irfft"] == 2 * lag_iters + 1
+    assert products == {"forward": lag_iters + 1, "inverse": lag_iters,
+                        "derivatives": lag_iters + 1}
+    assert ffts == {"rfft": 1, "irfft": 0}
     # the returned fields carry u's Fourier coefficients: those of its solve
     hat = np.fft.rfft(u, axis=0)
     assert np.abs(fields.hat - hat).max() <= 1e-13 * np.abs(hat).max()
@@ -643,20 +696,40 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     # lag update works on the coefficients the solve holds, so only the lag
     # iterations and the Dirichlet data transform
     x = grids.tangential.nodes
-    counts.update(rfft=0, irfft=0)
+    ffts.update(rfft=0, irfft=0)
+    products.update(forward=0, inverse=0, derivatives=0)
     _, residual, warm_iters, _ = temperature_step(
         step, coef, dirichlet=dirichlet + 1e-6 * np.cos(x), start=(u, fields), fp_diff=1e-9)
     assert residual <= cfg.lin_tol and warm_iters >= 2
-    assert counts["rfft"] == warm_iters + 1
-    assert counts["irfft"] == 2 * warm_iters
+    assert products == dict.fromkeys(("forward", "inverse", "derivatives"), warm_iters)
+    assert ffts == {"rfft": 1, "irfft": 0}
 
 
-def test_temperature_step_rejects_a_non_finite_iterate(small_cfg, small_grids, small_cutoff):
+def test_temperature_step_rejects_a_non_finite_iterate(monkeypatch, small_cfg, small_grids,
+                                                       small_cutoff):
+    # the iterate's residual is non-finite, so the loop searches u_new and
+    # names the lag iteration and the entry
     zeros = np.zeros(small_cfg.n_x)
-    u_old = np.zeros(small_grids.shape)
-    u_old[5, 3] = np.nan
-    with pytest.raises(NonFiniteFieldError, match="lag iteration 1"):
-        solve_alone(zeros, zeros, u_old, small_cfg, small_grids, small_cutoff)
+    for bad in (np.nan, np.inf):
+        u_old = np.zeros(small_grids.shape)
+        u_old[5, 3] = bad
+        with pytest.raises(NonFiniteFieldError, match=r"lag iteration 1\): non-finite entry"):
+            solve_alone(zeros, zeros, u_old, small_cfg, small_grids, small_cutoff)
+    # a NaN on the interface row alone, which the residual field leaves out,
+    # still reaches the residual through its neighbours' stencils
+    mid, real_inverse = small_grids.normal.i_mid, RealTransforms.inverse
+
+    def corrupting_inverse(self, x):
+        u = real_inverse(self, x)
+        u[4, mid] = np.nan
+        return u
+
+    monkeypatch.setattr(RealTransforms, "inverse", corrupting_inverse)
+    rng = np.random.default_rng(2)
+    with pytest.raises(NonFiniteFieldError,
+                       match=rf"lag iteration 1\): non-finite entry at index \(4, {mid}\)"):
+        solve_alone(zeros, zeros, rng.standard_normal(small_grids.shape), small_cfg, small_grids,
+                    small_cutoff)
 
 
 # ------------------------------------------------------ interface update
@@ -807,21 +880,24 @@ def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, the
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypatch, theta,
                                                                        forced_step_problem):
-    # the only 2-D transforms of a step: 1 forward and 2 inverse per lag
-    # iteration (u, and u_x stacked with u_xx), 2 inverse (u and u_x) for
-    # the correction of iterate 1's temperature, and u_old's, once per
-    # level, as ``make_level`` builds the old level here (its rfft and one
-    # stacked inverse; run's levels carry them, see
+    # the only bulk transforms of a step are products: 1 forward and 2
+    # inverse per lag iteration (u, and u_x stacked with u_xx), 2 inverse
+    # (u and u_x) for the correction of iterate 1's temperature, and u_old's,
+    # once per level, as ``make_level`` builds the old level here (one
+    # forward and one stacked inverse; run's levels carry them, see
     # test_run_transforms_each_level_once); the fixed-point norms and the
-    # warm exit rule work on the coefficients the solves return
+    # warm exit rule work on the coefficients the solves return, and no
+    # numpy FFT touches a bulk field
     cfg, state, forcing = forced_step_problem(theta)
     bulk = dt_operator(state, cfg)
-    counts = count_transforms(monkeypatch, two_d_only=True)
+    ffts = count_transforms(monkeypatch, two_d_only=True)
+    products = count_products(monkeypatch)
     level = make_level(state.t, state.u, state.rho, cfg)
     _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing)
     assert report.inner_iters >= 3
-    assert counts["rfft"] == report.lag_iters + 1
-    assert counts["irfft"] == 2 * report.lag_iters + 2 + 1
+    lag = report.lag_iters
+    assert products == {"forward": lag + 1, "inverse": lag + 1, "derivatives": lag + 2}
+    assert ffts == {"rfft": 0, "irfft": 0}
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -1158,12 +1234,12 @@ def test_run_factors_one_bulk_operator_per_dt(monkeypatch, case):
         cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
         t_end, halvings, amp = 0.08, 2, 0.1
     rho0 = amp * np.sin(cfg.grids().tangential.nodes)
-    counts = {"dgttrf": 0, "dirichlet_response": 0}
-    real_factor = stepper._dgttrf
+    counts = {"dpttrf": 0, "dirichlet_response": 0}
+    real_factor = stepper._dpttrf
     real_response = stepper._BulkLU.__dict__["dirichlet_response"].func
 
     def factor(*args):
-        counts["dgttrf"] += 1
+        counts["dpttrf"] += 1
         return real_factor(*args)
 
     def response(self):
@@ -1172,13 +1248,13 @@ def test_run_factors_one_bulk_operator_per_dt(monkeypatch, case):
 
     counting_response = functools.cached_property(response)
     counting_response.__set_name__(stepper._BulkLU, "dirichlet_response")
-    monkeypatch.setattr(stepper, "_dgttrf", factor)
+    monkeypatch.setattr(stepper, "_dpttrf", factor)
     monkeypatch.setattr(stepper._BulkLU, "dirichlet_response", counting_response)
     u0 = np.zeros(cfg.grids().shape)
     if case == "decay":
         u0 = compatible_initial_temperature(rho0, cfg)
-        assert counts == {"dgttrf": 1, "dirichlet_response": 0}
-        counts.update(dgttrf=0)
+        assert counts == {"dpttrf": 1, "dirichlet_response": 0}
+        counts.update(dpttrf=0)
 
     handed, solved = [], []  # (dt, theta, operator) of each step; each step's solve operator
     real_step, real_prepare = stepper.fixed_point_step, stepper._prepare_step
@@ -1195,7 +1271,7 @@ def test_run_factors_one_bulk_operator_per_dt(monkeypatch, case):
     monkeypatch.setattr(stepper, "_prepare_step", recording_prepare)
     res = run(u0, rho0, cfg, t_end)
     assert res.cfg.dt == cfg.dt / 2**halvings and res.state.t == t_end
-    assert counts == {"dgttrf": 1 + halvings, "dirichlet_response": 1 + halvings}
+    assert counts == {"dpttrf": 1 + halvings, "dirichlet_response": 1 + halvings}
     assert len(solved) == len(handed) == round(t_end / res.cfg.dt) + halvings
     assert all(s is bulk for s, (*_, bulk) in zip(solved, handed))
     assert all(bulk.inv_dt == 1.0 / dt and bulk.theta == theta for dt, theta, bulk in handed)
@@ -1542,9 +1618,11 @@ def test_run_names_the_step_of_an_exhausted_halving(monkeypatch):
 
 
 def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
-    # each level's accepted u and rho and its functionals, plus one check
-    # per lag iterate of its solves; the stack reads the slope its level
-    # holds, so it takes no checked derivative
+    # each level's accepted u and rho and its functionals; a lag iterate is
+    # checked through its residual, and searched only when that is not
+    # finite (test_temperature_step_rejects_a_non_finite_iterate), so it
+    # makes no call here; the stack reads the slope its level holds, so it
+    # takes no checked derivative
     cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
     x = cfg.grids().tangential.nodes
     rho0 = 0.01 * np.sin(x) + 0.005 * np.cos(2 * x)
@@ -1568,7 +1646,7 @@ def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
     res = run(u0, rho0, cfg, 5 * cfg.dt)
     assert len(res.reports) == 6 and len(lag_iters) == 5 and min(lag_iters) >= 1
-    assert checks[0] == 3 * len(res.reports) + sum(lag_iters)
+    assert checks[0] == 3 * len(res.reports)
 
 
 @pytest.mark.parametrize("theta, levels_per_step", [(1.0, 1), (0.5, 2)])
@@ -1593,32 +1671,35 @@ def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, levels_
 
 
 def test_run_transforms_each_level_once(monkeypatch):
-    # the bulk transforms of a step are its lag iterations' own (one
-    # forward, two inverse each) and, on a step that goes past iterate
+    # the bulk transforms of a step are its lag iterations' own products
+    # (one forward, two inverse each) and, on a step that goes past iterate
     # 1, the two inverse ones of iterate 1's corrected temperature: u_old's
-    # fields come from its level.  A
+    # fields come from its level, and a step makes no 2-D numpy FFT.  A
     # report, identity included, makes no forward bulk transform: the
     # quotients' transforms are differences of the levels'.  The run's
-    # one other forward transform builds the initial level.
+    # one other forward product builds the initial level.
     cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=2)
     x = cfg.grids().tangential.nodes
     rho0 = 0.01 * np.sin(x) + 0.005 * np.cos(2 * x)
     u0 = compatible_initial_temperature(rho0, cfg)
-    counts = count_transforms(monkeypatch, two_d_only=True)
-    steps, reports = [], []  # (forward, inverse, lag iterations, corrected); forward
+    ffts = count_transforms(monkeypatch, two_d_only=True)
+    products = count_products(monkeypatch)
+    steps, reports = [], []  # (ffts, forward, inverse, lag iterations, corrected); forward
     real_step, real_report = stepper.fixed_point_step, stepper._make_report
 
     def counting_step(*args, **kwargs):
-        before = dict(counts)
+        before, before_ffts = dict(products), sum(ffts.values())
         result = real_step(*args, **kwargs)
-        steps.append((counts["rfft"] - before["rfft"], counts["irfft"] - before["irfft"],
+        steps.append((sum(ffts.values()) - before_ffts, products["forward"] - before["forward"],
+                      products["inverse"] + products["derivatives"]
+                      - before["inverse"] - before["derivatives"],
                       result[1].lag_iters, result[1].inner_iters > 1))
         return result
 
     def counting_report(*args, **kwargs):
-        before = counts["rfft"]
+        before = ffts["rfft"] + products["forward"]
         result = real_report(*args, **kwargs)
-        reports.append(counts["rfft"] - before)
+        reports.append(ffts["rfft"] + products["forward"] - before)
         return result
 
     monkeypatch.setattr(stepper, "fixed_point_step", counting_step)
@@ -1627,8 +1708,10 @@ def test_run_transforms_each_level_once(monkeypatch):
     assert res.reports[-1].identity_residual is not None and not res.reports[-1].missing_D
     assert len(steps) == 5 and reports == [0] * 6
     assert all(corrected for *_, corrected in steps)
-    assert all(forward == lag and inverse == 2 * lag + 2 for forward, inverse, lag, _ in steps)
-    assert counts["rfft"] == sum(lag for _, _, lag, _ in steps) + 1
+    assert all(fft == 0 and forward == lag and inverse == 2 * lag + 2
+               for fft, forward, inverse, lag, _ in steps)
+    assert products["forward"] == sum(lag for _, _, _, lag, _ in steps) + 1
+    assert ffts["rfft"] == 0
 
 
 def test_run_hands_out_states_without_level_fields(monkeypatch):
