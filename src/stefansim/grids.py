@@ -175,11 +175,11 @@ def d_tangential_hats(hat, n, terms):
 
 
 class RealTransforms:
-    """The rfft along axis 0 of real fields on an n-point grid, its inverse
-    and its inverse tangential derivatives, as real matrices acting on the
-    *real layout* of the coefficients: an array (2, n // 2 + 1, ...) of the
-    modes' real parts, then their imaginary parts.  Each transform is one
-    BLAS product; ``real_transforms`` caches one instance per n.
+    """The rfft along axis 0 of real fields (n, m) on an n-point grid, its
+    inverse and its inverse tangential derivatives, as real matrices acting
+    on the *real layout* of the coefficients: an array (2, n // 2 + 1, m)
+    of the modes' real parts, then their imaginary parts.  Each transform
+    is one BLAS product; ``real_transforms`` caches one instance per n.
 
     The inverses follow ``np.fft.irfft``, which ignores the imaginary parts
     of the k = 0 and Nyquist modes, and the derivative matrices are built
@@ -213,27 +213,21 @@ class RealTransforms:
         return matrix
 
     def forward(self, v):
-        """The real layout (2, modes, ...) of the rfft along axis 0 of the
-        real field v (n, ...): one product."""
-        return _shaped(self.forward_matrix @ v.reshape(self.n, -1), (2, self.modes, *v.shape[1:]))
+        """The real layout (2, modes, m) of the rfft along axis 0 of the
+        real field v (n, m): one product."""
+        return (self.forward_matrix @ v).reshape(2, self.modes, -1)
 
     def inverse(self, x):
-        """The real field (n, ...), an array of its own, whose rfft has the
-        real layout x: one product."""
-        return _shaped(self.inverse_matrix @ x.reshape(2 * self.modes, -1), (self.n, *x.shape[2:]))
+        """The real field (n, m), an array of its own, whose rfft has the
+        real layout x (2, modes, m): one product."""
+        return self.inverse_matrix @ x.reshape(2 * self.modes, -1)
 
     def derivatives(self, x, count=2):
         """d_x, and with ``count`` = 2 d_x^2 stacked after it, (count, n,
-        ...), of the real field whose rfft has the real layout x: one
-        product, into a new array."""
+        m), of the real field whose rfft has the real layout x (2, modes,
+        m): one product, into a new array."""
         out = self.derivative_matrix[:count * self.n] @ x.reshape(2 * self.modes, -1)
-        return _shaped(out, (count, self.n, *x.shape[2:]))
-
-
-def _shaped(a, shape):
-    """a in ``shape``: a itself if it has it (so it stays an array of its
-    own), else a view."""
-    return a if a.shape == shape else a.reshape(shape)
+        return out.reshape(count, self.n, -1)
 
 
 @lru_cache(maxsize=None)
