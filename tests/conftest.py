@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from stefansim import stepper
+from stefansim.errors import LinearSolveError
 from stefansim.grids import first_walls
 from stefansim.stepper import _BulkLU, SolverConfig, compatible_initial_temperature, make_level
 from stefansim.transform import norm_weights
@@ -47,7 +49,32 @@ def dt_operator(level, cfg):
     at the tangential mean of the weight a of its interface, with cfg's dt
     and theta."""
     a_psi, _ = norm_weights(level.rho, level.rho_x, cfg.cutoff(), cfg.grids())
-    return _BulkLU(a_psi.mean(axis=0), 1.0 / cfg.dt, cfg.theta, cfg.grids())
+    return _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, cfg.grids())
+
+
+# the dt above which the dt-halving tests make every temperature solve stall:
+# a run from dt = 0.04 halves twice, to 0.01
+HALVING_STALL_DT = 0.015
+
+
+def stall_above(monkeypatch, dt_max):
+    """Make the temperature solve of every time step whose dt exceeds
+    ``dt_max`` raise, before its lag loop starts, the LinearSolveError of
+    a stalled solve: a deterministic failure for the dt-halving paths of
+    ``run`` and the CLI.  The steady solve (1/dt = 0) is left alone.  The
+    patch is a module attribute, so sweep workers forked after it inherit
+    it; the message names the forced stall, so a test can tell that the
+    stall it reads came from here."""
+    real = stepper.temperature_step
+
+    def temperature_step(step, *args, **kwargs):
+        inv_dt = step.bulk.inv_dt
+        if 0.0 < inv_dt and 1.0 / inv_dt > dt_max:
+            raise LinearSolveError(f"temperature solve stalled: forced at dt={1.0 / inv_dt:g} "
+                                   f"> {dt_max:g}", residual=1.0)
+        return real(step, *args, **kwargs)
+
+    monkeypatch.setattr(stepper, "temperature_step", temperature_step)
 
 
 @pytest.fixture(scope="session")

@@ -37,10 +37,14 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
                                                              forced_step_problem):
     # lag iterations are counted from temperature_step's result[2], bulk
     # unknowns from the size of _thomas_batched's 4th positional argument,
-    # and fixed-point iterations from fixed_point_step's result[1]
+    # and fixed-point iterations from fixed_point_step's result[1].  Every
+    # substitution goes through _thomas_batched, those of both sweeps
+    # included: per solve of L lag iterations, L // 2 with the factors of
+    # a_harmonic and the rest with those of a_mean, plus the Dirichlet
+    # response's one of the dt's operator
     cfg, state, forcing = forced_step_problem(theta)
     bulk = dt_operator(state, cfg)
-    lags, rhs_seen = [], []
+    lags, rhs_seen, factors_seen = [], [], []
     real_temperature, real_substitution = stepper.temperature_step, stepper._thomas_batched
 
     def temperature(*args, **kwargs):
@@ -51,6 +55,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
 
     def substitution(*args, **kwargs):
         rhs_seen.append(args[3])
+        factors_seen.append(args[0])
         return real_substitution(*args, **kwargs)
 
     monkeypatch.setattr(stepper, "temperature_step", temperature)
@@ -67,3 +72,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     unknowns = 2 * (cfg.n_x // 2 + 1) * cfg.n_z
     assert rhs_seen
     assert all(rhs.dtype == np.float64 and rhs.size == unknowns for rhs in rhs_seen)
+    harmonic = sum(d is bulk.harmonic_factors[0] for d in factors_seen)
+    mean = sum(d is bulk.factors[0] for d in factors_seen)
+    assert max(lags) >= 3 and harmonic == sum(lag // 2 for lag in lags) > 0
+    assert mean == sum(lag - lag // 2 for lag in lags) + 1 == len(rhs_seen) - harmonic

@@ -11,6 +11,8 @@ from stefansim.cli import build_parser, main
 from stefansim.io import read_energy_csv
 from stefansim.stepper import SolverConfig
 
+from conftest import HALVING_STALL_DT, stall_above
+
 FAST_RUN = """\
 [scenario]
 rho_modes = 1:0.01
@@ -32,8 +34,9 @@ SWEEP_3EPS = FAST_RUN + """
 epsilon = 1e-2, 1e-4, 0.0
 """
 
-# dt far beyond the stability cliff: the first step fails and dt halves
-# twice, so the run ends at dt = 0.01
+# a run whose dt halves twice, to 0.01, once every temperature solve at a dt
+# above HALVING_STALL_DT is made to stall (``conftest.stall_above``); left
+# alone, it ends at its own dt = 0.04
 HALVING_RUN = """\
 [scenario]
 rho_modes = 1:0.1
@@ -175,6 +178,7 @@ def test_run_failure_leaves_no_partial_output(workdir, capsys, monkeypatch):
     # with retries disabled the run raises, the CLI reports exit 1, and
     # nothing is written
     monkeypatch.setattr(SolverConfig, "max_dt_halvings", 0)
+    stall_above(monkeypatch, HALVING_STALL_DT)
     cfg_path = write_config(workdir, HALVING_RUN, out="doomed")
     assert main(["run", "--config", str(cfg_path), "--quiet"]) == 1
     assert not (workdir / "doomed").exists()
@@ -298,7 +302,21 @@ def test_sweep_single_point_matches_run(workdir):
     assert not (workdir / "swept" / "epsilon_table.csv").exists()
 
 
-def test_sweep_point_after_a_dt_halving_matches_run(workdir):
+def test_halving_run_ends_at_its_own_dt_when_nothing_stalls(workdir):
+    # the lag loop's two alternating sweeps converge at dt = 0.04 on this
+    # interface, so the config the halving tests force to stall needs no
+    # halving of its own
+    cfg_path = write_config(workdir, HALVING_RUN, out="direct")
+    assert main(["run", "--config", str(cfg_path), "--quiet"]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (workdir / "direct" / "summary.txt").read_text().splitlines())
+    assert float(summary["dt_final"]) == 0.04 and summary["steps"] == "2"
+    times = read_energy_csv(workdir / "direct" / "energy.csv")["t"]
+    assert np.array_equal(times, [0.0, 0.04, 0.08])
+
+
+def test_sweep_point_after_a_dt_halving_matches_run(workdir, monkeypatch):
+    stall_above(monkeypatch, HALVING_STALL_DT)
     cfg_run = write_config(workdir, HALVING_RUN, name="r.ini", out="direct")
     cfg_sweep = write_config(workdir, HALVING_RUN, name="s.ini", out="swept")
     assert main(["run", "--config", str(cfg_run), "--quiet"]) == 0
@@ -334,13 +352,18 @@ def test_sweep_epsilon_table_parallel(workdir):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_failed_sweep_point_names_itself(workdir, capsys, jobs):
-    # the dt = 0.08 point still fails after two halvings, at dt = 0.02
+def test_a_failed_sweep_point_names_itself(workdir, capsys, monkeypatch, jobs):
+    # the dt = 0.08 point still fails after two halvings, at dt = 0.02; with
+    # two jobs it fails in a forked worker, which inherits the forced stall
+    # (the message is the stall's own)
+    stall_above(monkeypatch, HALVING_STALL_DT)
     text = HALVING_RUN + "\n[sweep]\ndt = 0.01, 0.08\n"
     cfg_path = write_config(workdir, text, out="failing")
     assert main(["sweep", "--config", str(cfg_path), "--quiet", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
     assert ("run failed: sweep point eps=0_dt=0.08_nx=32_nz=33: step 1 (t=0.02): "
-            "temperature solve stalled") in capsys.readouterr().err
+            "temperature solve stalled") in err
+    assert "stalled: forced at dt=0.02 > 0.015" in err
     # the dt = 0.01 point succeeded, but a failed sweep leaves no output:
     # no point directory, no staging directory, and no output directory
     # it made itself
@@ -348,9 +371,10 @@ def test_a_failed_sweep_point_names_itself(workdir, capsys, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_failed_sweep_keeps_an_earlier_sweeps_output(workdir, jobs):
+def test_a_failed_sweep_keeps_an_earlier_sweeps_output(workdir, monkeypatch, jobs):
     # the failing sweep's points are staged, so the points an earlier
     # sweep left in the same directory stay as they were
+    stall_above(monkeypatch, HALVING_STALL_DT)
     ok = write_config(workdir, HALVING_RUN + "\n[sweep]\ndt = 0.01\n", name="ok.ini", out="kept")
     assert main(["sweep", "--config", str(ok), "--quiet"]) == 0
     out = workdir / "kept"
