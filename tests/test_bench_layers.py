@@ -39,9 +39,9 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     # unknowns from the size of _thomas_batched's 4th positional argument,
     # and fixed-point iterations from fixed_point_step's result[1].  Every
     # substitution goes through _thomas_batched, those of both sweeps
-    # included: per solve of L lag iterations, L // 2 with the factors of
-    # a_harmonic and the rest with those of a_mean, plus the Dirichlet
-    # response's one of the dt's operator
+    # included: per solve of L lag iterations, one at each even iteration,
+    # L // 2, with the factors of a_harmonic and the rest with those of
+    # a_mean, plus the Dirichlet response's one of the dt's operator
     cfg, state, forcing = forced_step_problem(theta)
     bulk = dt_operator(state, cfg)
     lags, rhs_seen, factors_seen = [], [], []
