@@ -76,11 +76,25 @@ when a mixed iterate's difference exceeds the one before.  The stopping
 test ``diff <= fp_tol`` reads the unmixed pair (u_next, rho_next) against
 (u_m, rho_m), and that pair is the accepted state: a true output of G.
 
-After iterate 1 a solve ends once the residual test holds and its last
-lag update, in the fixed-point norm, is small against the previous
-fixed-point difference or fp_tol, or has not halved since the update
-before: the loop is then at its roundoff floor (see
-``temperature_step``).  When the lag loop stops contracting, its
+Each solve is held only to the accuracy the fixed-point loop needs, by
+the forcing-term idea of inexact Newton methods (Dembo, Eisenstat and
+Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat and Walker, SIAM J.
+Sci. Comput. 17, 1996).  Iterate 1 ends on the residual test alone, at
+lin_tol, or at the looser FIRST_SOLVE_TOL when the step before took at
+least LOOSE_FIRST_AFTER iterates: its u is replaced by the Dirichlet
+correction, and a step never accepts a loosely solved iterate 1, even
+below fp_tol.  Only steps after one of that many iterates loosen it,
+because a loose iterate 1 can add an iterate to a step that would end at
+iterate 2 (a threshold of 3 would feed itself), and adds at most one.
+After iterate 1 a solve ends once the residual test holds at lin_tol and
+its last lag update, in the fixed-point norm, is at most
+min(WARM_FP_FRACTION, r) times the previous fixed-point difference, or
+WARM_TOL_FRACTION of fp_tol, or has not halved since the update before:
+the loop is then at its roundoff floor (see ``temperature_step``).  Here
+r = diff_{m-1} / diff_{m-2} is the loop's last measured contraction,
+from iterate 3 on (iterate 2 uses WARM_FP_FRACTION alone), so warm
+solves are tightened only where the fixed-point loop contracts fast and
+their error would set its rate.  When the lag loop stops contracting, its
 residual no longer falling over a few iterations, the solve goes on by
 GMRES on the plain lag map with M as preconditioner; the final check is
 the same full residual.
@@ -122,16 +136,17 @@ energies.
 
 The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
-t_new=..., bulk=..., forcing=..., earlier=...)``, ``interface_step(u_new,
-old, cfg, ...)``, which reads rho's rfft from the old level, and every
-solve's one call shape ``temperature_step(step, coef, dirichlet=...,
-start=..., fp_diff=...)``.  ``step`` is the ``_Step`` that
-``_prepare_step`` builds once per time step, before the first iterate,
-around the dt's LU; the iterate adds its frozen coefficients, Dirichlet
-data, lag-loop start and last fixed-point difference, and
-``SolverConfig``'s constants set the tolerances.  The steady solve of ``compatible_initial_temperature``
-factors its own LU, with 1/dt = 0 and theta = 1, for a ``_Step`` with
-no norm.  ``make_level`` and the diagnostics read the same cfg.
+t_new=..., bulk=..., forcing=..., earlier=..., prev_iters=...)``,
+``interface_step(u_new, old, cfg, ...)``, which reads rho's rfft from
+the old level, and every solve's one call shape
+``temperature_step(step, coef, dirichlet=..., start=..., res_tol=...,
+update_tol=...)``.  ``step`` is the ``_Step`` that ``_prepare_step``
+builds once per time step, before the first iterate, around the dt's
+LU; the iterate adds its frozen coefficients, Dirichlet data, lag-loop
+start and the two targets its solve ends on.  The steady solve of
+``compatible_initial_temperature`` factors its own LU, with 1/dt = 0 and
+theta = 1, for a ``_Step`` with no norm, and solves to lin_tol.
+``make_level`` and the diagnostics read the same cfg.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0``) is
 frozen per step at iterate 1's interface, from its one ``norm_weights``
@@ -240,7 +255,7 @@ _cutoff = cache(Cutoff)
 @dataclass(frozen=True)
 class StepReport:
     fp_norms: tuple  # the fixed-point difference of each iterate
-    lin_residual: float
+    lin_residual: float  # full relative residual of the accepted solve, at most lin_tol
     lag_iters: int
     trace_gap: float  # max |u(., 0) - kappa(rho) - g| of the accepted state
 
@@ -249,11 +264,19 @@ class StepReport:
         return len(self.fp_norms)
 
 
-# Exit rule of a warm-started temperature solve: once the residual test
-# holds, accept when the last lag update, in the fixed-point norm, is at
-# most this share of the previous fixed-point difference ...
+# Targets of the temperature solves of a step (``fixed_point_step`` sets
+# them, ``temperature_step`` ends on them).  Iterate 1 solves to this full
+# residual when the step before took at least LOOSE_FIRST_AFTER
+# fixed-point iterates, else to lin_tol; its u is replaced by the Dirichlet
+# correction, and a step never accepts a loosely solved iterate 1 ...
+FIRST_SOLVE_TOL = 1e-9
+LOOSE_FIRST_AFTER = 4
+# ... and every later solve solves to lin_tol and then, once the residual
+# test holds, accepts when the last lag update, in the fixed-point norm,
+# is at most min(this share, r) of the previous fixed-point difference,
+# r the loop's last measured contraction (from iterate 3 on) ...
 WARM_FP_FRACTION = 1e-3
-# ... or of fp_tol
+# ... or this share of fp_tol
 WARM_TOL_FRACTION = 1e-2
 # ... or when it is more than this share of the update before: the loop
 # has stopped contracting, at the roundoff floor
@@ -718,7 +741,7 @@ def _interior_operator(coef, fields):
     return a_zz, scale
 
 
-def temperature_step(step, coef, *, dirichlet, start, fp_diff):
+def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
     ``step`` is the ``_Step`` every solve of one time step shares (the
@@ -727,16 +750,17 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     and the fixed-point norm); ``coef`` holds the frozen coefficients,
     ``dirichlet`` the interface values and ``start`` the last iterate (u,
     its ``_bulk_fields``, of which the loop reads no xx), where the lag
-    loop starts.  A step with inv_dt = 0 gives the steady solve used to
-    build compatible initial data.
+    loop starts.  ``res_tol`` and ``update_tol`` are the solve's residual
+    and update targets (exit rule below).  A step with inv_dt = 0 gives
+    the steady solve used to build compatible initial data.
 
     Returns (u_new, final_residual, lag_iterations, fields): fields are
     u_new's ``_bulk_fields``, its complex rfft included (assembled once,
     from the real layout of the final solve), which a solve warm-started
     from u_new and the fixed-point norm reuse, and lag_iterations counts
     every operator application, GMRES's included.  Raises
-    LinearSolveError if the solve cannot reach ``SolverConfig.lin_tol``
-    and NonFiniteFieldError on a non-finite iterate.
+    LinearSolveError if the solve cannot reach ``res_tol`` and
+    NonFiniteFieldError on a non-finite iterate.
 
     Sweeps.  Lag iteration 1 solves M u = b + N u_start with the start's
     lagged fields (N = M - A lags whatever of ``coef.a`` a_mean leaves
@@ -760,20 +784,21 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     (``_require_finite``), so the error names the lag iteration and the
     index.
 
-    Exit rule.  Every solve ends with ``full residual <= lin_tol``, checked
-    on the returned u.  When ``fp_diff``, the last fixed-point difference,
-    is finite, the loop, once the residual test holds, also measures the
-    last lag update in the step's fixed-point norm (``state_energy_k0`` on
-    the update's Fourier coefficients and without the interface terms,
-    which are 0: no transform).  It accepts when that
-    update is at most WARM_FP_FRACTION of ``fp_diff`` or WARM_TOL_FRACTION
-    of fp_tol, or is more than FLOOR_RATIO (one half) of the update
-    before it: a loop whose sweeps contract, the pair by far more than
-    that, no longer does, so its updates are roundoff.  A residual test
-    alone would end warm solves at residuals far below lin_tol yet carry
-    the lag loop's contraction into the fixed-point iterates.  An inf
-    ``fp_diff`` (iterate 1, the steady solve) skips the update test, and
-    so needs no norm, nor the start's xx and hat.
+    Exit rule.  Every solve ends with ``full residual <= res_tol``,
+    checked on the returned u.  When ``update_tol`` is finite, the loop,
+    once the residual test holds, also measures the last lag update in
+    the step's fixed-point norm (``state_energy_k0`` on the update's
+    Fourier coefficients and without the interface terms, which are 0: no
+    transform).  It accepts when that update is at most ``update_tol`` or
+    WARM_TOL_FRACTION of fp_tol, or is more than FLOOR_RATIO (one half) of
+    the update before it: a loop whose sweeps contract, the pair by far
+    more than that, no longer does, so its updates are roundoff.  A
+    residual test alone would end warm solves at residuals far below
+    lin_tol yet carry the lag loop's contraction into the fixed-point
+    iterates.  An inf ``update_tol`` (iterate 1, the steady solve) skips
+    the update test, and so needs no norm, nor the start's xx and hat.
+    ``fixed_point_step`` sets both targets from what its loop needs (see
+    there).
 
     GMRES fallback.  If the residual has not fallen over STALL_WINDOW lag
     iterations, the loop has stopped contracting (or diverges), and the
@@ -791,7 +816,7 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     transforms = bulk.transforms
     inv_dt, theta = bulk.inv_dt, bulk.theta
     u_old, f_new = step.u, step.f_new
-    lin_tol, max_iter = SolverConfig.lin_tol, SolverConfig.lin_max_iter
+    max_iter = SolverConfig.lin_max_iter
     mid = grids.normal.i_mid
     a_fluct = coef.a - bulk.a_mean[None, :]  # the lagged part of a
 
@@ -851,7 +876,7 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
     def krylov(u_new, r, used):
         """Iterative refinement by GMRES from u_new with full residual r:
         each cycle solves (I - M^-1 N) d = -M^-1 r (zero Dirichlet data)
-        and adds d, until the full residual reaches lin_tol."""
+        and adds d, until the full residual reaches res_tol."""
         from scipy.sparse.linalg import LinearOperator, gmres  # only stalled solves need it
         matvecs = 0
 
@@ -877,18 +902,18 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
             x = transforms.forward(u_new)
             fields = _bulk_fields(u_new, x, grids)
             r, residual = measure(u_new, fields, "temperature iterate (GMRES)")
-            if residual <= lin_tol:
+            if residual <= res_tol:
                 return u_new, float(residual), used + matvecs, fields._replace(hat=_complex(x))
         raise LinearSolveError(
             f"temperature solve stalled: GMRES reached relative residual {residual:.3e} "
-            f"within {max_iter} operator applications (lin_tol={lin_tol:.1e})",
+            f"within {max_iter} operator applications (res_tol={res_tol:.1e})",
             residual=float(residual),
         )
 
     u_prev, fields = start
     # the update test below reads the start's hat, which an extrapolated
     # start (``_extrapolate``) leaves None: such a start must skip the test
-    assert fields.hat is not None or fp_diff == np.inf, "start without hat needs fp_diff inf"
+    assert fields.hat is not None or update_tol == np.inf, "start without hat needs no update test"
     start_hat, x_prev = fields.hat, None  # the coefficients of the iterate before
     x = lag_solve(fields.zz, fields.xz, fields.z, base_rhs, dir_x)  # lag iteration 1
     best, residuals = None, []
@@ -900,13 +925,13 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
         u_new = transforms.inverse(x)
         fields = _bulk_fields(u_new, x, grids)
         r, residual = measure(u_new, fields, f"temperature iterate (lag iteration {it})")
-        if residual <= lin_tol:
-            if fp_diff == np.inf or it == max_iter:
+        if residual <= res_tol:
+            if update_tol == np.inf or it == max_iter:
                 return u_new, float(residual), it, fields._replace(hat=_complex(x))
             # measured only once the residual test holds
             d_hat = _complex(x) - start_hat if x_prev is None else _complex(x - x_prev)
             update = np.sqrt(state_energy_k0(u_new - u_prev, d_hat, None, step.fp_norm))
-            if (update <= WARM_FP_FRACTION * fp_diff
+            if (update <= update_tol
                     or update <= WARM_TOL_FRACTION * SolverConfig.fp_tol
                     or update > FLOOR_RATIO * last_update):
                 return u_new, float(residual), it, fields._replace(hat=_complex(x))
@@ -919,7 +944,7 @@ def temperature_step(step, coef, *, dirichlet, start, fp_diff):
         residuals.append(residual)
     raise LinearSolveError(
         f"temperature solve stalled at relative residual {residual:.3e} "
-        f"after {max_iter} lag iterations (lin_tol={lin_tol:.1e})",
+        f"after {max_iter} lag iterations (res_tol={res_tol:.1e})",
         residual=float(residual),
     )
 
@@ -974,7 +999,8 @@ def compatible_initial_temperature(rho0, cfg):
     step = _prepare_step(_BulkLU(coef.a, 0.0, 1.0, grids), zero.u, zero.fields,
                          None, None, grids)
     u0, _, _, _ = temperature_step(step, coef, dirichlet=curvature_hat(zero.rho_hat, zero.rho_x),
-                                   start=(step.u, step.fields), fp_diff=np.inf)
+                                   start=(step.u, step.fields), res_tol=SolverConfig.lin_tol,
+                                   update_tol=np.inf)
     return u0
 
 
@@ -1008,7 +1034,7 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
-def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
+def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=(), prev_iters=0):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
 
@@ -1020,7 +1046,8 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
     from raw arrays), and the step reads its fields, transforms and, at
     theta < 1, its forcing, which it evaluates and keeps there on first
     use; ``earlier`` holds the ``Level``s one and two dt before it,
-    newest first, as far as they exist (at most two).  The new
+    newest first, as far as they exist (at most two), and ``prev_iters``
+    the fixed-point iterates of the step before (0: none).  The new
     ``Level`` carries the final solve's fields, the accepted rho's
     transforms and the forcing at t_new.
 
@@ -1040,8 +1067,17 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
     iterate 2's lag loop and are what iterate 2's difference is measured
     against.  Each later rho_m is the ``_Secant`` mix of the last two
     iterates.  The coefficients are frozen at the theta blend of rho_m
-    and level.rho.  The report carries the accepted state's trace gap
-    max |u(., 0) - kappa(rho) - g|.
+    and level.rho.  The report carries the accepted solve's residual and
+    the accepted state's trace gap max |u(., 0) - kappa(rho) - g|.
+
+    Each solve is handed its targets (see the module docstring): iterate
+    1 a residual target of FIRST_SOLVE_TOL if ``prev_iters`` is at least
+    LOOSE_FIRST_AFTER, else lin_tol, and no update target; iterate m >= 2
+    lin_tol and the update target f diff_{m-1}, with f = WARM_FP_FRACTION
+    at m = 2 and f = min(WARM_FP_FRACTION, diff_{m-1} / diff_{m-2}) from
+    m = 3 on, so the target is never above WARM_FP_FRACTION diff_{m-1}.
+    Only a solve held to lin_tol can end the step, so a loose iterate 1
+    whose difference is below fp_tol goes on to iterate 2.
     """
     grids, cutoff, dt, theta, n_x = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta, cfg.n_x
     f_new = f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
@@ -1074,8 +1110,10 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
 
     mixer = _Secant()
     norms = []
-    diff = np.inf  # iterate 1 has no previous difference to measure against
-    lin_res_max, lag_total = 0.0, 0
+    lin_tol, lag_total = SolverConfig.lin_tol, 0
+    # iterate 1's targets: the residual test alone
+    res_tol = FIRST_SOLVE_TOL if prev_iters >= LOOSE_FIRST_AFTER else lin_tol
+    update_tol = np.inf
     dirichlet = dirichlet_data(rho_hat, rx)
     for m in range(1, cfg.fp_max_iter + 1):
         # frozen at the theta blend of rho_m and level.rho, and of their
@@ -1085,20 +1123,19 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
                             rho_x=theta * rx + (1.0 - theta) * base_x,
                             rho_xx=theta * rxx + (1.0 - theta) * base_xx)
         u_next, lin_res, lag_iters, fields_next = temperature_step(
-            step, coef, dirichlet=dirichlet, start=start, fp_diff=diff)
+            step, coef, dirichlet=dirichlet, start=start, res_tol=res_tol, update_tol=update_tol)
         rho_next = interface_step(u_next, level, cfg, rho_x=rx, rho_hat=rho_hat,
                                   jump_response=sigma, jump_forcing=f_jump_new, rhs_old=rhs_old)
-        lin_res_max = max(lin_res_max, lin_res)
         lag_total += lag_iters
         # the bulk difference's coefficients are those of the two solves
         diff = np.sqrt(state_energy_k0(u_next - u_m, fields_next.hat - fields_m.hat,
                                        np.fft.rfft(rho_next - rho_m), step.fp_norm))
         norms.append(diff)
-        if diff <= cfg.fp_tol:
+        if diff <= cfg.fp_tol and res_tol == lin_tol:  # never a loose iterate 1
             new = make_level(t_new, u_next, rho_next, cfg, fields=fields_next, forcing=f_new)
             trace = u_next[:, grids.normal.i_mid] - curvature_hat(new.rho_hat, new.rho_x)
             return new, StepReport(
-                fp_norms=tuple(norms), lin_residual=lin_res_max, lag_iters=lag_total,
+                fp_norms=tuple(norms), lin_residual=lin_res, lag_iters=lag_total,
                 trace_gap=float(np.abs(trace if g_dir is None else trace - g_dir).max()))
         rho_m = mixer.next(rho_m, rho_next, diff)
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
@@ -1116,6 +1153,12 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=()):
         u_m, fields_m = u_next, fields_next
         start = (u_m, fields_m)
         dirichlet = d_next
+        # the next solve's targets: lin_tol, and min(WARM_FP_FRACTION, r)
+        # of this difference, r the last measured contraction (none yet
+        # after iterate 1)
+        ratio = diff / norms[-2] if m >= 2 else np.inf
+        res_tol = lin_tol
+        update_tol = min(WARM_FP_FRACTION, ratio) * diff
     last_ratio = norms[-1] / norms[-2] if len(norms) >= 2 else None
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "
@@ -1196,9 +1239,11 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     steady level is the initial level's ``steady_mean``.  The states
     passed to callbacks and returned carry only (t, u, rho).
 
-    Each step is passed the dt's ``_BulkLU`` and, as ``earlier``, the
-    levels one and two dt back, as far as the history holds them at the
-    current dt (see the module docstring for both).  A level keeps its
+    Each step is passed the dt's ``_BulkLU``, as ``earlier`` the levels
+    one and two dt back, as far as the history holds them at the current
+    dt (see the module docstring for both), and as ``prev_iters`` the
+    fixed-point iterates of the last accepted step, which set iterate 1's
+    residual target.  A level keeps its
     fields' zz, xz and z while a predictor can still read them, and their
     xx and its forcing only while it is the newest (their hat is the
     reports' ``u_hat``); its xz, which shares one buffer with xx, is
@@ -1229,6 +1274,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     reports, t_new = [], 0.0  # a report per level made; the next level's time
     m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
     halvings = 0
+    prev_iters = 0  # fixed-point iterates of the last accepted step
     bulk = None  # the current dt's operator, factored when the dt starts
     try:
         reports.append(_make_report(history, cfg, steady_level, None, compute_identity))
@@ -1240,7 +1286,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                     bulk = _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, grids)
                 new, step_report = fixed_point_step(
                     level, cfg, t_new=t_new, bulk=bulk, forcing=forcing,
-                    earlier=tuple(islice(reversed(history), 1, 3)))
+                    earlier=tuple(islice(reversed(history), 1, 3)), prev_iters=prev_iters)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise
@@ -1256,6 +1302,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                     f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
                     f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
             level, m = new, m + 1
+            prev_iters = step_report.inner_iters
             history.append(level)
             # the next step reads this level's fields and forcing, its
             # predictor the lagged fields of the two levels before it

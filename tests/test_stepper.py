@@ -151,7 +151,7 @@ def prepare_step(a, u_old, f_new, f_old, inv_dt, theta, grids, fp_norm=None):
 def cold_start(step):
     """The ``temperature_step`` arguments of a solve from the step's u_old
     on the residual test alone, as a step's first iterate makes it."""
-    return {"start": (step.u, step.fields), "fp_diff": np.inf}
+    return {"start": (step.u, step.fields), "res_tol": SolverConfig.lin_tol, "update_tol": np.inf}
 
 
 def bulk_operator(v, coef, grids):
@@ -786,7 +786,8 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     ffts.update(rfft=0, irfft=0)
     products.update(forward=0, inverse=0, derivatives=0)
     _, residual, warm_iters, _ = temperature_step(
-        step, coef, dirichlet=dirichlet + 1e-6 * np.cos(x), start=(u, fields), fp_diff=1e-9)
+        step, coef, dirichlet=dirichlet + 1e-6 * np.cos(x), start=(u, fields),
+        res_tol=cfg.lin_tol, update_tol=stepper.WARM_FP_FRACTION * 1e-9)
     assert residual <= cfg.lin_tol and warm_iters >= 2
     assert products == dict.fromkeys(("forward", "inverse", "derivatives"), warm_iters)
     assert ffts == {"rfft": 1, "irfft": 0}
@@ -1163,8 +1164,9 @@ def test_fixed_point_step_starts_iterate_2_from_a_corrected_temperature(monkeypa
     grids, mid = cfg.grids(), cfg.grids().normal.i_mid
     calls, real_temperature = [], stepper.temperature_step
 
-    def recording_temperature(step, coef, *, dirichlet, start, fp_diff):
-        result = real_temperature(step, coef, dirichlet=dirichlet, start=start, fp_diff=fp_diff)
+    def recording_temperature(step, coef, *, dirichlet, start, res_tol, update_tol):
+        result = real_temperature(step, coef, dirichlet=dirichlet, start=start, res_tol=res_tol,
+                                  update_tol=update_tol)
         calls.append((dirichlet, start, result[0]))
         return result
 
@@ -1465,7 +1467,7 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
     rho_starts, starts = [], []
     real_weights = stepper.norm_weights
 
-    def first_solve(step, coef, *, dirichlet, start, fp_diff):
+    def first_solve(step, coef, *, dirichlet, start, res_tol, update_tol):
         starts.append(start)
         raise _FirstSolve
 
@@ -1483,27 +1485,112 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_run_bounds_the_work_of_a_manufactured_column(monkeypatch):
-    # ten theta = 1/2 steps of a forced column: the summed fixed-point
-    # iterates and lag iterations of the quadratic predictor (53 and 283);
-    # the linear predictor took 60 and 339
+def run_manufactured_column(monkeypatch):
+    """Ten theta = 1/2 steps of a forced 16 x 129 column at dt = 0.01.
+    Returns (reports, targets): each step's ``StepReport``, and the
+    (res_tol, update_tol) of every temperature solve, in order."""
     from stefansim.oracles import ManufacturedProblem
 
     cfg = SolverConfig(epsilon=1e-3, n_x=16, n_z=129, theta=0.5, dt=0.01, k_diag=0)
     problem = ManufacturedProblem(cfg.grids(), cfg.cutoff(), cfg.epsilon)
     u0, rho0 = problem.initial_data()
-    reports, real_step = [], stepper.fixed_point_step
+    reports, targets = [], []
+    real_step, real_temperature = stepper.fixed_point_step, stepper.temperature_step
 
     def recording_step(*args, **kwargs):
         new, report = real_step(*args, **kwargs)
         reports.append(report)
         return new, report
 
+    def recording_temperature(*args, **kwargs):
+        targets.append((kwargs["res_tol"], kwargs["update_tol"]))
+        return real_temperature(*args, **kwargs)
+
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
     res = run(u0, rho0, cfg, 10 * cfg.dt, forcing=problem)
     assert res.cfg.dt == cfg.dt and len(reports) == 10
+    assert len(targets) == sum(r.inner_iters for r in reports)
+    return reports, targets
+
+
+def test_run_bounds_the_work_of_a_manufactured_column(monkeypatch):
+    # ten theta = 1/2 steps of a forced column: the summed fixed-point
+    # iterates and lag iterations of the quadratic predictor (53 and 283);
+    # the linear predictor took 60 and 339
+    reports, _ = run_manufactured_column(monkeypatch)
     assert sum(r.inner_iters for r in reports) <= 53
     assert sum(r.lag_iters for r in reports) <= 283
+
+
+def test_run_solves_a_manufactured_column_only_as_far_as_its_loop_needs(monkeypatch):
+    # each step after one of LOOSE_FIRST_AFTER or more iterates solves
+    # iterate 1 to FIRST_SOLVE_TOL, and warm solves exit at the loop's
+    # measured contraction: 49 fixed-point iterates (169 lag iterations)
+    # where every solve held to the same accuracy took 53
+    # ([6, 6, 6, 5, 5, 5, 5, 5, 5, 5], 200 lag iterations)
+    reports, targets = run_manufactured_column(monkeypatch)
+    iters = [r.inner_iters for r in reports]
+    assert iters == [6, 6, 5, 5, 5, 4, 5, 4, 5, 4]
+    firsts = np.cumsum([0] + iters[:-1])
+    loose = [targets[i][0] == stepper.FIRST_SOLVE_TOL for i in firsts]
+    assert loose == [False] + [n >= stepper.LOOSE_FIRST_AFTER for n in iters[:-1]]
+    assert all(res_tol == SolverConfig.lin_tol for i, (res_tol, _) in enumerate(targets)
+               if i not in firsts)
+
+
+def test_run_reports_the_residual_of_the_accepted_solve(monkeypatch):
+    # loose first solves end above lin_tol, but no step accepts one: every
+    # report's lin_residual, that of the accepted solve, is at most lin_tol
+    reports, targets = run_manufactured_column(monkeypatch)
+    assert sum(res_tol == stepper.FIRST_SOLVE_TOL for res_tol, _ in targets) >= 5
+    assert all(0.0 <= r.lin_residual <= SolverConfig.lin_tol for r in reports)
+
+
+def test_warm_update_targets_never_exceed_the_fixed_fraction(monkeypatch):
+    # iterate 1 has no update target; iterate 2's is WARM_FP_FRACTION of
+    # iterate 1's difference, and from iterate 3 on min(WARM_FP_FRACTION,
+    # r) of the last difference, r the last measured contraction
+    reports, targets = run_manufactured_column(monkeypatch)
+    targets = iter(targets)
+    tightened = 0
+    for report in reports:
+        norms = report.fp_norms
+        for m in range(len(norms)):
+            _, update_tol = next(targets)
+            if m == 0:
+                assert update_tol == np.inf
+                continue
+            assert update_tol <= stepper.WARM_FP_FRACTION * norms[m - 1]
+            ratio = norms[m - 1] / norms[m - 2] if m >= 2 else stepper.WARM_FP_FRACTION
+            assert update_tol == min(stepper.WARM_FP_FRACTION, ratio) * norms[m - 1]
+            tightened += update_tol < stepper.WARM_FP_FRACTION * norms[m - 1]
+    assert tightened >= 10
+
+
+@pytest.mark.parametrize("prev_iters", [stepper.LOOSE_FIRST_AFTER - 1, stepper.LOOSE_FIRST_AFTER])
+def test_fixed_point_step_never_accepts_a_loose_first_solve(monkeypatch, prev_iters):
+    # a flat state's iterate 1 reproduces it, difference 0: solved to
+    # lin_tol it ends the step, solved to FIRST_SOLVE_TOL (after a step of
+    # LOOSE_FIRST_AFTER iterates) the step goes on to iterate 2
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
+    level = make_level(0.0, np.zeros(cfg.grids().shape), np.full(cfg.n_x, 0.1), cfg)
+    res_tols, real_temperature = [], stepper.temperature_step
+
+    def recording_temperature(*args, **kwargs):
+        res_tols.append(kwargs["res_tol"])
+        return real_temperature(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    new, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg),
+                                   prev_iters=prev_iters)
+    assert report.fp_norms[0] <= cfg.fp_tol
+    if prev_iters >= stepper.LOOSE_FIRST_AFTER:
+        assert res_tols == [stepper.FIRST_SOLVE_TOL, cfg.lin_tol] and report.inner_iters == 2
+    else:
+        assert res_tols == [cfg.lin_tol] and report.inner_iters == 1
+    assert report.lin_residual <= cfg.lin_tol
+    assert np.all(new.u == 0.0) and np.abs(new.rho - 0.1).max() < 1e-15
 
 
 def test_run_keeps_a_flat_state_at_one_iterate_per_step():
@@ -1515,15 +1602,26 @@ def test_run_keeps_a_flat_state_at_one_iterate_per_step():
     assert np.all(res.state.u == 0.0) and np.abs(res.state.rho - 0.1).max() < 1e-15
 
 
-def test_run_ends_smooth_steps_at_fixed_point_iterate_2():
+def test_run_ends_smooth_steps_at_fixed_point_iterate_2(monkeypatch):
     # a small single-mode decay: from step 3 on (the quadratic predictor)
     # iterate 2's difference from the corrected iterate 1 stays below
     # fp_tol (at most about 1.1e-13 here), so each step ends at iterate 2;
-    # step 1 (no predictor) and step 2 (the linear one) take 3
+    # step 1 (no predictor) and step 2 (the linear one) take 3.  No step
+    # follows one of LOOSE_FIRST_AFTER iterates, so every solve, iterate
+    # 1's included, is held to lin_tol
     cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
     rho0 = 1e-4 * np.sin(cfg.grids().tangential.nodes)
-    res = run(compatible_initial_temperature(rho0, cfg), rho0, cfg, 40 * cfg.dt)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    res_tols, real_temperature = [], stepper.temperature_step
+
+    def recording_temperature(*args, **kwargs):
+        res_tols.append(kwargs["res_tol"])
+        return real_temperature(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    res = run(u0, rho0, cfg, 40 * cfg.dt)
     assert [r.inner_iters for r in res.reports[1:]] == [3, 3] + [2] * 38
+    assert len(res_tols) == 3 + 3 + 2 * 38 and set(res_tols) == {cfg.lin_tol}
 
 
 @pytest.mark.parametrize("amp", [0.1, 0.15])
