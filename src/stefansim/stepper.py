@@ -76,25 +76,22 @@ when a mixed iterate's difference exceeds the one before.  The stopping
 test ``diff <= fp_tol`` reads the unmixed pair (u_next, rho_next) against
 (u_m, rho_m), and that pair is the accepted state: a true output of G.
 
-Each solve is held only to the accuracy the fixed-point loop needs, by
-the forcing-term idea of inexact Newton methods (Dembo, Eisenstat and
-Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat and Walker, SIAM J.
-Sci. Comput. 17, 1996).  Iterate 1 ends on the residual test alone, at
-lin_tol, or at the looser FIRST_SOLVE_TOL when the step before took at
-least LOOSE_FIRST_AFTER iterates: its u is replaced by the Dirichlet
-correction, and a step never accepts a loosely solved iterate 1, even
-below fp_tol.  Only steps after one of that many iterates loosen it,
-because a loose iterate 1 can add an iterate to a step that would end at
-iterate 2 (a threshold of 3 would feed itself), and adds at most one.
-After iterate 1 a solve ends once the residual test holds at lin_tol and
-its last lag update, in the fixed-point norm, is at most
-min(WARM_FP_FRACTION, r) times the previous fixed-point difference, or
-WARM_TOL_FRACTION of fp_tol, or has not halved since the update before:
-the loop is then at its roundoff floor (see ``temperature_step``).  Here
-r = diff_{m-1} / diff_{m-2} is the loop's last measured contraction,
-from iterate 3 on (iterate 2 uses WARM_FP_FRACTION alone), so warm
-solves are tightened only where the fixed-point loop contracts fast and
-their error would set its rate.  When the lag loop stops contracting, its
+Each solve is held only to the accuracy the loop needs (the forcing
+terms of inexact Newton methods: Dembo, Eisenstat and Steihaug, SIAM J.
+Numer. Anal. 19, 1982; Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+1996).  Iterate 1 ends on the residual test alone: at FIRST_SOLVE_TOL
+when the step before took at least LOOSE_FIRST_AFTER iterates, else at
+lin_tol.  Its u is replaced by the Dirichlet correction, and a step
+never accepts a loose iterate 1.  A loose iterate 1 adds at most one
+iterate, but it can add one to a step that would end at iterate 2, so
+only steps after long ones loosen it (after 3 the rule feeds itself).
+A later solve ends once the residual test holds at lin_tol and its last
+lag update, in the fixed-point norm, is at most min(WARM_FP_FRACTION, r)
+of the previous fixed-point difference, r the loop's last measured
+contraction (from iterate 3 on), or WARM_TOL_FRACTION of fp_tol, or has
+not halved since the update before: the loop is then at its roundoff
+floor (see ``temperature_step``).  So warm solves are tightened only
+where the fixed-point loop contracts fast.  When the lag loop stops contracting, its
 residual no longer falling over a few iterations, the solve goes on by
 GMRES on the plain lag map with M as preconditioner; the final check is
 the same full residual.
@@ -264,17 +261,14 @@ class StepReport:
         return len(self.fp_norms)
 
 
-# Targets of the temperature solves of a step (``fixed_point_step`` sets
-# them, ``temperature_step`` ends on them).  Iterate 1 solves to this full
-# residual when the step before took at least LOOSE_FIRST_AFTER
-# fixed-point iterates, else to lin_tol; its u is replaced by the Dirichlet
-# correction, and a step never accepts a loosely solved iterate 1 ...
+# Targets of a step's temperature solves (set by ``fixed_point_step``):
+# iterate 1 solves to this full residual after a step of at least
+# LOOSE_FIRST_AFTER fixed-point iterates, else to lin_tol ...
 FIRST_SOLVE_TOL = 1e-9
 LOOSE_FIRST_AFTER = 4
-# ... and every later solve solves to lin_tol and then, once the residual
-# test holds, accepts when the last lag update, in the fixed-point norm,
-# is at most min(this share, r) of the previous fixed-point difference,
-# r the loop's last measured contraction (from iterate 3 on) ...
+# ... and a later solve, once at lin_tol, accepts when its last lag
+# update, in the fixed-point norm, is at most min(this share, r) of the
+# previous fixed-point difference, r the loop's last contraction ...
 WARM_FP_FRACTION = 1e-3
 # ... or this share of fp_tol
 WARM_TOL_FRACTION = 1e-2
@@ -1070,14 +1064,12 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=(), prev_
     and level.rho.  The report carries the accepted solve's residual and
     the accepted state's trace gap max |u(., 0) - kappa(rho) - g|.
 
-    Each solve is handed its targets (see the module docstring): iterate
-    1 a residual target of FIRST_SOLVE_TOL if ``prev_iters`` is at least
+    Each solve is handed its targets (module docstring): iterate 1 a
+    residual target of FIRST_SOLVE_TOL if ``prev_iters`` is at least
     LOOSE_FIRST_AFTER, else lin_tol, and no update target; iterate m >= 2
-    lin_tol and the update target f diff_{m-1}, with f = WARM_FP_FRACTION
-    at m = 2 and f = min(WARM_FP_FRACTION, diff_{m-1} / diff_{m-2}) from
-    m = 3 on, so the target is never above WARM_FP_FRACTION diff_{m-1}.
-    Only a solve held to lin_tol can end the step, so a loose iterate 1
-    whose difference is below fp_tol goes on to iterate 2.
+    lin_tol and min(WARM_FP_FRACTION, diff_{m-1} / diff_{m-2}) diff_{m-1}
+    (WARM_FP_FRACTION diff_1 at m = 2).  A loose iterate 1 whose
+    difference is below fp_tol goes on to iterate 2.
     """
     grids, cutoff, dt, theta, n_x = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta, cfg.n_x
     f_new = f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
