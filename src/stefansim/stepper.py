@@ -89,12 +89,14 @@ A later solve ends once the residual test holds at lin_tol and its last
 lag update, in the fixed-point norm, is at most min(WARM_FP_FRACTION, r)
 of the previous fixed-point difference, r the loop's last measured
 contraction (from iterate 3 on), or WARM_TOL_FRACTION of fp_tol, or has
-not halved since the update before: the loop is then at its roundoff
-floor (see ``temperature_step``).  So warm solves are tightened only
-where the fixed-point loop contracts fast.  When the lag loop stops contracting, its
-residual no longer falling over a few iterations, the solve goes on by
-GMRES on the plain lag map with M as preconditioner; the final check is
-the same full residual.
+not halved since the update before and is at most FLOOR_SHARE of u's own
+norm: the loop is then at its roundoff floor (see ``temperature_step``).
+So warm solves are tightened only where the fixed-point loop contracts
+fast.  When the lag loop stops contracting, its residual no longer
+falling over a few iterations, the same loop goes on from its best
+iterate by GCR steps (generalized conjugate residual: Eisenstat, Elman
+and Schultz, SIAM J. Numer. Anal. 20, 1983) along its own sweeps; the
+final check is the same full residual.
 
 Every bulk solve works on a real layout of the tangential modes: an
 array (2, n_x/2 + 1, n_z) of the rfft's real parts, then its imaginary
@@ -221,7 +223,7 @@ class SolverConfig:
     fp_tol: ClassVar[float] = 1e-12  # fixed-point difference that ends a step
     fp_max_iter: ClassVar[int] = 60
     lin_tol: ClassVar[float] = 1e-11  # full relative residual that ends a solve
-    lin_max_iter: ClassVar[int] = 200  # lag iterations, or GMRES applications
+    lin_max_iter: ClassVar[int] = 200  # lag iterations, GCR steps included
     trace_tol: ClassVar[float] = 1e-6  # largest |u(., 0) - kappa(rho) - g| accepted
     max_dt_halvings: ClassVar[int] = 2
 
@@ -272,14 +274,14 @@ LOOSE_FIRST_AFTER = 4
 WARM_FP_FRACTION = 1e-3
 # ... or this share of fp_tol
 WARM_TOL_FRACTION = 1e-2
-# ... or when it is more than this share of the update before: the loop
-# has stopped contracting, at the roundoff floor
+# ... or when it is more than this share of the update before and at most
+# FLOOR_SHARE of the new u's own norm: the loop has stopped contracting, at
+# the roundoff floor
 FLOOR_RATIO = 0.5
+FLOOR_SHARE = 1e-13
 # the lag loop has stalled when its residual has not fallen over this many
-# lag iterations; the solve then continues by GMRES
+# lag iterations; the solve then goes on by GCR steps
 STALL_WINDOW = 3
-# relative tolerance of each GMRES cycle on the preconditioned system
-KRYLOV_RTOL = 1e-7
 
 
 class _Fields(NamedTuple):
@@ -752,7 +754,7 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     u_new's ``_bulk_fields``, its complex rfft included (assembled once,
     from the real layout of the final solve), which a solve warm-started
     from u_new and the fixed-point norm reuse, and lag_iterations counts
-    every operator application, GMRES's included.  Raises
+    the loop's iterations, GCR steps included.  Raises
     LinearSolveError if the solve cannot reach ``res_tol`` and
     NonFiniteFieldError on a non-finite iterate.
 
@@ -785,8 +787,11 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     Fourier coefficients and without the interface terms, which are 0: no
     transform).  It accepts when that update is at most ``update_tol`` or
     WARM_TOL_FRACTION of fp_tol, or is more than FLOOR_RATIO (one half) of
-    the update before it: a loop whose sweeps contract, the pair by far
-    more than that, no longer does, so its updates are roundoff.  A
+    the update before it and at most FLOOR_SHARE of u_new's own norm (made
+    only then): a loop whose sweeps contract, the pair by far more than
+    that, no longer does, so its updates are roundoff.  Without the second
+    test a sweep pair that contracts by less than half, far above the
+    floor, would end the solve there.  A
     residual test alone would end warm solves at residuals far below
     lin_tol yet carry the lag loop's contraction into the fixed-point
     iterates.  An inf ``update_tol`` (iterate 1, the steady solve) skips
@@ -794,17 +799,16 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     ``fixed_point_step`` sets both targets from what its loop needs (see
     there).
 
-    GMRES fallback.  If the residual has not fallen over STALL_WINDOW lag
-    iterations, the loop has stopped contracting (or diverges), and the
-    solve goes on from the best iterate by GMRES on the affine map of the
-    plain lag iteration, (I - M^-1 N) u = M^-1 b, with M the operator of
-    a_mean and N the lagged part.  Each cycle solves for the correction of
-    the current full residual (iterative refinement: GMRES's own
-    preconditioned tolerance does not bound the full residual), within the
-    one budget of ``lin_max_iter`` operator applications; its Krylov basis
-    holds at most that many fields.  An application builds only the ``_lagged_fields``
-    of its vector: two forward and two inverse products (u_x, and that of
-    the solve).
+    GCR steps.  If the residual has not fallen over STALL_WINDOW lag
+    iterations, the sweeps have stopped contracting (or diverge), and the
+    loop goes on from its best iterate, within the same ``lin_max_iter``
+    iterations, by GCR steps (generalized conjugate residual): each later
+    iteration's sweep z of the measured residual is made A-orthogonal to
+    the directions taken since the stall (their A p orthonormal), and the
+    iterate moves along it by the length that minimizes the full
+    residual.  A z, with zero Dirichlet data, reads z's ``_bulk_fields``,
+    so a GCR iteration makes one forward product and two of each inverse
+    one; each direction keeps p in the real layout and A p on the grid.
     """
     grids, bulk = step.grids, step.bulk
     transforms = bulk.transforms
@@ -812,7 +816,6 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     u_old, f_new = step.u, step.f_new
     max_iter = SolverConfig.lin_max_iter
     mid = grids.normal.i_mid
-    a_fluct = coef.a - bulk.a_mean[None, :]  # the lagged part of a
 
     base_rhs = step.base_rhs
     old_part, scale_old = None, 0.0
@@ -848,12 +851,6 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
             _require_finite(u_new, what)
         return r, residual
 
-    def lag_solve(zz, xz, z, rhs, dir_values):
-        """Real-layout coefficients of M^-1 (rhs + N v), v the field with
-        v_zz = zz, v_xz = xz and v_z = z."""
-        lagged = a_fluct * zz - coef.B * xz - coef.c * z
-        return bulk.solve(transforms.forward(rhs + theta * lagged), dir_values)
-
     weight = None  # a_harmonic / a, made at the solve's first harmonic sweep
 
     def sweep(r, harmonic):
@@ -867,55 +864,41 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
             r = weight * r
         return bulk.solve(transforms.forward(r), zero_dir, harmonic)
 
-    def krylov(u_new, r, used):
-        """Iterative refinement by GMRES from u_new with full residual r:
-        each cycle solves (I - M^-1 N) d = -M^-1 r (zero Dirichlet data)
-        and adds d, until the full residual reaches res_tol."""
-        from scipy.sparse.linalg import LinearOperator, gmres  # only stalled solves need it
-        matvecs = 0
+    directions = None  # (p, A p) of each GCR step since a stall, |A p| = 1
 
-        def inv_m(v):
-            return transforms.inverse(bulk.solve(transforms.forward(v), zero_dir))
-
-        def apply(v):
-            nonlocal matvecs
-            matvecs += 1
-            v = v.reshape(grids.shape)
-            v_x = transforms.derivatives(transforms.forward(v), 1)[0]
-            lagged = lag_solve(*_lagged_fields(v, v_x, grids), 0.0, zero_dir)
-            return (v - transforms.inverse(lagged)).ravel()
-
-        op = LinearOperator((u_new.size,) * 2, matvec=apply, dtype=float)
-        residual = np.inf
-        while used + matvecs < max_iter:
-            d, _ = gmres(op, -inv_m(r).ravel(), rtol=KRYLOV_RTOL, atol=0.0,
-                         restart=max_iter - used - matvecs, maxiter=1)
-            d = d.reshape(grids.shape)
-            d[:, mid] = 0.0
-            u_new = u_new + d
-            x = transforms.forward(u_new)
-            fields = _bulk_fields(u_new, x, grids)
-            r, residual = measure(u_new, fields, "temperature iterate (GMRES)")
-            if residual <= res_tol:
-                return u_new, float(residual), used + matvecs, fields._replace(hat=_complex(x))
-        raise LinearSolveError(
-            f"temperature solve stalled: GMRES reached relative residual {residual:.3e} "
-            f"within {max_iter} operator applications (res_tol={res_tol:.1e})",
-            residual=float(residual),
-        )
+    def gcr_step(z, r):
+        """The GCR step along the sweep z (real layout) from the iterate of
+        full residual r: z made A-orthogonal to ``directions``, to which it
+        is added, times the step length that minimizes the residual."""
+        v = transforms.inverse(z)
+        az, _ = _interior_operator(coef, _bulk_fields(v, z, grids))
+        az *= -theta
+        az += inv_dt * v  # A z, with zero Dirichlet data
+        az[:, mid] = 0.0
+        for p, ap in directions:
+            beta = np.vdot(ap, az)
+            z = z - beta * p
+            az -= beta * ap
+        norm = np.linalg.norm(az)
+        directions.append((z / norm, az / norm))
+        return np.vdot(az, r) / norm**2 * z
 
     u_prev, fields = start
     # the update test below reads the start's hat, which an extrapolated
     # start (``_extrapolate``) leaves None: such a start must skip the test
     assert fields.hat is not None or update_tol == np.inf, "start without hat needs no update test"
     start_hat, x_prev = fields.hat, None  # the coefficients of the iterate before
-    x = lag_solve(fields.zz, fields.xz, fields.z, base_rhs, dir_x)  # lag iteration 1
+    # lag iteration 1: M^-1 (b + N u_start), N lagging what a_mean leaves of
+    # a, and B and c
+    lagged = (coef.a - bulk.a_mean) * fields.zz - coef.B * fields.xz - coef.c * fields.z
+    x = bulk.solve(transforms.forward(base_rhs + theta * lagged), dir_x)
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, max_iter + 1):
         if it > 1:  # a sweep: harmonic at even iterations, a_mean at odd ones
             u_prev, x_prev = u_new, x
-            x = x - sweep(r, harmonic=it % 2 == 0)
+            z = sweep(r, harmonic=it % 2 == 0)
+            x = x - (z if directions is None else gcr_step(z, r))
         u_new = transforms.inverse(x)
         fields = _bulk_fields(u_new, x, grids)
         r, residual = measure(u_new, fields, f"temperature iterate (lag iteration {it})")
@@ -927,15 +910,17 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
             update = np.sqrt(state_energy_k0(u_new - u_prev, d_hat, None, step.fp_norm))
             if (update <= update_tol
                     or update <= WARM_TOL_FRACTION * SolverConfig.fp_tol
-                    or update > FLOOR_RATIO * last_update):
+                    or (update > FLOOR_RATIO * last_update and update <= FLOOR_SHARE * np.sqrt(
+                        state_energy_k0(u_new, _complex(x), None, step.fp_norm)))):
                 return u_new, float(residual), it, fields._replace(hat=_complex(x))
             last_update = update
-        else:
+        elif directions is None:
             if best is None or residual < best[0]:
-                best = (residual, u_new, r)
+                best = (residual, x, u_new, r)
             if len(residuals) >= STALL_WINDOW and residual >= residuals[-STALL_WINDOW]:
-                return krylov(best[1], best[2], it)
-        residuals.append(residual)
+                _, x, u_new, r = best  # GCR steps from the best iterate on
+                directions = []
+            residuals.append(residual)
     raise LinearSolveError(
         f"temperature solve stalled at relative residual {residual:.3e} "
         f"after {max_iter} lag iterations (res_tol={res_tol:.1e})",
@@ -1214,8 +1199,8 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     one at t_end exactly.
 
     On a failed step (fixed-point non-contraction, or a temperature solve
-    that neither its lag loop nor GMRES brings to lin_tol within
-    lin_max_iter operator applications) the step is retried with dt
+    that its lag loop, GCR steps included, does not bring to lin_tol
+    within lin_max_iter iterations) the step is retried with dt
     halved, up to cfg.max_dt_halvings times, since 1/dt damps both
     iterations; the reduced dt persists for the rest of the run and the
     history buffer restarts (quotients need uniform spacing).  Such a

@@ -225,8 +225,8 @@ def package_env():
                                     "scipy.linalg"])
 def test_runtime_package_does_not_import_sympy(module, tmp_path):
     # sympy is a test dependency only: the package builds its manufactured
-    # solution from closed forms; scipy.sparse.linalg is loaded only by the
-    # GMRES fallback of a stalled solve, scipy.linalg only by the dense
+    # solution from closed forms; scipy.sparse.linalg by nothing (a stalled
+    # solve goes on by GCR steps in numpy), scipy.linalg only by the dense
     # eigensolve of ``linearized_spectrum`` (the bulk LU calls numpy's
     # LAPACK), and scipy.optimize by nothing: not by the dispersion root,
     # nor by the K2_oracle line of a single-mode run's summary.  Each would
