@@ -74,14 +74,14 @@ def uniform_step(times, what):
     return first
 
 
-def _quotients(levels, name, count, dt):
-    """The backward time quotients s = 0 .. count - 1 of the levels'
-    attribute ``name`` at the newest time, None where the history is too
-    short: the window is stacked once and differenced once per order (the
-    s-th quotient is ``np.diff`` of order s of the newest s + 1 levels,
-    over dt^s).  The transform of a quotient is the same quotient of the
-    levels' transforms."""
-    values = [getattr(lv, name) for lv in levels[-count:]]
+def _quotients(values, count, dt):
+    """The backward time quotients s = 0 .. count - 1 at the newest time
+    of ``values``, one array per level, oldest first, None where the
+    history is too short: the window is stacked once and differenced once
+    per order (the s-th quotient is ``np.diff`` of order s of the newest
+    s + 1 arrays, over dt^s).  The transform of a quotient is the same
+    quotient of the levels' transforms."""
+    values = values[-count:]
     out, diffs = [values[-1]], np.stack(values)
     for s in range(1, count):
         if s >= len(values):
@@ -205,8 +205,8 @@ def evaluate_functionals(levels, cfg):
     n = g.tangential.n_x
     newest = levels[-1]
     a_psi, bracket = norm_weights(newest.rho, newest.rho_x, cfg.cutoff(), g)
-    u_hats = _quotients(levels, "u_hat", k + 2, dt)
-    r_hats = _quotients(levels, "rho_hat", k + 2, dt)
+    u_hats = _quotients([lv.fields.hat for lv in levels], k + 2, dt)
+    r_hats = _quotients([lv.rho_hat for lv in levels], k + 2, dt)
     count = sum(hat is not None for hat in u_hats)  # the quotients 0 .. count - 1 exist
 
     def orders(s):  # the mu of the (mu, s) terms
@@ -404,8 +404,9 @@ def _stencil_sums(rows, weights):
 
 class EnergyNormK0:
     """The order-0 norm: E_eps at diagnostic order 0 with the weights of
-    one interface psi frozen, set up once for ``state_energy_k0`` (by the
-    stepper once per step, at iterate 1's interface).
+    one interface psi frozen, set up once for ``state_energy_k0`` (by
+    ``stepper.run`` once per dt, at the level the dt starts from, beside
+    the dt's bulk operator).
 
     psi_x (the spectral slope of psi), a_psi (bulk, (n_x, n_z)) and
     bracket = <psi> ((n_x,)) are the interface derivative and the

@@ -117,7 +117,7 @@ def model_energy(level, cfg):
     L = 1.0 / bracket
     un = first_walls(halves(u, grids.normal), grids.normal.dz)
     val = 0.5 * bulk_sum(u**2, grids)
-    val += parseval_sum(power_spectrum(level.u_hat), ((1,),), grids)
+    val += parseval_sum(power_spectrum(level.fields.hat), ((1,),), grids)
     val += bulk_sum(halves(a, grids.normal) * un**2, grids)
     val += 0.5 * interface_sum((rx**2 + eps * rxxx**2) * L, tg)
     val += interface_sum((rxx**2 + eps * rxxxx**2) * L**3, tg)
@@ -168,10 +168,10 @@ def identity_residual_k0(window, cfg):
     # (one-sided where z-derivatives enter)
     a, B, c, a_n, a_t, a_x = (halves(v, nz) for v in (
         coef.a, coef.B, coef.c, *_a_derivs(rho_c, rx, rxx, rt, rxt, cutoff, grids)))
-    ux, uxx = d_tangential_hats(mid.u_hat, n, ((1,), (2,)))
+    ux, uxx = d_tangential_hats(mid.fields.hat, n, ((1,), (2,)))
     u, ut, uxx_h = halves(u_c, nz), halves(u_t, nz), halves(uxx, nz)
     un = first_walls(u, nz.dz)
-    uxn = d_tangential_hats(first_walls(halves(mid.u_hat, nz), nz.dz), n, ((1,),))[0]
+    uxn = d_tangential_hats(first_walls(halves(mid.fields.hat, nz), nz.dz), n, ((1,),))[0]
     unn = second_walls(u, nz.dz)
     f = -B * uxn - c * un
 

@@ -8,6 +8,7 @@ atomic rename so a failed run never leaves partial files behind.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import time
@@ -30,12 +31,20 @@ def config_hash(cfg):
 
 
 def atomic_write_text(path, text):
+    """Write ``text`` to ``path`` through a temporary file beside it and an
+    atomic rename; on any failure the temporary file is removed and the
+    error raised again."""
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_artifact(path, text):

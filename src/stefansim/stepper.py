@@ -129,27 +129,30 @@ forcing's values at t and, once the identity has read it, the model
 energy.  A step reads u_old's fields, the old interface's transforms
 and, at theta < 1, the old forcing from the old level, so it transforms
 no field of that level and evaluates the forcing once per level; it
-returns the new level.  ``run`` keeps the records in its bounded
-history only, and its reports read their transforms, Q and model
-energies.
+returns the new level.  ``run`` keeps the records whole, as built, in
+its bounded history only, and its reports read their transforms, Q and
+model energies.
 
 The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
-t_new=..., bulk=..., forcing=..., earlier=..., prev_iters=...)``,
+t_new=..., bulk=..., fp_norm=..., forcing=..., earlier=...,
+prev_iters=...)``,
 ``interface_step(u_new, old, cfg, ...)``, which reads rho's rfft from
 the old level, and every solve's one call shape
 ``temperature_step(step, coef, dirichlet=..., start=..., res_tol=...,
 update_tol=...)``.  ``step`` is the ``_Step`` that ``_prepare_step``
 builds once per time step, before the first iterate, around the dt's
-LU; the iterate adds its frozen coefficients, Dirichlet data, lag-loop
-start and the two targets its solve ends on.  The steady solve of
+LU and norm; the iterate adds its frozen coefficients, Dirichlet data,
+lag-loop start and the two targets its solve ends on.  The steady solve of
 ``compatible_initial_temperature`` factors its own LU, with 1/dt = 0 and
 theta = 1, for a ``_Step`` with no norm, and solves to lin_tol.
 ``make_level`` and the diagnostics read the same cfg.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0``) is
-frozen per step at iterate 1's interface, from its one ``norm_weights``
-call, and makes no 2-D transform: the solve's Fourier coefficients
+frozen per dt, like the operator: ``run`` builds it beside the dt's
+``_BulkLU``, from the weights a and <rho> of the one ``norm_weights``
+call at the level the dt starts from, and hands it to every step of the
+dt.  It makes no 2-D transform: the solve's Fourier coefficients
 travel with the fields it returns, so the bulk terms int w^2 + w_x^2 of
 the fixed-point difference are a Parseval sum over the difference of
 the two solves' coefficients (u_old's at iterate 1), and those of a warm
@@ -304,21 +307,19 @@ class State:
 @dataclass
 class Level(State):
     """One time level and what is derived from it, built once by
-    ``make_level``: u's ``_bulk_fields`` and its rfft ``u_hat``, rho's
-    rfft and slope and second derivative, and the conserved quantity Q.
-    Two entries are filled on first use: ``forcing``, the forcing's (bulk,
-    Dirichlet, jump) values at t, and ``E_bar``, the pair (epsilon, model
-    energy) that ``identity.model_energy`` caches.
+    ``make_level``: u's ``_bulk_fields`` (its rfft ``fields.hat``
+    included), rho's rfft and slope and second derivative, the conserved
+    quantity Q and ``forcing``, the forcing's (bulk, Dirichlet, jump)
+    values at t (None if not evaluated).  Only ``E_bar``, the pair
+    (epsilon, model energy) that ``identity.model_energy`` caches, is
+    filled on first use.
 
-    ``run`` keeps levels in its bounded history only, and drops what no
-    step can read: the step from a level reads all its ``fields`` and its
-    ``forcing``, the predictors of the two steps after it only the fields'
-    zz, xz and z: a level one back drops its fields' xx and its forcing,
-    three back all its fields.  The reports read the rest, ``u_hat`` (the
-    fields' hat) too.  The states it hands to callbacks and returns are
-    plain ``State``s, so a caller that keeps every state keeps none."""
+    ``run`` keeps levels whole, as built, in its bounded history only: the
+    step from a level reads its fields and its forcing, the predictors of
+    the two steps after it the fields' zz, xz and z, and the reports the
+    rest.  The states it hands to callbacks and returns are plain
+    ``State``s, so a caller that keeps every state keeps none."""
     fields: _Fields = None
-    u_hat: np.ndarray = None
     rho_hat: np.ndarray = None
     rho_x: np.ndarray = None
     rho_xx: np.ndarray = None
@@ -342,8 +343,8 @@ def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
         x = real_transforms(grids.tangential.n_x).forward(u)
         fields = _bulk_fields(u, x, grids, _complex(x))
     rho_hat, rho_x, rho_xx = _interface_transforms(rho, grids.tangential.n_x)
-    return Level(t=t, u=u, rho=rho, fields=fields, u_hat=fields.hat, rho_hat=rho_hat, rho_x=rho_x,
-                 rho_xx=rho_xx, Q=conserved_quantity(u, rho, cfg.cutoff(), grids), forcing=forcing)
+    return Level(t=t, u=u, rho=rho, fields=fields, rho_hat=rho_hat, rho_x=rho_x, rho_xx=rho_xx,
+                 Q=conserved_quantity(u, rho, cfg.cutoff(), grids), forcing=forcing)
 
 
 def _interface_transforms(rho, n_x):
@@ -386,8 +387,8 @@ class _Step:
     theta), u_old with its ``_bulk_fields`` and norm, the bulk forcing at
     both time levels (zeros without forcing), the norm of their theta
     blend, the part of the right-hand side they fix, u_old / dt + theta
-    f_new, and the fixed-point norm at the step's first interface iterate
-    (None for the steady solve).  Made by ``_prepare_step``."""
+    f_new, and the dt's fixed-point norm (None for the steady solve).
+    Made by ``_prepare_step``."""
     grids: Grids
     bulk: _BulkLU
     u: np.ndarray
@@ -629,11 +630,6 @@ class _BulkLU:
                                    dirichlet, self.mid)
         return _thomas_batched(*self.factors, self.row_scale, rhs, dirichlet, self.mid)
 
-    def harmonic_weight(self, a):
-        """The row weight a_harmonic / a of the harmonic sweep for the
-        frozen weight field a."""
-        return self.a_harmonic / a
-
     @cached_property
     def dirichlet_response(self):
         """Per-mode solution w (modes, n_z) of the homogeneous solve with
@@ -860,7 +856,7 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
         nonlocal weight
         if harmonic:
             if weight is None:
-                weight = bulk.harmonic_weight(coef.a)
+                weight = bulk.a_harmonic / coef.a
             r = weight * r
         return bulk.solve(transforms.forward(r), zero_dir, harmonic)
 
@@ -1013,18 +1009,21 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
-def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=(), prev_iters=0):
+def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=(),
+                     prev_iters=0):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
 
     ``bulk`` is the dt's ``_BulkLU`` (its 1/dt and theta must be cfg's):
     its two operators only precondition the lag loop, its jump response damps
     the interface update and its Dirichlet response corrects iterate 1.
+    ``fp_norm`` is the dt's ``EnergyNormK0``, which every fixed-point
+    difference and warm exit test of the step measures in.
 
     ``level`` is the ``Level`` of the old time (``make_level`` builds one
     from raw arrays), and the step reads its fields, transforms and, at
-    theta < 1, its forcing, which it evaluates and keeps there on first
-    use; ``earlier`` holds the ``Level``s one and two dt before it,
+    theta < 1, its forcing, which it evaluates (and does not keep) if the
+    level holds none; ``earlier`` holds the ``Level``s one and two dt before it,
     newest first, as far as they exist (at most two), and ``prev_iters``
     the fixed-point iterates of the step before (0: none).  The new
     ``Level`` carries the final solve's fields, the accepted rho's
@@ -1033,9 +1032,8 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=(), prev_
     Iterates the map G: rho_m -> rho_next (temperature solve with the
     curvature of rho_m as Dirichlet data, then interface update; u_m only
     warm-starts the next solve) until the difference of the unmixed pair
-    (u_next, rho_next) from (u_m, rho_m), measured in the order-0
-    regularized-energy norm at iterate 1's rho_m (frozen once per step),
-    drops below fp_tol; the accepted state is that pair, a true output of
+    (u_next, rho_next) from (u_m, rho_m), measured in ``fp_norm``, drops
+    below fp_tol; the accepted state is that pair, a true output of
     G.  Iterate 1 starts from ``_extrapolate((level, *earlier))`` (see the
     module docstring), and its difference is measured against u_old.
     Unless iterate 1 ends the step, its u is then corrected to first order
@@ -1062,9 +1060,8 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=(), prev_
         f_new = forcing.at(t_new)
         f_bulk_new, g_dir, f_jump_new = f_new
         if theta < 1.0:
-            if level.forcing is None:
-                level.forcing = forcing.at(level.t)
-            f_bulk_old, _, f_jump_old = level.forcing
+            f_bulk_old, _, f_jump_old = (forcing.at(level.t) if level.forcing is None
+                                         else level.forcing)
     base_x, base_xx = level.rho_x, level.rho_xx
     u_m, fields_m = level.u, level.fields
     rho_m, start = _extrapolate((level, *earlier))  # start: where the next lag loop starts
@@ -1076,9 +1073,8 @@ def fixed_point_step(level, cfg, *, t_new, bulk, forcing=None, earlier=(), prev_
         rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids)
         if f_jump_old is not None:
             rhs_old = rhs_old + f_jump_old
-    a, bracket = norm_weights(rho_m, rx, cutoff, grids)  # at iterate 1's rho_m
     step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids,
-                         fp_norm=EnergyNormK0(rx, a, bracket, cfg))
+                         fp_norm=fp_norm)
     sigma = bulk.jump_response
 
     def dirichlet_data(rho_hat, rx):  # the curvature Dirichlet data of an iterate
@@ -1216,16 +1212,16 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     steady level is the initial level's ``steady_mean``.  The states
     passed to callbacks and returned carry only (t, u, rho).
 
-    Each step is passed the dt's ``_BulkLU``, as ``earlier`` the levels
-    one and two dt back, as far as the history holds them at the current
-    dt (see the module docstring for both), and as ``prev_iters`` the
-    fixed-point iterates of the last accepted step, which set iterate 1's
-    residual target.  A level keeps its
-    fields' zz, xz and z while a predictor can still read them, and their
-    xx and its forcing only while it is the newest (their hat is the
-    reports' ``u_hat``); its xz, which shares one buffer with xx, is
-    copied out when xx is dropped, so no dead xx stays behind.
-    Within the step it mixes the interface iterates by a secant step and
+    When a dt starts, ``run`` makes one ``norm_weights`` call at the
+    level it starts from, and factors the dt's ``_BulkLU`` and builds its
+    fixed-point ``EnergyNormK0`` from its weights.  Each step of the dt is
+    passed both; as ``earlier`` the levels one and two dt back, as far as
+    the history holds them at the current dt (see the module docstring);
+    and as ``prev_iters`` the fixed-point iterates of the last
+    accepted step, which set iterate 1's residual target.  The history's
+    levels stay whole, as ``make_level`` built them; at theta < 1 the
+    initial level is built with the forcing's values at t = 0.  Within
+    the step it mixes the interface iterates by a secant step and
     stops on the unmixed pair, so the accepted state is an output of the
     step's map.
 
@@ -1244,7 +1240,9 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     if u0.shape != grids.shape or rho0.shape != (cfg.n_x,):
         raise ConfigError(f"u0 of shape {u0.shape} and rho0 of shape {rho0.shape} do not fit "
                           f"the grid: they need {grids.shape} and {(cfg.n_x,)}")
-    level = make_level(0.0, u0, rho0, cfg)
+    # a step at theta < 1 reads the forcing at its old level too
+    level = make_level(0.0, u0, rho0, cfg, forcing=(
+        forcing.at(0.0) if forcing is not None and cfg.theta < 1.0 else None))
     steady_level = steady_mean(level)
     history = deque(maxlen=max(cfg.k_diag + 2, 3))
     history.append(level)
@@ -1252,17 +1250,18 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
     halvings = 0
     prev_iters = 0  # fixed-point iterates of the last accepted step
-    bulk = None  # the current dt's operator, factored when the dt starts
+    bulk = fp_norm = None  # the current dt's operator and norm, made when the dt starts
     try:
         reports.append(_make_report(history, cfg, steady_level, None, compute_identity))
         while m < n_steps:
             t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
             try:  # with the levels one and two dt back, as far as the history holds them
-                if bulk is None:  # the dt starts here, at this level's weight a
-                    a_psi, _ = norm_weights(level.rho, level.rho_x, cfg.cutoff(), grids)
+                if bulk is None:  # the dt starts here, at this level's weights
+                    a_psi, bracket = norm_weights(level.rho, level.rho_x, cfg.cutoff(), grids)
                     bulk = _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, grids)
+                    fp_norm = EnergyNormK0(level.rho_x, a_psi, bracket, cfg)
                 new, step_report = fixed_point_step(
-                    level, cfg, t_new=t_new, bulk=bulk, forcing=forcing,
+                    level, cfg, t_new=t_new, bulk=bulk, fp_norm=fp_norm, forcing=forcing,
                     earlier=tuple(islice(reversed(history), 1, 3)), prev_iters=prev_iters)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
@@ -1272,7 +1271,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                 m, n_steps = 2 * m, 2 * n_steps
                 history.clear()
                 history.append(level)
-                bulk = None
+                bulk = fp_norm = None
                 continue
             if step_report.trace_gap > cfg.trace_tol:
                 raise FixedPointError(
@@ -1281,14 +1280,6 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
             level, m = new, m + 1
             prev_iters = step_report.inner_iters
             history.append(level)
-            # the next step reads this level's fields and forcing, its
-            # predictor the lagged fields of the two levels before it
-            if len(history) >= 2:
-                older = history[-2]  # its xz, copied out, frees the buffer it shares with xx
-                older.fields = older.fields._replace(xx=None, xz=older.fields.xz.copy())
-                older.forcing = None
-            if len(history) >= 4:
-                history[-4].fields = None
             report = _make_report(history, cfg, steady_level, step_report, compute_identity)
             reports.append(report)
             for cb in callbacks:

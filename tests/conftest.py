@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from stefansim import stepper
 from stefansim.errors import LinearSolveError
+from stefansim.functionals import EnergyNormK0
 from stefansim.grids import first_walls
 from stefansim.stepper import _BulkLU, SolverConfig, compatible_initial_temperature, make_level
 from stefansim.transform import norm_weights
@@ -44,12 +45,14 @@ def levels(cfg, times, us, rhos):
     return [make_level(t, u, rho, cfg) for t, u, rho in zip(times, us, rhos, strict=True)]
 
 
-def dt_operator(level, cfg):
-    """The ``_BulkLU`` that ``run`` factors when a dt starts from ``level``:
-    at the tangential mean of the weight a of its interface, with cfg's dt
-    and theta."""
-    a_psi, _ = norm_weights(level.rho, level.rho_x, cfg.cutoff(), cfg.grids())
-    return _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, cfg.grids())
+def dt_setup(level, cfg):
+    """The keywords ``bulk`` and ``fp_norm`` that ``run`` hands every step
+    of a dt that starts from ``level``: the ``_BulkLU`` of the weight a of
+    its interface, with cfg's dt and theta, and the ``EnergyNormK0`` of
+    that interface, both from one ``norm_weights`` call."""
+    a_psi, bracket = norm_weights(level.rho, level.rho_x, cfg.cutoff(), cfg.grids())
+    return {"bulk": _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, cfg.grids()),
+            "fp_norm": EnergyNormK0(level.rho_x, a_psi, bracket, cfg)}
 
 
 # the dt above which the dt-halving tests make every temperature solve stall:

@@ -9,7 +9,7 @@ import pytest
 
 from stefansim import stepper
 
-from conftest import dt_operator
+from conftest import dt_setup
 
 WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
 
@@ -43,7 +43,8 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     # L // 2, with the factors of a_harmonic and the rest with those of
     # a_mean, plus the Dirichlet response's one of the dt's operator
     cfg, state, forcing = forced_step_problem(theta)
-    bulk = dt_operator(state, cfg)
+    setup = dt_setup(state, cfg)
+    bulk = setup["bulk"]
     lags, rhs_seen, factors_seen = [], [], []
     real_temperature, real_substitution = stepper.temperature_step, stepper._thomas_batched
 
@@ -60,7 +61,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
 
     monkeypatch.setattr(stepper, "temperature_step", temperature)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
-    result = stepper.fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing)
+    result = stepper.fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, **setup)
     assert isinstance(result, tuple) and len(result) == 2
     new_state, report = result
     assert isinstance(new_state, stepper.State)

@@ -244,8 +244,8 @@ def half_strip_functionals(levels, cfg):
     a_h = halves(a_psi, g.normal)
     W = quadrature_weights(a_h.shape, g)
     aW, L = a_h * W, 1.0 / bracket
-    u_hats = _quotients(levels, "u_hat", k + 2, dt)
-    r_hats = _quotients(levels, "rho_hat", k + 2, dt)
+    u_hats = _quotients([lv.fields.hat for lv in levels], k + 2, dt)
+    r_hats = _quotients([lv.rho_hat for lv in levels], k + 2, dt)
 
     def table(hat, terms):
         return dict(zip(terms, d_tangential_hats(hat, n, tuple(terms))))
@@ -555,7 +555,7 @@ def test_stack_quotients_and_missing_flags():
     x = cfg.grids().tangential.nodes
     u = np.ones(cfg.grids().shape)
     history = levels(cfg, [0.0], [u], [0.01 * np.sin(x)])
-    u0, u1 = _quotients(history, "u", 2, None)
+    u0, u1 = _quotients([lv.u for lv in history], 2, None)
     assert np.array_equal(u0, u)
     assert u1 is None
     f = evaluate_functionals(history, cfg)
@@ -574,9 +574,9 @@ def test_stack_quotients_linear_history_exact():
     us = [t * slope_u for t in times]
     rhos = [t * 0.05 * np.sin(x) for t in times]
     history = levels(cfg, times, us, rhos)
-    _, u1, u2 = _quotients(history, "u", 3, 0.1)
+    _, u1, u2 = _quotients([lv.u for lv in history], 3, 0.1)
     assert np.abs(u1 - slope_u).max() < 1e-13
-    assert np.abs(_quotients(history, "rho", 2, 0.1)[1] - 0.05 * np.sin(x)).max() < 1e-13
+    assert np.abs(_quotients([lv.rho for lv in history], 2, 0.1)[1] - 0.05 * np.sin(x)).max() < 1e-13
     assert np.abs(u2).max() < 1e-12
 
 

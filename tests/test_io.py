@@ -46,6 +46,21 @@ def test_atomic_write_leaves_no_temporaries(tmp_path):
     assert target.read_text() == "replaced\n"
 
 
+def test_a_failed_atomic_write_leaves_no_temporary(tmp_path):
+    # a write that fails (text that is no str) and a rename that fails (the
+    # target is a directory) both raise their own error and leave the
+    # directory as it was
+    target = tmp_path / "tw" / "a.txt"
+    atomic_write_text(target, "kept\n")
+    with pytest.raises(TypeError):
+        atomic_write_text(target, 12345)
+    assert os.listdir(tmp_path / "tw") == ["a.txt"] and target.read_text() == "kept\n"
+    (tmp_path / "tw" / "d").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(tmp_path / "tw" / "d", "payload\n")
+    assert sorted(os.listdir(tmp_path / "tw")) == ["a.txt", "d"]
+
+
 def sample_reports():
     mk = lambda t, ident: EnergyReport(
         t=t, E=1.0 / (1 + t), D=0.5, E_eps=1.1 / (1 + t), D_eps=0.6,

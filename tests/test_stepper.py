@@ -47,7 +47,7 @@ from stefansim.transform import (
     norm_weights,
 )
 
-from conftest import HALVING_STALL_DT, dt_operator, stall_above
+from conftest import HALVING_STALL_DT, dt_setup, stall_above
 
 
 # --------------------------------------------------------------- config
@@ -685,9 +685,10 @@ def test_a_one_lag_solve_makes_one_substitution_and_no_harmonic_weight(monkeypat
     # one substitution and never builds the harmonic sweep's weight
     # a_harmonic / a; a longer one builds it once, at its first harmonic
     # sweep (lag iteration 2), and makes one substitution per lag iteration
-    # (no GCR step here)
+    # (no GCR step here).  A solve reads the LU's a_harmonic only to build
+    # that weight, so the reads count the weights built.
     counts = {"substitutions": 0, "weights": 0}
-    real_substitution, real_weight = stepper._thomas_batched, stepper._BulkLU.harmonic_weight
+    real_substitution = stepper._thomas_batched
     real_temperature = stepper.temperature_step
     solves = []  # (lag iterations, substitutions, weights) of each solve
 
@@ -695,9 +696,12 @@ def test_a_one_lag_solve_makes_one_substitution_and_no_harmonic_weight(monkeypat
         counts["substitutions"] += 1
         return real_substitution(*args)
 
-    def weight(self, a):
+    def read_a_harmonic(self):
         counts["weights"] += 1
-        return real_weight(self, a)
+        return self.__dict__["a_harmonic"]
+
+    def set_a_harmonic(self, value):
+        self.__dict__["a_harmonic"] = value
 
     def temperature(*args, **kwargs):
         counts.update(substitutions=0, weights=0)
@@ -710,12 +714,13 @@ def test_a_one_lag_solve_makes_one_substitution_and_no_harmonic_weight(monkeypat
     u0 = compatible_initial_temperature(rho0, cfg)
     forced_cfg, forced_level, forcing = forced_step_problem(0.5)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
-    monkeypatch.setattr(stepper._BulkLU, "harmonic_weight", weight)
+    monkeypatch.setattr(stepper._BulkLU, "a_harmonic", property(read_a_harmonic, set_a_harmonic),
+                        raising=False)
     monkeypatch.setattr(stepper, "temperature_step", temperature)
     run(u0, rho0, cfg, 20 * cfg.dt)
     assert sum(lag == 1 for lag, *_ in solves) >= len(solves) // 2
     fixed_point_step(forced_level, forced_cfg, t_new=forced_cfg.dt, forcing=forcing,
-                     bulk=dt_operator(forced_level, forced_cfg))
+                     **dt_setup(forced_level, forced_cfg))
     assert any(lag == 2 for lag, *_ in solves) and any(lag >= 4 for lag, *_ in solves)
     assert all((subs, weights) == (lag, int(lag >= 2)) for lag, subs, weights in solves)
 
@@ -956,7 +961,7 @@ def test_fixed_point_flat_state_converges_immediately(small_cfg, small_grids):
     rho = np.full(small_cfg.n_x, 0.1)
     state = make_level(0.0, np.zeros(small_grids.shape), rho, small_cfg)
     new_state, report = fixed_point_step(state, small_cfg, t_new=small_cfg.dt,
-                                         bulk=dt_operator(state, small_cfg))
+                                         **dt_setup(state, small_cfg))
     assert report.inner_iters == 1
     assert np.all(new_state.u == 0.0)
     assert np.abs(new_state.rho - 0.1).max() < 1e-15
@@ -968,7 +973,7 @@ def test_fixed_point_contracts_after_first_iterate(small_grids):
     x = small_grids.tangential.nodes
     rho0 = 0.05 * np.sin(x)
     level = make_level(0.0, compatible_initial_temperature(rho0, cfg), rho0, cfg)
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg))
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, **dt_setup(level, cfg))
     assert report.inner_iters >= 2
     assert len(report.fp_norms) == report.inner_iters
     # the first ratio overshoots (the seed iterate lags rho_t), later ones
@@ -992,7 +997,7 @@ def test_fixed_point_tall_manufactured_column_converges():
     u0, rho0 = problem.initial_data()
     level = make_level(0.0, u0, rho0, cfg)
     _, report = fixed_point_step(level, cfg, forcing=problem, t_new=cfg.dt,
-                                 bulk=dt_operator(level, cfg))
+                                 **dt_setup(level, cfg))
     assert report.inner_iters <= 6
     assert report.fp_norms[-1] <= cfg.fp_tol
 
@@ -1001,27 +1006,34 @@ def test_fixed_point_tall_manufactured_column_converges():
                          ids=["1.0-False", "0.5-True", "1.0-False-predicted", "0.5-True-predicted"])
 def test_fixed_point_step_takes_norm_weights_once_per_interface(monkeypatch, theta, predicted,
                                                                forced_step_problem):
-    # the set-up's weights at iterate 1's rho_m (state.rho, or the
-    # predictor from the level one dt back) give the step its one
-    # fixed-point norm, which every iterate of the step measures in, at
-    # every theta; the operator is the dt's, factored at state.rho
+    # the interface's weights are taken once, by the dt's set-up (here
+    # ``dt_setup``, in a run ``run``; see
+    # test_run_builds_one_fixed_point_norm_per_dt): the step makes no
+    # ``norm_weights`` and no ``EnergyNormK0`` call, whether iterate 1 starts
+    # from state.rho or from the predictor through the level one dt back,
+    # at every theta, and every fixed-point difference and warm exit test
+    # of the step measures in the one norm it was handed
     cfg, state, forcing = forced_step_problem(theta)
-    bulk = dt_operator(state, cfg)
+    setup = dt_setup(state, cfg)
     earlier = ()
     if predicted:  # the predictor is 1.01 state.rho, up to roundoff
         earlier = (make_level(state.t - cfg.dt, 0.99 * state.u, 0.99 * state.rho, cfg),)
-    calls, real_weights = [], stepper.norm_weights
+    weights, built, measured = [], [], []
+    real_weights, real_built, real_measure = (stepper.norm_weights, stepper.EnergyNormK0,
+                                              stepper.state_energy_k0)
     monkeypatch.setattr(stepper, "norm_weights",
-                        lambda *args: calls.append(args) or real_weights(*args))
-    norms, real_norm = [], stepper.EnergyNormK0
+                        lambda *args: weights.append(args) or real_weights(*args))
     monkeypatch.setattr(stepper, "EnergyNormK0",
-                        lambda *args: norms.append(args) or real_norm(*args))
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing,
-                                 earlier=earlier)
+                        lambda *args: built.append(args) or real_built(*args))
+    monkeypatch.setattr(stepper, "state_energy_k0",
+                        lambda u, u_hat, rho_hat, norm: measured.append(norm)
+                        or real_measure(u, u_hat, rho_hat, norm))
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, earlier=earlier,
+                                 **setup)
     assert report.inner_iters >= 3
-    assert len(calls) == 1 and len(norms) == 1
-    assert np.array_equal(calls[0][0],
-                          2.0 * state.rho - earlier[0].rho if predicted else state.rho)
+    assert weights == [] and built == []
+    assert len(measured) > report.inner_iters
+    assert all(norm is setup["fp_norm"] for norm in measured)
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -1036,11 +1048,11 @@ def test_fixed_point_step_transforms_bulk_fields_only_in_lag_iterations(monkeypa
     # warm exit rule work on the coefficients the solves return, and no
     # numpy FFT touches a bulk field
     cfg, state, forcing = forced_step_problem(theta)
-    bulk = dt_operator(state, cfg)
+    setup = dt_setup(state, cfg)
     ffts = count_transforms(monkeypatch, two_d_only=True)
     products = count_products(monkeypatch)
     level = make_level(state.t, state.u, state.rho, cfg)
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing, **setup)
     assert report.inner_iters >= 3
     lag = report.lag_iters
     assert products == {"forward": lag + 1, "inverse": lag + 1, "derivatives": lag + 2}
@@ -1070,7 +1082,7 @@ def test_fixed_point_step_measures_every_norm_through_state_energy_k0(monkeypatc
 
     monkeypatch.setattr(stepper, "state_energy_k0", counting_norm)
     monkeypatch.setattr(stepper, "temperature_step", counting_temperature)
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, **dt_setup(state, cfg),
                                  forcing=forcing)
     checks = sum(n for n, _ in solves)
     assert report.inner_iters >= 3 and len(solves) == report.inner_iters
@@ -1093,7 +1105,7 @@ def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
     # earlier level that interface holds the old one's values; with one
     # (here 0.99 of the old level) it is the predictor, 1.01 level.rho
     cfg, level, forcing = forced_step_problem(theta)
-    bulk = dt_operator(level, cfg)
+    setup = dt_setup(level, cfg)
     earlier = make_level(level.t - cfg.dt, 0.99 * level.u, 0.99 * level.rho, cfg)
     old_rho_transforms, real_rfft = [0], np.fft.rfft
 
@@ -1103,11 +1115,11 @@ def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
         return real_rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", recording_rfft)
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing, **setup)
     assert report.inner_iters >= 3
     assert old_rho_transforms == [1]
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=bulk, forcing=forcing,
-                                 earlier=(earlier,))
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing,
+                                 earlier=(earlier,), **setup)
     assert report.inner_iters >= 3
     assert old_rho_transforms == [1]
 
@@ -1147,7 +1159,7 @@ def cold_reference_step(state, cfg, forcing):
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_warm_started_step_matches_cold_reference_loop(theta, forced_step_problem):
     cfg, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, **dt_setup(state, cfg),
                                          forcing=forcing)
     u_ref, rho_ref = cold_reference_step(state, cfg, forcing)
     assert report.inner_iters >= 3
@@ -1178,7 +1190,7 @@ def test_fixed_point_dirichlet_data_is_the_curvature_of_the_iterate(monkeypatch,
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
     monkeypatch.setattr(stepper._Secant, "next", recording_next)
     level = make_level(0.0, u0, rho0, cfg)
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg))
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, **dt_setup(level, cfg))
     assert len(seen_dirichlet) == len(seen_rho) == report.inner_iters >= 3
     for dirichlet, rho_m in zip(seen_dirichlet, seen_rho):
         assert np.array_equal(dirichlet.view(np.uint64), curvature(rho_m).view(np.uint64))
@@ -1203,7 +1215,7 @@ def test_fixed_point_step_accepts_the_last_unmixed_interface(monkeypatch, theta,
 
     monkeypatch.setattr(stepper, "interface_step", recording_interface)
     monkeypatch.setattr(stepper._Secant, "next", recording_next)
-    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, **dt_setup(state, cfg),
                                          forcing=forcing)
     assert len(images) == len(iterates) + 1 == report.inner_iters >= 3
     assert np.array_equal(new_state.rho.view(np.uint64), images[-1].view(np.uint64))
@@ -1228,7 +1240,7 @@ def test_fixed_point_step_starts_iterate_2_from_a_corrected_temperature(monkeypa
         return result
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
-    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+    _, report = fixed_point_step(state, cfg, t_new=cfg.dt, **dt_setup(state, cfg),
                                  forcing=forcing)
     assert report.inner_iters == len(calls) >= 3
     dirichlet, (u, fields), _ = calls[1]
@@ -1259,7 +1271,7 @@ def test_fixed_point_step_first_rough_step_is_short():
     # plain successive substitution took 19 iterates here
     cfg, u0, rho0 = rough_initial_data()
     level = make_level(0.0, u0, rho0, cfg)
-    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg))
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, **dt_setup(level, cfg))
     assert report.inner_iters <= 8
 
 
@@ -1299,9 +1311,9 @@ def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids):
     x = small_grids.tangential.nodes
     rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)  # mode 12 lies in the top third
     state = make_level(0.0, np.zeros(small_grids.shape), rho, cfg)
-    bulk = dt_operator(state, cfg)
+    setup = dt_setup(state, cfg)
     with pytest.warns(ResolutionWarning, match="under-resolved"):
-        fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk)
+        fixed_point_step(state, cfg, t_new=cfg.dt, **setup)
 
 
 def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids):
@@ -1309,9 +1321,9 @@ def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids):
     cfg = SolverConfig(dt=50.0, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     state = make_level(0.0, np.zeros(small_grids.shape), 0.05 * np.sin(x), cfg)
-    bulk = dt_operator(state, cfg)
+    setup = dt_setup(state, cfg)
     with pytest.raises(FixedPointError) as exc:
-        fixed_point_step(state, cfg, t_new=cfg.dt, bulk=bulk)
+        fixed_point_step(state, cfg, t_new=cfg.dt, **setup)
     assert exc.value.last_norm > cfg.fp_tol
     assert exc.value.last_ratio is not None
 
@@ -1321,7 +1333,7 @@ def test_fixed_point_step_measures_its_trace_gap(theta, forced_step_problem):
     # max |u(., 0) - kappa(rho) - g| of the accepted state, g the step's own
     # Dirichlet shift, from the transform of rho the step already holds
     cfg, state, forcing = forced_step_problem(theta)
-    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, bulk=dt_operator(state, cfg),
+    new_state, report = fixed_point_step(state, cfg, t_new=cfg.dt, **dt_setup(state, cfg),
                                          forcing=forcing)
     g_dir = forcing.at(new_state.t)[1]
     gap = np.abs(new_state.u[:, cfg.grids().normal.i_mid] - curvature(new_state.rho)
@@ -1434,6 +1446,49 @@ def test_run_factors_one_bulk_operator_per_dt(monkeypatch, case):
     assert len(per_dt) == 1 + halvings and all(len(ids) == 1 for ids in per_dt.values())
 
 
+@pytest.mark.parametrize("halvings", [0, 2])
+def test_run_builds_one_fixed_point_norm_per_dt(monkeypatch, halvings):
+    # when a dt starts, run takes the weights of the level it starts from
+    # by one ``norm_weights`` call and builds the dt's one ``EnergyNormK0``
+    # from them, at that level's slope: 1 + halvings of each on a run whose
+    # dt = 0.04 is made to stall (halvings = 2) or not.  Every step of a dt
+    # is handed that dt's norm.
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
+    if halvings:
+        stall_above(monkeypatch, HALVING_STALL_DT)
+    cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
+    rho0 = 0.1 * np.sin(cfg.grids().tangential.nodes)
+    weights, norms, handed = [], [], []  # (rho,); (slope, norm); (dt, level, norm)
+    real_weights, real_norm, real_step = (stepper.norm_weights, stepper.EnergyNormK0,
+                                          stepper.fixed_point_step)
+
+    def recording_weights(rho, *args):
+        weights.append(rho)
+        return real_weights(rho, *args)
+
+    def recording_norm(psi_x, *args):
+        norms.append((psi_x, real_norm(psi_x, *args)))
+        return norms[-1][1]
+
+    def recording_step(level, step_cfg, **kwargs):
+        handed.append((step_cfg.dt, level, kwargs["fp_norm"]))
+        return real_step(level, step_cfg, **kwargs)
+
+    monkeypatch.setattr(stepper, "norm_weights", recording_weights)
+    monkeypatch.setattr(stepper, "EnergyNormK0", recording_norm)
+    monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    res = run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
+    assert res.cfg.dt == cfg.dt / 2**halvings
+    assert len(weights) == len(norms) == 1 + halvings
+    firsts = {}  # dt: (the level it starts from, the norm of each of its steps)
+    for dt, level, norm in handed:
+        firsts.setdefault(dt, (level, set()))[1].add(id(norm))
+    assert len(firsts) == 1 + halvings
+    for (level, ids), rho, (psi_x, norm) in zip(firsts.values(), weights, norms, strict=True):
+        assert ids == {id(norm)}
+        assert rho is level.rho and psi_x is level.rho_x
+
+
 def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     # dt = 0.04 and 0.02 are made to fail: the first attempt and each retry
     # after a halving start from the old level's values bitwise (its interface, and
@@ -1450,9 +1505,9 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     u0 = np.zeros(grids.shape)
     levels, calls = [(u0, rho0)], []  # the accepted (u, rho) at the current dt
     warm_starts = []  # the (u, fields) each solve's lag loop starts from
-    rho_starts = []  # the rho_m of each step's set-up, its first norm weights
+    rho_starts = []  # the rho_m of each step's set-up, its first interface transforms
     real_step, real_temperature = stepper.fixed_point_step, stepper.temperature_step
-    real_weights = stepper.norm_weights
+    real_transforms = stepper._interface_transforms
 
     def recording_temperature(*args, **kwargs):
         warm_starts.append(kwargs["start"])
@@ -1481,8 +1536,8 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
 
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
-    monkeypatch.setattr(stepper, "norm_weights",
-                        lambda *args: rho_starts.append(args[0]) or real_weights(*args))
+    monkeypatch.setattr(stepper, "_interface_transforms",
+                        lambda rho, n_x: rho_starts.append(rho) or real_transforms(rho, n_x))
     res = run(u0, rho0, cfg, 0.08)
     assert res.cfg.dt == 0.01 and len(calls) == 2 + 8
     assert [n for n, *_ in calls] == [0, 0, 0, 1] + [2] * 6
@@ -1520,19 +1575,19 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
                 + t**2 * 0.3 * np.sin(x)[:, None] * np.cos(np.pi * z))
 
     l0, l1, l2 = (make_level(t, u(t), rho(t), cfg) for t in (0.0, cfg.dt, 2 * cfg.dt))
-    bulk = dt_operator(l2, cfg)
+    setup = dt_setup(l2, cfg)
     rho_starts, starts = [], []
-    real_weights = stepper.norm_weights
+    real_transforms = stepper._interface_transforms
 
     def first_solve(step, coef, *, dirichlet, start, res_tol, update_tol):
         starts.append(start)
         raise _FirstSolve
 
-    monkeypatch.setattr(stepper, "norm_weights",
-                        lambda *args: rho_starts.append(args[0]) or real_weights(*args))
+    monkeypatch.setattr(stepper, "_interface_transforms",
+                        lambda rho, n_x: rho_starts.append(rho) or real_transforms(rho, n_x))
     monkeypatch.setattr(stepper, "temperature_step", first_solve)
     with pytest.raises(_FirstSolve):
-        fixed_point_step(l2, cfg, t_new=3 * cfg.dt, bulk=bulk, earlier=(l1, l0))
+        fixed_point_step(l2, cfg, t_new=3 * cfg.dt, earlier=(l1, l0), **setup)
     (rho_m,), ((u_start, fields),) = rho_starts, starts
     rho_ref, u_ref = rho(3 * cfg.dt), u(3 * cfg.dt)
     assert np.abs(rho_m - rho_ref).max() <= 1e-14 * np.abs(rho_ref).max()
@@ -1639,7 +1694,7 @@ def test_fixed_point_step_never_accepts_a_loose_first_solve(monkeypatch, prev_it
         return real_temperature(*args, **kwargs)
 
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
-    new, report = fixed_point_step(level, cfg, t_new=cfg.dt, bulk=dt_operator(level, cfg),
+    new, report = fixed_point_step(level, cfg, t_new=cfg.dt, **dt_setup(level, cfg),
                                    prev_iters=prev_iters)
     assert report.fp_norms[0] <= cfg.fp_tol
     if prev_iters >= stepper.LOOSE_FIRST_AFTER:
@@ -1799,7 +1854,7 @@ def test_run_identity_column_fills_once_history_suffices():
 def test_run_reports_match_diagnostics_of_rebuilt_levels():
     # run's reports read the levels it carries; the same diagnostics of
     # levels rebuilt by make_level from the states it hands out agree.  The
-    # carried u_hat is the final solve's coefficients, not the rfft of its
+    # carried fields.hat is the final solve's coefficients, not the rfft of its
     # u, so the two differ by roundoff, which the time quotients divide by
     # up to dt^3: measured at most 1.1e-12 relative, bound 1e-10
     cfg = SolverConfig(epsilon=1e-3, n_x=32, n_z=33, dt=1e-3, k_diag=2)
@@ -1966,15 +2021,18 @@ def test_run_transforms_each_level_once(monkeypatch):
     assert ffts["rfft"] == 0
 
 
-def test_run_hands_out_states_without_level_fields(monkeypatch):
+def test_run_hands_out_states_without_level_fields(monkeypatch, forced_step_problem):
     # callbacks and the result get (t, u, rho) only, and the run's level
     # records, with their fields, transforms and forcing, die with it: a
     # caller that keeps every state keeps no per-level fields.  Within the
-    # run, a level drops its bulk fields once no step can read them.
-    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=1)
-    x = cfg.grids().tangential.nodes
-    rho0 = 0.01 * np.sin(x)
-    u0 = compatible_initial_temperature(rho0, cfg)
+    # run a level stays whole, as ``make_level`` built it: at every
+    # callback each live level holds all five fields and, in a forced
+    # theta = 1/2 run, its forcing, and only the levels the history holds,
+    # max(k_diag + 2, 3), are alive
+    plain_cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=1)
+    plain_rho = 0.01 * np.sin(plain_cfg.grids().tangential.nodes)
+    plain_u = compatible_initial_temperature(plain_rho, plain_cfg)
+    forced_cfg, forced_level, forcing = forced_step_problem(0.5)
     records, real_make = [], stepper.make_level
 
     def recording_make(*args, **kwargs):
@@ -1983,21 +2041,28 @@ def test_run_hands_out_states_without_level_fields(monkeypatch):
         return level
 
     monkeypatch.setattr(stepper, "make_level", recording_make)
-    kept, holding = [], []  # holding: levels alive with bulk fields, per callback
+    runs = [(plain_cfg, plain_u, plain_rho, None, [2, 3, 3, 3]),
+            (replace(forced_cfg, k_diag=2), forced_level.u, forced_level.rho, forcing,
+             [2, 3, 4, 4, 4, 4])]
+    for cfg, u0, rho0, run_forcing, live_counts in runs:
+        records.clear()
+        kept, live = [], []  # live: the number of live level records, per callback
 
-    def keep(state, report):
-        kept.append(state)
-        holding.append(sum(ref() is not None and ref().fields is not None for ref in records))
+        def keep(state, report):
+            kept.append(state)
+            levels = [ref() for ref in records if ref() is not None]
+            assert all(all(f is not None for f in level.fields) for level in levels)
+            assert run_forcing is None or all(level.forcing is not None for level in levels)
+            live.append(len(levels))
 
-    res = run(u0, rho0, cfg, 4 * cfg.dt, compute_identity=True, callbacks=(keep,))
-    assert len(kept) == 4 and len(records) == 5
-    # only the newest three levels keep the fields a step or predictor
-    # reads: the newest all of them, the two before only the lagged ones
-    assert holding == [2, 3, 3, 3]
-    for state in kept + [res.state]:
-        assert type(state) is State and set(vars(state)) == {"t", "u", "rho"}
-    gc.collect()
-    assert all(ref() is None for ref in records)
+        res = run(u0, rho0, cfg, len(live_counts) * cfg.dt, forcing=run_forcing,
+                  compute_identity=True, callbacks=(keep,))
+        assert len(kept) == len(live_counts) and len(records) == len(live_counts) + 1
+        assert live == live_counts and max(live) == max(cfg.k_diag + 2, 3)
+        for state in kept + [res.state]:
+            assert type(state) is State and set(vars(state)) == {"t", "u", "rho"}
+        gc.collect()
+        assert all(ref() is None for ref in records)
 
 
 def test_run_raises_on_a_trace_gap_without_halving_dt(monkeypatch):
