@@ -88,15 +88,17 @@ only steps after long ones loosen it (after 3 the rule feeds itself).
 A later solve ends once the residual test holds at lin_tol and its last
 lag update, in the fixed-point norm, is at most min(WARM_FP_FRACTION, r)
 of the previous fixed-point difference, r the loop's last measured
-contraction (from iterate 3 on), or WARM_TOL_FRACTION of fp_tol, or has
-not halved since the update before and is at most FLOOR_SHARE of u's own
-norm: the loop is then at its roundoff floor (see ``temperature_step``).
-So warm solves are tightened only where the fixed-point loop contracts
-fast.  When the lag loop stops contracting, its residual no longer
-falling over a few iterations, the same loop goes on from its best
-iterate by GCR steps (generalized conjugate residual: Eisenstat, Elman
-and Schultz, SIAM J. Numer. Anal. 20, 1983) along its own sweeps; the
-final check is the same full residual.
+contraction (from iterate 3 on), but at least WARM_TOL_FRACTION (one
+half) of fp_tol, as an update below what ends the step moves the
+accepted state only at roundoff; or once it has not halved since the
+update before and is at most FLOOR_SHARE of u's own norm: the loop is
+then at its roundoff floor (see ``temperature_step``).  So warm solves
+are tightened only where the fixed-point loop contracts fast, and never
+past what ends the step.  When the lag loop stops contracting, its
+residual no longer falling over a few iterations, the same loop goes on
+from its best iterate by GCR steps (generalized conjugate residual:
+Eisenstat, Elman and Schultz, SIAM J. Numer. Anal. 20, 1983) along its
+own sweeps; the final check is the same full residual.
 
 Every bulk solve works on a real layout of the tangential modes: an
 array (2, n_x/2 + 1, n_z) of the rfft's real parts, then its imaginary
@@ -275,8 +277,9 @@ LOOSE_FIRST_AFTER = 4
 # update, in the fixed-point norm, is at most min(this share, r) of the
 # previous fixed-point difference, r the loop's last contraction ...
 WARM_FP_FRACTION = 1e-3
-# ... or this share of fp_tol
-WARM_TOL_FRACTION = 1e-2
+# ... but no target is below this share of fp_tol, a factor 2 under the
+# difference that ends the step ...
+WARM_TOL_FRACTION = 0.5
 # ... or when it is more than this share of the update before and at most
 # FLOOR_SHARE of the new u's own norm: the loop has stopped contracting, at
 # the roundoff floor
@@ -781,17 +784,19 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     once the residual test holds, also measures the last lag update in
     the step's fixed-point norm (``state_energy_k0`` on the update's
     Fourier coefficients and without the interface terms, which are 0: no
-    transform).  It accepts when that update is at most ``update_tol`` or
-    WARM_TOL_FRACTION of fp_tol, or is more than FLOOR_RATIO (one half) of
-    the update before it and at most FLOOR_SHARE of u_new's own norm (made
-    only then): a loop whose sweeps contract, the pair by far more than
-    that, no longer does, so its updates are roundoff.  Without the second
-    test a sweep pair that contracts by less than half, far above the
-    floor, would end the solve there.  A
-    residual test alone would end warm solves at residuals far below
-    lin_tol yet carry the lag loop's contraction into the fixed-point
-    iterates.  An inf ``update_tol`` (iterate 1, the steady solve) skips
-    the update test, and so needs no norm, nor the start's xx and hat.
+    transform).  It accepts when that update is at most ``update_tol``, or
+    is more than FLOOR_RATIO (one half) of the update before it and at
+    most FLOOR_SHARE of u_new's own norm (made only then): a loop whose
+    sweeps contract, the pair by far more than that, no longer does, so
+    its updates are roundoff.  Without the second test a sweep pair that
+    contracts by less than half, far above the floor, would end the solve
+    there.  This floor exit is the solve's own stop: on a state of large
+    norm the updates' roundoff lies above any ``update_tol``, and without
+    it warm solves run to ``lin_max_iter``.  A residual test alone would
+    end warm solves at residuals far below lin_tol yet carry the lag
+    loop's contraction into the fixed-point iterates.  An inf
+    ``update_tol`` (iterate 1, the steady solve) skips the update test,
+    and so needs no norm, nor the start's xx and hat.
     ``fixed_point_step`` sets both targets from what its loop needs (see
     there).
 
@@ -905,7 +910,6 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
             d_hat = _complex(x) - start_hat if x_prev is None else _complex(x - x_prev)
             update = np.sqrt(state_energy_k0(u_new - u_prev, d_hat, None, step.fp_norm))
             if (update <= update_tol
-                    or update <= WARM_TOL_FRACTION * SolverConfig.fp_tol
                     or (update > FLOOR_RATIO * last_update and update <= FLOOR_SHARE * np.sqrt(
                         state_energy_k0(u_new, _complex(x), None, step.fp_norm)))):
                 return u_new, float(residual), it, fields._replace(hat=_complex(x))
@@ -1051,8 +1055,9 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     residual target of FIRST_SOLVE_TOL if ``prev_iters`` is at least
     LOOSE_FIRST_AFTER, else lin_tol, and no update target; iterate m >= 2
     lin_tol and min(WARM_FP_FRACTION, diff_{m-1} / diff_{m-2}) diff_{m-1}
-    (WARM_FP_FRACTION diff_1 at m = 2).  A loose iterate 1 whose
-    difference is below fp_tol goes on to iterate 2.
+    (WARM_FP_FRACTION diff_1 at m = 2), or WARM_TOL_FRACTION fp_tol if
+    that is larger.  A loose iterate 1 whose difference is below fp_tol
+    goes on to iterate 2.
     """
     grids, cutoff, dt, theta, n_x = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta, cfg.n_x
     f_new = f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
@@ -1128,10 +1133,10 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
         dirichlet = d_next
         # the next solve's targets: lin_tol, and min(WARM_FP_FRACTION, r)
         # of this difference, r the last measured contraction (none yet
-        # after iterate 1)
+        # after iterate 1), but at least WARM_TOL_FRACTION of fp_tol
         ratio = diff / norms[-2] if m >= 2 else np.inf
         res_tol = lin_tol
-        update_tol = min(WARM_FP_FRACTION, ratio) * diff
+        update_tol = max(min(WARM_FP_FRACTION, ratio) * diff, WARM_TOL_FRACTION * cfg.fp_tol)
     last_ratio = norms[-1] / norms[-2] if len(norms) >= 2 else None
     raise FixedPointError(
         f"fixed point failed to contract below fp_tol={cfg.fp_tol:.1e} in "
