@@ -148,7 +148,10 @@ LU and norm; the iterate adds its frozen coefficients, Dirichlet data,
 lag-loop start and the two targets its solve ends on.  The steady solve of
 ``compatible_initial_temperature`` factors its own LU, with 1/dt = 0 and
 theta = 1, for a ``_Step`` with no norm, and solves to lin_tol.
-``make_level`` and the diagnostics read the same cfg.
+``make_level`` and the diagnostics read the same cfg.  An unforced run
+steps through the forced path: ``run`` and ``fixed_point_step`` put a
+zero forcing, (bulk, Dirichlet shift, jump) = (0, 0, 0), in place of None
+at entry, and no later line tells the two apart.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0``) is
 frozen per dt, like the operator: ``run`` builds it beside the dt's
@@ -171,7 +174,10 @@ that exports them as ``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_``.  So
 a run does not import scipy, which loads an OpenBLAS of its own.  Where
 numpy's library lacks the two symbols (another BLAS, a source build)
 they come from ``scipy.linalg.lapack`` instead; ``_pt_lapack`` decides
-once, at import.
+once, at import.  Each operator's substitution is bound to its factors
+when ``_BulkLU`` factors it (``_bind``): the factors are checked and
+their ctypes arguments built then, once per operator, so a solve checks
+and passes only its right-hand side.
 """
 from __future__ import annotations
 
@@ -313,7 +319,8 @@ class Level(State):
     ``make_level``: u's ``_bulk_fields`` (its rfft ``fields.hat``
     included), rho's rfft and slope and second derivative, the conserved
     quantity Q and ``forcing``, the forcing's (bulk, Dirichlet, jump)
-    values at t (None if not evaluated).  Only ``E_bar``, the pair
+    values at t ((0.0, 0.0, 0.0) in an unforced run; None if not
+    evaluated).  Only ``E_bar``, the pair
     (epsilon, model energy) that ``identity.model_energy`` caches, is
     filled on first use.
 
@@ -388,7 +395,7 @@ class _Step:
     """What every temperature solve of one step shares: the grids, the
     dt's ``_BulkLU`` (which holds 1/dt, 0 for the steady solve, and
     theta), u_old with its ``_bulk_fields`` and norm, the bulk forcing at
-    both time levels (zeros without forcing), the norm of their theta
+    both time levels (a 0-d zero when unforced), the norm of their theta
     blend, the part of the right-hand side they fix, u_old / dt + theta
     f_new, and the dt's fixed-point norm (None for the steady solve).
     Made by ``_prepare_step``."""
@@ -406,10 +413,11 @@ class _Step:
 
 def _prepare_step(bulk, u_old, fields_old, forcing_new, forcing_old, grids, fp_norm=None):
     """The ``_Step`` of a step from u_old, whose ``_bulk_fields`` the caller
-    holds, with the factored operator ``bulk``; a forcing of None is zero."""
+    holds, with the factored operator ``bulk``; each bulk forcing is an
+    array of u_old's shape, or 0.0 (unforced)."""
     inv_dt, theta = bulk.inv_dt, bulk.theta
-    f_new = np.zeros_like(u_old) if forcing_new is None else np.asarray(forcing_new, dtype=float)
-    f_old = np.zeros_like(u_old) if forcing_old is None else np.asarray(forcing_old, dtype=float)
+    f_new = np.asarray(forcing_new, dtype=float)
+    f_old = np.asarray(forcing_old, dtype=float)
     return _Step(
         grids=grids, bulk=bulk, u=u_old, fields=fields_old,
         norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
@@ -442,86 +450,65 @@ def _byref_int(value):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-class _Dpttrf:
-    """An ILP64 ``dpttrf`` by ctypes, with ``scipy.linalg.lapack.dpttrf``'s
-    arguments and results: (d, e, info) = dpttrf(d, e) factors the
-    symmetric positive definite tridiagonal matrix of float64 diagonal d
-    and off-diagonal e as L D L^T into new arrays (the inputs are kept)."""
-
-    def __init__(self, routine):
-        self.routine = routine
-
-    def __call__(self, d, e):
-        n = np.size(d)
-        d, e = (_checked(name, a, _REAL, size).copy()
-                for name, a, size in (("d", d, n), ("e", e, max(n - 1, 0))))
-        info = ctypes.c_int64()
-        self.routine(_byref_int(n), _pointer(d), _pointer(e), ctypes.byref(info))
-        return d, e, info.value
-
-
-class _Dpttrs:
-    """An ILP64 ``dpttrs`` by ctypes, with ``scipy.linalg.lapack.dpttrs``'s
-    arguments but in place: (b, info) = dpttrs(d, e, b) overwrites b with
-    the solution.  d and e are the ``dpttrf`` factors of an n by n
-    system, and b, float64 and C-contiguous, holds nrhs = b.size / n
-    right-hand sides one after another in its flat order (LAPACK's
-    column-major (n, nrhs) array).
-
-    The factors' arguments (their pointers, n, nrhs and ldb) are checked
-    and built at their first solve and kept, with the factors, until a
-    solve passes other factor arrays or another nrhs: every solve of one
-    of a ``_BulkLU``'s two operators passes the same ones, so a solve
-    checks b and builds only its pointer, and a lag loop whose sweeps
-    alternate the two rebinds at each sweep (a few microseconds against a
-    substitution's tens).  ``bound`` is replaced whole, never edited, so
-    concurrent solves read consistent arguments.
-    """
-
-    def __init__(self, routine):
-        self.routine = routine
-        # the bound factors, nrhs, the arguments before b's, and ldb
-        self.bound = (None, None), 0, (), None
-
-    def __call__(self, d, e, b):
-        n = np.size(d)
-        nrhs = np.size(b) // max(n, 1)
-        bound, bound_nrhs, head, ldb = self.bound
-        if not (d is bound[0] and e is bound[1] and nrhs == bound_nrhs):
-            _checked("d", d, _REAL, n)
-            _checked("e", e, _REAL, max(n - 1, 0))
-            head = (_byref_int(n), _byref_int(nrhs), _pointer(d), _pointer(e))
-            ldb = _byref_int(max(n, 1))
-            self.bound = (d, e), nrhs, head, ldb
-        _checked("b", b, _REAL, nrhs * n)
-        info = ctypes.c_int64()
-        self.routine(*head, _pointer(b), ldb, ctypes.byref(info))
-        return b, info.value
-
-
 def _pt_lapack(lib):
-    """(dpttrf, dpttrs) of the bulk LU: ``_Dpttrf`` and ``_Dpttrs`` on
-    lib's ``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_``, the names
-    OpenBLAS's ILP64 build for numpy and scipy gives them; if lib is None
-    or lacks either, ``scipy.linalg.lapack``'s, dpttrs made in place
-    alike.  Both pairs give the same factors and solutions bitwise."""
+    """(dpttrf, bind) of the bulk LU, on lib's ``scipy_dpttrf_64_`` and
+    ``scipy_dpttrs_64_``, the names OpenBLAS's ILP64 build for numpy and
+    scipy gives them; if lib is None or lacks either, on
+    ``scipy.linalg.lapack``'s.  Both pairs give the same factors and
+    solutions bitwise.
+
+    (d, e, info) = dpttrf(d, e), with ``scipy.linalg.lapack.dpttrf``'s
+    arguments and results, factors the symmetric positive definite
+    tridiagonal matrix of float64 diagonal d and off-diagonal e as L D L^T
+    into new arrays (the inputs are kept).  solve = bind(d, e, nrhs) binds
+    ``dpttrs`` to those factors of an n by n system, checking them and
+    building their ctypes arguments once; (b, info) = solve(b) overwrites
+    b, float64 and C-contiguous, with the solution of its nrhs right-hand
+    sides, laid one after another in its flat order (LAPACK's column-major
+    (n, nrhs) array).  On lib's routines every array is checked before a
+    call (ValueError), as f2py's wrappers check theirs: the factors at
+    ``bind``, each b at ``solve``."""
     try:
         factor, substitute = lib.scipy_dpttrf_64_, lib.scipy_dpttrs_64_
     except AttributeError:
         from scipy.linalg import lapack
 
-        def dpttrs(d, e, b):
-            # b's right-hand sides as the columns of a Fortran-ordered view
-            x, info = lapack.dpttrs(d, e, b.reshape(-1, np.size(d)).T, overwrite_b=1)
-            return x.T.reshape(b.shape), info
+        def bind_scipy(d, e, nrhs):
+            def solve(b):  # b's right-hand sides as the columns of a Fortran-ordered view
+                x, info = lapack.dpttrs(d, e, b.reshape(-1, np.size(d)).T, overwrite_b=1)
+                return x.T.reshape(b.shape), info
+            return solve
 
-        return lapack.dpttrf, dpttrs
+        return lapack.dpttrf, bind_scipy
     factor.restype = substitute.restype = None
     # dpttrf(N, D, E, INFO)
     factor.argtypes = [_INT_P, ctypes.c_void_p, ctypes.c_void_p, _INT_P]
     # dpttrs(N, NRHS, D, E, B, LDB, INFO)
     substitute.argtypes = [_INT_P, _INT_P] + [ctypes.c_void_p] * 3 + [_INT_P, _INT_P]
-    return _Dpttrf(factor), _Dpttrs(substitute)
+
+    def dpttrf(d, e):
+        n = np.size(d)
+        d, e = (_checked(name, a, _REAL, size).copy()
+                for name, a, size in (("d", d, n), ("e", e, max(n - 1, 0))))
+        info = ctypes.c_int64()
+        factor(_byref_int(n), _pointer(d), _pointer(e), ctypes.byref(info))
+        return d, e, info.value
+
+    def bind(d, e, nrhs):
+        n = np.size(d)
+        _checked("d", d, _REAL, n)
+        _checked("e", e, _REAL, max(n - 1, 0))
+        head = (_byref_int(n), _byref_int(nrhs), _pointer(d), _pointer(e))
+        ldb = _byref_int(max(n, 1))
+
+        def solve(b):
+            _checked("b", b, _REAL, nrhs * n)
+            info = ctypes.c_int64()
+            substitute(*head, _pointer(b), ldb, ctypes.byref(info))
+            return b, info.value
+        return solve
+
+    return dpttrf, bind
 
 
 def _numpy_lapack():
@@ -533,12 +520,13 @@ def _numpy_lapack():
         return None
 
 
-_dpttrf, _dpttrs = _pt_lapack(_numpy_lapack())
+_dpttrf, _bind = _pt_lapack(_numpy_lapack())
 
 
-def _thomas_batched(d, e, row_scale, rhs, dirichlet, mid):
-    """Solve the row-scaled bulk systems of the ``dpttrf`` factors (d, e)
-    for both blocks of the real layout at once, by one ``_dpttrs`` call.
+def _thomas_batched(solve, row_scale, mid, rhs, dirichlet):
+    """Solve one of a ``_BulkLU``'s row-scaled bulk systems for both blocks
+    of the real layout at once, by one call of its bound substitution
+    ``solve`` (``_bind``'s, with nrhs = 2).
 
     rhs: the unscaled right-hand side (2, modes, n_z), each mode's column
     in z order and the modes end to end, real parts first; it is kept.
@@ -546,16 +534,16 @@ def _thomas_batched(d, e, row_scale, rhs, dirichlet, mid):
     interface row ``mid`` holds the Dirichlet values ``dirichlet`` (2,
     modes) and whose rows mid - 1 and mid + 1 gain them, the scaled
     coupling of the interface row being -1.  Returns the solution, in
-    rhs's shape.  On numpy's LAPACK a factor or scaled right-hand side of
-    another dtype, layout or length raises ValueError before the call.
-    The name and the right-hand side as fourth positional argument are
-    what ``bench/workload.py`` traces the bulk solve by.
+    rhs's shape.  On numpy's LAPACK a scaled right-hand side of another
+    dtype, layout or length raises ValueError before the call.  The name
+    and the right-hand side as fourth positional argument are what
+    ``bench/workload.py`` traces the bulk solve by.
     """
     b = np.multiply(rhs, row_scale, order="C")
     b[:, :, mid - 1] += dirichlet
     b[:, :, mid] = dirichlet
     b[:, :, mid + 1] += dirichlet
-    x, info = _dpttrs(d, e, b)
+    x, info = solve(b)
     if info != 0:
         raise LinearSolveError(f"banded substitution failed (dpttrs info={info})")
     return x
@@ -581,7 +569,10 @@ class _BulkLU:
     it move into their right-hand sides, so it couples to nothing.  The
     scaled operator is then symmetric and diagonally dominant with a
     decoupled Dirichlet row, so positive definite: one ``dpttrf`` factors
-    it, per mean, and every solve is one ``dpttrs`` call over both blocks.
+    it, per mean, and ``_bind`` binds its ``dpttrs`` substitution to those
+    factors for both blocks (nrhs = 2), once: ``operators`` holds the
+    (bound substitution, row scale) of a_mean's operator, then
+    a_harmonic's, and every solve is one call of one of them.
     Raises LinearSolveError unless a > 0, or if a factorization fails.
     ``transforms`` are the grid's ``RealTransforms``.
     """
@@ -599,11 +590,12 @@ class _BulkLU:
         self.inv_dt, self.theta = inv_dt, theta
         self.mid = grids.normal.i_mid
         self.dz = grids.normal.dz
-        self.row_scale, self.factors = self._factor(self.a_mean, grids)
-        self.harmonic_row_scale, self.harmonic_factors = self._factor(self.a_harmonic, grids)
+        self.operators = (self._factor(self.a_mean, grids), self._factor(self.a_harmonic, grids))
 
     def _factor(self, m, grids):
-        """(row scale, ``dpttrf`` factors) of the operator with the mean m."""
+        """(solve, row scale) of the operator with the mean m: ``solve`` is
+        the substitution of its ``dpttrf`` factors, bound once for both
+        blocks of the real layout."""
         n_z, mid, dz, modes = grids.normal.n_z, self.mid, self.dz, self.shape[1]
         scale = dz**2 / (self.theta * m)
         scale[[0, -1]] *= 0.5
@@ -619,7 +611,7 @@ class _BulkLU:
         d, e, info = _dpttrf(diag.ravel(), off.ravel()[:-1])
         if info != 0:
             raise LinearSolveError(f"bulk operator is not positive definite (dpttrf info={info})")
-        return scale, (d, e)
+        return _bind(d, e, 2), scale
 
     def solve(self, rhs, dirichlet, harmonic=False):
         """The real layout (2, modes, n_z) of the per-mode solution for
@@ -628,10 +620,7 @@ class _BulkLU:
         the real layout, with the operator of a_mean, or of a_harmonic if
         ``harmonic``.  Neither argument is changed, and the interface row
         of the result is ``dirichlet``."""
-        if harmonic:
-            return _thomas_batched(*self.harmonic_factors, self.harmonic_row_scale, rhs,
-                                   dirichlet, self.mid)
-        return _thomas_batched(*self.factors, self.row_scale, rhs, dirichlet, self.mid)
+        return _thomas_batched(*self.operators[harmonic], self.mid, rhs, dirichlet)
 
     @cached_property
     def dirichlet_response(self):
@@ -928,14 +917,15 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     )
 
 
-def interface_step(u_new, old, cfg, *, rho_x, rho_hat, jump_response, jump_forcing=None,
+def interface_step(u_new, old, cfg, *, rho_x, rho_hat, jump_response, jump_forcing=0.0,
                    rhs_old=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
     Returns rho_new.  ``old`` is the ``Level`` of the previous *accepted*
     state, so rho_t = (rho_new - old.rho) / dt, and its rfft is read from
     it; rhs_old is the jump right-hand side at the old time (only needed
-    for theta < 1).  rho_x and rho_hat are the slope and the rfft of the
+    for theta < 1), and ``jump_forcing`` the jump forcing at the new time
+    (0.0 unforced).  rho_x and rho_hat are the slope and the rfft of the
     current iterate rho_m, which the caller already holds.
 
     (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
@@ -948,9 +938,8 @@ def interface_step(u_new, old, cfg, *, rho_x, rho_hat, jump_response, jump_forci
     regularized update.
     """
     bracket2 = 1.0 + rho_x**2
-    rhs_new = bracket2 * jump_normal_derivative(np.asarray(u_new, dtype=float), cfg.grids())
-    if jump_forcing is not None:
-        rhs_new = rhs_new + np.asarray(jump_forcing, dtype=float)
+    rhs_new = (bracket2 * jump_normal_derivative(np.asarray(u_new, dtype=float), cfg.grids())
+               + jump_forcing)
     theta = cfg.theta
     rhs = rhs_new if theta == 1.0 else theta * rhs_new + (1.0 - theta) * np.asarray(rhs_old)
     k = np.arange(cfg.n_x // 2 + 1, dtype=float)
@@ -975,8 +964,7 @@ def compatible_initial_temperature(rho0, cfg):
     zero = make_level(0.0, np.zeros(grids.shape), rho0, cfg)
     coef = coefficients(rho0, np.zeros_like(rho0), cutoff, grids,
                         rho_x=zero.rho_x, rho_xx=zero.rho_xx)
-    step = _prepare_step(_BulkLU(coef.a, 0.0, 1.0, grids), zero.u, zero.fields,
-                         None, None, grids)
+    step = _prepare_step(_BulkLU(coef.a, 0.0, 1.0, grids), zero.u, zero.fields, 0.0, 0.0, grids)
     u0, _, _, _ = temperature_step(step, coef, dirichlet=curvature_hat(zero.rho_hat, zero.rho_x),
                                    start=(step.u, step.fields), res_tol=SolverConfig.lin_tol,
                                    update_tol=np.inf)
@@ -1013,6 +1001,17 @@ class _Secant:
         return rho_next - np.dot(d_f, f) / d_ff * (rho_next - last[1])
 
 
+class _Unforced:
+    """The zero forcing, which ``run`` and ``fixed_point_step`` put in place
+    of None: (bulk, Dirichlet shift, jump) = 0 at every t."""
+
+    def at(self, t):
+        return 0.0, 0.0, 0.0
+
+
+_UNFORCED = _Unforced()
+
+
 def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=(),
                      prev_iters=0):
     """One accepted time step, to the level at time t_new (where the
@@ -1027,9 +1026,11 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     ``level`` is the ``Level`` of the old time (``make_level`` builds one
     from raw arrays), and the step reads its fields, transforms and, at
     theta < 1, its forcing, which it evaluates (and does not keep) if the
-    level holds none; ``earlier`` holds the ``Level``s one and two dt before it,
-    newest first, as far as they exist (at most two), and ``prev_iters``
-    the fixed-point iterates of the step before (0: none).  The new
+    level holds none.  A ``forcing`` of None is the zero forcing, put in
+    its place here, so an unforced step takes the forced path.
+    ``earlier`` holds the ``Level``s one and two dt before it, newest
+    first, as far as they exist (at most two), and ``prev_iters`` the
+    fixed-point iterates of the step before (0: none).  The new
     ``Level`` carries the final solve's fields, the accepted rho's
     transforms and the forcing at t_new.
 
@@ -1060,31 +1061,25 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     goes on to iterate 2.
     """
     grids, cutoff, dt, theta, n_x = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta, cfg.n_x
-    f_new = f_bulk_new = g_dir = f_jump_new = f_bulk_old = f_jump_old = None
-    if forcing is not None:
-        f_new = forcing.at(t_new)
-        f_bulk_new, g_dir, f_jump_new = f_new
-        if theta < 1.0:
-            f_bulk_old, _, f_jump_old = (forcing.at(level.t) if level.forcing is None
-                                         else level.forcing)
+    forcing = _UNFORCED if forcing is None else forcing
+    f_new = forcing.at(t_new)
+    f_bulk_new, g_dir, f_jump_new = f_new
     base_x, base_xx = level.rho_x, level.rho_xx
+    f_bulk_old, rhs_old = 0.0, None
+    if theta < 1.0:
+        f_bulk_old, _, f_jump_old = forcing.at(level.t) if level.forcing is None else level.forcing
+        rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids) + f_jump_old
     u_m, fields_m = level.u, level.fields
     rho_m, start = _extrapolate((level, *earlier))  # start: where the next lag loop starts
     # each iterate's transforms are taken at the end of the iterate before,
     # iterate 1's here
     rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
-    rhs_old = None
-    if theta < 1.0:
-        rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids)
-        if f_jump_old is not None:
-            rhs_old = rhs_old + f_jump_old
     step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids,
                          fp_norm=fp_norm)
     sigma = bulk.jump_response
 
     def dirichlet_data(rho_hat, rx):  # the curvature Dirichlet data of an iterate
-        kappa = curvature_hat(rho_hat, rx)
-        return kappa if g_dir is None else kappa + g_dir
+        return curvature_hat(rho_hat, rx) + g_dir
 
     mixer = _Secant()
     norms = []
@@ -1111,10 +1106,9 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
         norms.append(diff)
         if diff <= cfg.fp_tol and res_tol == lin_tol:  # never a loose iterate 1
             new = make_level(t_new, u_next, rho_next, cfg, fields=fields_next, forcing=f_new)
-            trace = u_next[:, grids.normal.i_mid] - curvature_hat(new.rho_hat, new.rho_x)
-            return new, StepReport(
-                fp_norms=tuple(norms), lin_residual=lin_res, lag_iters=lag_total,
-                trace_gap=float(np.abs(trace if g_dir is None else trace - g_dir).max()))
+            trace = u_next[:, grids.normal.i_mid] - curvature_hat(new.rho_hat, new.rho_x) - g_dir
+            return new, StepReport(fp_norms=tuple(norms), lin_residual=lin_res,
+                                   lag_iters=lag_total, trace_gap=float(np.abs(trace).max()))
         rho_m = mixer.next(rho_m, rho_next, diff)
         rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
         d_next = dirichlet_data(rho_hat, rx)
@@ -1245,9 +1239,9 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     if u0.shape != grids.shape or rho0.shape != (cfg.n_x,):
         raise ConfigError(f"u0 of shape {u0.shape} and rho0 of shape {rho0.shape} do not fit "
                           f"the grid: they need {grids.shape} and {(cfg.n_x,)}")
+    forcing = _UNFORCED if forcing is None else forcing
     # a step at theta < 1 reads the forcing at its old level too
-    level = make_level(0.0, u0, rho0, cfg, forcing=(
-        forcing.at(0.0) if forcing is not None and cfg.theta < 1.0 else None))
+    level = make_level(0.0, u0, rho0, cfg, forcing=forcing.at(0.0) if cfg.theta < 1.0 else None)
     steady_level = steady_mean(level)
     history = deque(maxlen=max(cfg.k_diag + 2, 3))
     history.append(level)

@@ -40,12 +40,12 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     # and fixed-point iterations from fixed_point_step's result[1].  Every
     # substitution goes through _thomas_batched, those of both sweeps
     # included: per solve of L lag iterations, one at each even iteration,
-    # L // 2, with the factors of a_harmonic and the rest with those of
-    # a_mean, plus the Dirichlet response's one of the dt's operator
+    # L // 2, with the bound substitution of a_harmonic and the rest with
+    # that of a_mean, plus the Dirichlet response's one of the dt's operator
     cfg, state, forcing = forced_step_problem(theta)
     setup = dt_setup(state, cfg)
     bulk = setup["bulk"]
-    lags, rhs_seen, factors_seen = [], [], []
+    lags, rhs_seen, solves_seen = [], [], []
     real_temperature, real_substitution = stepper.temperature_step, stepper._thomas_batched
 
     def temperature(*args, **kwargs):
@@ -56,7 +56,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
 
     def substitution(*args, **kwargs):
         rhs_seen.append(args[3])
-        factors_seen.append(args[0])
+        solves_seen.append(args[0])
         return real_substitution(*args, **kwargs)
 
     monkeypatch.setattr(stepper, "temperature_step", temperature)
@@ -73,7 +73,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     unknowns = 2 * (cfg.n_x // 2 + 1) * cfg.n_z
     assert rhs_seen
     assert all(rhs.dtype == np.float64 and rhs.size == unknowns for rhs in rhs_seen)
-    harmonic = sum(d is bulk.harmonic_factors[0] for d in factors_seen)
-    mean = sum(d is bulk.factors[0] for d in factors_seen)
+    harmonic = sum(solve is bulk.operators[1][0] for solve in solves_seen)
+    mean = sum(solve is bulk.operators[0][0] for solve in solves_seen)
     assert max(lags) >= 3 and harmonic == sum(lag // 2 for lag in lags) > 0
     assert mean == sum(lag - lag // 2 for lag in lags) + 1 == len(rhs_seen) - harmonic

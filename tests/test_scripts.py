@@ -31,3 +31,22 @@ def test_study_script_runs_on_tiny_inputs(script, argv, out, header, tmp_path, m
         rows = list(csv.reader(fh))
     assert rows[0] == header and len(rows) == 2
     assert f"wrote {out}" in printed
+
+
+def test_code_lines_counts_code_only(tmp_path, monkeypatch, capsys):
+    # blank, comment-only and docstring lines do not count; a line of code
+    # with a trailing comment, and each line of a multi-line statement, do
+    (tmp_path / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# a comment\nx = (1,  # kept\n     2)\n\n\n'
+        'class C:\n    """One line."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+        '        return "not a docstring"\n')
+    (tmp_path / "b.py").write_text("y = 1\n")
+    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path)])
+    runpy.run_path(str(SCRIPTS / "code_lines.py"), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == ["a 5", "b 1", "total 6"]
+    # the package itself: one row per module, then their total
+    monkeypatch.setattr(sys, "argv", ["code_lines.py"])
+    runpy.run_path(str(SCRIPTS / "code_lines.py"), run_name="__main__")
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["stepper"] == [name for name, _ in rows if name == "stepper"]
+    assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])

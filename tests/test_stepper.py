@@ -3,7 +3,6 @@ per-step fixed point, and the run driver."""
 import functools
 import gc
 import inspect
-import operator
 import re
 import subprocess
 import sys
@@ -108,7 +107,7 @@ def dense_flat_reference(u_line, dt, n_z):
 
 
 def solve_alone(rho, rho_t, u_old, cfg, grids, cutoff, *, dirichlet=None,
-                f_new=None, f_old=None, inv_dt=None):
+                f_new=0.0, f_old=0.0, inv_dt=None):
     """``temperature_step`` on a step of its own: the coefficients frozen
     at (rho, rho_t), the operator factored from their a, 1/dt from cfg
     unless given, and the curvature of rho as Dirichlet
@@ -264,7 +263,7 @@ def test_bulk_solve_keeps_its_arguments_and_the_dirichlet_row(n_z, theta):
 # of 65 nodes (decay-k1) and 17 modes of 257 (mms-column)
 BULK_OPERATORS = {"decay-k1": dict(n_x=64, n_z=65, theta=1.0, dt=1e-3),
                   "mms-column": dict(n_x=32, n_z=257, theta=0.5, dt=0.01)}
-numpy_lapack = pytest.mark.skipif(not isinstance(stepper._dpttrs, stepper._Dpttrs),
+numpy_lapack = pytest.mark.skipif(stepper._dpttrf is lapack.dpttrf,
                                   reason="numpy's LAPACK lacks scipy_dpttrf_64_/scipy_dpttrs_64_")
 
 
@@ -292,13 +291,13 @@ def same_bits(a, b):
                                                  np.ascontiguousarray(b).view(np.uint8))
 
 
-def factor_and_solve(dpttrf, dpttrs, diagonals, rhs):
+def factor_and_solve(dpttrf, bind, diagonals, rhs):
     """The ``dpttrf`` factors of the diagonals and the solution for rhs
-    (both blocks of the real layout at once) by ``dpttrs``, as ``_BulkLU``
-    uses them."""
+    (both blocks of the real layout at once) by the substitution ``bind``
+    binds to them, as ``_BulkLU`` uses them."""
     d, e, info = dpttrf(*diagonals)
     assert info == 0
-    x, info = dpttrs(d, e, rhs.copy())
+    x, info = bind(d, e, 2)(rhs.copy())
     assert info == 0
     return (d, e), x
 
@@ -315,7 +314,7 @@ def test_numpy_lapack_binding_matches_the_scipy_fallback_bitwise(monkeypatch, na
     for diagonals in operators:
         n = diagonals[0].size
         rhs = np.random.default_rng(5).standard_normal((2, n))
-        factors, x = factor_and_solve(stepper._dpttrf, stepper._dpttrs, diagonals, rhs)
+        factors, x = factor_and_solve(stepper._dpttrf, stepper._bind, diagonals, rhs)
         ref_factors, ref_x = factor_and_solve(*fallback, diagonals, rhs)
         assert all(map(same_bits, factors, ref_factors))
         assert x.shape == rhs.shape and same_bits(x, ref_x)
@@ -335,11 +334,13 @@ def test_indefinite_bulk_operator_raises_with_dpttrf_info():
             stepper._BulkLU(a_mean, 1e3, 1.0, grids)
 
 
-@numpy_lapack
 def test_numpy_lapack_binding_refuses_bad_arguments_before_the_call():
+    # the ctypes binding on stand-in routines that only record their calls:
+    # bad factors are refused at ``bind``, a bad right-hand side at ``solve``
     calls = []
-    factor = stepper._Dpttrf(lambda *args: calls.append("dpttrf"))
-    substitute = stepper._Dpttrs(lambda *args: calls.append("dpttrs"))
+    factor, bind = stepper._pt_lapack(SimpleNamespace(
+        scipy_dpttrf_64_=lambda *args: calls.append("dpttrf"),
+        scipy_dpttrs_64_=lambda *args: calls.append("dpttrs")))
     n = 12
     d, e = 4.0 * np.ones(n), -np.ones(n - 1)
     for bad in ((d.astype(np.float32), e), (d, e[:-1]), (d, np.repeat(e, 2)[::2]),
@@ -350,34 +351,40 @@ def test_numpy_lapack_binding_refuses_bad_arguments_before_the_call():
     for bad in ((d_f.astype(np.float32), e_f), (d_f, e_f[:-1]), (d_f.astype(complex), e_f),
                 (d_f, np.repeat(e_f, 2)[::2])):
         with pytest.raises(ValueError):
-            substitute(*bad, np.zeros((2, n)))
+            bind(*bad, 2)
+    solve = bind(d_f, e_f, 2)
     wide = np.zeros((2 * n, 2))
     for bad in (np.zeros((2, n), np.float32), np.zeros((2, n), complex), np.zeros(2 * n + 1),
                 wide[:, 0], np.zeros((n, 2), order="F"), list(np.zeros(2 * n))):
         with pytest.raises(ValueError):
-            substitute(d_f, e_f, bad)
+            solve(bad)
     assert calls == []
-    x, info = substitute(d_f, e_f, np.zeros((2, 3, n // 3)))
+    x, info = solve(np.zeros((2, 3, n // 3)))
     assert calls == ["dpttrs"] and info == 0 and x.shape == (2, 3, n // 3)
 
 
-@numpy_lapack
-def test_bulk_lu_builds_its_substitution_arguments_once(monkeypatch):
-    # every solve of one LU passes the same factor arrays and both blocks,
-    # so the binding builds their ctypes arguments at the first solve and
-    # reuses them
-    monkeypatch.setattr(stepper, "_dpttrs", stepper._Dpttrs(stepper._dpttrs.routine))
+def test_bulk_lu_binds_its_two_substitutions_when_it_is_built(monkeypatch):
+    # a _BulkLU binds one substitution per operator, for both blocks of the
+    # real layout (nrhs = 2), as it factors them; its solves, and the
+    # responses made from them, bind none
+    real_bind, binds = stepper._bind, []
+
+    def bind(d, e, nrhs):
+        binds.append(nrhs)
+        return real_bind(d, e, nrhs)
+
+    monkeypatch.setattr(stepper, "_bind", bind)
     grids = SolverConfig(n_x=16, n_z=17).grids()
     bulk = stepper._BulkLU(1.0 + 0.3 * np.cos(np.pi * grids.normal.nodes), 1e2, 1.0, grids)
+    assert binds == [2, 2] and len(bulk.operators) == 2
     bulk.jump_response
-    bound = stepper._dpttrs.bound
-    assert all(map(operator.is_, bound[0], bulk.factors)) and bound[1] == 2
     rhs, dirichlet = np.ones(bulk.shape), np.ones(bulk.shape[:2])
     first = bulk.solve(rhs, dirichlet)
-    assert stepper._dpttrs.bound is bound
+    bulk.solve(rhs, dirichlet, harmonic=True)
+    assert binds == [2, 2]
     other = stepper._BulkLU(bulk.a_mean, 1e2, 1.0, grids)  # equal factors, new arrays
     assert same_bits(other.solve(rhs, dirichlet), first)
-    assert stepper._dpttrs.bound is not bound
+    assert binds == [2, 2, 2, 2]
 
 
 def test_temperature_step_far_field_continuum():
@@ -2002,6 +2009,30 @@ def test_forced_run_evaluates_the_forcing_once_per_new_time_level(theta, levels_
     res = run(state.u, state.rho, cfg, 3 * cfg.dt, forcing=forcing)
     assert res.cfg.dt == cfg.dt and len(res.reports) == 4
     assert sorted(times) == [r.t for r in res.reports[2 - levels_per_step:]]
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_an_unforced_run_is_the_run_of_a_zero_forcing(theta):
+    # an unforced run steps through the forced path with a zero forcing, so
+    # it matches bitwise a run whose forcing returns zero arrays: every
+    # level's u and rho, and every report (repr tells -0.0 from 0.0)
+    cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=1, theta=theta)
+    grids = cfg.grids()
+    x = grids.tangential.nodes
+    rho0 = 0.02 * np.sin(x) + 0.01 * np.cos(2 * x)
+    u0 = compatible_initial_temperature(rho0, cfg)
+    zero = SimpleNamespace(at=lambda t: (np.zeros(grids.shape), np.zeros(cfg.n_x),
+                                         np.zeros(cfg.n_x)))
+    runs = []
+    for forcing in (None, zero):
+        states = []
+        res = run(u0, rho0, cfg, 10 * cfg.dt, forcing=forcing, compute_identity=True,
+                  callbacks=[lambda state, report: states.append(state)])
+        runs.append((states, [repr(report) for report in res.reports]))
+    (unforced, unforced_reports), (forced, forced_reports) = runs
+    assert len(unforced) == len(forced) == 10 and unforced_reports == forced_reports
+    assert all(same_bits(a.u, b.u) and same_bits(a.rho, b.rho) and a.t == b.t
+               for a, b in zip(unforced, forced, strict=True))
 
 
 def test_run_transforms_each_level_once(monkeypatch):
