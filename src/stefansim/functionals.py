@@ -56,6 +56,7 @@ from .grids import (
     interface_sum,
     parseval_sum,
     power_spectrum,
+    real_transforms,
 )
 from .transform import grid_profiles, norm_weights
 
@@ -77,17 +78,18 @@ def uniform_step(times, what):
 def _quotients(values, count, dt):
     """The backward time quotients s = 0 .. count - 1 at the newest time
     of ``values``, one array per level, oldest first, None where the
-    history is too short: the window is stacked once and differenced once
-    per order (the s-th quotient is ``np.diff`` of order s of the newest
-    s + 1 arrays, over dt^s).  The transform of a quotient is the same
-    quotient of the levels' transforms."""
+    history is too short: the window's neighbours are differenced once per
+    order (the s-th quotient is ``np.diff`` of order s of the newest s + 1
+    arrays, over dt^s; two levels make one difference, and nothing is
+    stacked).  The transform of a quotient is the same quotient of the
+    levels' transforms."""
     values = values[-count:]
-    out, diffs = [values[-1]], np.stack(values)
+    out, diffs = [values[-1]], values
     for s in range(1, count):
         if s >= len(values):
             out.append(None)
             continue
-        diffs = diffs[1:] - diffs[:-1]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         out.append(diffs[-1] / dt**s)
     return out
 
@@ -112,15 +114,18 @@ def _interface_weights(psi_x, L, h):
     integrals of ``_interface_sums``.  The last column gives I_psi of a
     Hessian (``i_psi``) and the third its lower bound."""
     L3 = L**3
-    return np.stack((L, np.ones_like(L), L3, L - psi_x**2 * L3), axis=1) * h
+    weights = np.empty((L.shape[0], 4))
+    weights[:, _L], weights[:, _PLAIN], weights[:, _L3] = L, 1.0, L3
+    weights[:, _I_PSI] = L - psi_x**2 * L3
+    weights *= h
+    return weights
 
 
-def _interface_sums(hat, n, terms, weights):
+def _interface_sums(rows, index, terms, weights):
     """{term: the sums of (d v)^2 against each column of ``weights``
-    (``_interface_weights``)} for the derivatives ``terms`` of the n-point
-    interface field v whose rfft is ``hat``, from one batched inverse
-    transform and one weighted reduction (``_dx_rows``)."""
-    rows, index = _dx_rows(hat, n, terms)
+    (``_interface_weights``)} for the derivatives ``terms`` of an interface
+    field v, whose distinct rows ``rows`` and each term's row ``index``
+    (``_dx_rows``) are given: one weighted reduction."""
     sums = ((rows * rows) @ weights).tolist()
     return {term: sums[i] for term, i in zip(terms, index)}
 
@@ -187,7 +192,9 @@ def evaluate_functionals(levels, cfg):
     walls and on both sides of the interface, as ``first_walls`` and
     ``second_walls`` on ``halves``), one weighted reduction per quotient
     and stencil order.  The interface integrals are one weighted
-    reduction per rho quotient (``_interface_sums``).
+    reduction per rho quotient (``_interface_sums``); at eps = 0 and
+    k_diag = 0 the newest level's rows are the slope and the second
+    derivative that its level holds.
     E_eps = E + eps X and D_eps = D + eps Y share their sums with E and
     D, and the Sobolev sums are the same sums without the weights.
 
@@ -221,7 +228,13 @@ def evaluate_functionals(levels, cfg):
         if s + 1 < count:
             r_terms[s + 1] += [(mu, j) for mu in orders(s) for j in eps_orders[::2]]
     weights = _interface_weights(newest.rho_x, 1.0 / bracket, g.tangential.spacing)
-    iface = [_interface_sums(r_hats[q], n, terms, weights) for q, terms in enumerate(r_terms)]
+    iface = []
+    for q, terms in enumerate(r_terms):
+        if q == 0 and terms == [(0, 1), (0, 2)]:  # eps = 0, k_diag = 0: the newest level's rows
+            rows, index = np.array((newest.rho_x, newest.rho_xx)), (0, 1)
+        else:
+            rows, index = _dx_rows(r_hats[q], n, terms)
+        iface.append(_interface_sums(rows, index, terms, weights))
     first = _stencil_weights((a_psi, None), 1, g)  # a (d_z w)^2 and (d_z w)^2
     second = _stencil_weights((a_psi * a_psi, None), 2, g) if count > 1 else None
 
@@ -245,7 +258,8 @@ def evaluate_functionals(levels, cfg):
         else:
             rows, index = _dx_rows(u_hats[s], n, ws + w_x)
         normal = _stencil_sums(rows, first).tolist()
-        bulk = parseval_sum(power_spectrum(u_hats[s]), tuple(ws + [(mu, 1) for mu in mus]), g)
+        power = power_spectrum(u_hats[s])
+        bulk = parseval_sum(power, tuple(ws + [(mu, 1) for mu in mus]), g)
         E += bulk
         sob_E += bulk
         for mu in mus:
@@ -265,8 +279,8 @@ def evaluate_functionals(levels, cfg):
         # (mu,) rows lead, in the order of mus
         normal_nn = _stencil_sums(rows[:len(mus)], second).tolist()
         bulk = (parseval_sum(power_spectrum(u_hats[s + 1]), tuple(ws), g)  # w_t
-                + parseval_sum(power_spectrum(u_hats[s]),
-                               tuple(t for mu in mus for t in ((mu, 1), (mu, 2))), g))  # w_x, w_xx
+                + parseval_sum(power, tuple(t for mu in mus for t in ((mu, 1), (mu, 2))),
+                               g))  # w_x, w_xx
         D += bulk
         sob_D += bulk
         for mu in mus:
@@ -370,17 +384,18 @@ def _normal_stencils(tangential, normal, order):
 def _stencil_weights(fields, order, grids):
     """The weights of ``_stencil_sums`` for the weight fields ``fields``
     ((n_x, n_z) arrays, or None for 1), one row each: (centered
-    (K, n_x n_z - 2), edges (K, n_x, 4), order, S)."""
+    (K, n_x n_z - 2), edges (K, 4 n_x), order, S)."""
     w_c, rows, S, w_e = _normal_stencils(grids.tangential, grids.normal, order)
-    centered = np.empty((len(fields), w_c.size))
-    edges = np.empty((len(fields), grids.tangential.n_x, 4))
+    k = len(fields)
+    centered = np.empty((k, w_c.size))
+    edges = np.empty((k, grids.tangential.n_x, 4))
     for f, row_c, row_e in zip(fields, centered, edges):
         if f is None:
             row_c[:], row_e[:] = w_c, w_e
         else:
             np.multiply(f.reshape(-1)[1:-1], w_c, out=row_c)
             np.multiply(f[:, rows], w_e, out=row_e)
-    return centered, edges, order, S
+    return centered, edges.reshape(k, -1), order, S
 
 
 def _stencil_sums(rows, weights):
@@ -389,7 +404,7 @@ def _stencil_sums(rows, weights):
     (d_z^order w)^2 over both half-strips, by ``_normal_stencils``' stencil
     sum: one weighted reduction of all rows' squared stencils per part."""
     centered, edges, order, S = weights
-    m = len(rows)
+    m = rows.shape[0]
     flat = rows.reshape(m, -1)
     if order == 1:
         c = flat[:, 2:] - flat[:, :-2]
@@ -399,7 +414,7 @@ def _stencil_sums(rows, weights):
     c *= c
     e = rows @ S
     e *= e
-    return c @ centered.T + e.reshape(m, -1) @ edges.reshape(len(edges), -1).T
+    return c @ centered.T + e.reshape(m, -1) @ edges.T
 
 
 class EnergyNormK0:
@@ -412,14 +427,18 @@ class EnergyNormK0:
     bracket = <psi> ((n_x,)) are the interface derivative and the
     ``coefficients`` fields at psi, which callers already hold; the run's
     ``cfg`` gives the grids and epsilon.  Holds the ``_stencil_weights``
-    of a_psi for the normal-derivative term and the ``_interface_weights``
-    of psi; the Parseval weights of int u^2 + u_x^2 are cached per grid
-    pair.
+    of a_psi for the normal-derivative term, the ``_interface_weights``
+    of psi and ``d_x``, the rows of ``RealTransforms.d_x_matrices`` that
+    the interface terms read (d_x^1 and d_x^2, and d_x^3 and d_x^4 at
+    eps != 0); the Parseval weights of int u^2 + u_x^2 are cached per
+    grid pair.
     """
 
     def __init__(self, psi_x, a_psi, bracket, cfg):
         grids = self.grids = cfg.grids()
         self.eps = float(cfg.epsilon)
+        # the interface rows d_x rho, d_x^2 rho, and at eps != 0 d_x^3 rho, d_x^4 rho
+        self.d_x = real_transforms(grids.tangential.n_x).d_x_matrices[:4 if self.eps else 2]
         self.normal = _stencil_weights((np.asarray(a_psi, dtype=float),), 1, grids)
         self.interface = _interface_weights(np.asarray(psi_x, dtype=float),
                                             1.0 / np.asarray(bracket, dtype=float),
@@ -431,25 +450,26 @@ def state_energy_k0(u, u_hat, rho_hat, norm):
     ``EnergyNormK0`` ``norm``.
 
     u_hat and rho_hat are the rffts along x of u and rho, which callers
-    already hold; rho_hat None stands for rho = 0, whose terms are exactly
-    0 and are skipped.  The unweighted bulk terms int u^2 + u_x^2 are one
-    Parseval sum over |u_hat|^2.  The a-weighted normal-derivative term is
-    a stencil sum on u (``_stencil_sums``) and the interface terms come
-    from rho_hat (``_interface_sums``), both in real space, because their
-    weights vary in x.  No 2-D transform and no finiteness check.  Used
-    for fixed-point difference norms; no time derivatives enter at order
-    0, so no history is needed.
+    already hold, rho_hat complex or in the interface layout (its float
+    view, ``grids.RealTransforms``); rho_hat None stands for rho = 0,
+    whose terms are exactly 0 and are skipped.  The unweighted bulk terms
+    int u^2 + u_x^2 are one Parseval sum over |u_hat|^2.  The a-weighted
+    normal-derivative term is a stencil sum on u (``_stencil_sums``) and
+    the interface terms are sums of rho's derivative rows, made by one
+    product with the norm's rows of ``d_x_matrices``, both in real space,
+    because their weights vary in x.  No FFT and no finiteness check.
+    Used for fixed-point difference norms; no time derivatives enter at
+    order 0, so no history is needed.
     """
-    g = norm.grids
-    energy = (parseval_sum(power_spectrum(u_hat), ((0,), (1,)), g)
+    energy = (parseval_sum(power_spectrum(u_hat), ((0,), (1,)), norm.grids)
               + float(_stencil_sums(u[None], norm.normal)[0, 0]))
     if rho_hat is None:
         return energy
-    terms = ((0, 1), (0, 2), (0, 3), (0, 4)) if norm.eps != 0.0 else ((0, 1), (0, 2))
-    v = _interface_sums(rho_hat, g.tangential.n_x, terms, norm.interface)
-    energy += v[0, 1][_L] + v[0, 2][_I_PSI]
+    rows = norm.d_x @ rho_hat.view(float)
+    v = (rows * rows) @ norm.interface
+    energy += v[0, _L] + v[1, _I_PSI]
     if norm.eps != 0.0:
-        energy += norm.eps * (v[0, 3][_L] + v[0, 4][_I_PSI])
+        energy += norm.eps * (v[2, _L] + v[3, _I_PSI])
     return energy
 
 

@@ -45,7 +45,7 @@ class TangentialGrid:
         if self.n_x < 8 or self.n_x % 2 != 0:
             raise ValueError(f"n_x must be even and >= 8, got {self.n_x}")
 
-    @property
+    @cached_property
     def spacing(self):
         return PERIOD / self.n_x
 
@@ -65,7 +65,7 @@ class NormalGrid:
         if self.n_z < 9 or self.n_z % 2 == 0:
             raise ValueError(f"n_z must be odd and >= 9, got {self.n_z}")
 
-    @property
+    @cached_property
     def dz(self):
         return 2.0 / (self.n_z - 1)
 
@@ -73,7 +73,7 @@ class NormalGrid:
     def nodes(self):
         return np.linspace(-1.0, 1.0, self.n_z)
 
-    @property
+    @cached_property
     def i_mid(self):
         """Index of the z = 0 node."""
         return (self.n_z - 1) // 2
@@ -181,6 +181,16 @@ class RealTransforms:
     of the modes' real parts, then their imaginary parts.  Each transform
     is one BLAS product; ``real_transforms`` caches one instance per n.
 
+    An interface row (n,) has matrices of its own, on the *interface
+    layout* of its coefficients: a flat (2 (n // 2 + 1),) array holding
+    each mode's real part, then its imaginary part, which is the float view
+    of numpy's complex rfft (``hat.view(float)``, and back by
+    ``.view(complex)``, no copy).  ``rfft_matrix`` (2 modes, n) takes a
+    row to it, ``irfft_matrix`` (n, 2 modes) back, and ``d_x_matrices``
+    (4, n, 2 modes) to its derivatives d_x^1 .. d_x^4, so
+    ``d_x_matrices[:2] @ coef`` is the slope and the second derivative in
+    one product.
+
     The inverses follow ``np.fft.irfft``, which ignores the imaginary parts
     of the k = 0 and Nyquist modes, and the derivative matrices are built
     from ``tangential_multipliers``, so the Nyquist rule is this module's.
@@ -205,6 +215,14 @@ class RealTransforms:
         self.inverse_matrix = self._frozen(inverse(tangential_multipliers(n, ((0,),))[0]))
         self.derivative_matrix = self._frozen(np.concatenate(
             [inverse(mult) for mult in tangential_multipliers(n, ((1,), (2,)))]))
+        # the interface layout: each mode's real part, then its imaginary
+        # part, the float view of numpy's complex rfft of an interface row
+        order = np.arange(2 * self.modes).reshape(2, -1).T.ravel()
+        self.rfft_matrix = self._frozen(self.forward_matrix[order])
+        self.irfft_matrix = self._frozen(self.inverse_matrix[:, order])
+        self.d_x_matrices = self._frozen(np.stack(
+            [inverse(mult)[:, order]
+             for mult in tangential_multipliers(n, ((1,), (2,), (3,), (4,)))]))
 
     @staticmethod
     def _frozen(matrix):
@@ -234,6 +252,23 @@ class RealTransforms:
 def real_transforms(n):
     """The ``RealTransforms`` of an n-point grid (cached)."""
     return RealTransforms(n)
+
+
+def interface_transforms(rho):
+    """(coefficients, slope, second derivative) of the n-point interface
+    rho: its rfft in the interface layout (``RealTransforms.rfft_matrix``,
+    the float view of the complex rfft) and the first two rows of
+    ``d_x_matrices`` taken of it, two products in all.  The product
+    transforms rho - rho[0], and n rho[0] is added to the mean mode: so a
+    constant interface transforms to exact zeros but for its mean, as
+    numpy's FFT transforms it, and its derivatives are exact zeros.  No
+    finiteness check."""
+    n = rho.shape[0]
+    t = real_transforms(n)
+    coef = t.rfft_matrix @ (rho - rho[0])
+    coef[0] += n * rho[0]
+    rho_x, rho_xx = t.d_x_matrices[:2] @ coef
+    return coef, rho_x, rho_xx
 
 
 def power_spectrum(hat):
@@ -281,10 +316,12 @@ def _tap_sum(values, i, step, taps):
     return out
 
 
+# a first derivative's stencil changes sign with its direction
+_FIRST_TAPS = {True: FIRST_WALL_TAPS, False: tuple(-tap for tap in FIRST_WALL_TAPS)}
+
+
 def _one_sided_first(values, i, h, forward):
-    # a first derivative's stencil changes sign with its direction
-    s = 1 if forward else -1
-    return _tap_sum(values, i, s, [s * tap for tap in FIRST_WALL_TAPS]) / (2.0 * h)
+    return _tap_sum(values, i, 1 if forward else -1, _FIRST_TAPS[forward]) / (2.0 * h)
 
 
 def first_walls(values, h):
@@ -355,13 +392,16 @@ def l2_interface(values, grid):
 
 def tail_fraction_hat(hat, n):
     """Fraction of (mean-free) spectral energy carried by the top third of
-    modes of the n-point field whose rfft is ``hat``."""
-    power = np.abs(hat) ** 2
-    power[0] = 0.0  # the mean carries no derivative information
-    total = power.sum()
+    modes of the n-point field whose rfft is ``hat``, complex or in the
+    interface layout (its float view, ``RealTransforms``): two dot
+    products of the float view."""
+    coef = hat.view(float)
+    rest = coef[2:]  # the mean carries no derivative information
+    top = coef[2 * (n // 3):]
+    total = rest @ rest
     if total == 0.0:
         return 0.0
-    return float(power[n // 3:].sum() / total)
+    return float(top @ top / total)
 
 
 def band_limited(rng, grid, amplitude):

@@ -52,11 +52,13 @@ polynomial through the step's level and the earlier levels ``run``'s
 history holds at the current dt, up to three in all, taken one dt on: the
 interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (three levels),
 2 rho_n - rho_{n-1} (two: step 2 and the second step after a dt
-halving) or rho_n (one: step 1 and the first step after a halving), and
-the lag loop from the same combination of the temperatures and of their
-fields (no transform), which for one level is that level's u and fields
-bitwise.  The trajectory is smooth in t (perturbed flat states relax
-smoothly), so the quadratic predictor is off by O(dt^3).  Iterate 1's
+halving) or rho_n (one: step 1 and the first step after a halving), its
+transforms from the same combination of the levels' (the map is linear),
+and the lag loop from the same combination of the temperatures and of
+their fields (no transform), which for one level is that level's
+interface, transforms, u and fields bitwise.  The trajectory is smooth
+in t (perturbed flat states relax smoothly), so the quadratic predictor
+is off by O(dt^3).  Iterate 1's
 difference is measured against u_old.  Iterate 1's u was solved with the
 predictor's Dirichlet data d_1; once its interface update is done, u is
 corrected to first order for the next iterate's data d_2: per mode,
@@ -114,19 +116,31 @@ d_z stencil of the real u_x, taken in u_x's place, u_zz and u_z stencils
 of u_new, and those fields serve the residual.  The iterate is checked
 for finiteness through its residual, once.  The complex rfft of the
 solve's u, which the fixed-point norm, the level records and the
-reports read, is assembled once per solve.  A fixed-point iterate
-transforms rho_m once (numpy's FFT, as every interface transform): its
-slope and second derivative, the resolution check and the curvature
-Dirichlet data and the interface update all share that FFT, taken at
-the end of the iterate before (iterate 1's in the step's set-up).  The
-correction of iterate 1's u costs two inverse products (u and u_x; a
-lag loop's start needs no xx).  The converged step's trace gap
-max |u(., 0) - kappa(rho) - g| comes from the accepted rho's FFT;
-``run`` checks it against trace_tol.
+reports read, is assembled once per solve.  Every interface transform
+is a product with a cached matrix of ``grids.RealTransforms`` too, on the
+interface layout (each mode's real and imaginary part, the float view of
+the complex rfft), and a step enters no numpy FFT.  A later iterate
+transforms its rho_m once (``grids.interface_transforms``: one product
+for the coefficients, one for the slope and second derivative): the
+resolution check, the curvature Dirichlet data (the flux's derivative is
+two more products) and the interface update share them, taken at the
+end of the iterate before.  Iterate 1's are the predictor's combination
+of the levels' transforms (``_extrapolate``), so the step transforms no
+predicted interface.  A solve's Dirichlet data is one forward product,
+the interface update's right-hand side one and its inverse one, and the
+fixed-point difference's interface rows one each for the difference's
+coefficients and their derivatives.  The interface update's per-mode
+constants are built once per dt (``interface_constants``), beside the
+dt's LU.  The correction of iterate 1's u costs two inverse products (u
+and u_x; a lag loop's start needs no xx).  The converged step's trace
+gap max |u(., 0) - kappa(rho) - g| comes from the accepted rho's
+transforms; ``run`` checks it against trace_tol.
 
 Each time level is a ``Level`` record, built once by ``make_level``: t,
 u, rho, the final solve's ``_bulk_fields`` of u (its rfft included),
-rho's rfft, slope and second derivative, the conserved quantity Q, the
+rho's complex rfft (the float view of its interface-layout
+coefficients, assembled once per level), slope and second derivative,
+the conserved quantity Q, the
 forcing's values at t and, once the identity has read it, the model
 energy.  A step reads u_old's fields, the old interface's transforms
 and, at theta < 1, the old forcing from the old level, so it transforms
@@ -137,10 +151,11 @@ model energies.
 
 The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
-t_new=..., bulk=..., fp_norm=..., forcing=..., earlier=...,
-prev_iters=...)``,
+t_new=..., bulk=..., fp_norm=..., interface=..., forcing=...,
+earlier=..., prev_iters=...)``,
 ``interface_step(u_new, old, cfg, ...)``, which reads rho's rfft from
-the old level, and every solve's one call shape
+the old level and the dt's ``interface_constants``, and every solve's
+one call shape
 ``temperature_step(step, coef, dirichlet=..., start=..., res_tol=...,
 update_tol=...)``.  ``step`` is the ``_Step`` that ``_prepare_step``
 builds once per time step, before the first iterate, around the dt's
@@ -163,8 +178,10 @@ the fixed-point difference are a Parseval sum over the difference of
 the two solves' coefficients (u_old's at iterate 1), and those of a warm
 solve's lag update over x_hat - prev_hat.  The a-weighted
 normal-derivative term is a stencil sum, and only the fixed-point
-difference has interface terms, from one 1-D FFT and one batched inverse
-FFT.
+difference has interface terms, from two products (the difference's
+coefficients, and their derivative rows).  Each norm of a solve's
+residual test is sqrt(v . v) on v's flat view, bitwise
+``np.linalg.norm``, and the theta blends are made only at theta < 1.
 
 The bulk operator's rows are scaled so that it is symmetric positive
 definite, and its factorization is LAPACK's ``dpttrf`` and its
@@ -206,7 +223,7 @@ from .grids import (
     NormalGrid,
     TangentialGrid,
     _require_finite,
-    d_tangential_hats,
+    interface_transforms,
     l2_interface,
     real_transforms,
 )
@@ -317,8 +334,8 @@ class State:
 class Level(State):
     """One time level and what is derived from it, built once by
     ``make_level``: u's ``_bulk_fields`` (its rfft ``fields.hat``
-    included), rho's rfft and slope and second derivative, the conserved
-    quantity Q and ``forcing``, the forcing's (bulk, Dirichlet, jump)
+    included), rho's complex rfft and slope and second derivative, the
+    conserved quantity Q and ``forcing``, the forcing's (bulk, Dirichlet, jump)
     values at t ((0.0, 0.0, 0.0) in an unforced run; None if not
     evaluated).  Only ``E_bar``, the pair
     (epsilon, model energy) that ``identity.model_energy`` caches, is
@@ -344,7 +361,8 @@ def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
     and for callers that hold raw arrays.  ``fields`` (u's
     ``_bulk_fields``) are those an accepted step's final solve already
     holds, and are built here when not given; rho's transforms come from
-    ``_interface_transforms``.  ``forcing`` is the forcing's values at t,
+    ``grids.interface_transforms``, and its rfft is the complex view of
+    their coefficients.  ``forcing`` is the forcing's values at t,
     if already evaluated.  No finiteness check."""
     grids = cfg.grids()
     u = np.asarray(u, dtype=float)
@@ -352,42 +370,41 @@ def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
     if fields is None:
         x = real_transforms(grids.tangential.n_x).forward(u)
         fields = _bulk_fields(u, x, grids, _complex(x))
-    rho_hat, rho_x, rho_xx = _interface_transforms(rho, grids.tangential.n_x)
-    return Level(t=t, u=u, rho=rho, fields=fields, rho_hat=rho_hat, rho_x=rho_x, rho_xx=rho_xx,
-                 Q=conserved_quantity(u, rho, cfg.cutoff(), grids), forcing=forcing)
+    coef, rho_x, rho_xx = interface_transforms(rho)
+    return Level(t=t, u=u, rho=rho, fields=fields, rho_hat=coef.view(complex), rho_x=rho_x,
+                 rho_xx=rho_xx, Q=conserved_quantity(u, rho, cfg.cutoff(), grids),
+                 forcing=forcing)
 
 
-def _interface_transforms(rho, n_x):
-    """(rfft, slope, second derivative) of the interface rho: every
-    tangential derivative of an interface comes from this one FFT."""
-    rho_hat = np.fft.rfft(rho)
-    return (rho_hat, *d_tangential_hats(rho_hat, n_x, ((1,), (2,))))
+# ``_extrapolate``'s weights for one, two and three levels, newest first
+_PREDICTOR = {k: tuple(float((-1) ** j * math.comb(k, j + 1)) for j in range(k))
+              for k in (1, 2, 3)}
 
 
 def _extrapolate(levels):
-    """(rho, (u, fields)) of the polynomial through ``levels``, the newest
-    first and one dt apart, taken one dt past the newest: one set of
-    weights, (1,) for one level (its own values bitwise), (2, -1) for two
-    (2 y_n - y_{n-1}) and (3, -3, 1) for three (3 y_n - 3 y_{n-1} +
-    y_{n-2}), combines the interfaces, the temperatures and their fields,
-    so no transform.  (u, fields) is the first lag loop's start, which the
-    step drops once iterate 1 is done; only zz, xz and z are combined,
-    the fields that loop reads of its start, and xx and hat are None."""
-    k = len(levels)
-    weights = [float((-1) ** j * math.comb(k, j + 1)) for j in range(k)]
-
-    def combine(arrays):  # accumulated in place, newest first
-        arrays = iter(arrays)
-        out = weights[0] * next(arrays)
-        for w, a in zip(weights[1:], arrays, strict=True):
-            out += w * a
-        return out
-
-    fields = [level.fields for level in levels]
-    return combine(level.rho for level in levels), (
-        combine(level.u for level in levels),
-        _Fields(None, combine(f.zz for f in fields), combine(f.xz for f in fields),
-                combine(f.z for f in fields), None))
+    """(rho, (coef, rho_x, rho_xx), (u, fields)) of the polynomial through
+    ``levels``, the newest first and one dt apart, taken one dt past the
+    newest: one set of weights (``_PREDICTOR``), (1,) for one level (its
+    own values bitwise), (2, -1) for two (2 y_n - y_{n-1}) and (3, -3, 1)
+    for three (3 y_n - 3 y_{n-1} + y_{n-2}), combines the interfaces and
+    their transforms (coef in the interface layout of
+    ``grids.RealTransforms``, the slope and the second derivative: the map
+    is linear), the temperatures and their fields, so no transform.  (u,
+    fields) is the first lag loop's start, which the step drops once
+    iterate 1 is done; only zz, xz and z are combined, the fields that
+    loop reads of its start, and xx and hat are None."""
+    out = None  # accumulated in place, newest first
+    for w, level in zip(_PREDICTOR[len(levels)], levels):
+        f = level.fields
+        arrays = (level.rho, level.rho_hat.view(float), level.rho_x, level.rho_xx, level.u,
+                  f.zz, f.xz, f.z)
+        if out is None:
+            out = [w * a for a in arrays]
+        else:
+            for o, a in zip(out, arrays):
+                o += a if w == 1.0 else w * a
+    rho, coef, rho_x, rho_xx, u, zz, xz, z = out
+    return rho, (coef, rho_x, rho_xx), (u, _Fields(None, zz, xz, z, None))
 
 
 @dataclass(frozen=True)
@@ -414,15 +431,20 @@ class _Step:
 def _prepare_step(bulk, u_old, fields_old, forcing_new, forcing_old, grids, fp_norm=None):
     """The ``_Step`` of a step from u_old, whose ``_bulk_fields`` the caller
     holds, with the factored operator ``bulk``; each bulk forcing is an
-    array of u_old's shape, or 0.0 (unforced)."""
-    inv_dt, theta = bulk.inv_dt, bulk.theta
+    array of u_old's shape, or 0.0 (unforced).  The theta blends are made
+    only at theta < 1."""
+    theta = bulk.theta
     f_new = np.asarray(forcing_new, dtype=float)
     f_old = np.asarray(forcing_old, dtype=float)
+    f_part = f_blend = f_new  # theta f_new, and the blend theta f_new + (1 - theta) f_old
+    if theta < 1.0:
+        f_part = theta * f_new
+        f_blend = f_part + (1.0 - theta) * f_old
+    flat_u, flat_f = u_old.ravel(), f_blend.ravel()
     return _Step(
         grids=grids, bulk=bulk, u=u_old, fields=fields_old,
-        norm_u=np.linalg.norm(u_old), f_new=f_new, f_old=f_old,
-        norm_f=np.linalg.norm(theta * f_new + (1.0 - theta) * f_old),
-        base_rhs=u_old * inv_dt + theta * f_new, fp_norm=fp_norm)
+        norm_u=np.sqrt(flat_u @ flat_u), f_new=f_new, f_old=f_old,
+        norm_f=np.sqrt(flat_f @ flat_f), base_rhs=u_old * bulk.inv_dt + f_part, fp_norm=fp_norm)
 
 
 _REAL = np.dtype(np.float64)
@@ -533,16 +555,19 @@ def _thomas_batched(solve, row_scale, mid, rhs, dirichlet):
     Its rows are scaled by ``row_scale`` (n_z,) into a new array whose
     interface row ``mid`` holds the Dirichlet values ``dirichlet`` (2,
     modes) and whose rows mid - 1 and mid + 1 gain them, the scaled
-    coupling of the interface row being -1.  Returns the solution, in
-    rhs's shape.  On numpy's LAPACK a scaled right-hand side of another
-    dtype, layout or length raises ValueError before the call.  The name
-    and the right-hand side as fourth positional argument are what
+    coupling of the interface row being -1.  A ``dirichlet`` of None
+    stands for zero data on an rhs whose interface row is zero, and no
+    row is then touched.  Returns the solution, in rhs's shape.  On
+    numpy's LAPACK a scaled right-hand side of another dtype, layout or
+    length raises ValueError before the call.  The name and the
+    right-hand side as fourth positional argument are what
     ``bench/workload.py`` traces the bulk solve by.
     """
     b = np.multiply(rhs, row_scale, order="C")
-    b[:, :, mid - 1] += dirichlet
-    b[:, :, mid] = dirichlet
-    b[:, :, mid + 1] += dirichlet
+    if dirichlet is not None:
+        b[:, :, mid - 1] += dirichlet
+        b[:, :, mid] = dirichlet
+        b[:, :, mid + 1] += dirichlet
     x, info = solve(b)
     if info != 0:
         raise LinearSolveError(f"banded substitution failed (dpttrs info={info})")
@@ -619,7 +644,9 @@ class _BulkLU:
         ignored) and the interface Dirichlet values (2, modes), both in
         the real layout, with the operator of a_mean, or of a_harmonic if
         ``harmonic``.  Neither argument is changed, and the interface row
-        of the result is ``dirichlet``."""
+        of the result is ``dirichlet``.  A ``dirichlet`` of None is zero
+        data for an rhs whose interface row is zero (a sweep's residual),
+        which the solve then leaves as it is."""
         return _thomas_batched(*self.operators[harmonic], self.mid, rhs, dirichlet)
 
     @cached_property
@@ -652,7 +679,7 @@ def _d_z(v, grids, out=None):
     flattened field, whose differences reach across x rows only on the
     wall rows, which are then set."""
     dz, mid = grids.normal.dz, grids.normal.i_mid
-    f = np.ravel(v)
+    f = v.ravel()
     out = np.empty(v.shape) if out is None else out
     flat = out.reshape(-1)
     np.subtract(f[2:], f[:-2], out=flat[1:-1])  # numpy buffers an overlap of v and out
@@ -669,9 +696,13 @@ def _lagged_fields(v, v_x, grids):
     v_z are stencils on v.  Interface rows are zero; no finiteness
     check."""
     dz, mid = grids.normal.dz, grids.normal.i_mid
-    f = np.ravel(v)
+    f = v.ravel()
     v_zz = np.empty(v.shape)
-    v_zz.reshape(-1)[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dz**2
+    flat = v_zz.reshape(-1)[1:-1]  # (f[2:] - 2 f[1:-1] + f[:-2]) / dz^2, in place
+    np.multiply(f[1:-1], 2.0, out=flat)
+    np.subtract(f[2:], flat, out=flat)
+    flat += f[:-2]
+    flat /= dz**2
     v_zz[:, 0] = 2.0 * (v[:, 1] - v[:, 0]) / dz**2
     v_zz[:, -1] = 2.0 * (v[:, -2] - v[:, -1]) / dz**2
     v_zz[:, mid] = 0.0
@@ -687,7 +718,9 @@ def _complex(x):
 
 def _real_layout(hat):
     """The real layout (2, modes, ...) of the complex coefficients hat."""
-    return np.stack((hat.real, hat.imag))
+    x = np.empty((2, *hat.shape))
+    x[0], x[1] = hat.real, hat.imag
+    return x
 
 
 def _bulk_fields(v, x, grids, hat=None):
@@ -714,11 +747,13 @@ def _interior_operator(coef, fields):
     must not be used (it is replaced by the Dirichlet condition).
     Returns (L v, termwise scale): the scale is the sum of the norms of
     the individual operator terms, the right yardstick for a relative
-    residual (the norm of the sum vanishes at a steady solution).  No
+    residual (the norm of the sum vanishes at a steady solution), each norm
+    sqrt(v . v) on v's flat view, bitwise ``np.linalg.norm``.  No
     finiteness check.
     """
     xx, a_zz, b_xz, c_z = fields.xx, coef.a * fields.zz, coef.B * fields.xz, coef.c * fields.z
-    scale = np.linalg.norm(xx) + np.linalg.norm(a_zz) + np.linalg.norm(b_xz) + np.linalg.norm(c_z)
+    f_xx, f_zz, f_xz, f_z = xx.ravel(), a_zz.ravel(), b_xz.ravel(), c_z.ravel()
+    scale = np.sqrt(f_xx @ f_xx) + np.sqrt(f_zz @ f_zz) + np.sqrt(f_xz @ f_xz) + np.sqrt(f_z @ f_z)
     a_zz += xx
     a_zz -= b_xz
     a_zz -= c_z
@@ -814,16 +849,18 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
         old_part = (1.0 - theta) * (L_old + step.f_old)  # the old level's explicit share
         base_rhs = base_rhs + old_part
 
-    dir_x = _real_layout(np.fft.rfft(dirichlet))
-    zero_dir = np.zeros_like(dir_x)
+    # the Dirichlet data's real layout (2, modes): one product
+    dir_x = (transforms.forward_matrix @ dirichlet).reshape(2, -1)
 
     def measure(u_new, fields, what):
-        """u_new's full residual field and relative full residual; a
+        """u_new's full residual field and relative full residual (each
+        norm sqrt(v . v) on v's flat view, bitwise ``np.linalg.norm``); a
         non-finite residual raises, naming ``what`` and u_new's first
         non-finite entry if it has one."""
         L_new, scale_new = _interior_operator(coef, fields)
         L_new += f_new
-        L_new *= theta
+        if theta < 1.0:
+            L_new *= theta
         r = u_new - u_old
         r *= inv_dt
         r -= L_new
@@ -833,10 +870,11 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
         # backward-error scale: the 1/dt mass terms belong to the system
         # data, so they enter through ||u||, not ||du|| (which cancels to
         # roundoff as dt -> 0 and would make the tolerance unreachable)
-        scale = (inv_dt * max(np.linalg.norm(u_new), step.norm_u)
+        flat_u, flat_r = u_new.ravel(), r.ravel()
+        scale = (inv_dt * np.maximum(np.sqrt(flat_u @ flat_u), step.norm_u)
                  + theta * scale_new + (1.0 - theta) * scale_old
                  + step.norm_f + 1e-300)
-        residual = np.linalg.norm(r) / scale
+        residual = np.sqrt(flat_r @ flat_r) / scale
         if not math.isfinite(residual):
             _require_finite(u_new, what)
         return r, residual
@@ -852,7 +890,7 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
             if weight is None:
                 weight = bulk.a_harmonic / coef.a
             r = weight * r
-        return bulk.solve(transforms.forward(r), zero_dir, harmonic)
+        return bulk.solve(transforms.forward(r), None, harmonic)
 
     directions = None  # (p, A p) of each GCR step since a stall, |A p| = 1
 
@@ -881,7 +919,9 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     # lag iteration 1: M^-1 (b + N u_start), N lagging what a_mean leaves of
     # a, and B and c
     lagged = (coef.a - bulk.a_mean) * fields.zz - coef.B * fields.xz - coef.c * fields.z
-    x = bulk.solve(transforms.forward(base_rhs + theta * lagged), dir_x)
+    if theta < 1.0:
+        lagged *= theta
+    x = bulk.solve(transforms.forward(base_rhs + lagged), dir_x)
     best, residuals = None, []
     last_update = np.inf
     for it in range(1, max_iter + 1):
@@ -893,15 +933,16 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
         fields = _bulk_fields(u_new, x, grids)
         r, residual = measure(u_new, fields, f"temperature iterate (lag iteration {it})")
         if residual <= res_tol:
+            hat = _complex(x)
             if update_tol == np.inf or it == max_iter:
-                return u_new, float(residual), it, fields._replace(hat=_complex(x))
+                return u_new, float(residual), it, fields._replace(hat=hat)
             # measured only once the residual test holds
-            d_hat = _complex(x) - start_hat if x_prev is None else _complex(x - x_prev)
+            d_hat = hat - start_hat if x_prev is None else _complex(x - x_prev)
             update = np.sqrt(state_energy_k0(u_new - u_prev, d_hat, None, step.fp_norm))
             if (update <= update_tol
                     or (update > FLOOR_RATIO * last_update and update <= FLOOR_SHARE * np.sqrt(
-                        state_energy_k0(u_new, _complex(x), None, step.fp_norm)))):
-                return u_new, float(residual), it, fields._replace(hat=_complex(x))
+                        state_energy_k0(u_new, hat, None, step.fp_norm)))):
+                return u_new, float(residual), it, fields._replace(hat=hat)
             last_update = update
         elif directions is None:
             if best is None or residual < best[0]:
@@ -917,7 +958,29 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     )
 
 
-def interface_step(u_new, old, cfg, *, rho_x, rho_hat, jump_response, jump_forcing=0.0,
+class _InterfaceConstants(NamedTuple):
+    """``interface_step``'s per-mode factors of one dt, each mode's twice
+    (its real and imaginary part, the interface layout of
+    ``grids.RealTransforms``): the regularization 1 + eps k^4, the jump
+    model's dt theta k^2 sigma_k and their sum.  Made by
+    ``interface_constants`` once per dt, beside the dt's ``_BulkLU``."""
+    reg: np.ndarray
+    stab: np.ndarray
+    denom: np.ndarray
+
+
+def interface_constants(cfg, jump_response):
+    """The ``_InterfaceConstants`` of cfg's dt, theta and epsilon, with the
+    per-mode jump response sigma_k ``jump_response`` (the dt's
+    ``_BulkLU.jump_response``; zeros give the plain regularized update)."""
+    k = np.arange(cfg.n_x // 2 + 1, dtype=float)
+    reg = 1.0 + cfg.epsilon * k**4
+    stab = cfg.dt * cfg.theta * k**2 * jump_response  # dt theta k^2 sigma_k
+    reg, stab = np.repeat(reg, 2), np.repeat(stab, 2)
+    return _InterfaceConstants(reg, stab, reg + stab)
+
+
+def interface_step(u_new, old, cfg, *, rho_x, rho_coef, constants, jump_forcing=0.0,
                    rhs_old=None):
     """Advance the interface from the theta-weighted regularized jump relation.
 
@@ -925,28 +988,30 @@ def interface_step(u_new, old, cfg, *, rho_x, rho_hat, jump_response, jump_forci
     state, so rho_t = (rho_new - old.rho) / dt, and its rfft is read from
     it; rhs_old is the jump right-hand side at the old time (only needed
     for theta < 1), and ``jump_forcing`` the jump forcing at the new time
-    (0.0 unforced).  rho_x and rho_hat are the slope and the rfft of the
-    current iterate rho_m, which the caller already holds.
+    (0.0 unforced).  rho_x and rho_coef are the slope and the rfft, in the
+    interface layout of ``grids.RealTransforms``, of the current iterate
+    rho_m, which the caller already holds.
 
     (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
     with the flat-state linear model of the curvature-to-jump chain,
-    -sigma_k k^2 (rho_new - rho_m), applied implicitly; ``jump_response``
-    is the per-mode factor sigma_k, from the step's bulk factorization.
-    The model term cancels at the converged fixed point, so it leaves that
-    point unchanged, but it damps the k^3-stiff modes that make plain
-    successive substitution diverge.  sigma_k = 0 gives the plain
-    regularized update.
+    -sigma_k k^2 (rho_new - rho_m), applied implicitly; ``constants`` are
+    the dt's per-mode factors (``interface_constants``), sigma_k from the
+    step's bulk factorization.  The model term cancels at the converged
+    fixed point, so it leaves that point unchanged, but it damps the
+    k^3-stiff modes that make plain successive substitution diverge.
+    sigma_k = 0 gives the plain regularized update.  The right-hand side's
+    rfft and the inverse are products with the ``RealTransforms``'
+    interface matrices.
     """
-    bracket2 = 1.0 + rho_x**2
-    rhs_new = (bracket2 * jump_normal_derivative(np.asarray(u_new, dtype=float), cfg.grids())
-               + jump_forcing)
+    rhs = (1.0 + rho_x**2) * jump_normal_derivative(u_new, cfg.grids()) + jump_forcing
     theta = cfg.theta
-    rhs = rhs_new if theta == 1.0 else theta * rhs_new + (1.0 - theta) * np.asarray(rhs_old)
-    k = np.arange(cfg.n_x // 2 + 1, dtype=float)
-    reg = 1.0 + cfg.epsilon * k**4
-    stab = cfg.dt * theta * k**2 * jump_response  # dt theta k^2 sigma_k
-    num = reg * old.rho_hat + cfg.dt * np.fft.rfft(rhs) + stab * rho_hat
-    return np.fft.irfft(num / (reg + stab), n=cfg.n_x)
+    if theta < 1.0:
+        rhs = theta * rhs + (1.0 - theta) * np.asarray(rhs_old)
+    t = real_transforms(cfg.n_x)
+    num = (constants.reg * old.rho_hat.view(float) + cfg.dt * (t.rfft_matrix @ rhs)
+           + constants.stab * rho_coef)
+    num /= constants.denom
+    return t.irfft_matrix @ num
 
 
 def compatible_initial_temperature(rho0, cfg):
@@ -1012,7 +1077,7 @@ class _Unforced:
 _UNFORCED = _Unforced()
 
 
-def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=(),
+def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, interface, forcing=None, earlier=(),
                      prev_iters=0):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
@@ -1021,7 +1086,9 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     its two operators only precondition the lag loop, its jump response damps
     the interface update and its Dirichlet response corrects iterate 1.
     ``fp_norm`` is the dt's ``EnergyNormK0``, which every fixed-point
-    difference and warm exit test of the step measures in.
+    difference and warm exit test of the step measures in, and
+    ``interface`` the dt's ``interface_constants`` (made from ``bulk``'s
+    jump response), which every interface update of the step reads.
 
     ``level`` is the ``Level`` of the old time (``make_level`` builds one
     from raw arrays), and the step reads its fields, transforms and, at
@@ -1040,7 +1107,8 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     (u_next, rho_next) from (u_m, rho_m), measured in ``fp_norm``, drops
     below fp_tol; the accepted state is that pair, a true output of
     G.  Iterate 1 starts from ``_extrapolate((level, *earlier))`` (see the
-    module docstring), and its difference is measured against u_old.
+    module docstring), interface transforms included, and its difference
+    is measured against u_old.
     Unless iterate 1 ends the step, its u is then corrected to first order
     for the change from its Dirichlet data to iterate 2's (computed once,
     and handed to iterate 2) by the LU's ``dirichlet_response``, its
@@ -1048,9 +1116,11 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     fields (from one inverse product for u and one for u_x) start
     iterate 2's lag loop and are what iterate 2's difference is measured
     against.  Each later rho_m is the ``_Secant`` mix of the last two
-    iterates.  The coefficients are frozen at the theta blend of rho_m
-    and level.rho.  The report carries the accepted solve's residual and
-    the accepted state's trace gap max |u(., 0) - kappa(rho) - g|.
+    iterates, whose transforms are taken once it is mixed.  The
+    coefficients are frozen at the theta blend of rho_m and level.rho
+    (rho_m's own at theta = 1).  The report carries the accepted solve's
+    residual and the accepted state's trace gap max |u(., 0) - kappa(rho)
+    - g|.
 
     Each solve is handed its targets (module docstring): iterate 1 a
     residual target of FIRST_SOLVE_TOL if ``prev_iters`` is at least
@@ -1060,26 +1130,22 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     that is larger.  A loose iterate 1 whose difference is below fp_tol
     goes on to iterate 2.
     """
-    grids, cutoff, dt, theta, n_x = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta, cfg.n_x
+    grids, cutoff, dt, theta = cfg.grids(), cfg.cutoff(), cfg.dt, cfg.theta
     forcing = _UNFORCED if forcing is None else forcing
     f_new = forcing.at(t_new)
     f_bulk_new, g_dir, f_jump_new = f_new
-    base_x, base_xx = level.rho_x, level.rho_xx
     f_bulk_old, rhs_old = 0.0, None
     if theta < 1.0:
         f_bulk_old, _, f_jump_old = forcing.at(level.t) if level.forcing is None else level.forcing
-        rhs_old = (1.0 + base_x**2) * jump_normal_derivative(level.u, grids) + f_jump_old
+        rhs_old = (1.0 + level.rho_x**2) * jump_normal_derivative(level.u, grids) + f_jump_old
     u_m, fields_m = level.u, level.fields
-    rho_m, start = _extrapolate((level, *earlier))  # start: where the next lag loop starts
-    # each iterate's transforms are taken at the end of the iterate before,
-    # iterate 1's here
-    rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
+    # start: where the next lag loop starts.  Iterate 1's interface
+    # transforms are the predictor's combination of the levels'; each later
+    # iterate's are taken at the end of the iterate before
+    rho_m, (coef_m, rx, rxx), start = _extrapolate((level, *earlier))
     step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids,
                          fp_norm=fp_norm)
-    sigma = bulk.jump_response
-
-    def dirichlet_data(rho_hat, rx):  # the curvature Dirichlet data of an iterate
-        return curvature_hat(rho_hat, rx) + g_dir
+    rfft = bulk.transforms.rfft_matrix
 
     mixer = _Secant()
     norms = []
@@ -1087,22 +1153,25 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
     # iterate 1's targets: the residual test alone
     res_tol = FIRST_SOLVE_TOL if prev_iters >= LOOSE_FIRST_AFTER else lin_tol
     update_tol = np.inf
-    dirichlet = dirichlet_data(rho_hat, rx)
+    dirichlet = curvature_hat(coef_m, rx) + g_dir  # the curvature Dirichlet data of an iterate
     for m in range(1, cfg.fp_max_iter + 1):
         # frozen at the theta blend of rho_m and level.rho, and of their
-        # derivatives; at theta = 1 the blend is rho_m bitwise
-        coef = coefficients(theta * rho_m + (1.0 - theta) * level.rho,
-                            (rho_m - level.rho) / dt, cutoff, grids,
-                            rho_x=theta * rx + (1.0 - theta) * base_x,
-                            rho_xx=theta * rxx + (1.0 - theta) * base_xx)
+        # derivatives, made only at theta < 1
+        rho_c, rx_c, rxx_c = rho_m, rx, rxx
+        if theta < 1.0:
+            rho_c = theta * rho_m + (1.0 - theta) * level.rho
+            rx_c = theta * rx + (1.0 - theta) * level.rho_x
+            rxx_c = theta * rxx + (1.0 - theta) * level.rho_xx
+        coef = coefficients(rho_c, (rho_m - level.rho) / dt, cutoff, grids, rho_x=rx_c,
+                            rho_xx=rxx_c)
         u_next, lin_res, lag_iters, fields_next = temperature_step(
             step, coef, dirichlet=dirichlet, start=start, res_tol=res_tol, update_tol=update_tol)
-        rho_next = interface_step(u_next, level, cfg, rho_x=rx, rho_hat=rho_hat,
-                                  jump_response=sigma, jump_forcing=f_jump_new, rhs_old=rhs_old)
+        rho_next = interface_step(u_next, level, cfg, rho_x=rx, rho_coef=coef_m,
+                                  constants=interface, jump_forcing=f_jump_new, rhs_old=rhs_old)
         lag_total += lag_iters
         # the bulk difference's coefficients are those of the two solves
         diff = np.sqrt(state_energy_k0(u_next - u_m, fields_next.hat - fields_m.hat,
-                                       np.fft.rfft(rho_next - rho_m), step.fp_norm))
+                                       rfft @ (rho_next - rho_m), step.fp_norm))
         norms.append(diff)
         if diff <= cfg.fp_tol and res_tol == lin_tol:  # never a loose iterate 1
             new = make_level(t_new, u_next, rho_next, cfg, fields=fields_next, forcing=f_new)
@@ -1110,13 +1179,13 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, forcing=None, earlier=
             return new, StepReport(fp_norms=tuple(norms), lin_residual=lin_res,
                                    lag_iters=lag_total, trace_gap=float(np.abs(trace).max()))
         rho_m = mixer.next(rho_m, rho_next, diff)
-        rho_hat, rx, rxx = _interface_transforms(rho_m, n_x)
-        d_next = dirichlet_data(rho_hat, rx)
+        coef_m, rx, rxx = interface_transforms(rho_m)
+        d_next = curvature_hat(coef_m, rx) + g_dir
         if m == 1:
             # correct u_1, solved with the predictor's Dirichlet data, to
             # first order for the next iterate's: u_hat + w rfft(d_next - d_1)
             u_hat = fields_next.hat
-            u_hat += bulk.dirichlet_response * np.fft.rfft(d_next - dirichlet)[:, None]
+            u_hat += bulk.dirichlet_response * (rfft @ (d_next - dirichlet)).view(complex)[:, None]
             u_next = fields_next = start = None  # drop the uncorrected fields first
             x = _real_layout(u_hat)
             u_next = bulk.transforms.inverse(x)
@@ -1159,7 +1228,9 @@ def _make_report(history, cfg, steady_level, step_report, compute_identity):
     _require_finite(new.rho, "accepted rho")
     cons_res = conservation_residual(history[-2], new) if len(history) >= 2 else 0.0
     f = evaluate_functionals(history, cfg)
-    _require_finite([f.E, f.D, f.E_eps, f.D_eps, f.sobolev_E, f.sobolev_D], "functionals")
+    sums = (f.E, f.D, f.E_eps, f.D_eps, f.sobolev_E, f.sobolev_D)
+    if not math.isfinite(sum(sums)):  # no array unless a sum is not finite (or they overflow)
+        _require_finite(sums, "functionals")
     rho_dev = l2_interface(new.rho - steady_level, cfg.grids().tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
@@ -1213,11 +1284,12 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
 
     When a dt starts, ``run`` makes one ``norm_weights`` call at the
     level it starts from, and factors the dt's ``_BulkLU`` and builds its
-    fixed-point ``EnergyNormK0`` from its weights.  Each step of the dt is
-    passed both; as ``earlier`` the levels one and two dt back, as far as
-    the history holds them at the current dt (see the module docstring);
-    and as ``prev_iters`` the fixed-point iterates of the last
-    accepted step, which set iterate 1's residual target.  The history's
+    fixed-point ``EnergyNormK0`` from its weights, and the interface
+    update's ``interface_constants`` from the LU's jump response.  Each
+    step of the dt is passed all three; as ``earlier`` the levels one and
+    two dt back, as far as the history holds them at the current dt (see
+    the module docstring); and as ``prev_iters`` the fixed-point iterates
+    of the last accepted step, which set iterate 1's residual target.  The history's
     levels stay whole, as ``make_level`` built them; at theta < 1 the
     initial level is built with the forcing's values at t = 0.  Within
     the step it mixes the interface iterates by a secant step and
@@ -1249,7 +1321,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
     halvings = 0
     prev_iters = 0  # fixed-point iterates of the last accepted step
-    bulk = fp_norm = None  # the current dt's operator and norm, made when the dt starts
+    bulk = fp_norm = interface = None  # the current dt's set-up, made when the dt starts
     try:
         reports.append(_make_report(history, cfg, steady_level, None, compute_identity))
         while m < n_steps:
@@ -1259,9 +1331,11 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                     a_psi, bracket = norm_weights(level.rho, level.rho_x, cfg.cutoff(), grids)
                     bulk = _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, grids)
                     fp_norm = EnergyNormK0(level.rho_x, a_psi, bracket, cfg)
+                    interface = interface_constants(cfg, bulk.jump_response)
                 new, step_report = fixed_point_step(
-                    level, cfg, t_new=t_new, bulk=bulk, fp_norm=fp_norm, forcing=forcing,
-                    earlier=tuple(islice(reversed(history), 1, 3)), prev_iters=prev_iters)
+                    level, cfg, t_new=t_new, bulk=bulk, fp_norm=fp_norm, interface=interface,
+                    forcing=forcing, earlier=tuple(islice(reversed(history), 1, 3)),
+                    prev_iters=prev_iters)
             except (FixedPointError, LinearSolveError):
                 if halvings >= cfg.max_dt_halvings:
                     raise
@@ -1270,7 +1344,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                 m, n_steps = 2 * m, 2 * n_steps
                 history.clear()
                 history.append(level)
-                bulk = fp_norm = None
+                bulk = fp_norm = interface = None
                 continue
             if step_report.trace_gap > cfg.trace_tol:
                 raise FixedPointError(

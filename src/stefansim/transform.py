@@ -35,7 +35,8 @@ from .errors import DegenerateTransformError, ResolutionWarning
 from .grids import (
     _one_sided_first,
     _require_finite,
-    d_tangential_hats,
+    interface_transforms,
+    real_transforms,
     tail_fraction_hat,
 )
 
@@ -124,7 +125,7 @@ def coefficients(rho, rho_t, cutoff, grids, *, rho_x, rho_xx):
     B *= inv
     c = (2.0 * phi * dphi) * (rx**2)[:, None]
     c *= inv
-    rxx_t = np.asarray(rho_xx, dtype=float) - np.asarray(rho_t, dtype=float)
+    rxx_t = np.subtract(rho_xx, rho_t, dtype=float)
     np.subtract(rxx_t[:, None] * phi, c, out=c)
     c += (d2phi * rho[:, None]) * a
     c *= inv
@@ -137,7 +138,7 @@ def _metric(r, rxc, phi, dphi):
     raises DegenerateTransformError naming the first node where the
     jacobian is <= 0."""
     jac = 1.0 + dphi * r
-    if np.any(jac <= 0.0):
+    if np.minimum.reduce(jac, axis=None) <= 0.0:  # the least jacobian: a ufunc, no wrapper
         i, j = np.argwhere(jac <= 0.0)[0]
         raise DegenerateTransformError(
             f"flattening map degenerate: 1 + phi'(z) rho(x) = {jac[i, j]:.3e} <= 0 "
@@ -172,16 +173,16 @@ def curvature(rho):
     """
     rho = np.asarray(rho, dtype=float)
     _require_finite(rho, "curvature input")
-    rho_hat = np.fft.rfft(rho)
-    return curvature_hat(rho_hat, d_tangential_hats(rho_hat, rho.shape[0], ((1,),))[0],
-                         stacklevel=3)
+    coef, rho_x, _ = interface_transforms(rho)
+    return curvature_hat(coef, rho_x, stacklevel=3)
 
 
 def curvature_hat(rho_hat, rho_x, stacklevel=2):
-    """``curvature`` of the interface whose rfft is ``rho_hat`` and whose
+    """``curvature`` of the interface whose rfft is ``rho_hat`` (complex,
+    or in the interface layout of ``grids.RealTransforms``) and whose
     slope ``rho_x`` the caller already took from it: the resolution check
-    reads rho_hat, and only the flux is transformed again.  No finiteness
-    check."""
+    reads rho_hat, and the flux's derivative is two products, its rfft
+    and the first row of ``d_x_matrices``.  No finiteness check."""
     n = rho_x.shape[0]
     tail = tail_fraction_hat(rho_hat, n)
     if tail >= TAIL_TOLERANCE:
@@ -191,7 +192,8 @@ def curvature_hat(rho_hat, rho_x, stacklevel=2):
             ResolutionWarning,
             stacklevel=stacklevel,
         )
-    return d_tangential_hats(np.fft.rfft(rho_x / np.sqrt(1.0 + rho_x**2)), n, ((1,),))[0]
+    t = real_transforms(n)
+    return t.d_x_matrices[0] @ (t.rfft_matrix @ (rho_x / np.sqrt(1.0 + rho_x**2)))
 
 
 def jump_normal_derivative(u_values, grids):

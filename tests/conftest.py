@@ -7,7 +7,13 @@ from stefansim import stepper
 from stefansim.errors import LinearSolveError
 from stefansim.functionals import EnergyNormK0
 from stefansim.grids import first_walls
-from stefansim.stepper import _BulkLU, SolverConfig, compatible_initial_temperature, make_level
+from stefansim.stepper import (
+    _BulkLU,
+    SolverConfig,
+    compatible_initial_temperature,
+    interface_constants,
+    make_level,
+)
 from stefansim.transform import norm_weights
 
 settings.register_profile(
@@ -46,13 +52,16 @@ def levels(cfg, times, us, rhos):
 
 
 def dt_setup(level, cfg):
-    """The keywords ``bulk`` and ``fp_norm`` that ``run`` hands every step
-    of a dt that starts from ``level``: the ``_BulkLU`` of the weight a of
-    its interface, with cfg's dt and theta, and the ``EnergyNormK0`` of
-    that interface, both from one ``norm_weights`` call."""
+    """The keywords ``bulk``, ``fp_norm`` and ``interface`` that ``run``
+    hands every step of a dt that starts from ``level``: the ``_BulkLU`` of
+    the weight a of its interface, with cfg's dt and theta, and the
+    ``EnergyNormK0`` of that interface, both from one ``norm_weights``
+    call, and the interface update's constants from the LU's jump
+    response."""
     a_psi, bracket = norm_weights(level.rho, level.rho_x, cfg.cutoff(), cfg.grids())
-    return {"bulk": _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, cfg.grids()),
-            "fp_norm": EnergyNormK0(level.rho_x, a_psi, bracket, cfg)}
+    bulk = _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, cfg.grids())
+    return {"bulk": bulk, "fp_norm": EnergyNormK0(level.rho_x, a_psi, bracket, cfg),
+            "interface": interface_constants(cfg, bulk.jump_response)}
 
 
 # the dt above which the dt-halving tests make every temperature solve stall:

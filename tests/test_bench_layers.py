@@ -41,10 +41,9 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     # substitution goes through _thomas_batched, those of both sweeps
     # included: per solve of L lag iterations, one at each even iteration,
     # L // 2, with the bound substitution of a_harmonic and the rest with
-    # that of a_mean, plus the Dirichlet response's one of the dt's operator
+    # that of a_mean, plus the Dirichlet response's one of the dt's operator,
+    # which the dt's set-up makes for the interface update's constants
     cfg, state, forcing = forced_step_problem(theta)
-    setup = dt_setup(state, cfg)
-    bulk = setup["bulk"]
     lags, rhs_seen, solves_seen = [], [], []
     real_temperature, real_substitution = stepper.temperature_step, stepper._thomas_batched
 
@@ -61,6 +60,8 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
 
     monkeypatch.setattr(stepper, "temperature_step", temperature)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
+    setup = dt_setup(state, cfg)
+    bulk = setup["bulk"]
     result = stepper.fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, **setup)
     assert isinstance(result, tuple) and len(result) == 2
     new_state, report = result

@@ -18,6 +18,7 @@ from stefansim.grids import (
     first_walls,
     halves,
     interface_sum,
+    interface_transforms,
     l2_interface,
     real_transforms,
     second_walls,
@@ -226,6 +227,39 @@ def test_real_transforms_reproduce_numpy_ffts_and_derivatives(n_x):
     d_x, d_xx = t.derivatives(nyquist)
     assert np.all(d_x == 0.0)
     assert np.abs(d_xx + (n_x // 2) ** 2 * t.inverse(nyquist)).max() <= 1e-13 * (n_x // 2) ** 2
+    # the interface layout is the float view of the complex rfft of a row:
+    # its forward, inverse and d_x^1 .. d_x^4 products are rfft, irfft and
+    # d_tangential_hats of orders 1 to 4, each to 1e-13 of its maximum
+    row, row_hat = v[:, 0], np.ascontiguousarray(hat[:, 0])
+    coef = t.rfft_matrix @ row
+    assert coef.shape == (2 * (n_x // 2 + 1),)
+    want = np.fft.rfft(row)
+    assert np.abs(coef.view(complex) - want).max() <= 1e-13 * np.abs(want).max()
+    want = np.fft.irfft(row_hat, n=n_x)
+    assert np.abs(t.irfft_matrix @ row_hat.view(float) - want).max() <= 1e-13 * np.abs(want).max()
+    rows = t.d_x_matrices @ row_hat.view(float)
+    wants = d_tangential_hats(row_hat, n_x, ((1,), (2,), (3,), (4,)))
+    for got, want in zip(rows, wants, strict=True):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not (t.rfft_matrix.flags.writeable or t.d_x_matrices.flags.writeable)
+
+
+@pytest.mark.parametrize("n_x", [8, 48, 64])
+def test_interface_transforms_of_a_constant_are_exact(n_x):
+    # a flat interface transforms to exact zeros but for its mean mode, and
+    # its slope and second derivative are exact zeros, as with numpy's FFT;
+    # a shifted interface's derivatives move only by the shift's roundoff
+    coef, rho_x, rho_xx = interface_transforms(np.full(n_x, 0.17))
+    assert coef[0] == pytest.approx(0.17 * n_x, rel=1e-15) and np.all(coef[1:] == 0.0)
+    assert np.all(rho_x == 0.0) and np.all(rho_xx == 0.0)
+    x = TangentialGrid(n_x).nodes
+    rho = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
+    coef, rho_x, rho_xx = interface_transforms(rho)
+    want = np.fft.rfft(rho)
+    assert np.abs(coef.view(complex) - want).max() <= 1e-14 * np.abs(want).max()
+    _, shifted_x, shifted_xx = interface_transforms(rho + 0.4)
+    assert np.abs(shifted_x - rho_x).max() <= 1e-14
+    assert np.abs(shifted_xx - rho_xx).max() <= 1e-13
 
 
 # ------------------------------------------------------------ quadrature

@@ -139,11 +139,13 @@ def test_report_matches_the_literal_evaluator(eps):
 
 def test_one_call_transforms_each_field_once(monkeypatch):
     # u and rho of each level are transformed once, when its record is
-    # built (rho by numpy's rfft, u by the forward product); the evaluator
-    # makes no forward transform (rho_t's and u_n's come from the levels')
-    # and no checked derivative: run checks each accepted state once
+    # built (rho by ``interface_transforms``, u by the forward product); the
+    # evaluator makes no forward transform (rho_t's and u_n's come from the
+    # levels'), numpy's rfft included, and no checked derivative: run
+    # checks each accepted state once
     count = {"rfft": 0}
-    real, real_forward = np.fft.rfft, RealTransforms.forward
+    real, real_forward, real_interface = (np.fft.rfft, RealTransforms.forward,
+                                          stepper.interface_transforms)
 
     def counting(*args, **kwargs):
         count["rfft"] += 1
@@ -153,11 +155,16 @@ def test_one_call_transforms_each_field_once(monkeypatch):
         count["rfft"] += 1
         return real_forward(self, v)
 
+    def counting_interface(rho):
+        count["rfft"] += 1
+        return real_interface(rho)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("d_tangential called")
 
     monkeypatch.setattr(np.fft, "rfft", counting)
     monkeypatch.setattr(RealTransforms, "forward", counting_forward)
+    monkeypatch.setattr(stepper, "interface_transforms", counting_interface)
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("stefansim") and hasattr(mod, "d_tangential"):
             monkeypatch.setattr(mod, "d_tangential", forbidden)

@@ -50,3 +50,27 @@ def test_code_lines_counts_code_only(tmp_path, monkeypatch, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["stepper"] == [name for name, _ in rows if name == "stepper"]
     assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
+
+
+def test_step_counts_prints_the_count_tests_totals(monkeypatch, capsys):
+    # its totals per accepted step are those of the count test's
+    # ``call_counts`` on the same 16 x 17 decay, here of 3 steps, and each
+    # part's tally lists its top functions with their callers.  A first
+    # run fills the package's caches, which a cold run counts too
+    from test_step_counts import call_counts, decay_problem
+
+    call_counts(*decay_problem(), 3)
+    monkeypatch.setattr(sys, "argv", ["step_counts.py", "--steps", "3", "--top", "4"])
+    runpy.run_path(str(SCRIPTS / "step_counts.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["part", "stefansim", "numpy", "c"]
+    printed = {row[0]: [float(v) for v in row[1:]] for row in map(str.split, lines[1:3])}
+    want = call_counts(*decay_problem(), 3)
+    assert set(printed) == set(want) == {"step", "report"}
+    for part, totals in printed.items():
+        assert totals == pytest.approx([want[part][kind] for kind in ("stefansim", "numpy", "c")],
+                                       abs=0.006)
+    for part in ("step", "report"):
+        head = lines.index(f"{part}: top 4 by calls per step (kind, function <- caller)")
+        rows = lines[head + 1:head + 5]
+        assert len(rows) == 4 and all(" <- " in row for row in rows)

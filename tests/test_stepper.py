@@ -825,8 +825,8 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     # one forward product (the right-hand side) and two inverse ones (u,
     # and u_x with u_xx stacked; u_xz is d_z of u_x) per lag iteration, plus
     # u_old's fields (one forward and one stacked inverse); the Dirichlet
-    # data's rfft is the one numpy FFT, on an interface row; the jump
-    # response makes none
+    # data's transform is a product with the forward matrix, on an
+    # interface row, and no numpy FFT; the jump response makes none
     cfg, grids, cutoff, data = lag_loop_problem(0.5)
     coef = coefficients(data[0], data[1], cutoff, grids,
                         rho_x=d_tangential(data[0], 1), rho_xx=d_tangential(data[0], 2))
@@ -843,7 +843,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
     assert lag_iters >= 3
     assert products == {"forward": lag_iters + 1, "inverse": lag_iters,
                         "derivatives": lag_iters + 1}
-    assert ffts == {"rfft": 1, "irfft": 0}
+    assert ffts == {"rfft": 0, "irfft": 0}
     # the returned fields carry u's Fourier coefficients: those of its solve
     hat = np.fft.rfft(u, axis=0)
     assert np.abs(fields.hat - hat).max() <= 1e-13 * np.abs(hat).max()
@@ -859,7 +859,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
         res_tol=cfg.lin_tol, update_tol=stepper.WARM_FP_FRACTION * 1e-9)
     assert residual <= cfg.lin_tol and warm_iters >= 2
     assert products == dict.fromkeys(("forward", "inverse", "derivatives"), warm_iters)
-    assert ffts == {"rfft": 1, "irfft": 0}
+    assert ffts == {"rfft": 0, "irfft": 0}
 
 
 def test_temperature_step_rejects_a_non_finite_iterate(monkeypatch, small_cfg, small_grids,
@@ -894,13 +894,20 @@ def test_temperature_step_rejects_a_non_finite_iterate(monkeypatch, small_cfg, s
 # ------------------------------------------------------ interface update
 
 def rho_transforms(rho):
-    """interface_step's rho_x and rho_hat keywords for the iterate rho."""
-    return {"rho_x": d_tangential(rho, 1), "rho_hat": np.fft.rfft(rho)}
+    """interface_step's rho_x and rho_coef keywords for the iterate rho (its
+    rfft's float view, the interface layout)."""
+    return {"rho_x": d_tangential(rho, 1), "rho_coef": np.fft.rfft(rho).view(float)}
 
 
-def unstabilized(n_x):
+def stabilized(cfg, sigma):
+    """interface_step's constants keyword for cfg with the jump response
+    sigma."""
+    return {"constants": stepper.interface_constants(cfg, sigma)}
+
+
+def unstabilized(cfg):
     """A zero jump response: the plain regularized update."""
-    return {"jump_response": np.zeros(n_x // 2 + 1)}
+    return stabilized(cfg, np.zeros(cfg.n_x // 2 + 1))
 
 
 def accepted(rho, cfg):
@@ -919,19 +926,19 @@ def test_interface_step_explicit_forms(small_grids):
     cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
     rho_new = interface_step(u_zero, accepted(base, cfg), cfg,
                              jump_forcing=np.sin(x), **rho_transforms(zeros),
-                             **unstabilized(n_x))
+                             **unstabilized(cfg))
     assert np.abs((rho_new - base) / cfg.dt - np.sin(x)).max() < 1e-13
     assert np.abs(rho_new - base - cfg.dt * np.sin(x)).max() < 1e-14
 
     cfg1 = SolverConfig(epsilon=1.0, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
     rho_new = interface_step(u_zero, accepted(base, cfg1), cfg1,
                              jump_forcing=np.sin(x), **rho_transforms(zeros),
-                             **unstabilized(n_x))
+                             **unstabilized(cfg1))
     # (1 + eps k^4) at k=1
     assert np.abs((rho_new - base) / cfg1.dt - 0.5 * np.sin(x)).max() < 1e-13
     rho_new = interface_step(u_zero, accepted(base, cfg1), cfg1,
                              jump_forcing=np.full(n_x, 0.4), **rho_transforms(zeros),
-                             **unstabilized(n_x))
+                             **unstabilized(cfg1))
     assert np.abs((rho_new - base) / cfg1.dt - 0.4).max() < 1e-14  # the mean mode is never damped
 
 
@@ -941,7 +948,7 @@ def test_interface_step_theta_blends_right_hand_sides(small_grids):
     cfg = SolverConfig(theta=0.5, dt=1e-2, n_x=n_x, n_z=small_grids.normal.n_z)
     rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), cfg),
                              cfg, jump_forcing=np.sin(x), rhs_old=3.0 * np.sin(x),
-                             **rho_transforms(np.zeros(n_x)), **unstabilized(n_x))
+                             **rho_transforms(np.zeros(n_x)), **unstabilized(cfg))
     assert np.abs(rho_new / cfg.dt - 2.0 * np.sin(x)).max() < 1e-13
 
 
@@ -956,7 +963,7 @@ def test_interface_step_stabilization_preserves_fixed_points(small_grids):
     rho_m = cfg.dt * forcing  # = rho_base + dt * rhs with rho_base = 0
     sigma = 5.0 + np.arange(n_x // 2 + 1, dtype=float)
     rho_new = interface_step(np.zeros(small_grids.shape), accepted(np.zeros(n_x), cfg),
-                             cfg, jump_forcing=forcing, jump_response=sigma,
+                             cfg, jump_forcing=forcing, **stabilized(cfg, sigma),
                              **rho_transforms(rho_m))
     assert np.abs(rho_new - rho_m).max() < 1e-15
     assert np.abs(rho_new / cfg.dt - forcing).max() < 1e-13
@@ -1108,27 +1115,32 @@ def test_fixed_point_step_never_transforms_the_old_interface(monkeypatch, theta,
                                                              forced_step_problem):
     # every iterate's interface update reads the old level's rfft of rho
     # from the level: no forward transform of that interface in the step.
-    # The set-up transforms iterate 1's interface once, and without an
-    # earlier level that interface holds the old one's values; with one
-    # (here 0.99 of the old level) it is the predictor, 1.01 level.rho
+    # Iterate 1's interface transforms are the predictor's combination of
+    # the levels' (no transform): without an earlier level that interface
+    # holds the old one's values, and with one (here 0.99 of the old level)
+    # it is the predictor, 1.01 level.rho
     cfg, level, forcing = forced_step_problem(theta)
     setup = dt_setup(level, cfg)
     earlier = make_level(level.t - cfg.dt, 0.99 * level.u, 0.99 * level.rho, cfg)
-    old_rho_transforms, real_rfft = [0], np.fft.rfft
+    old_rho_transforms = [0]
+    real_rfft, real_transforms = np.fft.rfft, stepper.interface_transforms
 
-    def recording_rfft(a, *args, **kwargs):
-        if np.shape(a) == level.rho.shape and np.array_equal(a, level.rho):
-            old_rho_transforms[0] += 1
-        return real_rfft(a, *args, **kwargs)
+    def recording(real):
+        def transform(a, *args, **kwargs):
+            if np.shape(a) == level.rho.shape and np.array_equal(a, level.rho):
+                old_rho_transforms[0] += 1
+            return real(a, *args, **kwargs)
+        return transform
 
-    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(np.fft, "rfft", recording(real_rfft))
+    monkeypatch.setattr(stepper, "interface_transforms", recording(real_transforms))
     _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing, **setup)
     assert report.inner_iters >= 3
-    assert old_rho_transforms == [1]
+    assert old_rho_transforms == [0]
     _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing,
                                  earlier=(earlier,), **setup)
     assert report.inner_iters >= 3
-    assert old_rho_transforms == [1]
+    assert old_rho_transforms == [0]
 
 
 def cold_reference_step(state, cfg, forcing):
@@ -1152,7 +1164,7 @@ def cold_reference_step(state, cfg, forcing):
         sigma = step.bulk.jump_response
         rho_next = interface_step(u_next, state, cfg,
                                   jump_forcing=j_new, rhs_old=rhs_old,
-                                  jump_response=sigma, **rho_transforms(rho_m))
+                                  **stabilized(cfg, sigma), **rho_transforms(rho_m))
         rx = d_tangential(rho_m, 1)
         norm = EnergyNormK0(rx, *norm_weights(rho_m, rx, cutoff, grids), cfg)
         du, drho = u_next - u_m, rho_next - rho_m
@@ -1496,6 +1508,99 @@ def test_run_builds_one_fixed_point_norm_per_dt(monkeypatch, halvings):
         assert rho is level.rho and psi_x is level.rho_x
 
 
+@pytest.mark.parametrize("halvings", [0, 2])
+def test_run_builds_the_interface_constants_once_per_dt(monkeypatch, halvings):
+    # interface_step's per-mode constants (1 + eps k^4, dt theta k^2 sigma_k
+    # and their sum) are built once per dt, beside the dt's _BulkLU and from
+    # its jump response, not once per iterate: 1 + halvings builds on a run
+    # whose dt = 0.04 is made to stall (halvings = 2) or not, and every
+    # interface update of a dt reads its dt's one set
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", 2)
+    if halvings:
+        stall_above(monkeypatch, HALVING_STALL_DT)
+    cfg = SolverConfig(epsilon=1e-3, dt=0.04, n_x=32, n_z=33, k_diag=0, theta=0.5)
+    rho0 = 0.1 * np.sin(cfg.grids().tangential.nodes)
+    built, handed, updates = [], [], []  # (dt, sigma, constants); (dt, bulk); (dt, constants)
+    real_constants, real_step, real_interface = (stepper.interface_constants,
+                                                 stepper.fixed_point_step, stepper.interface_step)
+
+    def recording_constants(step_cfg, sigma):
+        built.append((step_cfg.dt, sigma, real_constants(step_cfg, sigma)))
+        return built[-1][2]
+
+    def recording_step(level, step_cfg, **kwargs):
+        handed.append((step_cfg.dt, kwargs["bulk"]))
+        return real_step(level, step_cfg, **kwargs)
+
+    def recording_interface(u_new, old, step_cfg, *, constants, **kwargs):
+        updates.append((step_cfg.dt, constants))
+        return real_interface(u_new, old, step_cfg, constants=constants, **kwargs)
+
+    monkeypatch.setattr(stepper, "interface_constants", recording_constants)
+    monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    monkeypatch.setattr(stepper, "interface_step", recording_interface)
+    res = run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
+    assert res.cfg.dt == cfg.dt / 2**halvings
+    assert len(built) == 1 + halvings and len(updates) > 2 * len(res.reports)
+    per_dt = {dt: constants for dt, _, constants in built}
+    assert len(per_dt) == 1 + halvings
+    assert all(constants is per_dt[dt] for dt, constants in updates)
+    bulks = dict(handed)
+    k = np.arange(cfg.n_x // 2 + 1, dtype=float)
+    for dt, sigma, constants in built:
+        assert sigma is bulks[dt].jump_response
+        reg, stab = 1.0 + cfg.epsilon * k**4, dt * cfg.theta * k**2 * sigma
+        assert same_bits(constants.reg, np.repeat(reg, 2))
+        assert same_bits(constants.stab, np.repeat(stab, 2))
+        assert same_bits(constants.denom, np.repeat(reg + stab, 2))
+
+
+def test_fixed_point_step_takes_the_predictors_transforms_from_the_levels(monkeypatch):
+    # iterate 1's rfft, slope and second derivative are the predictor's
+    # combination of the levels' (the map is linear), so no step transforms
+    # its predicted interface: a step transforms one interface per later
+    # iterate and its accepted one, inner_iters in all.  Iterate 1's
+    # Dirichlet data is the predicted interface's curvature, bitwise for one
+    # level (the first step) and up to roundoff for two and three
+    cfg = SolverConfig(dt=1e-3, n_x=16, n_z=17, k_diag=0)
+    grids = cfg.grids()
+    rho0 = 1e-3 * np.sin(grids.tangential.nodes)
+    u0 = (compatible_initial_temperature(rho0, cfg)
+          + 1e-4 * np.sin(np.pi * grids.normal.nodes[None, :]) ** 2)
+    transformed, rhos, dirichlets, marks = [], [], [], []
+    real_transforms, real_coefficients, real_temperature, real_step = (
+        stepper.interface_transforms, stepper.coefficients, stepper.temperature_step,
+        stepper.fixed_point_step)
+
+    def recording_step(*args, **kwargs):
+        marks.append((len(transformed), len(rhos), len(dirichlets)))
+        return real_step(*args, **kwargs)
+
+    def recording_temperature(*args, dirichlet, **kwargs):
+        dirichlets.append(dirichlet)
+        return real_temperature(*args, dirichlet=dirichlet, **kwargs)
+
+    monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    monkeypatch.setattr(stepper, "interface_transforms",
+                        lambda rho: transformed.append(rho) or real_transforms(rho))
+    monkeypatch.setattr(stepper, "coefficients",  # at theta = 1, iterate 1's rho is rho_m
+                        lambda rho, *args, **kwargs: rhos.append(rho)
+                        or real_coefficients(rho, *args, **kwargs))
+    res = run(u0, rho0, cfg, 6 * cfg.dt)
+    marks.append((len(transformed), len(rhos), len(dirichlets)))
+    for i, report in enumerate(res.reports[1:]):
+        (t0, r0, d0), (t1, _, _) = marks[i], marks[i + 1]
+        predicted, first = rhos[r0], dirichlets[d0]
+        assert t1 - t0 == report.inner_iters >= 2
+        assert not any(rho is predicted for rho in transformed[t0:t1])
+        ref = curvature(predicted)
+        if i == 0:
+            assert same_bits(first, ref)
+        else:
+            assert np.abs(first - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     # dt = 0.04 and 0.02 are made to fail: the first attempt and each retry
     # after a halving start from the old level's values bitwise (its interface, and
@@ -1512,9 +1617,9 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
     u0 = np.zeros(grids.shape)
     levels, calls = [(u0, rho0)], []  # the accepted (u, rho) at the current dt
     warm_starts = []  # the (u, fields) each solve's lag loop starts from
-    rho_starts = []  # the rho_m of each step's set-up, its first interface transforms
+    rho_starts = []  # the rho of each coefficients call: a step's first is its rho_m
     real_step, real_temperature = stepper.fixed_point_step, stepper.temperature_step
-    real_transforms = stepper._interface_transforms
+    real_coefficients = stepper.coefficients
 
     def recording_temperature(*args, **kwargs):
         warm_starts.append(kwargs["start"])
@@ -1543,8 +1648,9 @@ def test_run_predicts_each_start_from_two_levels_of_the_current_dt(monkeypatch):
 
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
     monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
-    monkeypatch.setattr(stepper, "_interface_transforms",
-                        lambda rho, n_x: rho_starts.append(rho) or real_transforms(rho, n_x))
+    monkeypatch.setattr(stepper, "coefficients",  # at theta = 1, iterate 1's rho is rho_m
+                        lambda rho, *args, **kwargs: rho_starts.append(rho)
+                        or real_coefficients(rho, *args, **kwargs))
     res = run(u0, rho0, cfg, 0.08)
     assert res.cfg.dt == 0.01 and len(calls) == 2 + 8
     assert [n for n, *_ in calls] == [0, 0, 0, 1] + [2] * 6
@@ -1566,9 +1672,10 @@ class _FirstSolve(Exception):
 
 
 def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
-    # three levels on a trajectory quadratic in t: the set-up's rho_m and
-    # the first lag loop's start are the next level up to roundoff, and the
-    # start's lagged fields, combined from the levels', are its own
+    # three levels on a trajectory quadratic in t: the set-up's rho_m (the
+    # first coefficients' rho, at theta = 1) and the first lag loop's start
+    # are the next level up to roundoff, and the start's lagged fields,
+    # combined from the levels', are its own
     cfg = SolverConfig(dt=1e-2, n_x=16, n_z=17, k_diag=0)
     grids, cutoff = cfg.grids(), cfg.cutoff()
     x = grids.tangential.nodes
@@ -1584,14 +1691,15 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
     l0, l1, l2 = (make_level(t, u(t), rho(t), cfg) for t in (0.0, cfg.dt, 2 * cfg.dt))
     setup = dt_setup(l2, cfg)
     rho_starts, starts = [], []
-    real_transforms = stepper._interface_transforms
+    real_coefficients = stepper.coefficients
 
     def first_solve(step, coef, *, dirichlet, start, res_tol, update_tol):
         starts.append(start)
         raise _FirstSolve
 
-    monkeypatch.setattr(stepper, "_interface_transforms",
-                        lambda rho, n_x: rho_starts.append(rho) or real_transforms(rho, n_x))
+    monkeypatch.setattr(stepper, "coefficients",
+                        lambda rho, *args, **kwargs: rho_starts.append(rho)
+                        or real_coefficients(rho, *args, **kwargs))
     monkeypatch.setattr(stepper, "temperature_step", first_solve)
     with pytest.raises(_FirstSolve):
         fixed_point_step(l2, cfg, t_new=3 * cfg.dt, earlier=(l1, l0), **setup)
@@ -1959,11 +2067,12 @@ def test_run_names_the_step_of_an_exhausted_halving(monkeypatch):
 
 
 def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
-    # each level's accepted u and rho and its functionals; a lag iterate is
-    # checked through its residual, and searched only when that is not
-    # finite (test_temperature_step_rejects_a_non_finite_iterate), so it
-    # makes no call here; the stack reads the slope its level holds, so it
-    # takes no checked derivative
+    # each level's accepted u and rho; its functionals are checked through
+    # their sum, and searched only when that is not finite (below), and a
+    # lag iterate through its residual, searched only when that is not
+    # finite (test_temperature_step_rejects_a_non_finite_iterate), so
+    # neither makes a call here; the stack reads the slope its level holds,
+    # so it takes no checked derivative
     cfg = SolverConfig(n_x=16, n_z=17, dt=1e-3, k_diag=0)
     x = cfg.grids().tangential.nodes
     rho0 = 0.01 * np.sin(x) + 0.005 * np.cos(2 * x)
@@ -1987,7 +2096,12 @@ def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
     monkeypatch.setattr(stepper, "fixed_point_step", recording_step)
     res = run(u0, rho0, cfg, 5 * cfg.dt)
     assert len(res.reports) == 6 and len(lag_iters) == 5 and min(lag_iters) >= 1
-    assert checks[0] == 3 * len(res.reports)
+    assert checks[0] == 2 * len(res.reports)
+    real_functionals = stepper.evaluate_functionals
+    monkeypatch.setattr(stepper, "evaluate_functionals",  # a D that is not finite
+                        lambda *args: replace(real_functionals(*args), D=np.inf))
+    with pytest.raises(NonFiniteFieldError, match=r"functionals: non-finite entry at index \(1,\)"):
+        run(u0, rho0, cfg, cfg.dt)
 
 
 @pytest.mark.parametrize("theta, levels_per_step", [(1.0, 1), (0.5, 2)])
