@@ -8,12 +8,13 @@ The run is the one of ``tests/test_step_counts.py``: a 16 x 17 decay (eps
 mass of 1e-4 sin^2(pi z)).  ``sys.setprofile`` counts, within
 ``fixed_point_step`` ("step") and within ``_make_report`` ("report"):
 calls into stefansim functions, numpy Python-level functions entered from
-stefansim, and C calls made from stefansim frames.  Run from the
-repository root:
+stefansim, C calls made from stefansim frames, and the numpy.fft functions
+entered from any frame ("fft", which the count test's no-FFT gates read).
+Run from the repository root:
 
     PYTHONPATH=src python scripts/step_counts.py [--steps 20] [--n-x 16] [--n-z 17] [--top 25]
 
-It prints a table of the three totals per accepted step for each part,
+It prints a table of the four totals per accepted step for each part,
 then, per part, the ``--top`` functions by calls per step, each with the
 function it was called from.
 """
@@ -29,7 +30,8 @@ from stefansim.stepper import SolverConfig, compatible_initial_temperature, run
 
 PACKAGE = str(Path(stepper.__file__).parent)
 NUMPY = str(Path(np.__file__).parent)
-KINDS = ("stefansim", "numpy", "c")
+NUMPY_FFT = str(Path(np.fft.__file__).parent)
+KINDS = ("stefansim", "numpy", "c", "fft")
 
 
 def _name(code):
@@ -61,6 +63,8 @@ def tally(cfg, u0, rho0, steps):
                 part["stefansim", _name(frame.f_code), caller(frame.f_back)] += 1
             elif frame.f_code.co_filename.startswith(NUMPY) and ours(frame.f_back):
                 part["numpy", _name(frame.f_code), caller(frame.f_back)] += 1
+            if frame.f_code.co_filename.startswith(NUMPY_FFT):
+                part["fft", _name(frame.f_code), caller(frame.f_back)] += 1
         elif event == "c_call" and ours(frame):
             part["c", getattr(arg, "__qualname__", repr(arg)), caller(frame)] += 1
         elif event == "return" and frame is inside[0]:

@@ -13,10 +13,14 @@ Time derivatives are backward difference quotients over the history
 buffer; the s-th quotient needs s+1 uniformly spaced entries.  Terms whose
 quotients are not yet available are *skipped and flagged*, never silently
 zeroed.  The entries are ``stepper.Level`` records, built once per time
-level (``stepper.make_level``): each carries the rffts of its u and rho,
-whose differences are the quotients' rffts, the slope of its interface
-and its conserved quantity Q, so the diagnostics transform no entry
-again.
+level (``stepper.make_level``): each carries the rffts of its u and rho
+in the real layout of ``grids.RealTransforms`` (the real parts, then the
+imaginary parts), whose differences are the quotients' rffts, the slope
+of its interface and its conserved quantity Q, so the diagnostics make
+no forward transform.  Every real row d_x^j of a quotient is a product
+of its coefficients with a cached ``RealTransforms`` matrix, one product
+per distinct multiplier (``RealTransforms.d_x``); no diagnostic calls
+numpy's FFT.
 
 The unweighted bulk integrals (int w^2 + w_x^2 in E, int w_t^2 + w_x^2 +
 w_xx^2 in D, w = d_x^mu u_s) are summed on the Fourier modes of each
@@ -52,7 +56,6 @@ from .grids import (
     _distinct_terms,
     bulk_sum,
     d_tangential,
-    d_tangential_hats,
     interface_sum,
     parseval_sum,
     power_spectrum,
@@ -94,14 +97,15 @@ def _quotients(values, count, dt):
     return out
 
 
-def _dx_rows(hat, n, terms):
+def _dx_rows(transforms, x, terms):
     """(rows, index): the distinct derivatives among ``terms`` (each named
-    by the orders of its factors; (0,) is v itself) of the n-point field v
-    whose rfft along axis 0 is ``hat``, stacked, from one batched inverse
-    transform (``d_tangential_hats``, which alone decides the Nyquist
-    mode), and each term's row.  No finiteness check."""
-    distinct, index = _distinct_terms(tuple(terms))
-    return d_tangential_hats(hat, n, distinct), range(len(terms)) if index is None else index
+    by the orders of its factors; (0,) is v itself) of the field v whose
+    rfft along axis 0 has the real layout x, stacked, from one product per
+    distinct multiplier (``transforms.d_x``, the grid's ``RealTransforms``,
+    whose matrices alone decide the Nyquist mode), and each term's row.
+    No finiteness check."""
+    terms = tuple(terms)
+    return transforms.d_x(x, terms), _distinct_terms(terms)[1]
 
 
 # the columns of ``_interface_weights``
@@ -184,8 +188,9 @@ def evaluate_functionals(levels, cfg):
     stacked real rows keyed by factor tuple ((mu,) is d_x^mu, (mu, j) is
     d_x^j of d_x^mu, and ``grids`` decides the Nyquist mode from the tuple,
     as nested ``d_tangential`` calls would).  A quotient's rows come from
-    one batched inverse transform of its rfft, and u_0's row (0,) is the
-    newest level's u itself.  Every a- and a^2-weighted normal-derivative
+    one product of its coefficients per distinct multiplier
+    (``RealTransforms.d_x``), and u_0's row (0,) is the newest level's u
+    itself.  Every a- and a^2-weighted normal-derivative
     integral, int a (d_z w)^2, 2 int a (d_z w_x)^2 and int (a d_z^2 w)^2
     with their unweighted twins, is a stencil sum on those rows
     (``_stencil_sums``: ``_normal_stencils``' one-sided stencils at the
@@ -209,18 +214,18 @@ def evaluate_functionals(levels, cfg):
         raise ValueError("history must be non-empty")
     dt = uniform_step([lv.t for lv in levels], "history")
     g, eps, k = cfg.grids(), cfg.epsilon, cfg.k_diag
-    n = g.tangential.n_x
+    transforms = real_transforms(g.tangential.n_x)
     newest = levels[-1]
     a_psi, bracket = norm_weights(newest.rho, newest.rho_x, cfg.cutoff(), g)
     u_hats = _quotients([lv.fields.hat for lv in levels], k + 2, dt)
     r_hats = _quotients([lv.rho_hat for lv in levels], k + 2, dt)
-    count = sum(hat is not None for hat in u_hats)  # the quotients 0 .. count - 1 exist
+    count = len(levels[-(k + 2):])  # the quotients 0 .. count - 1 exist
 
     def orders(s):  # the mu of the (mu, s) terms
         return range(2 * (k - s) + 1)
 
     # the derivatives of each rho quotient: its E terms', and its D terms'
-    # (those of the quotient one order below), in one transform per quotient
+    # (those of the quotient one order below), in one ``_dx_rows`` per quotient
     eps_orders = (1, 2, 3, 4) if eps != 0.0 else (1, 2)
     r_terms = [[] for _ in range(count)]
     for s in range(min(count, k + 1)):
@@ -233,7 +238,7 @@ def evaluate_functionals(levels, cfg):
         if q == 0 and terms == [(0, 1), (0, 2)]:  # eps = 0, k_diag = 0: the newest level's rows
             rows, index = np.array((newest.rho_x, newest.rho_xx)), (0, 1)
         else:
-            rows, index = _dx_rows(r_hats[q], n, terms)
+            rows, index = _dx_rows(transforms, r_hats[q], terms)
         iface.append(_interface_sums(rows, index, terms, weights))
     first = _stencil_weights((a_psi, None), 1, g)  # a (d_z w)^2 and (d_z w)^2
     second = _stencil_weights((a_psi * a_psi, None), 2, g) if count > 1 else None
@@ -251,12 +256,12 @@ def evaluate_functionals(levels, cfg):
         w_x = [(mu, 1) for mu in mus] if with_D else []
         if s == 0:  # u_0's row (0,) is the newest level's u
             rows, index = newest.u[None], [0]
-            if len(ws) + len(w_x) > 1:
-                rest, rest_index = _dx_rows(u_hats[0], n, ws[1:] + w_x)
+            if k > 0 or with_D:  # rows beyond u's own
+                rest, rest_index = _dx_rows(transforms, u_hats[0], ws[1:] + w_x)
                 rows = np.concatenate((rows, rest))
                 index += [i + 1 for i in rest_index]
         else:
-            rows, index = _dx_rows(u_hats[s], n, ws + w_x)
+            rows, index = _dx_rows(transforms, u_hats[s], ws + w_x)
         normal = _stencil_sums(rows, first).tolist()
         power = power_spectrum(u_hats[s])
         bulk = parseval_sum(power, tuple(ws + [(mu, 1) for mu in mus]), g)
@@ -279,7 +284,7 @@ def evaluate_functionals(levels, cfg):
         # (mu,) rows lead, in the order of mus
         normal_nn = _stencil_sums(rows[:len(mus)], second).tolist()
         bulk = (parseval_sum(power_spectrum(u_hats[s + 1]), tuple(ws), g)  # w_t
-                + parseval_sum(power, tuple(t for mu in mus for t in ((mu, 1), (mu, 2))),
+                + parseval_sum(power, tuple([t for mu in mus for t in ((mu, 1), (mu, 2))]),
                                g))  # w_x, w_xx
         D += bulk
         sob_D += bulk
@@ -428,17 +433,18 @@ class EnergyNormK0:
     ``coefficients`` fields at psi, which callers already hold; the run's
     ``cfg`` gives the grids and epsilon.  Holds the ``_stencil_weights``
     of a_psi for the normal-derivative term, the ``_interface_weights``
-    of psi and ``d_x``, the rows of ``RealTransforms.d_x_matrices`` that
-    the interface terms read (d_x^1 and d_x^2, and d_x^3 and d_x^4 at
-    eps != 0); the Parseval weights of int u^2 + u_x^2 are cached per
-    grid pair.
+    of psi and ``d_x``, the cached ``RealTransforms`` matrices of the
+    interface terms' derivatives (d_x^1 and d_x^2, and d_x^3 and d_x^4 at
+    eps != 0) stacked, so that they are one product; the Parseval weights
+    of int u^2 + u_x^2 are cached per grid pair.
     """
 
     def __init__(self, psi_x, a_psi, bracket, cfg):
         grids = self.grids = cfg.grids()
         self.eps = float(cfg.epsilon)
         # the interface rows d_x rho, d_x^2 rho, and at eps != 0 d_x^3 rho, d_x^4 rho
-        self.d_x = real_transforms(grids.tangential.n_x).d_x_matrices[:4 if self.eps else 2]
+        t = real_transforms(grids.tangential.n_x)
+        self.d_x = np.stack([t.matrix((j,)) for j in ((1, 2, 3, 4) if self.eps else (1, 2))])
         self.normal = _stencil_weights((np.asarray(a_psi, dtype=float),), 1, grids)
         self.interface = _interface_weights(np.asarray(psi_x, dtype=float),
                                             1.0 / np.asarray(bracket, dtype=float),
@@ -449,15 +455,15 @@ def state_energy_k0(u, u_hat, rho_hat, norm):
     """E_eps of the bare state (u, rho) at diagnostic order 0 in the
     ``EnergyNormK0`` ``norm``.
 
-    u_hat and rho_hat are the rffts along x of u and rho, which callers
-    already hold, rho_hat complex or in the interface layout (its float
-    view, ``grids.RealTransforms``); rho_hat None stands for rho = 0,
-    whose terms are exactly 0 and are skipped.  The unweighted bulk terms
-    int u^2 + u_x^2 are one Parseval sum over |u_hat|^2.  The a-weighted
-    normal-derivative term is a stencil sum on u (``_stencil_sums``) and
-    the interface terms are sums of rho's derivative rows, made by one
-    product with the norm's rows of ``d_x_matrices``, both in real space,
-    because their weights vary in x.  No FFT and no finiteness check.
+    u_hat and rho_hat are the rffts along x of u and rho in the real layout
+    of ``grids.RealTransforms`` (rho_hat a row's, flat), which callers
+    already hold; rho_hat None stands for rho = 0, whose terms are exactly
+    0 and are skipped.  The unweighted bulk terms int u^2 + u_x^2 are one
+    Parseval sum over |u_hat|^2.  The a-weighted normal-derivative term is
+    a stencil sum on u (``_stencil_sums``) and the interface terms are sums
+    of rho's derivative rows, made by one product with the norm's stacked
+    matrices ``d_x``, both in real space, because their weights vary in x.
+    No finiteness check.
     Used for fixed-point difference norms; no time derivatives enter at
     order 0, so no history is needed.
     """
@@ -465,7 +471,7 @@ def state_energy_k0(u, u_hat, rho_hat, norm):
               + float(_stencil_sums(u[None], norm.normal)[0, 0]))
     if rho_hat is None:
         return energy
-    rows = norm.d_x @ rho_hat.view(float)
+    rows = norm.d_x @ rho_hat
     v = (rows * rows) @ norm.interface
     energy += v[0, _L] + v[1, _I_PSI]
     if norm.eps != 0.0:

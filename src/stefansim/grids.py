@@ -5,13 +5,17 @@ The tangential direction is a uniform periodic grid with period fixed to
 README).  The normal direction is a uniform grid on [-1, 1] with an odd
 number of nodes so that z = 0 (the flattened interface) is a grid line.
 
-Tangential derivatives are pseudo-spectral: FFT, multiply by (ik)^order,
-inverse FFT.  A derivative is named by the orders of its factors: (2,) is
-d_x^2 and (mu, 1) is d_x of d_x^mu.  Its multiplier is (ik) to the total
-order, with the Nyquist mode zeroed when any factor is odd, as nested
-calls would zero it (an odd derivative has no Nyquist value on an even
-real grid); this module alone applies that rule (``_zero_nyquist``).  Normal
-derivatives are second-order finite differences, taken on each half-strip
+Tangential derivatives are pseudo-spectral, and every tangential transform
+is a product with a cached real matrix (``RealTransforms``): the forward
+matrix takes a field to the real and imaginary parts of its rfft (the
+*real layout*), and one inverse matrix per multiplier (ik)^order takes
+them back to the derivative.  numpy's FFT is used only to draw
+band-limited random fields (``band_limited``).  A derivative is named by
+the orders of its factors: (2,) is d_x^2 and (mu, 1) is d_x of d_x^mu.
+Its multiplier is (ik) to the total order, with the Nyquist mode zeroed
+when any factor is odd, as nested calls would zero it (an odd derivative
+has no Nyquist value on an even real grid); this module alone applies
+that rule (``_zero_nyquist``).  Normal derivatives are second-order finite differences, taken on each half-strip
 (``halves``) so that the stencil at the interface row is one-sided: bulk
 fields are allowed a kink across z = 0.  Quadrature is the rectangle rule
 tangentially and the trapezoid rule per half-strip normally.
@@ -114,7 +118,7 @@ def parseval_weights(tangential, normal, terms):
     factors (see the module docstring); each contributes c_k k^(2 order)
     times the trapezoid z-weights, order the total, with c_k = 2 for the
     modes that stand for a conjugate pair and 1 for k = 0 and the Nyquist
-    mode, which is zeroed as ``tangential_multipliers`` zeroes it.
+    mode, which is zeroed where ``_zero_nyquist`` says so.
     """
     n = tangential.n_x
     k2 = np.arange(n // 2 + 1, dtype=float) ** 2
@@ -135,67 +139,37 @@ def parseval_weights(tangential, normal, terms):
 
 
 @lru_cache(maxsize=None)
-def tangential_multipliers(n, terms):
-    """Read-only (len(terms), n // 2 + 1) rows (ik)^order on the rfft modes
-    of an n-point grid, one per derivative of ``terms`` (each named by the
-    orders of its factors, order their total), with the Nyquist mode
-    zeroed where ``_zero_nyquist`` says so (cached)."""
-    k = np.arange(n // 2 + 1)
-    rows = np.array([(1j * k) ** sum(factors) for factors in terms])
-    for row, factors in zip(rows, terms):
-        if _zero_nyquist(factors):
-            row[-1] = 0.0
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=None)
 def _distinct_terms(terms):
     """The first term of each multiplier (total order, ``_zero_nyquist``)
-    and each term's index among those terms (None if all differ)."""
+    among ``terms``, and each term's index among those terms."""
     rows = {}  # multiplier -> its index
-    index = [rows.setdefault((sum(f), _zero_nyquist(f)), len(rows)) for f in terms]
-    if len(rows) == len(terms):
-        return terms, None
-    return tuple(terms[index.index(i)] for i in range(len(rows))), tuple(index)
-
-
-def d_tangential_hats(hat, n, terms):
-    """The derivatives ``terms`` (each named by the orders of its factors)
-    of the n-point field whose rfft along axis 0 is ``hat``, from one
-    multiplication by the cached ``tangential_multipliers`` and one
-    batched inverse transform of each distinct multiplier: entry i is the
-    derivative terms[i], a row that terms of one multiplier share.  No
-    finiteness check."""
-    distinct, index = _distinct_terms(terms)
-    mult = tangential_multipliers(n, distinct)
-    mult = mult.reshape(mult.shape + (1,) * (hat.ndim - 1))
-    out = np.fft.irfft(hat * mult, n=n, axis=1)
-    return out if index is None else [out[i] for i in index]
+    index = tuple(rows.setdefault((sum(f), _zero_nyquist(f)), len(rows)) for f in terms)
+    return tuple(terms[index.index(i)] for i in range(len(rows))), index
 
 
 class RealTransforms:
     """The rfft along axis 0 of real fields (n, m) on an n-point grid, its
     inverse and its inverse tangential derivatives, as real matrices acting
-    on the *real layout* of the coefficients: an array (2, n // 2 + 1, m)
-    of the modes' real parts, then their imaginary parts.  Each transform
-    is one BLAS product; ``real_transforms`` caches one instance per n.
+    on the *real layout* of the coefficients: an array (2, n // 2 + 1, ...)
+    of the modes' real parts, then their imaginary parts.  An interface
+    row's coefficients are the same layout, flat: (2 (n // 2 + 1),).  Each
+    transform is one BLAS product; ``real_transforms`` caches one instance
+    per n.
 
-    An interface row (n,) has matrices of its own, on the *interface
-    layout* of its coefficients: a flat (2 (n // 2 + 1),) array holding
-    each mode's real part, then its imaginary part, which is the float view
-    of numpy's complex rfft (``hat.view(float)``, and back by
-    ``.view(complex)``, no copy).  ``rfft_matrix`` (2 modes, n) takes a
-    row to it, ``irfft_matrix`` (n, 2 modes) back, and ``d_x_matrices``
-    (4, n, 2 modes) to its derivatives d_x^1 .. d_x^4, so
-    ``d_x_matrices[:2] @ coef`` is the slope and the second derivative in
-    one product.
+    ``forward_matrix`` (2 modes, n) takes a field to its coefficients.  Each
+    inverse derivative has its (n, 2 modes) matrix, one per distinct
+    multiplier (ik)^order, order the total order of the derivative's
+    factors, with the Nyquist mode zeroed where ``_zero_nyquist`` says so:
+    ``matrix`` builds it on first use and keeps it.  ``inverse_matrix`` is
+    that of order 0, ``derivative_matrix`` (2 n, 2 modes) stacks those of
+    d_x and d_x^2, so one product gives both (the bulk fields' u_x and u_xx,
+    an interface's slope and second derivative), and ``d_x`` takes any set
+    of derivatives, one product per distinct multiplier.
 
-    The inverses follow ``np.fft.irfft``, which ignores the imaginary parts
-    of the k = 0 and Nyquist modes, and the derivative matrices are built
-    from ``tangential_multipliers``, so the Nyquist rule is this module's.
-    Every angle is taken from k j mod n, so no entry loses digits to a
-    large angle, and the sines at 0 and pi are exact zeros.
+    The inverses follow numpy's ``irfft``, which ignores the imaginary parts
+    of the k = 0 and Nyquist modes.  Every angle is taken from k j mod n, so
+    no entry loses digits to a large angle, and the sines at 0 and pi are
+    exact zeros.
     """
 
     def __init__(self, n):
@@ -203,32 +177,43 @@ class RealTransforms:
         turns = np.outer(np.arange(self.modes), np.arange(n)) % n  # (modes, n)
         cos, sin = np.cos(2.0 * np.pi * turns / n), np.sin(2.0 * np.pi * turns / n)
         sin[turns % (n // 2) == 0] = 0.0
+        self._cos, self._sin = cos, sin
         # 0.0 - sin: a +0.0, not a -0.0, where sin is 0
         self.forward_matrix = self._frozen(np.concatenate((cos, 0.0 - sin)))
-        pairs = np.full(self.modes, 2.0)  # a mode stands for a conjugate pair ...
-        pairs[[0, -1]] = 1.0  # ... but k = 0 and the Nyquist mode
-
-        def inverse(mult):  # the (n, 2 modes) matrix of irfft(mult * hat)
-            w_re, w_im = (pairs * mult.real / n)[:, None], (pairs * mult.imag / n)[:, None]
-            return np.concatenate((w_re * cos - w_im * sin, -(w_im * cos + w_re * sin))).T
-
-        self.inverse_matrix = self._frozen(inverse(tangential_multipliers(n, ((0,),))[0]))
-        self.derivative_matrix = self._frozen(np.concatenate(
-            [inverse(mult) for mult in tangential_multipliers(n, ((1,), (2,)))]))
-        # the interface layout: each mode's real part, then its imaginary
-        # part, the float view of numpy's complex rfft of an interface row
-        order = np.arange(2 * self.modes).reshape(2, -1).T.ravel()
-        self.rfft_matrix = self._frozen(self.forward_matrix[order])
-        self.irfft_matrix = self._frozen(self.inverse_matrix[:, order])
-        self.d_x_matrices = self._frozen(np.stack(
-            [inverse(mult)[:, order]
-             for mult in tangential_multipliers(n, ((1,), (2,), (3,), (4,)))]))
+        self._matrices = {}  # (total order, zero Nyquist) -> its inverse matrix
+        # factors -> the matrix of their multiplier: a product finds its
+        # matrix without naming the multiplier again
+        self._by_factors = {}
+        self.inverse_matrix = self.matrix((0,))
+        self.derivative_matrix = self._frozen(np.concatenate((self.matrix((1,)),
+                                                              self.matrix((2,)))))
 
     @staticmethod
     def _frozen(matrix):
         matrix = np.ascontiguousarray(matrix)
         matrix.setflags(write=False)
         return matrix
+
+    def matrix(self, factors):
+        """The read-only (n, 2 modes) matrix of the derivative named by the
+        orders ``factors``: irfft of (ik)^order times the coefficients, the
+        Nyquist mode zeroed where ``_zero_nyquist`` says so; one per
+        multiplier, built on first use, and looked up by ``factors``."""
+        if factors not in self._by_factors:
+            key = (sum(factors), _zero_nyquist(factors))
+            if key not in self._matrices:
+                mult = (1j * np.arange(self.modes)) ** key[0]
+                if key[1]:
+                    mult[-1] = 0.0
+                pairs = np.full(self.modes, 2.0)  # a mode stands for a conjugate pair ...
+                pairs[[0, -1]] = 1.0  # ... but k = 0 and the Nyquist mode
+                w_re = (pairs * mult.real / self.n)[:, None]
+                w_im = (pairs * mult.imag / self.n)[:, None]
+                cos, sin = self._cos, self._sin
+                self._matrices[key] = self._frozen(np.concatenate(
+                    (w_re * cos - w_im * sin, -(w_im * cos + w_re * sin))).T)
+            self._by_factors[factors] = self._matrices[key]
+        return self._by_factors[factors]
 
     def forward(self, v):
         """The real layout (2, modes, m) of the rfft along axis 0 of the
@@ -247,6 +232,20 @@ class RealTransforms:
         out = self.derivative_matrix[:count * self.n] @ x.reshape(2 * self.modes, -1)
         return out.reshape(count, self.n, -1)
 
+    def d_x(self, x, terms):
+        """The distinct derivatives among ``terms`` (a tuple, each named by
+        the orders of its factors; (0,) is v itself) of the real field v
+        whose rfft has the real layout x, (2, modes, ...) or a row's flat
+        (2 modes,): an array (distinct, n, ...), row i the i-th distinct
+        multiplier's (``_distinct_terms``), from one product per row.  No
+        finiteness check."""
+        distinct, _ = _distinct_terms(terms)
+        coef = x if x.ndim == 1 else x.reshape(2 * self.modes, -1)  # a row, or (2 modes, m)
+        out = np.empty((len(distinct), self.n) + coef.shape[1:])
+        for row, factors in zip(out, distinct):
+            np.matmul(self.matrix(factors), coef, out=row)
+        return out if x.ndim in (1, 3) else out.reshape(out.shape[:2] + x.shape[2:])
+
 
 @lru_cache(maxsize=None)
 def real_transforms(n):
@@ -256,24 +255,24 @@ def real_transforms(n):
 
 def interface_transforms(rho):
     """(coefficients, slope, second derivative) of the n-point interface
-    rho: its rfft in the interface layout (``RealTransforms.rfft_matrix``,
-    the float view of the complex rfft) and the first two rows of
-    ``d_x_matrices`` taken of it, two products in all.  The product
-    transforms rho - rho[0], and n rho[0] is added to the mean mode: so a
-    constant interface transforms to exact zeros but for its mean, as
-    numpy's FFT transforms it, and its derivatives are exact zeros.  No
-    finiteness check."""
+    rho: its rfft in a row's flat real layout (``RealTransforms``) and the
+    ``derivative_matrix`` product taken of it, two products in all.  The
+    product transforms rho - rho[0], and n rho[0] is added to the mean
+    mode: so a constant interface transforms to exact zeros but for its
+    mean, as numpy's FFT transforms it, and its derivatives are exact
+    zeros.  No finiteness check."""
     n = rho.shape[0]
     t = real_transforms(n)
-    coef = t.rfft_matrix @ (rho - rho[0])
+    coef = t.forward_matrix @ (rho - rho[0])
     coef[0] += n * rho[0]
-    rho_x, rho_xx = t.d_x_matrices[:2] @ coef
+    rho_x, rho_xx = (t.derivative_matrix @ coef).reshape(2, n)
     return coef, rho_x, rho_xx
 
 
-def power_spectrum(hat):
-    """|hat|^2, which ``parseval_sum`` reads."""
-    return hat.real**2 + hat.imag**2
+def power_spectrum(x):
+    """|v_hat|^2 (modes, ...) of the coefficients x in the real layout
+    (2, modes, ...), which ``parseval_sum`` reads."""
+    return x[0] ** 2 + x[1] ** 2
 
 
 def parseval_sum(power, terms, grids):
@@ -285,7 +284,9 @@ def parseval_sum(power, terms, grids):
 
 
 def d_tangential(values, order=1):
-    """Spectral tangential derivative along axis 0.
+    """Spectral tangential derivative along axis 0: two products with the
+    cached matrices of ``RealTransforms``, of values - values[0], so that a
+    field constant in x has exact zeros for derivatives.
 
     Parameters
     ----------
@@ -298,7 +299,8 @@ def d_tangential(values, order=1):
     _require_finite(v, "d_tangential input")
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return d_tangential_hats(np.fft.rfft(v, axis=0), v.shape[0], ((order,),))[0]
+    t = real_transforms(v.shape[0])
+    return t.matrix((order,)) @ (t.forward_matrix @ (v - v[0]))
 
 
 # the taps of the second-order one-sided stencils along the last axis,
@@ -390,18 +392,16 @@ def l2_interface(values, grid):
     return float(np.sqrt(interface_sum(np.asarray(values) ** 2, grid)))
 
 
-def tail_fraction_hat(hat, n):
+def tail_fraction_hat(x, n):
     """Fraction of (mean-free) spectral energy carried by the top third of
-    modes of the n-point field whose rfft is ``hat``, complex or in the
-    interface layout (its float view, ``RealTransforms``): two dot
-    products of the float view."""
-    coef = hat.view(float)
-    rest = coef[2:]  # the mean carries no derivative information
-    top = coef[2 * (n // 3):]
-    total = rest @ rest
+    modes of the n-point interface whose rfft has the flat real layout x
+    (``RealTransforms``): four dot products, two per block."""
+    re, im = x.reshape(2, -1)
+    total = re[1:] @ re[1:] + im[1:] @ im[1:]  # the mean carries no derivative information
     if total == 0.0:
         return 0.0
-    return float(top @ top / total)
+    k = n // 3
+    return float((re[k:] @ re[k:] + im[k:] @ im[k:]) / total)
 
 
 def band_limited(rng, grid, amplitude):

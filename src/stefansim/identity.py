@@ -48,9 +48,11 @@ The window is three ``stepper.Level`` records, and the run's ``cfg``
 gives epsilon, the grids and the cutoff (read by attribute: ``stepper``
 imports this module, which so cannot import ``SolverConfig``).  The
 evaluator makes no forward transform: the transforms of rho_t and of u_n
-are the same quotient and stencil of the levels' transforms, and the
-tangential derivatives of one field come from one batched inverse
-transform.  The model energy of each level is evaluated once and kept on
+are the same quotient and stencil of the levels' transforms, in the real
+layout of ``grids.RealTransforms``, and the tangential derivatives of one
+field are products with the cached ``RealTransforms`` matrices, one per
+distinct multiplier (``RealTransforms.d_x``); nothing here calls numpy's
+FFT.  The model energy of each level is evaluated once and kept on
 the level.
 """
 from __future__ import annotations
@@ -60,12 +62,12 @@ from dataclasses import dataclass
 from .functionals import uniform_step
 from .grids import (
     bulk_sum,
-    d_tangential_hats,
     first_walls,
     halves,
     interface_sum,
     parseval_sum,
     power_spectrum,
+    real_transforms,
     second_walls,
 )
 from .transform import coefficients, grid_profiles, norm_weights
@@ -112,7 +114,7 @@ def model_energy(level, cfg):
     grids = cfg.grids()
     tg = grids.tangential
     u, rho, rx, rxx = level.u, level.rho, level.rho_x, level.rho_xx
-    rxxx, rxxxx = d_tangential_hats(level.rho_hat, tg.n_x, ((3,), (4,)))
+    rxxx, rxxxx = real_transforms(tg.n_x).d_x(level.rho_hat, ((3,), (4,)))
     a, bracket = norm_weights(rho, rx, cfg.cutoff(), grids)
     L = 1.0 / bracket
     un = first_walls(halves(u, grids.normal), grids.normal.dz)
@@ -150,9 +152,10 @@ def identity_residual_k0(window, cfg):
     u_t = (nxt.u - prev.u) / (2.0 * dt)
     rt = (nxt.rho - prev.rho) / (2.0 * dt)
     rx, rxx = mid.rho_x, mid.rho_xx
-    rxxx, rxxxx = d_tangential_hats(mid.rho_hat, n, ((3,), (4,)))
-    rxt, rxxt, rxxxt, rxxxxt = d_tangential_hats((nxt.rho_hat - prev.rho_hat) / (2.0 * dt), n,
-                                                ((1,), (2,), (3,), (4,)))
+    t = real_transforms(n)
+    rxxx, rxxxx = t.d_x(mid.rho_hat, ((3,), (4,)))
+    rxt, rxxt, rxxxt, rxxxxt = t.d_x((nxt.rho_hat - prev.rho_hat) / (2.0 * dt),
+                                     ((1,), (2,), (3,), (4,)))
 
     coef = coefficients(rho_c, rt, cutoff, grids, rho_x=rx, rho_xx=rxx)
     L = 1.0 / coef.bracket
@@ -168,10 +171,10 @@ def identity_residual_k0(window, cfg):
     # (one-sided where z-derivatives enter)
     a, B, c, a_n, a_t, a_x = (halves(v, nz) for v in (
         coef.a, coef.B, coef.c, *_a_derivs(rho_c, rx, rxx, rt, rxt, cutoff, grids)))
-    ux, uxx = d_tangential_hats(mid.fields.hat, n, ((1,), (2,)))
+    ux, uxx = t.d_x(mid.fields.hat, ((1,), (2,)))
     u, ut, uxx_h = halves(u_c, nz), halves(u_t, nz), halves(uxx, nz)
     un = first_walls(u, nz.dz)
-    uxn = d_tangential_hats(first_walls(halves(mid.fields.hat, nz), nz.dz), n, ((1,),))[0]
+    uxn = t.d_x(first_walls(halves(mid.fields.hat, nz), nz.dz), ((1,),))[0]
     unn = second_walls(u, nz.dz)
     f = -B * uxn - c * un
 

@@ -55,17 +55,18 @@ interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (three levels),
 halving) or rho_n (one: step 1 and the first step after a halving), its
 transforms from the same combination of the levels' (the map is linear),
 and the lag loop from the same combination of the temperatures and of
-their fields (no transform), which for one level is that level's
-interface, transforms, u and fields bitwise.  The trajectory is smooth
-in t (perturbed flat states relax smoothly), so the quadratic predictor
-is off by O(dt^3).  Iterate 1's
-difference is measured against u_old.  Iterate 1's u was solved with the
-predictor's Dirichlet data d_1; once its interface update is done, u is
-corrected to first order for the next iterate's data d_2: per mode,
-u_hat + w rfft(d_2 - d_1), where w is the LU's solve with unit Dirichlet
-data (``_BulkLU.dirichlet_response``, which also gives the jump
-response).  The corrected u, with its lagged fields, starts iterate 2's
-lag loop and is what iterate 2's difference is measured against.  On a
+their fields (no transform), which for one level are that level's own
+interface, transforms, u and fields, shared and not copied (the step
+only reads them).  The trajectory is smooth in t (perturbed flat states
+relax smoothly), so the quadratic predictor is off by O(dt^3).  Iterate
+1's difference is measured against u_old.  Iterate 1's u was solved with
+the predictor's Dirichlet data d_1; once its interface update is done, u
+is corrected to first order for the next iterate's data d_2: per mode
+and block of the real layout, x + w rfft(d_2 - d_1), where w is the
+LU's solve with unit Dirichlet data (``_BulkLU.dirichlet_response``,
+which also gives the jump response).  The corrected u, with its lagged
+fields, starts iterate 2's lag loop and is what iterate 2's difference
+is measured against.  On a
 smooth step iterate 1's interface image is all but converged and only
 its u lags, so iterate 2 ends the step.  Only iterate 1 is corrected:
 the later iterates of a step that needs them come from how the frozen
@@ -102,11 +103,13 @@ from its best iterate by GCR steps (generalized conjugate residual:
 Eisenstat, Elman and Schultz, SIAM J. Numer. Anal. 20, 1983) along its
 own sweeps; the final check is the same full residual.
 
-Every bulk solve works on a real layout of the tangential modes: an
-array (2, n_x/2 + 1, n_z) of the rfft's real parts, then its imaginary
-parts (``grids.RealTransforms``).  The transforms are products with
-cached real matrices, one BLAS call each, and each operator, being
-real, solves both blocks as two right-hand sides of one substitution.
+Every tangential transform of the package works on one layout of the
+modes, the *real layout*: an array (2, n_x/2 + 1, ...) of the rfft's
+real parts, then its imaginary parts (``grids.RealTransforms``), bulk
+fields and interface rows alike (a row's flat).  The transforms are
+products with cached real matrices, one BLAS call each, and each bulk
+operator, being real, solves both blocks as two right-hand sides of one
+substitution.
 Each iterate transforms each field once.  A lag iteration makes one
 forward product (lag iteration 1's right-hand side, or a sweep's
 weighted residual), one substitution (a sweep subtracts its result from
@@ -114,13 +117,13 @@ the coefficients of the iterate before) and two inverse products from
 the solve's coefficients: u_new, and u_x stacked with u_xx; u_xz is the
 d_z stencil of the real u_x, taken in u_x's place, u_zz and u_z stencils
 of u_new, and those fields serve the residual.  The iterate is checked
-for finiteness through its residual, once.  The complex rfft of the
-solve's u, which the fixed-point norm, the level records and the
-reports read, is assembled once per solve.  Every interface transform
-is a product with a cached matrix of ``grids.RealTransforms`` too, on the
-interface layout (each mode's real and imaginary part, the float view of
-the complex rfft), and a step enters no numpy FFT.  A later iterate
-transforms its rho_m once (``grids.interface_transforms``: one product
+for finiteness through its residual, once.  The solve's own
+coefficients x of its u are what the fixed-point norm, the level
+records and the reports read (``_Fields.hat``): no copy is made.  Every
+interface transform is a product with a cached matrix of
+``grids.RealTransforms`` too, on the interface row's real layout, and a
+step, like the reports and the identity, enters no numpy FFT.  A later
+iterate transforms its rho_m once (``grids.interface_transforms``: one product
 for the coefficients, one for the slope and second derivative): the
 resolution check, the curvature Dirichlet data (the flux's derivative is
 two more products) and the interface update share them, taken at the
@@ -137,15 +140,14 @@ gap max |u(., 0) - kappa(rho) - g| comes from the accepted rho's
 transforms; ``run`` checks it against trace_tol.
 
 Each time level is a ``Level`` record, built once by ``make_level``: t,
-u, rho, the final solve's ``_bulk_fields`` of u (its rfft included),
-rho's complex rfft (the float view of its interface-layout
-coefficients, assembled once per level), slope and second derivative,
-the conserved quantity Q, the
-forcing's values at t and, once the identity has read it, the model
-energy.  A step reads u_old's fields, the old interface's transforms
-and, at theta < 1, the old forcing from the old level, so it transforms
-no field of that level and evaluates the forcing once per level; it
-returns the new level.  ``run`` keeps the records whole, as built, in
+u, rho, the final solve's ``_bulk_fields`` of u (its rfft, the solve's
+coefficients, included), rho's rfft in a row's real layout, its slope
+and second derivative, the conserved quantity Q, the forcing's values
+at t and, once the identity has read it, the model energy.  A step
+reads u_old's fields, the old interface's transforms and, at theta < 1,
+the old forcing from the old level, so it transforms no field of that
+level and evaluates the forcing once per level; it returns the new
+level.  ``run`` keeps the records whole, as built, in
 its bounded history only, and its reports read their transforms, Q and
 model energies.
 
@@ -176,7 +178,7 @@ dt.  It makes no 2-D transform: the solve's Fourier coefficients
 travel with the fields it returns, so the bulk terms int w^2 + w_x^2 of
 the fixed-point difference are a Parseval sum over the difference of
 the two solves' coefficients (u_old's at iterate 1), and those of a warm
-solve's lag update over x_hat - prev_hat.  The a-weighted
+solve's lag update over x - x_prev.  The a-weighted
 normal-derivative term is a stencil sum, and only the fixed-point
 difference has interface terms, from two products (the difference's
 coefficients, and their derivative rows).  Each norm of a solve's
@@ -314,8 +316,10 @@ STALL_WINDOW = 3
 
 
 class _Fields(NamedTuple):
-    """A bulk field's rfft along x and the derivatives ``_bulk_fields``
-    takes of it."""
+    """The derivatives ``_bulk_fields`` takes of a bulk field, and ``hat``,
+    the field's rfft along x in the real layout (2, modes, n_z) of
+    ``grids.RealTransforms``: the coefficients the solve or the forward
+    product made it from, not a copy."""
     xx: np.ndarray
     zz: np.ndarray
     xz: np.ndarray
@@ -333,11 +337,12 @@ class State:
 @dataclass
 class Level(State):
     """One time level and what is derived from it, built once by
-    ``make_level``: u's ``_bulk_fields`` (its rfft ``fields.hat``
-    included), rho's complex rfft and slope and second derivative, the
-    conserved quantity Q and ``forcing``, the forcing's (bulk, Dirichlet, jump)
-    values at t ((0.0, 0.0, 0.0) in an unforced run; None if not
-    evaluated).  Only ``E_bar``, the pair
+    ``make_level``: u's ``_bulk_fields`` (its rfft ``fields.hat``, float,
+    in the real layout (2, modes, n_z), included), ``rho_hat``, rho's rfft
+    in a row's flat real layout (2 modes,) (``grids.RealTransforms``), its
+    slope and second derivative, the conserved quantity Q and ``forcing``,
+    the forcing's (bulk, Dirichlet, jump) values at t ((0.0, 0.0, 0.0) in
+    an unforced run; None if not evaluated).  Only ``E_bar``, the pair
     (epsilon, model energy) that ``identity.model_energy`` caches, is
     filled on first use.
 
@@ -360,49 +365,51 @@ def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
     ``cfg``: the one constructor of level records, for ``run``'s history
     and for callers that hold raw arrays.  ``fields`` (u's
     ``_bulk_fields``) are those an accepted step's final solve already
-    holds, and are built here when not given; rho's transforms come from
-    ``grids.interface_transforms``, and its rfft is the complex view of
-    their coefficients.  ``forcing`` is the forcing's values at t,
-    if already evaluated.  No finiteness check."""
+    holds, and are built here when not given (one forward product); rho's
+    transforms, coefficients included, come from
+    ``grids.interface_transforms``.  ``forcing`` is the forcing's values
+    at t, if already evaluated.  No finiteness check."""
     grids = cfg.grids()
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if fields is None:
-        x = real_transforms(grids.tangential.n_x).forward(u)
-        fields = _bulk_fields(u, x, grids, _complex(x))
+        fields = _bulk_fields(u, real_transforms(grids.tangential.n_x).forward(u), grids)
     coef, rho_x, rho_xx = interface_transforms(rho)
-    return Level(t=t, u=u, rho=rho, fields=fields, rho_hat=coef.view(complex), rho_x=rho_x,
+    return Level(t=t, u=u, rho=rho, fields=fields, rho_hat=coef, rho_x=rho_x,
                  rho_xx=rho_xx, Q=conserved_quantity(u, rho, cfg.cutoff(), grids),
                  forcing=forcing)
 
 
-# ``_extrapolate``'s weights for one, two and three levels, newest first
-_PREDICTOR = {k: tuple(float((-1) ** j * math.comb(k, j + 1)) for j in range(k))
-              for k in (1, 2, 3)}
+# ``_extrapolate``'s weights for two and three levels, newest first
+_PREDICTOR = {k: tuple(float((-1) ** j * math.comb(k, j + 1)) for j in range(k)) for k in (2, 3)}
 
 
 def _extrapolate(levels):
     """(rho, (coef, rho_x, rho_xx), (u, fields)) of the polynomial through
     ``levels``, the newest first and one dt apart, taken one dt past the
-    newest: one set of weights (``_PREDICTOR``), (1,) for one level (its
-    own values bitwise), (2, -1) for two (2 y_n - y_{n-1}) and (3, -3, 1)
-    for three (3 y_n - 3 y_{n-1} + y_{n-2}), combines the interfaces and
-    their transforms (coef in the interface layout of
+    newest: one level's own arrays (shared, not copied: a step only reads
+    its start), or for two levels 2 y_n - y_{n-1} and for three
+    3 y_n - 3 y_{n-1} + y_{n-2} (``_PREDICTOR``) of the interfaces and
+    their transforms (coef in the flat real layout of
     ``grids.RealTransforms``, the slope and the second derivative: the map
     is linear), the temperatures and their fields, so no transform.  (u,
     fields) is the first lag loop's start, which the step drops once
     iterate 1 is done; only zz, xz and z are combined, the fields that
     loop reads of its start, and xx and hat are None."""
-    out = None  # accumulated in place, newest first
-    for w, level in zip(_PREDICTOR[len(levels)], levels):
+    def parts(level):
         f = level.fields
-        arrays = (level.rho, level.rho_hat.view(float), level.rho_x, level.rho_xx, level.u,
-                  f.zz, f.xz, f.z)
-        if out is None:
-            out = [w * a for a in arrays]
-        else:
-            for o, a in zip(out, arrays):
-                o += a if w == 1.0 else w * a
+        return [level.rho, level.rho_hat, level.rho_x, level.rho_xx, level.u, f.zz, f.xz, f.z]
+
+    if len(levels) == 1:
+        out = parts(levels[0])
+    else:
+        out = None  # accumulated in place, newest first
+        for w, level in zip(_PREDICTOR[len(levels)], levels):
+            if out is None:
+                out = [w * a for a in parts(level)]
+            else:
+                for o, a in zip(out, parts(level)):
+                    o += a if w == 1.0 else w * a
     rho, coef, rho_x, rho_xx, u, zz, xz, z = out
     return rho, (coef, rho_x, rho_xx), (u, _Fields(None, zz, xz, z, None))
 
@@ -709,33 +716,18 @@ def _lagged_fields(v, v_x, grids):
     return v_zz, _d_z(v_x, grids, out=v_x), _d_z(v, grids)
 
 
-def _complex(x):
-    """The complex (modes, ...) coefficients of the real layout x."""
-    hat = np.empty(x.shape[1:], dtype=complex)
-    hat.real, hat.imag = x
-    return hat
-
-
-def _real_layout(hat):
-    """The real layout (2, modes, ...) of the complex coefficients hat."""
-    x = np.empty((2, *hat.shape))
-    x[0], x[1] = hat.real, hat.imag
-    return x
-
-
-def _bulk_fields(v, x, grids, hat=None):
+def _bulk_fields(v, x, grids):
     """(v_xx, v_zz, v_xz, v_z, hat) of the bulk field v whose rfft along x
     has the real layout x, as a ``_Fields``: v_x and v_xx come from one
     stacked inverse product (``RealTransforms.derivatives``), and v_xz,
     ``_d_z`` of v_x, is taken in place of v_x, so the field set holds
     the one buffer whole; the rest are ``_lagged_fields``.  The interface
     row of every derivative is zero: the solve ignores it, and the
-    operator's value there is replaced by the Dirichlet condition.  hat,
-    the complex coefficients (for the fixed-point norm and the level
-    records), rides along."""
+    operator's value there is replaced by the Dirichlet condition.  hat is
+    x itself (for the fixed-point norm and the level records)."""
     v_x, v_xx = real_transforms(v.shape[0]).derivatives(x)
     v_xx[:, grids.normal.i_mid] = 0.0
-    return _Fields(v_xx, *_lagged_fields(v, v_x, grids), hat)
+    return _Fields(v_xx, *_lagged_fields(v, v_x, grids), x)
 
 
 def _interior_operator(coef, fields):
@@ -774,9 +766,9 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     the steady solve used to build compatible initial data.
 
     Returns (u_new, final_residual, lag_iterations, fields): fields are
-    u_new's ``_bulk_fields``, its complex rfft included (assembled once,
-    from the real layout of the final solve), which a solve warm-started
-    from u_new and the fixed-point norm reuse, and lag_iterations counts
+    u_new's ``_bulk_fields``, the final solve's own coefficients of u_new
+    (real layout) included as ``hat``, which a solve warm-started from
+    u_new and the fixed-point norm reuse, and lag_iterations counts
     the loop's iterations, GCR steps included.  Raises
     LinearSolveError if the solve cannot reach ``res_tol`` and
     NonFiniteFieldError on a non-finite iterate.
@@ -933,16 +925,15 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
         fields = _bulk_fields(u_new, x, grids)
         r, residual = measure(u_new, fields, f"temperature iterate (lag iteration {it})")
         if residual <= res_tol:
-            hat = _complex(x)
             if update_tol == np.inf or it == max_iter:
-                return u_new, float(residual), it, fields._replace(hat=hat)
+                return u_new, float(residual), it, fields
             # measured only once the residual test holds
-            d_hat = hat - start_hat if x_prev is None else _complex(x - x_prev)
-            update = np.sqrt(state_energy_k0(u_new - u_prev, d_hat, None, step.fp_norm))
+            dx = x - (start_hat if x_prev is None else x_prev)
+            update = np.sqrt(state_energy_k0(u_new - u_prev, dx, None, step.fp_norm))
             if (update <= update_tol
                     or (update > FLOOR_RATIO * last_update and update <= FLOOR_SHARE * np.sqrt(
-                        state_energy_k0(u_new, hat, None, step.fp_norm)))):
-                return u_new, float(residual), it, fields._replace(hat=hat)
+                        state_energy_k0(u_new, x, None, step.fp_norm)))):
+                return u_new, float(residual), it, fields
             last_update = update
         elif directions is None:
             if best is None or residual < best[0]:
@@ -959,10 +950,10 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
 
 
 class _InterfaceConstants(NamedTuple):
-    """``interface_step``'s per-mode factors of one dt, each mode's twice
-    (its real and imaginary part, the interface layout of
-    ``grids.RealTransforms``): the regularization 1 + eps k^4, the jump
-    model's dt theta k^2 sigma_k and their sum.  Made by
+    """``interface_step``'s per-mode factors of one dt, in a row's flat
+    real layout of ``grids.RealTransforms`` (all modes' factors for the
+    real parts, then the same for the imaginary parts): the regularization
+    1 + eps k^4, the jump model's dt theta k^2 sigma_k and their sum.  Made by
     ``interface_constants`` once per dt, beside the dt's ``_BulkLU``."""
     reg: np.ndarray
     stab: np.ndarray
@@ -976,7 +967,7 @@ def interface_constants(cfg, jump_response):
     k = np.arange(cfg.n_x // 2 + 1, dtype=float)
     reg = 1.0 + cfg.epsilon * k**4
     stab = cfg.dt * cfg.theta * k**2 * jump_response  # dt theta k^2 sigma_k
-    reg, stab = np.repeat(reg, 2), np.repeat(stab, 2)
+    reg, stab = np.tile(reg, 2), np.tile(stab, 2)
     return _InterfaceConstants(reg, stab, reg + stab)
 
 
@@ -988,9 +979,9 @@ def interface_step(u_new, old, cfg, *, rho_x, rho_coef, constants, jump_forcing=
     state, so rho_t = (rho_new - old.rho) / dt, and its rfft is read from
     it; rhs_old is the jump right-hand side at the old time (only needed
     for theta < 1), and ``jump_forcing`` the jump forcing at the new time
-    (0.0 unforced).  rho_x and rho_coef are the slope and the rfft, in the
-    interface layout of ``grids.RealTransforms``, of the current iterate
-    rho_m, which the caller already holds.
+    (0.0 unforced).  rho_x and rho_coef are the slope and the rfft, in a
+    row's flat real layout of ``grids.RealTransforms``, of the current
+    iterate rho_m, which the caller already holds.
 
     (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
     with the flat-state linear model of the curvature-to-jump chain,
@@ -1001,17 +992,17 @@ def interface_step(u_new, old, cfg, *, rho_x, rho_coef, constants, jump_forcing=
     k^3-stiff modes that make plain successive substitution diverge.
     sigma_k = 0 gives the plain regularized update.  The right-hand side's
     rfft and the inverse are products with the ``RealTransforms``'
-    interface matrices.
+    forward and inverse matrices.
     """
     rhs = (1.0 + rho_x**2) * jump_normal_derivative(u_new, cfg.grids()) + jump_forcing
     theta = cfg.theta
     if theta < 1.0:
         rhs = theta * rhs + (1.0 - theta) * np.asarray(rhs_old)
     t = real_transforms(cfg.n_x)
-    num = (constants.reg * old.rho_hat.view(float) + cfg.dt * (t.rfft_matrix @ rhs)
+    num = (constants.reg * old.rho_hat + cfg.dt * (t.forward_matrix @ rhs)
            + constants.stab * rho_coef)
     num /= constants.denom
-    return t.irfft_matrix @ num
+    return t.inverse_matrix @ num
 
 
 def compatible_initial_temperature(rho0, cfg):
@@ -1145,7 +1136,7 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, interface, forcing=Non
     rho_m, (coef_m, rx, rxx), start = _extrapolate((level, *earlier))
     step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids,
                          fp_norm=fp_norm)
-    rfft = bulk.transforms.rfft_matrix
+    forward = bulk.transforms.forward_matrix
 
     mixer = _Secant()
     norms = []
@@ -1171,7 +1162,7 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, interface, forcing=Non
         lag_total += lag_iters
         # the bulk difference's coefficients are those of the two solves
         diff = np.sqrt(state_energy_k0(u_next - u_m, fields_next.hat - fields_m.hat,
-                                       rfft @ (rho_next - rho_m), step.fp_norm))
+                                       forward @ (rho_next - rho_m), step.fp_norm))
         norms.append(diff)
         if diff <= cfg.fp_tol and res_tol == lin_tol:  # never a loose iterate 1
             new = make_level(t_new, u_next, rho_next, cfg, fields=fields_next, forcing=f_new)
@@ -1183,14 +1174,14 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, interface, forcing=Non
         d_next = curvature_hat(coef_m, rx) + g_dir
         if m == 1:
             # correct u_1, solved with the predictor's Dirichlet data, to
-            # first order for the next iterate's: u_hat + w rfft(d_next - d_1)
-            u_hat = fields_next.hat
-            u_hat += bulk.dirichlet_response * (rfft @ (d_next - dirichlet)).view(complex)[:, None]
+            # first order for the next iterate's, in the real layout: per
+            # mode and block, x + w rfft(d_next - d_1)
+            x = fields_next.hat
+            x += bulk.dirichlet_response * (forward @ (d_next - dirichlet)).reshape(2, -1, 1)
             u_next = fields_next = start = None  # drop the uncorrected fields first
-            x = _real_layout(u_hat)
             u_next = bulk.transforms.inverse(x)
             u_x = bulk.transforms.derivatives(x, 1)[0]
-            fields_next = _Fields(None, *_lagged_fields(u_next, u_x, grids), u_hat)
+            fields_next = _Fields(None, *_lagged_fields(u_next, u_x, grids), x)
         u_m, fields_m = u_next, fields_next
         start = (u_m, fields_m)
         dirichlet = d_next

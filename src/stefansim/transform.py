@@ -178,11 +178,11 @@ def curvature(rho):
 
 
 def curvature_hat(rho_hat, rho_x, stacklevel=2):
-    """``curvature`` of the interface whose rfft is ``rho_hat`` (complex,
-    or in the interface layout of ``grids.RealTransforms``) and whose
-    slope ``rho_x`` the caller already took from it: the resolution check
-    reads rho_hat, and the flux's derivative is two products, its rfft
-    and the first row of ``d_x_matrices``.  No finiteness check."""
+    """``curvature`` of the interface whose rfft has the flat real layout
+    ``rho_hat`` (``grids.RealTransforms``) and whose slope ``rho_x`` the
+    caller already took from it: the resolution check reads rho_hat, and
+    the flux's derivative is two products, its forward product and the
+    d_x rows of ``derivative_matrix``.  No finiteness check."""
     n = rho_x.shape[0]
     tail = tail_fraction_hat(rho_hat, n)
     if tail >= TAIL_TOLERANCE:
@@ -193,7 +193,7 @@ def curvature_hat(rho_hat, rho_x, stacklevel=2):
             stacklevel=stacklevel,
         )
     t = real_transforms(n)
-    return t.d_x_matrices[0] @ (t.rfft_matrix @ (rho_x / np.sqrt(1.0 + rho_x**2)))
+    return t.derivative_matrix[:n] @ (t.forward_matrix @ (rho_x / np.sqrt(1.0 + rho_x**2)))
 
 
 def jump_normal_derivative(u_values, grids):

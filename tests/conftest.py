@@ -45,6 +45,34 @@ def one_sided_normals(values, grid, walls=first_walls):
     return tuple(out)
 
 
+def real_rfft(v):
+    """numpy's rfft along axis 0 of the real field v in the package's real
+    layout: (2, modes, ...), the real parts then the imaginary parts, and
+    a row's (2 modes,) flat.  numpy's FFT is the tests' reference."""
+    hat = np.fft.rfft(v, axis=0)
+    x = np.stack((hat.real, hat.imag))
+    return x.reshape(-1) if np.ndim(v) == 1 else x
+
+
+def fft_derivatives(x, n, terms):
+    """numpy's irfft reference for ``RealTransforms.d_x``: the derivative
+    of each term of ``terms`` (each named by the orders of its factors) of
+    the n-point field whose rfft has the real layout x, a row's flat or
+    (2, modes, ...): one row per term, (len(terms), n, ...), from the
+    multiplier (ik)^order with the Nyquist mode zeroed when any factor is
+    odd."""
+    x = np.reshape(x, (2, n // 2 + 1, *np.shape(x)[2:]))
+    hat = x[0] + 1j * x[1]
+    k = np.arange(n // 2 + 1)
+    rows = []
+    for factors in terms:
+        mult = (1j * k) ** sum(factors)
+        if any(order % 2 for order in factors):
+            mult[-1] = 0.0
+        rows.append(np.fft.irfft(hat * mult.reshape(-1, *[1] * (hat.ndim - 1)), n=n, axis=0))
+    return np.array(rows)
+
+
 def levels(cfg, times, us, rhos):
     """The level records of aligned (t, u, rho) samples on the grids of
     ``cfg``, built by ``make_level`` as ``run`` builds its history."""

@@ -25,11 +25,11 @@ from stefansim.functionals import (
     uniform_step,
 )
 from stefansim.grids import (
+    RealTransforms,
     TangentialGrid,
     band_limited,
     bulk_sum,
     d_tangential,
-    d_tangential_hats,
     first_walls,
     halves,
     interface_sum,
@@ -42,7 +42,7 @@ from stefansim.stepper import SolverConfig
 from stefansim.transform import Cutoff, coefficients, norm_weights
 from stefansim.verify import random_state_history
 
-from conftest import levels, one_sided_normals
+from conftest import fft_derivatives, levels, one_sided_normals, real_rfft
 
 # Single-mode interface rho = delta sin x, u = 0, at diagnostic order 0:
 # E = int delta^2 cos^2 x (1 + delta^2 cos^2 x)^{-1/2}
@@ -248,7 +248,7 @@ def half_strip_functionals(levels, cfg):
     r_hats = _quotients([lv.rho_hat for lv in levels], k + 2, dt)
 
     def table(hat, terms):
-        return dict(zip(terms, d_tangential_hats(hat, n, tuple(terms))))
+        return dict(zip(terms, fft_derivatives(hat, n, terms)))
 
     top = 5 if eps != 0.0 else 3
     E = X = sob_E = sob_X = D = Y = sob_D = sob_Y = 0.0
@@ -328,23 +328,26 @@ def test_stencil_sums_match_the_half_strip_evaluator(k_diag, eps):
 
 @pytest.mark.parametrize("k_diag", [0, 2])
 def test_a_report_transforms_each_quotient_of_each_field_once(monkeypatch, k_diag):
-    # no forward transform, and at most one batched inverse transform per
-    # quotient of u (its bulk rows; u_0's row (0,) is the level's own u)
-    # and per quotient of rho (its interface rows)
+    # no forward transform and no numpy FFT, and at most one
+    # ``RealTransforms.d_x`` per quotient of u (its bulk rows; u_0's row
+    # (0,) is the level's own u) and per quotient of rho (its interface rows)
     cfg = SolverConfig(epsilon=1e-4, n_x=32, n_z=33, k_diag=k_diag)
     history = decaying_history(cfg, k_diag + 2)
-    calls = {"rfft": [], "irfft": []}
-    for name, record in calls.items():
-        real = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda a, *args, _real=real, _record=record, **kw:
-                            _record.append(np.ndim(a)) or _real(a, *args, **kw))
+    calls = {"fft": [], "forward": [], "d_x": []}
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *args, **kw: calls["fft"].append(args))
+    real_forward, real_d_x = RealTransforms.forward, RealTransforms.d_x
+    monkeypatch.setattr(RealTransforms, "forward", lambda self, v: calls["forward"].append(v)
+                        or real_forward(self, v))
+    monkeypatch.setattr(RealTransforms, "d_x", lambda self, x, terms: calls["d_x"].append(x.ndim)
+                        or real_d_x(self, x, terms))
     for count in range(1, k_diag + 3):
         for record in calls.values():
             record.clear()
         evaluate_functionals(history[-count:], cfg)
-        bulk = sum(ndim == 3 for ndim in calls["irfft"])  # (rows, modes, n_z)
-        interface = sum(ndim == 2 for ndim in calls["irfft"])  # (rows, modes)
-        assert calls["rfft"] == [] and bulk + interface == len(calls["irfft"])
+        bulk = sum(ndim == 3 for ndim in calls["d_x"])  # (2, modes, n_z)
+        interface = sum(ndim == 1 for ndim in calls["d_x"])  # (2 modes,)
+        assert calls["fft"] == calls["forward"] == [] and bulk + interface == len(calls["d_x"])
         assert interface == count  # the quotients 0 .. count - 1 of rho
         assert bulk == min(count, k_diag + 1) - (k_diag == 0 and count == 1)
 
@@ -403,15 +406,15 @@ def test_state_energy_k0_matches_real_space_reference(n_x, n_z, eps):
     coef = coefficients(psi, np.zeros_like(psi), cutoff, grids,
                         rho_x=d_tangential(psi, 1), rho_xx=d_tangential(psi, 2))
     norm = EnergyNormK0(psi_x, coef.a, coef.bracket, cfg)
-    u_hat = np.fft.rfft(u, axis=0)
-    got = state_energy_k0(u, u_hat, np.fft.rfft(rho), norm)
+    u_hat = real_rfft(u)
+    got = state_energy_k0(u, u_hat, real_rfft(rho), norm)
     ref = reference_state_energy_k0(u, rho, psi, eps, cutoff, grids)
     assert got == pytest.approx(ref, rel=1e-13)
     # the bulk-only form of the warm exit rule: rho = 0, its terms skipped
     bulk_only = state_energy_k0(u, u_hat, None, norm)
     assert bulk_only == pytest.approx(
         reference_state_energy_k0(u, np.zeros(n_x), psi, eps, cutoff, grids), rel=1e-13)
-    assert bulk_only == state_energy_k0(u, u_hat, np.zeros(n_x // 2 + 1, dtype=complex), norm)
+    assert bulk_only == state_energy_k0(u, u_hat, np.zeros(2 * (n_x // 2 + 1)), norm)
 
 
 # ------------------------------------------------------ interface form
@@ -452,7 +455,7 @@ def test_state_energy_quadratic_scaling(small_cfg, small_grids, small_cutoff, sm
     norm = EnergyNormK0(psi_x, coef.a, coef.bracket, dataclasses.replace(small_cfg, epsilon=0.5))
 
     def energy(u, rho):
-        return state_energy_k0(u, np.fft.rfft(u, axis=0), np.fft.rfft(rho), norm)
+        return state_energy_k0(u, real_rfft(u), real_rfft(rho), norm)
 
     base = energy(u, rho)
     scaled = energy(2 * u, 2 * rho)

@@ -14,17 +14,19 @@ from stefansim.grids import (
     band_limited,
     bulk_sum,
     d_tangential,
-    d_tangential_hats,
     first_walls,
     halves,
     interface_sum,
     interface_transforms,
     l2_interface,
+    RealTransforms,
     real_transforms,
     second_walls,
     tail_fraction_hat,
-    tangential_multipliers,
 )
+from stefansim.stepper import SolverConfig
+
+from conftest import fft_derivatives, levels, real_rfft
 
 
 # ---------------------------------------------------------------- grids
@@ -153,50 +155,84 @@ def nested_d_tangential(v, factors):
 def test_derivative_factors_match_nested_calls(n_x):
     # a field with every mode, the Nyquist mode included
     v = np.random.default_rng(7).standard_normal((n_x, 5))
-    v_hat = np.fft.rfft(v, axis=0)
-    assert np.all(v_hat[-1] != 0.0)
+    x = real_rfft(v)
+    assert np.all(x[0, -1] != 0.0)
+    t = real_transforms(n_x)
     terms = ((1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1))
-    got = d_tangential_hats(v_hat, n_x, terms)
-    for row, factors in zip(got, terms):
+    for factors in terms:
+        got = t.d_x(x, (factors,))[0]
         ref = nested_d_tangential(v, factors)
-        assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max(), factors
-        nyquist = (v_hat * tangential_multipliers(n_x, (factors,))[0][:, None])[-1]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), factors
+        # the Nyquist mode's columns (its real and imaginary part)
+        nyquist = t.matrix(factors)[:, [n_x // 2, n_x + 1]]
         odd = any(order % 2 == 1 for order in factors)
-        assert np.all((nyquist == 0.0) == odd), factors
+        assert np.all(nyquist == 0.0) == odd, factors
 
 
 def test_derivative_batches_transform_each_distinct_multiplier_once(monkeypatch):
     # the s = 0 batches of evaluate_functionals at k_diag = 2, eps != 0:
     # d_z u_s (w and w_x), rho_s (four derivatives of each w) and rho_{s+1}
     # (w_x and w_xxx), w = d_x^mu.  Rows that share a multiplier, such as
-    # (0, 3) and (1, 2), are transformed once, and each row has the bits
-    # of its derivative taken alone.
+    # (0, 3) and (1, 2), are one product, and each row has the bits of its
+    # derivative taken alone
     mus = range(5)
     batches = ((8, [(mu,) for mu in mus] + [(mu, 1) for mu in mus]),
                (11, [(mu, j) for mu in mus for j in (1, 2, 3, 4)]),
                (7, [(mu, 1) for mu in mus] + [(mu, 3) for mu in mus]))
     n_x = 32
-    hat = np.fft.rfft(np.random.default_rng(3).standard_normal((n_x, 2, 9)), axis=0)
-    rows, real_irfft = [], np.fft.irfft
+    t = real_transforms(n_x)
+    x = real_rfft(np.random.default_rng(3).standard_normal((n_x, 2, 9)))
+    products, real_matmul = [], np.matmul
 
-    def counting_irfft(a, *args, **kwargs):
-        rows.append(a.shape[0])
-        return real_irfft(a, *args, **kwargs)
+    def counting_matmul(*args, **kwargs):
+        products.append(args[0].shape)
+        return real_matmul(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
     for distinct, terms in batches:
-        rows.clear()
-        got = d_tangential_hats(hat, n_x, tuple(terms))
-        assert rows == [distinct] and len(got) == len(terms)
-        for row, factors in zip(got, terms, strict=True):
-            alone = d_tangential_hats(hat, n_x, (factors,))[0]
+        products.clear()
+        rows = t.d_x(x, tuple(terms))
+        assert rows.shape == (distinct, n_x, 2, 9)
+        assert products == [(n_x, n_x + 2)] * distinct
+        keys = {}  # the multiplier (total order, zero Nyquist) -> its row
+        for factors in terms:
+            key = (sum(factors), any(order % 2 for order in factors))
+            row = rows[keys.setdefault(key, len(keys))]
+            alone = t.d_x(x, (factors,))[0]
             assert np.array_equal(row.view(np.uint64), alone.view(np.uint64)), factors
+
+
+def report_terms():
+    """The derivatives (each named by the orders of its factors) that the
+    reports of a k_diag = 3, eps != 0 run read through
+    ``RealTransforms.d_x``: those of ``evaluate_functionals`` on a full
+    window, of ``model_energy`` and of ``identity_residual_k0``, recorded."""
+    from stefansim import functionals, identity
+
+    cfg = SolverConfig(epsilon=1e-3, n_x=16, n_z=17, k_diag=3)
+    grids, rng = cfg.grids(), np.random.default_rng(4)
+    times = [0.01 * j for j in range(5)]  # a full window: the quotients 0 .. 4
+    history = levels(cfg, times, [0.01 * rng.standard_normal(grids.shape) for _ in times],
+                     [0.02 * np.sin(grids.tangential.nodes + t) for t in times])
+    seen, real_d_x = set(), RealTransforms.d_x
+
+    def recording(self, x, terms):
+        seen.update(terms)
+        return real_d_x(self, x, terms)
+
+    RealTransforms.d_x = recording
+    try:
+        functionals.evaluate_functionals(history, cfg)
+        identity.identity_residual_k0(history[-3:], cfg)
+    finally:
+        RealTransforms.d_x = real_d_x
+    return sorted(seen)
 
 
 @pytest.mark.parametrize("n_x", [8, 16, 64, 256])
 def test_real_transforms_reproduce_numpy_ffts_and_derivatives(n_x):
     # the forward product is rfft's real and imaginary parts, the inverse
-    # ones irfft and d_tangential_hats of orders 1 and 2 (the Nyquist mode
+    # ones irfft and numpy's derivatives of orders 1 and 2 (the Nyquist mode
     # dropped by d_x, kept by d_x^2); irfft ignores the imaginary parts of
     # the k = 0 and Nyquist modes, and so do the inverse products.  Each
     # array agrees to 1e-13 of its maximum
@@ -204,21 +240,19 @@ def test_real_transforms_reproduce_numpy_ffts_and_derivatives(n_x):
     t = real_transforms(n_x)
     assert real_transforms(n_x) is t and not t.forward_matrix.flags.writeable
     v = rng.standard_normal((n_x, 5))
-    v_hat = np.fft.rfft(v, axis=0)
     x = t.forward(v)
-    assert x.shape == (2, n_x // 2 + 1, 5)
-    for got, want in ((x[0], v_hat.real), (x[1], v_hat.imag)):
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    want = real_rfft(v)
+    assert x.shape == want.shape == (2, n_x // 2 + 1, 5)
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
     assert np.all(x[1, [0, -1]] == 0.0)  # no imaginary part at k = 0 and Nyquist
-    hat = rng.standard_normal(v_hat.shape) + 1j * rng.standard_normal(v_hat.shape)
-    x = np.stack((hat.real, hat.imag))
+    x = rng.standard_normal(x.shape)
     u = t.inverse(x)
     assert u.shape == (n_x, 5) and u.flags.owndata
-    want = np.fft.irfft(hat, n=n_x, axis=0)
+    want = np.fft.irfft(x[0] + 1j * x[1], n=n_x, axis=0)
     assert np.abs(u - want).max() <= 1e-13 * np.abs(want).max()
     both = t.derivatives(x)
     assert both.shape == (2, n_x, 5)
-    for got, want in zip(both, d_tangential_hats(hat, n_x, ((1,), (2,))), strict=True):
+    for got, want in zip(both, fft_derivatives(x, n_x, ((1,), (2,))), strict=True):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.array_equal(t.derivatives(x, 1)[0], both[0])
     # the Nyquist rule: a pure Nyquist mode has no d_x but a d_x^2
@@ -227,36 +261,45 @@ def test_real_transforms_reproduce_numpy_ffts_and_derivatives(n_x):
     d_x, d_xx = t.derivatives(nyquist)
     assert np.all(d_x == 0.0)
     assert np.abs(d_xx + (n_x // 2) ** 2 * t.inverse(nyquist)).max() <= 1e-13 * (n_x // 2) ** 2
-    # the interface layout is the float view of the complex rfft of a row:
-    # its forward, inverse and d_x^1 .. d_x^4 products are rfft, irfft and
-    # d_tangential_hats of orders 1 to 4, each to 1e-13 of its maximum
-    row, row_hat = v[:, 0], np.ascontiguousarray(hat[:, 0])
-    coef = t.rfft_matrix @ row
-    assert coef.shape == (2 * (n_x // 2 + 1),)
-    want = np.fft.rfft(row)
-    assert np.abs(coef.view(complex) - want).max() <= 1e-13 * np.abs(want).max()
-    want = np.fft.irfft(row_hat, n=n_x)
-    assert np.abs(t.irfft_matrix @ row_hat.view(float) - want).max() <= 1e-13 * np.abs(want).max()
-    rows = t.d_x_matrices @ row_hat.view(float)
-    wants = d_tangential_hats(row_hat, n_x, ((1,), (2,), (3,), (4,)))
-    for got, want in zip(rows, wants, strict=True):
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    assert not (t.rfft_matrix.flags.writeable or t.d_x_matrices.flags.writeable)
+    # an interface row's coefficients are the same layout, flat: its
+    # forward product is rfft's, and every derivative the reports of a
+    # k_diag = 3, eps != 0 run read, each its own multiplier's product, is
+    # numpy's, to 1e-13 of its maximum
+    row = v[:, 0]
+    coef = t.forward_matrix @ row
+    want = real_rfft(row)
+    assert coef.shape == want.shape == (2 * (n_x // 2 + 1),)
+    assert np.abs(coef - want).max() <= 1e-13 * np.abs(want).max()
+    coef = x[:, :, 0].ravel()
+    terms = report_terms()
+    # 15 multipliers: every odd order to 9, and orders 0 to 10 even, with
+    # the Nyquist mode kept, and 2 to 8 with it zeroed (an odd factor)
+    assert ({(sum(f), any(o % 2 for o in f)) for f in terms}
+            == {(o, o % 2 == 1) for o in range(11)} | {(o, True) for o in range(2, 9, 2)})
+    for factors in terms:
+        for got, want in ((t.d_x(coef, (factors,))[0], fft_derivatives(coef, n_x, (factors,))[0]),
+                          (t.d_x(x, (factors,))[0], fft_derivatives(x, n_x, (factors,))[0])):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), factors
+    assert np.array_equal(t.inverse_matrix, t.matrix((0,)))
+    assert np.array_equal(t.derivative_matrix, np.concatenate((t.matrix((1,)), t.matrix((2,)))))
+    assert t.matrix((1, 2)) is t.matrix((3,)) and not t.matrix((3,)).flags.writeable
 
 
 @pytest.mark.parametrize("n_x", [8, 48, 64])
 def test_interface_transforms_of_a_constant_are_exact(n_x):
     # a flat interface transforms to exact zeros but for its mean mode, and
     # its slope and second derivative are exact zeros, as with numpy's FFT;
-    # a shifted interface's derivatives move only by the shift's roundoff
+    # a shifted interface's derivatives move only by the shift's roundoff.
+    # The coefficients are a row's flat real layout
     coef, rho_x, rho_xx = interface_transforms(np.full(n_x, 0.17))
+    assert coef.shape == (2 * (n_x // 2 + 1),)
     assert coef[0] == pytest.approx(0.17 * n_x, rel=1e-15) and np.all(coef[1:] == 0.0)
     assert np.all(rho_x == 0.0) and np.all(rho_xx == 0.0)
     x = TangentialGrid(n_x).nodes
     rho = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
     coef, rho_x, rho_xx = interface_transforms(rho)
-    want = np.fft.rfft(rho)
-    assert np.abs(coef.view(complex) - want).max() <= 1e-14 * np.abs(want).max()
+    want = real_rfft(rho)
+    assert np.abs(coef - want).max() <= 1e-14 * np.abs(want).max()
     _, shifted_x, shifted_xx = interface_transforms(rho + 0.4)
     assert np.abs(shifted_x - rho_x).max() <= 1e-14
     assert np.abs(shifted_xx - rho_xx).max() <= 1e-13
@@ -314,7 +357,7 @@ def test_parseval_weights_match_the_bulk_rule(n_x, n_z):
 
 def tail_fraction(v):
     """``tail_fraction_hat`` of the interface field v."""
-    return tail_fraction_hat(np.fft.rfft(v), v.size)
+    return tail_fraction_hat(real_rfft(v), v.size)
 
 
 def test_spectral_tail_fraction_extremes():

@@ -53,23 +53,24 @@ def test_code_lines_counts_code_only(tmp_path, monkeypatch, capsys):
 
 
 def test_step_counts_prints_the_count_tests_totals(monkeypatch, capsys):
-    # its totals per accepted step are those of the count test's
-    # ``call_counts`` on the same 16 x 17 decay, here of 3 steps, and each
-    # part's tally lists its top functions with their callers.  A first
-    # run fills the package's caches, which a cold run counts too
+    # its totals per accepted step, the numpy.fft tally beside the three
+    # counts, are those of the count test's ``call_counts`` on the same
+    # 16 x 17 decay, here of 3 steps, and each part's tally lists its top
+    # functions with their callers.  A first run fills the package's
+    # caches, which a cold run counts too
     from test_step_counts import call_counts, decay_problem
 
     call_counts(*decay_problem(), 3)
     monkeypatch.setattr(sys, "argv", ["step_counts.py", "--steps", "3", "--top", "4"])
     runpy.run_path(str(SCRIPTS / "step_counts.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["part", "stefansim", "numpy", "c"]
+    assert lines[0].split() == ["part", "stefansim", "numpy", "c", "fft"]
     printed = {row[0]: [float(v) for v in row[1:]] for row in map(str.split, lines[1:3])}
     want = call_counts(*decay_problem(), 3)
     assert set(printed) == set(want) == {"step", "report"}
     for part, totals in printed.items():
-        assert totals == pytest.approx([want[part][kind] for kind in ("stefansim", "numpy", "c")],
-                                       abs=0.006)
+        assert totals == pytest.approx(
+            [want[part][kind] for kind in ("stefansim", "numpy", "c", "fft")], abs=0.006)
     for part in ("step", "report"):
         head = lines.index(f"{part}: top 4 by calls per step (kind, function <- caller)")
         rows = lines[head + 1:head + 5]

@@ -23,16 +23,17 @@ NUMPY_FFT = str(Path(np.fft.__file__).parent)
 # per accepted step, at most: calls into stefansim functions, numpy
 # Python-level functions entered from stefansim, and C calls made from
 # stefansim frames (measured with Python 3.11.7 and numpy 2.4.6)
-LIMITS = {"step": {"stefansim": 146.75, "numpy": 10.45, "c": 171.65},
-          "report": {"stefansim": 62.5, "numpy": 14.5, "c": 56.25}}
+LIMITS = {"step": {"stefansim": 145.45, "numpy": 10.45, "c": 161.6},
+          "report": {"stefansim": 59.4, "numpy": 10.45, "c": 55.0}}
 
 
-def call_counts(cfg, u0, rho0, steps):
+def call_counts(cfg, u0, rho0, steps, compute_identity=False):
     """The ``sys.setprofile`` counts per accepted step of ``run`` from (u0,
-    rho0) for ``steps`` steps, within ``fixed_point_step`` ("step") and
-    within ``_make_report`` ("report"), each call of those two included:
-    the three counts of ``LIMITS``, and "fft", the numpy.fft functions
-    entered from any frame."""
+    rho0) for ``steps`` steps, with the identity on if
+    ``compute_identity``, within ``fixed_point_step`` ("step") and within
+    ``_make_report`` ("report", which evaluates the identity), each call of
+    those two included: the three counts of ``LIMITS``, and "fft", the
+    numpy.fft functions entered from any frame."""
     parts = {stepper.fixed_point_step.__code__: "step", stepper._make_report.__code__: "report"}
     tally = {part: Counter() for part in parts.values()}
     inside = []  # the frame of the counted call under way
@@ -60,7 +61,7 @@ def call_counts(cfg, u0, rho0, steps):
 
     sys.setprofile(profile)
     try:
-        res = run(u0, rho0, cfg, steps * cfg.dt)
+        res = run(u0, rho0, cfg, steps * cfg.dt, compute_identity=compute_identity)
     finally:
         sys.setprofile(None)
     assert len(res.reports) == steps + 1
@@ -96,3 +97,16 @@ def test_a_fixed_point_step_enters_no_numpy_fft():
     # numpy.fft function is entered within ``fixed_point_step``
     counts = call_counts(*decay_problem(), 5)
     assert counts["step"]["fft"] == 0, counts
+
+
+def test_a_step_its_report_and_the_identity_enter_no_numpy_fft():
+    # every tangential transform of the package is a product with a cached
+    # ``grids.RealTransforms`` matrix: a 16 x 17 run at k_diag = 2 and eps =
+    # 1e-4 with the identity on, whose reports read every quotient up to
+    # s = 3 and the eps terms, enters no numpy.fft function in a step, a
+    # report or the identity
+    cfg = SolverConfig(epsilon=1e-4, dt=1e-3, n_x=16, n_z=17, k_diag=2)
+    rho0 = 1e-3 * np.sin(cfg.grids().tangential.nodes)
+    counts = call_counts(cfg, compatible_initial_temperature(rho0, cfg), rho0, 6,
+                         compute_identity=True)
+    assert counts["step"]["fft"] == counts["report"]["fft"] == 0, counts

@@ -46,7 +46,7 @@ from stefansim.transform import (
     norm_weights,
 )
 
-from conftest import HALVING_STALL_DT, dt_setup, stall_above
+from conftest import HALVING_STALL_DT, dt_setup, real_rfft, stall_above
 
 
 # --------------------------------------------------------------- config
@@ -133,9 +133,8 @@ def complex_of(x):
 
 def fields_of(v, grids):
     """v's ``_bulk_fields``, built as ``make_level`` builds them: from the
-    forward product of v, whose complex form rides along."""
-    x = real_transforms(grids.tangential.n_x).forward(v)
-    return stepper._bulk_fields(v, x, grids, stepper._complex(x))
+    forward product of v, which rides along as their hat."""
+    return stepper._bulk_fields(v, real_transforms(grids.tangential.n_x).forward(v), grids)
 
 
 def prepare_step(a, u_old, f_new, f_old, inv_dt, theta, grids, fp_norm=None):
@@ -781,7 +780,8 @@ def test_temperature_step_returns_an_owned_u(monkeypatch):
     u, _, _, fields = run_lag_problem(cfg, grids, cutoff, data)
     assert u.flags.owndata and u.base is None
     assert any(a is u for a in built)
-    assert fields.hat.dtype == complex and fields.hat.flags.owndata
+    assert fields.hat.dtype == np.float64 and fields.hat.shape == (2, cfg.n_x // 2 + 1, cfg.n_z)
+    assert fields.hat.flags.owndata
     assert not any(np.shares_memory(u, a) for a in stacked + list(fields) + list(data))
     buffer = fields.xx.base
     assert fields.xz.base is buffer and buffer.size == 2 * u.size
@@ -845,7 +845,7 @@ def test_temperature_step_transforms_each_iterate_once(monkeypatch):
                         "derivatives": lag_iters + 1}
     assert ffts == {"rfft": 0, "irfft": 0}
     # the returned fields carry u's Fourier coefficients: those of its solve
-    hat = np.fft.rfft(u, axis=0)
+    hat = real_rfft(u)
     assert np.abs(fields.hat - hat).max() <= 1e-13 * np.abs(hat).max()
 
     # a warm solve from u on the same step: the exit rule's norm of each
@@ -895,8 +895,8 @@ def test_temperature_step_rejects_a_non_finite_iterate(monkeypatch, small_cfg, s
 
 def rho_transforms(rho):
     """interface_step's rho_x and rho_coef keywords for the iterate rho (its
-    rfft's float view, the interface layout)."""
-    return {"rho_x": d_tangential(rho, 1), "rho_coef": np.fft.rfft(rho).view(float)}
+    rfft in a row's flat real layout)."""
+    return {"rho_x": d_tangential(rho, 1), "rho_coef": real_rfft(rho)}
 
 
 def stabilized(cfg, sigma):
@@ -1168,7 +1168,7 @@ def cold_reference_step(state, cfg, forcing):
         rx = d_tangential(rho_m, 1)
         norm = EnergyNormK0(rx, *norm_weights(rho_m, rx, cutoff, grids), cfg)
         du, drho = u_next - u_m, rho_next - rho_m
-        diff = np.sqrt(state_energy_k0(du, np.fft.rfft(du, axis=0), np.fft.rfft(drho), norm))
+        diff = np.sqrt(state_energy_k0(du, real_rfft(du), real_rfft(drho), norm))
         u_m, rho_m = u_next, rho_next
         if diff <= cfg.fp_tol:
             return u_m, rho_m
@@ -1267,7 +1267,7 @@ def test_fixed_point_step_starts_iterate_2_from_a_corrected_temperature(monkeypa
     assert not np.array_equal(u, u_1)
     assert np.abs(u[:, mid] - dirichlet).max() <= 1e-14 * np.abs(dirichlet).max()
     assert np.abs(u_1[:, mid] - dirichlet).max() > 1e-10 * np.abs(dirichlet).max()
-    hat = np.fft.rfft(u, axis=0)
+    hat = real_rfft(u)
     assert np.abs(fields.hat - hat).max() <= 1e-14 * np.abs(hat).max()
     assert fields.xx is None  # a lag loop's start reads no xx
     for got, want in zip(fields[1:4], stepper._lagged_fields(u, d_tangential(u, 1), grids),
@@ -1550,9 +1550,9 @@ def test_run_builds_the_interface_constants_once_per_dt(monkeypatch, halvings):
     for dt, sigma, constants in built:
         assert sigma is bulks[dt].jump_response
         reg, stab = 1.0 + cfg.epsilon * k**4, dt * cfg.theta * k**2 * sigma
-        assert same_bits(constants.reg, np.repeat(reg, 2))
-        assert same_bits(constants.stab, np.repeat(stab, 2))
-        assert same_bits(constants.denom, np.repeat(reg + stab, 2))
+        assert same_bits(constants.reg, np.tile(reg, 2))
+        assert same_bits(constants.stab, np.tile(stab, 2))
+        assert same_bits(constants.denom, np.tile(reg + stab, 2))
 
 
 def test_fixed_point_step_takes_the_predictors_transforms_from_the_levels(monkeypatch):
@@ -1710,6 +1710,42 @@ def test_fixed_point_step_predicts_a_quadratic_trajectory_exactly(monkeypatch):
     want = stepper._lagged_fields(u_start, d_tangential(u_start, 1), grids)
     for got, ref in zip((fields.zz, fields.xz, fields.z), want, strict=True):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_a_one_level_step_starts_from_the_level_itself(monkeypatch, theta, forced_step_problem):
+    # with no earlier level, iterate 1 starts from the level's own arrays,
+    # shared and not copied: the first lag loop's start (u and its zz, xz
+    # and z) and the first interface update's slope and coefficients; and
+    # the step writes into none of the level's arrays
+    cfg, level, forcing = forced_step_problem(theta)
+    setup = dt_setup(level, cfg)
+    arrays = {"u": level.u, "rho": level.rho, "rho_hat": level.rho_hat, "rho_x": level.rho_x,
+              "rho_xx": level.rho_xx, **level.fields._asdict()}
+    before = {name: a.copy() for name, a in arrays.items()}
+    starts, updates = [], []
+    real_temperature, real_interface = stepper.temperature_step, stepper.interface_step
+
+    def recording_temperature(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return real_temperature(*args, **kwargs)
+
+    def recording_interface(*args, **kwargs):
+        updates.append((kwargs["rho_x"], kwargs["rho_coef"]))
+        return real_interface(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "temperature_step", recording_temperature)
+    monkeypatch.setattr(stepper, "interface_step", recording_interface)
+    _, report = fixed_point_step(level, cfg, t_new=cfg.dt, forcing=forcing, **setup)
+    assert report.inner_iters >= 3
+    u_start, fields = starts[0]
+    assert u_start is level.u
+    for got, own in zip((fields.zz, fields.xz, fields.z),
+                        (level.fields.zz, level.fields.xz, level.fields.z), strict=True):
+        assert got is own
+    assert updates[0][0] is level.rho_x and updates[0][1] is level.rho_hat
+    for name, a in arrays.items():
+        assert np.array_equal(a.view(np.uint64), before[name].view(np.uint64)), name
 
 
 def run_manufactured_column(monkeypatch):
@@ -1991,6 +2027,29 @@ def test_run_identity_column_fills_once_history_suffices():
     # time-derivative terms instead of zeroing them
     assert res.reports[0].missing_E != ()
     assert res.reports[2].missing_E == ()
+
+
+def test_a_runs_levels_hold_their_coefficients_in_the_real_layout(monkeypatch):
+    # every level a run makes holds u's and rho's rffts as float arrays in
+    # the real layout of ``RealTransforms``: (2, modes, n_z) for u, a row's
+    # flat (2 modes,) for rho, each numpy's rfft to roundoff
+    cfg = SolverConfig(epsilon=1e-3, n_x=16, n_z=17, k_diag=1)
+    x = cfg.grids().tangential.nodes
+    rho0 = 0.05 * np.sin(x) + 0.02 * np.cos(3 * x)
+    newest, real_report = [], stepper._make_report
+    monkeypatch.setattr(stepper, "_make_report",
+                        lambda history, *args: newest.append(history[-1])
+                        or real_report(history, *args))
+    run(compatible_initial_temperature(rho0, cfg), rho0, cfg, 3 * cfg.dt)
+    modes = cfg.n_x // 2 + 1
+    assert len(newest) == 4
+    for level in newest:
+        hat, rho_hat = level.fields.hat, level.rho_hat
+        assert hat.dtype == rho_hat.dtype == np.float64
+        assert hat.shape == (2, modes, cfg.n_z) and rho_hat.shape == (2 * modes,)
+        for got, v in ((hat, level.u), (rho_hat, level.rho)):
+            want = real_rfft(v)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_run_reports_match_diagnostics_of_rebuilt_levels():
