@@ -97,15 +97,19 @@ def _quotients(values, count, dt):
     return out
 
 
-def _dx_rows(transforms, x, terms):
-    """(rows, index): the distinct derivatives among ``terms`` (each named
-    by the orders of its factors; (0,) is v itself) of the field v whose
-    rfft along axis 0 has the real layout x, stacked, from one product per
-    distinct multiplier (``transforms.d_x``, the grid's ``RealTransforms``,
-    whose matrices alone decide the Nyquist mode), and each term's row.
-    No finiteness check."""
-    terms = tuple(terms)
-    return transforms.d_x(x, terms), _distinct_terms(terms)[1]
+def _dx_rows(transforms, x, terms, lead):
+    """(rows, index): ``lead`` leading rows, left for the caller to fill,
+    then the distinct derivatives among ``terms`` (each named by the orders
+    of its factors; (0,) is v itself) of the field v whose rfft along axis
+    0 has the real layout x, stacked in one new array, from one product
+    per distinct multiplier (``transforms.d_x_into``, the grid's
+    ``RealTransforms``, whose matrices alone decide the Nyquist mode); and
+    each term's row among the derivatives, so row ``lead + index[i]`` of
+    rows.  No finiteness check."""
+    distinct, index = _distinct_terms(tuple(terms))
+    rows = np.empty((lead + len(distinct), transforms.n) + x.shape[2:])
+    transforms.d_x_into(rows[lead:], x, distinct)
+    return rows, index
 
 
 # the columns of ``_interface_weights``
@@ -189,9 +193,10 @@ def evaluate_functionals(levels, cfg):
     d_x^j of d_x^mu, and ``grids`` decides the Nyquist mode from the tuple,
     as nested ``d_tangential`` calls would).  A quotient's rows come from
     one product of its coefficients per distinct multiplier
-    (``RealTransforms.d_x``), and u_0's row (0,) is the newest level's u
-    itself.  Every a- and a^2-weighted normal-derivative
-    integral, int a (d_z w)^2, 2 int a (d_z w_x)^2 and int (a d_z^2 w)^2
+    (``RealTransforms.d_x_into``), and u_0's row (0,) is the newest
+    level's u itself, copied into the first row of the same stack.  Every
+    a- and a^2-weighted normal-derivative integral, int a (d_z w)^2,
+    2 int a (d_z w_x)^2 and int (a d_z^2 w)^2
     with their unweighted twins, is a stencil sum on those rows
     (``_stencil_sums``: ``_normal_stencils``' one-sided stencils at the
     walls and on both sides of the interface, as ``first_walls`` and
@@ -238,7 +243,7 @@ def evaluate_functionals(levels, cfg):
         if q == 0 and terms == [(0, 1), (0, 2)]:  # eps = 0, k_diag = 0: the newest level's rows
             rows, index = np.array((newest.rho_x, newest.rho_xx)), (0, 1)
         else:
-            rows, index = _dx_rows(transforms, r_hats[q], terms)
+            rows, index = _dx_rows(transforms, r_hats[q], terms, 0)
         iface.append(_interface_sums(rows, index, terms, weights))
     first = _stencil_weights((a_psi, None), 1, g)  # a (d_z w)^2 and (d_z w)^2
     second = _stencil_weights((a_psi * a_psi, None), 2, g) if count > 1 else None
@@ -254,14 +259,13 @@ def evaluate_functionals(levels, cfg):
             continue
         with_D = s + 1 < count
         w_x = [(mu, 1) for mu in mus] if with_D else []
-        if s == 0:  # u_0's row (0,) is the newest level's u
+        if s == 0 and (k > 0 or with_D):  # row (0,) is the newest level's u; its products follow
+            rows, index = _dx_rows(transforms, u_hats[0], ws[1:] + w_x, 1)
+            rows[0], index = newest.u, [0] + [i + 1 for i in index]
+        elif s == 0:  # u_0's one row
             rows, index = newest.u[None], [0]
-            if k > 0 or with_D:  # rows beyond u's own
-                rest, rest_index = _dx_rows(transforms, u_hats[0], ws[1:] + w_x)
-                rows = np.concatenate((rows, rest))
-                index += [i + 1 for i in rest_index]
         else:
-            rows, index = _dx_rows(transforms, u_hats[s], ws + w_x)
+            rows, index = _dx_rows(transforms, u_hats[s], ws + w_x, 0)
         normal = _stencil_sums(rows, first).tolist()
         power = power_spectrum(u_hats[s])
         bulk = parseval_sum(power, tuple(ws + [(mu, 1) for mu in mus]), g)
@@ -425,8 +429,8 @@ def _stencil_sums(rows, weights):
 class EnergyNormK0:
     """The order-0 norm: E_eps at diagnostic order 0 with the weights of
     one interface psi frozen, set up once for ``state_energy_k0`` (by
-    ``stepper.run`` once per dt, at the level the dt starts from, beside
-    the dt's bulk operator).
+    ``stepper._dt_setup`` once per segment of a run, at the level the
+    segment starts from, beside its bulk operator).
 
     psi_x (the spectral slope of psi), a_psi (bulk, (n_x, n_z)) and
     bracket = <psi> ((n_x,)) are the interface derivative and the

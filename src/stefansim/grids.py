@@ -236,15 +236,23 @@ class RealTransforms:
         """The distinct derivatives among ``terms`` (a tuple, each named by
         the orders of its factors; (0,) is v itself) of the real field v
         whose rfft has the real layout x, (2, modes, ...) or a row's flat
-        (2 modes,): an array (distinct, n, ...), row i the i-th distinct
-        multiplier's (``_distinct_terms``), from one product per row.  No
-        finiteness check."""
+        (2 modes,): a new array (distinct, n, ...), row i the i-th distinct
+        multiplier's (``_distinct_terms``), from one product per row
+        (``d_x_into``).  No finiteness check."""
         distinct, _ = _distinct_terms(terms)
+        return self.d_x_into(np.empty((len(distinct), self.n) + x.shape[2:]), x, distinct)
+
+    def d_x_into(self, out, x, distinct):
+        """The derivatives ``distinct`` of x, distinct multipliers each (the
+        first of ``_distinct_terms``), written into ``out``, a C-contiguous
+        array (len(distinct), n, ...) of their shape (a slice of a larger
+        stack, say): ``d_x``'s rows, one product per row; returns out."""
         coef = x if x.ndim == 1 else x.reshape(2 * self.modes, -1)  # a row, or (2 modes, m)
-        out = np.empty((len(distinct), self.n) + coef.shape[1:])
-        for row, factors in zip(out, distinct):
+        # out, or its view (distinct, n, m) when x has other than one axis after the modes
+        rows = out if x.ndim in (1, 3) else out.reshape(len(out), self.n, coef.shape[1])
+        for row, factors in zip(rows, distinct):
             np.matmul(self.matrix(factors), coef, out=row)
-        return out if x.ndim in (1, 3) else out.reshape(out.shape[:2] + x.shape[2:])
+        return out
 
 
 @lru_cache(maxsize=None)

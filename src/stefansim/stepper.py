@@ -15,12 +15,13 @@ theta = 1/2: trapezoidal).  Per tangential Fourier mode the implicit
 operator  M = 1/dt + theta k^2 - theta a_mean(z) d_zz  is tridiagonal on
 the mode's whole column, and so is M~, the same operator with the
 harmonic x-mean a_harmonic(z) = 1 / mean_x(1/a) in place of the mean
-a_mean(z) = mean_x a.  ``run`` factors both from the weight a of the
-level a dt starts from, one factorization of all modes' columns each (a
-``_BulkLU``), and hands them to every step of the dt; a halving drops
-them with the history.  The jump response sigma_k that stabilizes the
+a_mean(z) = mean_x a.  ``run`` steps through *segments*, a dt each (see
+``run``), and factors both from the weight a of the level a segment
+starts from, one factorization of all modes' columns each (a
+``_BulkLU``), which every step of the segment reads; the next segment
+factors its own.  The jump response sigma_k that stabilizes the
 interface update and the unit Dirichlet response w that corrects
-iterate 1 come from M's factors, once per dt.
+iterate 1 come from M's factors, once per segment.
 
 The lag loop solves the *full* frozen-coefficient discrete system
 A u = b to ``lin_tol``, so the two operators only precondition it and
@@ -49,10 +50,10 @@ The loop is a map G: rho_m -> rho_next: u_m only warm-starts the next lag
 loop, which reuses the fields u_m's solve returned (after iterate 1, those
 of its corrected u, below).  Iterate 1 starts from ``_extrapolate``'s
 polynomial through the step's level and the earlier levels ``run``'s
-history holds at the current dt, up to three in all, taken one dt on: the
-interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (three levels),
-2 rho_n - rho_{n-1} (two: step 2 and the second step after a dt
-halving) or rho_n (one: step 1 and the first step after a halving), its
+history holds in the current segment, up to three in all, taken one dt
+on: the interface from 3 rho_n - 3 rho_{n-1} + rho_{n-2} (three levels),
+2 rho_n - rho_{n-1} (two: a segment's second step) or rho_n (one: a
+segment's first step, step 1 or the first after a dt halving), its
 transforms from the same combination of the levels' (the map is linear),
 and the lag loop from the same combination of the temperatures and of
 their fields (no transform), which for one level are that level's own
@@ -133,8 +134,8 @@ predicted interface.  A solve's Dirichlet data is one forward product,
 the interface update's right-hand side one and its inverse one, and the
 fixed-point difference's interface rows one each for the difference's
 coefficients and their derivatives.  The interface update's per-mode
-constants are built once per dt (``interface_constants``), beside the
-dt's LU.  The correction of iterate 1's u costs two inverse products (u
+constants are built once per segment (``interface_constants``), beside
+its LU.  The correction of iterate 1's u costs two inverse products (u
 and u_x; a lag loop's start needs no xx).  The converged step's trace
 gap max |u(., 0) - kappa(rho) - g| comes from the accepted rho's
 transforms; ``run`` checks it against trace_tol.
@@ -153,33 +154,35 @@ model energies.
 
 The stages read their records and cfg, whose ``grids()`` and
 ``cutoff()`` are shared instances: ``fixed_point_step(level, cfg,
-t_new=..., bulk=..., fp_norm=..., interface=..., forcing=...,
-earlier=..., prev_iters=...)``,
+t_new=..., setup=..., forcing=..., earlier=..., prev_iters=...)``, where
+``setup`` is the segment's ``_DtSetup(bulk, fp_norm, interface)`` that
+``_dt_setup(level, cfg)`` builds when the segment starts,
 ``interface_step(u_new, old, cfg, ...)``, which reads rho's rfft from
-the old level and the dt's ``interface_constants``, and every solve's
-one call shape
+the old level and the set-up's ``interface_constants``, and every
+solve's one call shape
 ``temperature_step(step, coef, dirichlet=..., start=..., res_tol=...,
 update_tol=...)``.  ``step`` is the ``_Step`` that ``_prepare_step``
-builds once per time step, before the first iterate, around the dt's
-LU and norm; the iterate adds its frozen coefficients, Dirichlet data,
-lag-loop start and the two targets its solve ends on.  The steady solve of
-``compatible_initial_temperature`` factors its own LU, with 1/dt = 0 and
-theta = 1, for a ``_Step`` with no norm, and solves to lin_tol.
+builds once per time step, before the first iterate, around the
+set-up's LU and norm; the iterate adds its frozen coefficients,
+Dirichlet data, lag-loop start and the two targets its solve ends on.
+The steady solve of ``compatible_initial_temperature`` factors its own
+LU, with 1/dt = 0 and theta = 1, for a ``_Step`` with no norm, and
+solves to lin_tol.
 ``make_level`` and the diagnostics read the same cfg.  An unforced run
 steps through the forced path: ``run`` and ``fixed_point_step`` put a
 zero forcing, (bulk, Dirichlet shift, jump) = (0, 0, 0), in place of None
 at entry, and no later line tells the two apart.
 
 The fixed-point norm (``state_energy_k0`` with an ``EnergyNormK0``) is
-frozen per dt, like the operator: ``run`` builds it beside the dt's
-``_BulkLU``, from the weights a and <rho> of the one ``norm_weights``
-call at the level the dt starts from, and hands it to every step of the
-dt.  It makes no 2-D transform: the solve's Fourier coefficients
-travel with the fields it returns, so the bulk terms int w^2 + w_x^2 of
-the fixed-point difference are a Parseval sum over the difference of
-the two solves' coefficients (u_old's at iterate 1), and those of a warm
-solve's lag update over x - x_prev.  The a-weighted
-normal-derivative term is a stencil sum, and only the fixed-point
+frozen per segment, like the operator: ``_dt_setup`` builds it beside
+the segment's ``_BulkLU``, from the weights a and <rho> of the one
+``norm_weights`` call at the level the segment starts from, and every
+step of the segment measures in it.  It makes no 2-D transform: the
+solve's Fourier coefficients travel with the fields it returns, so the
+bulk terms int w^2 + w_x^2 of the fixed-point difference are a Parseval
+sum over the difference of the two solves' coefficients (u_old's at
+iterate 1), and those of a warm solve's lag update over x - x_prev.  The
+a-weighted normal-derivative term is a stencil sum, and only the fixed-point
 difference has interface terms, from two products (the difference's
 coefficients, and their derivative rows).  Each norm of a solve's
 residual test is sqrt(v . v) on v's flat view, bitwise
@@ -402,14 +405,12 @@ def _extrapolate(levels):
 
     if len(levels) == 1:
         out = parts(levels[0])
-    else:
-        out = None  # accumulated in place, newest first
-        for w, level in zip(_PREDICTOR[len(levels)], levels):
-            if out is None:
-                out = [w * a for a in parts(level)]
-            else:
-                for o, a in zip(out, parts(level)):
-                    o += a if w == 1.0 else w * a
+    else:  # accumulated in place, newest first
+        weights = _PREDICTOR[len(levels)]
+        out = [weights[0] * a for a in parts(levels[0])]
+        for w, level in zip(weights[1:], levels[1:]):
+            for o, a in zip(out, parts(level)):
+                o += a if w == 1.0 else w * a
     rho, coef, rho_x, rho_xx, u, zz, xz, z = out
     return rho, (coef, rho_x, rho_xx), (u, _Fields(None, zz, xz, z, None))
 
@@ -417,11 +418,11 @@ def _extrapolate(levels):
 @dataclass(frozen=True)
 class _Step:
     """What every temperature solve of one step shares: the grids, the
-    dt's ``_BulkLU`` (which holds 1/dt, 0 for the steady solve, and
+    segment's ``_BulkLU`` (which holds 1/dt, 0 for the steady solve, and
     theta), u_old with its ``_bulk_fields`` and norm, the bulk forcing at
     both time levels (a 0-d zero when unforced), the norm of their theta
     blend, the part of the right-hand side they fix, u_old / dt + theta
-    f_new, and the dt's fixed-point norm (None for the steady solve).
+    f_new, and the segment's fixed-point norm (None for the steady solve).
     Made by ``_prepare_step``."""
     grids: Grids
     bulk: _BulkLU
@@ -584,7 +585,7 @@ def _thomas_batched(solve, row_scale, mid, rhs, dirichlet):
 class _BulkLU:
     """Per-mode implicit operators  1/dt + theta k^2 - theta m(z) d_zz  on
     the whole column, for two x-means m of one weight field a, each
-    factored once (``run`` makes one LU per dt; see the module docstring):
+    factored once (``_dt_setup`` makes one per segment; see ``run``):
     the mean a_mean(z) = mean_x a and the harmonic mean a_harmonic(z) =
     1 / mean_x (1/a).  Both only precondition the lag loop, which solves
     the full frozen-coefficient system whatever they are; 1/dt (``inv_dt``)
@@ -756,9 +757,9 @@ def temperature_step(step, coef, *, dirichlet, start, res_tol, update_tol):
     """Solve the theta-implicit frozen-coefficient temperature problem.
 
     ``step`` is the ``_Step`` every solve of one time step shares (the
-    grids, the dt's factored operators with their 1/dt and theta, u_old's
-    fields and norm, the forcing, the fixed part of the right-hand side
-    and the fixed-point norm); ``coef`` holds the frozen coefficients,
+    grids, the segment's factored operators with their 1/dt and theta,
+    u_old's fields and norm, the forcing, the fixed part of the right-hand
+    side and the fixed-point norm); ``coef`` holds the frozen coefficients,
     ``dirichlet`` the interface values and ``start`` the last iterate (u,
     its ``_bulk_fields``, of which the loop reads no xx), where the lag
     loop starts.  ``res_tol`` and ``update_tol`` are the solve's residual
@@ -954,7 +955,7 @@ class _InterfaceConstants(NamedTuple):
     real layout of ``grids.RealTransforms`` (all modes' factors for the
     real parts, then the same for the imaginary parts): the regularization
     1 + eps k^4, the jump model's dt theta k^2 sigma_k and their sum.  Made by
-    ``interface_constants`` once per dt, beside the dt's ``_BulkLU``."""
+    ``interface_constants`` once per segment, beside its ``_BulkLU``."""
     reg: np.ndarray
     stab: np.ndarray
     denom: np.ndarray
@@ -962,13 +963,37 @@ class _InterfaceConstants(NamedTuple):
 
 def interface_constants(cfg, jump_response):
     """The ``_InterfaceConstants`` of cfg's dt, theta and epsilon, with the
-    per-mode jump response sigma_k ``jump_response`` (the dt's
+    per-mode jump response sigma_k ``jump_response`` (the segment's
     ``_BulkLU.jump_response``; zeros give the plain regularized update)."""
     k = np.arange(cfg.n_x // 2 + 1, dtype=float)
     reg = 1.0 + cfg.epsilon * k**4
     stab = cfg.dt * cfg.theta * k**2 * jump_response  # dt theta k^2 sigma_k
     reg, stab = np.tile(reg, 2), np.tile(stab, 2)
     return _InterfaceConstants(reg, stab, reg + stab)
+
+
+class _DtSetup(NamedTuple):
+    """What every step of a segment reads (``run``), built once, when the
+    segment starts, by ``_dt_setup``: the ``_BulkLU`` of its dt and theta,
+    whose operators precondition the lag loop, whose jump response damps
+    the interface update and whose Dirichlet response corrects iterate 1;
+    the ``EnergyNormK0`` that every fixed-point difference and warm exit
+    test measures in; and the interface update's ``interface_constants``."""
+    bulk: _BulkLU
+    fp_norm: EnergyNormK0
+    interface: _InterfaceConstants
+
+
+def _dt_setup(level, cfg):
+    """The ``_DtSetup`` of a segment of cfg's dt and theta that starts at
+    ``level``: the ``_BulkLU`` of the weight a of its interface and the
+    ``EnergyNormK0`` of that interface, both from one ``norm_weights``
+    call, and the interface constants from the LU's jump response.  Raises
+    LinearSolveError when the operator cannot be factored."""
+    a_psi, bracket = norm_weights(level.rho, level.rho_x, cfg.cutoff(), cfg.grids())
+    bulk = _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, cfg.grids())
+    return _DtSetup(bulk, EnergyNormK0(level.rho_x, a_psi, bracket, cfg),
+                    interface_constants(cfg, bulk.jump_response))
 
 
 def interface_step(u_new, old, cfg, *, rho_x, rho_coef, constants, jump_forcing=0.0,
@@ -986,8 +1011,8 @@ def interface_step(u_new, old, cfg, *, rho_x, rho_coef, constants, jump_forcing=
     (I + eps Lap^2) rho_t = rhs is inverted per mode (symbol 1 + eps k^4),
     with the flat-state linear model of the curvature-to-jump chain,
     -sigma_k k^2 (rho_new - rho_m), applied implicitly; ``constants`` are
-    the dt's per-mode factors (``interface_constants``), sigma_k from the
-    step's bulk factorization.  The model term cancels at the converged
+    the segment's per-mode factors (``interface_constants``), sigma_k from
+    the step's bulk factorization.  The model term cancels at the converged
     fixed point, so it leaves that point unchanged, but it damps the
     k^3-stiff modes that make plain successive substitution diverge.
     sigma_k = 0 gives the plain regularized update.  The right-hand side's
@@ -1068,18 +1093,17 @@ class _Unforced:
 _UNFORCED = _Unforced()
 
 
-def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, interface, forcing=None, earlier=(),
-                     prev_iters=0):
+def fixed_point_step(level, cfg, *, t_new, setup, forcing=None, earlier=(), prev_iters=0):
     """One accepted time step, to the level at time t_new (where the
     forcing is evaluated); returns (new_level, StepReport).
 
-    ``bulk`` is the dt's ``_BulkLU`` (its 1/dt and theta must be cfg's):
-    its two operators only precondition the lag loop, its jump response damps
-    the interface update and its Dirichlet response corrects iterate 1.
-    ``fp_norm`` is the dt's ``EnergyNormK0``, which every fixed-point
-    difference and warm exit test of the step measures in, and
-    ``interface`` the dt's ``interface_constants`` (made from ``bulk``'s
-    jump response), which every interface update of the step reads.
+    ``setup`` is the segment's ``_DtSetup(bulk, fp_norm, interface)``,
+    from ``_dt_setup(start, cfg)`` at the level ``start`` the segment
+    started from (its LU's 1/dt and theta must be cfg's): the LU's two
+    operators only precondition the lag loop, its jump response damps
+    the interface update and its Dirichlet response corrects iterate 1;
+    every fixed-point difference and warm exit test of the step measures
+    in ``fp_norm``, and every interface update reads ``interface``.
 
     ``level`` is the ``Level`` of the old time (``make_level`` builds one
     from raw arrays), and the step reads its fields, transforms and, at
@@ -1134,8 +1158,8 @@ def fixed_point_step(level, cfg, *, t_new, bulk, fp_norm, interface, forcing=Non
     # transforms are the predictor's combination of the levels'; each later
     # iterate's are taken at the end of the iterate before
     rho_m, (coef_m, rx, rxx), start = _extrapolate((level, *earlier))
-    step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids,
-                         fp_norm=fp_norm)
+    bulk, fp_norm, interface = setup
+    step = _prepare_step(bulk, level.u, level.fields, f_bulk_new, f_bulk_old, grids, fp_norm)
     forward = bulk.transforms.forward_matrix
 
     mixer = _Secant()
@@ -1225,8 +1249,7 @@ def _make_report(history, cfg, steady_level, step_report, compute_identity):
     rho_dev = l2_interface(new.rho - steady_level, cfg.grids().tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
-        window = [history[-3], history[-2], history[-1]]
-        identity_res = identity_residual_k0(window, cfg).residual
+        identity_res = identity_residual_k0(list(history)[-3:], cfg).residual
     return EnergyReport(
         t=float(new.t), **vars(f), cons_residual=cons_res, rho_dev_L2=rho_dev,
         identity_residual=identity_res,
@@ -1246,25 +1269,49 @@ def require_whole_steps(t_end, dt):
                           f"(t_end/dt = {steps!r})")
 
 
+def _halved(failure, cfg, rest, halvings):
+    """(cfg, steps, halvings) of the segment that a failed step starts, in
+    place of ``rest``, the run-origin indices of the failed step and of the
+    steps after it in its segment: dt/2, theta kept, over the doubled
+    indices, one halving more.  Once cfg.max_dt_halvings halvings have
+    been made, ``failure`` is raised instead."""
+    if halvings >= cfg.max_dt_halvings:
+        raise failure
+    return replace(cfg, dt=cfg.dt / 2.0), range(2 * rest.start, 2 * rest.stop), halvings + 1
+
+
 def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=False):
     """Advance from (u0, rho0) to t_end, emitting one EnergyReport per step
     and passing it with the accepted state to each ``cb(state, report)``.
 
     t_end must be a whole number of steps of cfg.dt, so the run ends on
     t_end; otherwise ``require_whole_steps`` raises ConfigError.  The
-    level made by the m-th step of the current dt sits at m dt, the last
-    one at t_end exactly.
+    level made by step m (counted from 0 at the run's origin, t = 0, in
+    steps of the current dt) sits at (m + 1) dt, the last one at t_end
+    exactly.
 
-    On a failed step (fixed-point non-contraction, or a temperature solve
+    The run steps through *segments*.  A segment has its cfg, which holds
+    its dt and theta; the run-origin indices of its steps at that dt (a
+    ``range``); a history, which restarts at the level the segment starts
+    from (quotients need uniform spacing); and that dt's set-up,
+    ``_dt_setup(level, cfg)`` at that level, built once when the segment
+    starts: a ``_DtSetup(bulk, fp_norm, interface)`` of the ``_BulkLU``
+    and the fixed-point ``EnergyNormK0`` from one ``norm_weights`` call,
+    and the interface update's ``interface_constants`` from the LU's jump
+    response.  The run starts as one segment over all of its steps.
+
+    A failed step (fixed-point non-contraction, or a temperature solve
     that its lag loop, GCR steps included, does not bring to lin_tol
-    within lin_max_iter iterations) the step is retried with dt
-    halved, up to cfg.max_dt_halvings times, since 1/dt damps both
-    iterations; the reduced dt persists for the rest of the run and the
-    history buffer restarts (quotients need uniform spacing).  Such a
-    failure is a safety net, not how a large dt shows: rho = A sin x on a
-    32 x 33 grid from u = 0 steps without one at every dt from 0.01 to
-    0.32 for A up to 0.25.  An accepted step whose trace gap exceeds cfg.trace_tol
-    raises FixedPointError, without a dt halving.
+    within lin_max_iter iterations) ends its segment, and the next one
+    starts from the last accepted level at dt/2, over the doubled indices
+    of the failed step and those after it (``_halved``), since 1/dt damps
+    both iterations: the reduced dt persists for the rest of the run.  A
+    LinearSolveError raised while a segment's set-up is built is a failed
+    step too.  After cfg.max_dt_halvings halvings the failure is raised.
+    Such a failure is a safety net, not how a large dt shows: rho = A sin
+    x on a 32 x 33 grid from u = 0 steps without one at every dt from 0.01
+    to 0.32 for A up to 0.25.  An accepted step whose trace gap exceeds
+    cfg.trace_tol raises FixedPointError, without a dt halving.
 
     The history holds one ``Level`` per accepted level (``make_level``),
     which the next steps and the diagnostics read instead of rebuilding
@@ -1273,19 +1320,15 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     steady level is the initial level's ``steady_mean``.  The states
     passed to callbacks and returned carry only (t, u, rho).
 
-    When a dt starts, ``run`` makes one ``norm_weights`` call at the
-    level it starts from, and factors the dt's ``_BulkLU`` and builds its
-    fixed-point ``EnergyNormK0`` from its weights, and the interface
-    update's ``interface_constants`` from the LU's jump response.  Each
-    step of the dt is passed all three; as ``earlier`` the levels one and
-    two dt back, as far as the history holds them at the current dt (see
-    the module docstring); and as ``prev_iters`` the fixed-point iterates
-    of the last accepted step, which set iterate 1's residual target.  The history's
-    levels stay whole, as ``make_level`` built them; at theta < 1 the
-    initial level is built with the forcing's values at t = 0.  Within
-    the step it mixes the interface iterates by a secant step and
-    stops on the unmixed pair, so the accepted state is an output of the
-    step's map.
+    Each step is passed its segment's set-up; as ``earlier`` the levels one
+    and two dt back, as far as the segment's history holds them (see the
+    module docstring); and as ``prev_iters`` the fixed-point iterates of
+    the last accepted step, in whatever segment, which set iterate 1's
+    residual target.  The history's levels stay whole, as ``make_level``
+    built them; at theta < 1 the initial level is built with the forcing's
+    values at t = 0.  Within the step it mixes the interface iterates by a
+    secant step and stops on the unmixed pair, so the accepted state is an
+    output of the step's map.
 
     u0 must have the grid's shape (n_x, n_z) and rho0 the shape (n_x,),
     and t_end must be finite and >= 0; ``run`` raises ConfigError before
@@ -1293,61 +1336,54 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
 
     Every StefanSimError raised while a level is made (the initial level
     is step 0) is stamped with that step and its time (``at_step``), so
-    its message begins ``step n (t=...): ``.
+    its message begins ``step n (t=...): ``; a failed set-up is stamped
+    with its segment's first step.
     """
     require_whole_steps(t_end, cfg.dt)
-    grids = cfg.grids()
-    u0 = np.asarray(u0, dtype=float)
-    rho0 = np.asarray(rho0, dtype=float)
-    if u0.shape != grids.shape or rho0.shape != (cfg.n_x,):
-        raise ConfigError(f"u0 of shape {u0.shape} and rho0 of shape {rho0.shape} do not fit "
-                          f"the grid: they need {grids.shape} and {(cfg.n_x,)}")
+    shapes = np.shape(u0), np.shape(rho0)
+    if shapes != (cfg.grids().shape, (cfg.n_x,)):
+        raise ConfigError(f"u0 of shape {shapes[0]} and rho0 of shape {shapes[1]} do not fit "
+                          f"the grid: they need {cfg.grids().shape} and {(cfg.n_x,)}")
     forcing = _UNFORCED if forcing is None else forcing
     # a step at theta < 1 reads the forcing at its old level too
     level = make_level(0.0, u0, rho0, cfg, forcing=forcing.at(0.0) if cfg.theta < 1.0 else None)
     steady_level = steady_mean(level)
-    history = deque(maxlen=max(cfg.k_diag + 2, 3))
-    history.append(level)
-    reports, t_new = [], 0.0  # a report per level made; the next level's time
-    m, n_steps = 0, round(t_end / cfg.dt)  # steps of the current dt: taken, in all
-    halvings = 0
-    prev_iters = 0  # fixed-point iterates of the last accepted step
-    bulk = fp_norm = interface = None  # the current dt's set-up, made when the dt starts
+    reports, t_new = [], 0.0  # a report per level made; the time of the level being made
+    # the segment's steps, run-origin indices at cfg's dt; the halvings made;
+    # the fixed-point iterates of the last accepted step
+    steps, halvings, prev_iters = range(round(t_end / cfg.dt)), 0, 0
+
+    def time(m):  # the time of the level that step m makes
+        return t_end if m + 1 == steps.stop else (m + 1) * cfg.dt
+
     try:
-        reports.append(_make_report(history, cfg, steady_level, None, compute_identity))
-        while m < n_steps:
-            t_new = t_end if m + 1 == n_steps else (m + 1) * cfg.dt
-            try:  # with the levels one and two dt back, as far as the history holds them
-                if bulk is None:  # the dt starts here, at this level's weights
-                    a_psi, bracket = norm_weights(level.rho, level.rho_x, cfg.cutoff(), grids)
-                    bulk = _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, grids)
-                    fp_norm = EnergyNormK0(level.rho_x, a_psi, bracket, cfg)
-                    interface = interface_constants(cfg, bulk.jump_response)
-                new, step_report = fixed_point_step(
-                    level, cfg, t_new=t_new, bulk=bulk, fp_norm=fp_norm, interface=interface,
-                    forcing=forcing, earlier=tuple(islice(reversed(history), 1, 3)),
-                    prev_iters=prev_iters)
-            except (FixedPointError, LinearSolveError):
-                if halvings >= cfg.max_dt_halvings:
-                    raise
-                halvings += 1
-                cfg = replace(cfg, dt=cfg.dt / 2.0)
-                m, n_steps = 2 * m, 2 * n_steps
-                history.clear()
-                history.append(level)
-                bulk = fp_norm = interface = None
+        reports.append(_make_report((level,), cfg, steady_level, None, compute_identity))
+        while level.t < t_end:  # a segment per pass, from the last accepted level
+            history, t_new = deque((level,), maxlen=max(cfg.k_diag + 2, 3)), time(steps.start)
+            try:
+                setup = _dt_setup(level, cfg)
+            except (FixedPointError, LinearSolveError) as exc:
+                cfg, steps, halvings = _halved(exc, cfg, steps, halvings)
                 continue
-            if step_report.trace_gap > cfg.trace_tol:
-                raise FixedPointError(
-                    f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
-                    f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
-            level, m = new, m + 1
-            prev_iters = step_report.inner_iters
-            history.append(level)
-            report = _make_report(history, cfg, steady_level, step_report, compute_identity)
-            reports.append(report)
-            for cb in callbacks:
-                cb(State(t=level.t, u=level.u, rho=level.rho), report)
+            for m in steps:
+                t_new = time(m)
+                try:  # with the levels one and two dt back, as far as the history holds them
+                    new, step_report = fixed_point_step(
+                        level, cfg, t_new=t_new, setup=setup, forcing=forcing,
+                        earlier=tuple(islice(reversed(history), 1, 3)), prev_iters=prev_iters)
+                except (FixedPointError, LinearSolveError) as exc:
+                    cfg, steps, halvings = _halved(exc, cfg, range(m, steps.stop), halvings)
+                    break
+                if step_report.trace_gap > cfg.trace_tol:
+                    raise FixedPointError(
+                        f"accepted step violates trace consistency: |u(.,0)-kappa(rho)-g| "
+                        f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
+                level, prev_iters = new, step_report.inner_iters
+                history.append(level)
+                report = _make_report(history, cfg, steady_level, step_report, compute_identity)
+                reports.append(report)
+                for cb in callbacks:
+                    cb(State(t=level.t, u=level.u, rho=level.rho), report)
     except StefanSimError as exc:
         exc.at_step(len(reports), t_new)  # the level being made
         raise

@@ -5,16 +5,8 @@ from hypothesis import HealthCheck, settings
 
 from stefansim import stepper
 from stefansim.errors import LinearSolveError
-from stefansim.functionals import EnergyNormK0
 from stefansim.grids import first_walls
-from stefansim.stepper import (
-    _BulkLU,
-    SolverConfig,
-    compatible_initial_temperature,
-    interface_constants,
-    make_level,
-)
-from stefansim.transform import norm_weights
+from stefansim.stepper import SolverConfig, compatible_initial_temperature, make_level
 
 settings.register_profile(
     "numerics",
@@ -80,16 +72,10 @@ def levels(cfg, times, us, rhos):
 
 
 def dt_setup(level, cfg):
-    """The keywords ``bulk``, ``fp_norm`` and ``interface`` that ``run``
-    hands every step of a dt that starts from ``level``: the ``_BulkLU`` of
-    the weight a of its interface, with cfg's dt and theta, and the
-    ``EnergyNormK0`` of that interface, both from one ``norm_weights``
-    call, and the interface update's constants from the LU's jump
-    response."""
-    a_psi, bracket = norm_weights(level.rho, level.rho_x, cfg.cutoff(), cfg.grids())
-    bulk = _BulkLU(a_psi, 1.0 / cfg.dt, cfg.theta, cfg.grids())
-    return {"bulk": bulk, "fp_norm": EnergyNormK0(level.rho_x, a_psi, bracket, cfg),
-            "interface": interface_constants(cfg, bulk.jump_response)}
+    """The keyword ``setup`` that ``run`` hands every step of a segment of
+    cfg's dt and theta that starts from ``level``: the stepper's own
+    ``_dt_setup`` record, ``_DtSetup(bulk, fp_norm, interface)``."""
+    return {"setup": stepper._dt_setup(level, cfg)}
 
 
 # the dt above which the dt-halving tests make every temperature solve stall:

@@ -61,7 +61,7 @@ def test_stepper_keeps_the_contracts_the_benchmark_counts_by(monkeypatch, theta,
     monkeypatch.setattr(stepper, "temperature_step", temperature)
     monkeypatch.setattr(stepper, "_thomas_batched", substitution)
     setup = dt_setup(state, cfg)
-    bulk = setup["bulk"]
+    bulk = setup["setup"].bulk
     result = stepper.fixed_point_step(state, cfg, t_new=cfg.dt, forcing=forcing, **setup)
     assert isinstance(result, tuple) and len(result) == 2
     new_state, report = result

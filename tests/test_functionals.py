@@ -329,25 +329,28 @@ def test_stencil_sums_match_the_half_strip_evaluator(k_diag, eps):
 @pytest.mark.parametrize("k_diag", [0, 2])
 def test_a_report_transforms_each_quotient_of_each_field_once(monkeypatch, k_diag):
     # no forward transform and no numpy FFT, and at most one
-    # ``RealTransforms.d_x`` per quotient of u (its bulk rows; u_0's row
-    # (0,) is the level's own u) and per quotient of rho (its interface rows)
+    # ``RealTransforms.d_x_into`` per quotient of u (its bulk rows; u_0's
+    # row (0,) is the level's own u) and per quotient of rho (its interface
+    # rows)
     cfg = SolverConfig(epsilon=1e-4, n_x=32, n_z=33, k_diag=k_diag)
     history = decaying_history(cfg, k_diag + 2)
-    calls = {"fft": [], "forward": [], "d_x": []}
+    calls = {"fft": [], "forward": [], "d_x_into": []}
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, lambda *args, **kw: calls["fft"].append(args))
-    real_forward, real_d_x = RealTransforms.forward, RealTransforms.d_x
+    real_forward, real_d_x_into = RealTransforms.forward, RealTransforms.d_x_into
     monkeypatch.setattr(RealTransforms, "forward", lambda self, v: calls["forward"].append(v)
                         or real_forward(self, v))
-    monkeypatch.setattr(RealTransforms, "d_x", lambda self, x, terms: calls["d_x"].append(x.ndim)
-                        or real_d_x(self, x, terms))
+    monkeypatch.setattr(RealTransforms, "d_x_into",
+                        lambda self, out, x, distinct: calls["d_x_into"].append(x.ndim)
+                        or real_d_x_into(self, out, x, distinct))
     for count in range(1, k_diag + 3):
         for record in calls.values():
             record.clear()
         evaluate_functionals(history[-count:], cfg)
-        bulk = sum(ndim == 3 for ndim in calls["d_x"])  # (2, modes, n_z)
-        interface = sum(ndim == 1 for ndim in calls["d_x"])  # (2 modes,)
-        assert calls["fft"] == calls["forward"] == [] and bulk + interface == len(calls["d_x"])
+        bulk = sum(ndim == 3 for ndim in calls["d_x_into"])  # (2, modes, n_z)
+        interface = sum(ndim == 1 for ndim in calls["d_x_into"])  # (2 modes,)
+        assert calls["fft"] == calls["forward"] == []
+        assert bulk + interface == len(calls["d_x_into"])
         assert interface == count  # the quotients 0 .. count - 1 of rho
         assert bulk == min(count, k_diag + 1) - (k_diag == 0 and count == 1)
 

@@ -1,5 +1,7 @@
-"""The study scripts under ``scripts/`` run to the end on tiny inputs."""
+"""The scripts under ``scripts/``: the studies run to the end on tiny inputs,
+and the tools' pure parts give what they should on synthetic data."""
 import csv
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -75,3 +77,27 @@ def test_step_counts_prints_the_count_tests_totals(monkeypatch, capsys):
         head = lines.index(f"{part}: top 4 by calls per step (kind, function <- caller)")
         rows = lines[head + 1:head + 5]
         assert len(rows) == 4 and all(" <- " in row for row in rows)
+
+
+def test_compare_outputs_measures_each_columns_largest_move():
+    # on synthetic bodies, with no subprocess: equal bodies print as
+    # cmp-equal; otherwise each column's largest move over the parent's
+    # largest magnitude of it, an energy.csv's named columns and a
+    # snapshot's rho row and u rows; two empty cells do not move, and an
+    # empty cell against a number, or a missing row, is an infinite move
+    tool = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
+    parent = "# config_hash=abc\n# seed=11\nt,E,identity_residual\n0,4,\n0.5,2,\n1,-8,\n"
+    change = "# config_hash=abc\n# seed=11\nt,E,identity_residual\n0,4,\n0.5,2.5,\n1,-8,\n"
+    assert tool["body_line"]("energy.csv", parent, parent) == "  energy.csv: cmp-equal"
+    assert tool["column_moves"](parent, change) == {"t": 0.0, "E": 0.0625,
+                                                    "identity_residual": 0.0}
+    assert tool["body_line"]("energy.csv", parent, change) == (
+        "  energy.csv: differ; largest move / column max: t 0, E 0.0625, identity_residual 0")
+    filled = change.replace("2.5,\n", "2.5,1e-3\n")
+    assert tool["column_moves"](parent, filled)["identity_residual"] == math.inf
+    assert tool["column_moves"](parent, parent.rsplit("1,-8,\n", 1)[0])["t"] == math.inf
+    snapshot = "# stefansim snapshot\n# t=1\n0.5,-1\n1,2,4\n-2,0,0\n"
+    moved = "# stefansim snapshot\n# t=1\n0.5,-1\n1,2,4\n-2,0,1\n"
+    assert tool["column_moves"](snapshot, moved) == {"rho": 0.0, "u": 0.25}
+    result = {"checks": [["step count", True, ""], ["decay rate", False, "gap"]]}
+    assert tool["checks_line"]("change", result) == "  change checks (2): failed: decay rate"

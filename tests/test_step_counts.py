@@ -24,7 +24,7 @@ NUMPY_FFT = str(Path(np.fft.__file__).parent)
 # Python-level functions entered from stefansim, and C calls made from
 # stefansim frames (measured with Python 3.11.7 and numpy 2.4.6)
 LIMITS = {"step": {"stefansim": 145.45, "numpy": 10.45, "c": 161.6},
-          "report": {"stefansim": 59.4, "numpy": 10.45, "c": 55.0}}
+          "report": {"stefansim": 59.4, "numpy": 9.45, "c": 55.0}}
 
 
 def call_counts(cfg, u0, rho0, steps, compute_identity=False):

@@ -1047,7 +1047,7 @@ def test_fixed_point_step_measures_in_the_norm_it_is_handed(monkeypatch, theta, 
     assert report.inner_iters >= 3
     assert weights == [] and built == []
     assert len(measured) > report.inner_iters
-    assert all(norm is setup["fp_norm"] for norm in measured)
+    assert all(norm is setup["setup"].fp_norm for norm in measured)
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -1443,7 +1443,7 @@ def test_run_factors_one_bulk_operator_per_dt(monkeypatch, case):
     real_step, real_prepare = stepper.fixed_point_step, stepper._prepare_step
 
     def recording_step(level, step_cfg, **kwargs):
-        handed.append((step_cfg.dt, step_cfg.theta, kwargs["bulk"]))
+        handed.append((step_cfg.dt, step_cfg.theta, kwargs["setup"].bulk))
         return real_step(level, step_cfg, **kwargs)
 
     def recording_prepare(bulk, *args, **kwargs):
@@ -1490,7 +1490,7 @@ def test_run_builds_one_fixed_point_norm_per_dt(monkeypatch, halvings):
         return norms[-1][1]
 
     def recording_step(level, step_cfg, **kwargs):
-        handed.append((step_cfg.dt, level, kwargs["fp_norm"]))
+        handed.append((step_cfg.dt, level, kwargs["setup"].fp_norm))
         return real_step(level, step_cfg, **kwargs)
 
     monkeypatch.setattr(stepper, "norm_weights", recording_weights)
@@ -1529,7 +1529,7 @@ def test_run_builds_the_interface_constants_once_per_dt(monkeypatch, halvings):
         return built[-1][2]
 
     def recording_step(level, step_cfg, **kwargs):
-        handed.append((step_cfg.dt, kwargs["bulk"]))
+        handed.append((step_cfg.dt, kwargs["setup"].bulk))
         return real_step(level, step_cfg, **kwargs)
 
     def recording_interface(u_new, old, step_cfg, *, constants, **kwargs):
@@ -1973,6 +1973,34 @@ def test_run_ends_exactly_on_t_end():
     assert res.state.t == 0.3
 
 
+@pytest.mark.parametrize("theta", [
+    1.0, pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 17"))])
+def test_a_modes_late_step_factor_is_the_schemes_own(theta):
+    # rho = 1e-6 sin 4x from the compatible start on 32 x 65, eps = 0,
+    # k_diag = 0, dt = 1e-2, to t = 1: mode 4's rfft coefficient changes
+    # between levels 99 and 100 by the scheme's own factor per step,
+    # R_theta(lambda_1 dt) = (1 + (1 - theta) lambda_1 dt) / (1 - theta
+    # lambda_1 dt), within 1e-4, and lies further from exp(lambda_1 dt) than
+    # from it; lambda_1 = -15.4294 is the leading root of the linearized
+    # spectrum at k = 4, an oracle that shares no code with the stepper.
+    # Measured at theta = 1: 0.866295 against R_1 = 0.866330 (a gap of
+    # 3.5e-5) and exp(lambda_1 dt) = 0.857020.  At theta = 1/2 it reads
+    # -1.7255 against R_1/2 = 0.856756: the trapezoidal rule's undamped
+    # start-up modes have taken the interface mode over
+    from stefansim.oracles import dispersion_leading_root
+
+    cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=32, n_z=65, k_diag=0, theta=theta)
+    rho0 = 1e-6 * np.sin(4 * cfg.grids().tangential.nodes)
+    rhos = []  # levels 1 .. 100
+    run(compatible_initial_temperature(rho0, cfg), rho0, cfg, 1.0,
+        callbacks=(lambda state, report: rhos.append(state.rho),))
+    factor = np.fft.rfft(rhos[99])[4] / np.fft.rfft(rhos[98])[4]
+    z = dispersion_leading_root(4) * cfg.dt
+    scheme = (1.0 + (1.0 - theta) * z) / (1.0 - theta * z)
+    assert abs(factor - scheme) <= 1e-4, (factor, scheme)
+    assert abs(factor - scheme) < abs(factor - np.exp(z)), (factor, scheme, np.exp(z))
+
+
 def test_run_ends_exactly_on_t_end_after_halving_dt(monkeypatch):
     # dt = 0.04 is made to fail twice: the level of the m-th step of 0.01
     # sits at m * 0.01, the last at t_end, not at a sum of twelve 0.01s
@@ -2123,6 +2151,36 @@ def test_run_names_the_step_of_an_exhausted_halving(monkeypatch):
         run(np.zeros(cfg.grids().shape), 0.1 * np.sin(x), cfg, 0.08)
     assert (exc.value.step, exc.value.t) == (1, 0.02)
     assert exc.value.residual > cfg.lin_tol
+
+
+@pytest.mark.parametrize("max_halvings", [2, 1])
+def test_a_failed_set_up_is_a_failed_step(monkeypatch, max_halvings):
+    # a segment whose bulk operator cannot be factored at dt > 0.015 (made
+    # to raise here) fails as a step does: the next segment starts at dt/2
+    # from the same level, so a run from dt = 0.04 makes its 8 steps at
+    # 0.01, their levels at m * 0.01 and the last at t_end; with one
+    # halving allowed it raises the set-up's error, named by its segment's
+    # first step at the halved dt
+    monkeypatch.setattr(SolverConfig, "max_dt_halvings", max_halvings)
+    real_lu, tried = stepper._BulkLU, []
+
+    def failing_lu(a, inv_dt, theta, grids):
+        tried.append(1.0 / inv_dt)
+        if 1.0 / inv_dt > HALVING_STALL_DT:
+            raise LinearSolveError(f"forced: no factors at dt={1.0 / inv_dt:g}")
+        return real_lu(a, inv_dt, theta, grids)
+
+    monkeypatch.setattr(stepper, "_BulkLU", failing_lu)
+    cfg = SolverConfig(dt=0.04, n_x=32, n_z=33, k_diag=0)
+    rho0 = 0.1 * np.sin(cfg.grids().tangential.nodes)
+    if max_halvings == 1:
+        with pytest.raises(LinearSolveError, match=r"^step 1 \(t=0\.02\): forced: no factors"):
+            run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
+        assert tried == [0.04, 0.02]
+        return
+    res = run(np.zeros(cfg.grids().shape), rho0, cfg, 0.08)
+    assert tried == [0.04, 0.02, 0.01] and res.cfg.dt == 0.01
+    assert [r.t for r in res.reports] == [m * 0.01 for m in range(8)] + [0.08]
 
 
 def test_run_checks_finiteness_once_per_level_and_lag_iterate(monkeypatch):
