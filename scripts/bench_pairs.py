@@ -56,10 +56,10 @@ PER_STEP_COUNTS = ("stepper.fp_iters_per_step", "stepper.lag_iters_per_solve")
 WIN_SHARE = Fraction(9, 10)  # share of the pairs a resolved move must win, exactly
 
 
-def workloads(checkout):
-    """The workloads of ``bench/run.py`` in ``checkout``, from its own WORKLOADS."""
+def workloads(checkout, module):
+    """The WORKLOADS of ``bench/<module>.py`` in ``checkout``, in their order."""
     return subprocess.run(
-        [sys.executable, "-B", "-c", "from run import WORKLOADS; print(*WORKLOADS)"],
+        [sys.executable, "-B", "-c", f"from {module} import WORKLOADS; print(*WORKLOADS)"],
         cwd=os.path.join(checkout, "bench"), capture_output=True, text=True,
         check=True).stdout.split()
 
@@ -163,7 +163,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     commits = {side: git_head(path) for side, path in checkouts.items()}
-    names = workloads(args.change)
+    names = workloads(args.change, "run")
 
     runs = {w: [] for w in names}
     for i in range(1, args.pairs + 1):

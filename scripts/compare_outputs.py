@@ -30,16 +30,10 @@ import tempfile
 
 import numpy as np
 
+from bench_pairs import workloads  # this script's sibling, on sys.path when it runs
+
 SEED = 11
 BODIES = ("energy.csv", "final_snapshot.csv")
-
-
-def workloads(checkout):
-    """The WORKLOADS of ``bench/workload.py`` in ``checkout``."""
-    return subprocess.run(
-        [sys.executable, "-B", "-c", "from workload import WORKLOADS; print(*WORKLOADS)"],
-        cwd=os.path.join(checkout, "bench"), capture_output=True, text=True,
-        check=True).stdout.split()
 
 
 def run_workload(checkout, workload, out_dir):
@@ -119,7 +113,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     equal = passed = True
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        for workload in workloads(args.change):
+        for workload in workloads(args.change, "workload"):
             print(workload)
             texts, results = {}, {}
             for side, checkout in (("parent", args.parent), ("change", args.change)):

@@ -1249,7 +1249,7 @@ def _make_report(history, cfg, steady_level, step_report, compute_identity):
     rho_dev = l2_interface(new.rho - steady_level, cfg.grids().tangential)
     identity_res = None
     if compute_identity and len(history) >= 3:
-        identity_res = identity_residual_k0(list(history)[-3:], cfg).residual
+        identity_res = identity_residual_k0([history[-3], history[-2], history[-1]], cfg).residual
     return EnergyReport(
         t=float(new.t), **vars(f), cons_residual=cons_res, rho_dev_L2=rho_dev,
         identity_residual=identity_res,

@@ -146,7 +146,7 @@ def test_summary_verdict_needs_the_quartiles_and_the_pairs(bench_pairs, change, 
 
 
 def test_workloads_come_from_the_benchmark(bench_pairs):
-    assert "mms-column" in bench_pairs.workloads(SCRIPT.parents[1])
+    assert "mms-column" in bench_pairs.workloads(SCRIPT.parents[1], "run")
 
 
 def test_a_checkout_without_a_commit_id_stops_before_any_run(bench_pairs, tmp_path,
@@ -181,7 +181,7 @@ def test_each_pair_runs_every_workload_before_the_next_pair(bench_pairs, tmp_pat
         return line(1.0, 60.0)
 
     monkeypatch.setattr(bench_pairs, "git_head", lambda checkout: f"id-{checkout}")
-    monkeypatch.setattr(bench_pairs, "workloads", lambda checkout: ["w1", "w2"])
+    monkeypatch.setattr(bench_pairs, "workloads", lambda checkout, module: ["w1", "w2"])
     monkeypatch.setattr(bench_pairs, "bench_line", fake_bench_line)
     monkeypatch.setattr(bench_pairs, "host", lambda: {})
     out = tmp_path / "BENCH.json"

@@ -204,10 +204,10 @@ def test_derivative_batches_transform_each_distinct_multiplier_once(monkeypatch)
 
 def report_terms():
     """The derivatives (each named by the orders of its factors) that the
-    reports of a k_diag = 3, eps != 0 run read through
-    ``RealTransforms.d_x_into`` (which ``d_x`` calls too), the first of
-    each multiplier per call: those of ``evaluate_functionals`` on a full
-    window, of ``model_energy`` and of ``identity_residual_k0``, recorded."""
+    reports of a k_diag = 3, eps != 0 run ask for: every term handed to
+    ``functionals._dx_rows`` (``evaluate_functionals`` on a full window and
+    ``model_energy``) and to ``RealTransforms.d_x`` (``identity_residual_k0``),
+    recorded."""
     from stefansim import functionals, identity
 
     cfg = SolverConfig(epsilon=1e-3, n_x=16, n_z=17, k_diag=3)
@@ -215,18 +215,22 @@ def report_terms():
     times = [0.01 * j for j in range(5)]  # a full window: the quotients 0 .. 4
     history = levels(cfg, times, [0.01 * rng.standard_normal(grids.shape) for _ in times],
                      [0.02 * np.sin(grids.tangential.nodes + t) for t in times])
-    seen, real_d_x_into = set(), RealTransforms.d_x_into
+    seen, real_dx_rows, real_d_x = set(), functionals._dx_rows, RealTransforms.d_x
 
-    def recording(self, out, x, distinct):
-        seen.update(distinct)
-        return real_d_x_into(self, out, x, distinct)
+    def rows_recording(transforms, x, terms, lead):
+        seen.update(terms)
+        return real_dx_rows(transforms, x, terms, lead)
 
-    RealTransforms.d_x_into = recording
+    def recording(self, x, terms):
+        seen.update(terms)
+        return real_d_x(self, x, terms)
+
+    functionals._dx_rows, RealTransforms.d_x = rows_recording, recording
     try:
         functionals.evaluate_functionals(history, cfg)
         identity.identity_residual_k0(history[-3:], cfg)
     finally:
-        RealTransforms.d_x_into = real_d_x_into
+        functionals._dx_rows, RealTransforms.d_x = real_dx_rows, real_d_x
     return sorted(seen)
 
 

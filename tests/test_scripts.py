@@ -79,12 +79,13 @@ def test_step_counts_prints_the_count_tests_totals(monkeypatch, capsys):
         assert len(rows) == 4 and all(" <- " in row for row in rows)
 
 
-def test_compare_outputs_measures_each_columns_largest_move():
+def test_compare_outputs_measures_each_columns_largest_move(monkeypatch):
     # on synthetic bodies, with no subprocess: equal bodies print as
     # cmp-equal; otherwise each column's largest move over the parent's
     # largest magnitude of it, an energy.csv's named columns and a
     # snapshot's rho row and u rows; two empty cells do not move, and an
     # empty cell against a number, or a missing row, is an infinite move
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # as ``python scripts/compare_outputs.py`` has it
     tool = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
     parent = "# config_hash=abc\n# seed=11\nt,E,identity_residual\n0,4,\n0.5,2,\n1,-8,\n"
     change = "# config_hash=abc\n# seed=11\nt,E,identity_residual\n0,4,\n0.5,2.5,\n1,-8,\n"
