@@ -259,11 +259,9 @@ def evaluate_functionals(levels, cfg):
             continue
         with_D = s + 1 < count
         w_x = [(mu, 1) for mu in mus] if with_D else []
-        if s == 0 and (k > 0 or with_D):  # row (0,) is the newest level's u; its products follow
+        if s == 0:  # row (0,) is the newest level's u; its products follow
             rows, index = _dx_rows(transforms, u_hats[0], ws[1:] + w_x, 1)
             rows[0], index = newest.u, [0] + [i + 1 for i in index]
-        elif s == 0:  # u_0's one row
-            rows, index = newest.u[None], [0]
         else:
             rows, index = _dx_rows(transforms, u_hats[s], ws + w_x, 0)
         normal = _stencil_sums(rows, first).tolist()

@@ -328,10 +328,10 @@ def test_stencil_sums_match_the_half_strip_evaluator(k_diag, eps):
 
 @pytest.mark.parametrize("k_diag", [0, 2])
 def test_a_report_transforms_each_quotient_of_each_field_once(monkeypatch, k_diag):
-    # no forward transform and no numpy FFT, and at most one
+    # no forward transform and no numpy FFT, and one
     # ``RealTransforms.d_x_into`` per quotient of u (its bulk rows; u_0's
-    # row (0,) is the level's own u) and per quotient of rho (its interface
-    # rows)
+    # row (0,) is the level's own u, so a first level's at k_diag = 0 has no
+    # product) and per quotient of rho (its interface rows)
     cfg = SolverConfig(epsilon=1e-4, n_x=32, n_z=33, k_diag=k_diag)
     history = decaying_history(cfg, k_diag + 2)
     calls = {"fft": [], "forward": [], "d_x_into": []}
@@ -352,7 +352,7 @@ def test_a_report_transforms_each_quotient_of_each_field_once(monkeypatch, k_dia
         assert calls["fft"] == calls["forward"] == []
         assert bulk + interface == len(calls["d_x_into"])
         assert interface == count  # the quotients 0 .. count - 1 of rho
-        assert bulk == min(count, k_diag + 1) - (k_diag == 0 and count == 1)
+        assert bulk == min(count, k_diag + 1)
 
 
 @pytest.mark.parametrize("first", [1e-3, 0.01, 7.0])

@@ -55,24 +55,19 @@ def test_code_lines_counts_code_only(tmp_path, monkeypatch, capsys):
 
 
 def test_step_counts_prints_the_count_tests_totals(monkeypatch, capsys):
-    # its totals per accepted step, the numpy.fft tally beside the three
-    # counts, are those of the count test's ``call_counts`` on the same
-    # 16 x 17 decay, here of 3 steps, and each part's tally lists its top
-    # functions with their callers.  A first run fills the package's
-    # caches, which a cold run counts too
-    from test_step_counts import call_counts, decay_problem
-
-    call_counts(*decay_problem(), 3)
-    monkeypatch.setattr(sys, "argv", ["step_counts.py", "--steps", "3", "--top", "4"])
+    # its table is ``totals(tally(...))`` of the count test's 16 x 17
+    # decay, here of 4 steps (so each total has at most two decimals and
+    # prints exactly), then the line naming what the hook cannot see; each
+    # part's tally lists its top functions with their callers
+    tool = runpy.run_path(str(SCRIPTS / "step_counts.py"))
+    want = tool["totals"](tool["tally"](*tool["decay_problem"](), 4), 4)
+    monkeypatch.setattr(sys, "argv", ["step_counts.py", "--steps", "4", "--top", "4"])
     runpy.run_path(str(SCRIPTS / "step_counts.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["part", "stefansim", "numpy", "c", "fft"]
-    printed = {row[0]: [float(v) for v in row[1:]] for row in map(str.split, lines[1:3])}
-    want = call_counts(*decay_problem(), 3)
-    assert set(printed) == set(want) == {"step", "report"}
-    for part, totals in printed.items():
-        assert totals == pytest.approx(
-            [want[part][kind] for kind in ("stefansim", "numpy", "c", "fft")], abs=0.006)
+    assert lines[0].split() == ["part", *tool["KINDS"]]
+    assert {row[0]: [float(v) for v in row[1:]] for row in map(str.split, lines[1:3])} == {
+        part: list(per_step.values()) for part, per_step in want.items()}
+    assert lines[3] == tool["UNSEEN"]
     for part in ("step", "report"):
         head = lines.index(f"{part}: top 4 by calls per step (kind, function <- caller)")
         rows = lines[head + 1:head + 5]
