@@ -17,13 +17,16 @@ column's largest magnitude on the parent's side, the measure of
 columns of ``energy.csv`` are its named ones (an empty cell reads as nan,
 and two nans do not move); a snapshot's are ``rho``, its first data row,
 and ``u``, the rows after it.  Last, it prints whether every workload
-check of each side passed.  The exit code is 0 when every body is
-``cmp``-equal and every check passed, else 1.
+check of each side passed, and how many warning lines (``<file>:<line>:
+<Category>Warning: ...``) each side wrote to stderr, so a change to what
+a workload warns about shows beside the verdict.  The exit code is 0
+when every body is ``cmp``-equal and every check passed, else 1.
 """
 import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,21 +37,28 @@ from bench_pairs import workloads  # this script's sibling, on sys.path when it 
 
 SEED = 11
 BODIES = ("energy.csv", "final_snapshot.csv")
+WARNING_LINE = re.compile(r":\d+: \w*Warning: ")  # the first line of ``warnings.showwarning``
 
 
 def run_workload(checkout, workload, out_dir):
-    """The RESULT record of one ``bench/workload.py`` run of ``checkout``,
-    its artifacts written into ``out_dir``."""
+    """(the RESULT record, the count of ``warning_lines`` on stderr) of
+    one ``bench/workload.py`` run of ``checkout``, its artifacts written
+    into ``out_dir``."""
     checkout = os.path.abspath(checkout)
     src = os.path.join(checkout, "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-B", os.path.join(checkout, "bench", "workload.py"), "--workload",
          workload, "--seed", str(SEED), "--root", checkout, "--out", out_dir],
-        cwd=out_dir, env=env, capture_output=True, text=True, check=True).stdout
-    line = next(line for line in out.splitlines() if line.startswith("RESULT "))
-    return json.loads(line[len("RESULT "):])
+        cwd=out_dir, env=env, capture_output=True, text=True, check=True)
+    line = next(line for line in proc.stdout.splitlines() if line.startswith("RESULT "))
+    return json.loads(line[len("RESULT "):]), warning_lines(proc.stderr)
+
+
+def warning_lines(stderr):
+    """How many lines of ``stderr`` begin a Python warning."""
+    return sum(1 for line in stderr.splitlines() if WARNING_LINE.search(line))
 
 
 def _cells(line):
@@ -99,11 +109,12 @@ def body_line(name, parent_text, change_text):
             + ", ".join(f"{col} {share:.3g}" for col, share in moves.items()))
 
 
-def checks_line(side, result):
-    """One line: whether every workload check of one side's RESULT passed."""
+def checks_line(side, result, warnings):
+    """One line: whether every workload check of one side's RESULT passed,
+    and how many warning lines the side's run wrote."""
     failed = [name for name, ok, _ in result["checks"] if not ok]
     verdict = "all passed" if not failed else "failed: " + ", ".join(failed)
-    return f"  {side} checks ({len(result['checks'])}): {verdict}"
+    return f"  {side} checks ({len(result['checks'])}): {verdict}; warning lines: {warnings}"
 
 
 def main(argv=None):
@@ -115,11 +126,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for workload in workloads(args.change, "workload"):
             print(workload)
-            texts, results = {}, {}
+            texts, results, warned = {}, {}, {}
             for side, checkout in (("parent", args.parent), ("change", args.change)):
                 out_dir = os.path.join(tmp, side, workload)
                 os.makedirs(out_dir)
-                results[side] = run_workload(checkout, workload, out_dir)
+                results[side], warned[side] = run_workload(checkout, workload, out_dir)
                 for name in BODIES:
                     with open(os.path.join(out_dir, name)) as fh:
                         texts[side, name] = fh.read()
@@ -128,7 +139,7 @@ def main(argv=None):
                 print(body_line(name, texts["parent", name], texts["change", name]))
             for side, result in results.items():
                 passed &= all(ok for _, ok, _ in result["checks"])
-                print(checks_line(side, result))
+                print(checks_line(side, result, warned[side]))
     print(f"every body cmp-equal: {'yes' if equal else 'no'}; "
           f"every workload check passed: {'yes' if passed else 'no'}")
     return 0 if equal and passed else 1

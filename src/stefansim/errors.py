@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
+
+
+# the stamp of every failure ``run`` reports: the index and time of the level
+# it was making
+STAMP = "step {} (t={!r}): "
 
 
 class StefanSimError(Exception):
@@ -9,7 +14,7 @@ class StefanSimError(Exception):
 
     def at_step(self, step, t):
         self.step, self.t = step, t
-        self.args = (f"step {step} (t={t!r}): {self.args[0]}",) + self.args[1:]
+        self.args = (STAMP.format(step, t) + self.args[0],) + self.args[1:]
 
 
 class NonFiniteFieldError(StefanSimError):
@@ -50,4 +55,7 @@ class ConfigError(StefanSimError, ValueError):
 
 
 class ResolutionWarning(UserWarning):
-    """A field's spectral tail is large enough to distrust derived quantities."""
+    """An interface's spectral tail is large enough to distrust its
+    curvature: ``run`` issues at most one, stamped with the first level
+    whose ``tail_fraction`` reaches ``transform.TAIL_TOLERANCE``, and
+    ``transform.curvature`` one per under-resolved input."""

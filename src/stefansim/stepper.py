@@ -126,9 +126,10 @@ interface transform is a product with a cached matrix of
 step, like the reports and the identity, enters no numpy FFT.  A later
 iterate transforms its rho_m once (``grids.interface_transforms``: one product
 for the coefficients, one for the slope and second derivative): the
-resolution check, the curvature Dirichlet data (the flux's derivative is
-two more products) and the interface update share them, taken at the
-end of the iterate before.  Iterate 1's are the predictor's combination
+curvature Dirichlet data (the flux's derivative is two more products)
+and the interface update share them, taken at the end of the iterate
+before.  No iterate is checked for resolution: only the levels a run
+accepts are (below).  Iterate 1's are the predictor's combination
 of the levels' transforms (``_extrapolate``), so the step transforms no
 predicted interface.  A solve's Dirichlet data is one forward product,
 the interface update's right-hand side one and its inverse one, and the
@@ -143,8 +144,9 @@ transforms; ``run`` checks it against trace_tol.
 Each time level is a ``Level`` record, built once by ``make_level``: t,
 u, rho, the final solve's ``_bulk_fields`` of u (its rfft, the solve's
 coefficients, included), rho's rfft in a row's real layout, its slope
-and second derivative, the conserved quantity Q, the forcing's values
-at t and, once the identity has read it, the model energy.  A step
+and second derivative, the spectral tail fraction of rho's rfft, the
+conserved quantity Q, the forcing's values at t and, once the identity
+has read it, the model energy.  A step
 reads u_old's fields, the old interface's transforms and, at theta < 1,
 the old forcing from the old level, so it transforms no field of that
 level and evaluates the forcing once per level; it returns the new
@@ -231,6 +233,7 @@ from .grids import (
     interface_transforms,
     l2_interface,
     real_transforms,
+    tail_fraction_hat,
 )
 from .identity import identity_residual_k0
 from .transform import (
@@ -239,6 +242,7 @@ from .transform import (
     curvature_hat,
     jump_normal_derivative,
     norm_weights,
+    warn_under_resolved,
 )
 
 
@@ -343,7 +347,10 @@ class Level(State):
     ``make_level``: u's ``_bulk_fields`` (its rfft ``fields.hat``, float,
     in the real layout (2, modes, n_z), included), ``rho_hat``, rho's rfft
     in a row's flat real layout (2 modes,) (``grids.RealTransforms``), its
-    slope and second derivative, the conserved quantity Q and ``forcing``,
+    slope and second derivative, ``tail_fraction``, the share of rho's
+    mean-free spectral energy in its top third of modes
+    (``grids.tail_fraction_hat``), which ``run`` checks against
+    ``transform.TAIL_TOLERANCE``, the conserved quantity Q and ``forcing``,
     the forcing's (bulk, Dirichlet, jump) values at t ((0.0, 0.0, 0.0) in
     an unforced run; None if not evaluated).  Only ``E_bar``, the pair
     (epsilon, model energy) that ``identity.model_energy`` caches, is
@@ -358,6 +365,7 @@ class Level(State):
     rho_hat: np.ndarray = None
     rho_x: np.ndarray = None
     rho_xx: np.ndarray = None
+    tail_fraction: float = 0.0
     Q: float = 0.0
     forcing: tuple = None
     E_bar: tuple = None
@@ -370,8 +378,9 @@ def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
     ``_bulk_fields``) are those an accepted step's final solve already
     holds, and are built here when not given (one forward product); rho's
     transforms, coefficients included, come from
-    ``grids.interface_transforms``.  ``forcing`` is the forcing's values
-    at t, if already evaluated.  No finiteness check."""
+    ``grids.interface_transforms``, and its ``tail_fraction`` from those
+    coefficients, once per level.  ``forcing`` is the forcing's values at
+    t, if already evaluated.  No finiteness check."""
     grids = cfg.grids()
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -379,8 +388,8 @@ def make_level(t, u, rho, cfg, *, fields=None, forcing=None):
         fields = _bulk_fields(u, real_transforms(grids.tangential.n_x).forward(u), grids)
     coef, rho_x, rho_xx = interface_transforms(rho)
     return Level(t=t, u=u, rho=rho, fields=fields, rho_hat=coef, rho_x=rho_x,
-                 rho_xx=rho_xx, Q=conserved_quantity(u, rho, cfg.cutoff(), grids),
-                 forcing=forcing)
+                 rho_xx=rho_xx, tail_fraction=tail_fraction_hat(coef, rho.size),
+                 Q=conserved_quantity(u, rho, cfg.cutoff(), grids), forcing=forcing)
 
 
 # ``_extrapolate``'s weights for two and three levels, newest first
@@ -1337,7 +1346,12 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     Every StefanSimError raised while a level is made (the initial level
     is step 0) is stamped with that step and its time (``at_step``), so
     its message begins ``step n (t=...): ``; a failed set-up is stamped
-    with its segment's first step.
+    with its segment's first step.  A run issues at most one
+    ResolutionWarning, pointing at run's caller: at the first level, the
+    initial level included, whose ``tail_fraction`` is at least
+    ``transform.TAIL_TOLERANCE``, with the message ``step n (t=...):
+    interface under-resolved ...`` (``transform.warn_under_resolved``).
+    The steps check no iterate for resolution.
     """
     require_whole_steps(t_end, cfg.dt)
     shapes = np.shape(u0), np.shape(rho0)
@@ -1347,6 +1361,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
     forcing = _UNFORCED if forcing is None else forcing
     # a step at theta < 1 reads the forcing at its old level too
     level = make_level(0.0, u0, rho0, cfg, forcing=forcing.at(0.0) if cfg.theta < 1.0 else None)
+    warned = warn_under_resolved(level.tail_fraction, (0, 0.0))
     steady_level = steady_mean(level)
     reports, t_new = [], 0.0  # a report per level made; the time of the level being made
     # the segment's steps, run-origin indices at cfg's dt; the halvings made;
@@ -1380,6 +1395,7 @@ def run(u0, rho0, cfg, t_end, *, forcing=None, callbacks=(), compute_identity=Fa
                         f"= {step_report.trace_gap:.3e} > {cfg.trace_tol:.1e}")
                 level, prev_iters = new, step_report.inner_iters
                 history.append(level)
+                warned = warned or warn_under_resolved(level.tail_fraction, (len(reports), level.t))
                 report = _make_report(history, cfg, steady_level, step_report, compute_identity)
                 reports.append(report)
                 for cb in callbacks:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateTransformError, ResolutionWarning
+from .errors import STAMP, DegenerateTransformError, ResolutionWarning
 from .grids import (
     _one_sided_first,
     _require_finite,
@@ -40,7 +40,7 @@ from .grids import (
     tail_fraction_hat,
 )
 
-TAIL_TOLERANCE = 1e-8  # spectral-tail energy fraction above which curvature warns
+TAIL_TOLERANCE = 1e-8  # spectral-tail energy fraction at which an interface is under-resolved
 
 
 @dataclass(frozen=True)
@@ -169,31 +169,39 @@ def norm_weights(rho, rho_x, cutoff, grids):
 def curvature(rho):
     """Mean curvature of the graph z = rho(x), divergence form, spectral.
 
-    kappa = d/dx ( rho_x / sqrt(1 + rho_x^2) ).
+    kappa = d/dx ( rho_x / sqrt(1 + rho_x^2) ).  rho comes from outside
+    the program, so it is checked for finiteness, and for resolution by
+    ``warn_under_resolved``, whose warning points at the caller.
     """
     rho = np.asarray(rho, dtype=float)
     _require_finite(rho, "curvature input")
     coef, rho_x, _ = interface_transforms(rho)
-    return curvature_hat(coef, rho_x, stacklevel=3)
+    warn_under_resolved(tail_fraction_hat(coef, rho.size))
+    return curvature_hat(coef, rho_x)
 
 
-def curvature_hat(rho_hat, rho_x, stacklevel=2):
+def curvature_hat(rho_hat, rho_x):
     """``curvature`` of the interface whose rfft has the flat real layout
     ``rho_hat`` (``grids.RealTransforms``) and whose slope ``rho_x`` the
-    caller already took from it: the resolution check reads rho_hat, and
-    the flux's derivative is two products, its forward product and the
-    d_x rows of ``derivative_matrix``.  No finiteness check."""
+    caller already took from it: the flux's derivative is two products,
+    its forward product and the d_x rows of ``derivative_matrix``.  No
+    finiteness or resolution check: ``make_level`` records each level's
+    ``tail_fraction``, and ``run`` judges it."""
     n = rho_x.shape[0]
-    tail = tail_fraction_hat(rho_hat, n)
-    if tail >= TAIL_TOLERANCE:
-        warnings.warn(
-            f"curvature input under-resolved: top-third spectral energy "
-            f"fraction {tail:.2e} >= {TAIL_TOLERANCE:.0e}",
-            ResolutionWarning,
-            stacklevel=stacklevel,
-        )
     t = real_transforms(n)
     return t.derivative_matrix[:n] @ (t.forward_matrix @ (rho_x / np.sqrt(1.0 + rho_x**2)))
+
+
+def warn_under_resolved(tail, at=None):
+    """Whether ``tail``, an interface's ``grids.tail_fraction_hat``, is at
+    least TAIL_TOLERANCE.  If so, issue a ResolutionWarning ``interface
+    under-resolved: tail fraction ...``, stamped ``step n (t=...): `` (``errors.STAMP``)
+    when ``at`` is (n, t), pointing at the caller's caller.  The message
+    is formatted only then."""
+    if tail >= TAIL_TOLERANCE:
+        text = f"interface under-resolved: tail fraction {tail:.2e} >= {TAIL_TOLERANCE:.0e}"
+        warnings.warn(STAMP.format(*at) + text if at else text, ResolutionWarning, stacklevel=3)
+    return tail >= TAIL_TOLERANCE
 
 
 def jump_normal_derivative(u_values, grids):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process via main(argv)."""
 import argparse
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from stefansim import cli
 from stefansim.cli import build_parser, main
+from stefansim.errors import ResolutionWarning
 from stefansim.io import read_energy_csv
 from stefansim.stepper import SolverConfig
 
@@ -183,6 +185,20 @@ def test_run_failure_leaves_no_partial_output(workdir, capsys, monkeypatch):
     assert main(["run", "--config", str(cfg_path), "--quiet"]) == 1
     assert not (workdir / "doomed").exists()
     assert "run failed: step 1 (t=0.04): temperature solve stalled" in capsys.readouterr().err
+
+
+def test_a_rough_start_warns_once_at_step_zero(workdir):
+    # mode 12 of 32 lies in the top third: the compatible steady solve does
+    # not warn, and run warns once, about its initial level, over 20 steps
+    rough = FAST_RUN.replace("rho_modes = 1:0.01", "rho_modes = 1:0.01, 12:1e-5").replace(
+        "t_end = 5e-3", "t_end = 0.02").replace("n_x = 16", "n_x = 32").replace(
+        "n_z = 17", "n_z = 33")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(write_config(workdir, rough)), "--quiet"]) == 0
+    messages = [str(w.message) for w in caught if issubclass(w.category, ResolutionWarning)]
+    assert len(messages) == 1, messages
+    assert messages[0].startswith("step 0 (t=0.0): interface under-resolved")
 
 
 @pytest.mark.parametrize("u_init", ["zero", "compatible"])

@@ -96,4 +96,21 @@ def test_compare_outputs_measures_each_columns_largest_move(monkeypatch):
     moved = "# stefansim snapshot\n# t=1\n0.5,-1\n1,2,4\n-2,0,1\n"
     assert tool["column_moves"](snapshot, moved) == {"rho": 0.0, "u": 0.25}
     result = {"checks": [["step count", True, ""], ["decay rate", False, "gap"]]}
-    assert tool["checks_line"]("change", result) == "  change checks (2): failed: decay rate"
+    assert tool["checks_line"]("change", result, 0) == (
+        "  change checks (2): failed: decay rate; warning lines: 0")
+
+
+def test_compare_outputs_counts_the_warning_lines_on_stderr(monkeypatch):
+    # on synthetic stderr text, with no subprocess: the first line of each
+    # warning counts, not its source line or other text
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    tool = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
+    stderr = ("bench/workload.py:120: ResolutionWarning: step 0 (t=0.0): interface "
+              "under-resolved: top-third spectral energy fraction 1.00e-06 >= 1e-08\n"
+              "  res = run(u0, rho0, cfg, t_end)\n"
+              "bench/workload.py:12: RuntimeWarning: divide by zero encountered in log\n"
+              "a UserWarning: named mid-line\n")
+    assert tool["warning_lines"](stderr) == 2
+    assert tool["warning_lines"]("") == 0
+    assert tool["checks_line"]("parent", {"checks": [["step count", True, ""]]}, 2) == (
+        "  parent checks (1): all passed; warning lines: 2")

@@ -6,6 +6,7 @@ import inspect
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -27,7 +28,13 @@ from stefansim.errors import (
     ResolutionWarning,
 )
 from stefansim.functionals import EnergyNormK0, evaluate_functionals, state_energy_k0
-from stefansim.grids import RealTransforms, d_tangential, real_transforms
+from stefansim.grids import (
+    RealTransforms,
+    d_tangential,
+    interface_transforms,
+    real_transforms,
+    tail_fraction_hat,
+)
 from stefansim.identity import identity_residual_k0
 from stefansim.stepper import (
     SolverConfig,
@@ -40,6 +47,7 @@ from stefansim.stepper import (
     temperature_step,
 )
 from stefansim.transform import (
+    TAIL_TOLERANCE,
     coefficients,
     curvature,
     jump_normal_derivative,
@@ -1325,14 +1333,59 @@ def test_anderson_mixing_drops_its_history():
     assert mixer.mixed
 
 
-def test_fixed_point_warns_on_an_under_resolved_iterate(small_grids):
+def resolution_warnings(call):
+    """The ResolutionWarnings that ``call()`` issues, every one recorded
+    (no once-per-location filter)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [w for w in caught if issubclass(w.category, ResolutionWarning)]
+
+
+def test_a_step_records_the_tail_that_run_warns_about_once(small_grids):
+    # the step checks no iterate and warns about nothing; the level it
+    # accepts carries its tail fraction, and run warns once, at step 0
     cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
     x = small_grids.tangential.nodes
     rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)  # mode 12 lies in the top third
     state = make_level(0.0, np.zeros(small_grids.shape), rho, cfg)
-    setup = dt_setup(state, cfg)
-    with pytest.warns(ResolutionWarning, match="under-resolved"):
-        fixed_point_step(state, cfg, t_new=cfg.dt, **setup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning would fail the test
+        new, _ = fixed_point_step(state, cfg, t_new=cfg.dt, **dt_setup(state, cfg))
+    assert new.tail_fraction >= TAIL_TOLERANCE
+    caught = resolution_warnings(lambda: run(state.u, rho, cfg, 5 * cfg.dt))
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("step 0 (t=0.0): interface under-resolved")
+    assert caught[0].filename == __file__  # run's caller
+
+
+def test_a_run_warns_once_at_its_first_under_resolved_level():
+    # rho = 1e-6 sin 8x from the compatible start on 32 x 65, dt = 1e-2,
+    # to t = 1: mode 8 decays toward roundoff, so the top third's share of
+    # the interface's energy grows past the tolerance and stays there.  The
+    # run warns once, naming the first level over it (step 50, t = 0.5),
+    # as the levels handed to a callback read
+    cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=32, n_z=65, k_diag=0)
+    rho0 = 1e-6 * np.sin(8 * cfg.grids().tangential.nodes)
+    levels = [(0.0, rho0)]  # (t, rho) of levels 0 .. 100
+    caught = resolution_warnings(lambda: run(
+        compatible_initial_temperature(rho0, cfg), rho0, cfg, 1.0,
+        callbacks=(lambda state, report: levels.append((state.t, state.rho)),)))
+    step, t = next((step, t) for step, (t, rho) in enumerate(levels)
+                   if tail_fraction_hat(interface_transforms(rho)[0], cfg.n_x) >= TAIL_TOLERANCE)
+    assert (step, t) == (50, 0.5)
+    assert len(caught) == 1, len(caught)
+    assert str(caught[0].message).startswith(f"step {step} (t={t!r}): interface under-resolved")
+
+
+def test_a_level_records_its_tail_fraction(small_grids):
+    # from the coefficients make_level already holds, against numpy's rfft
+    cfg = SolverConfig(dt=1e-3, n_x=32, n_z=33, k_diag=0)
+    x = small_grids.tangential.nodes
+    rho = 0.01 * np.sin(x) + 1e-5 * np.cos(12 * x)
+    level = make_level(0.0, np.zeros(small_grids.shape), rho, cfg)
+    assert level.tail_fraction == pytest.approx(tail_fraction_hat(real_rfft(rho), cfg.n_x),
+                                                rel=1e-12)
 
 
 def test_fixed_point_error_carries_last_iterate_info(monkeypatch, small_grids):
@@ -1973,32 +2026,37 @@ def test_run_ends_exactly_on_t_end():
     assert res.state.t == 0.3
 
 
-@pytest.mark.parametrize("theta", [
-    1.0, pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 17"))])
-def test_a_modes_late_step_factor_is_the_schemes_own(theta):
-    # rho = 1e-6 sin 4x from the compatible start on 32 x 65, eps = 0,
-    # k_diag = 0, dt = 1e-2, to t = 1: mode 4's rfft coefficient changes
-    # between levels 99 and 100 by the scheme's own factor per step,
+@pytest.mark.parametrize("theta, k, eps", [
+    (1.0, 1, 0.0), (1.0, 1, 1e-2), (1.0, 2, 0.0), (1.0, 2, 1e-2), (1.0, 4, 0.0), (1.0, 4, 1e-2),
+    pytest.param(0.5, 4, 0.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 17"))])
+def test_a_modes_late_step_factor_is_the_schemes_own(theta, k, eps):
+    # rho = 1e-6 sin kx from the compatible start on 32 x 65, k_diag = 0,
+    # dt = 1e-2, to t = 1: mode k's rfft coefficient changes between
+    # levels 99 and 100 by the scheme's own factor per step,
     # R_theta(lambda_1 dt) = (1 + (1 - theta) lambda_1 dt) / (1 - theta
-    # lambda_1 dt), within 1e-4, and lies further from exp(lambda_1 dt) than
-    # from it; lambda_1 = -15.4294 is the leading root of the linearized
-    # spectrum at k = 4, an oracle that shares no code with the stepper.
-    # Measured at theta = 1: 0.866295 against R_1 = 0.866330 (a gap of
-    # 3.5e-5) and exp(lambda_1 dt) = 0.857020.  At theta = 1/2 it reads
-    # -1.7255 against R_1/2 = 0.856756: the trapezoidal rule's undamped
-    # start-up modes have taken the interface mode over
+    # lambda_1 dt), within 1e-4; lambda_1 is the leading root of the
+    # linearized spectrum at (k, eps), an oracle that shares no code with
+    # the stepper.  Measured gaps at theta = 1, eps = 0 / 1e-2: 2.8e-5 /
+    # 2.8e-5 (k = 1), 2.4e-5 / 2.6e-5 (k = 2), 3.5e-5 / 3.2e-6 (k = 4).
+    # At k = 2 and 4 the factor also lies further from exp(lambda_1 dt)
+    # (5.5e-4 and 9.3e-3 away at eps = 0) than from R_theta; at k = 1 the
+    # two differ by only 2e-5, and the factor is 7.6e-6 from exp.  At
+    # theta = 1/2, k = 4 it reads -1.7255 against R_1/2 = 0.856756: the
+    # trapezoidal rule's undamped start-up modes have taken the interface
+    # mode over
     from stefansim.oracles import dispersion_leading_root
 
-    cfg = SolverConfig(epsilon=0.0, dt=1e-2, n_x=32, n_z=65, k_diag=0, theta=theta)
-    rho0 = 1e-6 * np.sin(4 * cfg.grids().tangential.nodes)
+    cfg = SolverConfig(epsilon=eps, dt=1e-2, n_x=32, n_z=65, k_diag=0, theta=theta)
+    rho0 = 1e-6 * np.sin(k * cfg.grids().tangential.nodes)
     rhos = []  # levels 1 .. 100
     run(compatible_initial_temperature(rho0, cfg), rho0, cfg, 1.0,
         callbacks=(lambda state, report: rhos.append(state.rho),))
-    factor = np.fft.rfft(rhos[99])[4] / np.fft.rfft(rhos[98])[4]
-    z = dispersion_leading_root(4) * cfg.dt
+    factor = np.fft.rfft(rhos[99])[k] / np.fft.rfft(rhos[98])[k]
+    z = dispersion_leading_root(k, eps) * cfg.dt
     scheme = (1.0 + (1.0 - theta) * z) / (1.0 - theta * z)
     assert abs(factor - scheme) <= 1e-4, (factor, scheme)
-    assert abs(factor - scheme) < abs(factor - np.exp(z)), (factor, scheme, np.exp(z))
+    if k > 1:
+        assert abs(factor - scheme) < abs(factor - np.exp(z)), (factor, scheme, np.exp(z))
 
 
 def test_run_ends_exactly_on_t_end_after_halving_dt(monkeypatch):
