@@ -195,9 +195,9 @@ def curvature_hat(rho_hat, rho_x):
 def warn_under_resolved(tail, at=None):
     """Whether ``tail``, an interface's ``grids.tail_fraction_hat``, is at
     least TAIL_TOLERANCE.  If so, issue a ResolutionWarning ``interface
-    under-resolved: tail fraction ...``, stamped ``step n (t=...): `` (``errors.STAMP``)
-    when ``at`` is (n, t), pointing at the caller's caller.  The message
-    is formatted only then."""
+    under-resolved: tail fraction ...``, stamped ``step n (t=...): ``
+    (``errors.STAMP``) when ``at`` is (n, t), pointing at the caller's
+    caller.  The message is formatted only then."""
     if tail >= TAIL_TOLERANCE:
         text = f"interface under-resolved: tail fraction {tail:.2e} >= {TAIL_TOLERANCE:.0e}"
         warnings.warn(STAMP.format(*at) + text if at else text, ResolutionWarning, stacklevel=3)
